@@ -214,14 +214,16 @@ const HOT_ALLOC_FILE_SCOPES: [&str; 5] = [
 ];
 
 /// `(file, fn name)` pairs whose function body (brace extent) is hot-alloc
-/// scope: the multifrontal task body runs once per supernode per step, and
-/// the split sub-unit bodies run once per panel/tile/strip per step.
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 5] = [
+/// scope: the multifrontal task body runs once per supernode per step, the
+/// split sub-unit bodies run once per panel/tile/strip per step, and the
+/// supernodal triangular solve visits every supernode twice per step.
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 6] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
     ("crates/sparse/src/numeric.rs", "assemble_strip"),
     ("crates/sparse/src/numeric.rs", "panel_step"),
     ("crates/sparse/src/numeric.rs", "tile_step"),
     ("crates/sparse/src/numeric.rs", "finish_task"),
+    ("crates/sparse/src/numeric.rs", "solve_in_place"),
 ];
 
 /// Files where every panic-capable construct is a protocol bug: the wire

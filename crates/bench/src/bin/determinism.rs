@@ -34,6 +34,13 @@
 //! design makes — the sub-unit overlay changes *scheduling only*, so its
 //! bytes must match the unsplit plan's bytes exactly, not merely be
 //! internally consistent across thread counts.
+//!
+//! Finally, per dataset, `analyze-incremental` replays at 1 and 4 threads
+//! beside a twin whose core re-derives the symbolic factorization and the
+//! plan from nothing on every structural change: the plan fingerprints
+//! must agree on every step and the final factor bytes must be identical —
+//! `IncrementalCore::analyze`'s prefix reuse changes what a step costs,
+//! never what it computes.
 
 use std::process::ExitCode;
 
@@ -42,6 +49,7 @@ use supernova_datasets::Dataset;
 use supernova_factors::{Key, Variable};
 use supernova_linalg::NumericMode;
 use supernova_solvers::{Isam2, Isam2Config, OnlineSolver};
+use supernova_sparse::interference::plan_fingerprint;
 use supernova_sparse::{ParallelExecutor, SplitConfig};
 
 /// FNV-1a over a byte string.
@@ -54,26 +62,42 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One replay: per-step factor hashes, final factor bytes, final estimate.
-/// `Variable` derives `PartialEq` over exact `f64` values, so comparing
-/// estimates across runs is an exact-equality check, not a tolerance.
+/// One replay: per-step factor hashes and plan fingerprints, final factor
+/// bytes, final estimate. `Variable` derives `PartialEq` over exact `f64`
+/// values, so comparing estimates across runs is an exact-equality check,
+/// not a tolerance.
 struct Replay {
     step_hashes: Vec<u64>,
+    plan_prints: Vec<u64>,
     final_bytes: Vec<u8>,
     estimate: Vec<Variable>,
 }
 
-fn replay(dataset: &Dataset, mode: NumericMode, threads: usize, split: SplitConfig) -> Replay {
+/// Replays `dataset` online; with `analyze_from_scratch` the core re-derives
+/// its symbolic factorization and plan from nothing on every structural
+/// change instead of updating them.
+fn replay(
+    dataset: &Dataset,
+    mode: NumericMode,
+    threads: usize,
+    split: SplitConfig,
+    analyze_from_scratch: bool,
+) -> Replay {
     let mut solver = Isam2::new(Isam2Config::default());
     solver
         .core_mut()
         .set_executor(ParallelExecutor::new(threads).with_numeric(mode));
     solver.core_mut().set_split_config(split);
+    solver
+        .core_mut()
+        .set_analyze_from_scratch(analyze_from_scratch);
     let mut step_hashes = Vec::new();
+    let mut plan_prints = Vec::new();
     for step in &dataset.online_steps() {
         solver.step(step.truth.clone(), step.factors.clone());
         let bytes = solver.core().numeric_bytes().unwrap_or_default();
         step_hashes.push(fnv1a(&bytes));
+        plan_prints.push(solver.core().plan().map_or(0, plan_fingerprint));
     }
     let final_bytes = solver.core().numeric_bytes().unwrap_or_default();
     let estimate = (0..solver.core().num_vars())
@@ -81,6 +105,7 @@ fn replay(dataset: &Dataset, mode: NumericMode, threads: usize, split: SplitConf
         .collect();
     Replay {
         step_hashes,
+        plan_prints,
         final_bytes,
         estimate,
     }
@@ -89,9 +114,9 @@ fn replay(dataset: &Dataset, mode: NumericMode, threads: usize, split: SplitConf
 fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
     let name = dataset.name();
     eprintln!("{name} [{mode}]: {} steps", dataset.num_steps());
-    let serial = replay(dataset, mode, 1, SplitConfig::on());
+    let serial = replay(dataset, mode, 1, SplitConfig::on(), false);
     for threads in [2usize, 4] {
-        let run = replay(dataset, mode, threads, SplitConfig::on());
+        let run = replay(dataset, mode, threads, SplitConfig::on(), false);
         let diverged = serial
             .step_hashes
             .iter()
@@ -126,7 +151,7 @@ fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
     // Split-off cross-checks against the split-on serial reference: the
     // overlay must be invisible in the bytes, at any thread count.
     for (label, threads) in [("split-off-serial", 1usize), ("split-off-4t", 4)] {
-        let run = replay(dataset, mode, threads, SplitConfig::off());
+        let run = replay(dataset, mode, threads, SplitConfig::off(), false);
         report.check(
             &format!("{name}/{mode}/{label}/final-bytes"),
             run.final_bytes == serial.final_bytes,
@@ -147,6 +172,42 @@ fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
     }
 }
 
+/// Incremental analysis vs a from-scratch twin, at 1 and 4 threads (the
+/// structure is mode-independent, so one numeric mode suffices).
+fn check_analyze_incremental(report: &mut Report, dataset: &Dataset) {
+    let name = dataset.name();
+    for threads in [1usize, 4] {
+        let mode = NumericMode::F64;
+        let incremental = replay(dataset, mode, threads, SplitConfig::on(), false);
+        let scratch = replay(dataset, mode, threads, SplitConfig::on(), true);
+        let diverged = incremental
+            .plan_prints
+            .iter()
+            .zip(&scratch.plan_prints)
+            .position(|(a, b)| a != b);
+        report.check(
+            &format!("{name}/analyze-incremental/{threads}t/plan-fingerprints"),
+            diverged.is_none(),
+            &match diverged {
+                None => format!(
+                    "{} per-step fingerprints match from-scratch analysis",
+                    incremental.plan_prints.len()
+                ),
+                Some(step) => format!("plan diverges from from-scratch analysis at step {step}"),
+            },
+        );
+        report.check(
+            &format!("{name}/analyze-incremental/{threads}t/final-bytes"),
+            incremental.final_bytes == scratch.final_bytes,
+            &format!(
+                "{} vs {} bytes",
+                incremental.final_bytes.len(),
+                scratch.final_bytes.len()
+            ),
+        );
+    }
+}
+
 fn main() -> ExitCode {
     let datasets = [
         Dataset::m3500_scaled(0.06),
@@ -158,6 +219,7 @@ fn main() -> ExitCode {
         for mode in NumericMode::ALL {
             check(&mut report, dataset, mode);
         }
+        check_analyze_incremental(&mut report, dataset);
     }
     report.finish("determinism")
 }

@@ -54,7 +54,9 @@ pub use kernels::{
 };
 pub use matrix::Mat;
 pub use mode::{NumericMode, NUMERIC_ENV};
-pub use triangular::{solve_lower, solve_lower_transpose};
+pub use triangular::{
+    solve_lower, solve_lower_leading, solve_lower_transpose, solve_lower_transpose_leading,
+};
 
 /// Convenience result alias for fallible factorizations in this crate.
 pub type Result<T> = std::result::Result<T, NotPositiveDefiniteError>;

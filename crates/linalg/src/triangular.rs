@@ -24,13 +24,26 @@ use crate::Mat;
 pub fn solve_lower(l: &Mat, b: &mut [f64]) {
     assert_eq!(l.rows(), l.cols(), "triangle must be square");
     assert_eq!(b.len(), l.rows(), "rhs length mismatch");
-    let n = l.rows();
+    solve_lower_leading(l, b);
+}
+
+/// [`solve_lower`] against the leading `b.len() × b.len()` triangle of a
+/// taller `l` — the pivot triangle `L_A` of a supernode's stacked columns
+/// `[L_A; L_B]`, read in place instead of through a copied block. Same
+/// operations in the same order as `solve_lower` on that block.
+///
+/// # Panics
+///
+/// Panics if `l` has fewer than `b.len()` rows or columns.
+pub fn solve_lower_leading(l: &Mat, b: &mut [f64]) {
+    let n = b.len();
+    assert!(l.rows() >= n && l.cols() >= n, "triangle exceeds matrix");
     for j in 0..n {
-        let yj = b[j] / l[(j, j)];
+        let col = l.col(j);
+        let yj = b[j] / col[j];
         b[j] = yj;
         // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
         if yj != 0.0 {
-            let col = l.col(j);
             for i in (j + 1)..n {
                 b[i] -= col[i] * yj;
             }
@@ -49,7 +62,18 @@ pub fn solve_lower(l: &Mat, b: &mut [f64]) {
 pub fn solve_lower_transpose(l: &Mat, b: &mut [f64]) {
     assert_eq!(l.rows(), l.cols(), "triangle must be square");
     assert_eq!(b.len(), l.rows(), "rhs length mismatch");
-    let n = l.rows();
+    solve_lower_transpose_leading(l, b);
+}
+
+/// [`solve_lower_transpose`] against the leading `b.len() × b.len()`
+/// triangle of a taller `l` (see [`solve_lower_leading`]).
+///
+/// # Panics
+///
+/// Panics if `l` has fewer than `b.len()` rows or columns.
+pub fn solve_lower_transpose_leading(l: &Mat, b: &mut [f64]) {
+    let n = b.len();
+    assert!(l.rows() >= n && l.cols() >= n, "triangle exceeds matrix");
     for j in (0..n).rev() {
         let col = l.col(j);
         let mut s = b[j];
@@ -97,5 +121,30 @@ mod tests {
         let mut b = vec![4.0, 8.0];
         solve_lower(&l, &mut b);
         assert_eq!(b, vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn leading_solves_match_the_copied_block_bitwise() {
+        // A 5×3 stacked `[L_A; L_B]`: the leading solves must read only the
+        // 3×3 triangle and agree bit for bit with solving its copy.
+        let l = Mat::from_fn(5, 3, |r, c| {
+            if r < c {
+                f64::NAN // strict upper: never read
+            } else {
+                1.5 + r as f64 * 0.37 - c as f64 * 0.11
+            }
+        });
+        let la = Mat::from_fn(3, 3, |r, c| if r < c { 0.0 } else { l[(r, c)] });
+        let b = [0.3, -1.7, 2.9];
+
+        let (mut lead, mut copy) = (b, b);
+        solve_lower_leading(&l, &mut lead);
+        solve_lower(&la, &mut copy);
+        assert_eq!(lead.map(f64::to_bits), copy.map(f64::to_bits));
+
+        let (mut lead, mut copy) = (b, b);
+        solve_lower_transpose_leading(&l, &mut lead);
+        solve_lower_transpose(&la, &mut copy);
+        assert_eq!(lead.map(f64::to_bits), copy.map(f64::to_bits));
     }
 }

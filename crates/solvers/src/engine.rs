@@ -1,7 +1,8 @@
 //! Shared machinery of the incremental solvers (ISAM2 and RA-ISAM2).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use supernova_factors::{linearize, Factor, FactorGraph, Key, LinearizedFactor, Values, Variable};
 use supernova_linalg::ops::{Op, OpTrace};
@@ -9,7 +10,7 @@ use supernova_linalg::{gemm, norm_inf, Mat, NumericMode, Transpose};
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
     interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
-    ParallelExecutor, PlanCertificate, SplitConfig, SymbolicFactor,
+    ParallelExecutor, PlanCertificate, SplitConfig, SupernodeInfo, SymbolicFactor,
 };
 
 /// A prepared fill-reducing reordering (see
@@ -31,6 +32,40 @@ impl ReorderPlan {
     /// plan (for cost prediction).
     pub fn symbolic(&self) -> &SymbolicFactor {
         &self.sym
+    }
+}
+
+/// The cached execution plan together with its level-safety certificate.
+/// The certificate is a memo of the plan it sits beside: replacing the plan
+/// replaces the (empty) memo, so a stale proof can never outlive its plan.
+#[derive(Debug)]
+struct CachedPlan {
+    plan: ExecutionPlan,
+    /// Derived by the static interference checker on first demand — only
+    /// multi-worker dispatch and outside observers ever read it. `None`
+    /// inside: the plan could not be proven safe, and the executor falls
+    /// back to dependency-counted dispatch.
+    cert: OnceLock<Option<PlanCertificate>>,
+}
+
+impl CachedPlan {
+    fn new(plan: ExecutionPlan) -> Self {
+        CachedPlan {
+            plan,
+            cert: OnceLock::new(),
+        }
+    }
+
+    /// The certificate, certifying now if nobody asked before (counted in
+    /// `certifications`).
+    fn certificate(&self, certifications: &AtomicUsize) -> Option<&PlanCertificate> {
+        self.cert
+            .get_or_init(|| {
+                // Relaxed: a diagnostic count, publishes nothing.
+                certifications.fetch_add(1, Ordering::Relaxed);
+                interference::certify(&self.plan).ok()
+            })
+            .as_ref()
     }
 }
 
@@ -61,24 +96,26 @@ pub struct IncrementalCore {
     pattern: BlockPattern,
     h: BlockMat,
     sym: Option<SymbolicFactor>,
-    /// Execution plan derived from `sym`, cached across steps and rebuilt
-    /// only when the pattern's structure (or the elimination order)
-    /// actually changes — see [`analyze`](Self::analyze).
-    plan: Option<ExecutionPlan>,
-    /// `(num_blocks, nnz_blocks, split)` the cached plan was built for.
-    /// The pattern only ever grows, so unchanged counts prove the
-    /// structure is unchanged; the [`SplitConfig`] component makes a
-    /// split-configuration change invalidate the cache even though the
-    /// pattern is untouched.
-    plan_structure: Option<(usize, usize, SplitConfig)>,
-    /// Level-safety certificate for the cached plan, computed once per
-    /// plan rebuild by the static interference checker. `None` if the
-    /// plan could not be proven safe — the executor then falls back to
-    /// dependency-counted dispatch.
-    plan_cert: Option<PlanCertificate>,
+    /// Execution plan derived from `sym` (with its on-demand certificate),
+    /// cached across steps and brought up to date only when the pattern's
+    /// structure (or the elimination order) actually changes — see
+    /// [`analyze`](Self::analyze). `None` also after a split-configuration
+    /// change, which rebuilds the plan over the unchanged `sym`.
+    plan: Option<CachedPlan>,
+    /// Lowest elimination position whose pattern column gained an entry
+    /// since `sym` was derived; `None` while `sym` matches the pattern.
+    /// Everything `sym` and the plan hold below this column is still valid.
+    lowest_changed: Option<usize>,
+    /// Test hook: re-derive `sym` and the plan from nothing on every
+    /// structural change (see
+    /// [`set_analyze_from_scratch`](Self::set_analyze_from_scratch)).
+    analyze_from_scratch: bool,
     /// Bumped every time the plan cache is rebuilt (testability hook for
     /// the invalidation rules).
     plan_generation: usize,
+    /// How many plans were certified (see
+    /// [`plan_certifications`](Self::plan_certifications)).
+    plan_certifications: AtomicUsize,
     /// Host executor the numeric plans run on (`SUPERNOVA_THREADS`).
     executor: ParallelExecutor,
     /// Intra-front split configuration the cached plans are built under
@@ -121,7 +158,10 @@ impl IncrementalCore {
     /// executor's numeric mode differs from the installed one, the cached
     /// numeric factor is dropped — factors computed under different kernel
     /// engines are not interchangeable, so the next solve refactors from
-    /// scratch under the new mode.
+    /// scratch under the new mode. The cached plan stays: its certificate
+    /// is derived when a multi-worker executor first runs it, so widening
+    /// the executor after [`analyze`](Self::analyze) still gets
+    /// level-batched dispatch.
     pub fn set_executor(&mut self, exec: ParallelExecutor) {
         if exec.numeric() != self.executor.numeric() {
             self.num = None;
@@ -177,17 +217,24 @@ impl IncrementalCore {
     /// Selects the intra-front split configuration the cached execution
     /// plans are built under (see [`SplitConfig`]). Changing it
     /// invalidates the plan cache — the next [`analyze`](Self::analyze)
-    /// rebuilds the plan and its certificate under the new configuration
-    /// — while the numeric cache survives: split and unsplit plans factor
-    /// bit-identically, so cached node factors stay valid. Setting the
-    /// already-active configuration is a no-op.
+    /// rebuilds the plan under the new configuration — while the numeric
+    /// cache survives: split and unsplit plans factor bit-identically, so
+    /// cached node factors stay valid. Setting the already-active
+    /// configuration is a no-op.
     pub fn set_split_config(&mut self, split: SplitConfig) {
         if self.split != split {
             self.split = split;
             self.plan = None;
-            self.plan_structure = None;
-            self.plan_cert = None;
         }
+    }
+
+    /// Test hook: when `on`, every [`analyze`](Self::analyze) that sees a
+    /// structural change discards the previous symbolic factorization and
+    /// plan and derives both from nothing — the reference the incremental
+    /// update is compared against, step by step, on real streams.
+    #[doc(hidden)]
+    pub fn set_analyze_from_scratch(&mut self, on: bool) {
+        self.analyze_from_scratch = on;
     }
 
     /// The split configuration the cached plans are built under.
@@ -197,13 +244,28 @@ impl IncrementalCore {
 
     /// The cached execution plan (after the first [`analyze`](Self::analyze)).
     pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref()
+        self.plan.as_ref().map(|cached| &cached.plan)
     }
 
     /// The level-safety certificate of the cached plan, if the static
-    /// interference checker proved it (recomputed at every plan rebuild).
+    /// interference checker can prove it. The proof is derived on first
+    /// demand and kept with the plan: this call certifies the plan unless
+    /// a multi-worker execution (or an earlier call) already did. `None`
+    /// before the first [`analyze`](Self::analyze) or for an unprovable
+    /// plan.
     pub fn plan_certificate(&self) -> Option<&PlanCertificate> {
-        self.plan_cert.as_ref()
+        self.plan
+            .as_ref()
+            .and_then(|cached| cached.certificate(&self.plan_certifications))
+    }
+
+    /// How many plans were run through the interference checker. A plan is
+    /// certified at most once, and only when something reads the proof: a
+    /// [`factorize_and_solve`](Self::factorize_and_solve) on a multi-worker
+    /// executor, or [`plan_certificate`](Self::plan_certificate). Stays 0
+    /// on one executor thread.
+    pub fn plan_certifications(&self) -> usize {
+        self.plan_certifications.load(Ordering::Relaxed)
     }
 
     /// How many times the plan cache has been (re)built. Stays flat across
@@ -302,6 +364,7 @@ impl IncrementalCore {
         let dim = initial.dim();
         let key = self.theta.insert(initial);
         let pos = self.pattern.push_block(dim);
+        self.note_changed_column(pos);
         self.order_of_key.push(pos);
         self.key_of_order.push(key.0);
         debug_assert_eq!(self.order_of_key.len(), pos + 1);
@@ -329,7 +392,9 @@ impl IncrementalCore {
             .iter()
             .map(|k| self.order_of_key[k.0])
             .collect();
-        self.pattern.add_clique(&blocks);
+        if let Some(col) = self.pattern.add_clique(&blocks) {
+            self.note_changed_column(col);
+        }
         let lf = linearize(factor.as_ref(), &self.theta);
         self.pending_relin_elems += lf.jacobian_elems();
         self.pending_relin_factors += 1;
@@ -383,36 +448,67 @@ impl IncrementalCore {
         factor_set.len()
     }
 
-    /// Re-analyzes the symbolic structure for the current pattern. Cheap for
-    /// unchanged structure; must be called after `add_factor` and before
-    /// cost estimation or factorization.
+    /// Records that pattern column `col` gained an entry since the last
+    /// [`analyze`](Self::analyze).
+    fn note_changed_column(&mut self, col: usize) {
+        self.lowest_changed = Some(self.lowest_changed.map_or(col, |c| c.min(col)));
+    }
+
+    /// Brings the symbolic factorization and the execution plan up to date
+    /// with the current pattern. Must be called after `add_factor` and
+    /// before cost estimation or factorization; free when nothing
+    /// structural changed since the last call.
     ///
-    /// The execution plan is cached across calls: it is rebuilt only when
-    /// the pattern's structure actually changed (the pattern only grows, so
-    /// an unchanged `(num_blocks, nnz_blocks)` pair proves equality), when
-    /// the split configuration changed
-    /// ([`set_split_config`](Self::set_split_config) — part of the cache
-    /// key), and on [`apply_reorder`](Self::apply_reorder), which permutes
-    /// the structure without changing either count.
+    /// The cost follows the change, not the graph: the core tracks the
+    /// lowest elimination position whose pattern column gained an entry
+    /// (`add_variable` → the new block, `add_factor` → the lowest column a
+    /// new edge landed in), and the previous symbolic factorization and
+    /// plan are consumed and updated in place — column patterns, etree
+    /// parents, every supernode closed before that column and their plan
+    /// tasks (front offsets, extend-add scatter programs) are kept; only
+    /// the suffix is re-derived
+    /// ([`SymbolicFactor::reanalyze`], [`ExecutionPlan::update`]). The
+    /// result is structurally equal to a from-scratch
+    /// [`SymbolicFactor::analyze`] +
+    /// [`ExecutionPlan::from_symbolic_with_split`] (debug builds assert
+    /// it). A split-configuration change
+    /// ([`set_split_config`](Self::set_split_config)) rebuilds the whole
+    /// plan over the unchanged symbolic factorization, and
+    /// [`apply_reorder`](Self::apply_reorder) installs a fresh pair, since
+    /// a permutation leaves no column in place. The plan's certificate is
+    /// not derived here — see [`plan_certificate`](Self::plan_certificate).
     pub fn analyze(&mut self) -> &SymbolicFactor {
-        let structure = (
-            self.pattern.num_blocks(),
-            self.pattern.nnz_blocks(),
-            self.split,
-        );
-        if self.plan.is_none() || self.plan_structure != Some(structure) {
-            let sym = SymbolicFactor::analyze(&self.pattern, self.relax);
-            let plan = ExecutionPlan::from_symbolic_with_split(&sym, self.split);
-            // Certify once per rebuild; an unprovable plan just keeps the
-            // dependency-counted dispatch path.
-            self.plan_cert = interference::certify(&plan).ok();
-            self.plan = Some(plan);
-            self.plan_structure = Some(structure);
-            self.plan_generation += 1;
+        let changed = self.lowest_changed.take();
+        let stale = changed.is_some() || self.sym.is_none();
+        let first_changed = changed.unwrap_or(0);
+        if stale {
+            if self.analyze_from_scratch {
+                self.sym = None;
+                self.plan = None;
+            }
+            let sym = self.sym.take().unwrap_or_default().reanalyze(
+                &self.pattern,
+                self.relax,
+                first_changed,
+            );
+            debug_assert_eq!(sym, SymbolicFactor::analyze(&self.pattern, self.relax));
             self.sym = Some(sym);
         }
         // lint: allow(unwrap) — assigned above or on a previous call
-        self.sym.as_ref().expect("just set")
+        let sym = self.sym.as_ref().expect("just set");
+        if stale || self.plan.is_none() {
+            let plan = match self.plan.take() {
+                Some(cached) => cached.plan.update(sym, first_changed),
+                None => ExecutionPlan::from_symbolic_with_split(sym, self.split),
+            };
+            debug_assert_eq!(
+                plan,
+                ExecutionPlan::from_symbolic_with_split(sym, self.split)
+            );
+            self.plan = Some(CachedPlan::new(plan));
+            self.plan_generation += 1;
+        }
+        sym
     }
 
     /// Ratio of factor (with fill) block entries to Hessian block entries —
@@ -491,38 +587,30 @@ impl IncrementalCore {
             + 2 * plan
                 .sym
                 .pattern_size_of_nodes(&(0..plan.sym.nodes().len()).collect::<Vec<_>>());
-        // A reorder permutes the structure without changing the block or
-        // nnz counts, so the plan cache must be invalidated explicitly.
+        // A permutation leaves no column in place, so nothing of the old
+        // symbolic factorization or plan is reusable: install the pair the
+        // candidate was priced with.
         let exec_plan = ExecutionPlan::from_symbolic_with_split(&plan.sym, self.split);
-        self.plan_cert = interference::certify(&exec_plan).ok();
-        self.plan = Some(exec_plan);
-        self.plan_structure = Some((
-            self.pattern.num_blocks(),
-            self.pattern.nnz_blocks(),
-            self.split,
-        ));
+        self.plan = Some(CachedPlan::new(exec_plan));
         self.plan_generation += 1;
         self.sym = Some(plan.sym);
+        self.lowest_changed = None;
         self.num = None;
         self.dirty.clear();
         self.reorders += 1;
     }
 
-    /// Bytes of assembled Hessian data feeding each supernode (the `H` term
-    /// of Algorithm 2's workspace accounting), per node.
-    pub(crate) fn node_factor_bytes(&self, sym: &SymbolicFactor) -> Vec<usize> {
-        let mut out = vec![0usize; sym.nodes().len()];
-        for (s, info) in sym.nodes().iter().enumerate() {
-            let mut elems = 0usize;
-            for j in info.cols() {
-                for (i, blk) in self.h.col_blocks(j) {
-                    debug_assert!(i >= j);
-                    elems += blk.rows() * blk.cols();
-                }
+    /// Bytes of assembled Hessian data feeding one supernode (the `H` term
+    /// of Algorithm 2's workspace accounting).
+    pub(crate) fn node_factor_bytes(&self, info: &SupernodeInfo) -> usize {
+        let mut elems = 0usize;
+        for j in info.cols() {
+            for (i, blk) in self.h.col_blocks(j) {
+                debug_assert!(i >= j);
+                elems += blk.rows() * blk.cols();
             }
-            out[s] = elems * 4;
         }
-        out
+        elems * 4
     }
 
     /// Block columns (elimination positions) whose Hessian contributions
@@ -558,16 +646,24 @@ impl IncrementalCore {
             .expect("analyze() before factorize_and_solve()"); // lint: allow(unwrap)
 
         // analyze() populates the plan alongside sym
-        let plan = self
+        let cached = self
             .plan
             .as_ref()
             .expect("analyze() before factorize_and_solve()"); // lint: allow(unwrap)
+        let plan = &cached.plan;
+        // Only multi-worker dispatch spends the level-safety proof (one
+        // worker runs the plan serially whatever it says), so only a
+        // multi-worker executor makes the plan derive it.
+        let cert = if self.executor.threads() > 1 {
+            cached.certificate(&self.plan_certifications)
+        } else {
+            None
+        };
         let dirty: Vec<usize> = self.dirty.iter().copied().collect();
 
         // Incremental plan execution with non-PD damping recovery.
         let mut attempts = 0usize;
         let stats = loop {
-            let cert = self.plan_cert.as_ref();
             let result = match self.num.as_mut() {
                 Some(num) => {
                     num.execute_plan_certified(plan, &self.h, &dirty, &self.executor, cert)
@@ -625,7 +721,10 @@ impl IncrementalCore {
 
         // Assemble the runtime trace from the plan — one source of truth
         // for the host executor and the simulator.
-        let factor_bytes = self.node_factor_bytes(sym);
+        let mut factor_bytes = vec![0usize; sym.nodes().len()];
+        for nt in &stats.recomputed {
+            factor_bytes[nt.node] = self.node_factor_bytes(&sym.nodes()[nt.node]);
+        }
         let nodes = node_work_from_plan(plan, &stats, &factor_bytes);
         let mut recomputed_list: Vec<usize> = stats.recomputed_nodes();
         recomputed_list.sort_unstable();
@@ -706,6 +805,7 @@ fn apply_contribution(
 mod tests {
     use super::*;
     use supernova_factors::{BetweenFactor, NoiseModel, PriorFactor, Se2};
+    use supernova_sparse::DispatchMode;
 
     fn prior(k: usize, pose: Se2) -> Arc<dyn Factor> {
         Arc::new(PriorFactor::se2(
@@ -833,9 +933,11 @@ mod tests {
         assert!(t.symbolic_pattern_elems > 0);
     }
 
-    /// A loopy problem producing real fill under the natural order.
-    fn loopy_core(n: usize) -> IncrementalCore {
-        let mut core = IncrementalCore::new(0);
+    /// Drives a loopy stream producing real fill under the natural order
+    /// through `core`, solving after every pose. Returns how many plan
+    /// generations were executed.
+    fn drive_loopy(core: &mut IncrementalCore, n: usize) -> usize {
+        let mut executed = 0usize;
         core.add_variable(Variable::Se2(Se2::identity()));
         core.add_factor(prior(0, Se2::identity()));
         for i in 1..n {
@@ -844,9 +946,17 @@ mod tests {
             if i >= 6 && i % 2 == 0 {
                 core.add_factor(between(i - 6, i, Se2::new(6.0, 0.0, 0.0)));
             }
+            let gen = core.plan_generation();
             core.analyze();
+            executed += core.plan_generation() - gen;
             core.factorize_and_solve();
         }
+        executed
+    }
+
+    fn loopy_core(n: usize) -> IncrementalCore {
+        let mut core = IncrementalCore::new(0);
+        drive_loopy(&mut core, n);
         core
     }
 
@@ -942,6 +1052,144 @@ mod tests {
         assert_eq!(core.plan_generation(), gen + 2);
         core.factorize_and_solve();
         assert_eq!(core.numeric_bytes().expect("solved"), bytes);
+    }
+
+    /// [`loopy_core`] on `threads` executor workers, with the number of
+    /// plan generations it executed.
+    fn loopy_replay(threads: usize, n: usize) -> (IncrementalCore, usize) {
+        let mut core = IncrementalCore::new(0);
+        core.set_executor(ParallelExecutor::new(threads));
+        let executed = drive_loopy(&mut core, n);
+        (core, executed)
+    }
+
+    #[test]
+    fn one_thread_never_certifies_and_two_threads_certify_each_executed_plan() {
+        let (serial, executed) = loopy_replay(1, 24);
+        assert_eq!(executed, 23, "every step grew the structure");
+        assert_eq!(
+            serial.plan_certifications(),
+            0,
+            "nothing reads the proof on one worker"
+        );
+
+        let (wide, executed) = loopy_replay(2, 24);
+        assert_eq!(wide.plan_certifications(), executed);
+        // Same bytes either way: the proof only changes when tasks run.
+        assert_eq!(wide.numeric_bytes(), serial.numeric_bytes());
+        assert_eq!(wide.estimate(), serial.estimate());
+    }
+
+    #[test]
+    fn plan_certificate_certifies_once_per_generation() {
+        let (mut core, _) = loopy_replay(1, 12);
+        assert_eq!(core.plan_certifications(), 0);
+        let plan = core.plan().expect("analyzed");
+        assert!(core.plan_certificate().is_some_and(|c| c.covers(plan)));
+        assert!(core.plan_certificate().is_some(), "memoized");
+        assert_eq!(core.plan_certifications(), 1);
+
+        // Value-only work keeps the plan, and the proof with it.
+        core.relinearize_vars(&[Key(3)]);
+        core.analyze();
+        core.factorize_and_solve();
+        assert!(core.plan_certificate().is_some());
+        assert_eq!(core.plan_certifications(), 1);
+
+        // A new generation starts unproven.
+        core.add_variable(Variable::Se2(Se2::new(12.0, 0.0, 0.0)));
+        core.add_factor(between(11, 12, Se2::new(1.0, 0.0, 0.0)));
+        core.analyze();
+        core.factorize_and_solve();
+        assert_eq!(core.plan_certifications(), 1);
+        let plan = core.plan().expect("analyzed");
+        assert!(core.plan_certificate().is_some_and(|c| c.covers(plan)));
+        assert_eq!(core.plan_certifications(), 2);
+
+        // So do a split-configuration change and a reorder.
+        core.set_split_config(SplitConfig::off());
+        core.analyze();
+        assert!(core.plan_certificate().is_some());
+        assert_eq!(core.plan_certifications(), 3);
+        let reorder = core.reorder_candidate().expect("nonempty");
+        core.apply_reorder(reorder);
+        assert!(core.plan_certificate().is_some());
+        assert_eq!(core.plan_certifications(), 4);
+
+        core.reset();
+        assert_eq!(core.plan_certifications(), 0);
+        assert!(core.plan_certificate().is_none(), "no plan, no proof");
+    }
+
+    #[test]
+    fn widening_the_executor_after_analyze_still_batches() {
+        // All-dirty refactorization of a plan that was built, and already
+        // executed, on one worker: the wider executor must get the proof
+        // the serial one never asked for.
+        let (mut core, _) = loopy_replay(1, 24);
+        let serial_bytes = core.numeric_bytes().expect("solved");
+        assert_eq!(core.plan_certifications(), 0);
+        assert_eq!(
+            core.last_host_schedule().expect("executed").mode,
+            DispatchMode::Serial
+        );
+
+        core.set_executor(ParallelExecutor::new(2));
+        let all: Vec<Key> = (0..core.num_vars()).map(Key).collect();
+        core.relinearize_vars(&all);
+        let gen = core.plan_generation();
+        core.analyze();
+        assert_eq!(core.plan_generation(), gen, "same plan");
+        core.factorize_and_solve();
+        assert_eq!(
+            core.last_host_schedule().expect("executed").mode,
+            DispatchMode::LevelBatched
+        );
+        assert_eq!(core.plan_certifications(), 1);
+
+        // And the bytes match a serial core doing the same.
+        let (mut serial, _) = loopy_replay(1, 24);
+        assert_eq!(serial.numeric_bytes().expect("solved"), serial_bytes);
+        serial.relinearize_vars(&all);
+        serial.analyze();
+        serial.factorize_and_solve();
+        assert_eq!(core.numeric_bytes(), serial.numeric_bytes());
+    }
+
+    #[test]
+    fn incremental_analysis_matches_a_core_that_always_starts_over() {
+        let drive = |from_scratch: bool| {
+            let mut core = IncrementalCore::new(1);
+            core.set_analyze_from_scratch(from_scratch);
+            let mut prints = Vec::new();
+            core.add_variable(Variable::Se2(Se2::identity()));
+            core.add_factor(prior(0, Se2::identity()));
+            for i in 1..30 {
+                core.add_variable(Variable::Se2(Se2::new(i as f64 + 0.05, 0.02, 0.0)));
+                core.add_factor(between(i - 1, i, Se2::new(1.0, 0.0, 0.0)));
+                if i >= 6 && i % 3 == 0 {
+                    core.add_factor(between(i - 6, i, Se2::new(6.0, 0.0, 0.0)));
+                }
+                if i == 20 {
+                    let reorder = core.reorder_candidate().expect("nonempty");
+                    core.apply_reorder(reorder);
+                }
+                core.analyze();
+                prints.push(interference::plan_fingerprint(
+                    core.plan().expect("analyzed"),
+                ));
+                core.factorize_and_solve();
+            }
+            (core, prints)
+        };
+        let (inc, inc_prints) = drive(false);
+        let (full, full_prints) = drive(true);
+        assert_eq!(inc_prints, full_prints);
+        assert_eq!(inc.symbolic(), full.symbolic());
+        assert_eq!(inc.plan(), full.plan());
+        assert_eq!(inc.plan_generation(), full.plan_generation());
+        assert_eq!(inc.numeric_bytes(), full.numeric_bytes());
+        assert_eq!(inc.estimate(), full.estimate());
     }
 
     #[test]

@@ -158,13 +158,15 @@ impl OnlineSolver for RaIsam2 {
         // Relinearization does not change the sparsity structure, so one
         // symbolic analysis serves both cost estimation and factorization.
         self.core.analyze();
-        // lint: allow(unwrap) — core.analyze() ran earlier in this update
-        let sym = self.core.symbolic().expect("analyzed").clone();
-        let node_bytes = self.core.node_factor_bytes(&sym);
+        // lint: allow(unwrap) — core.analyze() ran just above
+        let sym = self.core.symbolic().expect("analyzed");
         let node_cost = |s: usize| {
             let info = &sym.nodes()[s];
-            self.cost
-                .predict_node_seconds(info.pivot_dim, info.rem_dim, node_bytes[s])
+            self.cost.predict_node_seconds(
+                info.pivot_dim,
+                info.rem_dim,
+                self.core.node_factor_bytes(info),
+            )
         };
 
         // Mandatory work: the new pose's factors already dirtied a path

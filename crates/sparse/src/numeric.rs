@@ -8,7 +8,6 @@
 //! [`NumericFactor::execute_plan`] directly (optionally on the
 //! [`ParallelExecutor`] worker pool — results are bit-identical).
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
@@ -16,8 +15,8 @@ use std::sync::{OnceLock, RwLock};
 use supernova_linalg::ops::{Op, OpTrace};
 use supernova_linalg::split::{split_panel_f32, split_panel_f64, split_tile_f32, split_tile_f64};
 use supernova_linalg::{
-    gemv, partial_cholesky_scratch_mode, solve_lower, solve_lower_transpose, Mat, NumericMode,
-    Transpose,
+    partial_cholesky_scratch_mode, solve_lower_leading, solve_lower_transpose_leading, Mat,
+    NumericMode,
 };
 
 use crate::executor::{HostSchedule, ParallelExecutor, Workspace};
@@ -222,19 +221,23 @@ impl NumericFactor {
         cert: Option<&crate::PlanCertificate>,
     ) -> Result<(RefactorStats, HostSchedule), FactorizeError> {
         let num_nodes = plan.num_tasks();
-        // Index the previous factorization by first pivot column.
-        let mut old: BTreeMap<usize, NodeFactor> = BTreeMap::new();
-        for nf in std::mem::take(&mut self.nodes).into_iter().flatten() {
-            old.insert(nf.sig.0, nf);
-        }
-
-        // Seed the recompute set with dirty nodes and structural mismatches.
+        // Pair every task with the previous factorization's node of the
+        // same signature, if any. Old nodes and plan tasks are both in
+        // first-pivot-column order, so one merge pass finds the pairs; a
+        // task without one seeds the recompute set, as do the dirty nodes.
+        let mut old = std::mem::take(&mut self.nodes)
+            .into_iter()
+            .flatten()
+            .peekable();
+        let mut cached: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
         let mut seeds: Vec<usize> = Vec::new();
         for (s, task) in plan.tasks().iter().enumerate() {
-            match old.get(&task.sig.0) {
-                Some(nf) if nf.sig == task.sig => {}
-                _ => seeds.push(s),
+            while old.next_if(|nf| nf.sig.0 < task.sig.0).is_some() {}
+            let hit = old.next_if(|nf| nf.sig == task.sig);
+            if hit.is_none() {
+                seeds.push(s);
             }
+            cached.push(hit);
         }
         for &b in dirty_blocks {
             seeds.push(plan.node_of_block(b));
@@ -250,13 +253,10 @@ impl NumericFactor {
         let slots: Vec<OnceLock<(NodeFactor, OpTrace)>> =
             (0..num_nodes).map(|_| OnceLock::new()).collect();
         let mut reused = 0usize;
-        for (s, task) in plan.tasks().iter().enumerate() {
+        for (s, nf) in cached.into_iter().enumerate() {
             if !is_recompute[s] {
-                // lint: allow(unwrap) — signature match proved the node is cached
-                let nf = old
-                    .remove(&task.sig.0)
-                    .expect("reused node missing from cache"); // lint: allow(unwrap)
-                debug_assert_eq!(nf.sig, task.sig);
+                // lint: allow(unwrap) — a task without a cached pair is a seed
+                let nf = nf.expect("reused node missing from cache");
                 let _ = slots[s].set((nf, OpTrace::new()));
                 reused += 1;
             }
@@ -382,49 +382,63 @@ impl NumericFactor {
     pub fn solve_in_place(&self, sym: &SymbolicFactor, x: &mut [f64]) -> OpTrace {
         assert_eq!(x.len(), sym.total_dim(), "solve rhs length mismatch");
         let mut trace = OpTrace::new();
+        // The pivot segment of `x` is solved in place and `L` is read where
+        // it is stored; the one buffer a node needs — its remainder-sized
+        // update (forward) or gathered right-hand side (backward) — is
+        // shared by every node of the solve.
+        let max_rem = sym.nodes().iter().map(|n| n.rem_dim).max().unwrap_or(0);
+        let mut rem = vec![0.0; max_rem]; // lint: allow(hot-alloc) — once per solve, not per node
+        let node = |s: usize| {
+            let info = &sym.nodes()[s];
+            // lint: allow(unwrap) — a factor executed for `sym` holds every node
+            let nf = self.nodes[s].as_ref().expect("missing node factor");
+            (info, &nf.l, sym.block_offset(info.first_col))
+        };
         // Forward: L y = b, children before parents.
         for &s in sym.postorder() {
-            let info = &sym.nodes()[s];
-            // lint: allow(unwrap) — postorder guarantees children factored first
-            let nf = self.nodes[s].as_ref().expect("missing node factor");
-            let m = info.pivot_dim;
-            let n = info.rem_dim;
-            let pivot_off = sym.block_offset(info.first_col);
-            let la = nf.l.block(0, 0, m, m);
-            let mut y = x[pivot_off..pivot_off + m].to_vec();
-            solve_lower(&la, &mut y);
+            let (info, l, pivot_off) = node(s);
+            let (m, n) = (info.pivot_dim, info.rem_dim);
+            solve_lower_leading(l, &mut x[pivot_off..pivot_off + m]);
             trace.push(Op::Trsm { m: 1, n: m });
             if n > 0 {
-                let lb = nf.l.block(m, 0, n, m);
-                let upd = lb.matvec(&y);
+                // upd = L_B · y, accumulated column by column (the order
+                // `Mat::matvec` uses).
+                let upd = &mut rem[..n];
+                upd.fill(0.0);
+                for (c, &yc) in x[pivot_off..pivot_off + m].iter().enumerate() {
+                    // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+                    if yc == 0.0 {
+                        continue;
+                    }
+                    for (u, &v) in upd.iter_mut().zip(&l.col(c)[m..]) {
+                        *u += v * yc;
+                    }
+                }
                 trace.push(Op::Gemv { m: n, n: m });
-                scatter_sub(sym, info.remainder_rows(), &upd, x);
+                scatter_sub(sym, info.remainder_rows(), upd, x);
             }
-            x[pivot_off..pivot_off + m].copy_from_slice(&y);
         }
         // Backward: Lᵀ x = y, parents before children.
         for &s in sym.postorder().iter().rev() {
-            let info = &sym.nodes()[s];
-            // lint: allow(unwrap) — postorder guarantees children factored first
-            let nf = self.nodes[s].as_ref().expect("missing node factor");
-            let m = info.pivot_dim;
-            let n = info.rem_dim;
-            let pivot_off = sym.block_offset(info.first_col);
-            let la = nf.l.block(0, 0, m, m);
-            let mut rhs = x[pivot_off..pivot_off + m].to_vec();
+            let (info, l, pivot_off) = node(s);
+            let (m, n) = (info.pivot_dim, info.rem_dim);
             if n > 0 {
-                let lb = nf.l.block(m, 0, n, m);
-                let xr = gather(sym, info.remainder_rows(), x);
-                let mut corr = vec![0.0; m];
-                gemv(1.0, &lb, Transpose::Yes, &xr, 0.0, &mut corr);
-                trace.push(Op::Gemv { m: n, n: m });
-                for (r, c) in rhs.iter_mut().zip(&corr) {
-                    *r -= c;
+                let xr = &mut rem[..n];
+                gather(sym, info.remainder_rows(), x, xr);
+                for (c, rhs) in x[pivot_off..pivot_off + m].iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for (&v, &xv) in l.col(c)[m..].iter().zip(xr.iter()) {
+                        acc += v * xv;
+                    }
+                    // rhs -= L_Bᵀ · xr. The product used to pass through
+                    // `1.0 · acc + 0.0 · 0.0`, which turns a −0.0 into +0.0;
+                    // the `+ 0.0` keeps Δ bit-identical to that.
+                    *rhs -= acc + 0.0;
                 }
+                trace.push(Op::Gemv { m: n, n: m });
             }
-            solve_lower_transpose(&la, &mut rhs);
+            solve_lower_transpose_leading(l, &mut x[pivot_off..pivot_off + m]);
             trace.push(Op::Trsm { m: 1, n: m });
-            x[pivot_off..pivot_off + m].copy_from_slice(&rhs);
         }
         trace
     }
@@ -914,14 +928,15 @@ fn scatter_sub(sym: &SymbolicFactor, rows: &[usize], v: &[f64], x: &mut [f64]) {
     }
 }
 
-/// Gathers `x[rows]` into a contiguous vector.
-fn gather(sym: &SymbolicFactor, rows: &[usize], x: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
+/// Gathers `x[rows]` into the block-contiguous `out`.
+fn gather(sym: &SymbolicFactor, rows: &[usize], x: &[f64], out: &mut [f64]) {
+    let mut k = 0usize;
     for &br in rows {
         let off = sym.block_offset(br);
-        out.extend_from_slice(&x[off..off + sym.block_dims()[br]]);
+        let d = sym.block_dims()[br];
+        out[k..k + d].copy_from_slice(&x[off..off + d]);
+        k += d;
     }
-    out
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@
 pub struct BlockPattern {
     block_dims: Vec<usize>,
     cols: Vec<Vec<usize>>,
+    /// Running count of stored entries (`Σ cols[j].len()`).
+    nnz: usize,
 }
 
 impl BlockPattern {
@@ -29,7 +31,12 @@ impl BlockPattern {
     /// diagonal blocks present.
     pub fn new(block_dims: Vec<usize>) -> Self {
         let cols = (0..block_dims.len()).map(|j| vec![j]).collect();
-        BlockPattern { block_dims, cols }
+        let nnz = block_dims.len();
+        BlockPattern {
+            block_dims,
+            cols,
+            nnz,
+        }
     }
 
     /// Number of block columns.
@@ -62,44 +69,57 @@ impl BlockPattern {
         let j = self.block_dims.len();
         self.block_dims.push(dim);
         self.cols.push(vec![j]);
+        self.nnz += 1;
         j
     }
 
     /// Records a structural nonzero between blocks `a` and `b` (order
-    /// irrelevant; the entry is stored in the lower triangle). Idempotent.
+    /// irrelevant; the entry is stored in the lower triangle). Idempotent:
+    /// returns whether the entry was new.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of bounds.
-    pub fn add_block_edge(&mut self, a: usize, b: usize) {
+    pub fn add_block_edge(&mut self, a: usize, b: usize) -> bool {
         assert!(
             a < self.num_blocks() && b < self.num_blocks(),
             "block index out of bounds"
         );
         if a == b {
-            return;
+            return false;
         }
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let col = &mut self.cols[lo];
-        if let Err(pos) = col.binary_search(&hi) {
-            col.insert(pos, hi);
+        match col.binary_search(&hi) {
+            Ok(_) => false,
+            Err(pos) => {
+                col.insert(pos, hi);
+                self.nnz += 1;
+                true
+            }
         }
     }
 
     /// Adds every pairwise edge among `blocks` (a clique, as produced by one
-    /// factor touching several variables).
-    pub fn add_clique(&mut self, blocks: &[usize]) {
+    /// factor touching several variables). Returns the lowest block column
+    /// that gained an entry, `None` if every edge was already present.
+    pub fn add_clique(&mut self, blocks: &[usize]) -> Option<usize> {
+        let mut lowest: Option<usize> = None;
         for (i, &a) in blocks.iter().enumerate() {
             for &b in &blocks[i + 1..] {
-                self.add_block_edge(a, b);
+                if self.add_block_edge(a, b) {
+                    let lo = a.min(b);
+                    lowest = Some(lowest.map_or(lo, |l| l.min(lo)));
+                }
             }
         }
+        lowest
     }
 
     /// Number of structural lower-triangle block entries (including
     /// diagonal).
     pub fn nnz_blocks(&self) -> usize {
-        self.cols.iter().map(Vec::len).sum()
+        self.nnz
     }
 
     /// Applies a permutation: `perm.new_of_old(j)` gives the new position of
@@ -155,11 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn clique_adds_all_pairs() {
+    fn clique_adds_all_pairs_and_reports_the_lowest_changed_column() {
         let mut p = BlockPattern::new(vec![1; 4]);
-        p.add_clique(&[0, 2, 3]);
+        assert_eq!(p.add_clique(&[3, 0, 2]), Some(0));
         assert_eq!(p.col(0), &[0, 2, 3]);
         assert_eq!(p.col(2), &[2, 3]);
+        assert_eq!(p.nnz_blocks(), 4 + 3);
+        assert_eq!(p.add_clique(&[0, 3]), None, "already present");
+        assert_eq!(p.add_clique(&[3, 1]), Some(1));
+        // New edges (1, 2) and (0, 1): the lowest column wins.
+        assert_eq!(p.add_clique(&[3, 2, 1, 0]), Some(0));
+        assert_eq!(p.nnz_blocks(), 4 + 6);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! task list with everything the numeric *execute* half needs precomputed:
 //! topological levels, per-task dependency structure, front-local scatter
 //! offsets for Hessian assembly, per-child extend-add scatter blocks, and
-//! per-task workspace sizes. The plan is derived once per symbolic change
-//! and reused across every re-factorization until the structure (or the
-//! elimination order) changes — see `solvers::engine`'s plan cache.
+//! per-task workspace sizes. The plan is reused across every
+//! re-factorization until the structure (or the elimination order)
+//! changes, and then [`ExecutionPlan::update`] re-derives only the tasks
+//! above the lowest changed column — see `solvers::engine`'s plan cache.
 //!
 //! Because every scatter target is fixed at plan time and children are
 //! merged in the plan's fixed child order, executing the plan serially or
@@ -222,7 +223,7 @@ pub struct ChildMerge {
 }
 
 /// One supernode task of the plan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanTask {
     /// Supernode id — equals the task's index in [`ExecutionPlan::tasks`].
     pub node: usize,
@@ -285,7 +286,7 @@ impl PlanTask {
 
 /// A topologically-leveled, scatter-resolved execution plan for the
 /// supernodal numeric factorization, derived from a [`SymbolicFactor`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecutionPlan {
     tasks: Vec<PlanTask>,
     postorder: Vec<usize>,
@@ -317,10 +318,37 @@ impl ExecutionPlan {
     /// Lowers a symbolic factorization into an execution plan, splitting
     /// large fronts into panel/tile sub-units per `split`.
     pub fn from_symbolic_with_split(sym: &SymbolicFactor, split: SplitConfig) -> Self {
+        ExecutionPlan {
+            split,
+            ..Self::default()
+        }
+        .update(sym, 0)
+    }
+
+    /// Re-lowers the plan after its symbolic factorization was
+    /// [re-analyzed](SymbolicFactor::reanalyze) with the same
+    /// `first_changed` column, under the plan's own split configuration.
+    /// The result equals
+    /// [`from_symbolic_with_split`](Self::from_symbolic_with_split) of `sym`.
+    ///
+    /// Every task of a supernode the re-analysis kept is reused in place —
+    /// front offsets, extend-add scatter programs, level and split shape
+    /// all depend only on the node and its (also kept) descendants; only
+    /// its parent link is re-stamped. Tasks are rebuilt from the first
+    /// re-derived node on, and the level lists, postorder, block map and
+    /// split overlay are brought up to date in one sweep.
+    pub fn update(mut self, sym: &SymbolicFactor, first_changed: usize) -> Self {
         let nodes = sym.nodes();
         let dims = sym.block_dims();
-        let mut tasks: Vec<PlanTask> = Vec::with_capacity(nodes.len());
-        for (s, info) in nodes.iter().enumerate() {
+        let kept = crate::symbolic::kept_nodes(&self.node_of_block, first_changed);
+        self.tasks.truncate(kept);
+        self.split_shapes.truncate(kept);
+        for (task, info) in self.tasks.iter_mut().zip(nodes) {
+            debug_assert_eq!((task.first_col, task.ncols), (info.first_col, info.ncols));
+            task.parent = info.parent;
+        }
+
+        for (s, info) in nodes.iter().enumerate().skip(kept) {
             // Front-local scalar offsets, in `rows` order (sorted already).
             let mut row_offsets = Vec::with_capacity(info.rows.len());
             let mut off = 0usize;
@@ -331,6 +359,13 @@ impl ExecutionPlan {
             debug_assert!(row_offsets.windows(2).all(|w| w[0].0 < w[1].0));
             let col_offsets: Vec<usize> =
                 row_offsets[..info.ncols].iter().map(|&(_, o)| o).collect();
+            let local = |b: usize| {
+                row_offsets
+                    .binary_search_by_key(&b, |&(row, _)| row)
+                    .map(|i| row_offsets[i].1)
+                    // lint: allow(unwrap) — multifrontal containment, see below
+                    .expect("child remainder row missing from parent front")
+            };
 
             // Extend-add scatter programs, fixed child order.
             let mut merges = Vec::with_capacity(info.children.len());
@@ -342,28 +377,19 @@ impl ExecutionPlan {
                     coff.push(o);
                     o += dims[br];
                 }
-                let mut blocks = Vec::new();
+                let mut blocks = Vec::with_capacity(rem.len() * (rem.len() + 1) / 2);
                 let mut elems = 0usize;
                 for (bj, &rj) in rem.iter().enumerate() {
                     let w = dims[rj];
                     // Multifrontal containment: a child's remainder rows
                     // are a subset of its parent's front.
-                    let dst_col = row_offsets
-                        .binary_search_by_key(&rj, |&(row, _)| row)
-                        .map(|i| row_offsets[i].1)
-                        // lint: allow(unwrap) — containment documented above
-                        .expect("child remainder row missing from parent front");
+                    let dst_col = local(rj);
                     for (bi, &ri) in rem.iter().enumerate().skip(bj) {
                         let h = dims[ri];
-                        let dst_row = row_offsets
-                            .binary_search_by_key(&ri, |&(row, _)| row)
-                            .map(|i| row_offsets[i].1)
-                            // lint: allow(unwrap) — same containment argument
-                            .expect("child remainder row missing from parent front");
                         blocks.push(ScatterBlock {
                             src_row: coff[bi],
                             src_col: coff[bj],
-                            dst_row,
+                            dst_row: local(ri),
                             dst_col,
                             rows: h,
                             cols: w,
@@ -378,12 +404,20 @@ impl ExecutionPlan {
                 });
             }
 
+            // Children precede their parent in node order, so their levels
+            // are final by now.
+            let level = info
+                .children
+                .iter()
+                .map(|&c| self.tasks[c].level + 1)
+                .max()
+                .unwrap_or(0);
             let front = info.front_dim();
-            tasks.push(PlanTask {
+            self.tasks.push(PlanTask {
                 node: s,
                 parent: info.parent,
                 num_children: info.children.len(),
-                level: 0, // filled below
+                level,
                 first_col: info.first_col,
                 ncols: info.ncols,
                 pivot_dim: info.pivot_dim,
@@ -396,66 +430,59 @@ impl ExecutionPlan {
             });
         }
 
-        // Topological levels in one postorder sweep (children first).
-        let postorder = sym.postorder().to_vec();
-        for &s in &postorder {
-            let lvl = tasks[s]
-                .merges
-                .iter()
-                .map(|m| tasks[m.child].level + 1)
-                .max()
-                .unwrap_or(0);
-            tasks[s].level = lvl;
+        // Level lists hold task ids in increasing order: cut each at the
+        // first rebuilt task, then file the rebuilt ones.
+        let depth = self
+            .tasks
+            .iter()
+            .map(|t| t.level)
+            .max()
+            .map_or(0, |l| l + 1);
+        self.levels.resize(depth, Vec::new());
+        for level in &mut self.levels {
+            level.truncate(level.partition_point(|&s| s < kept));
         }
-        let depth = tasks.iter().map(|t| t.level).max().map_or(0, |l| l + 1);
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); depth];
-        for t in &tasks {
-            levels[t.level].push(t.node);
+        for t in &self.tasks[kept..] {
+            self.levels[t.level].push(t.node);
         }
 
-        let max_workspace_elems = tasks.iter().map(|t| t.workspace_elems).max().unwrap_or(0);
-        let node_of_block = (0..sym.num_blocks())
-            .map(|b| sym.node_of_block(b))
-            .collect();
+        self.postorder.clear();
+        self.postorder.extend_from_slice(sym.postorder());
+        self.node_of_block.clear();
+        self.node_of_block
+            .extend((0..sym.num_blocks()).map(|b| sym.node_of_block(b)));
+        self.max_workspace_elems = self
+            .tasks
+            .iter()
+            .map(|t| t.workspace_elems)
+            .max()
+            .unwrap_or(0);
+        self.total_dim = sym.total_dim();
 
         // ---- Split pass: sub-unit overlay -------------------------------
         // A task splits when its front meets the threshold AND actually
         // spans more than one strip (a single-strip "split" would serialize
         // into pure overhead).
-        let split_shapes: Vec<Option<SplitShape>> = tasks
-            .iter()
-            .map(|t| {
-                let dim = t.front_dim();
-                let strips = dim.div_ceil(split.tile);
-                (split.enabled && dim >= split.min_dim && t.pivot_dim > 0 && strips >= 2).then(
-                    || SplitShape {
-                        tile: split.tile,
-                        strips,
-                        panels: t.pivot_dim.div_ceil(SPLIT_NB),
-                    },
-                )
+        let split = self.split;
+        self.split_shapes.extend(self.tasks[kept..].iter().map(|t| {
+            let dim = t.front_dim();
+            let strips = dim.div_ceil(split.tile);
+            (split.enabled && dim >= split.min_dim && t.pivot_dim > 0 && strips >= 2).then(|| {
+                SplitShape {
+                    tile: split.tile,
+                    strips,
+                    panels: t.pivot_dim.div_ceil(SPLIT_NB),
+                }
             })
-            .collect();
+        }));
 
-        let (units, task_units, unit_levels) = if split_shapes.iter().any(Option::is_some) {
-            Self::build_units(&tasks, &levels, &split_shapes)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-
-        ExecutionPlan {
-            tasks,
-            postorder,
-            levels,
-            node_of_block,
-            max_workspace_elems,
-            total_dim: sym.total_dim(),
-            split,
-            split_shapes,
-            units,
-            task_units,
-            unit_levels,
-        }
+        (self.units, self.task_units, self.unit_levels) =
+            if self.split_shapes.iter().any(Option::is_some) {
+                Self::build_units(&self.tasks, &self.levels, &self.split_shapes)
+            } else {
+                (Vec::new(), Vec::new(), Vec::new())
+            };
+        self
     }
 
     /// Builds the sub-unit overlay: every unsplit task becomes one `Whole`

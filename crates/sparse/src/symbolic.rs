@@ -64,7 +64,7 @@ impl SupernodeInfo {
 /// The symbolic Cholesky factorization of a [`BlockPattern`]: per-column
 /// fill patterns, the (block-)column elimination tree, the supernode
 /// partition with its assembly tree, and scalar offsets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SymbolicFactor {
     block_dims: Vec<usize>,
     block_offsets: Vec<usize>,
@@ -89,33 +89,64 @@ impl SymbolicFactor {
     /// structural zero block rows per column. `relax = 0` yields exact
     /// fundamental supernodes.
     pub fn analyze(pattern: &BlockPattern, relax: usize) -> Self {
-        let n = pattern.num_blocks();
-        let block_dims = pattern.block_dims().to_vec();
-        let mut block_offsets = Vec::with_capacity(n);
-        let mut acc = 0usize;
-        for &d in &block_dims {
-            block_offsets.push(acc);
-            acc += d;
-        }
-        let total_dim = acc;
+        Self::default().reanalyze(pattern, relax, 0)
+    }
 
-        // Column fill patterns and elimination tree, in one increasing pass:
+    /// Re-analyzes after `pattern` grew, reusing everything below the
+    /// lowest changed column: `self` must be the analysis (same `relax`) of
+    /// a pattern that agreed with `pattern` on every block column below
+    /// `first_changed` — columns from `first_changed` on may have gained
+    /// entries, and new block columns may have been appended. The result
+    /// equals [`analyze`](Self::analyze) of `pattern`.
+    ///
+    /// A column's fill pattern and etree parent depend only on the columns
+    /// below it, so those below `first_changed` are kept as they are. The
+    /// supernode partition is a left-to-right scan whose state resets at
+    /// every node head, so every node closed before the one holding column
+    /// `first_changed - 1` is kept too (rows, dimensions and child list);
+    /// the scan restarts at that node's head. Only then are node parents,
+    /// `node_of_block` and the postorder re-stamped, in one sweep over the
+    /// nodes.
+    pub fn reanalyze(mut self, pattern: &BlockPattern, relax: usize, first_changed: usize) -> Self {
+        let n = pattern.num_blocks();
+        let n_old = self.num_blocks();
+        assert!(n >= n_old, "a pattern only grows between analyses");
+        debug_assert_eq!(self.block_dims[..], pattern.block_dims()[..n_old]);
+        let k = first_changed.min(n_old);
+
+        for &d in &pattern.block_dims()[n_old..] {
+            self.block_dims.push(d);
+            self.block_offsets.push(self.total_dim);
+            self.total_dim += d;
+        }
+
+        // Column fill patterns and elimination tree, in one increasing pass
+        // from the first changed column:
         //   pat(j) = A_pat(j) ∪ (∪_{c : parent(c) = j} pat(c) \ {c})
         //   parent(j) = min(pat(j) \ {j})
-        let mut col_patterns: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut col_parent: Vec<Option<usize>> = vec![None; n];
-        let mut col_children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for j in 0..n {
+        self.col_patterns.truncate(k);
+        self.col_parent.truncate(k);
+        // Children of the columns k.. (indexed from k): the kept columns
+        // whose parent lies in the recomputed range, then the recomputed
+        // columns as their parents become known.
+        let mut col_children: Vec<Vec<usize>> = vec![Vec::new(); n - k];
+        for (c, parent) in self.col_parent.iter().enumerate() {
+            if let Some(p) = parent.filter(|&p| p >= k) {
+                col_children[p - k].push(c);
+            }
+        }
+        for j in k..n {
             let mut pat: Vec<usize> = pattern.col(j).to_vec();
             debug_assert!(pat.first() == Some(&j), "pattern must include diagonal");
-            for &c in &col_children[j] {
-                pat = merge_sorted(&pat, &col_patterns[c][1..]);
+            for &c in &col_children[j - k] {
+                pat = merge_sorted(&pat, &self.col_patterns[c][1..]);
             }
-            if let Some(&p) = pat.get(1) {
-                col_parent[j] = Some(p);
-                col_children[p].push(j);
+            let parent = pat.get(1).copied();
+            if let Some(p) = parent {
+                col_children[p - k].push(j);
             }
-            col_patterns[j] = pat;
+            self.col_parent.push(parent);
+            self.col_patterns.push(pat);
         }
 
         // Supernode partition: start a new node at column j unless j extends
@@ -123,21 +154,26 @@ impl SymbolicFactor {
         // *cumulative* structural zeros introduced by amalgamating into the
         // node's accumulated row union stay within `relax` zeros per owned
         // column — a bound that cannot chain unboundedly on banded patterns.
+        // The scan restarts at the head of the node holding column k-1 (its
+        // later columns may have changed); earlier nodes are closed.
         const MAX_NODE_COLS: usize = 32;
-        let mut head: Vec<usize> = Vec::new(); // first column of each node
-        let mut node_of_block = vec![0usize; n];
+        let kept = kept_nodes(&self.node_of_block, k);
+        let restart = self.nodes.get(kept).map_or(0, |node| node.first_col);
+        self.nodes.truncate(kept);
+        self.node_of_block.truncate(restart);
+        let mut first = restart; // head of the open node
         let mut cur_union: Vec<usize> = Vec::new(); // rows of the open node
         let mut cur_zeros = 0usize; // structural zeros accumulated so far
-        for j in 0..n {
+        for j in restart..n {
             let mut extend = false;
-            if j > 0 && col_parent[j - 1] == Some(j) {
-                let ncols = j - head[head.len() - 1];
+            if j > restart && self.col_parent[j - 1] == Some(j) {
+                let ncols = j - first;
                 if ncols < MAX_NODE_COLS {
                     // Rows of the open node at or below the new pivot.
                     let tail_start = cur_union.partition_point(|&r| r < j);
                     let tail = &cur_union[tail_start..];
-                    let union_tail = merge_sorted(tail, &col_patterns[j]);
-                    let zeros_new_col = union_tail.len() - col_patterns[j].len();
+                    let union_tail = merge_sorted(tail, &self.col_patterns[j]);
+                    let zeros_new_col = union_tail.len() - self.col_patterns[j].len();
                     let new_rows = union_tail.len() - tail.len();
                     let total = cur_zeros + zeros_new_col + new_rows * ncols;
                     if total <= relax * (ncols + 1) {
@@ -147,79 +183,76 @@ impl SymbolicFactor {
                 }
             }
             if extend {
-                node_of_block[j] = head.len() - 1;
-                cur_union = merge_sorted(&cur_union, &col_patterns[j]);
+                cur_union = merge_sorted(&cur_union, &self.col_patterns[j]);
             } else {
-                node_of_block[j] = head.len();
-                head.push(j);
-                cur_union = col_patterns[j].clone();
+                if j > restart {
+                    let rows = std::mem::take(&mut cur_union);
+                    self.close_node(first, j, rows);
+                }
+                first = j;
+                cur_union = self.col_patterns[j].clone();
                 cur_zeros = 0;
             }
+            self.node_of_block.push(self.nodes.len());
         }
-        let num_nodes = head.len();
-
-        // Build node row structures: union of the owned columns' patterns.
-        let mut nodes: Vec<SupernodeInfo> = Vec::with_capacity(num_nodes);
-        for s in 0..num_nodes {
-            let first = head[s];
-            let last = if s + 1 < num_nodes { head[s + 1] } else { n };
-            let ncols = last - first;
-            let mut rows: Vec<usize> = Vec::new();
-            for j in first..last {
-                rows = merge_sorted(&rows, &col_patterns[j]);
-            }
-            debug_assert!(rows[..ncols].iter().copied().eq(first..last));
-            let pivot_dim: usize = (first..last).map(|j| block_dims[j]).sum();
-            let rem_dim: usize = rows[ncols..].iter().map(|&r| block_dims[r]).sum();
-            nodes.push(SupernodeInfo {
-                first_col: first,
-                ncols,
-                rows,
-                pivot_dim,
-                rem_dim,
-                parent: None,
-                children: Vec::new(),
-            });
+        if n > restart {
+            self.close_node(first, n, cur_union);
         }
+        let num_nodes = self.nodes.len();
 
-        // Assembly tree: parent node = node of the first remainder row.
+        // Assembly tree: parent node = node of the first remainder row. A
+        // kept node's first remainder row may now belong to a different
+        // node, so every parent is re-stamped; its children are all kept
+        // nodes whose parent is unchanged, so only the new nodes' child
+        // lists are filled (in increasing child order).
         for s in 0..num_nodes {
-            if let Some(&r) = nodes[s].rows.get(nodes[s].ncols) {
-                let p = node_of_block[r];
-                nodes[s].parent = Some(p);
-                nodes[p].children.push(s);
+            let node = &self.nodes[s];
+            let parent = node.rows.get(node.ncols).map(|&r| self.node_of_block[r]);
+            self.nodes[s].parent = parent;
+            if let Some(p) = parent.filter(|&p| p >= kept) {
+                self.nodes[p].children.push(s);
             }
         }
 
         // Postorder (children before parents) via iterative DFS from roots.
-        let mut postorder = Vec::with_capacity(num_nodes);
+        self.postorder.clear();
         let mut stack: Vec<(usize, usize)> = Vec::new();
-        for root in (0..num_nodes).filter(|&s| nodes[s].parent.is_none()) {
+        for root in (0..num_nodes).filter(|&s| self.nodes[s].parent.is_none()) {
             stack.push((root, 0));
             while let Some(&mut (s, ref mut ci)) = stack.last_mut() {
-                if *ci < nodes[s].children.len() {
-                    let child = nodes[s].children[*ci];
+                if *ci < self.nodes[s].children.len() {
+                    let child = self.nodes[s].children[*ci];
                     *ci += 1;
                     stack.push((child, 0));
                 } else {
-                    postorder.push(s);
+                    self.postorder.push(s);
                     stack.pop();
                 }
             }
         }
-        debug_assert_eq!(postorder.len(), num_nodes);
+        debug_assert_eq!(self.postorder.len(), num_nodes);
 
-        SymbolicFactor {
-            block_dims,
-            block_offsets,
-            total_dim,
-            col_patterns,
-            col_parent,
-            nodes,
-            node_of_block,
-            postorder,
-            input_nnz_blocks: pattern.nnz_blocks(),
-        }
+        self.input_nnz_blocks = pattern.nnz_blocks();
+        self
+    }
+
+    /// Appends the supernode owning block columns `first..end` with front
+    /// rows `rows` (the union of those columns' patterns); tree links are
+    /// stamped afterwards.
+    fn close_node(&mut self, first: usize, end: usize, rows: Vec<usize>) {
+        let ncols = end - first;
+        debug_assert!(rows[..ncols].iter().copied().eq(first..end));
+        let pivot_dim: usize = self.block_dims[first..end].iter().sum();
+        let rem_dim: usize = rows[ncols..].iter().map(|&r| self.block_dims[r]).sum();
+        self.nodes.push(SupernodeInfo {
+            first_col: first,
+            ncols,
+            rows,
+            pivot_dim,
+            rem_dim,
+            parent: None,
+            children: Vec::new(),
+        });
     }
 
     /// Per-block scalar dimensions.
@@ -328,6 +361,18 @@ impl SymbolicFactor {
                 node.rows.len() * node.ncols
             })
             .sum()
+    }
+}
+
+/// How many supernodes survive a re-analysis whose lowest changed block
+/// column is `first_changed`: those closed before the node that holds
+/// column `first_changed - 1` (that node is still open at the boundary —
+/// its later columns may change — so it is rebuilt). `node_of_block` is the
+/// block → node map of the analysis being updated.
+pub(crate) fn kept_nodes(node_of_block: &[usize], first_changed: usize) -> usize {
+    match first_changed.min(node_of_block.len()) {
+        0 => 0,
+        k => node_of_block[k - 1],
     }
 }
 

@@ -23,7 +23,9 @@
 #   determinism  serial vs 2/4-thread factorization bit-identity, swept
 #                over every numeric mode (f64 / f32 / f32f64) and the
 #                intra-front split pass (split-off runs must match the
-#                split-on serial reference byte for byte)
+#                split-on serial reference byte for byte); plus
+#                analyze-incremental: prefix-reusing analysis vs a
+#                from-scratch twin, plan fingerprints equal on every step
 #   numeric-ape  per-mode trajectory accuracy: narrow-mode APE gated
 #                against f64-mode APE, artifact at results/numeric_ape.json
 #   serve-smoke  serving layer: bit-identity, overload, trace cross-check
@@ -33,6 +35,10 @@
 #   chaos        fleet chaos drills in every numeric mode: router restart
 #                at both migration crash points, double shard kill,
 #                add-shard-under-load — all gated on bit-identity + zero loss
+#   bench-quick  the benchmark/ harness at tiny sizes (`run --quick`):
+#                every workload's correctness checks — phase-driver byte
+#                identity, 1-vs-2-thread factor bytes, served/routed bit
+#                identity — in well under a minute; no timing is gated
 #   kernel-bench regenerate results/BENCH_kernels.json (blocked vs
 #                reference dense-kernel throughput; gated on the
 #                in-process speedup ratio, which is host-noise immune)
@@ -49,7 +55,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build test doc lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos kernel-bench bench bench-check"
+STAGES="fmt build test doc lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos bench-quick kernel-bench bench bench-check"
 
 now() {
     # GNU date gives fractional seconds. Some date(1) implementations
@@ -166,6 +172,7 @@ run_stage() {
         serve-smoke) cargo run --release -q -p supernova-serve --bin serve_smoke ;;
         fleet-smoke) cargo run --release -q -p supernova-fleet --bin fleet_smoke ;;
         chaos) cargo run --release -q -p supernova-fleet --bin load_gen -- --chaos ;;
+        bench-quick) cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick ;;
         kernel-bench) cargo run --release -q -p supernova-bench --features bench-harness --bin kernel_bench ;;
         bench) bench_regen ;;
         bench-check) cargo run --release -q -p supernova-bench --bin bench_check ;;
