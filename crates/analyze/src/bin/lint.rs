@@ -120,6 +120,16 @@ fn check_host_schedules() -> Result<usize, String> {
             let (stats, sched) = num
                 .execute_plan(&plan, &h, seeds, &exec)
                 .map_err(|e| format!("{threads} threads ({label}): factorization failed: {e}"))?;
+            // `execute_plan` certifies the plan itself for a multi-worker
+            // executor; if that ever stops, every run here would quietly
+            // be the inline schedule and the sweep would validate nothing
+            // about cross-worker ordering.
+            if threads > 1 && sched.workers <= 1 {
+                return Err(format!(
+                    "{threads} threads ({label}): ran inline on {} worker",
+                    sched.workers
+                ));
+            }
             let violations = validate_host_schedule(&plan, &sched, &stats.recomputed_nodes());
             if !violations.is_empty() {
                 let msgs: Vec<String> = violations

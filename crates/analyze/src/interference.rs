@@ -8,8 +8,8 @@
 //! scatter programs, closes them under the dependency edges'
 //! happens-before order, and proves every same-level task pair disjoint.
 //! A successful proof is a [`PlanCertificate`], which the parallel
-//! executor accepts as permission to drop per-task dependency counting and
-//! dispatch whole levels from one atomic cursor.
+//! executor requires before it lets more than one worker touch the plan:
+//! with it, whole levels are dispatched from one atomic cursor.
 //!
 //! This module adds the workspace-level driver: [`certify_datasets`] runs
 //! every seeded dataset through the real incremental engine and certifies
@@ -87,7 +87,7 @@ pub fn certify_datasets() -> Vec<DatasetCertification> {
                         fingerprint,
                         // The engine's cached certificate must cover the
                         // same plan — otherwise batched dispatch silently
-                        // degrades to dep-counting.
+                        // degrades to inline execution.
                         certified: core.plan_certificate().is_some_and(|c| c.covers(plan)),
                         violations: Vec::new(),
                     },

@@ -820,6 +820,9 @@ mod tests {
                 let (plan, sched, recomputed) = run(threads);
                 let v = validate_host_schedule(&plan, &sched, &recomputed);
                 assert!(v.is_empty(), "{threads} threads: {v:?}");
+                // Self-certifying `execute_plan` must not shrink the
+                // multi-thread cases to the inline schedule.
+                assert_eq!(sched.workers > 1, threads > 1, "{threads} threads");
             }
         }
 

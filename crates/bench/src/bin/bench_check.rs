@@ -27,7 +27,7 @@
 //!   counts, simulated SoC cycles, shed counts, the nominal scenario's
 //!   bit-identity verdict, dispatch-span violation counts, the
 //!   dispatch mode of each step-latency run (a certified plan must
-//!   level-batch; falling back to dep-counting means certification
+//!   level-batch; running inline on several threads means certification
 //!   regressed) and its numeric mode (two sides of a wall-time
 //!   comparison must have run the same kernel precision). Any change
 //!   here is a correctness regression, not
@@ -331,8 +331,8 @@ fn check_step_latency(report: &mut Report, gate: &Gate) {
             // The dispatch mode is a pure function of thread count and
             // plan certification (1 thread runs serial, more threads
             // level-batch every certified plan), so it is gated exactly:
-            // a dep-counted run here means a dataset plan stopped
-            // certifying, which is a correctness regression.
+            // a serial run at several threads means a dataset plan
+            // stopped certifying, which is a correctness regression.
             exact(
                 report,
                 &format!("step-latency/{ds}/{t}t/dispatch-mode"),

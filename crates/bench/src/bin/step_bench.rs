@@ -28,8 +28,8 @@
 //!   split pass exists to break) and each run's `level_occupancy` at that
 //!   thread count, plus the executed schedule's `split_units` count;
 //! - the dispatch mode of the final full-refactor host schedule (serial /
-//!   dep-counted / level-batched — level-batched proves the interference
-//!   certificate gate engaged) and that schedule's dispatch overhead per
+//!   level-batched — level-batched proves the interference certificate
+//!   gate engaged) and that schedule's dispatch overhead per
 //!   task, the number `bench_check` gates so the batched dispatcher's
 //!   per-task bookkeeping cost cannot silently regress.
 //!
@@ -117,7 +117,7 @@ struct Run {
     /// plan executed at whole-task granularity).
     split_units: u64,
     /// Dispatch strategy of the final full-refactor host schedule
-    /// (0 serial, 1 dep-counted, 2 level-batched).
+    /// (0 serial, 2 level-batched; 1 is retired).
     dispatch_mode: u64,
     /// Numeric precision the run's kernels executed under
     /// (0 f64, 1 f32, 2 f32f64), from `SUPERNOVA_NUMERIC` — `bench_check`

@@ -124,11 +124,6 @@ pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedF
     }
 }
 
-/// Back-compat alias of [`linearize`] emphasizing the numeric scheme.
-pub fn numeric_jacobians<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedFactor {
-    linearize(factor, values)
-}
-
 /// Anchors a variable to a known value — the gauge constraint of every SLAM
 /// problem (and the marginalization device of the fixed-lag smoother).
 #[derive(Clone, Debug)]

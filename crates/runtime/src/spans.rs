@@ -64,7 +64,7 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     span.counters.set("tasks", sched.spans.len() as u64);
     span.counters.set("kernel_flops", sched.kernel_flops());
     // Which dispatch strategy sequenced the execution (serial /
-    // dep-counted / level-batched) — lets bench_check gate the
+    // level-batched) — lets bench_check gate the
     // dispatch-overhead-per-task metric against the mode that produced it.
     span.counters.set("dispatch_mode", sched.mode.as_u64());
     // Numeric precision the workers' kernels ran under (f64 / f32 /

@@ -43,8 +43,8 @@ struct CachedPlan {
     plan: ExecutionPlan,
     /// Derived by the static interference checker on first demand — only
     /// multi-worker dispatch and outside observers ever read it. `None`
-    /// inside: the plan could not be proven safe, and the executor falls
-    /// back to dependency-counted dispatch.
+    /// inside: the plan could not be proven safe, and the executor runs it
+    /// inline on the calling thread whatever its worker count.
     cert: OnceLock<Option<PlanCertificate>>,
 }
 

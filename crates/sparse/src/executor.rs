@@ -4,20 +4,24 @@
 //! This module is one of the few places in the workspace allowed to spawn
 //! OS threads (`supernova-analyze`'s `thread-spawn` lint keeps a declared
 //! allowlist; the serve dispatcher's worker pool is the other notable
-//! entry). The pool runs an
-//! [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
-//! as soon as their recomputed children finish; because every task is a
-//! pure function of the Hessian and its children's cached update matrices
-//! — merged in the plan's fixed child order — results are bit-identical to
-//! serial execution at any thread count.
+//! entry). An [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
+//! run one of two ways: **inline** on the calling thread in plan
+//! postorder, or — given at least two workers and a
+//! [`PlanCertificate`] covering the plan — as **waves**: the plan's levels
+//! of mutually independent work items, one atomic claim cursor per wave
+//! and a barrier between waves. Because every task is a pure function of
+//! the Hessian and its children's cached update matrices — merged in the
+//! plan's fixed child order — results are bit-identical to inline
+//! execution at any thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use supernova_linalg::{KernelScratch, Mat, NumericMode};
 
 use crate::interference::PlanCertificate;
+use crate::plan::{PlanUnit, UnitKind};
 use crate::ExecutionPlan;
 
 /// A worker's preallocated scratch buffers, reused across every task the
@@ -40,30 +44,15 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// A workspace pre-grown for fronts of up to `front_elems` scalars
-    /// (use [`ExecutionPlan::max_workspace_elems`]) and kernel pack
-    /// buffers of up to `pack_elems` scalars each (use
-    /// [`ExecutionPlan::max_pack_elems`]).
-    pub fn with_capacity(front_elems: usize, pack_elems: usize) -> Self {
-        let mut ws = Workspace::new();
-        ws.reserve(front_elems, pack_elems);
-        ws
-    }
-
-    /// Grows (never shrinks) both buffers to the given capacities. Cheap
-    /// when already large enough; called once per plan execution, not per
-    /// task.
-    pub fn reserve(&mut self, front_elems: usize, pack_elems: usize) {
-        self.front.reset(front_elems, 1);
-        self.scratch.reserve(pack_elems);
-    }
-
-    /// Mode-aware [`reserve`](Self::reserve): under a narrow
+    /// Grows (never shrinks) both buffers: the front to `front_elems`
+    /// scalars (use [`ExecutionPlan::max_workspace_elems`]) and each kernel
+    /// pack buffer to `pack_elems` scalars (use
+    /// [`ExecutionPlan::max_pack_elems_mode`]). Under a narrow
     /// [`NumericMode`] the kernel arena additionally pre-grows its f32
     /// pack panels and the f32 front shadow (sized for the largest front,
     /// `front_elems` scalars), so narrow-mode factorization allocates
-    /// nothing mid-execution either. For [`NumericMode::F64`] this is
-    /// exactly `reserve`.
+    /// nothing mid-execution either. Cheap when already large enough;
+    /// called once per plan execution, not per task.
     pub fn reserve_mode(&mut self, mode: NumericMode, front_elems: usize, pack_elems: usize) {
         self.front.reset(front_elems, 1);
         self.scratch.reserve(pack_elems);
@@ -95,21 +84,22 @@ impl Workspace {
     }
 }
 
-/// How a plan execution sequenced its tasks. Recorded on every
+/// How a plan execution sequenced its work. Recorded on every
 /// [`HostSchedule`] (and exported as the `dispatch_mode` counter on exec
 /// trace spans) so benchmarks and CI can see which dispatch path ran.
+///
+/// The numeric encoding is part of the committed benchmark baselines and
+/// the trace format. `1` named a dependency-counted ready-queue mode that
+/// no longer exists; it is retired, never reused.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode {
     /// Inline postorder on the calling thread (one worker).
     #[default]
     Serial = 0,
-    /// Worker pool with per-task dependency counters and a shared ready
-    /// queue — correct for *any* plan, but every task completion takes the
-    /// queue lock.
-    DepCounted = 1,
-    /// Worker pool with one atomic claim cursor per topological level and
-    /// a barrier between levels — no locks on the task path. Requires a
-    /// [`PlanCertificate`] proving intra-level tasks access-disjoint.
+    /// Worker pool with one atomic claim cursor per wave (a topological
+    /// level of tasks, or a sub-level of the split overlay's units) and a
+    /// barrier between waves — no locks on the task path. Requires a
+    /// [`PlanCertificate`] proving same-wave work access-disjoint.
     LevelBatched = 2,
 }
 
@@ -118,18 +108,6 @@ impl DispatchMode {
     pub fn as_u64(self) -> u64 {
         self as u64
     }
-}
-
-/// Which dispatch strategies an executor may pick from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Use level-batched dispatch whenever a covering [`PlanCertificate`]
-    /// is supplied; fall back to dependency counting otherwise.
-    #[default]
-    Auto,
-    /// Always use dependency-counted dispatch, even for certified plans
-    /// (for A/B comparison and as a conservative escape hatch).
-    DepCounted,
 }
 
 /// One executed task span in a host schedule: which worker ran which
@@ -208,15 +186,14 @@ impl HostSchedule {
 
     /// Total dispatch overhead in worker-seconds: wall-clock capacity the
     /// pool held (`makespan × workers`) minus the time workers actually
-    /// spent inside tasks. Covers queue locking, dependency bookkeeping,
-    /// barrier waits and level-tail idling.
+    /// spent inside tasks. Covers claim-cursor traffic, barrier waits and
+    /// wave-tail idling.
     pub fn dispatch_overhead_s(&self) -> f64 {
         (self.makespan() * self.workers as f64 - self.busy_time()).max(0.0)
     }
 
-    /// Dispatch overhead per executed task, in seconds — the metric the
-    /// benchmark gate tracks across the dep-counted → level-batched
-    /// transition.
+    /// Dispatch overhead per executed span, in seconds — the metric the
+    /// benchmark ledger tracks for the inline and the wave path alike.
     pub fn dispatch_overhead_per_task_s(&self) -> f64 {
         if self.spans.is_empty() {
             0.0
@@ -244,20 +221,24 @@ pub struct PoolStats {
 /// Host-side executor configuration: how many workers to run plans on.
 ///
 /// `threads == 1` executes inline on the calling thread (no pool, no
-/// locking); `threads > 1` spins up a scoped `std::thread` pool per
-/// execution. Results are bit-identical either way.
+/// barrier); `threads > 1` spins up a scoped `std::thread` pool per
+/// certified execution. Results are bit-identical either way.
 ///
 /// The executor owns a persistent pool of [`Workspace`]s that survives
 /// across `run` calls (and is shared by clones), so the steady-state
-/// refactorization loop performs zero heap allocation: workers check a
-/// warm workspace out at the start of an execution and return it at the
+/// refactorization loop performs zero heap allocation: an execution checks
+/// one warm workspace per worker out at its start and returns them at its
 /// end. Workspace contents are fully overwritten per task, so pooling
 /// never affects results.
 #[derive(Clone, Debug)]
 pub struct ParallelExecutor {
     threads: usize,
-    policy: DispatchPolicy,
     numeric: NumericMode,
+    /// CPUs available to this process, queried once at construction (the
+    /// query reads affinity masks and cgroup files): decides whether wave
+    /// barriers may spin. A serial executor never builds a barrier and
+    /// skips the query.
+    host_cpus: usize,
     pool: Arc<Mutex<Vec<Workspace>>>,
 }
 
@@ -265,9 +246,7 @@ impl PartialEq for ParallelExecutor {
     /// Configuration equality only — the workspace pool is a cache and
     /// never affects behavior.
     fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && self.policy == other.policy
-            && self.numeric == other.numeric
+        self.threads == other.threads && self.numeric == other.numeric
     }
 }
 
@@ -277,6 +256,7 @@ impl ParallelExecutor {
     /// An executor with exactly `threads` workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
+        let host_cpus = if threads > 1 { host_cpus() } else { 1 };
         // Pre-populate one (empty, allocation-free) workspace per worker,
         // so the pool's workspace count is fixed at construction instead
         // of depending on how checkouts happened to overlap — a
@@ -285,26 +265,10 @@ impl ParallelExecutor {
         let pool = (0..threads).map(|_| Workspace::new()).collect();
         ParallelExecutor {
             threads,
-            policy: DispatchPolicy::default(),
             numeric: NumericMode::default(),
+            host_cpus,
             pool: Arc::new(Mutex::new(pool)),
         }
-    }
-
-    /// Same executor with the given dispatch policy.
-    pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Overrides the dispatch policy in place.
-    pub fn set_policy(&mut self, policy: DispatchPolicy) {
-        self.policy = policy;
-    }
-
-    /// The configured dispatch policy.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.policy
     }
 
     /// Same executor with the given numeric mode for its workers' kernels.
@@ -331,9 +295,7 @@ impl ParallelExecutor {
     }
 
     /// Reads the worker count from the `SUPERNOVA_THREADS` environment
-    /// variable, falling back to the host's available parallelism, the
-    /// dispatch policy from `SUPERNOVA_DISPATCH` (`depcount` forces
-    /// dependency counting; anything else keeps the `Auto` default), and
+    /// variable, falling back to the host's available parallelism, and
     /// the numeric mode from [`supernova_linalg::NUMERIC_ENV`]
     /// (`f64`/`f32`/`f32f64`; unset or unrecognized means f64).
     pub fn from_env() -> Self {
@@ -341,18 +303,8 @@ impl ParallelExecutor {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        let policy = match std::env::var("SUPERNOVA_DISPATCH").as_deref() {
-            Ok("depcount") => DispatchPolicy::DepCounted,
-            _ => DispatchPolicy::Auto,
-        };
-        ParallelExecutor::new(threads)
-            .with_policy(policy)
-            .with_numeric(NumericMode::from_env())
+            .unwrap_or_else(host_cpus);
+        ParallelExecutor::new(threads).with_numeric(NumericMode::from_env())
     }
 
     /// The configured worker count.
@@ -363,8 +315,8 @@ impl ParallelExecutor {
     /// Snapshot of the persistent workspace pool (call between plan
     /// executions; checked-out workspaces are not visible).
     pub fn pool_stats(&self) -> PoolStats {
-        // Poisoning requires a worker panic, which unwinds the whole
-        // execution scope anyway.
+        // Poisoning requires a panic while the pool is locked, and nothing
+        // that runs under the lock can panic.
         let pool = self.pool.lock().unwrap(); // lint: allow(unwrap)
         PoolStats {
             workspaces: pool.len(),
@@ -377,41 +329,47 @@ impl ParallelExecutor {
         }
     }
 
-    /// Checks a workspace out of the pool (or makes a cold one), grown
-    /// for `plan`'s largest front, with the flop meter drained so per-task
+    /// Checks `n` workspaces out of the pool, largest first (cold ones if
+    /// the pool runs short — clones share it), each grown to the plan's
+    /// `(front, pack)` bounds and with its flop meter drained so per-task
     /// deltas start from zero.
     ///
-    /// Takes the *largest* pooled workspace, not the most recently
-    /// returned one: check-in order depends on worker timing, but the
-    /// pool's multiset of workspaces does not, so best-fit selection
-    /// makes the checked-out set — and therefore all arena growth — a
-    /// deterministic function of the plan sequence. Once warm, the k-th
+    /// Called only on the thread that called [`run`](Self::run), before
+    /// any worker spawns, and the workspaces come back the same way
+    /// ([`checkin`](Self::checkin)): workers never touch the pool. So
+    /// which workspaces an execution gets, and whether any of them grows,
+    /// is a pure function of the plan sequence — which worker happens to
+    /// claim which task (timing-dependent) cannot decide it. Taking the
+    /// *largest* is what makes the pool go quiet: once warm, the k-th
     /// largest workspace dominates every plan that ran at width ≥ k, and
     /// replays stop allocating entirely.
-    fn checkout(&self, plan: &ExecutionPlan) -> Workspace {
+    fn checkout(&self, n: usize, (front, pack): (usize, usize)) -> Vec<Workspace> {
         // lint: allow(unwrap) — poisoning as above
         let mut pool = self.pool.lock().unwrap();
-        let largest = pool
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, w)| (w.scratch().high_water_elems(), usize::MAX - i))
-            .map(|(i, _)| i);
-        let mut ws = largest.map(|i| pool.swap_remove(i)).unwrap_or_default();
+        pool.sort_by_key(|w| std::cmp::Reverse(w.scratch().high_water_elems()));
+        let warm = n.min(pool.len());
+        let mut out: Vec<Workspace> = pool.drain(..warm).collect();
         drop(pool);
-        ws.reserve_mode(
-            self.numeric,
-            plan.max_workspace_elems(),
-            plan.max_pack_elems_mode(self.numeric),
-        );
-        ws.scratch_mut().take_flops();
-        ws
+        out.resize_with(n, Workspace::new);
+        for ws in &mut out {
+            ws.reserve_mode(self.numeric, front, pack);
+            ws.scratch_mut().take_flops();
+        }
+        out
     }
 
-    /// Returns a workspace to the pool for the next execution.
-    fn checkin(&self, ws: Workspace) {
+    /// Returns an execution's workspaces to the pool for the next one.
+    fn checkin(&self, workspaces: Vec<Workspace>) {
         // lint: allow(unwrap) — poisoning as above
-        self.pool.lock().unwrap().push(ws);
+        self.pool.lock().unwrap().extend(workspaces);
     }
+}
+
+/// CPUs available to this process (1 when the host will not say).
+fn host_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 impl Default for ParallelExecutor {
@@ -422,244 +380,174 @@ impl Default for ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    /// Runs the plan's tasks flagged in `recompute`, calling `task_fn`
-    /// exactly once per flagged task after all its flagged children have
-    /// completed. `task_fn` publishes each task's result itself (the
-    /// numeric layer uses a `OnceLock` slot per node), so the executor
-    /// only sequences work and records the [`HostSchedule`].
+    /// Executes the plan's tasks flagged in `recompute`, calling `work_fn`
+    /// exactly once per work item of every flagged task, after everything
+    /// the item depends on has completed. A work item is a [`PlanUnit`]:
+    /// one sub-unit of the split overlay when the plan carries one
+    /// ([`ExecutionPlan::has_units`]), and otherwise a whole task,
+    /// presented as a single [`UnitKind::Whole`] unit at the task's level.
+    /// `work_fn` publishes each task's result itself (the numeric layer
+    /// uses a `OnceLock` slot per node), so the executor only sequences
+    /// work and records the [`HostSchedule`] — one [`TaskSpan`] per item
+    /// on either path, so the span structure does not depend on the
+    /// thread count (the trace thread-invariance guarantee).
     ///
-    /// On error, in-flight tasks finish, no new tasks start, and the
+    /// There are two ways to sequence the items:
+    ///
+    /// - **inline** ([`DispatchMode::Serial`]): the calling thread walks
+    ///   the plan postorder and runs each task's items in canonical order;
+    /// - **waves** ([`DispatchMode::LevelBatched`]): workers claim the
+    ///   items of one wave at a time — [`ExecutionPlan::unit_levels`] with
+    ///   an overlay, [`ExecutionPlan::levels`] without — and meet at a
+    ///   barrier before the next.
+    ///
+    /// Waves need at least two workers, at least two flagged tasks and a
+    /// `cert` that [covers](PlanCertificate::covers) `plan`: the
+    /// certificate is the proof that same-wave items are access-disjoint
+    /// and that every dependency between items crosses a wave boundary.
+    /// Without it — no certificate, or one computed from another plan — a
+    /// multi-worker executor runs inline, the conservative direction:
+    /// there is no multi-worker dispatch without the proof. Results are
+    /// bit-identical on both paths — the certificate only changes *when*
+    /// independent items run, never their inputs.
+    ///
+    /// On error, in-flight items finish, no new items start, and the
     /// error from the lowest-numbered failing task is returned.
     pub fn run<E, F>(
         &self,
         plan: &ExecutionPlan,
         recompute: &[bool],
-        task_fn: F,
-    ) -> (Result<(), E>, HostSchedule)
-    where
-        E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    {
-        self.run_certified(plan, recompute, None, task_fn)
-    }
-
-    /// [`run`](Self::run), but with an optional level-safety proof. When
-    /// `cert` [covers](PlanCertificate::covers) `plan` and the policy is
-    /// [`DispatchPolicy::Auto`], multi-threaded executions use the
-    /// lock-free level-batched dispatcher; otherwise the dependency-counted
-    /// pool runs exactly as before. Results are bit-identical on every
-    /// path — the certificate only changes *when* independent tasks run,
-    /// never their inputs.
-    pub fn run_certified<E, F>(
-        &self,
-        plan: &ExecutionPlan,
-        recompute: &[bool],
         cert: Option<&PlanCertificate>,
-        task_fn: F,
+        work_fn: F,
     ) -> (Result<(), E>, HostSchedule)
     where
         E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
+        F: Fn(PlanUnit, &mut Workspace) -> Result<(), E> + Sync,
     {
         assert_eq!(recompute.len(), plan.num_tasks());
-        self.prepare(plan);
-        let total: usize = recompute.iter().filter(|&&r| r).count();
-        if self.threads <= 1 || total <= 1 {
-            return run_serial(self, plan, recompute, &task_fn);
-        }
-        let certified = self.policy == DispatchPolicy::Auto && cert.is_some_and(|c| c.covers(plan));
-        if certified {
-            return run_batched(self, plan, recompute, &task_fn, self.threads);
-        }
-        run_pool(self, plan, recompute, &task_fn, self.threads)
-    }
-
-    /// [`run_certified`](Self::run_certified) at *sub-unit* granularity:
-    /// when the plan carries a split overlay ([`ExecutionPlan::has_units`])
-    /// split tasks execute as their panel/tile sub-units via `unit_fn`
-    /// (called with a unit id from [`ExecutionPlan::units`]), while unsplit
-    /// tasks still run whole through `task_fn`.
-    ///
-    /// Dispatch selection mirrors `run_certified`:
-    ///
-    /// - **serial** executions walk the postorder and run each split
-    ///   task's units in canonical order — one [`TaskSpan`] per unit, so
-    ///   the span structure is identical to a unit-granular parallel run
-    ///   (the trace thread-invariance guarantee);
-    /// - **certified** multi-threaded executions ([`DispatchPolicy::Auto`]
-    ///   with a covering certificate) dispatch the plan's
-    ///   [`unit_levels`](ExecutionPlan::unit_levels) through the
-    ///   level-batched pool, with a low-latency spin-then-park barrier
-    ///   between sub-levels (sub-levels are ~`2×panels` more frequent than
-    ///   task levels, so barrier latency is on the critical path);
-    /// - **uncertified** multi-threaded executions fall back to the
-    ///   dependency-counted pool at whole-task granularity (`task_fn` for
-    ///   every task) — the split overlay's intra-task happens-before is
-    ///   proven by the same certificate that gates batching, so without it
-    ///   the executor does not interleave sub-units across workers.
-    ///
-    /// Plans without units delegate to `run_certified` unchanged.
-    pub fn run_certified_units<E, F, G>(
-        &self,
-        plan: &ExecutionPlan,
-        recompute: &[bool],
-        cert: Option<&PlanCertificate>,
-        task_fn: F,
-        unit_fn: G,
-    ) -> (Result<(), E>, HostSchedule)
-    where
-        E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-        G: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    {
-        if !plan.has_units() {
-            return self.run_certified(plan, recompute, cert, task_fn);
-        }
-        assert_eq!(recompute.len(), plan.num_tasks());
-        self.prepare(plan);
-        let total: usize = recompute.iter().filter(|&&r| r).count();
-        if self.threads <= 1 || total <= 1 {
-            return run_serial_units(self, plan, recompute, &task_fn, &unit_fn);
-        }
-        let certified = self.policy == DispatchPolicy::Auto && cert.is_some_and(|c| c.covers(plan));
-        if certified {
-            return run_batched_units(self, plan, recompute, &task_fn, &unit_fn, self.threads);
-        }
-        run_pool(self, plan, recompute, &task_fn, self.threads)
-    }
-
-    /// Grows every pooled workspace to `plan`'s bounds before any worker
-    /// spawns. Doing all growth here, on the calling thread, makes the
-    /// arena statistics a pure function of the plan sequence: which
-    /// worker later picks which workspace (timing-dependent) can no
-    /// longer decide whether a buffer grows. A no-op once the pool is
-    /// warm enough for `plan` — the zero-alloc steady state.
-    fn prepare(&self, plan: &ExecutionPlan) {
-        let front = plan.max_workspace_elems();
-        let pack = plan.max_pack_elems_mode(self.numeric);
-        // lint: allow(unwrap) — poisoning requires a prior worker panic
-        let mut pool = self.pool.lock().unwrap();
-        for ws in pool.iter_mut() {
-            ws.reserve_mode(self.numeric, front, pack);
+        // One sweep over the tasks per execution, shared by every
+        // workspace the execution checks out.
+        let bounds = (
+            plan.max_workspace_elems(),
+            plan.max_pack_elems_mode(self.numeric),
+        );
+        let several_flagged = || recompute.iter().filter(|&&r| r).nth(1).is_some();
+        if self.threads > 1 && several_flagged() && cert.is_some_and(|c| c.covers(plan)) {
+            run_waves(self, plan, recompute, bounds, &work_fn)
+        } else {
+            run_inline(self, plan, recompute, bounds, &work_fn)
         }
     }
 }
 
-/// Inline execution on the calling thread, in plan postorder.
-fn run_serial<E, F>(
-    exec: &ParallelExecutor,
-    plan: &ExecutionPlan,
-    recompute: &[bool],
-    task_fn: &F,
-) -> (Result<(), E>, HostSchedule)
-where
-    F: Fn(usize, &mut Workspace) -> Result<(), E>,
-{
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let mut ws = exec.checkout(plan);
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut spans = Vec::new();
-    let mut err = None;
-    for &s in plan.postorder() {
-        if !recompute[s] {
-            continue;
+/// The work item behind dispatch id `id`: unit `id` of the split overlay
+/// when the plan carries one, and otherwise task `id` presented as a
+/// single whole-task unit at the task's level — which is all a whole task
+/// is to the dispatcher.
+fn work_item(plan: &ExecutionPlan, id: usize) -> PlanUnit {
+    if plan.has_units() {
+        plan.units()[id]
+    } else {
+        PlanUnit {
+            task: id,
+            kind: UnitKind::Whole,
+            sublevel: plan.tasks()[id].level,
         }
+    }
+}
+
+/// What one worker executed: a span per work item, and how many of the
+/// items were sub-units of a split task.
+#[derive(Default)]
+struct WorkerLog {
+    spans: Vec<TaskSpan>,
+    split_units: usize,
+}
+
+impl WorkerLog {
+    /// Runs `unit` on `ws`, timed on the execution's shared clock.
+    ///
+    /// Forced inline: what runs between one item's `end` stamp and the
+    /// next one's `start` stamp is the inline path's entire dispatch cost
+    /// (~0.08 µs per item, `sparse.dispatch_overhead_us_per_task` in the
+    /// benchmark ledger), and an out-of-line call here adds 10–25 ns to it.
+    #[inline(always)]
+    fn run_timed<E>(
+        &mut self,
+        unit: PlanUnit,
+        worker: usize,
+        origin: Instant,
+        ws: &mut Workspace,
+        work_fn: &impl Fn(PlanUnit, &mut Workspace) -> Result<(), E>,
+    ) -> Result<(), E> {
         let start = origin.elapsed().as_secs_f64();
-        let res = task_fn(s, &mut ws);
+        let res = work_fn(unit, ws);
         let end = origin.elapsed().as_secs_f64();
-        spans.push(TaskSpan {
-            node: s,
-            worker: 0,
+        self.spans.push(TaskSpan {
+            node: unit.task,
+            worker,
             start,
             end,
             kernel_flops: ws.scratch_mut().take_flops(),
         });
-        if let Err(e) = res {
-            err = Some(e);
-            break;
-        }
+        self.split_units += usize::from(unit.kind != UnitKind::Whole);
+        res
     }
-    exec.checkin(ws);
-    let sched = HostSchedule {
-        spans,
-        workers: 1,
-        origin: epoch,
-        mode: DispatchMode::Serial,
-        numeric: exec.numeric,
-        split_units: 0,
-    };
-    match err {
-        Some(e) => (Err(e), sched),
-        None => (Ok(()), sched),
+
+    /// Seals the log into the execution's schedule record.
+    fn into_schedule(
+        self,
+        exec: &ParallelExecutor,
+        workers: usize,
+        origin: f64,
+        mode: DispatchMode,
+    ) -> HostSchedule {
+        HostSchedule {
+            spans: self.spans,
+            workers,
+            origin,
+            mode,
+            numeric: exec.numeric,
+            split_units: self.split_units,
+        }
     }
 }
 
-/// Inline unit-granular execution on the calling thread: plan postorder
-/// over tasks, canonical unit order within each split task. Span structure
-/// (one span per executed unit / whole task) matches the unit-batched
-/// parallel path exactly.
-fn run_serial_units<E, F, G>(
+/// Inline execution on the calling thread: plan postorder over tasks,
+/// canonical unit order within each split task.
+fn run_inline<E, F>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
     recompute: &[bool],
-    task_fn: &F,
-    unit_fn: &G,
+    bounds: (usize, usize),
+    work_fn: &F,
 ) -> (Result<(), E>, HostSchedule)
 where
-    F: Fn(usize, &mut Workspace) -> Result<(), E>,
-    G: Fn(usize, &mut Workspace) -> Result<(), E>,
+    F: Fn(PlanUnit, &mut Workspace) -> Result<(), E>,
 {
     let epoch = supernova_trace::epoch_seconds();
     let origin = Instant::now();
-    let mut ws = exec.checkout(plan);
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut spans = Vec::new();
-    let mut split_units = 0usize;
-    let mut err = None;
+    let mut workspaces = exec.checkout(1, bounds);
+    let mut log = WorkerLog::default();
+    let mut res = Ok(());
     'tasks: for &s in plan.postorder() {
         if !recompute[s] {
             continue;
         }
-        let (lo, hi) = plan.task_units_range(s);
-        for uid in lo..hi {
-            let whole = plan.units()[uid].kind == crate::plan::UnitKind::Whole;
-            let start = origin.elapsed().as_secs_f64();
-            let res = if whole {
-                task_fn(s, &mut ws)
-            } else {
-                unit_fn(uid, &mut ws)
-            };
-            let end = origin.elapsed().as_secs_f64();
-            spans.push(TaskSpan {
-                node: s,
-                worker: 0,
-                start,
-                end,
-                kernel_flops: ws.scratch_mut().take_flops(),
-            });
-            if !whole {
-                split_units += 1;
-            }
-            if let Err(e) = res {
-                err = Some(e);
+        let (lo, hi) = if plan.has_units() {
+            plan.task_units_range(s)
+        } else {
+            (s, s + 1)
+        };
+        for id in lo..hi {
+            res = log.run_timed(work_item(plan, id), 0, origin, &mut workspaces[0], work_fn);
+            if res.is_err() {
                 break 'tasks;
             }
         }
     }
-    exec.checkin(ws);
-    let sched = HostSchedule {
-        spans,
-        workers: 1,
-        origin: epoch,
-        mode: DispatchMode::Serial,
-        numeric: exec.numeric,
-        split_units,
-    };
-    match err {
-        Some(e) => (Err(e), sched),
-        None => (Ok(()), sched),
-    }
+    exec.checkin(workspaces);
+    (res, log.into_schedule(exec, 1, epoch, DispatchMode::Serial))
 }
 
 /// A sense-reversing barrier that spins briefly before parking on a
@@ -671,7 +559,7 @@ where
 /// idle machine still sleeps instead of burning a core. When the pool
 /// oversubscribes the host (more parties than CPUs), spinning would
 /// steal cycles from the very worker everyone is waiting on, so the
-/// budget drops to zero and waiters park immediately.
+/// caller passes a zero budget and waiters park immediately.
 struct SpinBarrier {
     parties: usize,
     spin_budget_micros: u128,
@@ -687,17 +575,10 @@ struct SpinBarrier {
 const BARRIER_SPIN_BUDGET_MICROS: u128 = 50;
 
 impl SpinBarrier {
-    fn new(parties: usize) -> Self {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+    fn new(parties: usize, spin_budget_micros: u128) -> Self {
         SpinBarrier {
             parties,
-            spin_budget_micros: if parties > host {
-                0
-            } else {
-                BARRIER_SPIN_BUDGET_MICROS
-            },
+            spin_budget_micros,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             lock: Mutex::new(()),
@@ -746,429 +627,126 @@ impl SpinBarrier {
     }
 }
 
-/// Sub-level-batched worker-pool execution for certified split plans: one
-/// atomic claim cursor per *sub-level* and a [`SpinBarrier`] between
-/// sub-levels. The unit-extended [`PlanCertificate`] proves same-sub-level
-/// units access-disjoint (tile rectangles) and every panel→update edge
-/// ordered by the sub-level barrier, so any intra-sub-level interleaving
-/// computes identical bits — the unit-granular analogue of
-/// [`run_batched`]'s task-level argument.
-fn run_batched_units<E, F, G>(
+/// Wave execution on a scoped worker pool, for certified plans: one atomic
+/// claim cursor per wave and a [`SpinBarrier`] between waves.
+///
+/// Inside a wave there is no ordering at all — the [`PlanCertificate`]
+/// proves same-wave items access-disjoint (whole tasks of one topological
+/// level; tile rectangles of one sub-level), so any interleaving computes
+/// identical bits. *Between* waves the barrier provides the happens-before
+/// edge every cross-wave read needs (a parent consuming a child's
+/// published update matrix, a tile reading its panel's strip): a worker
+/// passes the wave-`k` barrier only after every wave-`k` item has
+/// completed and published.
+///
+/// The task path holds no locks: claiming an item is one `fetch_add` on
+/// the wave cursor. On error the abort flag stops further claims, but
+/// every worker still reaches every barrier so nobody deadlocks.
+fn run_waves<E, F>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
     recompute: &[bool],
-    task_fn: &F,
-    unit_fn: &G,
-    threads: usize,
+    bounds: (usize, usize),
+    work_fn: &F,
 ) -> (Result<(), E>, HostSchedule)
 where
     E: Send,
-    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    G: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
+    F: Fn(PlanUnit, &mut Workspace) -> Result<(), E> + Sync,
 {
-    // Per-sub-level worklists of units of recomputed tasks, ascending unit
-    // id so claim order is deterministic given claim timing.
+    let levels = if plan.has_units() {
+        plan.unit_levels()
+    } else {
+        plan.levels()
+    };
+    // Per-wave worklists of the dispatch ids of recomputed tasks,
+    // ascending so claim order is deterministic given claim timing.
     // lint: allow(hot-alloc) — per-execution dispatch tables, not the task path
-    let sublevels: Vec<Vec<usize>> = plan
-        .unit_levels()
+    let waves: Vec<Vec<usize>> = levels
         .iter()
         .map(|members| {
             let mut v: Vec<usize> = members
                 .iter()
                 .copied()
-                .filter(|&u| recompute[plan.units()[u].task])
+                .filter(|&id| recompute[work_item(plan, id).task])
                 .collect();
             v.sort_unstable();
             v
         })
         .collect();
-    let total_units: usize = sublevels.iter().map(Vec::len).sum();
-    let cursors: Vec<AtomicUsize> = sublevels.iter().map(|_| AtomicUsize::new(0)).collect();
+    let items: usize = waves.iter().map(Vec::len).sum();
+    let cursors: Vec<AtomicUsize> = waves.iter().map(|_| AtomicUsize::new(0)).collect();
     let abort = AtomicBool::new(false);
     // lint: allow(hot-alloc) — per-execution error collector, not the task path
     let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
     let epoch = supernova_trace::epoch_seconds();
     let origin = Instant::now();
-    let nworkers = threads.min(total_units.max(1));
-    let barrier = SpinBarrier::new(nworkers);
-    let split_units = AtomicUsize::new(0);
+    let nworkers = exec.threads.min(items);
+    let spin_budget_micros = if nworkers > exec.host_cpus {
+        0
+    } else {
+        BARRIER_SPIN_BUDGET_MICROS
+    };
+    let barrier = SpinBarrier::new(nworkers, spin_budget_micros);
 
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total_units);
+    let mut log = WorkerLog::default();
+    // lint: allow(hot-alloc) — per-execution workspace handback, not the task path
+    let mut returned = Vec::with_capacity(nworkers);
     std::thread::scope(|scope| {
-        // lint: allow(hot-alloc) — per-execution worker handles, not the task path
-        let mut handles = Vec::with_capacity(nworkers);
-        for worker in 0..nworkers {
-            let sublevels = &sublevels;
-            let cursors = &cursors;
-            let abort = &abort;
-            let errors = &errors;
-            let barrier = &barrier;
-            let split_units = &split_units;
-            handles.push(scope.spawn(move || {
-                let mut ws = exec.checkout(plan);
-                // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-                let mut spans: Vec<TaskSpan> = Vec::new();
-                for (sub, members) in sublevels.iter().enumerate() {
-                    loop {
-                        if abort.load(Ordering::Acquire) {
-                            break;
+        let (waves, cursors, abort, errors, barrier) =
+            (&waves, &cursors, &abort, &errors, &barrier);
+        let handles: Vec<_> = exec
+            .checkout(nworkers, bounds)
+            .into_iter()
+            .enumerate()
+            .map(|(worker, mut ws)| {
+                scope.spawn(move || {
+                    let mut mine = WorkerLog::default();
+                    for (members, cursor) in waves.iter().zip(cursors) {
+                        while !abort.load(Ordering::Acquire) {
+                            let idx = cursor.fetch_add(1, Ordering::AcqRel);
+                            let Some(&id) = members.get(idx) else {
+                                break;
+                            };
+                            let unit = work_item(plan, id);
+                            if let Err(e) = mine.run_timed(unit, worker, origin, &mut ws, work_fn) {
+                                // lint: allow(unwrap) — poisoning needs a prior worker panic
+                                errors.lock().unwrap().push((unit.task, e));
+                                abort.store(true, Ordering::Release);
+                            }
                         }
-                        let idx = cursors[sub].fetch_add(1, Ordering::AcqRel);
-                        let Some(&uid) = members.get(idx) else {
-                            break;
-                        };
-                        let unit = &plan.units()[uid];
-                        let whole = unit.kind == crate::plan::UnitKind::Whole;
-                        let start = origin.elapsed().as_secs_f64();
-                        let res = if whole {
-                            task_fn(unit.task, &mut ws)
-                        } else {
-                            unit_fn(uid, &mut ws)
-                        };
-                        let end = origin.elapsed().as_secs_f64();
-                        spans.push(TaskSpan {
-                            node: unit.task,
-                            worker,
-                            start,
-                            end,
-                            kernel_flops: ws.scratch_mut().take_flops(),
-                        });
-                        if !whole {
-                            split_units.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Err(e) = res {
-                            // lint: allow(unwrap) — poisoning needs a prior worker panic
-                            errors.lock().unwrap().push((unit.task, e));
-                            abort.store(true, Ordering::Release);
-                        }
+                        // Every worker reaches every barrier — including
+                        // after an abort — so no one is left waiting.
+                        barrier.wait();
                     }
-                    // Every worker reaches every barrier — including after
-                    // an abort — so no one is left waiting.
-                    barrier.wait();
-                }
-                exec.checkin(ws);
-                spans
-            }));
-        }
+                    (mine, ws)
+                })
+            })
+            .collect();
         for h in handles {
-            if let Ok(spans) = h.join() {
-                all_spans.extend(spans);
+            if let Ok((theirs, ws)) = h.join() {
+                log.spans.extend(theirs.spans);
+                log.split_units += theirs.split_units;
+                returned.push(ws);
             }
         }
     });
+    exec.checkin(returned);
 
-    all_spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    let sched = HostSchedule {
-        spans: all_spans,
-        workers: nworkers,
-        origin: epoch,
-        mode: DispatchMode::LevelBatched,
-        numeric: exec.numeric,
-        split_units: split_units.into_inner(),
-    };
-    let mut errs = errors.into_inner().unwrap_or_default();
-    if errs.is_empty() {
-        (Ok(()), sched)
-    } else {
-        errs.sort_by_key(|&(t, _)| t);
-        let (_, e) = errs.swap_remove(0);
-        (Err(e), sched)
-    }
-}
-
-/// Shared pool state: the ready queue plus progress/abort flags.
-struct PoolState {
-    ready: Mutex<Vec<usize>>,
-    cv: Condvar,
-    remaining: AtomicUsize,
-    abort: AtomicBool,
-}
-
-/// Scoped worker-pool execution.
-fn run_pool<E, F>(
-    exec: &ParallelExecutor,
-    plan: &ExecutionPlan,
-    recompute: &[bool],
-    task_fn: &F,
-    threads: usize,
-) -> (Result<(), E>, HostSchedule)
-where
-    E: Send,
-    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-{
-    let tasks = plan.tasks();
-    // Dependency counters over *recomputed* children only: reused children
-    // already have their cached results published.
-    let pending: Vec<AtomicUsize> = tasks
-        .iter()
-        .map(|t| {
-            let n = t.merges.iter().filter(|m| recompute[m.child]).count();
-            AtomicUsize::new(n)
-        })
-        .collect();
-    let initial: Vec<usize> = (0..tasks.len())
-        .filter(|&s| recompute[s] && pending[s].load(Ordering::Relaxed) == 0)
-        .collect();
-    let total: usize = recompute.iter().filter(|&&r| r).count();
-    let state = PoolState {
-        ready: Mutex::new(initial),
-        cv: Condvar::new(),
-        remaining: AtomicUsize::new(total),
-        abort: AtomicBool::new(false),
-    };
-    // lint: allow(hot-alloc) — per-execution error collector, not the task path
-    let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let nworkers = threads.min(total.max(1));
-
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total);
-    std::thread::scope(|scope| {
-        // lint: allow(hot-alloc) — per-execution worker handles, not the task path
-        let mut handles = Vec::with_capacity(nworkers);
-        for worker in 0..nworkers {
-            let state = &state;
-            let errors = &errors;
-            let pending = &pending;
-            handles.push(scope.spawn(move || {
-                let mut ws = exec.checkout(plan);
-                // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-                let mut spans: Vec<TaskSpan> = Vec::new();
-                loop {
-                    let task = {
-                        // Poisoning requires a worker panic, which
-                        // aborts the whole scope anyway.
-                        let mut q = state.ready.lock().unwrap(); // lint: allow(unwrap)
-                        let picked = loop {
-                            if state.abort.load(Ordering::Acquire)
-                                || state.remaining.load(Ordering::Acquire) == 0
-                            {
-                                break None;
-                            }
-                            if let Some(pos) = q
-                                .iter()
-                                .enumerate()
-                                .min_by_key(|&(_, &t)| t)
-                                .map(|(i, _)| i)
-                            {
-                                break Some(q.swap_remove(pos));
-                            }
-                            // lint: allow(unwrap) — same poisoning argument
-                            q = state.cv.wait(q).unwrap();
-                        };
-                        match picked {
-                            Some(t) => t,
-                            None => {
-                                drop(q);
-                                exec.checkin(ws);
-                                return spans;
-                            }
-                        }
-                    };
-                    let start = origin.elapsed().as_secs_f64();
-                    let res = task_fn(task, &mut ws);
-                    let end = origin.elapsed().as_secs_f64();
-                    spans.push(TaskSpan {
-                        node: task,
-                        worker,
-                        start,
-                        end,
-                        kernel_flops: ws.scratch_mut().take_flops(),
-                    });
-                    match res {
-                        Ok(()) => {
-                            if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                state.cv.notify_all();
-                                exec.checkin(ws);
-                                return spans;
-                            }
-                            let parent = plan.tasks()[task].parent;
-                            if let Some(p) = parent.filter(|&p| recompute[p]) {
-                                if pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    // lint: allow(unwrap) — poisoning as above
-                                    state.ready.lock().unwrap().push(p);
-                                    state.cv.notify_one();
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // lint: allow(unwrap) — poisoning as above
-                            errors.lock().unwrap().push((task, e));
-                            state.abort.store(true, Ordering::Release);
-                            state.cv.notify_all();
-                            exec.checkin(ws);
-                            return spans;
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            if let Ok(spans) = h.join() {
-                all_spans.extend(spans);
-            }
-        }
-    });
-
-    all_spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    let sched = HostSchedule {
-        spans: all_spans,
-        workers: nworkers,
-        origin: epoch,
-        mode: DispatchMode::DepCounted,
-        numeric: exec.numeric,
-        split_units: 0,
-    };
-    let mut errs = errors.into_inner().unwrap_or_default();
-    if errs.is_empty() {
-        (Ok(()), sched)
-    } else {
-        errs.sort_by_key(|&(t, _)| t);
-        let (_, e) = errs.swap_remove(0);
-        (Err(e), sched)
-    }
-}
-
-/// Level-batched worker-pool execution for certified plans: one atomic
-/// claim cursor per topological level and a [`Barrier`] between levels.
-///
-/// Inside a level there is no ordering at all — the [`PlanCertificate`]
-/// proves intra-level tasks access-disjoint, so any interleaving computes
-/// identical bits. *Between* levels the barrier provides the
-/// happens-before edge every cross-level read (a parent consuming a
-/// child's published update matrix) needs: a worker passes the level-`k`
-/// barrier only after every level-`k` task has completed and published.
-///
-/// The task path holds no locks: claiming a task is one `fetch_add` on the
-/// level cursor. On error the abort flag stops further claims, but every
-/// worker still reaches every barrier so nobody deadlocks.
-fn run_batched<E, F>(
-    exec: &ParallelExecutor,
-    plan: &ExecutionPlan,
-    recompute: &[bool],
-    task_fn: &F,
-    threads: usize,
-) -> (Result<(), E>, HostSchedule)
-where
-    E: Send,
-    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-{
-    let total: usize = recompute.iter().filter(|&&r| r).count();
-    // Per-level worklists of recomputed tasks, ascending task id so claim
-    // order is deterministic given claim timing.
-    // lint: allow(hot-alloc) — per-execution dispatch tables, not the task path
-    let levels: Vec<Vec<usize>> = plan
-        .levels()
-        .iter()
-        .map(|members| {
-            let mut v: Vec<usize> = members.iter().copied().filter(|&s| recompute[s]).collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    let cursors: Vec<AtomicUsize> = levels.iter().map(|_| AtomicUsize::new(0)).collect();
-    let abort = AtomicBool::new(false);
-    // lint: allow(hot-alloc) — per-execution error collector, not the task path
-    let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let nworkers = threads.min(total.max(1));
-    let barrier = Barrier::new(nworkers);
-
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total);
-    std::thread::scope(|scope| {
-        // lint: allow(hot-alloc) — per-execution worker handles, not the task path
-        let mut handles = Vec::with_capacity(nworkers);
-        for worker in 0..nworkers {
-            let levels = &levels;
-            let cursors = &cursors;
-            let abort = &abort;
-            let errors = &errors;
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let mut ws = exec.checkout(plan);
-                // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-                let mut spans: Vec<TaskSpan> = Vec::new();
-                for (lvl, members) in levels.iter().enumerate() {
-                    loop {
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let idx = cursors[lvl].fetch_add(1, Ordering::AcqRel);
-                        let Some(&task) = members.get(idx) else {
-                            break;
-                        };
-                        let start = origin.elapsed().as_secs_f64();
-                        let res = task_fn(task, &mut ws);
-                        let end = origin.elapsed().as_secs_f64();
-                        spans.push(TaskSpan {
-                            node: task,
-                            worker,
-                            start,
-                            end,
-                            kernel_flops: ws.scratch_mut().take_flops(),
-                        });
-                        if let Err(e) = res {
-                            // lint: allow(unwrap) — poisoning needs a prior worker panic
-                            errors.lock().unwrap().push((task, e));
-                            abort.store(true, Ordering::Release);
-                        }
-                    }
-                    // Every worker reaches every barrier — including after
-                    // an abort — so no one is left waiting.
-                    barrier.wait();
-                }
-                exec.checkin(ws);
-                spans
-            }));
-        }
-        for h in handles {
-            if let Ok(spans) = h.join() {
-                all_spans.extend(spans);
-            }
-        }
-    });
-
-    all_spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    let sched = HostSchedule {
-        spans: all_spans,
-        workers: nworkers,
-        origin: epoch,
-        mode: DispatchMode::LevelBatched,
-        numeric: exec.numeric,
-        split_units: 0,
-    };
-    let mut errs = errors.into_inner().unwrap_or_default();
-    if errs.is_empty() {
-        (Ok(()), sched)
-    } else {
-        errs.sort_by_key(|&(t, _)| t);
-        let (_, e) = errs.swap_remove(0);
-        (Err(e), sched)
-    }
+    log.spans
+        .sort_by(|a, b| a.start.total_cmp(&b.start).then(a.node.cmp(&b.node)));
+    let sched = log.into_schedule(exec, nworkers, epoch, DispatchMode::LevelBatched);
+    let first = errors
+        .into_inner()
+        .unwrap_or_default()
+        .into_iter()
+        .min_by_key(|&(task, _)| task);
+    (first.map_or(Ok(()), |(_, e)| Err(e)), sched)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interference::certify;
     use crate::{BlockPattern, SymbolicFactor};
     use std::sync::atomic::AtomicU64;
 
@@ -1178,313 +756,6 @@ mod tests {
             p.add_block_edge(i, i + 1);
         }
         ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
-    }
-
-    #[test]
-    fn serial_and_pool_run_every_task_once() {
-        let plan = plan_of(24);
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [1usize, 2, 4] {
-            let counts: Vec<AtomicUsize> =
-                (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) =
-                ParallelExecutor::new(threads).run::<(), _>(&plan, &recompute, |s, _ws| {
-                    counts[s].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                });
-            assert!(res.is_ok());
-            assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-            assert_eq!(sched.spans.len(), plan.num_tasks());
-            assert!(sched.workers >= 1 && sched.workers <= threads);
-        }
-    }
-
-    #[test]
-    fn children_complete_before_parents_start() {
-        let plan = plan_of(16);
-        let recompute = vec![true; plan.num_tasks()];
-        // A shared logical clock: each task records (start_tick, end_tick).
-        let clock = AtomicU64::new(0);
-        let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_tasks())
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect();
-        let (res, _) = ParallelExecutor::new(3).run::<(), _>(&plan, &recompute, |s, _ws| {
-            marks[s]
-                .0
-                .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-            marks[s]
-                .1
-                .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-            Ok(())
-        });
-        assert!(res.is_ok());
-        for task in plan.tasks() {
-            for mg in &task.merges {
-                let child_end = marks[mg.child].1.load(Ordering::SeqCst);
-                let parent_start = marks[task.node].0.load(Ordering::SeqCst);
-                assert!(
-                    child_end < parent_start,
-                    "child {} overlapped parent {}",
-                    mg.child,
-                    task.node
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn skips_non_recomputed_tasks() {
-        let plan = plan_of(8);
-        let mut recompute = vec![false; plan.num_tasks()];
-        // Only the root subtree tail.
-        let tail = *plan.postorder().last().expect("nonempty"); // lint: allow(unwrap)
-        recompute[tail] = true;
-        let ran = AtomicUsize::new(0);
-        let (res, sched) = ParallelExecutor::new(4).run::<(), _>(&plan, &recompute, |_s, _ws| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        });
-        assert!(res.is_ok());
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert_eq!(sched.spans.len(), 1);
-    }
-
-    #[test]
-    fn error_reported_from_lowest_failing_task() {
-        let plan = plan_of(12);
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [1usize, 4] {
-            let (res, _) =
-                ParallelExecutor::new(threads).run::<usize, _>(&plan, &recompute, |s, _ws| {
-                    if s == 0 {
-                        Err(s)
-                    } else {
-                        Ok(())
-                    }
-                });
-            assert_eq!(res, Err(0));
-        }
-    }
-
-    #[test]
-    fn env_override_parses() {
-        assert_eq!(ParallelExecutor::new(0).threads(), 1);
-        assert!(ParallelExecutor::from_env().threads() >= 1);
-    }
-
-    #[test]
-    fn workspace_pool_persists_and_stops_growing() {
-        let plan = plan_of(20);
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [1usize, 3] {
-            let exec = ParallelExecutor::new(threads);
-            // One pre-created (empty) workspace per worker, nothing grown.
-            assert_eq!(
-                exec.pool_stats(),
-                PoolStats {
-                    workspaces: threads,
-                    ..PoolStats::default()
-                }
-            );
-            let task = |_s: usize, ws: &mut Workspace| -> Result<(), ()> {
-                let (front, scratch) = ws.parts();
-                front.reset(6, 6);
-                scratch.reserve(64);
-                Ok(())
-            };
-            let (res, _) = exec.run(&plan, &recompute, task);
-            assert!(res.is_ok());
-            let warm = exec.pool_stats();
-            assert_eq!(warm.workspaces, threads);
-            assert!(warm.high_water_elems >= 64);
-            // Clones share the same pool; re-running must not grow it.
-            let alias = exec.clone();
-            for _ in 0..3 {
-                let (res, _) = alias.run(&plan, &recompute, task);
-                assert!(res.is_ok());
-            }
-            let steady = exec.pool_stats();
-            assert_eq!(steady.workspaces, warm.workspaces, "pool count flat");
-            assert_eq!(steady.grow_events, warm.grow_events, "no arena growth");
-            assert_eq!(steady.high_water_elems, warm.high_water_elems);
-        }
-    }
-
-    #[test]
-    fn kernel_flops_are_recorded_per_span() {
-        let plan = plan_of(6);
-        let recompute = vec![true; plan.num_tasks()];
-        let exec = ParallelExecutor::new(2);
-        let (res, sched) = exec.run::<(), _>(&plan, &recompute, |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        // No kernels ran, so every span meters zero — but the field is
-        // present and the schedule total agrees.
-        assert!(sched.spans.iter().all(|s| s.kernel_flops == 0));
-        assert_eq!(sched.kernel_flops(), 0);
-    }
-
-    #[test]
-    fn certified_run_uses_level_batched_dispatch() {
-        let plan = plan_of(24);
-        let cert = crate::interference::certify(&plan).expect("chain plan certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [2usize, 4] {
-            let counts: Vec<AtomicUsize> =
-                (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) = ParallelExecutor::new(threads).run_certified::<(), _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |s, _ws| {
-                    counts[s].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                },
-            );
-            assert!(res.is_ok());
-            assert_eq!(sched.mode, DispatchMode::LevelBatched);
-            assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-            assert_eq!(sched.spans.len(), plan.num_tasks());
-        }
-    }
-
-    #[test]
-    fn batched_dispatch_orders_children_before_parents() {
-        let plan = plan_of(16);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let clock = AtomicU64::new(0);
-        let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_tasks())
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect();
-        let (res, sched) = ParallelExecutor::new(3).run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |s, _ws| {
-                marks[s]
-                    .0
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                marks[s]
-                    .1
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                Ok(())
-            },
-        );
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        for task in plan.tasks() {
-            for mg in &task.merges {
-                let child_end = marks[mg.child].1.load(Ordering::SeqCst);
-                let parent_start = marks[task.node].0.load(Ordering::SeqCst);
-                assert!(
-                    child_end < parent_start,
-                    "child {} overlapped parent {} under batched dispatch",
-                    mg.child,
-                    task.node
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_policy_and_coverage_gate_batching() {
-        let plan = plan_of(12);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        // DepCounted policy ignores the certificate.
-        let exec = ParallelExecutor::new(2).with_policy(DispatchPolicy::DepCounted);
-        let (res, sched) =
-            exec.run_certified::<(), _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::DepCounted);
-        // No certificate → dep-counted fallback.
-        let (res, sched) =
-            ParallelExecutor::new(2)
-                .run_certified::<(), _>(&plan, &recompute, None, |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::DepCounted);
-        // A certificate for a *different* plan must not be trusted.
-        let other = plan_of(5);
-        let foreign = crate::interference::certify(&other).expect("certifies");
-        let (res, sched) = ParallelExecutor::new(2).run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&foreign),
-            |_s, _ws| Ok(()),
-        );
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::DepCounted);
-        // Serial executions are stamped Serial regardless of certificate.
-        let (res, sched) = ParallelExecutor::serial().run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| Ok(()),
-        );
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::Serial);
-    }
-
-    #[test]
-    fn batched_dispatch_propagates_errors_without_deadlock() {
-        let plan = plan_of(12);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [2usize, 4] {
-            let (res, _) = ParallelExecutor::new(threads).run_certified::<usize, _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |s, _ws| {
-                    if s == 0 {
-                        Err(s)
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(res, Err(0));
-        }
-    }
-
-    #[test]
-    fn batched_dispatch_skips_non_recomputed_tasks() {
-        let plan = plan_of(10);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        // Recompute only an upper slice of the tree so some levels are
-        // partially (or entirely) empty.
-        let mut recompute = vec![false; plan.num_tasks()];
-        let n = plan.num_tasks();
-        for s in n / 2..n {
-            recompute[s] = true;
-        }
-        let want: usize = recompute.iter().filter(|&&r| r).count();
-        let ran = AtomicUsize::new(0);
-        let (res, sched) = ParallelExecutor::new(3).run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            },
-        );
-        assert!(res.is_ok());
-        assert_eq!(ran.load(Ordering::SeqCst), want);
-        assert_eq!(sched.spans.len(), want);
-    }
-
-    #[test]
-    fn dispatch_overhead_metrics_are_finite() {
-        let plan = plan_of(10);
-        let recompute = vec![true; plan.num_tasks()];
-        let (res, sched) =
-            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        assert!(sched.dispatch_overhead_s() >= 0.0);
-        assert!(sched.dispatch_overhead_per_task_s() >= 0.0);
-        assert!(sched.dispatch_overhead_per_task_s().is_finite());
-        assert_eq!(HostSchedule::default().dispatch_overhead_per_task_s(), 0.0);
     }
 
     fn split_plan() -> ExecutionPlan {
@@ -1497,202 +768,355 @@ mod tests {
         )
     }
 
-    #[test]
-    fn unit_dispatch_runs_each_unit_once_at_every_thread_count() {
-        let plan = split_plan();
-        assert!(plan.has_units());
-        let cert = crate::interference::certify(&plan).expect("split plan certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let whole_tasks: usize = (0..plan.num_tasks())
-            .filter(|&s| plan.split_shape(s).is_none())
-            .count();
-        let split_unit_count: usize = plan
-            .units()
-            .iter()
-            .filter(|u| u.kind != crate::plan::UnitKind::Whole)
-            .count();
-        for threads in [1usize, 2, 4] {
-            let unit_counts: Vec<AtomicUsize> =
-                (0..plan.num_units()).map(|_| AtomicUsize::new(0)).collect();
-            let task_counts: Vec<AtomicUsize> =
-                (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) = ParallelExecutor::new(threads).run_certified_units::<(), _, _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |s, _ws| {
-                    task_counts[s].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                },
-                |u, _ws| {
-                    unit_counts[u].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                },
-            );
-            assert!(res.is_ok());
-            // Whole tasks ran once via task_fn, every sub-unit once via
-            // unit_fn.
-            assert_eq!(
-                task_counts
-                    .iter()
-                    .map(|c| c.load(Ordering::SeqCst))
-                    .sum::<usize>(),
-                whole_tasks
-            );
-            for (uid, c) in unit_counts.iter().enumerate() {
-                let expect = usize::from(plan.units()[uid].kind != crate::plan::UnitKind::Whole);
-                assert_eq!(c.load(Ordering::SeqCst), expect, "unit {uid}");
-            }
-            // Identical span structure at every thread count.
-            assert_eq!(sched.spans.len(), whole_tasks + split_unit_count);
-            assert_eq!(sched.split_units, split_unit_count);
-            let expect_mode = if threads == 1 {
-                DispatchMode::Serial
-            } else {
-                DispatchMode::LevelBatched
-            };
-            assert_eq!(sched.mode, expect_mode);
+    /// The plans every dispatch case runs over: one without a split
+    /// overlay (whole tasks), one with (sub-units).
+    fn plans() -> [(&'static str, ExecutionPlan); 2] {
+        let (chain, split) = (plan_of(24), split_plan());
+        assert!(!chain.has_units() && split.has_units());
+        [("chain", chain), ("split", split)]
+    }
+
+    /// The certificates a case can be handed, with whether each covers
+    /// `plan`: its own proof, none at all, and one computed from another
+    /// plan.
+    fn certificates(plan: &ExecutionPlan) -> [(&'static str, Option<PlanCertificate>, bool); 3] {
+        let own = certify(plan).expect("test plan certifies");
+        let foreign = certify(&plan_of(5)).expect("chain plan certifies");
+        assert!(own.covers(plan) && !foreign.covers(plan));
+        [
+            ("covering", Some(own), true),
+            ("none", None, false),
+            ("foreign", Some(foreign), false),
+        ]
+    }
+
+    /// Dispatch ids of task `s` in canonical order: its units under a
+    /// split overlay, the task itself otherwise.
+    fn ids_of_task(plan: &ExecutionPlan, s: usize) -> std::ops::Range<usize> {
+        if plan.has_units() {
+            let (lo, hi) = plan.task_units_range(s);
+            lo..hi
+        } else {
+            s..s + 1
         }
     }
 
-    #[test]
-    fn unit_dispatch_orders_panels_before_their_tiles() {
-        let plan = split_plan();
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
+    /// Dispatch id of a unit the executor handed to the work closure —
+    /// which must be exactly one of the plan's own units (or, without an
+    /// overlay, the whole task at its level).
+    fn id_of(plan: &ExecutionPlan, unit: PlanUnit) -> usize {
+        if !plan.has_units() {
+            assert_eq!(unit.kind, UnitKind::Whole);
+            assert_eq!(unit.sublevel, plan.tasks()[unit.task].level);
+            return unit.task;
+        }
+        ids_of_task(plan, unit.task)
+            .find(|&u| plan.units()[u] == unit)
+            .expect("executor dispatched a unit the plan does not contain")
+    }
+
+    /// What one execution did, per dispatch id: how often the item ran and
+    /// its `(start, end)` ticks on a logical clock shared by all workers.
+    struct Observed {
+        sched: HostSchedule,
+        runs: Vec<usize>,
+        ticks: Vec<(u64, u64)>,
+    }
+
+    fn observe(
+        plan: &ExecutionPlan,
+        recompute: &[bool],
+        threads: usize,
+        cert: Option<&PlanCertificate>,
+    ) -> Observed {
+        let num_ids = if plan.has_units() {
+            plan.num_units()
+        } else {
+            plan.num_tasks()
+        };
         let clock = AtomicU64::new(0);
-        let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_units())
+        let tick = || clock.fetch_add(1, Ordering::SeqCst) + 1;
+        let runs: Vec<AtomicUsize> = (0..num_ids).map(|_| AtomicUsize::new(0)).collect();
+        let ticks: Vec<(AtomicU64, AtomicU64)> = (0..num_ids)
             .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
             .collect();
-        let (res, sched) = ParallelExecutor::new(3).run_certified_units::<(), _, _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| Ok(()),
-            |u, _ws| {
-                marks[u]
-                    .0
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                marks[u]
-                    .1
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        let (res, sched) =
+            ParallelExecutor::new(threads).run::<(), _>(plan, recompute, cert, |unit, _ws| {
+                let id = id_of(plan, unit);
+                ticks[id].0.store(tick(), Ordering::SeqCst);
+                runs[id].fetch_add(1, Ordering::SeqCst);
+                ticks[id].1.store(tick(), Ordering::SeqCst);
                 Ok(())
-            },
-        );
+            });
         assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        for s in 0..plan.num_tasks() {
-            if plan.split_shape(s).is_none() {
-                continue;
-            }
-            let (lo, hi) = plan.task_units_range(s);
-            let sub_of =
-                |kind: &crate::plan::UnitKind| (lo..hi).find(|&u| plan.units()[u].kind == *kind);
-            for uid in lo..hi {
-                if let crate::plan::UnitKind::Tile { panel, .. } = plan.units()[uid].kind {
-                    let pid = sub_of(&crate::plan::UnitKind::Panel { panel }).unwrap();
-                    let panel_end = marks[pid].1.load(Ordering::SeqCst);
-                    let tile_start = marks[uid].0.load(Ordering::SeqCst);
-                    assert!(
-                        panel_end < tile_start,
-                        "tile {uid} started before panel {pid} finished"
-                    );
+        Observed {
+            sched,
+            runs: runs.into_iter().map(AtomicUsize::into_inner).collect(),
+            ticks: ticks
+                .into_iter()
+                .map(|(s, e)| (s.into_inner(), e.into_inner()))
+                .collect(),
+        }
+    }
+
+    /// Children complete before their parent starts; inside a split task a
+    /// panel completes before its tiles start, and everything before the
+    /// finish.
+    fn assert_dependency_order(
+        plan: &ExecutionPlan,
+        recompute: &[bool],
+        ticks: &[(u64, u64)],
+        case: &str,
+    ) {
+        let before = |a: usize, b: usize| {
+            assert!(
+                ticks[a].1 < ticks[b].0,
+                "{case}: item {b} started before item {a} finished"
+            );
+        };
+        for task in plan.tasks().iter().filter(|t| recompute[t.node]) {
+            let ids = ids_of_task(plan, task.node);
+            for mg in task.merges.iter().filter(|mg| recompute[mg.child]) {
+                for c in ids_of_task(plan, mg.child) {
+                    ids.clone().for_each(|p| before(c, p));
                 }
             }
-            let fid = sub_of(&crate::plan::UnitKind::Finish).unwrap();
-            let finish_start = marks[fid].0.load(Ordering::SeqCst);
-            for uid in lo..fid {
-                assert!(marks[uid].1.load(Ordering::SeqCst) < finish_start);
+            if !plan.has_units() {
+                continue;
+            }
+            for id in ids.clone() {
+                match plan.units()[id].kind {
+                    UnitKind::Tile { panel, .. } => {
+                        let want = UnitKind::Panel { panel };
+                        let pid = ids.clone().find(|&u| plan.units()[u].kind == want);
+                        before(pid.expect("tile without its panel"), id);
+                    }
+                    UnitKind::Finish => (ids.start..id).for_each(|u| before(u, id)),
+                    _ => {}
+                }
             }
         }
     }
 
     #[test]
-    fn unit_dispatch_propagates_errors_without_deadlock() {
-        let plan = split_plan();
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        // Fail a mid-task unit (the first panel of the first split task).
-        let bad = plan
-            .units()
-            .iter()
-            .position(|u| matches!(u.kind, crate::plan::UnitKind::Panel { panel: 0 }))
-            .expect("split plan has a panel");
-        let victim = plan.units()[bad].task;
-        for threads in [1usize, 2, 4] {
-            let (res, _) = ParallelExecutor::new(threads).run_certified_units::<usize, _, _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |_s, _ws| Ok(()),
-                |u, _ws| {
-                    if u == bad {
-                        Err(plan.units()[u].task)
-                    } else {
-                        Ok(())
+    fn every_dispatch_case_runs_each_item_once_in_dependency_order() {
+        for (name, plan) in plans() {
+            let n = plan.num_tasks();
+            let root = *plan.postorder().last().expect("nonempty plan");
+            // Everything; an upper slice of the tree, so some waves are
+            // partially or entirely empty; the root alone.
+            let recompute_sets: [Vec<bool>; 3] = [
+                vec![true; n],
+                (0..n).map(|s| s >= n / 2).collect(),
+                (0..n).map(|s| s == root).collect(),
+            ];
+            for recompute in recompute_sets {
+                let flagged = recompute.iter().filter(|&&r| r).count();
+                let want_ids: Vec<usize> = (0..n)
+                    .filter(|&s| recompute[s])
+                    .flat_map(|s| ids_of_task(&plan, s))
+                    .collect();
+                let want_split_units = want_ids
+                    .iter()
+                    .filter(|&&id| plan.has_units() && plan.units()[id].kind != UnitKind::Whole)
+                    .count();
+                // Per-node span multiset of the first case (one thread,
+                // inline): every other case must reproduce it.
+                let mut reference: Option<Vec<usize>> = None;
+                for threads in [1usize, 2, 4] {
+                    for (cert_name, cert, covers) in certificates(&plan) {
+                        let case =
+                            format!("{name}, {flagged} flagged, {threads} threads, {cert_name}");
+                        let seen = observe(&plan, &recompute, threads, cert.as_ref());
+                        let sched = &seen.sched;
+
+                        // Every item of a flagged task ran exactly once,
+                        // and nothing else ran at all.
+                        for (id, &runs) in seen.runs.iter().enumerate() {
+                            let want = usize::from(want_ids.contains(&id));
+                            assert_eq!(runs, want, "{case}: item {id}");
+                        }
+                        assert_dependency_order(&plan, &recompute, &seen.ticks, &case);
+
+                        // No multi-worker dispatch without the proof (or
+                        // for a single flagged task).
+                        if covers && threads > 1 && flagged > 1 {
+                            assert_eq!(sched.mode, DispatchMode::LevelBatched, "{case}");
+                            assert_eq!(sched.workers, threads.min(want_ids.len()), "{case}");
+                            assert!(sched.workers > 1, "{case}");
+                        } else {
+                            assert_eq!(sched.mode, DispatchMode::Serial, "{case}");
+                            assert_eq!(sched.workers, 1, "{case}");
+                        }
+
+                        // One span per item — the same span structure on
+                        // the inline and the wave path.
+                        assert_eq!(sched.spans.len(), want_ids.len(), "{case}");
+                        assert_eq!(sched.split_units, want_split_units, "{case}");
+                        let mut nodes: Vec<usize> = sched.spans.iter().map(|s| s.node).collect();
+                        nodes.sort_unstable();
+                        assert_eq!(
+                            *reference.get_or_insert_with(|| nodes.clone()),
+                            nodes,
+                            "{case}"
+                        );
                     }
-                },
-            );
-            assert_eq!(res, Err(victim));
+                }
+            }
         }
     }
 
     #[test]
-    fn unit_dispatch_without_units_delegates_to_task_dispatch() {
-        let plan = plan_of(12);
-        assert!(!plan.has_units());
-        let cert = crate::interference::certify(&plan).expect("certifies");
+    fn error_from_the_lowest_failing_task_is_returned_without_deadlock() {
+        for (name, plan) in plans() {
+            let recompute = vec![true; plan.num_tasks()];
+            // Fail one item: task 0 itself, or — mid-task — the first
+            // panel of the first split task.
+            let (bad, victim) = if plan.has_units() {
+                let bad = plan
+                    .units()
+                    .iter()
+                    .position(|u| matches!(u.kind, UnitKind::Panel { panel: 0 }))
+                    .expect("split plan has a panel");
+                (bad, plan.units()[bad].task)
+            } else {
+                (0, 0)
+            };
+            for threads in [1usize, 2, 4] {
+                for (cert_name, cert, _) in certificates(&plan) {
+                    let (res, _) = ParallelExecutor::new(threads).run::<usize, _>(
+                        &plan,
+                        &recompute,
+                        cert.as_ref(),
+                        |unit, _ws| {
+                            if id_of(&plan, unit) == bad {
+                                Err(unit.task)
+                            } else {
+                                Ok(())
+                            }
+                        },
+                    );
+                    assert_eq!(res, Err(victim), "{name}, {threads} threads, {cert_name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn env_override_parses() {
+        assert_eq!(ParallelExecutor::new(0).threads(), 1);
+        assert!(ParallelExecutor::from_env().threads() >= 1);
+    }
+
+    #[test]
+    fn workspace_pool_persists_and_stops_growing() {
+        let plan = plan_of(20);
+        let cert = certify(&plan).expect("chain plan certifies");
         let recompute = vec![true; plan.num_tasks()];
-        let units_called = AtomicUsize::new(0);
-        let (res, sched) = ParallelExecutor::new(2).run_certified_units::<(), _, _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| Ok(()),
-            |_u, _ws| {
-                units_called.fetch_add(1, Ordering::SeqCst);
+        let (front_dim, pack) = (4, plan.max_pack_elems());
+        assert!(front_dim * front_dim <= plan.max_workspace_elems());
+        for threads in [1usize, 3] {
+            let exec = ParallelExecutor::new(threads);
+            // One pre-created (empty) workspace per worker, nothing grown.
+            assert_eq!(
+                exec.pool_stats(),
+                PoolStats {
+                    workspaces: threads,
+                    ..PoolStats::default()
+                }
+            );
+            // A task's demand stays within the plan's bounds — that is
+            // the contract — so every buffer it touches was grown at
+            // checkout, before any worker ran, and no arena growth can
+            // depend on which worker claimed which task.
+            let task = |_unit: PlanUnit, ws: &mut Workspace| -> Result<(), ()> {
+                let (front, scratch) = ws.parts();
+                front.reset(front_dim, front_dim);
+                scratch.reserve(pack);
                 Ok(())
-            },
-        );
+            };
+            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), task);
+            assert!(res.is_ok());
+            assert_eq!(sched.workers, threads);
+            let warm = exec.pool_stats();
+            assert_eq!(warm.workspaces, threads);
+            assert!(warm.high_water_elems >= pack);
+            // Clones share the same pool; re-running never grows it.
+            let alias = exec.clone();
+            for rerun in 0..50 {
+                let (res, _) = alias.run(&plan, &recompute, Some(&cert), task);
+                assert!(res.is_ok());
+                assert_eq!(exec.pool_stats(), warm, "{threads} threads, rerun {rerun}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_flops_are_recorded_per_span() {
+        let plan = plan_of(6);
+        let cert = certify(&plan).expect("certifies");
+        let recompute = vec![true; plan.num_tasks()];
+        let exec = ParallelExecutor::new(2);
+        let (res, sched) = exec.run::<(), _>(&plan, &recompute, Some(&cert), |_unit, _ws| Ok(()));
         assert!(res.is_ok());
-        assert_eq!(units_called.load(Ordering::SeqCst), 0);
-        assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        assert_eq!(sched.spans.len(), plan.num_tasks());
-        assert_eq!(sched.split_units, 0);
+        // No kernels ran, so every span meters zero — but the field is
+        // present and the schedule total agrees.
+        assert!(sched.spans.iter().all(|s| s.kernel_flops == 0));
+        assert_eq!(sched.kernel_flops(), 0);
+    }
+
+    #[test]
+    fn dispatch_overhead_metrics_are_finite() {
+        let plan = plan_of(10);
+        let cert = certify(&plan).expect("certifies");
+        let recompute = vec![true; plan.num_tasks()];
+        let (res, sched) =
+            ParallelExecutor::new(2)
+                .run::<(), _>(&plan, &recompute, Some(&cert), |_unit, _ws| Ok(()));
+        assert!(res.is_ok());
+        assert!(sched.dispatch_overhead_s() >= 0.0);
+        assert!(sched.dispatch_overhead_per_task_s() >= 0.0);
+        assert!(sched.dispatch_overhead_per_task_s().is_finite());
+        assert_eq!(HostSchedule::default().dispatch_overhead_per_task_s(), 0.0);
     }
 
     #[test]
     fn spin_barrier_synchronizes_rounds() {
         let parties = 4usize;
         let rounds = 200usize;
-        let barrier = SpinBarrier::new(parties);
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..parties {
-                scope.spawn(|| {
-                    for round in 0..rounds {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait();
-                        // After the barrier every increment of this round
-                        // must be visible.
-                        assert!(counter.load(Ordering::SeqCst) >= (round + 1) * parties);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), parties * rounds);
+        // Spinning first, and parking at once (the oversubscribed case).
+        for budget in [BARRIER_SPIN_BUDGET_MICROS, 0] {
+            let barrier = SpinBarrier::new(parties, budget);
+            let counter = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..parties {
+                    scope.spawn(|| {
+                        for round in 0..rounds {
+                            counter.fetch_add(1, Ordering::SeqCst);
+                            barrier.wait();
+                            // After the barrier every increment of this
+                            // round must be visible.
+                            assert!(counter.load(Ordering::SeqCst) >= (round + 1) * parties);
+                            barrier.wait();
+                        }
+                    });
+                }
+            });
+            assert_eq!(counter.load(Ordering::SeqCst), parties * rounds);
+        }
     }
 
     #[test]
     fn makespan_and_busy_time_are_consistent() {
         let plan = plan_of(10);
+        let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
-        let (res, sched) = ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, |_s, ws| {
-            // Touch the workspace so the buffer path is exercised.
-            ws.front_mut().reset(4, 4);
-            Ok(())
-        });
+        let (res, sched) =
+            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_unit, ws| {
+                // Touch the workspace so the buffer path is exercised.
+                ws.front_mut().reset(4, 4);
+                Ok(())
+            });
         assert!(res.is_ok());
         assert!(sched.makespan() >= 0.0);
         assert!(sched.busy_time() >= 0.0);

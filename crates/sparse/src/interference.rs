@@ -2,10 +2,10 @@
 //!
 //! The plan's `levels()` doc promises that tasks within a topological
 //! level are mutually independent. The executor's batched dispatch mode
-//! ([`crate::ParallelExecutor`]) *relies* on that promise: it replaces the
-//! per-task dependency counters with one atomic cursor per level and a
-//! barrier between levels, so two tasks in the same level run with no
-//! ordering at all. This module turns the promise into a proof:
+//! ([`crate::ParallelExecutor`]) *relies* on that promise: its only
+//! ordering is one atomic cursor per level and a barrier between levels,
+//! so two tasks in the same level run with no ordering at all. This
+//! module turns the promise into a proof:
 //!
 //! 1. [`extract_accesses`] derives every task's read/write set straight
 //!    from the plan — the Hessian block columns it assembles (reads), the
@@ -194,7 +194,7 @@ impl fmt::Display for InterferenceViolation {
 
 /// The proof token that a plan is level-safe: every intra-level task pair
 /// is access-disjoint, so batched (level-barrier) dispatch is observably
-/// identical to dependency-counted dispatch.
+/// identical to inline postorder execution.
 ///
 /// The certificate is bound to the plan it was computed from by a
 /// structural fingerprint; [`covers`](Self::covers) re-derives the

@@ -58,9 +58,7 @@ mod plan;
 mod symbolic;
 
 pub use blockmat::BlockMat;
-pub use executor::{
-    DispatchMode, DispatchPolicy, HostSchedule, ParallelExecutor, PoolStats, TaskSpan, Workspace,
-};
+pub use executor::{DispatchMode, HostSchedule, ParallelExecutor, PoolStats, TaskSpan, Workspace};
 pub use interference::PlanCertificate;
 pub use numeric::{FactorizeError, NodeTrace, NumericFactor, RefactorStats};
 pub use ordering::Permutation;

@@ -186,6 +186,13 @@ impl NumericFactor {
     /// postorder, exactly as the serial path reports them) and the wall-
     /// clock [`HostSchedule`] of the execution.
     ///
+    /// A multi-worker `exec` dispatches across workers only with the
+    /// plan's level-safety proof in hand, so this derives it
+    /// ([`interference::certify`](crate::interference::certify)) on every
+    /// call with `exec.threads() > 1`; a caller that executes one plan
+    /// many times memoizes the proof and calls
+    /// [`execute_plan_certified`](Self::execute_plan_certified) instead.
+    ///
     /// # Errors
     ///
     /// Returns [`FactorizeError`] if a pivot block is not positive
@@ -198,16 +205,21 @@ impl NumericFactor {
         dirty_blocks: &[usize],
         exec: &ParallelExecutor,
     ) -> Result<(RefactorStats, HostSchedule), FactorizeError> {
-        self.execute_plan_certified(plan, h, dirty_blocks, exec, None)
+        let cert = if exec.threads() > 1 {
+            crate::interference::certify(plan).ok()
+        } else {
+            None
+        };
+        self.execute_plan_certified(plan, h, dirty_blocks, exec, cert.as_ref())
     }
 
-    /// [`execute_plan`](Self::execute_plan) with an optional level-safety
-    /// proof from [`interference::certify`](crate::interference::certify).
-    /// A covering certificate lets the executor dispatch proven-safe
-    /// topological levels in lock-free batches
-    /// ([`DispatchMode::LevelBatched`](crate::DispatchMode)); without one
-    /// the dependency-counted pool runs as before. Bit-identical either
-    /// way.
+    /// [`execute_plan`](Self::execute_plan) with the level-safety proof
+    /// supplied by the caller (the solver engine memoizes it per plan)
+    /// instead of derived per call. A covering certificate lets a
+    /// multi-worker executor dispatch proven-safe waves in lock-free
+    /// batches ([`DispatchMode::LevelBatched`](crate::DispatchMode));
+    /// without one the plan runs inline on the calling thread, whatever
+    /// the thread count. Bit-identical either way.
     ///
     /// # Errors
     ///
@@ -265,9 +277,7 @@ impl NumericFactor {
         let numeric = exec.numeric();
         // Shared strip state for every recomputed split task, allocated up
         // front on the calling thread so sub-unit execution itself stays
-        // allocation-free. Empty when the plan has no sub-unit overlay (or
-        // the executor falls back to whole-task dispatch, which simply
-        // never touches it).
+        // allocation-free. Empty when the plan has no sub-unit overlay.
         let split_state: Vec<Option<TaskSplit>> = plan
             .tasks()
             .iter()
@@ -280,41 +290,35 @@ impl NumericFactor {
                     .map(|shape| TaskSplit::new(&shape, task.front_dim(), numeric))
             })
             .collect();
-        let (res, sched) = exec.run_certified_units(
-            plan,
-            &is_recompute,
-            cert,
-            |s, ws| {
-                let out = compute_task(plan, h, s, &slots, ws, numeric)?;
-                let published = slots[s].set(out).is_ok();
-                debug_assert!(published, "task {s} executed twice");
-                Ok(())
-            },
-            |uid, ws| {
-                let unit = &plan.units()[uid];
-                let s = unit.task;
-                // lint: allow(unwrap) — non-Whole units only exist for split tasks
-                let split = split_state[s].as_ref().expect("unit on unsplit task");
-                match unit.kind {
-                    UnitKind::Whole => unreachable!("executor dispatches Whole units as tasks"),
-                    UnitKind::Assemble { strip } => {
-                        assemble_strip(plan, h, s, strip, &slots, split, numeric);
-                        Ok(())
-                    }
-                    UnitKind::Panel { panel } => panel_step(plan, s, panel, split, ws, numeric),
-                    UnitKind::Tile { panel, strip } => {
-                        tile_step(plan, s, panel, strip, split, ws, numeric);
-                        Ok(())
-                    }
-                    UnitKind::Finish => {
-                        let out = finish_task(plan, h, s, split, numeric);
-                        let published = slots[s].set(out).is_ok();
-                        debug_assert!(published, "task {s} finished twice");
-                        Ok(())
-                    }
+        let (res, sched) = exec.run(plan, &is_recompute, cert, |unit, ws| {
+            let s = unit.task;
+            let split = || {
+                split_state[s]
+                    .as_ref()
+                    // lint: allow(unwrap) — sub-units only exist for split tasks
+                    .expect("sub-unit of an unsplit task")
+            };
+            match unit.kind {
+                UnitKind::Whole => {
+                    let out = compute_task(plan, h, s, &slots, ws, numeric)?;
+                    let published = slots[s].set(out).is_ok();
+                    debug_assert!(published, "task {s} executed twice");
                 }
-            },
-        );
+                UnitKind::Assemble { strip } => {
+                    assemble_strip(plan, h, s, strip, &slots, split(), numeric);
+                }
+                UnitKind::Panel { panel } => panel_step(plan, s, panel, split(), ws, numeric)?,
+                UnitKind::Tile { panel, strip } => {
+                    tile_step(plan, s, panel, strip, split(), ws, numeric);
+                }
+                UnitKind::Finish => {
+                    let out = finish_task(plan, h, s, split(), numeric);
+                    let published = slots[s].set(out).is_ok();
+                    debug_assert!(published, "task {s} finished twice");
+                }
+            }
+            Ok(())
+        });
         res?;
 
         let mut nodes: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
@@ -1188,6 +1192,9 @@ mod tests {
             assert_eq!(stats_s.recomputed_nodes(), stats_p.recomputed_nodes());
             assert_eq!(stats_s.flops(), stats_p.flops());
             assert_eq!(sched_p.spans.len(), plan.num_tasks());
+            // `execute_plan` derives the certificate itself, so this really
+            // is a multi-worker schedule, not an inline fallback.
+            assert!(sched_p.workers > 1, "{threads} threads ran inline");
         }
     }
 
