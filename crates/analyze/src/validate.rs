@@ -22,7 +22,7 @@ use supernova_runtime::{
     calc_space, simulate_step_traced, step_energy_ledger, ExecTrace, SchedulerConfig, StepEnergy,
     StepLatency, StepTrace, Unit,
 };
-use supernova_sparse::{ExecutionPlan, HostSchedule};
+use supernova_sparse::{DispatchMode, ExecutionPlan, HostSchedule};
 
 /// The invariant classes the checker enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,13 +285,16 @@ pub fn validate_exec(trace: &StepTrace, exec: &ExecTrace) -> Vec<ScheduleViolati
 /// exactly, every parent span must start after each recomputed child's
 /// span ends, and no worker may run two spans at once.
 ///
-/// Unit-granular schedules (plans with an intra-front split overlay) emit
-/// one span per executed sub-unit, all tagged with the owning task: the
-/// coverage check then requires each recomputed split task to appear once
-/// per sub-unit (or exactly once, when the executor fell back to
-/// whole-task dispatch), and happens-before is checked on each task's
-/// wall-clock *envelope* — its earliest sub-unit start against the child's
-/// latest sub-unit end.
+/// A plan with an intra-front split overlay has two legal span shapes,
+/// one per executor path. The **inline** path (one worker, one flagged
+/// task, or no covering certificate) never executes the overlay: every
+/// recomputed task, split or not, appears exactly once. The **wave** path
+/// emits one span per executed sub-unit, all tagged with the owning task:
+/// each recomputed split task appears once per sub-unit. The coverage
+/// check requires the count of the path the record names
+/// ([`HostSchedule::mode`]), and happens-before is checked on each task's
+/// wall-clock *envelope* — its earliest span start against the child's
+/// latest span end.
 pub fn validate_host_schedule(
     plan: &ExecutionPlan,
     sched: &HostSchedule,
@@ -317,22 +320,27 @@ pub fn validate_host_schedule(
         });
         return out; // downstream checks assume coverage
     }
+    // The span count per task follows the path that ran: inline records
+    // every task whole; waves run a plan's split overlay, so a split task
+    // appears once per sub-unit (an unsplit one has a single unit).
+    let by_units = plan.has_units() && sched.mode == DispatchMode::LevelBatched;
     for (&node, &n) in &counts {
-        let units = if plan.has_units() {
+        let want = if by_units {
             let (lo, hi) = plan.task_units_range(node);
             hi - lo
         } else {
             1
         };
-        // Whole-task dispatch (1 span) is always legal; a split task may
-        // instead run once per sub-unit — anything else is a dropped or
-        // double-dispatched unit.
-        if n != 1 && n != units {
+        if n != want {
             out.push(ScheduleViolation {
                 invariant: Invariant::Coverage,
                 detail: format!(
-                    "node {node} ran {n} spans, expected 1 whole-task span or \
-                     its {units} sub-units"
+                    "node {node} ran {n} spans, expected {want} ({})",
+                    if by_units {
+                        "its sub-units, dispatched as waves"
+                    } else {
+                        "one whole-task span"
+                    }
                 ),
             });
         }

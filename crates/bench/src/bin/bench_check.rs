@@ -352,7 +352,10 @@ fn check_step_latency(report: &mut Report, gate: &Gate) {
             // The dispatched sub-unit count and the plan's modeled
             // occupancy at this thread count are both deterministic
             // functions of (plan, split config, threads): drift means
-            // the overlay or its cost model changed shape.
+            // the overlay or its cost model changed shape. `split_units`
+            // counts sub-units *dispatched*: 0 on the 1-thread row (an
+            // inline execution runs whole fronts, whatever overlay the
+            // plan carries), the overlay's unit count on the wave rows.
             exact(
                 report,
                 &format!("step-latency/{ds}/{t}t/split-units"),

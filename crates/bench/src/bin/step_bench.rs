@@ -26,7 +26,8 @@
 //! - the final plan's `largest_task_fraction` (share of total work in its
 //!   single heaviest dispatchable item — the one-giant-task ceiling the
 //!   split pass exists to break) and each run's `level_occupancy` at that
-//!   thread count, plus the executed schedule's `split_units` count;
+//!   thread count, plus the executed schedule's `split_units` count
+//!   (sub-units dispatched: 0 at one thread, where fronts run whole);
 //! - the dispatch mode of the final full-refactor host schedule (serial /
 //!   level-batched — level-batched proves the interference certificate
 //!   gate engaged) and that schedule's dispatch overhead per

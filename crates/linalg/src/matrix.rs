@@ -225,10 +225,13 @@ impl Mat {
     /// Panics if the block extends past the matrix bounds.
     pub fn block_into(&self, row: usize, col: usize, rows: usize, cols: usize, out: &mut Mat) {
         assert!(row + rows <= self.rows && col + cols <= self.cols);
-        out.reset(rows, cols);
+        out.rows = rows;
+        out.cols = cols;
+        out.data.clear();
+        out.data.reserve(rows * cols);
         for c in 0..cols {
-            let sc = self.col(col + c);
-            out.col_mut(c).copy_from_slice(&sc[row..row + rows]);
+            out.data
+                .extend_from_slice(&self.col(col + c)[row..row + rows]);
         }
     }
 

@@ -16,9 +16,19 @@ use supernova_trace::{Category, Span};
 use crate::{ExecTrace, StepTrace};
 
 /// Builds the `exec` span for one host plan execution: a wall-clock span
-/// over the schedule's makespan with one `exec.task` child per executed
-/// task (track = worker index, ticks = the task's deterministic flop
-/// count from the step trace).
+/// over the schedule's makespan with one `exec.task` child **per
+/// recomputed node** (ticks = the task's deterministic flop count from
+/// the step trace).
+///
+/// A node's child is the same whether the executor ran the task whole
+/// (inline: one schedule span) or as the sub-units of the plan's split
+/// overlay (waves: several schedule spans sharing the node id): unit
+/// spans fold into one child whose interval is their envelope (start =
+/// min, end = max), whose `kernel_flops` is their sum, and whose track is
+/// the worker that started the task. So the canonical export does not
+/// depend on the thread count; `workers`, `dispatch_mode` and
+/// `split_mode` — which record what was actually dispatched — are the
+/// three counters that intentionally do.
 pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     let flops: BTreeMap<usize, u64> = trace
         .nodes
@@ -41,27 +51,31 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
             sched.origin + end,
         )
     };
+    // Child index per node, in order of first start (schedule order).
+    let mut child_of: BTreeMap<usize, usize> = BTreeMap::new();
     let mut total = 0u64;
     for t in &sched.spans {
-        let ticks = flops.get(&t.node).copied().unwrap_or(1);
-        total += ticks;
-        let mut child = Span::wall(
-            "exec.task",
-            Category::Exec,
-            sched.origin + t.start,
-            sched.origin + t.end,
-        );
-        child.ticks = ticks;
-        child.track = t.worker as u32;
-        child.counters.set("node", t.node as u64);
+        let (t_start, t_end) = (sched.origin + t.start, sched.origin + t.end);
+        let i = *child_of.entry(t.node).or_insert_with(|| {
+            let ticks = flops.get(&t.node).copied().unwrap_or(1);
+            total += ticks;
+            let mut child = Span::wall("exec.task", Category::Exec, t_start, t_end);
+            child.ticks = ticks;
+            child.track = t.worker as u32;
+            child.counters.set("node", t.node as u64);
+            span.children.push(child);
+            span.children.len() - 1
+        });
+        let child = &mut span.children[i];
+        child.start = child.start.min(t_start);
+        child.end = child.end.max(t_end);
         // Measured (not modeled) flops from the worker's kernel arena —
         // deterministic, a pure function of the task's front shape.
-        child.counters.set("kernel_flops", t.kernel_flops);
-        span.children.push(child);
+        child.counters.add("kernel_flops", t.kernel_flops);
     }
     span.ticks = total;
     span.counters.set("workers", sched.workers as u64);
-    span.counters.set("tasks", sched.spans.len() as u64);
+    span.counters.set("tasks", span.children.len() as u64);
     span.counters.set("kernel_flops", sched.kernel_flops());
     // Which dispatch strategy sequenced the execution (serial /
     // level-batched) — lets bench_check gate the
@@ -71,10 +85,9 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     // mixed) — step artifacts and bench_check gate against the mode that
     // produced the numbers.
     span.counters.set("numeric_mode", sched.numeric.as_u64());
-    // How many intra-front sub-units the split pass dispatched (0 = the
-    // plan executed at whole-task granularity). Thread-invariant for
-    // certified plans: the serial path walks the same sub-unit overlay
-    // the batched path claims from.
+    // How many intra-front sub-units were dispatched: 0 on any inline
+    // execution and for plans without a split overlay, positive when
+    // waves ran a split plan — so, like `workers`, thread-dependent.
     span.counters.set("split_mode", sched.split_units as u64);
     span
 }

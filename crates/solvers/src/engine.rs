@@ -142,8 +142,10 @@ pub struct IncrementalCore {
 
 impl IncrementalCore {
     /// Creates an empty core with the given supernode amalgamation slack.
-    /// The host executor is configured from `SUPERNOVA_THREADS` (default:
-    /// the machine's available parallelism); results are bit-identical at
+    /// The host executor is configured from `SUPERNOVA_THREADS`; unset
+    /// means one worker (inline execution, whole fronts) — multi-worker
+    /// wave dispatch is opt-in through the variable or
+    /// [`set_executor`](Self::set_executor). Results are bit-identical at
     /// every thread count.
     pub fn new(relax: usize) -> Self {
         IncrementalCore {

@@ -6,9 +6,10 @@
 //! allowlist; the serve dispatcher's worker pool is the other notable
 //! entry). An [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
 //! run one of two ways: **inline** on the calling thread in plan
-//! postorder, or — given at least two workers and a
+//! postorder, each task whole, or — given at least two workers and a
 //! [`PlanCertificate`] covering the plan — as **waves**: the plan's levels
-//! of mutually independent work items, one atomic claim cursor per wave
+//! of mutually independent work items (sub-units of the intra-front split
+//! overlay, when the plan carries one), one atomic claim cursor per wave
 //! and a barrier between waves. Because every task is a pure function of
 //! the Hessian and its children's cached update matrices — merged in the
 //! plan's fixed child order — results are bit-identical to inline
@@ -149,10 +150,13 @@ pub struct HostSchedule {
     pub mode: DispatchMode,
     /// Numeric precision the executing workers' kernels ran under.
     pub numeric: NumericMode,
-    /// Number of sub-unit spans in this record: 0 when tasks executed
-    /// whole, positive when the plan's split overlay was dispatched at
-    /// unit granularity (each span is then one sub-unit, and a split task
-    /// contributes several spans sharing its `node` id). Exported as the
+    /// Number of sub-unit spans in this record — sub-units actually
+    /// *dispatched*, not what the plan's overlay holds. Always 0 on an
+    /// inline execution (one worker runs whole fronts, whatever the plan
+    /// carries); positive when waves ran a plan with a split overlay
+    /// (each span is then one sub-unit, and a split task contributes
+    /// several spans sharing its `node` id). So, like `workers` and
+    /// `mode`, it depends on the thread count. Exported as the
     /// `split_mode` trace counter.
     pub split_units: usize,
 }
@@ -295,15 +299,20 @@ impl ParallelExecutor {
     }
 
     /// Reads the worker count from the `SUPERNOVA_THREADS` environment
-    /// variable, falling back to the host's available parallelism, and
-    /// the numeric mode from [`supernova_linalg::NUMERIC_ENV`]
-    /// (`f64`/`f32`/`f32f64`; unset or unrecognized means f64).
+    /// variable and the numeric mode from
+    /// [`supernova_linalg::NUMERIC_ENV`] (`f64`/`f32`/`f32f64`; unset or
+    /// unrecognized means f64). Unset (or unparsable, or 0) means **one
+    /// worker**: wave dispatch spawns its workers per plan execution and
+    /// measures slower than inline on the reference host, so multi-worker
+    /// execution is opt-in — set the variable, or install an executor
+    /// built with [`new`](Self::new) — until a measurement earns a wider
+    /// default.
     pub fn from_env() -> Self {
         let threads = std::env::var("SUPERNOVA_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or_else(host_cpus);
+            .unwrap_or(1);
         ParallelExecutor::new(threads).with_numeric(NumericMode::from_env())
     }
 
@@ -382,34 +391,41 @@ impl Default for ParallelExecutor {
 impl ParallelExecutor {
     /// Executes the plan's tasks flagged in `recompute`, calling `work_fn`
     /// exactly once per work item of every flagged task, after everything
-    /// the item depends on has completed. A work item is a [`PlanUnit`]:
-    /// one sub-unit of the split overlay when the plan carries one
-    /// ([`ExecutionPlan::has_units`]), and otherwise a whole task,
-    /// presented as a single [`UnitKind::Whole`] unit at the task's level.
+    /// the item depends on has completed. A work item is a [`PlanUnit`].
     /// `work_fn` publishes each task's result itself (the numeric layer
     /// uses a `OnceLock` slot per node), so the executor only sequences
-    /// work and records the [`HostSchedule`] — one [`TaskSpan`] per item
-    /// on either path, so the span structure does not depend on the
-    /// thread count (the trace thread-invariance guarantee).
+    /// work and records the [`HostSchedule`], one [`TaskSpan`] per item.
     ///
     /// There are two ways to sequence the items:
     ///
     /// - **inline** ([`DispatchMode::Serial`]): the calling thread walks
-    ///   the plan postorder and runs each task's items in canonical order;
+    ///   the plan postorder and runs every flagged task as one
+    ///   [`UnitKind::Whole`] item at the task's level, *whatever overlay
+    ///   the plan carries* — strips and sub-unit barriers can buy nothing
+    ///   without a second worker, so one worker runs whole fronts;
     /// - **waves** ([`DispatchMode::LevelBatched`]): workers claim the
-    ///   items of one wave at a time — [`ExecutionPlan::unit_levels`] with
-    ///   an overlay, [`ExecutionPlan::levels`] without — and meet at a
-    ///   barrier before the next.
+    ///   items of one wave at a time and meet at a barrier before the
+    ///   next. Only this path executes the split overlay: with one
+    ///   ([`ExecutionPlan::has_units`]) the items are its sub-units and the
+    ///   waves are [`ExecutionPlan::unit_levels`]; without, whole tasks
+    ///   over [`ExecutionPlan::levels`].
     ///
-    /// Waves need at least two workers, at least two flagged tasks and a
-    /// `cert` that [covers](PlanCertificate::covers) `plan`: the
-    /// certificate is the proof that same-wave items are access-disjoint
-    /// and that every dependency between items crosses a wave boundary.
-    /// Without it — no certificate, or one computed from another plan — a
-    /// multi-worker executor runs inline, the conservative direction:
-    /// there is no multi-worker dispatch without the proof. Results are
-    /// bit-identical on both paths — the certificate only changes *when*
-    /// independent items run, never their inputs.
+    /// Which of the two runs is decided by one rule, `takes_waves`, which
+    /// the numeric layer asks too (it builds the overlay's shared strip
+    /// state only for waves): at least two workers, at least two flagged
+    /// tasks and a `cert` that [covers](PlanCertificate::covers) `plan` —
+    /// the proof that same-wave items are access-disjoint and that every
+    /// dependency between items crosses a wave boundary. Without it — no
+    /// certificate, or one computed from another plan — a multi-worker
+    /// executor runs inline, the conservative direction: there is no
+    /// multi-worker dispatch without the proof.
+    ///
+    /// Results are bit-identical on both paths — the certificate only
+    /// changes *when* independent items run, never their inputs. The span
+    /// *count* of a split task follows the path (one span inline, one per
+    /// sub-unit in waves; [`HostSchedule::split_units`] says which); the
+    /// set of nodes covered does not, and the trace layer folds a task's
+    /// unit spans into one per-node span.
     ///
     /// On error, in-flight items finish, no new items start, and the
     /// error from the lowest-numbered failing task is returned.
@@ -431,28 +447,43 @@ impl ParallelExecutor {
             plan.max_workspace_elems(),
             plan.max_pack_elems_mode(self.numeric),
         );
-        let several_flagged = || recompute.iter().filter(|&&r| r).nth(1).is_some();
-        if self.threads > 1 && several_flagged() && cert.is_some_and(|c| c.covers(plan)) {
+        if self.takes_waves(plan, recompute, cert) {
             run_waves(self, plan, recompute, bounds, &work_fn)
         } else {
             run_inline(self, plan, recompute, bounds, &work_fn)
         }
     }
+
+    /// The wave-or-inline rule of [`run`](Self::run), written once: the
+    /// dispatcher and the numeric layer both ask here.
+    pub(crate) fn takes_waves(
+        &self,
+        plan: &ExecutionPlan,
+        recompute: &[bool],
+        cert: Option<&PlanCertificate>,
+    ) -> bool {
+        let several_flagged = || recompute.iter().filter(|&&r| r).nth(1).is_some();
+        self.threads > 1 && several_flagged() && cert.is_some_and(|c| c.covers(plan))
+    }
 }
 
-/// The work item behind dispatch id `id`: unit `id` of the split overlay
-/// when the plan carries one, and otherwise task `id` presented as a
-/// single whole-task unit at the task's level — which is all a whole task
-/// is to the dispatcher.
-fn work_item(plan: &ExecutionPlan, id: usize) -> PlanUnit {
+/// Task `s` presented as a single whole-task unit at the task's level —
+/// which is all a whole task is to the dispatcher.
+fn whole_task(plan: &ExecutionPlan, s: usize) -> PlanUnit {
+    PlanUnit {
+        task: s,
+        kind: UnitKind::Whole,
+        sublevel: plan.tasks()[s].level,
+    }
+}
+
+/// The wave path's work item behind dispatch id `id`: unit `id` of the
+/// split overlay when the plan carries one, and otherwise task `id` whole.
+fn wave_item(plan: &ExecutionPlan, id: usize) -> PlanUnit {
     if plan.has_units() {
         plan.units()[id]
     } else {
-        PlanUnit {
-            task: id,
-            kind: UnitKind::Whole,
-            sublevel: plan.tasks()[id].level,
-        }
+        whole_task(plan, id)
     }
 }
 
@@ -513,8 +544,8 @@ impl WorkerLog {
     }
 }
 
-/// Inline execution on the calling thread: plan postorder over tasks,
-/// canonical unit order within each split task.
+/// Inline execution on the calling thread: plan postorder, every flagged
+/// task one whole-task item. The plan's split overlay is not consulted.
 fn run_inline<E, F>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
@@ -530,20 +561,13 @@ where
     let mut workspaces = exec.checkout(1, bounds);
     let mut log = WorkerLog::default();
     let mut res = Ok(());
-    'tasks: for &s in plan.postorder() {
+    for &s in plan.postorder() {
         if !recompute[s] {
             continue;
         }
-        let (lo, hi) = if plan.has_units() {
-            plan.task_units_range(s)
-        } else {
-            (s, s + 1)
-        };
-        for id in lo..hi {
-            res = log.run_timed(work_item(plan, id), 0, origin, &mut workspaces[0], work_fn);
-            if res.is_err() {
-                break 'tasks;
-            }
+        res = log.run_timed(whole_task(plan, s), 0, origin, &mut workspaces[0], work_fn);
+        if res.is_err() {
+            break;
         }
     }
     exec.checkin(workspaces);
@@ -667,7 +691,7 @@ where
             let mut v: Vec<usize> = members
                 .iter()
                 .copied()
-                .filter(|&id| recompute[work_item(plan, id).task])
+                .filter(|&id| recompute[wave_item(plan, id).task])
                 .collect();
             v.sort_unstable();
             v
@@ -707,7 +731,7 @@ where
                             let Some(&id) = members.get(idx) else {
                                 break;
                             };
-                            let unit = work_item(plan, id);
+                            let unit = wave_item(plan, id);
                             if let Err(e) = mine.run_timed(unit, worker, origin, &mut ws, work_fn) {
                                 // lint: allow(unwrap) — poisoning needs a prior worker panic
                                 errors.lock().unwrap().push((unit.task, e));
@@ -790,10 +814,17 @@ mod tests {
         ]
     }
 
-    /// Dispatch ids of task `s` in canonical order: its units under a
-    /// split overlay, the task itself otherwise.
-    fn ids_of_task(plan: &ExecutionPlan, s: usize) -> std::ops::Range<usize> {
-        if plan.has_units() {
+    /// Whether the executor must take waves for this case — the rule
+    /// `takes_waves` implements, restated independently.
+    fn expect_waves(covers: bool, threads: usize, flagged: usize) -> bool {
+        covers && threads > 1 && flagged > 1
+    }
+
+    /// Dispatch ids of task `s` in canonical order: its units when the
+    /// overlay is executed (`by_units`: waves over a split plan), the task
+    /// itself otherwise.
+    fn ids_of_task(plan: &ExecutionPlan, by_units: bool, s: usize) -> std::ops::Range<usize> {
+        if by_units {
             let (lo, hi) = plan.task_units_range(s);
             lo..hi
         } else {
@@ -802,15 +833,15 @@ mod tests {
     }
 
     /// Dispatch id of a unit the executor handed to the work closure —
-    /// which must be exactly one of the plan's own units (or, without an
-    /// overlay, the whole task at its level).
-    fn id_of(plan: &ExecutionPlan, unit: PlanUnit) -> usize {
-        if !plan.has_units() {
+    /// which must be exactly one of the plan's own units when the overlay
+    /// is executed, and otherwise the whole task at its level.
+    fn id_of(plan: &ExecutionPlan, by_units: bool, unit: PlanUnit) -> usize {
+        if !by_units {
             assert_eq!(unit.kind, UnitKind::Whole);
             assert_eq!(unit.sublevel, plan.tasks()[unit.task].level);
             return unit.task;
         }
-        ids_of_task(plan, unit.task)
+        ids_of_task(plan, true, unit.task)
             .find(|&u| plan.units()[u] == unit)
             .expect("executor dispatched a unit the plan does not contain")
     }
@@ -825,11 +856,12 @@ mod tests {
 
     fn observe(
         plan: &ExecutionPlan,
+        by_units: bool,
         recompute: &[bool],
         threads: usize,
         cert: Option<&PlanCertificate>,
     ) -> Observed {
-        let num_ids = if plan.has_units() {
+        let num_ids = if by_units {
             plan.num_units()
         } else {
             plan.num_tasks()
@@ -842,7 +874,7 @@ mod tests {
             .collect();
         let (res, sched) =
             ParallelExecutor::new(threads).run::<(), _>(plan, recompute, cert, |unit, _ws| {
-                let id = id_of(plan, unit);
+                let id = id_of(plan, by_units, unit);
                 ticks[id].0.store(tick(), Ordering::SeqCst);
                 runs[id].fetch_add(1, Ordering::SeqCst);
                 ticks[id].1.store(tick(), Ordering::SeqCst);
@@ -864,6 +896,7 @@ mod tests {
     /// finish.
     fn assert_dependency_order(
         plan: &ExecutionPlan,
+        by_units: bool,
         recompute: &[bool],
         ticks: &[(u64, u64)],
         case: &str,
@@ -875,13 +908,13 @@ mod tests {
             );
         };
         for task in plan.tasks().iter().filter(|t| recompute[t.node]) {
-            let ids = ids_of_task(plan, task.node);
+            let ids = ids_of_task(plan, by_units, task.node);
             for mg in task.merges.iter().filter(|mg| recompute[mg.child]) {
-                for c in ids_of_task(plan, mg.child) {
+                for c in ids_of_task(plan, by_units, mg.child) {
                     ids.clone().for_each(|p| before(c, p));
                 }
             }
-            if !plan.has_units() {
+            if !by_units {
                 continue;
             }
             for id in ids.clone() {
@@ -911,23 +944,27 @@ mod tests {
                 (0..n).map(|s| s == root).collect(),
             ];
             for recompute in recompute_sets {
-                let flagged = recompute.iter().filter(|&&r| r).count();
-                let want_ids: Vec<usize> = (0..n)
-                    .filter(|&s| recompute[s])
-                    .flat_map(|s| ids_of_task(&plan, s))
-                    .collect();
-                let want_split_units = want_ids
-                    .iter()
-                    .filter(|&&id| plan.has_units() && plan.units()[id].kind != UnitKind::Whole)
-                    .count();
-                // Per-node span multiset of the first case (one thread,
-                // inline): every other case must reproduce it.
-                let mut reference: Option<Vec<usize>> = None;
+                let flagged: Vec<usize> = (0..n).filter(|&s| recompute[s]).collect();
                 for threads in [1usize, 2, 4] {
                     for (cert_name, cert, covers) in certificates(&plan) {
-                        let case =
-                            format!("{name}, {flagged} flagged, {threads} threads, {cert_name}");
-                        let seen = observe(&plan, &recompute, threads, cert.as_ref());
+                        let case = format!(
+                            "{name}, {} flagged, {threads} threads, {cert_name}",
+                            flagged.len()
+                        );
+                        // The overlay is executed by waves only: inline
+                        // presents every flagged task as one `Whole` item,
+                        // whatever the plan carries.
+                        let waves = expect_waves(covers, threads, flagged.len());
+                        let by_units = waves && plan.has_units();
+                        let want_ids: Vec<usize> = flagged
+                            .iter()
+                            .flat_map(|&s| ids_of_task(&plan, by_units, s))
+                            .collect();
+                        let want_split_units = want_ids
+                            .iter()
+                            .filter(|&&id| by_units && plan.units()[id].kind != UnitKind::Whole)
+                            .count();
+                        let seen = observe(&plan, by_units, &recompute, threads, cert.as_ref());
                         let sched = &seen.sched;
 
                         // Every item of a flagged task ran exactly once,
@@ -936,11 +973,11 @@ mod tests {
                             let want = usize::from(want_ids.contains(&id));
                             assert_eq!(runs, want, "{case}: item {id}");
                         }
-                        assert_dependency_order(&plan, &recompute, &seen.ticks, &case);
+                        assert_dependency_order(&plan, by_units, &recompute, &seen.ticks, &case);
 
                         // No multi-worker dispatch without the proof (or
                         // for a single flagged task).
-                        if covers && threads > 1 && flagged > 1 {
+                        if waves {
                             assert_eq!(sched.mode, DispatchMode::LevelBatched, "{case}");
                             assert_eq!(sched.workers, threads.min(want_ids.len()), "{case}");
                             assert!(sched.workers > 1, "{case}");
@@ -949,17 +986,18 @@ mod tests {
                             assert_eq!(sched.workers, 1, "{case}");
                         }
 
-                        // One span per item — the same span structure on
-                        // the inline and the wave path.
+                        // One span per item. The span *count* of a split
+                        // task follows the path; the set of nodes covered
+                        // is what inline and waves share.
                         assert_eq!(sched.spans.len(), want_ids.len(), "{case}");
                         assert_eq!(sched.split_units, want_split_units, "{case}");
+                        if plan.has_units() {
+                            assert_eq!(sched.split_units > 0, waves, "{case}");
+                        }
                         let mut nodes: Vec<usize> = sched.spans.iter().map(|s| s.node).collect();
                         nodes.sort_unstable();
-                        assert_eq!(
-                            *reference.get_or_insert_with(|| nodes.clone()),
-                            nodes,
-                            "{case}"
-                        );
+                        nodes.dedup();
+                        assert_eq!(nodes, flagged, "{case}");
                     }
                 }
             }
@@ -970,33 +1008,22 @@ mod tests {
     fn error_from_the_lowest_failing_task_is_returned_without_deadlock() {
         for (name, plan) in plans() {
             let recompute = vec![true; plan.num_tasks()];
-            // Fail one item: task 0 itself, or — mid-task — the first
-            // panel of the first split task.
-            let (bad, victim) = if plan.has_units() {
-                let bad = plan
-                    .units()
-                    .iter()
-                    .position(|u| matches!(u.kind, UnitKind::Panel { panel: 0 }))
-                    .expect("split plan has a panel");
-                (bad, plan.units()[bad].task)
-            } else {
-                (0, 0)
+            // Fail task 0 — whole when it runs whole, and mid-task (at its
+            // first panel) when waves run it as the overlay's sub-units.
+            let fails = |unit: PlanUnit| {
+                unit.task == 0
+                    && matches!(unit.kind, UnitKind::Whole | UnitKind::Panel { panel: 0 })
             };
+            assert!(!plan.has_units() || plan.units().iter().any(|&u| fails(u)));
             for threads in [1usize, 2, 4] {
                 for (cert_name, cert, _) in certificates(&plan) {
                     let (res, _) = ParallelExecutor::new(threads).run::<usize, _>(
                         &plan,
                         &recompute,
                         cert.as_ref(),
-                        |unit, _ws| {
-                            if id_of(&plan, unit) == bad {
-                                Err(unit.task)
-                            } else {
-                                Ok(())
-                            }
-                        },
+                        |unit, _ws| if fails(unit) { Err(unit.task) } else { Ok(()) },
                     );
-                    assert_eq!(res, Err(victim), "{name}, {threads} threads, {cert_name}");
+                    assert_eq!(res, Err(0), "{name}, {threads} threads, {cert_name}");
                 }
             }
         }
@@ -1005,7 +1032,11 @@ mod tests {
     #[test]
     fn env_override_parses() {
         assert_eq!(ParallelExecutor::new(0).threads(), 1);
-        assert!(ParallelExecutor::from_env().threads() >= 1);
+        let from_env = ParallelExecutor::from_env().threads();
+        assert!(from_env >= 1);
+        if std::env::var_os("SUPERNOVA_THREADS").is_none() {
+            assert_eq!(from_env, 1, "multi-worker execution is opt-in");
+        }
     }
 
     #[test]

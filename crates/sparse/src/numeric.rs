@@ -221,6 +221,15 @@ impl NumericFactor {
     /// without one the plan runs inline on the calling thread, whatever
     /// the thread count. Bit-identical either way.
     ///
+    /// The plan's intra-front split overlay is executed only by waves:
+    /// this asks the executor's own wave-or-inline rule (the one
+    /// [`ParallelExecutor::run`] dispatches by) and builds the overlay's
+    /// shared strip buffers only when waves will run. An inline execution
+    /// — one worker, one flagged task, or no covering certificate — runs
+    /// every task as the whole front an unsplit plan would run, allocates
+    /// no strip state and reports
+    /// [`split_units`](HostSchedule::split_units)` == 0`.
+    ///
     /// # Errors
     ///
     /// As [`execute_plan`](Self::execute_plan).
@@ -277,26 +286,30 @@ impl NumericFactor {
         let numeric = exec.numeric();
         // Shared strip state for every recomputed split task, allocated up
         // front on the calling thread so sub-unit execution itself stays
-        // allocation-free. Empty when the plan has no sub-unit overlay.
-        let split_state: Vec<Option<TaskSplit>> = plan
-            .tasks()
-            .iter()
-            .enumerate()
-            .map(|(s, task)| {
-                if !plan.has_units() || !is_recompute[s] {
-                    return None;
-                }
-                plan.split_shape(s)
-                    .map(|shape| TaskSplit::new(&shape, task.front_dim(), numeric))
-            })
-            .collect();
+        // allocation-free — and only when `run` is going to take waves:
+        // inline runs every task whole and never looks at the overlay.
+        let split_state: Vec<Option<TaskSplit>> =
+            if plan.has_units() && exec.takes_waves(plan, &is_recompute, cert) {
+                plan.tasks()
+                    .iter()
+                    .enumerate()
+                    .map(|(s, task)| {
+                        plan.split_shape(s)
+                            .filter(|_| is_recompute[s])
+                            .map(|shape| TaskSplit::new(&shape, task.front_dim(), numeric))
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
         let (res, sched) = exec.run(plan, &is_recompute, cert, |unit, ws| {
             let s = unit.task;
             let split = || {
-                split_state[s]
-                    .as_ref()
-                    // lint: allow(unwrap) — sub-units only exist for split tasks
-                    .expect("sub-unit of an unsplit task")
+                split_state
+                    .get(s)
+                    .and_then(Option::as_ref)
+                    // lint: allow(unwrap) — sub-units only reach waves, for split tasks
+                    .expect("sub-unit without its strip state")
             };
             match unit.kind {
                 UnitKind::Whole => {
@@ -594,13 +607,10 @@ fn compute_task(
 
     // Copy the supernode columns out of the frontal workspace. These are
     // the published results, so they genuinely own their storage — the
-    // one permitted allocation per task.
-    let l = front.block(0, 0, t, m); // lint: allow(hot-alloc)
-    let update = if n > 0 {
-        front.block(m, m, n, n) // lint: allow(hot-alloc)
-    } else {
-        Mat::zeros(0, 0) // lint: allow(hot-alloc)
-    };
+    // one permitted allocation per task — streamed a column at a time.
+    let (mut l, mut update) = (Mat::default(), Mat::default());
+    front.block_into(0, 0, t, m, &mut l);
+    front.block_into(m, m, n, n, &mut update);
     trace.push(Op::Memcpy { bytes: t * m * 4 });
     Ok((
         NodeFactor {
@@ -612,14 +622,15 @@ fn compute_task(
     ))
 }
 
-/// Shared frontal state of one *split* task while its sub-units execute:
-/// one lock-guarded column strip per [`SplitShape`] strip. Strip `q`
-/// stores front columns `[q·tile, …)` at leading dimension `front_dim`,
-/// so its memory is byte-identical to those columns of the whole-front
-/// workspace; under a narrow mode each strip also carries the f32 shadow
-/// the mode's engine factors (demoted by the strip's Assemble unit,
-/// promoted back by Finish — exactly as `partial_cholesky_scratch_mode`
-/// round-trips the whole front).
+/// Shared frontal state of one *split* task while its sub-units execute
+/// as waves (an inline execution runs the task whole in the worker's own
+/// workspace and never builds one): one lock-guarded column strip per
+/// [`SplitShape`] strip. Strip `q` stores front columns `[q·tile, …)` at
+/// leading dimension `front_dim`, so its memory is byte-identical to
+/// those columns of the whole-front workspace; under a narrow mode each
+/// strip also carries the f32 shadow the mode's engine factors (demoted
+/// by the strip's Assemble unit, promoted back by Finish — exactly as
+/// `partial_cholesky_scratch_mode` round-trips the whole front).
 ///
 /// The write locks never block: the plan's sub-levels already order every
 /// writer-after-writer and writer-after-reader pair (the interference
@@ -641,8 +652,17 @@ struct StripBuf {
     data32: Vec<f32>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`TaskSplit`]s built on this thread — they are built on the thread
+    /// that calls `execute_plan_certified`, so a test reads its own count.
+    static TASK_SPLITS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl TaskSplit {
     fn new(shape: &SplitShape, front_dim: usize, numeric: NumericMode) -> Self {
+        #[cfg(test)]
+        TASK_SPLITS_BUILT.with(|n| n.set(n.get() + 1));
         let strips = (0..shape.strips)
             .map(|q| {
                 let elems = front_dim * shape.strip_width(q, front_dim);
@@ -891,23 +911,30 @@ fn finish_task(
         .map(|l| l.read().expect("strip lock poisoned"))
         .collect();
     let tile = split.tile;
-    let at = |r: usize, c: usize| {
+    // Rows `r0..` of front column `c`, streamed out of the strip that
+    // stores the column.
+    let col_into = |c: usize, r0: usize, dst: &mut [f64]| {
         let q = c / tile;
-        let idx = (c - q * tile) * t + r;
+        let lo = (c - q * tile) * t + r0;
+        let hi = lo + dst.len();
         if numeric == NumericMode::F64 {
-            guards[q].data[idx]
+            dst.copy_from_slice(&guards[q].data[lo..hi]);
         } else {
-            guards[q].data32[idx] as f64
+            for (d, &v) in dst.iter_mut().zip(&guards[q].data32[lo..hi]) {
+                *d = v as f64;
+            }
         }
     };
     // The published results genuinely own their storage — the one
     // permitted allocation per task, as in compute_task.
-    let l = Mat::from_fn(t, m, |r, c| if r < c { 0.0 } else { at(r, c) }); // lint: allow(hot-alloc)
-    let update = if n > 0 {
-        Mat::from_fn(n, n, |r, c| at(m + r, m + c)) // lint: allow(hot-alloc)
-    } else {
-        Mat::zeros(0, 0) // lint: allow(hot-alloc)
-    };
+    let mut l = Mat::zeros(t, m); // lint: allow(hot-alloc)
+    for c in 0..m {
+        col_into(c, c, &mut l.col_mut(c)[c..]);
+    }
+    let mut update = Mat::zeros(n, n); // lint: allow(hot-alloc)
+    for c in 0..n {
+        col_into(m + c, m, update.col_mut(c));
+    }
     trace.push(Op::Memcpy { bytes: t * m * 4 });
     (
         NodeFactor {
@@ -1391,16 +1418,65 @@ mod tests {
                     ostats.flops(),
                     "{mode:?} at {threads} threads: split op traces must match unsplit"
                 );
-                assert_eq!(
-                    sched.spans.len(),
-                    split.num_units(),
-                    "{mode:?} at {threads} threads: one span per unit"
-                );
-                assert!(
-                    sched.split_units > 0,
-                    "{mode:?} at {threads} threads: split units must dispatch"
-                );
+                // The overlay is executed by waves only: one worker runs
+                // whole fronts out of its own workspace.
+                let built = TASK_SPLITS_BUILT.with(|n| n.replace(0));
+                if threads == 1 {
+                    assert_eq!(
+                        sched.spans.len(),
+                        split.num_tasks(),
+                        "{mode:?}: span per task"
+                    );
+                    assert_eq!(
+                        sched.split_units, 0,
+                        "{mode:?}: inline dispatched sub-units"
+                    );
+                    assert_eq!(built, 0, "{mode:?}: inline built strip state");
+                } else {
+                    assert_eq!(
+                        sched.spans.len(),
+                        split.num_units(),
+                        "{mode:?} at {threads} threads: one span per unit"
+                    );
+                    assert!(
+                        sched.split_units > 0 && built > 0,
+                        "{mode:?} at {threads} threads: split units must dispatch"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn multiworker_split_plan_without_covering_certificate_builds_no_strip_state() {
+        use crate::SplitConfig;
+        let p = big_pattern();
+        let sym = SymbolicFactor::analyze(&p, 0);
+        let h = build_big_h(&p, 23);
+        let all: Vec<usize> = (0..p.num_blocks()).collect();
+        let unsplit = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
+        let split = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on());
+        assert!(split.has_units());
+        // A proof of some other plan is no proof of this one.
+        let foreign = crate::interference::certify(&unsplit).expect("unsplit plan certifies");
+        assert!(!foreign.covers(&split));
+        let mut oracle = NumericFactor::empty(&unsplit);
+        oracle
+            .execute_plan(&unsplit, &h, &all, &ParallelExecutor::serial())
+            .unwrap();
+        for cert in [None, Some(&foreign)] {
+            TASK_SPLITS_BUILT.with(|n| n.set(0));
+            let mut fac = NumericFactor::empty(&split);
+            let (_, sched) = fac
+                .execute_plan_certified(&split, &h, &all, &ParallelExecutor::new(4), cert)
+                .unwrap();
+            assert_eq!(TASK_SPLITS_BUILT.with(|n| n.get()), 0);
+            assert_eq!(sched.mode, crate::DispatchMode::Serial);
+            assert_eq!(
+                (sched.spans.len(), sched.split_units),
+                (split.num_tasks(), 0)
+            );
+            assert_eq!(oracle.serialize_bytes(), fac.serialize_bytes());
         }
     }
 

@@ -2,6 +2,10 @@
 //! dataset, a split plan must produce byte-identical numeric factors to
 //! the *unsplit serial* oracle, in every numeric mode, at every thread
 //! count — the sub-unit overlay changes scheduling only, never bytes.
+//! The overlay is executed by the wave path alone: a one-thread replay
+//! must run every recomputed front whole (no sub-unit dispatched, one
+//! span per node), and a multi-thread replay must really dispatch
+//! sub-units somewhere, or the sweep compares nothing.
 //!
 //! The sweep also pins the threshold boundary (a `min_dim` equal to the
 //! widest front splits it, one more leaves the plan whole) and
@@ -32,8 +36,8 @@ fn sweep_datasets() -> Vec<Dataset> {
 
 /// Replays `ds` under the given (mode, threads, split) configuration,
 /// validating every step's host schedule against its plan. Returns the
-/// final factor bytes, the final plan's sub-unit count, and the final
-/// step schedule's dispatched sub-unit count.
+/// final factor bytes, the final plan's sub-unit count, and the most
+/// sub-units any one step's schedule dispatched.
 fn run(
     ds: &Dataset,
     mode: NumericMode,
@@ -56,7 +60,15 @@ fn run(
                 "{} ({mode}, {threads} threads, split {split:?}): invalid schedule: {violations:?}",
                 ds.name()
             );
-            sched_units = sched.split_units;
+            if threads == 1 {
+                assert_eq!(
+                    (sched.split_units, sched.spans.len()),
+                    (0, recomputed.len()),
+                    "{} ({mode}, split {split:?}): one worker must run whole fronts",
+                    ds.name()
+                );
+            }
+            sched_units = sched_units.max(sched.split_units);
         }
     }
     let plan_units = engine
@@ -95,12 +107,15 @@ fn split_factors_match_unsplit_serial_oracle_in_every_mode() {
                     "{} [{mode}] at {threads} threads: split bytes differ from unsplit serial",
                     ds.name()
                 );
-                // The final step's schedule actually dispatched sub-units
-                // whenever the final plan recomputed a split front; at
-                // minimum the overlay must have engaged somewhere in the
-                // replay when the plan carries units. (A final step that
-                // only touched narrow fronts legitimately reports 0.)
-                let _ = sched_units;
+                // With a second worker the overlay must have engaged
+                // somewhere in the replay (a step that only touched
+                // narrow fronts, or one front, legitimately reports 0).
+                assert_eq!(
+                    sched_units > 0,
+                    threads > 1,
+                    "{} [{mode}] at {threads} threads: sub-units dispatched",
+                    ds.name()
+                );
             }
         }
     }

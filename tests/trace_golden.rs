@@ -5,9 +5,12 @@
 //! hand-built span trees:
 //!
 //! - the canonical Chrome export and canonical binary encoding are
-//!   byte-identical across 1/2/4 host executor threads, once the two
-//!   intentionally thread-dependent counters (`workers` and
-//!   `dispatch_mode`) are stripped;
+//!   byte-identical across 1/2/4 host executor threads, once the three
+//!   intentionally thread-dependent counters (`workers`, `dispatch_mode`
+//!   and `split_mode` — what was dispatched, not what was computed) are
+//!   stripped — on M3500 and on a Sphere replay whose plan carries the
+//!   intra-front split overlay, so one thread's whole-task spans are
+//!   compared against the folded sub-unit spans of two and four;
 //! - the SNVT binary encoding round-trips every trace exactly;
 //! - step 50 of the M3500 replay matches a committed golden fixture
 //!   byte-for-byte (`tests/fixtures/m3500_step50.snvt`). Regenerate with
@@ -27,10 +30,14 @@ use supernova_trace::{CounterSet, Span, StepKey, Trace, TraceConfig};
 const GOLDEN_PATH: &str = "tests/fixtures/m3500_step50.snvt";
 const GOLDEN_STEP: usize = 50;
 
-/// Replays the first `steps` M3500 steps through a traced engine with
-/// the simulator attached, returning one `Trace` per step.
+/// [`traced_replay_of`] the M3500 dataset the golden fixture is cut from.
 fn traced_replay(threads: usize, steps: usize) -> Vec<Trace> {
-    let ds = Dataset::m3500_scaled(0.06);
+    traced_replay_of(&Dataset::m3500_scaled(0.06), threads, steps)
+}
+
+/// Replays the first `steps` steps of `ds` through a traced engine with
+/// the simulator attached, returning one `Trace` per step.
+fn traced_replay_of(ds: &Dataset, threads: usize, steps: usize) -> Vec<Trace> {
     let platform = Platform::supernova(2);
     let cost = Arc::new(CostModel::new(platform.clone()));
     let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
@@ -56,15 +63,15 @@ fn traced_replay(threads: usize, steps: usize) -> Vec<Trace> {
     out
 }
 
-/// Drops the `workers` and `dispatch_mode` counters everywhere in the
-/// tree: they record the host executor width and the dispatch strategy it
-/// selected (serial / dep-counted / level-batched), the only fields that
-/// legitimately differ between otherwise-identical replays at different
-/// thread counts.
+/// Drops the `workers`, `dispatch_mode` and `split_mode` counters
+/// everywhere in the tree: they record the host executor width, the
+/// dispatch path it took (inline / waves) and how many split sub-units it
+/// dispatched (0 inline), the only fields that legitimately differ
+/// between otherwise-identical replays at different thread counts.
 fn strip_worker_counters(span: &mut Span) {
     let mut counters = CounterSet::new();
     for (name, value) in span.counters.iter() {
-        if name != "workers" && name != "dispatch_mode" {
+        if !["workers", "dispatch_mode", "split_mode"].contains(&name) {
             counters.set(name, value);
         }
     }
@@ -80,25 +87,56 @@ fn thread_invariant(trace: &Trace) -> Trace {
     canonical
 }
 
+/// Sub-units the replay's executions dispatched, summed over its steps
+/// (the `split_mode` counter of each step's `exec` span).
+fn split_units_dispatched(traces: &[Trace]) -> u64 {
+    let mut total = 0;
+    for trace in traces {
+        trace.root.visit(&mut |span, _| {
+            if span.name == "exec" {
+                total += span.counters.get("split_mode").unwrap_or(0);
+            }
+        });
+    }
+    total
+}
+
 #[test]
 fn canonical_export_identical_across_thread_counts() {
-    const STEPS: usize = 40;
-    let serial = traced_replay(1, STEPS);
-    for threads in [2usize, 4] {
-        let run = traced_replay(threads, STEPS);
-        assert_eq!(run.len(), serial.len());
-        for (step, (a, b)) in serial.iter().zip(&run).enumerate() {
-            let (a, b) = (thread_invariant(a), thread_invariant(b));
+    // M3500 × 0.06 stays under the 96-column split threshold for its
+    // first 40 steps (whole tasks at every width); Sphere × 0.12 crosses
+    // it, so there the wider replays run split fronts as sub-unit waves.
+    let cases = [
+        (Dataset::m3500_scaled(0.06), 40usize, false),
+        (Dataset::sphere_scaled(0.12), usize::MAX, true),
+    ];
+    for (ds, steps, splits) in cases {
+        let serial = traced_replay_of(&ds, 1, steps);
+        assert_eq!(split_units_dispatched(&serial), 0, "{}: inline", ds.name());
+        for threads in [2usize, 4] {
+            let run = traced_replay_of(&ds, threads, steps);
+            assert_eq!(run.len(), serial.len());
             assert_eq!(
-                a.to_chrome_json(),
-                b.to_chrome_json(),
-                "step {step}: canonical Chrome JSON differs between 1 and {threads} threads"
+                split_units_dispatched(&run) > 0,
+                splits,
+                "{} at {threads} threads: sub-unit waves",
+                ds.name()
             );
-            assert_eq!(
-                a.to_bytes(),
-                b.to_bytes(),
-                "step {step}: canonical SNVT bytes differ between 1 and {threads} threads"
-            );
+            for (step, (a, b)) in serial.iter().zip(&run).enumerate() {
+                let (a, b) = (thread_invariant(a), thread_invariant(b));
+                assert_eq!(
+                    a.to_chrome_json(),
+                    b.to_chrome_json(),
+                    "{} step {step}: canonical Chrome JSON differs between 1 and {threads} threads",
+                    ds.name()
+                );
+                assert_eq!(
+                    a.to_bytes(),
+                    b.to_bytes(),
+                    "{} step {step}: canonical SNVT bytes differ between 1 and {threads} threads",
+                    ds.name()
+                );
+            }
         }
     }
 }
