@@ -205,24 +205,18 @@ const THREAD_SPAWN_ALLOWLIST: [&str; 3] = [
 /// dense kernels and the plan executor (every line of these is either on
 /// the per-task hot path or a documented cold-path setup that carries an
 /// allow).
-const HOT_ALLOC_FILE_SCOPES: [&str; 5] = [
+const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
     "crates/linalg/src/kernels.rs",
     "crates/linalg/src/blas.rs",
     "crates/linalg/src/cholesky.rs",
-    "crates/linalg/src/split.rs",
     "crates/sparse/src/executor.rs",
 ];
 
 /// `(file, fn name)` pairs whose function body (brace extent) is hot-alloc
-/// scope: the multifrontal task body runs once per supernode per step, the
-/// split sub-unit bodies run once per panel/tile/strip per step, and the
-/// supernodal triangular solve visits every supernode twice per step.
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 6] = [
+/// scope: the multifrontal task body runs once per supernode per step, and
+/// the supernodal triangular solve visits every supernode twice per step.
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 2] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
-    ("crates/sparse/src/numeric.rs", "assemble_strip"),
-    ("crates/sparse/src/numeric.rs", "panel_step"),
-    ("crates/sparse/src/numeric.rs", "tile_step"),
-    ("crates/sparse/src/numeric.rs", "finish_task"),
     ("crates/sparse/src/numeric.rs", "solve_in_place"),
 ];
 
@@ -243,7 +237,7 @@ const PANIC_PATH_SCOPES: [&str; 7] = [
 
 /// The only modules allowed to read the wall clock: the process-global
 /// trace epoch and the executor's schedule stamping (whose wall fields are
-/// documented as nondeterministic) plus its sub-level barrier's bounded
+/// documented as nondeterministic) plus its level barrier's bounded
 /// spin budget — a pure latency/CPU trade with no data-dependent effect.
 /// Everywhere else in library code, `Instant::now`/`SystemTime` is a
 /// determinism hazard.
@@ -1516,6 +1510,30 @@ mod tests {
         let hot: Vec<_> = v.iter().filter(|v| v.rule == Rule::HotAlloc).collect();
         assert_eq!(hot.len(), 1, "{v:?}");
         assert_eq!(hot[0].line, 3);
+    }
+
+    #[test]
+    fn every_scoped_file_exists_and_every_scoped_fn_is_in_its_file() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = HOT_ALLOC_FILE_SCOPES
+            .iter()
+            .chain(&THREAD_SPAWN_ALLOWLIST)
+            .chain(&PANIC_PATH_SCOPES)
+            .chain(&WALL_CLOCK_ALLOWLIST)
+            .copied()
+            .chain(LOCK_RANKS.iter().map(|&(f, _, _)| f));
+        for rel in files {
+            assert!(root.join(rel).is_file(), "scoped file {rel} does not exist");
+        }
+        for (rel, name) in HOT_ALLOC_FN_SCOPES {
+            let src = fs::read_to_string(root.join(rel)).expect("scoped file reads");
+            let toks = tokenize(&src).0;
+            assert!(
+                toks.windows(2)
+                    .any(|w| w[0].text == "fn" && w[1].text == name),
+                "{rel} defines no fn {name}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use supernova_runtime::{
     calc_space, simulate_step_traced, step_energy_ledger, ExecTrace, SchedulerConfig, StepEnergy,
     StepLatency, StepTrace, Unit,
 };
-use supernova_sparse::{DispatchMode, ExecutionPlan, HostSchedule};
+use supernova_sparse::{ExecutionPlan, HostSchedule, TaskSpan};
 
 /// The invariant classes the checker enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -282,19 +282,9 @@ pub fn validate_exec(trace: &StepTrace, exec: &ExecTrace) -> Vec<ScheduleViolati
 ///
 /// `recomputed` is the step's recomputed task set (e.g.
 /// `RefactorStats::recomputed_nodes()`); the schedule must cover it
-/// exactly, every parent span must start after each recomputed child's
-/// span ends, and no worker may run two spans at once.
-///
-/// A plan with an intra-front split overlay has two legal span shapes,
-/// one per executor path. The **inline** path (one worker, one flagged
-/// task, or no covering certificate) never executes the overlay: every
-/// recomputed task, split or not, appears exactly once. The **wave** path
-/// emits one span per executed sub-unit, all tagged with the owning task:
-/// each recomputed split task appears once per sub-unit. The coverage
-/// check requires the count of the path the record names
-/// ([`HostSchedule::mode`]), and happens-before is checked on each task's
-/// wall-clock *envelope* — its earliest span start against the child's
-/// latest span end.
+/// exactly — one span per recomputed task, on the inline and the wave
+/// path alike — every parent span must start after each recomputed
+/// child's span ends, and no worker may run two spans at once.
 pub fn validate_host_schedule(
     plan: &ExecutionPlan,
     sched: &HostSchedule,
@@ -304,57 +294,22 @@ pub fn validate_host_schedule(
     let mut out = Vec::new();
     let tol = time_tol(sched.makespan());
 
-    // --- Coverage: exactly the recomputed tasks.
+    // --- Coverage: exactly the recomputed tasks, one span each.
     let mut want: Vec<usize> = recomputed.to_vec();
     want.sort_unstable();
     want.dedup();
-    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-    for s in &sched.spans {
-        *counts.entry(s.node).or_insert(0) += 1;
-    }
-    let got: Vec<usize> = counts.keys().copied().collect();
+    let mut got: Vec<usize> = sched.spans.iter().map(|s| s.node).collect();
+    got.sort_unstable();
     if want != got {
         out.push(ScheduleViolation {
             invariant: Invariant::Coverage,
-            detail: format!("host schedule ran nodes {got:?} but the step recomputed {want:?}"),
+            detail: format!(
+                "host schedule ran nodes {got:?} but the step recomputed each of {want:?} once"
+            ),
         });
         return out; // downstream checks assume coverage
     }
-    // The span count per task follows the path that ran: inline records
-    // every task whole; waves run a plan's split overlay, so a split task
-    // appears once per sub-unit (an unsplit one has a single unit).
-    let by_units = plan.has_units() && sched.mode == DispatchMode::LevelBatched;
-    for (&node, &n) in &counts {
-        let want = if by_units {
-            let (lo, hi) = plan.task_units_range(node);
-            hi - lo
-        } else {
-            1
-        };
-        if n != want {
-            out.push(ScheduleViolation {
-                invariant: Invariant::Coverage,
-                detail: format!(
-                    "node {node} ran {n} spans, expected {want} ({})",
-                    if by_units {
-                        "its sub-units, dispatched as waves"
-                    } else {
-                        "one whole-task span"
-                    }
-                ),
-            });
-        }
-    }
-
-    // Wall-clock envelope per task: earliest span start, latest span end.
-    let mut envelope: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
-    for s in &sched.spans {
-        let e = envelope
-            .entry(s.node)
-            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-        e.0 = e.0.min(s.start);
-        e.1 = e.1.max(s.end);
-    }
+    let span_of: BTreeMap<usize, &TaskSpan> = sched.spans.iter().map(|s| (s.node, s)).collect();
 
     // --- Sane spans on valid workers.
     for s in &sched.spans {
@@ -378,21 +333,19 @@ pub fn validate_host_schedule(
         }
     }
 
-    // --- Happens-before over the plan's elimination forest: a parent's
-    // envelope may not open before any recomputed child's envelope closes
-    // (for split tasks: the parent's first Assemble sub-unit against the
-    // child's Finish sub-unit).
-    for (&node, &(start, _)) in &envelope {
-        for mg in &plan.tasks()[node].merges {
-            let Some(&(_, child_end)) = envelope.get(&mg.child) else {
+    // --- Happens-before over the plan's elimination forest: a parent may
+    // not start before any recomputed child ends.
+    for s in &sched.spans {
+        for mg in &plan.tasks()[s.node].merges {
+            let Some(child) = span_of.get(&mg.child) else {
                 continue; // reused child: its cached update predates the step
             };
-            if start < child_end - tol {
+            if s.start < child.end - tol {
                 out.push(ScheduleViolation {
                     invariant: Invariant::HappensBefore,
                     detail: format!(
-                        "node {node} starts at {start:.3e}s before child {} ends at {child_end:.3e}s",
-                        mg.child
+                        "node {} starts at {:.3e}s before child {} ends at {:.3e}s",
+                        s.node, s.start, mg.child, child.end
                     ),
                 });
             }

@@ -12,9 +12,7 @@
 //!   [`Timebase`]: wall spans against wall parents, the simulator's
 //!   virtual spans against the virtual `hw` root);
 //! - **unit exclusivity** — sibling spans sharing an execution lane
-//!   (`exec.task` on one host worker, `hw.unit` rows) never overlap
-//!   (except under an `exec` that dispatched split sub-units, whose
-//!   `exec.task` children are per-node envelopes, not lane occupancies);
+//!   (`exec.task` on one host worker, `hw.unit` rows) never overlap;
 //! - **busy bound** — deterministic tick accounting: every child's ticks
 //!   fit inside a ticked parent (unit busy cycles ≤ makespan cycles), and
 //!   the `exec` section's ticks equal the sum of its tasks' ticks.
@@ -135,18 +133,11 @@ fn check_intervals(span: &Span, scale: f64, out: &mut Vec<ScheduleViolation>) {
 fn check_exclusivity(span: &Span, scale: f64, out: &mut Vec<ScheduleViolation>) {
     let t = tol(scale);
     // Group siblings by (name, timebase, track); `hw.node` lanes carry the
-    // node id (not an execution unit), so they are exempt. So are the
-    // `exec.task` children of an `exec` that dispatched split sub-units
-    // (`split_mode > 0`): each is the envelope of one node's unit spans,
-    // which ran on several workers interleaved with other nodes' — the
-    // per-worker exclusivity of the unit spans themselves is
-    // `validate_host_schedule`'s check, on the schedule record.
-    let envelopes = span.name == "exec" && span.counters.get("split_mode").unwrap_or(0) > 0;
+    // node id (not an execution unit), so they are exempt.
     let mut lanes: Vec<(&str, Timebase, u32, f64, f64)> = span
         .children
         .iter()
         .filter(|c| c.has_interval() && c.name != "hw.node")
-        .filter(|c| !(envelopes && c.name == "exec.task"))
         .map(|c| (c.name.as_str(), c.timebase, c.track, c.start, c.end))
         .collect();
     lanes.sort_by(|a, b| {
@@ -345,10 +336,6 @@ mod tests {
         t.root.children[0].children[1].children[2].start = 1.2;
         let v = validate_trace(&t);
         assert!(v.iter().any(|v| v.invariant == Invariant::UnitExclusive));
-        // Unless the exec dispatched split sub-units: its task spans are
-        // then per-node envelopes across workers, free to overlap.
-        t.root.children[0].children[1].counters.set("split_mode", 7);
-        assert_eq!(validate_trace(&t), Vec::new());
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! exists to catch, asserting the finding carries the right [`Rule`] id.
 
 use supernova_analyze::interference::{
-    certify, check_accesses, check_unit_schedule, Access, AccessKind, InterferenceKind, Region,
-    Resource,
+    certify, check_accesses, Access, AccessKind, InterferenceKind, Region, Resource,
 };
 use supernova_analyze::{lint_file, lint_file_diag, Rule};
-use supernova_sparse::{BlockPattern, ExecutionPlan, PlanUnit, SymbolicFactor, UnitKind};
+use supernova_sparse::{BlockPattern, ExecutionPlan, SymbolicFactor};
 
 /// The loopy 8-block fixture: a chain with three long-range edges, giving
 /// a multi-level plan with real extend-add scatter programs.
@@ -178,82 +177,6 @@ fn crafted_access_overlaps_carry_the_right_kind() {
         &[0, 0, 0, 0, 0, 3],
     );
     assert_eq!(kinds(&v), ["read-before-write"]);
-}
-
-/// A fixture with fronts wide enough (128 ≥ the split threshold) that the
-/// default split pass produces a real sub-unit overlay.
-fn split_plan() -> ExecutionPlan {
-    let mut p = BlockPattern::new(vec![64, 64, 64]);
-    p.add_block_edge(0, 2);
-    p.add_block_edge(1, 2);
-    ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
-}
-
-#[test]
-fn retargeting_a_tile_onto_a_sibling_strip_is_rejected() {
-    let plan = split_plan();
-    assert!(plan.has_units(), "fixture must split under default config");
-    assert!(check_unit_schedule(&plan, plan.units()).is_empty());
-
-    // Point one tile at a sibling tile's destination strip: two writers of
-    // one strip inside one sub-level, which the batched dispatcher would
-    // run concurrently.
-    let mut units: Vec<PlanUnit> = plan.units().to_vec();
-    let (donor, victim) = units
-        .iter()
-        .enumerate()
-        .find_map(|(i, u)| {
-            let UnitKind::Tile { panel, strip } = u.kind else {
-                return None;
-            };
-            units.iter().enumerate().find_map(|(j, v)| {
-                (i != j
-                    && v.task == u.task
-                    && v.sublevel == u.sublevel
-                    && matches!(v.kind, UnitKind::Tile { panel: p2, strip: s2 }
-                        if p2 == panel && s2 != strip))
-                .then_some((i, j))
-            })
-        })
-        .expect("split fixture must have a panel with two tiles");
-    let UnitKind::Tile { strip, .. } = units[donor].kind else {
-        unreachable!()
-    };
-    let UnitKind::Tile { panel, .. } = units[victim].kind else {
-        unreachable!()
-    };
-    units[victim].kind = UnitKind::Tile { panel, strip };
-    let v = check_unit_schedule(&plan, &units);
-    assert!(
-        v.iter()
-            .any(|x| x.kind == InterferenceKind::OverlappingTiles),
-        "expected overlapping-tiles, got {v:?}"
-    );
-    assert_eq!(InterferenceKind::OverlappingTiles.id(), "overlapping-tiles");
-}
-
-#[test]
-fn hoisting_a_tile_to_the_assembly_sublevel_is_rejected() {
-    let plan = split_plan();
-    let mut units: Vec<PlanUnit> = plan.units().to_vec();
-    let idx = units
-        .iter()
-        .position(|u| matches!(u.kind, UnitKind::Tile { .. }))
-        .expect("split fixture must have a tile");
-    // Schedule the trailing update before the panel factorization whose
-    // columns it consumes.
-    let base = plan.task_units(units[idx].task)[0].sublevel;
-    units[idx].sublevel = base;
-    let v = check_unit_schedule(&plan, &units);
-    assert!(
-        v.iter()
-            .any(|x| x.kind == InterferenceKind::UpdateBeforePanel),
-        "expected update-before-panel, got {v:?}"
-    );
-    assert_eq!(
-        InterferenceKind::UpdateBeforePanel.id(),
-        "update-before-panel"
-    );
 }
 
 // --- lint rule fixtures -------------------------------------------------

@@ -43,18 +43,13 @@
 //! tracked as a first-class regression surface rather than buried in
 //! whole-replay wall time.
 //!
-//! The intra-front split pass adds two more step-latency surfaces. The
-//! modeled numbers (`modeled_critical_path_speedup`, its `_unsplit`
-//! variant, `largest_task_fraction`, per-run `split_units` and
-//! `level_occupancy`) are pure functions of the final plan and gated
-//! exactly; on the wide-front datasets (Sphere, CAB) the split ratio must
-//! additionally *strictly* exceed the unsplit ratio, gated from the fresh
-//! artifact alone so a dead overlay cannot be banked into a baseline
-//! refresh. When the fresh run reports `host_cpus > 1`, the 4-thread
-//! refactor speedup must land within 25% of the plan's modeled speedup
-//! capped at the host's core budget; a 1-CPU host logs a named skip
-//! instead, because measured wall time cannot improve there no matter
-//! what the schedule does.
+//! The modeled step-latency numbers (`modeled_critical_path_speedup` and
+//! per-run `level_occupancy`) are pure functions of the final plan and
+//! gated exactly. When the fresh run reports `host_cpus > 1`, the
+//! 4-thread refactor speedup must land within 25% of the plan's modeled
+//! whole-task speedup capped at the host's core budget; a 1-CPU host logs
+//! a named skip instead, because measured wall time cannot improve there
+//! no matter what the schedule does.
 //!
 //! The kernel check is ratio-based rather than wall-based: each case's
 //! blocked-vs-reference speedup is measured within one process run, so
@@ -230,41 +225,19 @@ fn check_step_latency(report: &mut Report, gate: &Gate) {
             f.get("steps").and_then(Json::as_f64),
             b.get("steps").and_then(Json::as_f64),
         );
-        // The modeled ratios and the heaviest-item fraction are pure
-        // functions of the final plan (structure + split config), so they
-        // are gated exactly: drift means the symbolic layer or the split
-        // pass changed what it schedules.
-        for field in [
-            "modeled_critical_path_speedup",
-            "modeled_critical_path_speedup_unsplit",
-            "largest_task_fraction",
-        ] {
-            exact(
-                report,
-                &format!("step-latency/{ds}/{field}"),
-                f.get(field).and_then(Json::as_f64),
-                b.get(field).and_then(Json::as_f64),
-            );
-        }
-        // The split pass's reason to exist: on the datasets whose final
-        // trees carry wide fronts (Sphere and CAB), the sub-unit overlay
-        // must *strictly* shorten the modeled critical path — an overlay
-        // that only matches whole-task scheduling is dead weight. Gated
-        // from the fresh artifact alone, so a regression cannot be
-        // banked by refreshing baselines.
-        let split = f
+        // The modeled ratio is a pure function of the final plan's
+        // structure, so it is gated exactly: drift means the symbolic layer
+        // changed what it schedules.
+        let modeled = f
             .get("modeled_critical_path_speedup")
             .and_then(Json::as_f64);
-        let unsplit = f
-            .get("modeled_critical_path_speedup_unsplit")
-            .and_then(Json::as_f64);
-        if ds.starts_with("Sphere") || ds.starts_with("CAB") {
-            report.check(
-                &format!("step-latency/{ds}/split-improves-critical-path"),
-                matches!((split, unsplit), (Some(s), Some(u)) if s > u),
-                &format!("modeled {split:?}x split vs {unsplit:?}x unsplit"),
-            );
-        }
+        exact(
+            report,
+            &format!("step-latency/{ds}/modeled_critical_path_speedup"),
+            modeled,
+            b.get("modeled_critical_path_speedup")
+                .and_then(Json::as_f64),
+        );
         // Measured-vs-modeled: with real cores, the 4-thread refactor
         // speedup must land within 25% of what the plan models at this
         // host's core budget. A 1-CPU host cannot show any wall-time win
@@ -280,7 +253,7 @@ fn check_step_latency(report: &mut Report, gate: &Gate) {
             .and_then(|r| r.get("refactor_speedup_vs_serial").and_then(Json::as_f64));
         if host_cpus > 1.0 {
             let budget = host_cpus.min(4.0);
-            let target = split.map(|s| s.min(budget) * 0.75);
+            let target = modeled.map(|s| s.min(budget) * 0.75);
             report.check(
                 &format!("step-latency/{ds}/measured-vs-modeled"),
                 matches!((measured, target), (Some(m), Some(t)) if m >= t),
@@ -349,19 +322,8 @@ fn check_step_latency(report: &mut Report, gate: &Gate) {
                 fr.get("numeric_mode").and_then(Json::as_f64),
                 br.get("numeric_mode").and_then(Json::as_f64),
             );
-            // The dispatched sub-unit count and the plan's modeled
-            // occupancy at this thread count are both deterministic
-            // functions of (plan, split config, threads): drift means
-            // the overlay or its cost model changed shape. `split_units`
-            // counts sub-units *dispatched*: 0 on the 1-thread row (an
-            // inline execution runs whole fronts, whatever overlay the
-            // plan carries), the overlay's unit count on the wave rows.
-            exact(
-                report,
-                &format!("step-latency/{ds}/{t}t/split-units"),
-                fr.get("split_units").and_then(Json::as_f64),
-                br.get("split_units").and_then(Json::as_f64),
-            );
+            // The plan's modeled occupancy at this thread count is a
+            // deterministic function of (plan, threads).
             exact(
                 report,
                 &format!("step-latency/{ds}/{t}t/level-occupancy"),

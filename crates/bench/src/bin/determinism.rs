@@ -27,14 +27,6 @@
 //! naming any failed checks. See DESIGN.md "Plan/exec split & host
 //! parallelism" for why equality is exact rather than within-tolerance.
 //!
-//! The sweep also crosses the intra-front split pass: per (dataset,
-//! mode), a split-disabled serial replay and a split-disabled 4-thread
-//! replay are compared against the same split-enabled serial reference
-//! (`split-off-serial` / `split-off-4t`). This is the strongest claim the
-//! design makes — the sub-unit overlay changes *scheduling only*, so its
-//! bytes must match the unsplit plan's bytes exactly, not merely be
-//! internally consistent across thread counts.
-//!
 //! Finally, per dataset, `analyze-incremental` replays at 1 and 4 threads
 //! beside a twin whose core re-derives the symbolic factorization and the
 //! plan from nothing on every structural change: the plan fingerprints
@@ -50,7 +42,7 @@ use supernova_factors::{Key, Variable};
 use supernova_linalg::NumericMode;
 use supernova_solvers::{Isam2, Isam2Config, OnlineSolver};
 use supernova_sparse::interference::plan_fingerprint;
-use supernova_sparse::{ParallelExecutor, SplitConfig};
+use supernova_sparse::ParallelExecutor;
 
 /// FNV-1a over a byte string.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -80,14 +72,12 @@ fn replay(
     dataset: &Dataset,
     mode: NumericMode,
     threads: usize,
-    split: SplitConfig,
     analyze_from_scratch: bool,
 ) -> Replay {
     let mut solver = Isam2::new(Isam2Config::default());
     solver
         .core_mut()
         .set_executor(ParallelExecutor::new(threads).with_numeric(mode));
-    solver.core_mut().set_split_config(split);
     solver
         .core_mut()
         .set_analyze_from_scratch(analyze_from_scratch);
@@ -114,9 +104,9 @@ fn replay(
 fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
     let name = dataset.name();
     eprintln!("{name} [{mode}]: {} steps", dataset.num_steps());
-    let serial = replay(dataset, mode, 1, SplitConfig::on(), false);
+    let serial = replay(dataset, mode, 1, false);
     for threads in [2usize, 4] {
-        let run = replay(dataset, mode, threads, SplitConfig::on(), false);
+        let run = replay(dataset, mode, threads, false);
         let diverged = serial
             .step_hashes
             .iter()
@@ -148,28 +138,6 @@ fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
             ),
         );
     }
-    // Split-off cross-checks against the split-on serial reference: the
-    // overlay must be invisible in the bytes, at any thread count.
-    for (label, threads) in [("split-off-serial", 1usize), ("split-off-4t", 4)] {
-        let run = replay(dataset, mode, threads, SplitConfig::off(), false);
-        report.check(
-            &format!("{name}/{mode}/{label}/final-bytes"),
-            run.final_bytes == serial.final_bytes,
-            &format!(
-                "{} vs {} bytes (split-on serial reference)",
-                run.final_bytes.len(),
-                serial.final_bytes.len()
-            ),
-        );
-        report.check(
-            &format!("{name}/{mode}/{label}/estimate"),
-            run.estimate == serial.estimate,
-            &format!(
-                "{} poses compared by exact f64 equality",
-                run.estimate.len()
-            ),
-        );
-    }
 }
 
 /// Incremental analysis vs a from-scratch twin, at 1 and 4 threads (the
@@ -178,8 +146,8 @@ fn check_analyze_incremental(report: &mut Report, dataset: &Dataset) {
     let name = dataset.name();
     for threads in [1usize, 4] {
         let mode = NumericMode::F64;
-        let incremental = replay(dataset, mode, threads, SplitConfig::on(), false);
-        let scratch = replay(dataset, mode, threads, SplitConfig::on(), true);
+        let incremental = replay(dataset, mode, threads, false);
+        let scratch = replay(dataset, mode, threads, true);
         let diverged = incremental
             .plan_prints
             .iter()

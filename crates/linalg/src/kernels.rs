@@ -1106,122 +1106,6 @@ pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
     scratch.tick((n * (n + 1)) as u64 * k as u64);
 }
 
-/// Column-strip slice of the blocked SYRK trailing update, with the kernel
-/// path **forced** by the caller: computes `C[r, c] += alpha · Σ_p
-/// A_rows[r, p] · A_cols[c, p]` for the lower-triangle-masked block
-/// (`r ≥ c` in local coordinates), where `A_rows`/`A_cols` are two
-/// untransposed row ranges of the *same* operand panel.
-///
-/// This is the per-element computation [`syrk_core_g`] performs for the
-/// columns of `C` this strip owns: the packed microkernel accumulates each
-/// element over the packed depth in an order that depends only on `kc`
-/// (never on panel alignment), and the direct path is per-column
-/// independent, so running either path over a column strip reproduces the
-/// whole-update bits exactly — **provided** `packed` matches the path the
-/// unsplit `syrk_core_g` call would have dispatched to. Callers derive
-/// `packed` from the *unsplit* update shape, which is why it is a
-/// parameter rather than recomputed from the strip shape here.
-pub(crate) fn syrk_strip_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
-    alpha: S,
-    a_rows: &View<'_, S>,
-    a_cols: &View<'_, S>,
-    c: &mut MutView<'_, S>,
-    packed: bool,
-    scratch: &mut KernelScratch,
-) {
-    let (m, n, k) = (c.rows, c.cols, a_rows.cols);
-    debug_assert_eq!(a_rows.rows, m, "syrk_strip A row-range mismatch");
-    debug_assert_eq!(a_cols.rows, n, "syrk_strip A col-range mismatch");
-    debug_assert_eq!(a_cols.cols, k, "syrk_strip depth mismatch");
-    debug_assert!(
-        !a_rows.trans && !a_cols.trans,
-        "syrk_strip takes untransposed operands"
-    );
-    debug_assert!(m >= n, "syrk_strip block must reach the diagonal");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if !packed {
-        // Mirror of `syrk_direct_g` restricted to this strip's columns:
-        // same per-column loop order (depth ascending, rows ascending) and
-        // the same structural-zero skip.
-        if !A::WIDENS {
-            for j in 0..n {
-                for p in 0..k {
-                    let ajp = alpha * a_cols.at(j, p);
-                    // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
-                    if ajp == S::ZERO {
-                        continue;
-                    }
-                    let acol = a_rows.storage_col(p, m);
-                    let ccol = c.col_tail_mut(j, j, m - j);
-                    for (ci, &ai) in ccol.iter_mut().zip(&acol[j..]) {
-                        *ci += ai * ajp;
-                    }
-                }
-            }
-        } else {
-            for j in 0..n {
-                let ccol = c.col_tail_mut(j, j, m - j);
-                for (r, ci) in ccol.iter_mut().enumerate() {
-                    let i = j + r;
-                    let mut acc = A::ZERO;
-                    for p in 0..k {
-                        acc += A::promote(a_rows.at(i, p) * (alpha * a_cols.at(j, p)));
-                    }
-                    *ci = A::demote(A::promote(*ci) + acc);
-                }
-            }
-        }
-    } else {
-        // Mirror of `syrk_core_g`'s packed body over this strip's columns:
-        // the per-element accumulation order depends only on `kc`, so the
-        // strip-local micro-panel alignment is value-invariant.
-        let at = View {
-            trans: !a_cols.trans,
-            rows: a_cols.cols,
-            cols: a_cols.rows,
-            ..*a_cols
-        };
-        let a_elems = round_up(m, MR_) * KC.min(k);
-        let b_elems = round_up(n, NR_) * KC.min(k);
-        let (apack, bpack) = S::packs(scratch, a_elems, b_elems);
-        let mut p0 = 0usize;
-        while p0 < k {
-            let kc = KC.min(k - p0);
-            pack_a_g::<S, MR_>(a_rows, p0, kc, m, apack);
-            pack_b_g::<S, NR_>(alpha, &at, p0, kc, n, bpack);
-            for jb in 0..n.div_ceil(NR_) {
-                let j0 = jb * NR_;
-                let jw = NR_.min(n - j0);
-                let bpanel = &bpack[jb * kc * NR_..(jb + 1) * kc * NR_];
-                // First row tile that reaches the diagonal: rows
-                // i0 + MR_ - 1 ≥ j0, in strip-local coordinates.
-                for ib in (j0 / MR_)..m.div_ceil(MR_) {
-                    let i0 = ib * MR_;
-                    let ih = MR_.min(m - i0);
-                    let apanel = &apack[ib * kc * MR_..(ib + 1) * kc * MR_];
-                    let mut acc = [[A::ZERO; MR_]; NR_];
-                    microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel, &mut acc);
-                    for (j, accj) in acc.iter().enumerate().take(jw) {
-                        let gj = j0 + j;
-                        // Store only the r ≥ c half (local coordinates).
-                        let r0 = gj.saturating_sub(i0).min(ih);
-                        let col = c.col_tail_mut(gj, i0 + r0, ih - r0);
-                        for (ci, &v) in col.iter_mut().zip(&accj[r0..]) {
-                            *ci = A::demote(A::promote(*ci) + v);
-                        }
-                    }
-                }
-            }
-            p0 += kc;
-        }
-    }
-    // Stored elements only: Σ_j (m − j) length-k MACs. Summed over every
-    // strip of an update this equals `syrk_core_g`'s n(n+1)·k tick.
-    scratch.tick(2 * (n * m - n * (n - 1) / 2) as u64 * k as u64);
-}
-
 /// Direct small-size SYRK: column-AXPY over the lower triangle for the
 /// uniform modes, gathered wide-accumulating dots for the mixed mode.
 fn syrk_direct_g<S: Scalar, A: Accum<S>>(

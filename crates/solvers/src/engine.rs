@@ -10,7 +10,7 @@ use supernova_linalg::{gemm, norm_inf, Mat, NumericMode, Transpose};
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
     interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
-    ParallelExecutor, PlanCertificate, SplitConfig, SupernodeInfo, SymbolicFactor,
+    ParallelExecutor, PlanCertificate, SupernodeInfo, SymbolicFactor,
 };
 
 /// A prepared fill-reducing reordering (see
@@ -99,8 +99,7 @@ pub struct IncrementalCore {
     /// Execution plan derived from `sym` (with its on-demand certificate),
     /// cached across steps and brought up to date only when the pattern's
     /// structure (or the elimination order) actually changes — see
-    /// [`analyze`](Self::analyze). `None` also after a split-configuration
-    /// change, which rebuilds the plan over the unchanged `sym`.
+    /// [`analyze`](Self::analyze).
     plan: Option<CachedPlan>,
     /// Lowest elimination position whose pattern column gained an entry
     /// since `sym` was derived; `None` while `sym` matches the pattern.
@@ -118,9 +117,6 @@ pub struct IncrementalCore {
     plan_certifications: AtomicUsize,
     /// Host executor the numeric plans run on (`SUPERNOVA_THREADS`).
     executor: ParallelExecutor,
-    /// Intra-front split configuration the cached plans are built under
-    /// (`SUPERNOVA_SPLIT`).
-    split: SplitConfig,
     /// Wall-clock schedule of the latest numeric plan execution.
     last_host_schedule: Option<HostSchedule>,
     num: Option<NumericFactor>,
@@ -151,7 +147,6 @@ impl IncrementalCore {
         IncrementalCore {
             relax,
             executor: ParallelExecutor::from_env(),
-            split: SplitConfig::from_env(),
             ..Self::default()
         }
     }
@@ -204,30 +199,14 @@ impl IncrementalCore {
     /// estimates (the serving layer's engine pool relies on this).
     pub fn reset(&mut self) {
         let relax = self.relax;
-        let split = self.split;
         // Clones share the persistent workspace pool, so a recycled core
         // keeps its warm (zero-alloc) buffers.
         let executor = self.executor.clone();
         *self = IncrementalCore {
             relax,
             executor,
-            split,
             ..Self::default()
         };
-    }
-
-    /// Selects the intra-front split configuration the cached execution
-    /// plans are built under (see [`SplitConfig`]). Changing it
-    /// invalidates the plan cache — the next [`analyze`](Self::analyze)
-    /// rebuilds the plan under the new configuration — while the numeric
-    /// cache survives: split and unsplit plans factor bit-identically, so
-    /// cached node factors stay valid. Setting the already-active
-    /// configuration is a no-op.
-    pub fn set_split_config(&mut self, split: SplitConfig) {
-        if self.split != split {
-            self.split = split;
-            self.plan = None;
-        }
     }
 
     /// Test hook: when `on`, every [`analyze`](Self::analyze) that sees a
@@ -239,10 +218,11 @@ impl IncrementalCore {
         self.analyze_from_scratch = on;
     }
 
-    /// The split configuration the cached plans are built under.
-    pub fn split_config(&self) -> SplitConfig {
-        self.split
-    }
+    /// Carries nothing: exists only so the frozen `benchmark/` package's
+    /// `ExecutionPlan::from_symbolic_with_split(&sym, core.split_config())`
+    /// still builds. The next benchmark change deletes it.
+    #[doc(hidden)]
+    pub fn split_config(&self) {}
 
     /// The cached execution plan (after the first [`analyze`](Self::analyze)).
     pub fn plan(&self) -> Option<&ExecutionPlan> {
@@ -471,11 +451,8 @@ impl IncrementalCore {
     /// the suffix is re-derived
     /// ([`SymbolicFactor::reanalyze`], [`ExecutionPlan::update`]). The
     /// result is structurally equal to a from-scratch
-    /// [`SymbolicFactor::analyze`] +
-    /// [`ExecutionPlan::from_symbolic_with_split`] (debug builds assert
-    /// it). A split-configuration change
-    /// ([`set_split_config`](Self::set_split_config)) rebuilds the whole
-    /// plan over the unchanged symbolic factorization, and
+    /// [`SymbolicFactor::analyze`] + [`ExecutionPlan::from_symbolic`]
+    /// (debug builds assert it).
     /// [`apply_reorder`](Self::apply_reorder) installs a fresh pair, since
     /// a permutation leaves no column in place. The plan's certificate is
     /// not derived here — see [`plan_certificate`](Self::plan_certificate).
@@ -498,15 +475,12 @@ impl IncrementalCore {
         }
         // lint: allow(unwrap) — assigned above or on a previous call
         let sym = self.sym.as_ref().expect("just set");
-        if stale || self.plan.is_none() {
+        if stale {
             let plan = match self.plan.take() {
                 Some(cached) => cached.plan.update(sym, first_changed),
-                None => ExecutionPlan::from_symbolic_with_split(sym, self.split),
+                None => ExecutionPlan::from_symbolic(sym),
             };
-            debug_assert_eq!(
-                plan,
-                ExecutionPlan::from_symbolic_with_split(sym, self.split)
-            );
+            debug_assert_eq!(plan, ExecutionPlan::from_symbolic(sym));
             self.plan = Some(CachedPlan::new(plan));
             self.plan_generation += 1;
         }
@@ -592,7 +566,7 @@ impl IncrementalCore {
         // A permutation leaves no column in place, so nothing of the old
         // symbolic factorization or plan is reusable: install the pair the
         // candidate was priced with.
-        let exec_plan = ExecutionPlan::from_symbolic_with_split(&plan.sym, self.split);
+        let exec_plan = ExecutionPlan::from_symbolic(&plan.sym);
         self.plan = Some(CachedPlan::new(exec_plan));
         self.plan_generation += 1;
         self.sym = Some(plan.sym);
@@ -1017,45 +991,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn plan_cache_keyed_on_split_config() {
-        let mut core = chain_core();
-        core.analyze();
-        let gen = core.plan_generation();
-        core.factorize_and_solve();
-        let bytes = core.numeric_bytes().expect("solved");
-
-        // Re-setting the active configuration is a no-op on the cache.
-        core.set_split_config(core.split_config());
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen);
-
-        // A different split configuration rebuilds the plan exactly once,
-        // even though the pattern counts are unchanged — the cache key
-        // includes the config, not just the structure.
-        core.set_split_config(SplitConfig::off());
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen + 1);
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen + 1);
-        assert_eq!(
-            core.plan().expect("plan cached").split_config(),
-            SplitConfig::off()
-        );
-
-        // Numeric results are split-invariant: the cached factor stays
-        // valid under the rebuilt plan and the bytes do not move.
-        core.factorize_and_solve();
-        assert_eq!(core.numeric_bytes().expect("solved"), bytes);
-
-        // Switching back rebuilds once more, bytes still identical.
-        core.set_split_config(SplitConfig::on());
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen + 2);
-        core.factorize_and_solve();
-        assert_eq!(core.numeric_bytes().expect("solved"), bytes);
-    }
-
     /// [`loopy_core`] on `threads` executor workers, with the number of
     /// plan generations it executed.
     fn loopy_replay(threads: usize, n: usize) -> (IncrementalCore, usize) {
@@ -1108,15 +1043,11 @@ mod tests {
         assert!(core.plan_certificate().is_some_and(|c| c.covers(plan)));
         assert_eq!(core.plan_certifications(), 2);
 
-        // So do a split-configuration change and a reorder.
-        core.set_split_config(SplitConfig::off());
-        core.analyze();
-        assert!(core.plan_certificate().is_some());
-        assert_eq!(core.plan_certifications(), 3);
+        // So does a reorder.
         let reorder = core.reorder_candidate().expect("nonempty");
         core.apply_reorder(reorder);
         assert!(core.plan_certificate().is_some());
-        assert_eq!(core.plan_certifications(), 4);
+        assert_eq!(core.plan_certifications(), 3);
 
         core.reset();
         assert_eq!(core.plan_certifications(), 0);

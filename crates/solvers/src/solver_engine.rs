@@ -18,7 +18,7 @@ use supernova_runtime::{
     exec_span, hw_span, simulate_step_traced, RelinCostModel, SchedulerConfig, StepBudget,
     StepTrace,
 };
-use supernova_sparse::{ParallelExecutor, SplitConfig};
+use supernova_sparse::ParallelExecutor;
 use supernova_trace::{Category, Span, SpanGuard, TraceConfig};
 
 use crate::{OnlineSolver, RaIsam2, RaIsam2Config};
@@ -177,19 +177,6 @@ impl SolverEngine {
     /// The numeric precision mode this engine's kernels run under.
     pub fn numeric_mode(&self) -> NumericMode {
         self.solver.core().numeric_mode()
-    }
-
-    /// Selects the intra-front split configuration future plans are built
-    /// under. Changing it invalidates the cached plan and certificate (the
-    /// overlay is part of the plan's identity), not the numeric cache —
-    /// split plans are byte-identical to unsplit ones.
-    pub fn set_split_config(&mut self, split: SplitConfig) {
-        self.solver.core_mut().set_split_config(split);
-    }
-
-    /// The split configuration future plans are built under.
-    pub fn split_config(&self) -> SplitConfig {
-        self.solver.core().split_config()
     }
 
     /// Processes one online step (the new pose's initial guess plus its

@@ -6,11 +6,11 @@
 //! allowlist; the serve dispatcher's worker pool is the other notable
 //! entry). An [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
 //! run one of two ways: **inline** on the calling thread in plan
-//! postorder, each task whole, or — given at least two workers and a
-//! [`PlanCertificate`] covering the plan — as **waves**: the plan's levels
-//! of mutually independent work items (sub-units of the intra-front split
-//! overlay, when the plan carries one), one atomic claim cursor per wave
-//! and a barrier between waves. Because every task is a pure function of
+//! postorder, or — given at least two workers and a [`PlanCertificate`]
+//! covering the plan — as **waves**: the plan's topological levels of
+//! mutually independent tasks, one atomic claim cursor per wave and a
+//! barrier between waves. Either way one work item is one whole task.
+//! Because every task is a pure function of
 //! the Hessian and its children's cached update matrices — merged in the
 //! plan's fixed child order — results are bit-identical to inline
 //! execution at any thread count.
@@ -22,7 +22,6 @@ use std::time::Instant;
 use supernova_linalg::{KernelScratch, Mat, NumericMode};
 
 use crate::interference::PlanCertificate;
-use crate::plan::{PlanUnit, UnitKind};
 use crate::ExecutionPlan;
 
 /// A worker's preallocated scratch buffers, reused across every task the
@@ -98,9 +97,9 @@ pub enum DispatchMode {
     #[default]
     Serial = 0,
     /// Worker pool with one atomic claim cursor per wave (a topological
-    /// level of tasks, or a sub-level of the split overlay's units) and a
-    /// barrier between waves — no locks on the task path. Requires a
-    /// [`PlanCertificate`] proving same-wave work access-disjoint.
+    /// level of tasks) and a barrier between waves — no locks on the task
+    /// path. Requires a [`PlanCertificate`] proving same-level tasks
+    /// access-disjoint.
     LevelBatched = 2,
 }
 
@@ -150,15 +149,6 @@ pub struct HostSchedule {
     pub mode: DispatchMode,
     /// Numeric precision the executing workers' kernels ran under.
     pub numeric: NumericMode,
-    /// Number of sub-unit spans in this record — sub-units actually
-    /// *dispatched*, not what the plan's overlay holds. Always 0 on an
-    /// inline execution (one worker runs whole fronts, whatever the plan
-    /// carries); positive when waves ran a plan with a split overlay
-    /// (each span is then one sub-unit, and a split task contributes
-    /// several spans sharing its `node` id). So, like `workers` and
-    /// `mode`, it depends on the thread count. Exported as the
-    /// `split_mode` trace counter.
-    pub split_units: usize,
 }
 
 impl HostSchedule {
@@ -390,45 +380,34 @@ impl Default for ParallelExecutor {
 
 impl ParallelExecutor {
     /// Executes the plan's tasks flagged in `recompute`, calling `work_fn`
-    /// exactly once per work item of every flagged task, after everything
-    /// the item depends on has completed. A work item is a [`PlanUnit`].
-    /// `work_fn` publishes each task's result itself (the numeric layer
-    /// uses a `OnceLock` slot per node), so the executor only sequences
-    /// work and records the [`HostSchedule`], one [`TaskSpan`] per item.
+    /// exactly once per flagged task id, after every flagged child of the
+    /// task has completed. `work_fn` publishes each task's result itself
+    /// (the numeric layer uses a `OnceLock` slot per node), so the executor
+    /// only sequences work and records the [`HostSchedule`], one
+    /// [`TaskSpan`] per task.
     ///
-    /// There are two ways to sequence the items:
+    /// There are two ways to sequence the tasks:
     ///
     /// - **inline** ([`DispatchMode::Serial`]): the calling thread walks
-    ///   the plan postorder and runs every flagged task as one
-    ///   [`UnitKind::Whole`] item at the task's level, *whatever overlay
-    ///   the plan carries* — strips and sub-unit barriers can buy nothing
-    ///   without a second worker, so one worker runs whole fronts;
+    ///   the plan postorder;
     /// - **waves** ([`DispatchMode::LevelBatched`]): workers claim the
-    ///   items of one wave at a time and meet at a barrier before the
-    ///   next. Only this path executes the split overlay: with one
-    ///   ([`ExecutionPlan::has_units`]) the items are its sub-units and the
-    ///   waves are [`ExecutionPlan::unit_levels`]; without, whole tasks
-    ///   over [`ExecutionPlan::levels`].
+    ///   tasks of one [level](ExecutionPlan::levels) at a time and meet at
+    ///   a barrier before the next.
     ///
-    /// Which of the two runs is decided by one rule, `takes_waves`, which
-    /// the numeric layer asks too (it builds the overlay's shared strip
-    /// state only for waves): at least two workers, at least two flagged
-    /// tasks and a `cert` that [covers](PlanCertificate::covers) `plan` —
-    /// the proof that same-wave items are access-disjoint and that every
-    /// dependency between items crosses a wave boundary. Without it — no
-    /// certificate, or one computed from another plan — a multi-worker
-    /// executor runs inline, the conservative direction: there is no
-    /// multi-worker dispatch without the proof.
+    /// Which of the two runs is decided by one rule, `takes_waves`: at
+    /// least two workers, at least two flagged tasks and a `cert` that
+    /// [covers](PlanCertificate::covers) `plan` — the proof that same-level
+    /// tasks are access-disjoint and that every dependency crosses a level
+    /// boundary. Without it — no certificate, or one computed from another
+    /// plan — a multi-worker executor runs inline, the conservative
+    /// direction: there is no multi-worker dispatch without the proof.
     ///
-    /// Results are bit-identical on both paths — the certificate only
-    /// changes *when* independent items run, never their inputs. The span
-    /// *count* of a split task follows the path (one span inline, one per
-    /// sub-unit in waves; [`HostSchedule::split_units`] says which); the
-    /// set of nodes covered does not, and the trace layer folds a task's
-    /// unit spans into one per-node span.
+    /// Results and the recorded span set are the same on both paths — the
+    /// certificate only changes *when* independent tasks run, never their
+    /// inputs.
     ///
-    /// On error, in-flight items finish, no new items start, and the
-    /// error from the lowest-numbered failing task is returned.
+    /// On error, in-flight tasks finish, no new tasks start, and the error
+    /// from the lowest-numbered failing task is returned.
     pub fn run<E, F>(
         &self,
         plan: &ExecutionPlan,
@@ -438,7 +417,7 @@ impl ParallelExecutor {
     ) -> (Result<(), E>, HostSchedule)
     where
         E: Send,
-        F: Fn(PlanUnit, &mut Workspace) -> Result<(), E> + Sync,
+        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
     {
         assert_eq!(recompute.len(), plan.num_tasks());
         // One sweep over the tasks per execution, shared by every
@@ -454,9 +433,8 @@ impl ParallelExecutor {
         }
     }
 
-    /// The wave-or-inline rule of [`run`](Self::run), written once: the
-    /// dispatcher and the numeric layer both ask here.
-    pub(crate) fn takes_waves(
+    /// The wave-or-inline rule of [`run`](Self::run), written once.
+    fn takes_waves(
         &self,
         plan: &ExecutionPlan,
         recompute: &[bool],
@@ -467,85 +445,37 @@ impl ParallelExecutor {
     }
 }
 
-/// Task `s` presented as a single whole-task unit at the task's level —
-/// which is all a whole task is to the dispatcher.
-fn whole_task(plan: &ExecutionPlan, s: usize) -> PlanUnit {
-    PlanUnit {
-        task: s,
-        kind: UnitKind::Whole,
-        sublevel: plan.tasks()[s].level,
-    }
-}
-
-/// The wave path's work item behind dispatch id `id`: unit `id` of the
-/// split overlay when the plan carries one, and otherwise task `id` whole.
-fn wave_item(plan: &ExecutionPlan, id: usize) -> PlanUnit {
-    if plan.has_units() {
-        plan.units()[id]
-    } else {
-        whole_task(plan, id)
-    }
-}
-
-/// What one worker executed: a span per work item, and how many of the
-/// items were sub-units of a split task.
-#[derive(Default)]
-struct WorkerLog {
-    spans: Vec<TaskSpan>,
-    split_units: usize,
-}
-
-impl WorkerLog {
-    /// Runs `unit` on `ws`, timed on the execution's shared clock.
-    ///
-    /// Forced inline: what runs between one item's `end` stamp and the
-    /// next one's `start` stamp is the inline path's entire dispatch cost
-    /// (~0.08 µs per item, `sparse.dispatch_overhead_us_per_task` in the
-    /// benchmark ledger), and an out-of-line call here adds 10–25 ns to it.
-    #[inline(always)]
-    fn run_timed<E>(
-        &mut self,
-        unit: PlanUnit,
-        worker: usize,
-        origin: Instant,
-        ws: &mut Workspace,
-        work_fn: &impl Fn(PlanUnit, &mut Workspace) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let start = origin.elapsed().as_secs_f64();
-        let res = work_fn(unit, ws);
-        let end = origin.elapsed().as_secs_f64();
-        self.spans.push(TaskSpan {
-            node: unit.task,
-            worker,
-            start,
-            end,
-            kernel_flops: ws.scratch_mut().take_flops(),
-        });
-        self.split_units += usize::from(unit.kind != UnitKind::Whole);
-        res
-    }
-
-    /// Seals the log into the execution's schedule record.
-    fn into_schedule(
-        self,
-        exec: &ParallelExecutor,
-        workers: usize,
-        origin: f64,
-        mode: DispatchMode,
-    ) -> HostSchedule {
-        HostSchedule {
-            spans: self.spans,
-            workers,
-            origin,
-            mode,
-            numeric: exec.numeric,
-            split_units: self.split_units,
-        }
-    }
+/// Runs task `s` on `ws`, timed on the execution's shared clock, and
+/// records its span in `spans`.
+///
+/// Forced inline: what runs between one task's `end` stamp and the next
+/// one's `start` stamp is the inline path's entire dispatch cost (~0.08 µs
+/// per task, `sparse.dispatch_overhead_us_per_task` in the benchmark
+/// ledger), and an out-of-line call here adds 10–25 ns to it.
+#[inline(always)]
+fn run_timed<E>(
+    spans: &mut Vec<TaskSpan>,
+    s: usize,
+    worker: usize,
+    origin: Instant,
+    ws: &mut Workspace,
+    work_fn: &impl Fn(usize, &mut Workspace) -> Result<(), E>,
+) -> Result<(), E> {
+    let start = origin.elapsed().as_secs_f64();
+    let res = work_fn(s, ws);
+    let end = origin.elapsed().as_secs_f64();
+    spans.push(TaskSpan {
+        node: s,
+        worker,
+        start,
+        end,
+        kernel_flops: ws.scratch_mut().take_flops(),
+    });
+    res
 }
 
 /// Inline execution on the calling thread: plan postorder, every flagged
-/// task one whole-task item. The plan's split overlay is not consulted.
+/// task in turn.
 fn run_inline<E, F>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
@@ -554,36 +484,45 @@ fn run_inline<E, F>(
     work_fn: &F,
 ) -> (Result<(), E>, HostSchedule)
 where
-    F: Fn(PlanUnit, &mut Workspace) -> Result<(), E>,
+    F: Fn(usize, &mut Workspace) -> Result<(), E>,
 {
     let epoch = supernova_trace::epoch_seconds();
     let origin = Instant::now();
     let mut workspaces = exec.checkout(1, bounds);
-    let mut log = WorkerLog::default();
+    // lint: allow(hot-alloc) — per-execution span record, not the task path
+    let mut spans = Vec::new();
     let mut res = Ok(());
     for &s in plan.postorder() {
         if !recompute[s] {
             continue;
         }
-        res = log.run_timed(whole_task(plan, s), 0, origin, &mut workspaces[0], work_fn);
+        res = run_timed(&mut spans, s, 0, origin, &mut workspaces[0], work_fn);
         if res.is_err() {
             break;
         }
     }
     exec.checkin(workspaces);
-    (res, log.into_schedule(exec, 1, epoch, DispatchMode::Serial))
+    let sched = HostSchedule {
+        spans,
+        workers: 1,
+        origin: epoch,
+        mode: DispatchMode::Serial,
+        numeric: exec.numeric,
+    };
+    (res, sched)
 }
 
 /// A sense-reversing barrier that spins briefly before parking on a
-/// condvar. `std::sync::Barrier` always takes its mutex; with sub-level
-/// dispatch there are ~`2×panels` barriers per task level, so the
-/// microseconds each crossing costs sit directly on the critical path.
-/// Workers spin for a short budget (the common case: the level's last
-/// task finishes within it) and only then fall back to blocking — so an
-/// idle machine still sleeps instead of burning a core. When the pool
-/// oversubscribes the host (more parties than CPUs), spinning would
-/// steal cycles from the very worker everyone is waiting on, so the
-/// caller passes a zero budget and waiters park immediately.
+/// condvar. `std::sync::Barrier` always takes its mutex; wave dispatch
+/// crosses one barrier per topological level — a few dozen per plan
+/// execution on the seeded datasets, most of them levels of a few small
+/// tasks — so the microseconds each crossing costs sit directly on the
+/// critical path. Workers spin for a short budget (the common case:
+/// the level's last task finishes within it) and only then fall back to
+/// blocking — so an idle machine still sleeps instead of burning a core.
+/// When the pool oversubscribes the host (more parties than CPUs),
+/// spinning would steal cycles from the very worker everyone is waiting
+/// on, so the caller passes a zero budget and waiters park immediately.
 struct SpinBarrier {
     parties: usize,
     spin_budget_micros: u128,
@@ -594,8 +533,10 @@ struct SpinBarrier {
 }
 
 /// How long a worker spins at a barrier before parking. Roughly two
-/// orders of magnitude above a barrier crossing itself, two below a
-/// typical panel kernel.
+/// orders of magnitude above a barrier crossing itself (well under a
+/// microsecond), and small next to the wide fronts that make a level run
+/// long (a 300-wide front's whole task is milliseconds) — so a waiter
+/// parks, and pays a wake-up, only where the wait was long anyway.
 const BARRIER_SPIN_BUDGET_MICROS: u128 = 50;
 
 impl SpinBarrier {
@@ -652,18 +593,17 @@ impl SpinBarrier {
 }
 
 /// Wave execution on a scoped worker pool, for certified plans: one atomic
-/// claim cursor per wave and a [`SpinBarrier`] between waves.
+/// claim cursor per topological level and a [`SpinBarrier`] between
+/// levels.
 ///
 /// Inside a wave there is no ordering at all — the [`PlanCertificate`]
-/// proves same-wave items access-disjoint (whole tasks of one topological
-/// level; tile rectangles of one sub-level), so any interleaving computes
-/// identical bits. *Between* waves the barrier provides the happens-before
-/// edge every cross-wave read needs (a parent consuming a child's
-/// published update matrix, a tile reading its panel's strip): a worker
-/// passes the wave-`k` barrier only after every wave-`k` item has
-/// completed and published.
+/// proves the tasks of one level access-disjoint, so any interleaving
+/// computes identical bits. *Between* waves the barrier provides the
+/// happens-before edge every cross-level read needs (a parent consuming a
+/// child's published update matrix): a worker passes the level-`k` barrier
+/// only after every level-`k` task has completed and published.
 ///
-/// The task path holds no locks: claiming an item is one `fetch_add` on
+/// The task path holds no locks: claiming a task is one `fetch_add` on
 /// the wave cursor. On error the abort flag stops further claims, but
 /// every worker still reaches every barrier so nobody deadlocks.
 fn run_waves<E, F>(
@@ -675,36 +615,28 @@ fn run_waves<E, F>(
 ) -> (Result<(), E>, HostSchedule)
 where
     E: Send,
-    F: Fn(PlanUnit, &mut Workspace) -> Result<(), E> + Sync,
+    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
 {
-    let levels = if plan.has_units() {
-        plan.unit_levels()
-    } else {
-        plan.levels()
-    };
-    // Per-wave worklists of the dispatch ids of recomputed tasks,
-    // ascending so claim order is deterministic given claim timing.
+    // Per-level worklists of the recomputed tasks, ascending so claim
+    // order is deterministic given claim timing.
     // lint: allow(hot-alloc) — per-execution dispatch tables, not the task path
-    let waves: Vec<Vec<usize>> = levels
+    let waves: Vec<Vec<usize>> = plan
+        .levels()
         .iter()
         .map(|members| {
-            let mut v: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&id| recompute[wave_item(plan, id).task])
-                .collect();
+            let mut v: Vec<usize> = members.iter().copied().filter(|&s| recompute[s]).collect();
             v.sort_unstable();
             v
         })
         .collect();
-    let items: usize = waves.iter().map(Vec::len).sum();
+    let tasks: usize = waves.iter().map(Vec::len).sum();
     let cursors: Vec<AtomicUsize> = waves.iter().map(|_| AtomicUsize::new(0)).collect();
     let abort = AtomicBool::new(false);
     // lint: allow(hot-alloc) — per-execution error collector, not the task path
     let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
     let epoch = supernova_trace::epoch_seconds();
     let origin = Instant::now();
-    let nworkers = exec.threads.min(items);
+    let nworkers = exec.threads.min(tasks);
     let spin_budget_micros = if nworkers > exec.host_cpus {
         0
     } else {
@@ -712,7 +644,8 @@ where
     };
     let barrier = SpinBarrier::new(nworkers, spin_budget_micros);
 
-    let mut log = WorkerLog::default();
+    // lint: allow(hot-alloc) — per-execution span record, not the task path
+    let mut spans = Vec::with_capacity(tasks);
     // lint: allow(hot-alloc) — per-execution workspace handback, not the task path
     let mut returned = Vec::with_capacity(nworkers);
     std::thread::scope(|scope| {
@@ -724,17 +657,19 @@ where
             .enumerate()
             .map(|(worker, mut ws)| {
                 scope.spawn(move || {
-                    let mut mine = WorkerLog::default();
+                    // lint: allow(hot-alloc) — per-worker span record, not the task path
+                    let mut mine = Vec::new();
                     for (members, cursor) in waves.iter().zip(cursors) {
                         while !abort.load(Ordering::Acquire) {
                             let idx = cursor.fetch_add(1, Ordering::AcqRel);
-                            let Some(&id) = members.get(idx) else {
+                            let Some(&s) = members.get(idx) else {
                                 break;
                             };
-                            let unit = wave_item(plan, id);
-                            if let Err(e) = mine.run_timed(unit, worker, origin, &mut ws, work_fn) {
+                            if let Err(e) =
+                                run_timed(&mut mine, s, worker, origin, &mut ws, work_fn)
+                            {
                                 // lint: allow(unwrap) — poisoning needs a prior worker panic
-                                errors.lock().unwrap().push((unit.task, e));
+                                errors.lock().unwrap().push((s, e));
                                 abort.store(true, Ordering::Release);
                             }
                         }
@@ -748,17 +683,21 @@ where
             .collect();
         for h in handles {
             if let Ok((theirs, ws)) = h.join() {
-                log.spans.extend(theirs.spans);
-                log.split_units += theirs.split_units;
+                spans.extend(theirs);
                 returned.push(ws);
             }
         }
     });
     exec.checkin(returned);
 
-    log.spans
-        .sort_by(|a, b| a.start.total_cmp(&b.start).then(a.node.cmp(&b.node)));
-    let sched = log.into_schedule(exec, nworkers, epoch, DispatchMode::LevelBatched);
+    spans.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.node.cmp(&b.node)));
+    let sched = HostSchedule {
+        spans,
+        workers: nworkers,
+        origin: epoch,
+        mode: DispatchMode::LevelBatched,
+        numeric: exec.numeric,
+    };
     let first = errors
         .into_inner()
         .unwrap_or_default()
@@ -782,22 +721,22 @@ mod tests {
         ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
     }
 
-    fn split_plan() -> ExecutionPlan {
-        let mut p = BlockPattern::new(vec![64, 64, 64]);
-        p.add_block_edge(0, 2);
+    /// Supernodes {0}, {1} and {2, 3}: two independent leaves under one
+    /// root, so waves run a level of two tasks side by side.
+    fn fork_plan() -> ExecutionPlan {
+        let mut p = BlockPattern::new(vec![2; 4]);
+        p.add_block_edge(0, 3);
         p.add_block_edge(1, 2);
-        ExecutionPlan::from_symbolic_with_split(
-            &SymbolicFactor::analyze(&p, 0),
-            crate::plan::SplitConfig::on(),
-        )
+        p.add_block_edge(2, 3);
+        ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
     }
 
-    /// The plans every dispatch case runs over: one without a split
-    /// overlay (whole tasks), one with (sub-units).
+    /// The plans every dispatch case runs over: a chain and a fork (a
+    /// level of two independent tasks).
     fn plans() -> [(&'static str, ExecutionPlan); 2] {
-        let (chain, split) = (plan_of(24), split_plan());
-        assert!(!chain.has_units() && split.has_units());
-        [("chain", chain), ("split", split)]
+        let (chain, fork) = (plan_of(24), fork_plan());
+        assert_eq!(fork.levels()[0].len(), 2);
+        [("chain", chain), ("fork", fork)]
     }
 
     /// The certificates a case can be handed, with whether each covers
@@ -820,34 +759,8 @@ mod tests {
         covers && threads > 1 && flagged > 1
     }
 
-    /// Dispatch ids of task `s` in canonical order: its units when the
-    /// overlay is executed (`by_units`: waves over a split plan), the task
-    /// itself otherwise.
-    fn ids_of_task(plan: &ExecutionPlan, by_units: bool, s: usize) -> std::ops::Range<usize> {
-        if by_units {
-            let (lo, hi) = plan.task_units_range(s);
-            lo..hi
-        } else {
-            s..s + 1
-        }
-    }
-
-    /// Dispatch id of a unit the executor handed to the work closure —
-    /// which must be exactly one of the plan's own units when the overlay
-    /// is executed, and otherwise the whole task at its level.
-    fn id_of(plan: &ExecutionPlan, by_units: bool, unit: PlanUnit) -> usize {
-        if !by_units {
-            assert_eq!(unit.kind, UnitKind::Whole);
-            assert_eq!(unit.sublevel, plan.tasks()[unit.task].level);
-            return unit.task;
-        }
-        ids_of_task(plan, true, unit.task)
-            .find(|&u| plan.units()[u] == unit)
-            .expect("executor dispatched a unit the plan does not contain")
-    }
-
-    /// What one execution did, per dispatch id: how often the item ran and
-    /// its `(start, end)` ticks on a logical clock shared by all workers.
+    /// What one execution did, per task: how often it ran and its
+    /// `(start, end)` ticks on a logical clock shared by all workers.
     struct Observed {
         sched: HostSchedule,
         runs: Vec<usize>,
@@ -856,28 +769,22 @@ mod tests {
 
     fn observe(
         plan: &ExecutionPlan,
-        by_units: bool,
         recompute: &[bool],
         threads: usize,
         cert: Option<&PlanCertificate>,
     ) -> Observed {
-        let num_ids = if by_units {
-            plan.num_units()
-        } else {
-            plan.num_tasks()
-        };
+        let n = plan.num_tasks();
         let clock = AtomicU64::new(0);
         let tick = || clock.fetch_add(1, Ordering::SeqCst) + 1;
-        let runs: Vec<AtomicUsize> = (0..num_ids).map(|_| AtomicUsize::new(0)).collect();
-        let ticks: Vec<(AtomicU64, AtomicU64)> = (0..num_ids)
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let ticks: Vec<(AtomicU64, AtomicU64)> = (0..n)
             .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
             .collect();
         let (res, sched) =
-            ParallelExecutor::new(threads).run::<(), _>(plan, recompute, cert, |unit, _ws| {
-                let id = id_of(plan, by_units, unit);
-                ticks[id].0.store(tick(), Ordering::SeqCst);
-                runs[id].fetch_add(1, Ordering::SeqCst);
-                ticks[id].1.store(tick(), Ordering::SeqCst);
+            ParallelExecutor::new(threads).run::<(), _>(plan, recompute, cert, |s, _ws| {
+                ticks[s].0.store(tick(), Ordering::SeqCst);
+                runs[s].fetch_add(1, Ordering::SeqCst);
+                ticks[s].1.store(tick(), Ordering::SeqCst);
                 Ok(())
             });
         assert!(res.is_ok());
@@ -888,46 +795,6 @@ mod tests {
                 .into_iter()
                 .map(|(s, e)| (s.into_inner(), e.into_inner()))
                 .collect(),
-        }
-    }
-
-    /// Children complete before their parent starts; inside a split task a
-    /// panel completes before its tiles start, and everything before the
-    /// finish.
-    fn assert_dependency_order(
-        plan: &ExecutionPlan,
-        by_units: bool,
-        recompute: &[bool],
-        ticks: &[(u64, u64)],
-        case: &str,
-    ) {
-        let before = |a: usize, b: usize| {
-            assert!(
-                ticks[a].1 < ticks[b].0,
-                "{case}: item {b} started before item {a} finished"
-            );
-        };
-        for task in plan.tasks().iter().filter(|t| recompute[t.node]) {
-            let ids = ids_of_task(plan, by_units, task.node);
-            for mg in task.merges.iter().filter(|mg| recompute[mg.child]) {
-                for c in ids_of_task(plan, by_units, mg.child) {
-                    ids.clone().for_each(|p| before(c, p));
-                }
-            }
-            if !by_units {
-                continue;
-            }
-            for id in ids.clone() {
-                match plan.units()[id].kind {
-                    UnitKind::Tile { panel, .. } => {
-                        let want = UnitKind::Panel { panel };
-                        let pid = ids.clone().find(|&u| plan.units()[u].kind == want);
-                        before(pid.expect("tile without its panel"), id);
-                    }
-                    UnitKind::Finish => (ids.start..id).for_each(|u| before(u, id)),
-                    _ => {}
-                }
-            }
         }
     }
 
@@ -951,52 +818,41 @@ mod tests {
                             "{name}, {} flagged, {threads} threads, {cert_name}",
                             flagged.len()
                         );
-                        // The overlay is executed by waves only: inline
-                        // presents every flagged task as one `Whole` item,
-                        // whatever the plan carries.
-                        let waves = expect_waves(covers, threads, flagged.len());
-                        let by_units = waves && plan.has_units();
-                        let want_ids: Vec<usize> = flagged
-                            .iter()
-                            .flat_map(|&s| ids_of_task(&plan, by_units, s))
-                            .collect();
-                        let want_split_units = want_ids
-                            .iter()
-                            .filter(|&&id| by_units && plan.units()[id].kind != UnitKind::Whole)
-                            .count();
-                        let seen = observe(&plan, by_units, &recompute, threads, cert.as_ref());
+                        let seen = observe(&plan, &recompute, threads, cert.as_ref());
                         let sched = &seen.sched;
 
-                        // Every item of a flagged task ran exactly once,
-                        // and nothing else ran at all.
-                        for (id, &runs) in seen.runs.iter().enumerate() {
-                            let want = usize::from(want_ids.contains(&id));
-                            assert_eq!(runs, want, "{case}: item {id}");
+                        // Every flagged task ran exactly once, and nothing
+                        // else ran at all.
+                        for (s, &runs) in seen.runs.iter().enumerate() {
+                            assert_eq!(runs, usize::from(recompute[s]), "{case}: task {s}");
                         }
-                        assert_dependency_order(&plan, by_units, &recompute, &seen.ticks, &case);
+                        // Every flagged child completed before its parent
+                        // started.
+                        for task in plan.tasks().iter().filter(|t| recompute[t.node]) {
+                            for mg in task.merges.iter().filter(|mg| recompute[mg.child]) {
+                                assert!(
+                                    seen.ticks[mg.child].1 < seen.ticks[task.node].0,
+                                    "{case}: task {} started before child {} finished",
+                                    task.node,
+                                    mg.child
+                                );
+                            }
+                        }
 
                         // No multi-worker dispatch without the proof (or
                         // for a single flagged task).
-                        if waves {
+                        if expect_waves(covers, threads, flagged.len()) {
                             assert_eq!(sched.mode, DispatchMode::LevelBatched, "{case}");
-                            assert_eq!(sched.workers, threads.min(want_ids.len()), "{case}");
+                            assert_eq!(sched.workers, threads.min(flagged.len()), "{case}");
                             assert!(sched.workers > 1, "{case}");
                         } else {
                             assert_eq!(sched.mode, DispatchMode::Serial, "{case}");
                             assert_eq!(sched.workers, 1, "{case}");
                         }
 
-                        // One span per item. The span *count* of a split
-                        // task follows the path; the set of nodes covered
-                        // is what inline and waves share.
-                        assert_eq!(sched.spans.len(), want_ids.len(), "{case}");
-                        assert_eq!(sched.split_units, want_split_units, "{case}");
-                        if plan.has_units() {
-                            assert_eq!(sched.split_units > 0, waves, "{case}");
-                        }
+                        // One span per flagged task, on either path.
                         let mut nodes: Vec<usize> = sched.spans.iter().map(|s| s.node).collect();
                         nodes.sort_unstable();
-                        nodes.dedup();
                         assert_eq!(nodes, flagged, "{case}");
                     }
                 }
@@ -1008,20 +864,16 @@ mod tests {
     fn error_from_the_lowest_failing_task_is_returned_without_deadlock() {
         for (name, plan) in plans() {
             let recompute = vec![true; plan.num_tasks()];
-            // Fail task 0 — whole when it runs whole, and mid-task (at its
-            // first panel) when waves run it as the overlay's sub-units.
-            let fails = |unit: PlanUnit| {
-                unit.task == 0
-                    && matches!(unit.kind, UnitKind::Whole | UnitKind::Panel { panel: 0 })
-            };
-            assert!(!plan.has_units() || plan.units().iter().any(|&u| fails(u)));
+            // Tasks 0 and 1 fail: the fork's two leaves share a level, so
+            // waves may see both errors and must report the lower one.
+            let fails = |s: usize| s < 2;
             for threads in [1usize, 2, 4] {
                 for (cert_name, cert, _) in certificates(&plan) {
                     let (res, _) = ParallelExecutor::new(threads).run::<usize, _>(
                         &plan,
                         &recompute,
                         cert.as_ref(),
-                        |unit, _ws| if fails(unit) { Err(unit.task) } else { Ok(()) },
+                        |s, _ws| if fails(s) { Err(s) } else { Ok(()) },
                     );
                     assert_eq!(res, Err(0), "{name}, {threads} threads, {cert_name}");
                 }
@@ -1060,7 +912,7 @@ mod tests {
             // the contract — so every buffer it touches was grown at
             // checkout, before any worker ran, and no arena growth can
             // depend on which worker claimed which task.
-            let task = |_unit: PlanUnit, ws: &mut Workspace| -> Result<(), ()> {
+            let task = |_s: usize, ws: &mut Workspace| -> Result<(), ()> {
                 let (front, scratch) = ws.parts();
                 front.reset(front_dim, front_dim);
                 scratch.reserve(pack);
@@ -1088,7 +940,7 @@ mod tests {
         let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         let exec = ParallelExecutor::new(2);
-        let (res, sched) = exec.run::<(), _>(&plan, &recompute, Some(&cert), |_unit, _ws| Ok(()));
+        let (res, sched) = exec.run::<(), _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
         assert!(res.is_ok());
         // No kernels ran, so every span meters zero — but the field is
         // present and the schedule total agrees.
@@ -1102,8 +954,7 @@ mod tests {
         let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         let (res, sched) =
-            ParallelExecutor::new(2)
-                .run::<(), _>(&plan, &recompute, Some(&cert), |_unit, _ws| Ok(()));
+            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
         assert!(res.is_ok());
         assert!(sched.dispatch_overhead_s() >= 0.0);
         assert!(sched.dispatch_overhead_per_task_s() >= 0.0);
@@ -1143,7 +994,7 @@ mod tests {
         let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         let (res, sched) =
-            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_unit, ws| {
+            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_s, ws| {
                 // Touch the workspace so the buffer path is exercised.
                 ws.front_mut().reset(4, 4);
                 Ok(())

@@ -63,8 +63,5 @@ pub use interference::PlanCertificate;
 pub use numeric::{FactorizeError, NodeTrace, NumericFactor, RefactorStats};
 pub use ordering::Permutation;
 pub use pattern::BlockPattern;
-pub use plan::{
-    ChildMerge, ExecutionPlan, PlanTask, PlanUnit, ScatterBlock, SplitConfig, SplitShape, UnitKind,
-    SPLIT_ENV,
-};
+pub use plan::{ChildMerge, ExecutionPlan, PlanTask, ScatterBlock};
 pub use symbolic::{SupernodeInfo, SymbolicFactor};

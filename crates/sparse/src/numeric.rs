@@ -10,17 +10,15 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use supernova_linalg::ops::{Op, OpTrace};
-use supernova_linalg::split::{split_panel_f32, split_panel_f64, split_tile_f32, split_tile_f64};
 use supernova_linalg::{
     partial_cholesky_scratch_mode, solve_lower_leading, solve_lower_transpose_leading, Mat,
     NumericMode,
 };
 
 use crate::executor::{HostSchedule, ParallelExecutor, Workspace};
-use crate::plan::{SplitShape, UnitKind};
 use crate::{BlockMat, ExecutionPlan, SymbolicFactor};
 
 /// A supernode's Cholesky pivot was not positive definite.
@@ -219,16 +217,8 @@ impl NumericFactor {
     /// multi-worker executor dispatch proven-safe waves in lock-free
     /// batches ([`DispatchMode::LevelBatched`](crate::DispatchMode));
     /// without one the plan runs inline on the calling thread, whatever
-    /// the thread count. Bit-identical either way.
-    ///
-    /// The plan's intra-front split overlay is executed only by waves:
-    /// this asks the executor's own wave-or-inline rule (the one
-    /// [`ParallelExecutor::run`] dispatches by) and builds the overlay's
-    /// shared strip buffers only when waves will run. An inline execution
-    /// — one worker, one flagged task, or no covering certificate — runs
-    /// every task as the whole front an unsplit plan would run, allocates
-    /// no strip state and reports
-    /// [`split_units`](HostSchedule::split_units)` == 0`.
+    /// the thread count. Bit-identical either way: every task runs whole,
+    /// out of one worker's own workspace, on either path.
     ///
     /// # Errors
     ///
@@ -284,52 +274,10 @@ impl NumericFactor {
         }
 
         let numeric = exec.numeric();
-        // Shared strip state for every recomputed split task, allocated up
-        // front on the calling thread so sub-unit execution itself stays
-        // allocation-free — and only when `run` is going to take waves:
-        // inline runs every task whole and never looks at the overlay.
-        let split_state: Vec<Option<TaskSplit>> =
-            if plan.has_units() && exec.takes_waves(plan, &is_recompute, cert) {
-                plan.tasks()
-                    .iter()
-                    .enumerate()
-                    .map(|(s, task)| {
-                        plan.split_shape(s)
-                            .filter(|_| is_recompute[s])
-                            .map(|shape| TaskSplit::new(&shape, task.front_dim(), numeric))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-        let (res, sched) = exec.run(plan, &is_recompute, cert, |unit, ws| {
-            let s = unit.task;
-            let split = || {
-                split_state
-                    .get(s)
-                    .and_then(Option::as_ref)
-                    // lint: allow(unwrap) — sub-units only reach waves, for split tasks
-                    .expect("sub-unit without its strip state")
-            };
-            match unit.kind {
-                UnitKind::Whole => {
-                    let out = compute_task(plan, h, s, &slots, ws, numeric)?;
-                    let published = slots[s].set(out).is_ok();
-                    debug_assert!(published, "task {s} executed twice");
-                }
-                UnitKind::Assemble { strip } => {
-                    assemble_strip(plan, h, s, strip, &slots, split(), numeric);
-                }
-                UnitKind::Panel { panel } => panel_step(plan, s, panel, split(), ws, numeric)?,
-                UnitKind::Tile { panel, strip } => {
-                    tile_step(plan, s, panel, strip, split(), ws, numeric);
-                }
-                UnitKind::Finish => {
-                    let out = finish_task(plan, h, s, split(), numeric);
-                    let published = slots[s].set(out).is_ok();
-                    debug_assert!(published, "task {s} finished twice");
-                }
-            }
+        let (res, sched) = exec.run(plan, &is_recompute, cert, |s, ws| {
+            let out = compute_task(plan, h, s, &slots, ws, numeric)?;
+            let published = slots[s].set(out).is_ok();
+            debug_assert!(published, "task {s} executed twice");
             Ok(())
         });
         res?;
@@ -622,330 +570,6 @@ fn compute_task(
     ))
 }
 
-/// Shared frontal state of one *split* task while its sub-units execute
-/// as waves (an inline execution runs the task whole in the worker's own
-/// workspace and never builds one): one lock-guarded column strip per
-/// [`SplitShape`] strip. Strip `q` stores front columns `[q·tile, …)` at
-/// leading dimension `front_dim`, so its memory is byte-identical to
-/// those columns of the whole-front workspace; under a narrow mode each
-/// strip also carries the f32 shadow the mode's engine factors (demoted
-/// by the strip's Assemble unit, promoted back by Finish — exactly as
-/// `partial_cholesky_scratch_mode` round-trips the whole front).
-///
-/// The write locks never block: the plan's sub-levels already order every
-/// writer-after-writer and writer-after-reader pair (the interference
-/// certificate proves the rectangles disjoint within a sub-level), so
-/// each acquisition succeeds immediately — the locks make the sharing
-/// safe under `forbid(unsafe_code)`, they do not schedule it. Tiles of
-/// one panel share the panel strip through concurrent read locks.
-struct TaskSplit {
-    /// Strip width in scalar columns (= the plan's `SplitConfig::tile`).
-    tile: usize,
-    strips: Vec<RwLock<StripBuf>>,
-}
-
-/// One column strip of a split task's frontal workspace.
-struct StripBuf {
-    /// f64 columns, leading dimension = the front dimension.
-    data: Vec<f64>,
-    /// f32 shadow factored by the narrow engines (empty in `F64` mode).
-    data32: Vec<f32>,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// [`TaskSplit`]s built on this thread — they are built on the thread
-    /// that calls `execute_plan_certified`, so a test reads its own count.
-    static TASK_SPLITS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-impl TaskSplit {
-    fn new(shape: &SplitShape, front_dim: usize, numeric: NumericMode) -> Self {
-        #[cfg(test)]
-        TASK_SPLITS_BUILT.with(|n| n.set(n.get() + 1));
-        let strips = (0..shape.strips)
-            .map(|q| {
-                let elems = front_dim * shape.strip_width(q, front_dim);
-                RwLock::new(StripBuf {
-                    data: vec![0.0f64; elems],
-                    data32: if numeric == NumericMode::F64 {
-                        Vec::new()
-                    } else {
-                        vec![0.0f32; elems]
-                    },
-                })
-            })
-            .collect();
-        TaskSplit {
-            tile: shape.tile,
-            strips,
-        }
-    }
-}
-
-/// Executes one `Assemble` unit: scatters the Hessian columns and the
-/// children's cached update matrices into one column strip of the front,
-/// clipped to the strip's columns, in exactly the order `compute_task`
-/// assembles the whole front — each front element receives the same
-/// additions in the same order, so the strip contents are bit-identical
-/// to the corresponding whole-front columns. Under a narrow mode the
-/// strip is then demoted into its f32 shadow, element for element as the
-/// whole-front demote does.
-fn assemble_strip(
-    plan: &ExecutionPlan,
-    h: &BlockMat,
-    s: usize,
-    strip: usize,
-    slots: &[OnceLock<(NodeFactor, OpTrace)>],
-    split: &TaskSplit,
-    numeric: NumericMode,
-) {
-    let task = &plan.tasks()[s];
-    let dim = task.front_dim();
-    let col0 = strip * split.tile;
-    let w = split.tile.min(dim - col0);
-    // lint: allow(unwrap) — the certificate orders all strip writers
-    let mut guard = split.strips[strip].write().expect("strip lock poisoned");
-    let StripBuf { data, data32 } = &mut *guard;
-
-    // Hessian columns owned by this node, clipped to [col0, col0 + w).
-    for (jj, j) in task.cols().enumerate() {
-        let cj = task.col_offsets[jj];
-        for (i, blk) in h.col_blocks(j) {
-            let ri = task
-                .local_offset(i)
-                .unwrap_or_else(|| panic!("H block ({i},{j}) outside front of node {s}"));
-            let lo = col0.max(cj);
-            let hi = (col0 + w).min(cj + blk.cols());
-            for c in lo..hi {
-                let dst = (c - col0) * dim + ri;
-                for r in 0..blk.rows() {
-                    data[dst + r] += blk[(r, c - cj)];
-                }
-            }
-        }
-    }
-
-    // Extend-add of the children's cached updates, in the plan's fixed
-    // child order (the determinism anchor), clipped to the strip.
-    for mg in &task.merges {
-        // lint: allow(unwrap) — the sub-levels order child Finish before parent Assemble
-        let (child, _) = slots[mg.child].get().expect("child factored after parent");
-        for b in &mg.blocks {
-            let lo = col0.max(b.dst_col);
-            let hi = (col0 + w).min(b.dst_col + b.cols);
-            for c in lo..hi {
-                let sc = b.src_col + (c - b.dst_col);
-                let dst = (c - col0) * dim + b.dst_row;
-                for r in 0..b.rows {
-                    data[dst + r] += child.update[(b.src_row + r, sc)];
-                }
-            }
-        }
-    }
-
-    if numeric != NumericMode::F64 {
-        for (d, &v) in data32.iter_mut().zip(data.iter()) {
-            *d = v as f32;
-        }
-    }
-}
-
-/// Executes one `Panel` unit: the serial panel step (diagonal Cholesky,
-/// below-panel TRSM, intra-strip trailing slice) on the strip that stores
-/// the panel, in the mode's kernel engine.
-fn panel_step(
-    plan: &ExecutionPlan,
-    s: usize,
-    panel: usize,
-    split: &TaskSplit,
-    ws: &mut Workspace,
-    numeric: NumericMode,
-) -> Result<(), FactorizeError> {
-    let task = &plan.tasks()[s];
-    // lint: allow(unwrap) — Panel units only exist on split tasks
-    let shape = plan.split_shape(s).expect("panel on unsplit task");
-    let dim = task.front_dim();
-    let (k, b) = shape.panel_cols(panel, task.pivot_dim);
-    let sp = shape.strip_of_panel(panel);
-    let col0 = sp * shape.tile;
-    let tail_end = col0 + shape.strip_width(sp, dim);
-    let (_, scratch) = ws.parts();
-    // lint: allow(unwrap) — the certificate orders all strip writers
-    let mut guard = split.strips[sp].write().expect("strip lock poisoned");
-    let r = if numeric == NumericMode::F64 {
-        split_panel_f64(&mut guard.data, dim, dim, col0, k, b, tail_end, scratch)
-    } else {
-        split_panel_f32(
-            numeric,
-            &mut guard.data32,
-            dim,
-            dim,
-            col0,
-            k,
-            b,
-            tail_end,
-            scratch,
-        )
-    };
-    r.map_err(|e| FactorizeError {
-        node: s,
-        front_col: e.col(),
-    })
-}
-
-/// Executes one `Tile` unit: the trailing-update slice owned by strip
-/// `strip` after `panel`, reading the panel's strip and writing its own.
-fn tile_step(
-    plan: &ExecutionPlan,
-    s: usize,
-    panel: usize,
-    strip: usize,
-    split: &TaskSplit,
-    ws: &mut Workspace,
-    numeric: NumericMode,
-) {
-    let task = &plan.tasks()[s];
-    // lint: allow(unwrap) — Tile units only exist on split tasks
-    let shape = plan.split_shape(s).expect("tile on unsplit task");
-    let dim = task.front_dim();
-    let (k, b) = shape.panel_cols(panel, task.pivot_dim);
-    let sp = shape.strip_of_panel(panel);
-    let pcol0 = sp * shape.tile;
-    let qcol0 = strip * shape.tile;
-    let qcols = shape.strip_width(strip, dim);
-    let (_, scratch) = ws.parts();
-    // lint: allow(unwrap) — tiles of one panel share the panel strip read-only
-    let pguard = split.strips[sp].read().expect("strip lock poisoned");
-    // lint: allow(unwrap) — the certificate proves tile write rectangles disjoint
-    let mut dguard = split.strips[strip].write().expect("strip lock poisoned");
-    if numeric == NumericMode::F64 {
-        split_tile_f64(
-            &pguard.data,
-            &mut dguard.data,
-            dim,
-            dim,
-            pcol0,
-            k,
-            b,
-            qcol0,
-            qcols,
-            scratch,
-        );
-    } else {
-        split_tile_f32(
-            numeric,
-            &pguard.data32,
-            &mut dguard.data32,
-            dim,
-            dim,
-            pcol0,
-            k,
-            b,
-            qcol0,
-            qcols,
-            scratch,
-        );
-    }
-}
-
-/// Executes the `Finish` unit: gathers the published `NodeFactor` out of
-/// the strips (promoting the f32 shadow exactly under a narrow mode, and
-/// zeroing the strict upper triangle of the pivot columns exactly as
-/// `zero_strict_upper` does for the whole-front path) and emits the
-/// task's canonical op trace — the *same* trace `compute_task` records,
-/// so estimates and simulated cycles are split-invariant.
-fn finish_task(
-    plan: &ExecutionPlan,
-    h: &BlockMat,
-    s: usize,
-    split: &TaskSplit,
-    numeric: NumericMode,
-) -> (NodeFactor, OpTrace) {
-    let task = &plan.tasks()[s];
-    let m = task.pivot_dim;
-    let n = task.rem_dim;
-    let t = m + n;
-
-    // Canonical per-task trace, mirroring compute_task op for op.
-    let mut trace = OpTrace::new();
-    trace.push(Op::Memset { bytes: t * t * 4 });
-    let mut asm_blocks = 0usize;
-    let mut asm_elems = 0usize;
-    for j in task.cols() {
-        for (_, blk) in h.col_blocks(j) {
-            asm_blocks += 1;
-            asm_elems += blk.rows() * blk.cols();
-        }
-    }
-    if asm_blocks > 0 {
-        trace.push(Op::Memcpy {
-            bytes: asm_elems * 4,
-        });
-        trace.push(Op::ScatterAdd {
-            blocks: asm_blocks,
-            elems: asm_elems,
-        });
-    }
-    for mg in &task.merges {
-        if !mg.blocks.is_empty() {
-            trace.push(Op::Memcpy {
-                bytes: mg.elems * 4,
-            });
-            trace.push(Op::ScatterAdd {
-                blocks: mg.blocks.len(),
-                elems: mg.elems,
-            });
-        }
-    }
-    trace.push(Op::Chol { n: m });
-    if n > 0 {
-        trace.push(Op::Trsm { m: n, n: m });
-        trace.push(Op::Syrk { n, k: m });
-    }
-
-    // lint: allow(unwrap) — the sub-levels order every writer before Finish
-    let guards: Vec<_> = split
-        .strips
-        .iter()
-        .map(|l| l.read().expect("strip lock poisoned"))
-        .collect();
-    let tile = split.tile;
-    // Rows `r0..` of front column `c`, streamed out of the strip that
-    // stores the column.
-    let col_into = |c: usize, r0: usize, dst: &mut [f64]| {
-        let q = c / tile;
-        let lo = (c - q * tile) * t + r0;
-        let hi = lo + dst.len();
-        if numeric == NumericMode::F64 {
-            dst.copy_from_slice(&guards[q].data[lo..hi]);
-        } else {
-            for (d, &v) in dst.iter_mut().zip(&guards[q].data32[lo..hi]) {
-                *d = v as f64;
-            }
-        }
-    };
-    // The published results genuinely own their storage — the one
-    // permitted allocation per task, as in compute_task.
-    let mut l = Mat::zeros(t, m); // lint: allow(hot-alloc)
-    for c in 0..m {
-        col_into(c, c, &mut l.col_mut(c)[c..]);
-    }
-    let mut update = Mat::zeros(n, n); // lint: allow(hot-alloc)
-    for c in 0..n {
-        col_into(m + c, m, update.col_mut(c));
-    }
-    trace.push(Op::Memcpy { bytes: t * m * 4 });
-    (
-        NodeFactor {
-            l,
-            update,
-            sig: task.sig,
-        },
-        trace,
-    )
-}
-
 /// `x[rows] -= v`, scattering block-contiguous `v` into the global vector.
 fn scatter_sub(sym: &SymbolicFactor, rows: &[usize], v: &[f64], x: &mut [f64]) {
     let mut k = 0usize;
@@ -1193,6 +817,33 @@ mod tests {
         h.add_to_block(1, 1, &Mat::from_rows(1, 1, &[1.0]));
         let err = NumericFactor::factorize(&sym, &h).unwrap_err();
         assert!(!format!("{err}").is_empty());
+
+        // Wide fronts: supernodes {0} and {1} are 128-wide leaves of one
+        // level (four workers run them as a wave) under the root {2, 3}.
+        // A pivot poisoned past node 0's first kernel panel is reported at
+        // its node and front column on either path.
+        let mut p = BlockPattern::new(vec![64; 4]);
+        p.add_block_edge(0, 3);
+        p.add_block_edge(1, 2);
+        p.add_block_edge(2, 3);
+        let sym = SymbolicFactor::analyze(&p, 0);
+        let plan = ExecutionPlan::from_symbolic(&sym);
+        assert_eq!(plan.levels()[0], [0, 1]);
+        let mut h = build_h(&p, 9);
+        for j in 0..4 {
+            h.add_to_block(j, j, &Mat::from_diag(&[64.0; 64]));
+        }
+        let mut bad = Mat::zeros(64, 64);
+        bad[(50, 50)] = -1e9;
+        h.add_to_block(0, 0, &bad);
+        let all = [0usize, 1, 2, 3];
+        for threads in [1usize, 4] {
+            let mut num = NumericFactor::empty(&plan);
+            let err = num
+                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
+                .unwrap_err();
+            assert_eq!((err.node(), err.front_col()), (0, 50), "{threads} threads");
+        }
     }
 
     #[test]
@@ -1362,226 +1013,6 @@ mod tests {
         let num1 = NumericFactor::factorize(&sym, &h1).unwrap();
         assert_ne!(num0.serialize_bytes(), num1.serialize_bytes());
         assert_eq!(num0.serialize_bytes(), num0.serialize_bytes());
-    }
-
-    /// Three 64-wide variable blocks: two 128-wide fronts (64 pivot + 64
-    /// remainder) feeding a 64-wide root — the smallest pattern on which
-    /// the default split pass produces panel/tile sub-units.
-    fn big_pattern() -> BlockPattern {
-        let mut p = BlockPattern::new(vec![64, 64, 64]);
-        p.add_block_edge(0, 2);
-        p.add_block_edge(1, 2);
-        p
-    }
-
-    /// [`build_h`] with a diagonal strong enough for 64-wide blocks (the
-    /// default boost is tuned for the tiny loopy patterns).
-    fn build_big_h(p: &BlockPattern, seed: u64) -> BlockMat {
-        let mut h = build_h(p, seed);
-        for j in 0..p.num_blocks() {
-            let d = p.block_dims()[j];
-            h.add_to_block(j, j, &Mat::from_diag(&vec![d as f64; d]));
-        }
-        h
-    }
-
-    #[test]
-    fn split_execution_is_bit_identical_to_unsplit_serial() {
-        use crate::SplitConfig;
-        let p = big_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let h = build_big_h(&p, 23);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-        let unsplit = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
-        let split = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on());
-        assert!(split.has_units(), "128-wide fronts must split");
-        let cert = crate::interference::certify(&split).expect("split plan certifies");
-        for mode in [NumericMode::F64, NumericMode::F32, NumericMode::F32F64] {
-            let mut oracle = NumericFactor::empty(&unsplit);
-            let exec = ParallelExecutor::serial().with_numeric(mode);
-            let (ostats, _) = oracle.execute_plan(&unsplit, &h, &all, &exec).unwrap();
-            let bytes = oracle.serialize_bytes();
-            for threads in [1usize, 2, 4, 8] {
-                let mut fac = NumericFactor::empty(&split);
-                let exec = ParallelExecutor::new(threads).with_numeric(mode);
-                let (stats, sched) = fac
-                    .execute_plan_certified(&split, &h, &all, &exec, Some(&cert))
-                    .unwrap();
-                assert_eq!(
-                    bytes,
-                    fac.serialize_bytes(),
-                    "{mode:?} at {threads} threads diverged from unsplit serial"
-                );
-                assert_eq!(stats.recomputed_nodes(), ostats.recomputed_nodes());
-                assert_eq!(
-                    stats.flops(),
-                    ostats.flops(),
-                    "{mode:?} at {threads} threads: split op traces must match unsplit"
-                );
-                // The overlay is executed by waves only: one worker runs
-                // whole fronts out of its own workspace.
-                let built = TASK_SPLITS_BUILT.with(|n| n.replace(0));
-                if threads == 1 {
-                    assert_eq!(
-                        sched.spans.len(),
-                        split.num_tasks(),
-                        "{mode:?}: span per task"
-                    );
-                    assert_eq!(
-                        sched.split_units, 0,
-                        "{mode:?}: inline dispatched sub-units"
-                    );
-                    assert_eq!(built, 0, "{mode:?}: inline built strip state");
-                } else {
-                    assert_eq!(
-                        sched.spans.len(),
-                        split.num_units(),
-                        "{mode:?} at {threads} threads: one span per unit"
-                    );
-                    assert!(
-                        sched.split_units > 0 && built > 0,
-                        "{mode:?} at {threads} threads: split units must dispatch"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multiworker_split_plan_without_covering_certificate_builds_no_strip_state() {
-        use crate::SplitConfig;
-        let p = big_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let h = build_big_h(&p, 23);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-        let unsplit = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
-        let split = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on());
-        assert!(split.has_units());
-        // A proof of some other plan is no proof of this one.
-        let foreign = crate::interference::certify(&unsplit).expect("unsplit plan certifies");
-        assert!(!foreign.covers(&split));
-        let mut oracle = NumericFactor::empty(&unsplit);
-        oracle
-            .execute_plan(&unsplit, &h, &all, &ParallelExecutor::serial())
-            .unwrap();
-        for cert in [None, Some(&foreign)] {
-            TASK_SPLITS_BUILT.with(|n| n.set(0));
-            let mut fac = NumericFactor::empty(&split);
-            let (_, sched) = fac
-                .execute_plan_certified(&split, &h, &all, &ParallelExecutor::new(4), cert)
-                .unwrap();
-            assert_eq!(TASK_SPLITS_BUILT.with(|n| n.get()), 0);
-            assert_eq!(sched.mode, crate::DispatchMode::Serial);
-            assert_eq!(
-                (sched.spans.len(), sched.split_units),
-                (split.num_tasks(), 0)
-            );
-            assert_eq!(oracle.serialize_bytes(), fac.serialize_bytes());
-        }
-    }
-
-    #[test]
-    fn split_incremental_refactor_matches_unsplit() {
-        use crate::SplitConfig;
-        let p = big_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let h0 = build_big_h(&p, 5);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-        let unsplit = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
-        let split = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on());
-        let cert = crate::interference::certify(&split).expect("split plan certifies");
-        let mut h1 = h0.clone();
-        h1.add_to_block(1, 1, &Mat::from_diag(&vec![1.25; 64]));
-
-        let mut oracle = NumericFactor::empty(&unsplit);
-        oracle
-            .execute_plan(&unsplit, &h0, &all, &ParallelExecutor::serial())
-            .unwrap();
-        let (ostats, _) = oracle
-            .execute_plan(&unsplit, &h1, &[1], &ParallelExecutor::serial())
-            .unwrap();
-        assert!(ostats.reused > 0, "a local change must reuse node 0");
-
-        for threads in [1usize, 4] {
-            let exec = ParallelExecutor::new(threads);
-            let mut fac = NumericFactor::empty(&split);
-            fac.execute_plan_certified(&split, &h0, &all, &exec, Some(&cert))
-                .unwrap();
-            let (stats, _) = fac
-                .execute_plan_certified(&split, &h1, &[1], &exec, Some(&cert))
-                .unwrap();
-            assert_eq!(stats.reused, ostats.reused);
-            assert_eq!(stats.recomputed_nodes(), ostats.recomputed_nodes());
-            assert_eq!(
-                oracle.serialize_bytes(),
-                fac.serialize_bytes(),
-                "incremental split refactor diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn split_threshold_boundary_fronts_stay_identical() {
-        use crate::SplitConfig;
-        let p = big_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let h = build_big_h(&p, 7);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-        let off = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
-        let mut oracle = NumericFactor::empty(&off);
-        oracle
-            .execute_plan(&off, &h, &all, &ParallelExecutor::serial())
-            .unwrap();
-        let bytes = oracle.serialize_bytes();
-        // Exactly at the largest front dimension the fronts still split;
-        // one above, the plan must carry no units at all.
-        let at = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on().with_min_dim(128));
-        assert!(at.has_units(), "threshold == front dim must split");
-        let above =
-            ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on().with_min_dim(129));
-        assert!(!above.has_units(), "threshold above front dim must not");
-        for plan in [&at, &above] {
-            let cert = crate::interference::certify(plan).expect("plan certifies");
-            let mut fac = NumericFactor::empty(plan);
-            fac.execute_plan_certified(plan, &h, &all, &ParallelExecutor::new(4), Some(&cert))
-                .unwrap();
-            assert_eq!(bytes, fac.serialize_bytes());
-        }
-    }
-
-    #[test]
-    fn split_error_matches_unsplit_node_and_column() {
-        use crate::SplitConfig;
-        let p = big_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let mut h = build_big_h(&p, 9);
-        // Poison a pivot in node 0's second factorization panel so the
-        // failure surfaces mid-split (front column 50 ≥ SPLIT_NB).
-        let mut bad = Mat::zeros(64, 64);
-        bad[(50, 50)] = -1e9;
-        h.add_to_block(0, 0, &bad);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-        let unsplit = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
-        let split = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::on());
-        let cert = crate::interference::certify(&split).expect("split plan certifies");
-        let mut wfac = NumericFactor::empty(&unsplit);
-        let werr = wfac
-            .execute_plan(&unsplit, &h, &all, &ParallelExecutor::serial())
-            .unwrap_err();
-        assert!(werr.front_col() >= 48, "poison must land past panel 0");
-        for threads in [1usize, 4] {
-            let mut sfac = NumericFactor::empty(&split);
-            let serr = sfac
-                .execute_plan_certified(
-                    &split,
-                    &h,
-                    &all,
-                    &ParallelExecutor::new(threads),
-                    Some(&cert),
-                )
-                .unwrap_err();
-            assert_eq!(serr, werr, "split error at {threads} threads");
-        }
     }
 
     #[test]

@@ -21,9 +21,7 @@
 #                every seeded dataset's execution plan; report archived at
 #                results/analyze_diagnostics.json
 #   determinism  serial vs 2/4-thread factorization bit-identity, swept
-#                over every numeric mode (f64 / f32 / f32f64) and the
-#                intra-front split pass (split-off runs must match the
-#                split-on serial reference byte for byte); plus
+#                over every numeric mode (f64 / f32 / f32f64); plus
 #                analyze-incremental: prefix-reusing analysis vs a
 #                from-scratch twin, plan fingerprints equal on every step
 #   numeric-ape  per-mode trajectory accuracy: narrow-mode APE gated

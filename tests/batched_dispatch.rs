@@ -1,15 +1,16 @@
 //! Integration tests for certificate-gated batched dispatch: on every
-//! seeded dataset, the level-batched executor path must produce
-//! bit-identical numeric factors to the serial path at every thread
-//! count, every batched schedule must pass the host-schedule validator,
-//! and the certificate gate must select the expected mode — waves with a
-//! covering proof, inline on the calling thread without one.
+//! seeded dataset, in every numeric mode, the level-batched executor path
+//! must produce bit-identical numeric factors to the serial path at every
+//! thread count, every schedule must pass the host-schedule validator
+//! (one whole-task span per recomputed node), and the certificate gate
+//! must select the expected mode — waves with a covering proof, inline on
+//! the calling thread without one.
 
 use std::sync::Arc;
 
 use supernova::datasets::Dataset;
 use supernova::hw::Platform;
-use supernova::linalg::Mat;
+use supernova::linalg::{Mat, NumericMode};
 use supernova::runtime::CostModel;
 use supernova::solvers::{RaIsam2Config, SolverEngine};
 use supernova::sparse::{
@@ -37,12 +38,12 @@ struct Replay {
 }
 
 /// Replays `ds` through the incremental engine on `threads` executor
-/// workers, validating each step's schedule against its plan along the
-/// way.
-fn run(ds: &Dataset, threads: usize) -> Replay {
+/// workers under `mode`, validating each step's schedule against its plan
+/// along the way.
+fn run(ds: &Dataset, mode: NumericMode, threads: usize) -> Replay {
     let cost = Arc::new(CostModel::new(Platform::supernova(2)));
     let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
-    engine.set_executor(ParallelExecutor::new(threads));
+    engine.set_executor(ParallelExecutor::new(threads).with_numeric(mode));
     let mut modes = Vec::new();
     for step in ds.online_steps() {
         let trace = engine.step(step.truth, step.factors);
@@ -52,7 +53,7 @@ fn run(ds: &Dataset, threads: usize) -> Replay {
             let violations = validate_host_schedule(plan, sched, &recomputed);
             assert!(
                 violations.is_empty(),
-                "{} ({threads} threads): invalid schedule: {violations:?}",
+                "{} ({mode}, {threads} threads): invalid schedule: {violations:?}",
                 ds.name()
             );
             // Several workers run a step inline only when it recomputes at
@@ -60,7 +61,7 @@ fn run(ds: &Dataset, threads: usize) -> Replay {
             // certification — a correctness regression, not noise.
             assert!(
                 threads == 1 || sched.mode == DispatchMode::LevelBatched || recomputed.len() <= 1,
-                "{} ({threads} threads): a {}-task step ran inline",
+                "{} ({mode}, {threads} threads): a {}-task step ran inline",
                 ds.name(),
                 recomputed.len()
             );
@@ -85,26 +86,28 @@ fn run(ds: &Dataset, threads: usize) -> Replay {
 #[test]
 fn batched_dispatch_is_bit_identical_across_thread_counts() {
     for ds in sweep_datasets() {
-        let serial = run(&ds, 1);
-        assert!(
-            serial.modes.iter().all(|&m| m == DispatchMode::Serial),
-            "{}: single-thread executor must stay serial",
-            ds.name()
-        );
-        for threads in [2usize, 4, 8] {
-            let batched = run(&ds, threads);
-            assert_eq!(
-                batched.bytes,
-                serial.bytes,
-                "{} at {threads} threads: batched factor bytes diverge from serial",
+        for mode in NumericMode::ALL {
+            let serial = run(&ds, mode, 1);
+            assert!(
+                serial.modes.iter().all(|&m| m == DispatchMode::Serial),
+                "{} [{mode}]: single-thread executor must stay serial",
                 ds.name()
             );
-            assert!(
-                batched.modes.contains(&DispatchMode::LevelBatched),
-                "{} at {threads} threads: no step used batched dispatch (modes: {:?})",
-                ds.name(),
-                batched.modes
-            );
+            for threads in [2usize, 4, 8] {
+                let batched = run(&ds, mode, threads);
+                assert_eq!(
+                    batched.bytes,
+                    serial.bytes,
+                    "{} [{mode}] at {threads} threads: batched factor bytes diverge from serial",
+                    ds.name()
+                );
+                assert!(
+                    batched.modes.contains(&DispatchMode::LevelBatched),
+                    "{} [{mode}] at {threads} threads: no step used batched dispatch (modes: {:?})",
+                    ds.name(),
+                    batched.modes
+                );
+            }
         }
     }
 }
@@ -138,7 +141,7 @@ fn uncertified_multiworker_execution_runs_inline_and_stays_bit_identical() {
     let replays: Vec<(Dataset, Replay)> = sweep_datasets()
         .into_iter()
         .map(|ds| {
-            let replay = run(&ds, 1);
+            let replay = run(&ds, NumericMode::F64, 1);
             (ds, replay)
         })
         .collect();
