@@ -1,9 +1,14 @@
 //! Integration tests: determinism of the whole pipeline and the g2o
 //! round-trip path into the solvers.
 
+use std::sync::Arc;
+
 use supernova::core::{run_online, ExperimentConfig, PricingTarget, SolverKind};
 use supernova::datasets::Dataset;
+use supernova::factors::{Key, Variable};
 use supernova::hw::Platform;
+use supernova::runtime::CostModel;
+use supernova::solvers::{RaIsam2Config, SolverEngine};
 
 #[test]
 fn identical_runs_produce_identical_latencies_and_errors() {
@@ -58,6 +63,63 @@ fn g2o_roundtrip_preserves_solver_behaviour() {
         let d = va.translation_distance(est_b.get(k));
         assert!(d < 1e-6, "estimates diverged at {k}: {d}");
     }
+}
+
+/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Runs RA-ISAM2 online over `ds`, each new pose guessed as the previous
+/// estimate composed with the odometry (as `core::run_online` does), and
+/// fingerprints the final factor bytes plus every pose estimate's f64 bits.
+fn se3_online_fingerprint(ds: &Dataset) -> u64 {
+    let cost = Arc::new(CostModel::new(Platform::supernova(2)));
+    let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
+    for (i, step) in ds.online_steps().into_iter().enumerate() {
+        let init = match (&step.odometry, i) {
+            (Some(Variable::Se3(odom)), 1..) => match engine.pose_estimate(Key(i - 1)) {
+                Variable::Se3(prev) => Variable::Se3(prev.compose(odom)),
+                other => panic!("SE(3) stream holds {other:?}"),
+            },
+            _ => step.truth.clone(),
+        };
+        engine.step(init, step.factors);
+    }
+    let mut h = fnv1a(
+        0xcbf2_9ce4_8422_2325,
+        &engine.numeric_bytes().expect("solved"),
+    );
+    for (_, var) in engine.estimate().iter() {
+        let pose = var.as_se3().expect("SE(3) stream");
+        let rot = pose.rotation().matrix();
+        for x in rot.as_slice().iter().chain(&pose.translation()) {
+            h = fnv1a(h, &x.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The cross-version golden for SE(3) numerics: factor bytes and estimates
+/// of two online RA-ISAM2 sessions, pinned to committed constants. A change
+/// to the SO(3)/SE(3) group operations, linearization or the Hessian update
+/// that moves a single bit fails here; regenerate the constants only with a
+/// change that moves bits on purpose.
+#[test]
+fn se3_online_numerics_match_committed_golden() {
+    let got = [
+        se3_online_fingerprint(&Dataset::sphere_scaled(0.12)),
+        se3_online_fingerprint(&Dataset::cab1_scaled(0.2)),
+    ];
+    assert_eq!(
+        got,
+        [0xb145_1e31_fb44_5e57, 0x17e4_407e_d92d_d20e],
+        "[sphere x0.12, cab1 x0.2] fingerprints: {got:#018x?}"
+    );
 }
 
 #[test]
