@@ -213,11 +213,24 @@ const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
 ];
 
 /// `(file, fn name)` pairs whose function body (brace extent) is hot-alloc
-/// scope: the multifrontal task body runs once per supernode per step, and
-/// the supernodal triangular solve visits every supernode twice per step.
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 2] = [
+/// scope: the multifrontal task body runs once per supernode per step, the
+/// supernodal triangular solve visits every supernode twice per step, and
+/// the SO(3)/SE(3) group operations run dozens of times per relinearized
+/// factor (a name covers every fn of that name in its file, so `exp`
+/// scopes both `Rot3::exp` and `Se3::exp`).
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 12] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
     ("crates/sparse/src/numeric.rs", "solve_in_place"),
+    ("crates/factors/src/se3.rs", "exp"),
+    ("crates/factors/src/se3.rs", "log"),
+    ("crates/factors/src/se3.rs", "compose"),
+    ("crates/factors/src/se3.rs", "inverse"),
+    ("crates/factors/src/se3.rs", "rotate"),
+    ("crates/factors/src/se3.rs", "normalized"),
+    ("crates/factors/src/se3.rs", "retract"),
+    ("crates/factors/src/se3.rs", "local"),
+    ("crates/factors/src/se3.rs", "hat"),
+    ("crates/factors/src/se3.rs", "mul3"),
 ];
 
 /// Files where every panic-capable construct is a protocol bug: the wire

@@ -77,9 +77,8 @@ impl LinearizedFactor {
 pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedFactor {
     const H: f64 = 1e-6;
     let keys = factor.keys().to_vec();
-    let vars: Vec<Variable> = keys.iter().map(|&k| values.get(k).clone()).collect();
-    let refs: Vec<&Variable> = vars.iter().collect();
-    let r0 = factor.error(&refs);
+    let vars: Vec<&Variable> = keys.iter().map(|&k| values.get(k)).collect();
+    let r0 = factor.error(&vars);
     let dim = r0.len();
     debug_assert_eq!(
         dim,
@@ -90,24 +89,22 @@ pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedF
     let whitened0 = factor.noise().whiten(&r0);
     let robust = factor.noise().robust_weight(&whitened0).sqrt();
     let mut jacobians = Vec::with_capacity(keys.len());
-    for (vi, var) in vars.iter().enumerate() {
+    let mut delta = vec![0.0; vars.iter().map(|v| v.dim()).max().unwrap_or(0)];
+    for (vi, &var) in vars.iter().enumerate() {
         let vdim = var.dim();
+        let delta = &mut delta[..vdim];
         let mut j = Mat::zeros(dim, vdim);
-        let mut delta = vec![0.0; vdim];
         for d in 0..vdim {
             delta[d] = H;
-            let plus = var.retract(&delta);
+            let plus = var.retract(delta);
             delta[d] = -H;
-            let minus = var.retract(&delta);
+            let minus = var.retract(delta);
             delta[d] = 0.0;
 
-            let mut probe: Vec<&Variable> = vars.iter().collect();
-            probe[vi] = &plus;
-            let rp = factor.error(&probe);
-            probe[vi] = &minus;
-            let rm = factor.error(&probe);
-            for row in 0..dim {
-                j[(row, d)] = (rp[row] - rm[row]) / (2.0 * H);
+            let rp = error_at_probe(factor, &vars, vi, &plus);
+            let rm = error_at_probe(factor, &vars, vi, &minus);
+            for (x, (p, m)) in j.col_mut(d).iter_mut().zip(rp.iter().zip(&rm)) {
+                *x = (p - m) / (2.0 * H);
             }
         }
         factor.noise().whiten_jacobian(&mut j);
@@ -122,6 +119,27 @@ pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedF
         jacobians,
         residual,
     }
+}
+
+/// The raw residual of `factor` with slot `vi` of `vars` replaced by
+/// `probe`. The probe list is built on the stack for up to four keys
+/// (every in-tree factor has one or two), so only the residual allocates.
+fn error_at_probe<F: Factor + ?Sized>(
+    factor: &F,
+    vars: &[&Variable],
+    vi: usize,
+    probe: &Variable,
+) -> Vec<f64> {
+    const STACK_KEYS: usize = 4;
+    if vars.len() > STACK_KEYS {
+        let mut list = vars.to_vec();
+        list[vi] = probe;
+        return factor.error(&list);
+    }
+    let mut list = [probe; STACK_KEYS];
+    list[..vars.len()].copy_from_slice(vars);
+    list[vi] = probe;
+    factor.error(&list[..vars.len()])
 }
 
 /// Anchors a variable to a known value — the gauge constraint of every SLAM
@@ -351,5 +369,55 @@ mod tests {
             NoiseModel::isotropic(2, 1.0),
         );
         assert!(f.weighted_error2(&vals) < 1e-18);
+    }
+
+    /// `e = Σ_i (i + 1) · x_i` over scalar variables: Jacobian block `i`
+    /// is `[i + 1]`.
+    #[derive(Debug)]
+    struct WeightedSum {
+        keys: Vec<Key>,
+        noise: NoiseModel,
+    }
+
+    impl Factor for WeightedSum {
+        fn keys(&self) -> &[Key] {
+            &self.keys
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn noise(&self) -> &NoiseModel {
+            &self.noise
+        }
+        fn error(&self, vars: &[&Variable]) -> Vec<f64> {
+            let x = |v: &Variable| match v {
+                Variable::Vector(x) => x[0],
+                _ => panic!("scalar variables only"),
+            };
+            vec![vars
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i + 1) as f64 * x(v))
+                .sum()]
+        }
+    }
+
+    #[test]
+    fn linearize_probes_factors_of_any_arity() {
+        // Arity 2 builds its probe list on the stack, arity 6 on the heap.
+        for arity in [2, 6] {
+            let mut vals = Values::new();
+            let keys = (0..arity)
+                .map(|i| vals.insert(Variable::Vector(vec![0.5 * i as f64])))
+                .collect();
+            let f = WeightedSum {
+                keys,
+                noise: NoiseModel::isotropic(1, 1.0),
+            };
+            let lin = linearize(&f, &vals);
+            for (i, j) in lin.jacobians.iter().enumerate() {
+                assert!((j[(0, 0)] - (i + 1) as f64).abs() < 1e-6, "{arity}: {i}");
+            }
+        }
     }
 }

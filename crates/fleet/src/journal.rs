@@ -451,9 +451,20 @@ mod tests {
         ]
     }
 
-    fn write_image(entries: &[JournalEntry]) -> Vec<u8> {
-        let dir = std::env::temp_dir().join(format!("snvj-test-{}", std::process::id()));
+    /// A fresh directory for one test call. Tests run in parallel threads
+    /// of one process, so the pid alone is shared: a counter keeps one
+    /// call's `remove_dir_all` from deleting another's journal.
+    fn unique_dir(prefix: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    fn write_image(entries: &[JournalEntry]) -> Vec<u8> {
+        let dir = unique_dir("snvj-test");
         let path = dir.join("j.snvj");
         let mut w = JournalWriter::create(&path, 3).expect("create journal");
         for e in entries {
@@ -522,8 +533,7 @@ mod tests {
 
     #[test]
     fn open_append_resumes_where_create_left_off() {
-        let dir = std::env::temp_dir().join(format!("snvj-reopen-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = unique_dir("snvj-reopen");
         let path = dir.join("j.snvj");
         let entries = sample_entries();
         {
@@ -546,8 +556,7 @@ mod tests {
 
     #[test]
     fn open_append_truncates_a_torn_tail_and_rejects_foreign_shards() {
-        let dir = std::env::temp_dir().join(format!("snvj-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = unique_dir("snvj-torn");
         let path = dir.join("j.snvj");
         let entries = sample_entries();
         {

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use supernova_factors::{linearize, Factor, FactorGraph, Key, LinearizedFactor, Values, Variable};
 use supernova_linalg::ops::{Op, OpTrace};
-use supernova_linalg::{gemm, norm_inf, Mat, NumericMode, Transpose};
+use supernova_linalg::{gemm_scratch, norm_inf, KernelScratch, Mat, NumericMode, Transpose};
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
     interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
@@ -742,6 +742,9 @@ fn apply_contribution(
         });
     }
     let fdim = lf.dim();
+    // One block buffer and one pack arena serve every block pair.
+    let mut blk = Mat::default();
+    let mut scratch = KernelScratch::new();
     for (ai, (ka, ja)) in lf.keys.iter().zip(&lf.jacobians).enumerate() {
         for (kb, jb) in lf.keys.iter().zip(&lf.jacobians).take(ai + 1) {
             let (oa, ob) = (order_of_key[ka.0], order_of_key[kb.0]);
@@ -751,8 +754,8 @@ fn apply_contribution(
             } else {
                 (ob, oa, jb, ja)
             };
-            let mut blk = Mat::zeros(jrow.cols(), jcol.cols());
-            gemm(
+            blk.reset(jrow.cols(), jcol.cols());
+            gemm_scratch(
                 sign,
                 jrow,
                 Transpose::Yes,
@@ -760,6 +763,7 @@ fn apply_contribution(
                 Transpose::No,
                 0.0,
                 &mut blk,
+                &mut scratch,
             );
             h.add_to_block(brow, bcol, &blk);
             if let Some(ops) = ops.as_deref_mut() {
