@@ -214,13 +214,15 @@ const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
 
 /// `(file, fn name)` pairs whose function body (brace extent) is hot-alloc
 /// scope: the multifrontal task body runs once per supernode per step, the
-/// supernodal triangular solve visits every supernode twice per step, and
+/// supernodal triangular solve visits every supernode twice per step, the
+/// gradient rebuild visits every linearized factor once per step, and
 /// the SO(3)/SE(3) group operations run dozens of times per relinearized
 /// factor (a name covers every fn of that name in its file, so `exp`
 /// scopes both `Rot3::exp` and `Se3::exp`).
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 12] = [
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 13] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
     ("crates/sparse/src/numeric.rs", "solve_in_place"),
+    ("crates/solvers/src/engine.rs", "gradient_into"),
     ("crates/factors/src/se3.rs", "exp"),
     ("crates/factors/src/se3.rs", "log"),
     ("crates/factors/src/se3.rs", "compose"),

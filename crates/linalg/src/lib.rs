@@ -13,15 +13,17 @@
 //! # Example
 //!
 //! ```
-//! use supernova_linalg::{Mat, cholesky_in_place, solve_lower, solve_lower_transpose};
+//! use supernova_linalg::{
+//!     cholesky_in_place, solve_lower_leading, solve_lower_transpose_leading, Mat,
+//! };
 //!
 //! // Solve H x = b for a small SPD system via H = L Lᵀ.
 //! let h = Mat::from_rows(3, 3, &[4.0, 2.0, 2.0, 2.0, 5.0, 1.0, 2.0, 1.0, 6.0]);
 //! let mut l = h.clone();
 //! cholesky_in_place(&mut l).unwrap();
 //! let mut x = vec![2.0, -1.0, 3.0];
-//! solve_lower(&l, &mut x);
-//! solve_lower_transpose(&l, &mut x);
+//! solve_lower_leading(&l, &mut x);
+//! solve_lower_transpose_leading(&l, &mut x);
 //! let r = h.matvec(&x);
 //! assert!((r[0] - 2.0).abs() < 1e-12);
 //! ```
@@ -53,9 +55,7 @@ pub use kernels::{
 };
 pub use matrix::Mat;
 pub use mode::{NumericMode, NUMERIC_ENV};
-pub use triangular::{
-    solve_lower, solve_lower_leading, solve_lower_transpose, solve_lower_transpose_leading,
-};
+pub use triangular::{solve_lower_leading, solve_lower_transpose_leading};
 
 /// Convenience result alias for fallible factorizations in this crate.
 pub type Result<T> = std::result::Result<T, NotPositiveDefiniteError>;

@@ -209,29 +209,11 @@ impl Mat {
         assert!(dst_row + rows <= self.rows && dst_col + cols <= self.cols);
         assert!(src_row + rows <= src.rows && src_col + cols <= src.cols);
         for c in 0..cols {
-            let sc = src.col(src_col + c);
-            let dc = self.col_mut(dst_col + c);
-            for r in 0..rows {
-                dc[dst_row + r] += sc[src_row + r];
+            let sc = &src.col(src_col + c)[src_row..src_row + rows];
+            let dc = &mut self.col_mut(dst_col + c)[dst_row..dst_row + rows];
+            for (d, &v) in dc.iter_mut().zip(sc) {
+                *d += v;
             }
-        }
-    }
-
-    /// Copies the `rows × cols` sub-block at `(row, col)` into `out`,
-    /// resizing `out` as needed but reusing its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block extends past the matrix bounds.
-    pub fn block_into(&self, row: usize, col: usize, rows: usize, cols: usize, out: &mut Mat) {
-        assert!(row + rows <= self.rows && col + cols <= self.cols);
-        out.rows = rows;
-        out.cols = cols;
-        out.data.clear();
-        out.data.reserve(rows * cols);
-        for c in 0..cols {
-            out.data
-                .extend_from_slice(&self.col(col + c)[row..row + rows]);
         }
     }
 
@@ -407,14 +389,6 @@ mod tests {
         a.add_block(1, 2, &src.block(1, 0, 2, 3));
         b.add_block_from(1, 2, &src, 1, 0, 2, 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn block_into_matches_block() {
-        let src = Mat::from_fn(4, 3, |r, c| (10 * r + c) as f64);
-        let mut out = Mat::zeros(1, 1);
-        src.block_into(1, 1, 3, 2, &mut out);
-        assert_eq!(out, src.block(1, 1, 3, 2));
     }
 
     #[test]

@@ -2,39 +2,27 @@
 
 use crate::Mat;
 
-/// Solves `L y = b` in place for lower-triangular `L`, overwriting `b` with
-/// `y` (forward substitution).
+/// Solves `L y = b` in place (forward substitution), overwriting `b` with
+/// `y`, for `L` the leading `b.len() × b.len()` lower triangle of `l` — a
+/// whole square factor, or the pivot triangle `L_A` of a supernode's
+/// stacked columns `[L_A; L_B]` read in place.
 ///
-/// Only the lower triangle of `l` is read.
-///
-/// # Panics
-///
-/// Panics if `l` is not square or `b.len() != l.rows()`.
-///
-/// # Example
-///
-/// ```
-/// use supernova_linalg::{solve_lower, Mat};
-///
-/// let l = Mat::from_rows(2, 2, &[2.0, 0.0, 1.0, 3.0]);
-/// let mut b = vec![4.0, 8.0];
-/// solve_lower(&l, &mut b);
-/// assert_eq!(b, vec![2.0, 2.0]);
-/// ```
-pub fn solve_lower(l: &Mat, b: &mut [f64]) {
-    assert_eq!(l.rows(), l.cols(), "triangle must be square");
-    assert_eq!(b.len(), l.rows(), "rhs length mismatch");
-    solve_lower_leading(l, b);
-}
-
-/// [`solve_lower`] against the leading `b.len() × b.len()` triangle of a
-/// taller `l` — the pivot triangle `L_A` of a supernode's stacked columns
-/// `[L_A; L_B]`, read in place instead of through a copied block. Same
-/// operations in the same order as `solve_lower` on that block.
+/// Only that lower triangle is read.
 ///
 /// # Panics
 ///
 /// Panics if `l` has fewer than `b.len()` rows or columns.
+///
+/// # Example
+///
+/// ```
+/// use supernova_linalg::{solve_lower_leading, Mat};
+///
+/// let l = Mat::from_rows(2, 2, &[2.0, 0.0, 1.0, 3.0]);
+/// let mut b = vec![4.0, 8.0];
+/// solve_lower_leading(&l, &mut b);
+/// assert_eq!(b, vec![2.0, 2.0]);
+/// ```
 pub fn solve_lower_leading(l: &Mat, b: &mut [f64]) {
     let n = b.len();
     assert!(l.rows() >= n && l.cols() >= n, "triangle exceeds matrix");
@@ -51,22 +39,9 @@ pub fn solve_lower_leading(l: &Mat, b: &mut [f64]) {
     }
 }
 
-/// Solves `Lᵀ x = b` in place for lower-triangular `L`, overwriting `b` with
-/// `x` (backward substitution).
-///
-/// Only the lower triangle of `l` is read.
-///
-/// # Panics
-///
-/// Panics if `l` is not square or `b.len() != l.rows()`.
-pub fn solve_lower_transpose(l: &Mat, b: &mut [f64]) {
-    assert_eq!(l.rows(), l.cols(), "triangle must be square");
-    assert_eq!(b.len(), l.rows(), "rhs length mismatch");
-    solve_lower_transpose_leading(l, b);
-}
-
-/// [`solve_lower_transpose`] against the leading `b.len() × b.len()`
-/// triangle of a taller `l` (see [`solve_lower_leading`]).
+/// Solves `Lᵀ x = b` in place (backward substitution), overwriting `b`
+/// with `x`, for `L` the leading `b.len() × b.len()` lower triangle of `l`
+/// (see [`solve_lower_leading`]).
 ///
 /// # Panics
 ///
@@ -97,8 +72,8 @@ mod tests {
         let mut l = a.clone();
         cholesky_in_place(&mut l).unwrap();
         let mut x = b;
-        solve_lower(&l, &mut x);
-        solve_lower_transpose(&l, &mut x);
+        solve_lower_leading(&l, &mut x);
+        solve_lower_transpose_leading(&l, &mut x);
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-10);
         }
@@ -108,9 +83,9 @@ mod tests {
     fn solve_identity_is_noop() {
         let l = Mat::identity(4);
         let mut b = vec![1.0, 2.0, 3.0, 4.0];
-        solve_lower(&l, &mut b);
+        solve_lower_leading(&l, &mut b);
         assert_eq!(b, vec![1.0, 2.0, 3.0, 4.0]);
-        solve_lower_transpose(&l, &mut b);
+        solve_lower_transpose_leading(&l, &mut b);
         assert_eq!(b, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -119,7 +94,7 @@ mod tests {
         let mut l = Mat::from_rows(2, 2, &[2.0, 99.0, 1.0, 3.0]);
         l[(0, 1)] = 99.0;
         let mut b = vec![4.0, 8.0];
-        solve_lower(&l, &mut b);
+        solve_lower_leading(&l, &mut b);
         assert_eq!(b, vec![2.0, 2.0]);
     }
 
@@ -139,12 +114,12 @@ mod tests {
 
         let (mut lead, mut copy) = (b, b);
         solve_lower_leading(&l, &mut lead);
-        solve_lower(&la, &mut copy);
+        solve_lower_leading(&la, &mut copy);
         assert_eq!(lead.map(f64::to_bits), copy.map(f64::to_bits));
 
         let (mut lead, mut copy) = (b, b);
         solve_lower_transpose_leading(&l, &mut lead);
-        solve_lower_transpose(&la, &mut copy);
+        solve_lower_transpose_leading(&la, &mut copy);
         assert_eq!(lead.map(f64::to_bits), copy.map(f64::to_bits));
     }
 }

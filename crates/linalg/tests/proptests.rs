@@ -11,7 +11,7 @@
 use supernova_linalg::rng::XorShift64;
 use supernova_linalg::{
     cholesky_in_place, gemm, gemm_f32, partial_cholesky_in_place, partial_cholesky_scratch_mode,
-    reference, solve_lower, solve_lower_transpose, syrk_lower, syrk_lower_f32,
+    reference, solve_lower_leading, solve_lower_transpose_leading, syrk_lower, syrk_lower_f32,
     trsm_right_lower_transpose, trsm_right_lower_transpose_f32, KernelScratch, Mat, NumericMode,
     Transpose,
 };
@@ -62,8 +62,8 @@ fn solve_inverts_spd_system() {
         let mut l = a.clone();
         cholesky_in_place(&mut l).unwrap();
         let mut x = b;
-        solve_lower(&l, &mut x);
-        solve_lower_transpose(&l, &mut x);
+        solve_lower_leading(&l, &mut x);
+        solve_lower_transpose_leading(&l, &mut x);
         for i in 0..n {
             assert!((x[i] - x_true[i]).abs() < 1e-6, "case {case} component {i}");
         }

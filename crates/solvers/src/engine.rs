@@ -681,15 +681,7 @@ impl IncrementalCore {
 
         // Gradient g = −Σ Jᵀ r at the current LPs, then solve H Δ = g.
         let mut g = vec![0.0; self.delta.len()];
-        for lf in &self.lin {
-            for (k, j) in lf.keys.iter().zip(&lf.jacobians) {
-                let contrib = j.matvec_transpose(&lf.residual);
-                let off = self.offsets[self.order_of_key[k.0]];
-                for (gi, ci) in g[off..].iter_mut().zip(&contrib) {
-                    *gi -= ci;
-                }
-            }
-        }
+        gradient_into(&mut g, &self.lin, &self.order_of_key, &self.offsets);
         // lint: allow(unwrap) — documented panic: factorize before solve
         let num = self.num.as_ref().expect("factorized");
         let solve_ops = num.solve_in_place(sym, &mut g);
@@ -722,6 +714,32 @@ impl IncrementalCore {
     /// Total weighted squared error of the graph at the current estimate.
     pub fn current_error2(&self) -> f64 {
         self.graph.total_error2(&self.estimate())
+    }
+}
+
+/// Subtracts `Jᵀ r` of every factor of `lin` from `g` (zeroed by the
+/// caller, so `g = −Σ Jᵀ r`), factors in `lin` order and each factor's keys
+/// in order. Each entry is one Jacobian column's dot product with the
+/// residual, summed from `0.0` over ascending rows (the order
+/// `Mat::matvec_transpose` uses), written straight into `g`.
+fn gradient_into(
+    g: &mut [f64],
+    lin: &[LinearizedFactor],
+    order_of_key: &[usize],
+    offsets: &[usize],
+) {
+    for lf in lin {
+        for (k, j) in lf.keys.iter().zip(&lf.jacobians) {
+            debug_assert_eq!(j.rows(), lf.residual.len());
+            let off = offsets[order_of_key[k.0]];
+            for (c, gc) in g[off..off + j.cols()].iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (&v, &r) in j.col(c).iter().zip(&lf.residual) {
+                    acc += v * r;
+                }
+                *gc -= acc;
+            }
+        }
     }
 }
 

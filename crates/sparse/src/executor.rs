@@ -1,5 +1,5 @@
-//! The execute half of the plan/exec split: reusable per-worker
-//! workspaces, a scoped-thread worker pool, and the host schedule record.
+//! The execute half of the plan/exec split: reusable per-worker kernel
+//! pack arenas, a scoped-thread worker pool, and the host schedule record.
 //!
 //! This module is one of the few places in the workspace allowed to spawn
 //! OS threads (`supernova-analyze`'s `thread-spawn` lint keeps a declared
@@ -19,70 +19,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use supernova_linalg::{KernelScratch, Mat, NumericMode};
+use supernova_linalg::{KernelScratch, NumericMode};
 
 use crate::interference::PlanCertificate;
 use crate::ExecutionPlan;
-
-/// A worker's preallocated scratch buffers, reused across every task the
-/// worker executes (no per-node allocation on the hot path).
-///
-/// A workspace bundles the frontal matrix buffer with the blocked-kernel
-/// pack arena ([`KernelScratch`]), so one checkout from the executor's
-/// persistent pool covers everything a task touches. Both halves grow
-/// monotonically and are fully overwritten per task, so reuse can never
-/// change results.
-#[derive(Debug, Default)]
-pub struct Workspace {
-    front: Mat,
-    scratch: KernelScratch,
-}
-
-impl Workspace {
-    /// An empty workspace; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Workspace::default()
-    }
-
-    /// Grows (never shrinks) both buffers: the front to `front_elems`
-    /// scalars (use [`ExecutionPlan::max_workspace_elems`]) and each kernel
-    /// pack buffer to `pack_elems` scalars (use
-    /// [`ExecutionPlan::max_pack_elems_mode`]). Under a narrow
-    /// [`NumericMode`] the kernel arena additionally pre-grows its f32
-    /// pack panels and the f32 front shadow (sized for the largest front,
-    /// `front_elems` scalars), so narrow-mode factorization allocates
-    /// nothing mid-execution either. Cheap when already large enough;
-    /// called once per plan execution, not per task.
-    pub fn reserve_mode(&mut self, mode: NumericMode, front_elems: usize, pack_elems: usize) {
-        self.front.reset(front_elems, 1);
-        self.scratch.reserve(pack_elems);
-        if mode.is_narrow() {
-            self.scratch.reserve_mode(mode, pack_elems, front_elems);
-        }
-    }
-
-    /// The frontal matrix buffer; callers `reset` it to the task's front
-    /// dimensions before assembly.
-    pub fn front_mut(&mut self) -> &mut Mat {
-        &mut self.front
-    }
-
-    /// The blocked-kernel pack arena (read-only; for stats).
-    pub fn scratch(&self) -> &KernelScratch {
-        &self.scratch
-    }
-
-    /// The blocked-kernel pack arena.
-    pub fn scratch_mut(&mut self) -> &mut KernelScratch {
-        &mut self.scratch
-    }
-
-    /// Both halves at once, mutably — a task factors `front` with the
-    /// `_scratch` kernel variants fed by this workspace's own arena.
-    pub fn parts(&mut self) -> (&mut Mat, &mut KernelScratch) {
-        (&mut self.front, &mut self.scratch)
-    }
-}
 
 /// How a plan execution sequenced its work. Recorded on every
 /// [`HostSchedule`] (and exported as the `dispatch_mode` counter on exec
@@ -197,18 +137,18 @@ impl HostSchedule {
     }
 }
 
-/// Aggregate statistics over an executor's persistent workspace pool —
+/// Aggregate statistics over an executor's persistent pack-arena pool —
 /// the zero-alloc hot-path witness: on a steady workload `grow_events`
 /// and `high_water_elems` go flat after warm-up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Workspaces currently parked in the pool (checked-out ones are not
+    /// Arenas currently parked in the pool (checked-out ones are not
     /// counted; between plan executions this equals the peak worker count
     /// seen so far).
     pub workspaces: usize,
-    /// Sum of [`KernelScratch::grow_events`] over pooled workspaces.
+    /// Sum of [`KernelScratch::grow_events`] over pooled arenas.
     pub grow_events: u64,
-    /// Max of [`KernelScratch::high_water_elems`] over pooled workspaces.
+    /// Max of [`KernelScratch::high_water_elems`] over pooled arenas.
     pub high_water_elems: usize,
 }
 
@@ -218,12 +158,13 @@ pub struct PoolStats {
 /// barrier); `threads > 1` spins up a scoped `std::thread` pool per
 /// certified execution. Results are bit-identical either way.
 ///
-/// The executor owns a persistent pool of [`Workspace`]s that survives
-/// across `run` calls (and is shared by clones), so the steady-state
-/// refactorization loop performs zero heap allocation: an execution checks
-/// one warm workspace per worker out at its start and returns them at its
-/// end. Workspace contents are fully overwritten per task, so pooling
-/// never affects results.
+/// The executor owns a persistent pool of blocked-kernel pack arenas
+/// ([`KernelScratch`]) that survives across `run` calls (and is shared by
+/// clones): an execution checks one warm arena per worker out at its start
+/// and returns them at its end. Fronts are not pooled — each supernode
+/// factors in its own persistent buffer (`NumericFactor`). Arena contents
+/// are fully overwritten per kernel call, so pooling never affects
+/// results.
 #[derive(Clone, Debug)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -233,12 +174,12 @@ pub struct ParallelExecutor {
     /// barriers may spin. A serial executor never builds a barrier and
     /// skips the query.
     host_cpus: usize,
-    pool: Arc<Mutex<Vec<Workspace>>>,
+    pool: Arc<Mutex<Vec<KernelScratch>>>,
 }
 
 impl PartialEq for ParallelExecutor {
-    /// Configuration equality only — the workspace pool is a cache and
-    /// never affects behavior.
+    /// Configuration equality only — the arena pool is a cache and never
+    /// affects behavior.
     fn eq(&self, other: &Self) -> bool {
         self.threads == other.threads && self.numeric == other.numeric
     }
@@ -251,12 +192,12 @@ impl ParallelExecutor {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let host_cpus = if threads > 1 { host_cpus() } else { 1 };
-        // Pre-populate one (empty, allocation-free) workspace per worker,
-        // so the pool's workspace count is fixed at construction instead
-        // of depending on how checkouts happened to overlap — a
-        // prerequisite for deterministic pool statistics.
+        // Pre-populate one (empty, allocation-free) arena per worker, so
+        // the pool's arena count is fixed at construction instead of
+        // depending on how checkouts happened to overlap — a prerequisite
+        // for deterministic pool statistics.
         // lint: allow(hot-alloc) — one-time constructor, not the task path
-        let pool = (0..threads).map(|_| Workspace::new()).collect();
+        let pool = (0..threads).map(|_| KernelScratch::new()).collect();
         ParallelExecutor {
             threads,
             numeric: NumericMode::default(),
@@ -311,56 +252,64 @@ impl ParallelExecutor {
         self.threads
     }
 
-    /// Snapshot of the persistent workspace pool (call between plan
-    /// executions; checked-out workspaces are not visible).
+    /// Snapshot of the persistent arena pool (call between plan
+    /// executions; checked-out arenas are not visible).
     pub fn pool_stats(&self) -> PoolStats {
         // Poisoning requires a panic while the pool is locked, and nothing
         // that runs under the lock can panic.
         let pool = self.pool.lock().unwrap(); // lint: allow(unwrap)
         PoolStats {
             workspaces: pool.len(),
-            grow_events: pool.iter().map(|w| w.scratch().grow_events()).sum(),
+            grow_events: pool.iter().map(KernelScratch::grow_events).sum(),
             high_water_elems: pool
                 .iter()
-                .map(|w| w.scratch().high_water_elems())
+                .map(KernelScratch::high_water_elems)
                 .max()
                 .unwrap_or(0),
         }
     }
 
-    /// Checks `n` workspaces out of the pool, largest first (cold ones if
-    /// the pool runs short — clones share it), each grown to the plan's
-    /// `(front, pack)` bounds and with its flop meter drained so per-task
-    /// deltas start from zero.
+    /// Checks `n` arenas out of the pool, largest first (cold ones if the
+    /// pool runs short — clones share it), each with its flop meter
+    /// drained so per-task deltas start from zero and grown to the plan's
+    /// `(front, pack)` bounds: every pack buffer to `pack` scalars (use
+    /// [`ExecutionPlan::max_pack_elems_mode`]) and, under a narrow
+    /// [`NumericMode`], the f32 pack panels too and the f32 front shadow
+    /// to the largest front, `front` scalars (use
+    /// [`ExecutionPlan::max_workspace_elems`]). So no kernel allocates
+    /// mid-execution in any mode.
     ///
     /// Called only on the thread that called [`run`](Self::run), before
-    /// any worker spawns, and the workspaces come back the same way
+    /// any worker spawns, and the arenas come back the same way
     /// ([`checkin`](Self::checkin)): workers never touch the pool. So
-    /// which workspaces an execution gets, and whether any of them grows,
-    /// is a pure function of the plan sequence — which worker happens to
-    /// claim which task (timing-dependent) cannot decide it. Taking the
+    /// which arenas an execution gets, and whether any of them grows, is a
+    /// pure function of the plan sequence — which worker happens to claim
+    /// which task (timing-dependent) cannot decide it. Taking the
     /// *largest* is what makes the pool go quiet: once warm, the k-th
-    /// largest workspace dominates every plan that ran at width ≥ k, and
+    /// largest arena dominates every plan that ran at width ≥ k, and
     /// replays stop allocating entirely.
-    fn checkout(&self, n: usize, (front, pack): (usize, usize)) -> Vec<Workspace> {
+    fn checkout(&self, n: usize, (front, pack): (usize, usize)) -> Vec<KernelScratch> {
         // lint: allow(unwrap) — poisoning as above
         let mut pool = self.pool.lock().unwrap();
-        pool.sort_by_key(|w| std::cmp::Reverse(w.scratch().high_water_elems()));
+        pool.sort_by_key(|s| std::cmp::Reverse(s.high_water_elems()));
         let warm = n.min(pool.len());
-        let mut out: Vec<Workspace> = pool.drain(..warm).collect();
+        let mut out: Vec<KernelScratch> = pool.drain(..warm).collect();
         drop(pool);
-        out.resize_with(n, Workspace::new);
-        for ws in &mut out {
-            ws.reserve_mode(self.numeric, front, pack);
-            ws.scratch_mut().take_flops();
+        out.resize_with(n, KernelScratch::new);
+        for scratch in &mut out {
+            scratch.reserve(pack);
+            if self.numeric.is_narrow() {
+                scratch.reserve_mode(self.numeric, pack, front);
+            }
+            scratch.take_flops();
         }
         out
     }
 
-    /// Returns an execution's workspaces to the pool for the next one.
-    fn checkin(&self, workspaces: Vec<Workspace>) {
+    /// Returns an execution's arenas to the pool for the next one.
+    fn checkin(&self, arenas: Vec<KernelScratch>) {
         // lint: allow(unwrap) — poisoning as above
-        self.pool.lock().unwrap().extend(workspaces);
+        self.pool.lock().unwrap().extend(arenas);
     }
 }
 
@@ -380,8 +329,9 @@ impl Default for ParallelExecutor {
 
 impl ParallelExecutor {
     /// Executes the plan's tasks flagged in `recompute`, calling `work_fn`
-    /// exactly once per flagged task id, after every flagged child of the
-    /// task has completed. `work_fn` publishes each task's result itself
+    /// exactly once per flagged task id, with the running worker's pack
+    /// arena, after every flagged child of the task has completed.
+    /// `work_fn` publishes each task's result itself
     /// (the numeric layer uses a `OnceLock` slot per node), so the executor
     /// only sequences work and records the [`HostSchedule`], one
     /// [`TaskSpan`] per task.
@@ -417,11 +367,11 @@ impl ParallelExecutor {
     ) -> (Result<(), E>, HostSchedule)
     where
         E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
+        F: Fn(usize, &mut KernelScratch) -> Result<(), E> + Sync,
     {
         assert_eq!(recompute.len(), plan.num_tasks());
-        // One sweep over the tasks per execution, shared by every
-        // workspace the execution checks out.
+        // One sweep over the tasks per execution, shared by every arena
+        // the execution checks out.
         let bounds = (
             plan.max_workspace_elems(),
             plan.max_pack_elems_mode(self.numeric),
@@ -445,8 +395,8 @@ impl ParallelExecutor {
     }
 }
 
-/// Runs task `s` on `ws`, timed on the execution's shared clock, and
-/// records its span in `spans`.
+/// Runs task `s` with `scratch`, timed on the execution's shared clock,
+/// and records its span in `spans`.
 ///
 /// Forced inline: what runs between one task's `end` stamp and the next
 /// one's `start` stamp is the inline path's entire dispatch cost (~0.08 µs
@@ -458,18 +408,18 @@ fn run_timed<E>(
     s: usize,
     worker: usize,
     origin: Instant,
-    ws: &mut Workspace,
-    work_fn: &impl Fn(usize, &mut Workspace) -> Result<(), E>,
+    scratch: &mut KernelScratch,
+    work_fn: &impl Fn(usize, &mut KernelScratch) -> Result<(), E>,
 ) -> Result<(), E> {
     let start = origin.elapsed().as_secs_f64();
-    let res = work_fn(s, ws);
+    let res = work_fn(s, scratch);
     let end = origin.elapsed().as_secs_f64();
     spans.push(TaskSpan {
         node: s,
         worker,
         start,
         end,
-        kernel_flops: ws.scratch_mut().take_flops(),
+        kernel_flops: scratch.take_flops(),
     });
     res
 }
@@ -484,11 +434,11 @@ fn run_inline<E, F>(
     work_fn: &F,
 ) -> (Result<(), E>, HostSchedule)
 where
-    F: Fn(usize, &mut Workspace) -> Result<(), E>,
+    F: Fn(usize, &mut KernelScratch) -> Result<(), E>,
 {
     let epoch = supernova_trace::epoch_seconds();
     let origin = Instant::now();
-    let mut workspaces = exec.checkout(1, bounds);
+    let mut arenas = exec.checkout(1, bounds);
     // lint: allow(hot-alloc) — per-execution span record, not the task path
     let mut spans = Vec::new();
     let mut res = Ok(());
@@ -496,12 +446,12 @@ where
         if !recompute[s] {
             continue;
         }
-        res = run_timed(&mut spans, s, 0, origin, &mut workspaces[0], work_fn);
+        res = run_timed(&mut spans, s, 0, origin, &mut arenas[0], work_fn);
         if res.is_err() {
             break;
         }
     }
-    exec.checkin(workspaces);
+    exec.checkin(arenas);
     let sched = HostSchedule {
         spans,
         workers: 1,
@@ -615,7 +565,7 @@ fn run_waves<E, F>(
 ) -> (Result<(), E>, HostSchedule)
 where
     E: Send,
-    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
+    F: Fn(usize, &mut KernelScratch) -> Result<(), E> + Sync,
 {
     // Per-level worklists of the recomputed tasks, ascending so claim
     // order is deterministic given claim timing.
@@ -646,7 +596,7 @@ where
 
     // lint: allow(hot-alloc) — per-execution span record, not the task path
     let mut spans = Vec::with_capacity(tasks);
-    // lint: allow(hot-alloc) — per-execution workspace handback, not the task path
+    // lint: allow(hot-alloc) — per-execution arena handback, not the task path
     let mut returned = Vec::with_capacity(nworkers);
     std::thread::scope(|scope| {
         let (waves, cursors, abort, errors, barrier) =
@@ -655,7 +605,7 @@ where
             .checkout(nworkers, bounds)
             .into_iter()
             .enumerate()
-            .map(|(worker, mut ws)| {
+            .map(|(worker, mut scratch)| {
                 scope.spawn(move || {
                     // lint: allow(hot-alloc) — per-worker span record, not the task path
                     let mut mine = Vec::new();
@@ -666,7 +616,7 @@ where
                                 break;
                             };
                             if let Err(e) =
-                                run_timed(&mut mine, s, worker, origin, &mut ws, work_fn)
+                                run_timed(&mut mine, s, worker, origin, &mut scratch, work_fn)
                             {
                                 // lint: allow(unwrap) — poisoning needs a prior worker panic
                                 errors.lock().unwrap().push((s, e));
@@ -677,14 +627,14 @@ where
                         // after an abort — so no one is left waiting.
                         barrier.wait();
                     }
-                    (mine, ws)
+                    (mine, scratch)
                 })
             })
             .collect();
         for h in handles {
-            if let Ok((theirs, ws)) = h.join() {
+            if let Ok((theirs, scratch)) = h.join() {
                 spans.extend(theirs);
-                returned.push(ws);
+                returned.push(scratch);
             }
         }
     });
@@ -896,11 +846,10 @@ mod tests {
         let plan = plan_of(20);
         let cert = certify(&plan).expect("chain plan certifies");
         let recompute = vec![true; plan.num_tasks()];
-        let (front_dim, pack) = (4, plan.max_pack_elems());
-        assert!(front_dim * front_dim <= plan.max_workspace_elems());
+        let pack = plan.max_pack_elems();
         for threads in [1usize, 3] {
             let exec = ParallelExecutor::new(threads);
-            // One pre-created (empty) workspace per worker, nothing grown.
+            // One pre-created (empty) arena per worker, nothing grown.
             assert_eq!(
                 exec.pool_stats(),
                 PoolStats {
@@ -912,9 +861,7 @@ mod tests {
             // the contract — so every buffer it touches was grown at
             // checkout, before any worker ran, and no arena growth can
             // depend on which worker claimed which task.
-            let task = |_s: usize, ws: &mut Workspace| -> Result<(), ()> {
-                let (front, scratch) = ws.parts();
-                front.reset(front_dim, front_dim);
+            let task = |_s: usize, scratch: &mut KernelScratch| -> Result<(), ()> {
                 scratch.reserve(pack);
                 Ok(())
             };
@@ -994,11 +941,7 @@ mod tests {
         let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         let (res, sched) =
-            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_s, ws| {
-                // Touch the workspace so the buffer path is exercised.
-                ws.front_mut().reset(4, 4);
-                Ok(())
-            });
+            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_s, _| Ok(()));
         assert!(res.is_ok());
         assert!(sched.makespan() >= 0.0);
         assert!(sched.busy_time() >= 0.0);

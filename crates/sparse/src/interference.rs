@@ -13,8 +13,9 @@
 //!    scatter programs
 //!    copy (reads), and the factor columns plus own update matrix it
 //!    publishes (writes). This mirrors `numeric::compute_task` exactly;
-//!    the frontal workspace is worker-private and therefore not a shared
-//!    resource.
+//!    both writes land in the task's own front — the factor columns are
+//!    its leading columns, the update matrix its trailing block — which
+//!    no other task writes.
 //! 2. The happens-before relation available to batched dispatch is just
 //!    `level(a) < level(b)` — the level barrier. [`check_accesses`] proves
 //!    that every conflicting pair (write–write, or read–write on

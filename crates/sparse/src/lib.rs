@@ -9,8 +9,8 @@
 //! - [`SymbolicFactor`] — fill pattern, elimination tree and supernode
 //!   partition ([`SymbolicFactor::analyze`]);
 //! - [`BlockMat`] — numeric block storage for the lower triangle of `H`;
-//! - [`NumericFactor`] — multifrontal numeric factorization with per-node
-//!   frontal workspaces, extend-add merge, cached update matrices for
+//! - [`NumericFactor`] — multifrontal numeric factorization in per-node
+//!   persistent fronts, extend-add merge, cached update matrices for
 //!   incremental re-factorization, and per-node
 //!   [`OpTrace`](supernova_linalg::ops::OpTrace)s for the hardware model;
 //! - supernodal forward/backward solves ([`NumericFactor::solve_in_place`]);
@@ -58,7 +58,7 @@ mod plan;
 mod symbolic;
 
 pub use blockmat::BlockMat;
-pub use executor::{DispatchMode, HostSchedule, ParallelExecutor, PoolStats, TaskSpan, Workspace};
+pub use executor::{DispatchMode, HostSchedule, ParallelExecutor, PoolStats, TaskSpan};
 pub use interference::PlanCertificate;
 pub use numeric::{FactorizeError, NodeTrace, NumericFactor, RefactorStats};
 pub use ordering::Permutation;

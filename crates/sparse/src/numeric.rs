@@ -1,7 +1,7 @@
 //! Numeric multifrontal factorization with incremental re-factorization.
 //!
 //! Since the plan/exec split, every (re)factorization is the execution of
-//! an [`ExecutionPlan`] against reusable per-worker [`Workspace`] buffers:
+//! an [`ExecutionPlan`], each supernode factored in its own persistent front:
 //! the sym-based [`NumericFactor::factorize`]/[`NumericFactor::refactor`]
 //! entry points derive a throwaway plan and run it serially, while the
 //! incremental engine caches one plan per symbolic structure and drives
@@ -10,15 +10,15 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use supernova_linalg::ops::{Op, OpTrace};
 use supernova_linalg::{
-    partial_cholesky_scratch_mode, solve_lower_leading, solve_lower_transpose_leading, Mat,
-    NumericMode,
+    partial_cholesky_scratch_mode, solve_lower_leading, solve_lower_transpose_leading,
+    KernelScratch, Mat, NumericMode,
 };
 
-use crate::executor::{HostSchedule, ParallelExecutor, Workspace};
+use crate::executor::{HostSchedule, ParallelExecutor};
 use crate::{BlockMat, ExecutionPlan, SymbolicFactor};
 
 /// A supernode's Cholesky pivot was not positive definite.
@@ -83,8 +83,11 @@ impl RefactorStats {
     }
 }
 
-/// The numeric factor of one supernode: the stored columns `[L_A; L_B]` and
-/// the cached update matrix `L_C` used by the parent's extend-add.
+/// The numeric factor of one supernode: the `t × t` front (`t = m + n`)
+/// it was factored in. Its leading `m` columns are the stored columns
+/// `[L_A; L_B]`; its trailing `n × n` block is the cached update matrix
+/// `L_C` used by the parent's extend-add. The `m × n` block above `L_C`
+/// is held but never read.
 ///
 /// The paper discards `L_C` after the merge (Figure 4); the incremental
 /// engine instead *caches* it so that re-factorizing an affected node needs
@@ -92,10 +95,10 @@ impl RefactorStats {
 /// (DESIGN.md decision 2).
 #[derive(Clone, Debug)]
 struct NodeFactor {
-    /// `(m + n) × m` — `L_A` stacked over `L_B`.
-    l: Mat,
-    /// `n × n` lower triangle — the update matrix `L_C`.
-    update: Mat,
+    /// The factored `t × t` front.
+    front: Mat,
+    /// Pivot width `m`.
+    m: usize,
     /// Structural signature for cache matching across re-analyses.
     sig: (usize, usize, u64),
 }
@@ -173,12 +176,13 @@ impl NumericFactor {
     ///
     /// This is the primitive behind [`refactor`](Self::refactor): the
     /// recompute set is the ancestor closure of the dirty nodes plus every
-    /// node whose structural signature no longer matches the cached factor,
-    /// and each recomputed task runs against a preallocated per-worker
-    /// workspace. Running on the worker pool is **bit-identical** to serial
-    /// execution: every task merges its children's cached update matrices
-    /// in the plan's fixed child order, so f64 sums never depend on
-    /// completion order.
+    /// node whose structural signature no longer matches the cached factor.
+    /// A recomputed task factors in its cached same-signature node's front
+    /// if there is one, else in a fresh `t × t` buffer; buffers never move
+    /// between nodes. Running on the worker pool is **bit-identical** to
+    /// serial execution: every task merges its children's cached update
+    /// matrices in the plan's fixed child order, so f64 sums never depend
+    /// on completion order.
     ///
     /// Returns the refactor stats (traces in children-before-parents plan
     /// postorder, exactly as the serial path reports them) and the wall-
@@ -218,7 +222,7 @@ impl NumericFactor {
     /// batches ([`DispatchMode::LevelBatched`](crate::DispatchMode));
     /// without one the plan runs inline on the calling thread, whatever
     /// the thread count. Bit-identical either way: every task runs whole,
-    /// out of one worker's own workspace, on either path.
+    /// in its own front, on either path.
     ///
     /// # Errors
     ///
@@ -260,22 +264,31 @@ impl NumericFactor {
         }
 
         // One write-once slot per node: reused factors are published up
-        // front, recomputed ones by whichever worker runs the task.
+        // front, recomputed ones by whichever worker runs the task. Beside
+        // it, one take-once slot hands a recomputed task its cached node's
+        // front to factor in again.
         let slots: Vec<OnceLock<(NodeFactor, OpTrace)>> =
             (0..num_nodes).map(|_| OnceLock::new()).collect();
+        let mut spares: Vec<Mutex<Option<Mat>>> = Vec::with_capacity(num_nodes);
         let mut reused = 0usize;
         for (s, nf) in cached.into_iter().enumerate() {
-            if !is_recompute[s] {
+            let spare = if is_recompute[s] {
+                nf.map(|nf| nf.front)
+            } else {
                 // lint: allow(unwrap) — a task without a cached pair is a seed
                 let nf = nf.expect("reused node missing from cache");
                 let _ = slots[s].set((nf, OpTrace::new()));
                 reused += 1;
-            }
+                None
+            };
+            spares.push(Mutex::new(spare));
         }
 
         let numeric = exec.numeric();
-        let (res, sched) = exec.run(plan, &is_recompute, cert, |s, ws| {
-            let out = compute_task(plan, h, s, &slots, ws, numeric)?;
+        let (res, sched) = exec.run(plan, &is_recompute, cert, |s, scratch| {
+            // lint: allow(unwrap) — the lock is held only for `take`, which cannot panic
+            let spare = spares[s].lock().expect("spare slot poisoned").take();
+            let out = compute_task(plan, h, s, &slots, spare, scratch, numeric)?;
             let published = slots[s].set(out).is_ok();
             debug_assert!(published, "task {s} executed twice");
             Ok(())
@@ -324,11 +337,14 @@ impl NumericFactor {
             out.extend_from_slice(&(nf.sig.0 as u64).to_le_bytes());
             out.extend_from_slice(&(nf.sig.1 as u64).to_le_bytes());
             out.extend_from_slice(&nf.sig.2.to_le_bytes());
-            for m in [&nf.l, &nf.update] {
-                out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-                out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-                for c in 0..m.cols() {
-                    for v in m.col(c) {
+            // `L` as a `t × m` matrix, then the update as `n × n`: the
+            // front's column block at offset 0, then its trailing block.
+            let (t, m) = (nf.front.rows(), nf.m);
+            for (off, rows, cols) in [(0, t, m), (m, t - m, t - m)] {
+                out.extend_from_slice(&(rows as u64).to_le_bytes());
+                out.extend_from_slice(&(cols as u64).to_le_bytes());
+                for c in off..off + cols {
+                    for v in &nf.front.col(c)[off..] {
                         out.extend_from_slice(&v.to_le_bytes());
                     }
                 }
@@ -357,7 +373,7 @@ impl NumericFactor {
             let info = &sym.nodes()[s];
             // lint: allow(unwrap) — a factor executed for `sym` holds every node
             let nf = self.nodes[s].as_ref().expect("missing node factor");
-            (info, &nf.l, sym.block_offset(info.first_col))
+            (info, &nf.front, sym.block_offset(info.first_col))
         };
         // Forward: L y = b, children before parents.
         for &s in sym.postorder() {
@@ -408,11 +424,14 @@ impl NumericFactor {
         trace
     }
 
-    /// The stored factor columns `[L_A; L_B]` of supernode `s` (rows are the
-    /// node's block rows, in `rows` order).
-    pub fn node_columns(&self, s: usize) -> &Mat {
+    /// The stored factor columns `[L_A; L_B]` of supernode `s`: the leading
+    /// `pivot_dim` columns of its front, column-major with
+    /// `pivot_dim + rem_dim` rows each (the node's block rows, in `rows`
+    /// order).
+    pub fn node_columns(&self, s: usize) -> &[f64] {
         // lint: allow(unwrap) — node factored before its L block is read
-        &self.nodes[s].as_ref().expect("missing node factor").l
+        let nf = self.nodes[s].as_ref().expect("missing node factor");
+        &nf.front.as_slice()[..nf.front.rows() * nf.m]
     }
 
     /// The marginal covariance of one variable block: the `(b, b)` diagonal
@@ -457,7 +476,7 @@ impl NumericFactor {
             for c in 0..info.pivot_dim {
                 for (r_local, &r_global) in row_offs.iter().enumerate() {
                     if r_global >= pivot_off + c {
-                        l[(r_global, pivot_off + c)] = nf.l[(r_local, c)];
+                        l[(r_global, pivot_off + c)] = nf.front[(r_local, c)];
                     }
                 }
             }
@@ -466,16 +485,19 @@ impl NumericFactor {
     }
 }
 
-/// Executes one plan task: workspace reset, Hessian assembly via the
+/// Executes one plan task in its own `t × t` front — `spare`, the cached
+/// node's buffer, when there is one: reset, Hessian assembly via the
 /// precomputed scatter offsets, extend-add of the children's cached
-/// updates via the precomputed scatter blocks, then the three-step
-/// partial factorization. Allocation-free apart from the result copies.
+/// updates via the precomputed scatter runs, then the three-step partial
+/// factorization. The factored front is the published node, so nothing is
+/// copied out.
 fn compute_task(
     plan: &ExecutionPlan,
     h: &BlockMat,
     s: usize,
     slots: &[OnceLock<(NodeFactor, OpTrace)>],
-    ws: &mut Workspace,
+    spare: Option<Mat>,
+    scratch: &mut KernelScratch,
     numeric: NumericMode,
 ) -> Result<(NodeFactor, OpTrace), FactorizeError> {
     let task = &plan.tasks()[s];
@@ -483,8 +505,14 @@ fn compute_task(
     let n = task.rem_dim;
     let t = m + n;
     let mut trace = OpTrace::new();
-    let (front, scratch) = ws.parts();
-    front.reset(t, t);
+    let mut front = match spare {
+        Some(mut front) => {
+            front.reset(t, t);
+            front
+        }
+        // lint: allow(hot-alloc) — a node with a new signature gets its own front, once
+        None => Mat::zeros(t, t),
+    };
     trace.push(Op::Memset { bytes: t * t * 4 });
 
     // Assemble the original Hessian columns owned by this node.
@@ -513,7 +541,8 @@ fn compute_task(
 
     // Extend-add each child's cached update matrix (the merge step), in
     // the plan's fixed child order — the determinism anchor that makes
-    // parallel execution bit-identical to serial.
+    // parallel execution bit-identical to serial. The update is the
+    // trailing block of the child's front.
     for mg in &task.merges {
         // lint: allow(unwrap) — the executor completes children before parents
         let (child, _) = slots[mg.child].get().expect("child factored after parent");
@@ -521,9 +550,9 @@ fn compute_task(
             front.add_block_from(
                 b.dst_row,
                 b.dst_col,
-                &child.update,
-                b.src_row,
-                b.src_col,
+                &child.front,
+                child.m + b.src_row,
+                child.m + b.src_col,
                 b.rows,
                 b.cols,
             );
@@ -533,7 +562,7 @@ fn compute_task(
                 bytes: mg.elems * 4,
             });
             trace.push(Op::ScatterAdd {
-                blocks: mg.blocks.len(),
+                blocks: mg.scatter_blocks,
                 elems: mg.elems,
             });
         }
@@ -543,7 +572,7 @@ fn compute_task(
     // the worker's pooled pack arena: zero allocation once warm, and the
     // arena's flop meter feeds the span's `kernel_flops`. The executor's
     // numeric mode picks the kernel engine (f64 / f32 / mixed).
-    partial_cholesky_scratch_mode(front, m, scratch, numeric).map_err(|e| FactorizeError {
+    partial_cholesky_scratch_mode(&mut front, m, scratch, numeric).map_err(|e| FactorizeError {
         node: s,
         front_col: e.col(),
     })?;
@@ -553,17 +582,13 @@ fn compute_task(
         trace.push(Op::Syrk { n, k: m });
     }
 
-    // Copy the supernode columns out of the frontal workspace. These are
-    // the published results, so they genuinely own their storage — the
-    // one permitted allocation per task — streamed a column at a time.
-    let (mut l, mut update) = (Mat::default(), Mat::default());
-    front.block_into(0, 0, t, m, &mut l);
-    front.block_into(m, m, n, n, &mut update);
+    // The modeled accelerator writes `L` back to memory; the host's
+    // columns already sit in the node's front.
     trace.push(Op::Memcpy { bytes: t * m * 4 });
     Ok((
         NodeFactor {
-            l,
-            update,
+            front,
+            m,
             sig: task.sig,
         },
         trace,
@@ -694,61 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn refactor_after_value_change_matches_fresh() {
-        let p = loopy_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let h0 = build_h(&p, 1);
-        let (mut num, full) = NumericFactor::factorize_traced(&sym, &h0).unwrap();
-        assert_eq!(full.reused, 0);
-
-        // Change the values in block column 2 (and its row partners).
-        let mut h1 = h0.clone();
-        h1.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
-        let stats = num.refactor(&sym, &h1, &[2]).unwrap();
-        assert!(stats.reused > 0, "expected some reuse on a local change");
-
-        let fresh = NumericFactor::factorize(&sym, &h1).unwrap();
-        let a = num.to_dense_l(&sym);
-        let b = fresh.to_dense_l(&sym);
-        for i in 0..sym.total_dim() {
-            for j in 0..=i {
-                assert!((a[(i, j)] - b[(i, j)]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn refactor_after_structure_change_matches_fresh() {
-        // Start with a chain, then add a loop-closure edge.
-        let mut p = BlockPattern::new(vec![2; 6]);
-        for i in 0..5 {
-            p.add_block_edge(i, i + 1);
-        }
-        let sym0 = SymbolicFactor::analyze(&p, 0);
-        let h0 = build_h(&p, 5);
-        let mut num = NumericFactor::factorize(&sym0, &h0).unwrap();
-
-        p.add_block_edge(1, 4);
-        let sym1 = SymbolicFactor::analyze(&p, 0);
-        // Values consistent with h0 plus the new loop-closure block.
-        let h1 = {
-            let mut h = h0.clone();
-            h.add_to_block(4, 1, &Mat::from_fn(2, 2, |r, c| 0.1 * (r + c) as f64));
-            h
-        };
-        let stats = num.refactor(&sym1, &h1, &[1, 4]).unwrap();
-        assert!(!stats.recomputed.is_empty());
-        let fresh = NumericFactor::factorize(&sym1, &h1).unwrap();
-        let a = num.to_dense_l(&sym1);
-        let b = fresh.to_dense_l(&sym1);
-        for i in 0..sym1.total_dim() {
-            for j in 0..=i {
-                assert!((a[(i, j)] - b[(i, j)]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn refactor_with_no_dirt_reuses_everything() {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
@@ -790,8 +760,8 @@ mod tests {
             for c in 0..dim {
                 let mut e = vec![0.0; sym.total_dim()];
                 e[off + c] = 1.0;
-                supernova_linalg::solve_lower(&l, &mut e);
-                supernova_linalg::solve_lower_transpose(&l, &mut e);
+                solve_lower_leading(&l, &mut e);
+                solve_lower_transpose_leading(&l, &mut e);
                 for r in 0..dim {
                     assert!(
                         (cov[(r, c)] - e[off + r]).abs() < 1e-9,
@@ -952,26 +922,6 @@ mod tests {
             assert_eq!(stats_s.recomputed_nodes(), stats_p.recomputed_nodes());
             assert_eq!(stats_s.flops(), stats_p.flops());
         }
-
-        // Incremental (partial-recompute) batched execution also matches.
-        let mut h1 = h.clone();
-        h1.add_to_block(3, 3, &Mat::from_diag(&vec![0.75; p.block_dims()[3]]));
-        let mut inc_serial = serial;
-        inc_serial
-            .execute_plan(&plan, &h1, &[3], &ParallelExecutor::serial())
-            .unwrap();
-        let inc_bytes = inc_serial.serialize_bytes();
-        let mut inc_par = NumericFactor::empty(&plan);
-        inc_par
-            .execute_plan_certified(&plan, &h, &all, &ParallelExecutor::new(4), Some(&cert))
-            .unwrap();
-        let (_, sched_inc) = inc_par
-            .execute_plan_certified(&plan, &h1, &[3], &ParallelExecutor::new(4), Some(&cert))
-            .unwrap();
-        assert_eq!(inc_bytes, inc_par.serialize_bytes());
-        // Partial recompute may collapse to ≤1 task (serial inline) or
-        // batch — either way the bytes above already matched.
-        assert!(sched_inc.spans.len() >= 1);
     }
 
     #[test]
@@ -1015,26 +965,74 @@ mod tests {
         assert_eq!(num0.serialize_bytes(), num0.serialize_bytes());
     }
 
+    /// Every node's front buffer address, with its signature.
+    fn fronts(num: &NumericFactor) -> Vec<((usize, usize, u64), usize)> {
+        let nodes = num.nodes.iter().flatten();
+        nodes
+            .map(|nf| (nf.sig, nf.front.as_slice().as_ptr() as usize))
+            .collect()
+    }
+
     #[test]
-    fn factorize_error_leaves_factor_reseedable() {
-        let mut p = BlockPattern::new(vec![1, 1]);
-        p.add_block_edge(0, 1);
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let plan = ExecutionPlan::from_symbolic(&sym);
-        let mut bad = BlockMat::new(vec![1, 1]);
-        bad.add_to_block(0, 0, &Mat::from_rows(1, 1, &[1.0]));
-        bad.add_to_block(1, 0, &Mat::from_rows(1, 1, &[2.0]));
-        bad.add_to_block(1, 1, &Mat::from_rows(1, 1, &[1.0]));
-        let all = [0usize, 1];
-        let mut num = NumericFactor::empty(&plan);
-        assert!(num
-            .execute_plan(&plan, &bad, &all, &ParallelExecutor::new(2))
-            .is_err());
-        // A good system factorizes fine afterwards.
-        let good = build_h(&p, 3);
-        let (stats, _) = num
-            .execute_plan(&plan, &good, &all, &ParallelExecutor::serial())
-            .unwrap();
-        assert_eq!(stats.recomputed.len(), plan.num_tasks());
+    fn recycled_fronts_match_a_fresh_execution_after_every_step() {
+        for threads in [1usize, 2, 4] {
+            let exec = ParallelExecutor::new(threads);
+            let mut p = loopy_pattern();
+            let all: Vec<usize> = (0..p.num_blocks()).collect();
+            let mut plan = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0));
+            let mut h = build_h(&p, 1);
+            let mut num = NumericFactor::empty(&plan);
+            // One incremental step, checked byte for byte against a fresh
+            // factor of the same system.
+            let step =
+                |num: &mut NumericFactor, plan: &ExecutionPlan, h: &BlockMat, dirty: &[usize]| {
+                    let (stats, _) = num.execute_plan(plan, h, dirty, &exec).unwrap();
+                    let mut fresh = NumericFactor::empty(plan);
+                    fresh.execute_plan(plan, h, &all, &exec).unwrap();
+                    assert_eq!(
+                        num.serialize_bytes(),
+                        fresh.serialize_bytes(),
+                        "{threads} threads"
+                    );
+                    stats.reused
+                };
+            step(&mut num, &plan, &h, &all);
+
+            // Values only, every node dirty: every task refactors in the
+            // front it had.
+            let seeded = fronts(&num);
+            for b in 0..p.num_blocks() {
+                h.add_to_block(b, b, &Mat::from_diag(&vec![0.5; p.block_dims()[b]]));
+            }
+            assert_eq!(step(&mut num, &plan, &h, &all), 0);
+            assert_eq!(
+                fronts(&num),
+                seeded,
+                "{threads} threads reallocated a front"
+            );
+            h.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
+            assert!(step(&mut num, &plan, &h, &[2]) > 0);
+            assert_eq!(fronts(&num), seeded);
+
+            // A loop closure: a node that keeps its signature keeps its
+            // front, a new signature gets a fresh one.
+            p.add_block_edge(1, 6);
+            plan = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0));
+            h.add_to_block(6, 1, &Mat::from_fn(1, 3, |_, c| 0.1 * c as f64));
+            step(&mut num, &plan, &h, &[1, 6]);
+            let after = fronts(&num);
+            let kept = after
+                .iter()
+                .filter(|(sig, _)| seeded.iter().any(|(s, _)| s == sig));
+            assert!(kept.clone().all(|front| seeded.contains(front)));
+            assert!((1..after.len()).contains(&kept.count()));
+
+            // A failed factorization leaves nothing to recycle; the re-seed
+            // runs every task in a fresh front.
+            let mut bad = h.clone();
+            bad.add_to_block(0, 0, &Mat::from_diag(&[-1e9, -1e9]));
+            assert!(num.execute_plan(&plan, &bad, &all, &exec).is_err());
+            assert_eq!(step(&mut num, &plan, &h, &all), 0);
+        }
     }
 }

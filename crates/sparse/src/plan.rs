@@ -3,8 +3,8 @@
 //! [`ExecutionPlan::from_symbolic`] lowers a [`SymbolicFactor`] into a flat
 //! task list with everything the numeric *execute* half needs precomputed:
 //! topological levels, per-task dependency structure, front-local scatter
-//! offsets for Hessian assembly, per-child extend-add scatter blocks, and
-//! per-task workspace sizes. The plan is reused across every
+//! offsets for Hessian assembly, per-child extend-add scatter runs, and
+//! per-task front sizes. The plan is reused across every
 //! re-factorization until the structure (or the elimination order)
 //! changes, and then [`ExecutionPlan::update`] re-derives only the tasks
 //! above the lowest changed column — see `solvers::engine`'s plan cache.
@@ -17,8 +17,10 @@
 
 use crate::SymbolicFactor;
 
-/// One rectangular block copied (added) from a child's update matrix into
-/// the parent's frontal workspace during extend-add.
+/// One rectangular run added from a child's update matrix into the
+/// parent's front during extend-add: one or more scatter blocks of one
+/// child block column whose rows continue each other in both the child's
+/// update and the parent's front.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScatterBlock {
     /// Row offset in the child's update matrix.
@@ -41,8 +43,14 @@ pub struct ScatterBlock {
 pub struct ChildMerge {
     /// Task (= supernode) index of the child whose update matrix is merged.
     pub child: usize,
-    /// Scatter targets, in a fixed deterministic order.
+    /// Scatter runs, child block column by child block column, rows
+    /// ascending within a column — a fixed deterministic order.
     pub blocks: Vec<ScatterBlock>,
+    /// Scatter blocks before coalescing into runs: one per (row block,
+    /// column block) pair of the child's remainder lower triangle. What
+    /// the op trace reports, so traces and simulated cycles do not depend
+    /// on how the host groups its adds.
+    pub scatter_blocks: usize,
     /// Total scalar elements scattered (for op tracing).
     pub elems: usize,
 }
@@ -77,12 +85,12 @@ pub struct PlanTask {
     pub merges: Vec<ChildMerge>,
     /// Structural signature (for numeric-cache reuse across re-analyses).
     pub sig: (usize, usize, u64),
-    /// Scalar elements of frontal workspace this task needs.
+    /// Scalar elements of the task's `(m + n) × (m + n)` front.
     pub workspace_elems: usize,
 }
 
 impl PlanTask {
-    /// Scalar dimension of the square frontal workspace (`m + n`).
+    /// Scalar dimension of the square front (`m + n`).
     pub fn front_dim(&self) -> usize {
         self.pivot_dim + self.rem_dim
     }
@@ -186,8 +194,8 @@ impl ExecutionPlan {
                     coff.push(o);
                     o += dims[br];
                 }
-                let mut blocks = Vec::with_capacity(rem.len() * (rem.len() + 1) / 2);
-                let mut elems = 0usize;
+                let mut blocks: Vec<ScatterBlock> = Vec::with_capacity(rem.len());
+                let (mut scatter_blocks, mut elems) = (0usize, 0usize);
                 for (bj, &rj) in rem.iter().enumerate() {
                     let w = dims[rj];
                     // Multifrontal containment: a child's remainder rows
@@ -195,20 +203,35 @@ impl ExecutionPlan {
                     let dst_col = local(rj);
                     for (bi, &ri) in rem.iter().enumerate().skip(bj) {
                         let h = dims[ri];
-                        blocks.push(ScatterBlock {
-                            src_row: coff[bi],
-                            src_col: coff[bj],
-                            dst_row: local(ri),
-                            dst_col,
-                            rows: h,
-                            cols: w,
-                        });
+                        let (src_row, dst_row) = (coff[bi], local(ri));
+                        scatter_blocks += 1;
                         elems += h * w;
+                        // A block that continues this column's last run in
+                        // both the child's update and the parent's front
+                        // extends it: the same adds, one call.
+                        match blocks.last_mut() {
+                            Some(run)
+                                if bi > bj
+                                    && run.src_row + run.rows == src_row
+                                    && run.dst_row + run.rows == dst_row =>
+                            {
+                                run.rows += h;
+                            }
+                            _ => blocks.push(ScatterBlock {
+                                src_row,
+                                src_col: coff[bj],
+                                dst_row,
+                                dst_col,
+                                rows: h,
+                                cols: w,
+                            }),
+                        }
                     }
                 }
                 merges.push(ChildMerge {
                     child: c,
                     blocks,
+                    scatter_blocks,
                     elems,
                 });
             }
@@ -323,8 +346,9 @@ impl ExecutionPlan {
         self.total_dim
     }
 
-    /// Largest frontal workspace (scalar elements) any task needs — the
-    /// size each worker's reusable buffer is grown to once.
+    /// Largest front (scalar elements) of any task — the size the narrow
+    /// numeric modes' f32 front shadow in each worker's
+    /// [`supernova_linalg::KernelScratch`] is grown to once.
     pub fn max_workspace_elems(&self) -> usize {
         self.max_workspace_elems
     }
@@ -515,6 +539,83 @@ mod tests {
                 assert_eq!(elems, mg.elems);
             }
         }
+    }
+
+    /// A Sphere-shaped pattern: rings of 6-DoF poses, each pose tied to
+    /// its successor and, at random, to its neighbour on the previous
+    /// ring, eliminated in min-degree order with relaxed supernodes.
+    fn sphere_like(seed: u64) -> SymbolicFactor {
+        let (ring, poses) = (8usize, 64usize);
+        let mut rng = supernova_linalg::rng::XorShift64::seed_from_u64(seed);
+        let mut p = BlockPattern::new(vec![6; poses]);
+        for i in 1..poses {
+            p.add_block_edge(i - 1, i);
+            if i >= ring && rng.gen_index(3) > 0 {
+                p.add_block_edge(i - ring, i);
+            }
+        }
+        let p = p.permuted(&crate::ordering::min_degree(&p));
+        SymbolicFactor::analyze(&p, 1)
+    }
+
+    /// Every `(src, dst)` element pair a program adds, as
+    /// `((src_row, src_col), (dst_row, dst_col))`: each block or run
+    /// column-major, then stably grouped by destination column — the adds
+    /// each front column receives, in the order it receives them.
+    fn element_pairs(blocks: &[ScatterBlock]) -> Vec<((usize, usize), (usize, usize))> {
+        let mut pairs = Vec::new();
+        for b in blocks {
+            for c in 0..b.cols {
+                for r in 0..b.rows {
+                    pairs.push((
+                        (b.src_row + r, b.src_col + c),
+                        (b.dst_row + r, b.dst_col + c),
+                    ));
+                }
+            }
+        }
+        pairs.sort_by_key(|&(_, (_, dst_col))| dst_col);
+        pairs
+    }
+
+    #[test]
+    fn coalesced_runs_add_what_the_per_block_program_adds() {
+        let mut runs_total = 0usize;
+        let mut blocks_total = 0usize;
+        for sym in [loopy(), sphere_like(7), sphere_like(8)] {
+            let dims = sym.block_dims();
+            let plan = ExecutionPlan::from_symbolic(&sym);
+            for (task, info) in plan.tasks().iter().zip(sym.nodes()) {
+                for mg in &task.merges {
+                    // The per-block program: one block per (row block,
+                    // column block) pair of the child's lower triangle.
+                    let rem = sym.nodes()[mg.child].remainder_rows();
+                    let off = |k: usize| rem[..k].iter().map(|&b| dims[b]).sum::<usize>();
+                    let front = |b: usize| {
+                        let i = info.rows.iter().position(|&r| r == b).expect("contained");
+                        info.rows[..i].iter().map(|&r| dims[r]).sum::<usize>()
+                    };
+                    let mut per_block = Vec::new();
+                    for (bj, &rj) in rem.iter().enumerate() {
+                        for (bi, &ri) in rem.iter().enumerate().skip(bj) {
+                            per_block.push(ScatterBlock {
+                                src_row: off(bi),
+                                src_col: off(bj),
+                                dst_row: front(ri),
+                                dst_col: front(rj),
+                                rows: dims[ri],
+                                cols: dims[rj],
+                            });
+                        }
+                    }
+                    assert_eq!(mg.scatter_blocks, per_block.len());
+                    assert_eq!(element_pairs(&mg.blocks), element_pairs(&per_block));
+                    runs_total += mg.blocks.len();
+                    blocks_total += per_block.len();
+                }
+            }
+        }
+        assert!(runs_total < blocks_total, "no run ever coalesced");
     }
 
     #[test]
