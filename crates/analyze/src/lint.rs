@@ -215,11 +215,14 @@ const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
 /// `(file, fn name)` pairs whose function body (brace extent) is hot-alloc
 /// scope: the multifrontal task body runs once per supernode per step, the
 /// supernodal triangular solve visits every supernode twice per step, the
-/// gradient rebuild visits every linearized factor once per step, and
-/// the SO(3)/SE(3) group operations run dozens of times per relinearized
-/// factor (a name covers every fn of that name in its file, so `exp`
-/// scopes both `Rot3::exp` and `Se3::exp`).
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 13] = [
+/// gradient rebuild visits every linearized factor once per step, the
+/// SO(3)/SE(3) group operations and the probe residuals run dozens of times
+/// per relinearized factor, the fused Hessian replacement once per block
+/// pair of every relinearized factor, and RA-ISAM2's selection walks the
+/// root path of every candidate (a name covers every fn of that name in its
+/// file, so `exp` scopes both `Rot3::exp` and `Se3::exp`, and `error_into`
+/// every factor's impl; a bodyless trait declaration scopes nothing).
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 21] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
     ("crates/sparse/src/numeric.rs", "solve_in_place"),
     ("crates/solvers/src/engine.rs", "gradient_into"),
@@ -233,6 +236,14 @@ const HOT_ALLOC_FN_SCOPES: [(&str, &str); 13] = [
     ("crates/factors/src/se3.rs", "local"),
     ("crates/factors/src/se3.rs", "hat"),
     ("crates/factors/src/se3.rs", "mul3"),
+    ("crates/factors/src/factor.rs", "linearize_into"),
+    ("crates/factors/src/factor.rs", "error_at_probe"),
+    ("crates/factors/src/factor.rs", "error_into"),
+    ("crates/solvers/src/engine.rs", "replace_contribution"),
+    ("crates/solvers/src/engine.rs", "add_gram"),
+    ("crates/solvers/src/engine.rs", "add_gram_direct"),
+    ("crates/solvers/src/ra_isam2.rs", "select"),
+    ("crates/solvers/src/ra_isam2.rs", "affected_variables"),
 ];
 
 /// Files where every panic-capable construct is a protocol bug: the wire
@@ -687,6 +698,10 @@ fn token_contexts(toks: &[Tok], hot_fns: &[&str]) -> Vec<TokCtx> {
     let mut test_mod_pending = false;
     let mut test_mod_exit: Option<i64> = None;
     let mut hot_fn_pending = false;
+    // `(` / `[` nesting inside a pending hot fn's signature: a `;` at zero
+    // ends a bodyless declaration (a trait method), one inside is an array
+    // type's length (`[f64; 3]`).
+    let mut hot_sig_nesting: i64 = 0;
     let mut hot_fn_exit: Option<i64> = None;
 
     for (idx, t) in toks.iter().enumerate() {
@@ -728,9 +743,12 @@ fn token_contexts(toks: &[Tok], hot_fns: &[&str]) -> Vec<TokCtx> {
                 .is_some_and(|n| n.kind == TokKind::Ident && hot_fns.contains(&n.text.as_str()))
         {
             hot_fn_pending = true;
+            hot_sig_nesting = 0;
         }
 
         match (t.kind, t.text.as_str()) {
+            (TokKind::Punct, "(" | "[") if hot_fn_pending => hot_sig_nesting += 1,
+            (TokKind::Punct, ")" | "]") if hot_fn_pending => hot_sig_nesting -= 1,
             (TokKind::Punct, "{") => {
                 if test_mod_pending {
                     test_mod_exit = Some(depth);
@@ -753,7 +771,12 @@ fn token_contexts(toks: &[Tok], hot_fns: &[&str]) -> Vec<TokCtx> {
                 }
                 new_stmt = true;
             }
-            (TokKind::Punct, ";") => new_stmt = true,
+            (TokKind::Punct, ";") => {
+                if hot_sig_nesting == 0 {
+                    hot_fn_pending = false;
+                }
+                new_stmt = true;
+            }
             _ => {}
         }
     }
@@ -1525,6 +1548,19 @@ mod tests {
         let hot: Vec<_> = v.iter().filter(|v| v.rule == Rule::HotAlloc).collect();
         assert_eq!(hot.len(), 1, "{v:?}");
         assert_eq!(hot[0].line, 3);
+    }
+
+    #[test]
+    fn hot_alloc_fn_scope_skips_a_bodyless_declaration() {
+        let (file, name) = HOT_ALLOC_FN_SCOPES[0];
+        let src = format!(
+            "trait T {{\n    fn {name}(&self, v: [f64; 3]);\n    fn cold(&self) {{ let v = Vec::new(); }}\n}}\n\
+             fn {name}(v: [f64; 3]) {{\n    let w = vec![0.0; 3];\n}}\n"
+        );
+        let v = lint_file(file, &src);
+        let hot: Vec<_> = v.iter().filter(|v| v.rule == Rule::HotAlloc).collect();
+        assert_eq!(hot.len(), 1, "{v:?}");
+        assert_eq!(hot[0].line, 6);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The factor abstraction and the built-in factor types.
 
+use std::sync::OnceLock;
+
 use supernova_linalg::Mat;
 
-use crate::{Key, NoiseModel, Values, Variable};
+use crate::{Key, NoiseModel, Se2, Se3, Values, Variable};
 
 /// One measurement constraint `φ_i(X)` over a small set of variables
 /// (Equation (1) of the paper).
@@ -23,9 +25,10 @@ pub trait Factor: std::fmt::Debug + Send + Sync {
     /// The measurement noise model (also fixes the residual dimension).
     fn noise(&self) -> &NoiseModel;
 
-    /// The raw (unwhitened) residual evaluated at `vars`, which correspond
-    /// to [`keys`](Self::keys) in order.
-    fn error(&self, vars: &[&Variable]) -> Vec<f64>;
+    /// Writes the raw (unwhitened) residual evaluated at `vars`, which
+    /// correspond to [`keys`](Self::keys) in order, into `out` (length
+    /// `noise().dim()`).
+    fn error_into(&self, vars: &[&Variable], out: &mut [f64]);
 
     /// Linearizes this factor at `values`: whitened Jacobian blocks (one per
     /// key) and whitened residual. This is the block row `J_i` of §3.3.
@@ -40,14 +43,16 @@ pub trait Factor: std::fmt::Debug + Send + Sync {
     /// down-weighted when the noise model carries a robust kernel).
     fn weighted_error2(&self, values: &Values) -> f64 {
         let vars: Vec<&Variable> = self.keys().iter().map(|&k| values.get(k)).collect();
-        let w = self.noise().whiten(&self.error(&vars));
+        let mut r = vec![0.0; self.noise().dim()];
+        self.error_into(&vars, &mut r);
+        let w = self.noise().whiten(&r);
         self.noise().robust_weight(&w) * w.iter().map(|x| x * x).sum::<f64>()
     }
 }
 
 /// A factor linearized at some linearization point: the whitened block row
 /// of the Jacobian `J` and the whitened residual.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LinearizedFactor {
     /// Constrained variables, matching `jacobians` in order.
     pub keys: Vec<Key>,
@@ -70,76 +75,173 @@ impl LinearizedFactor {
     }
 }
 
+/// The central-difference step of [`linearize`].
+const H: f64 = 1e-6;
+
+/// The two probe steps per tangent direction: `+H`, then `−H`.
+const STEPS: [f64; 2] = [H, -H];
+
+/// Keys whose variables [`linearize_into`] lists on the stack (every
+/// in-tree factor has one or two).
+const STACK_KEYS: usize = 4;
+
+/// Residual dimension whose probe residuals [`linearize_into`] keeps on the
+/// stack (every in-tree factor's is at most 6).
+const STACK_DIM: usize = 8;
+
+/// `Exp(±H·e_d)` for each of a pose type's `N` tangent directions: entry
+/// `[d][s]` is `exp` of the vector holding `STEPS[s]` in slot `d` and
+/// `0.0` elsewhere — the δ the retraction of a probe is built from — so
+/// `p.compose(table[d][s])` is `p.retract(δ)` bit for bit.
+fn probe_table<T, const N: usize>(exp: fn(&[f64]) -> T) -> [[T; 2]; N] {
+    std::array::from_fn(|d| {
+        STEPS.map(|h| {
+            let mut delta = [0.0; N];
+            delta[d] = h;
+            exp(&delta)
+        })
+    })
+}
+
+fn se2_probes() -> &'static [[Se2; 2]; 3] {
+    static TABLE: OnceLock<[[Se2; 2]; 3]> = OnceLock::new();
+    TABLE.get_or_init(|| probe_table(Se2::exp))
+}
+
+fn se3_probes() -> &'static [[Se3; 2]; 6] {
+    static TABLE: OnceLock<[[Se3; 2]; 6]> = OnceLock::new();
+    TABLE.get_or_init(|| probe_table(Se3::exp))
+}
+
+/// The probe `var ⊕ (STEPS[s]·e_d)`. A pose is one `compose` with its
+/// tabled `Exp`; a vector is `retract`'s elementwise `x + δ_i`, including
+/// the `+ 0.0` off slot `d`.
+fn probe(var: &Variable, d: usize, s: usize) -> Variable {
+    match var {
+        Variable::Se2(p) => Variable::Se2(p.compose(se2_probes()[d][s])),
+        Variable::Se3(p) => Variable::Se3(p.compose(&se3_probes()[d][s])),
+        Variable::Vector(v) => Variable::Vector(
+            v.iter()
+                .enumerate()
+                .map(|(i, x)| x + if i == d { STEPS[s] } else { 0.0 })
+                .collect(),
+        ),
+    }
+}
+
+/// Fills the unused tail of a stack variable list; never read.
+static UNUSED: Variable = Variable::Vector(Vec::new());
+
 /// Linearizes `factor` at `values` by central differences on the retraction.
 ///
 /// The property tests verify first-order agreement:
 /// `e(x ⊕ δ) ≈ e(x) + J δ` with `O(‖δ‖²)` error.
 pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedFactor {
-    const H: f64 = 1e-6;
-    let keys = factor.keys().to_vec();
-    let vars: Vec<&Variable> = keys.iter().map(|&k| values.get(k)).collect();
-    let r0 = factor.error(&vars);
-    let dim = r0.len();
-    debug_assert_eq!(
-        dim,
-        factor.noise().dim(),
-        "residual/noise dimension mismatch"
-    );
+    let mut out = LinearizedFactor::default();
+    linearize_into(factor, values, &mut out);
+    out
+}
 
-    let whitened0 = factor.noise().whiten(&r0);
-    let robust = factor.noise().robust_weight(&whitened0).sqrt();
-    let mut jacobians = Vec::with_capacity(keys.len());
-    let mut delta = vec![0.0; vars.iter().map(|v| v.dim()).max().unwrap_or(0)];
-    for (vi, &var) in vars.iter().enumerate() {
-        let vdim = var.dim();
-        let delta = &mut delta[..vdim];
-        let mut j = Mat::zeros(dim, vdim);
-        for d in 0..vdim {
-            delta[d] = H;
-            let plus = var.retract(delta);
-            delta[d] = -H;
-            let minus = var.retract(delta);
-            delta[d] = 0.0;
+/// [`linearize`] into `out`, reusing its key, Jacobian and residual
+/// buffers (allocation-free once they have the factor's shape). Probes come
+/// from the tabled `Exp(±H·e_d)` and the probe residuals live on the stack;
+/// every bit equals a per-probe `retract` and a fresh residual `Vec`.
+pub fn linearize_into<F: Factor + ?Sized>(factor: &F, values: &Values, out: &mut LinearizedFactor) {
+    let keys = factor.keys();
+    let noise = factor.noise();
+    let dim = noise.dim();
+    let mut stack_vars = [&UNUSED; STACK_KEYS];
+    let heap_vars: Vec<&Variable>;
+    let vars: &[&Variable] = if keys.len() <= STACK_KEYS {
+        for (slot, &k) in stack_vars.iter_mut().zip(keys) {
+            *slot = values.get(k);
+        }
+        &stack_vars[..keys.len()]
+    } else {
+        heap_vars = keys.iter().map(|&k| values.get(k)).collect();
+        &heap_vars
+    };
 
-            let rp = error_at_probe(factor, &vars, vi, &plus);
-            let rm = error_at_probe(factor, &vars, vi, &minus);
-            for (x, (p, m)) in j.col_mut(d).iter_mut().zip(rp.iter().zip(&rm)) {
+    // r0, whitened in place (`Σ^{-1/2} r`, as `NoiseModel::whiten` does).
+    out.keys.clear();
+    out.keys.extend_from_slice(keys);
+    out.residual.clear();
+    out.residual.resize(dim, 0.0);
+    factor.error_into(vars, &mut out.residual);
+    for (x, w) in out.residual.iter_mut().zip(noise.sqrt_info()) {
+        *x *= w;
+    }
+    let robust = noise.robust_weight(&out.residual).sqrt();
+
+    let mut stack_probes = [0.0; 2 * STACK_DIM];
+    // lint: allow(hot-alloc) — empty; grows only past STACK_DIM (no in-tree factor)
+    let mut heap_probes = Vec::new();
+    let (rp, rm) = if dim <= STACK_DIM {
+        stack_probes[..2 * dim].split_at_mut(dim)
+    } else {
+        heap_probes.resize(2 * dim, 0.0);
+        heap_probes.split_at_mut(dim)
+    };
+    out.jacobians.resize_with(vars.len(), Mat::default);
+    for (vi, (&var, j)) in vars.iter().zip(&mut out.jacobians).enumerate() {
+        j.reset(dim, var.dim());
+        for d in 0..var.dim() {
+            error_at_probe(factor, vars, vi, &probe(var, d, 0), rp);
+            error_at_probe(factor, vars, vi, &probe(var, d, 1), rm);
+            for (x, (p, m)) in j.col_mut(d).iter_mut().zip(rp.iter().zip(rm.iter())) {
                 *x = (p - m) / (2.0 * H);
             }
         }
-        factor.noise().whiten_jacobian(&mut j);
+        noise.whiten_jacobian(j);
         if robust != 1.0 {
             j.scale(robust);
         }
-        jacobians.push(j);
     }
-    let residual = whitened0.iter().map(|x| x * robust).collect();
-    LinearizedFactor {
-        keys,
-        jacobians,
-        residual,
+    for x in &mut out.residual {
+        *x *= robust;
     }
 }
 
-/// The raw residual of `factor` with slot `vi` of `vars` replaced by
-/// `probe`. The probe list is built on the stack for up to four keys
-/// (every in-tree factor has one or two), so only the residual allocates.
+/// Writes the raw residual of `factor` with slot `vi` of `vars` replaced by
+/// `probe` into `out`. The probe list is built on the stack for up to
+/// [`STACK_KEYS`] keys.
 fn error_at_probe<F: Factor + ?Sized>(
     factor: &F,
     vars: &[&Variable],
     vi: usize,
     probe: &Variable,
-) -> Vec<f64> {
-    const STACK_KEYS: usize = 4;
+    out: &mut [f64],
+) {
     if vars.len() > STACK_KEYS {
+        // lint: allow(hot-alloc) — more than four keys (no in-tree factor)
         let mut list = vars.to_vec();
         list[vi] = probe;
-        return factor.error(&list);
+        return factor.error_into(&list, out);
     }
     let mut list = [probe; STACK_KEYS];
     list[..vars.len()].copy_from_slice(vars);
     list[vi] = probe;
-    factor.error(&list[..vars.len()])
+    factor.error_into(&list[..vars.len()], out);
+}
+
+/// The group inverse of a pose measurement, computed once at construction
+/// so a residual starts from it instead of re-inverting per evaluation.
+/// Vectors carry none: their residual is a plain difference.
+#[derive(Clone, Copy, Debug)]
+enum Inverse {
+    Se2(Se2),
+    Se3(Se3),
+    Vector,
+}
+
+impl Inverse {
+    fn of(v: &Variable) -> Self {
+        match v {
+            Variable::Se2(p) => Inverse::Se2(p.inverse()),
+            Variable::Se3(p) => Inverse::Se3(p.inverse()),
+            Variable::Vector(_) => Inverse::Vector,
+        }
+    }
 }
 
 /// Anchors a variable to a known value — the gauge constraint of every SLAM
@@ -148,6 +250,7 @@ fn error_at_probe<F: Factor + ?Sized>(
 pub struct PriorFactor {
     keys: [Key; 1],
     prior: Variable,
+    prior_inv: Inverse,
     noise: NoiseModel,
 }
 
@@ -166,6 +269,7 @@ impl PriorFactor {
         );
         PriorFactor {
             keys: [key],
+            prior_inv: Inverse::of(&prior),
             prior,
             noise,
         }
@@ -200,8 +304,19 @@ impl Factor for PriorFactor {
         &self.noise
     }
 
-    fn error(&self, vars: &[&Variable]) -> Vec<f64> {
-        self.prior.local(vars[0])
+    /// `Log(prior⁻¹ · x)` — `prior.local(x)` with the inverse stored.
+    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+        match (vars[0], &self.prior_inv, &self.prior) {
+            (Variable::Se2(x), Inverse::Se2(pi), _) => out.copy_from_slice(&pi.compose(*x).log()),
+            (Variable::Se3(x), Inverse::Se3(pi), _) => out.copy_from_slice(&pi.compose(x).log()),
+            (Variable::Vector(x), Inverse::Vector, Variable::Vector(p)) => {
+                assert_eq!(x.len(), p.len(), "vector length mismatch");
+                for (o, (a, b)) in out.iter_mut().zip(x.iter().zip(p)) {
+                    *o = a - b;
+                }
+            }
+            _ => panic!("prior factor over a different variable kind"),
+        }
     }
 }
 
@@ -211,6 +326,7 @@ impl Factor for PriorFactor {
 pub struct BetweenFactor {
     keys: [Key; 2],
     measured: Variable,
+    measured_inv: Inverse,
     noise: NoiseModel,
 }
 
@@ -229,6 +345,7 @@ impl BetweenFactor {
         );
         BetweenFactor {
             keys: [a, b],
+            measured_inv: Inverse::of(&measured),
             measured,
             noise,
         }
@@ -263,20 +380,21 @@ impl Factor for BetweenFactor {
         &self.noise
     }
 
-    fn error(&self, vars: &[&Variable]) -> Vec<f64> {
-        match (vars[0], vars[1], &self.measured) {
-            (Variable::Se2(a), Variable::Se2(b), Variable::Se2(z)) => {
-                z.local(a.inverse().compose(*b)).to_vec()
+    /// `Z⁻¹ · (X_a⁻¹ · X_b)`, then `Log` — the operation sequence of
+    /// `Z.local(X_a⁻¹ · X_b)`, with `Z⁻¹` stored.
+    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+        match (vars[0], vars[1], &self.measured_inv, &self.measured) {
+            (Variable::Se2(a), Variable::Se2(b), Inverse::Se2(zi), _) => {
+                out.copy_from_slice(&zi.compose(a.inverse().compose(*b)).log());
             }
-            (Variable::Se3(a), Variable::Se3(b), Variable::Se3(z)) => {
-                z.local(&a.inverse().compose(b)).to_vec()
+            (Variable::Se3(a), Variable::Se3(b), Inverse::Se3(zi), _) => {
+                out.copy_from_slice(&zi.compose(&a.inverse().compose(b)).log());
             }
-            (Variable::Vector(a), Variable::Vector(b), Variable::Vector(z)) => a
-                .iter()
-                .zip(b)
-                .zip(z)
-                .map(|((x, y), m)| (y - x) - m)
-                .collect(),
+            (Variable::Vector(a), Variable::Vector(b), Inverse::Vector, Variable::Vector(z)) => {
+                for (o, ((x, y), m)) in out.iter_mut().zip(a.iter().zip(b).zip(z)) {
+                    *o = (y - x) - m;
+                }
+            }
             _ => panic!("between factor over mismatched variable kinds"),
         }
     }
@@ -285,7 +403,14 @@ impl Factor for BetweenFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Se2, Se3};
+    use supernova_linalg::rng::XorShift64;
+
+    /// The raw residual of `f` at `vars` as a fresh `Vec`.
+    fn error_vec(f: &dyn Factor, vars: &[&Variable]) -> Vec<f64> {
+        let mut out = vec![0.0; f.noise().dim()];
+        f.error_into(vars, &mut out);
+        out
+    }
 
     #[test]
     fn prior_zero_error_at_prior() {
@@ -346,7 +471,7 @@ mod tests {
         let mut vals2 = vals.clone();
         vals2.retract_at(b, &delta);
         let vars2: Vec<&Variable> = f.keys().iter().map(|&k| vals2.get(k)).collect();
-        let e2 = f.noise().whiten(&f.error(&vars2));
+        let e2 = f.noise().whiten(&error_vec(&f, &vars2));
 
         let predicted: Vec<f64> = {
             let jd = lin.jacobians[1].matvec(&delta);
@@ -389,16 +514,16 @@ mod tests {
         fn noise(&self) -> &NoiseModel {
             &self.noise
         }
-        fn error(&self, vars: &[&Variable]) -> Vec<f64> {
+        fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
             let x = |v: &Variable| match v {
                 Variable::Vector(x) => x[0],
                 _ => panic!("scalar variables only"),
             };
-            vec![vars
+            out[0] = vars
                 .iter()
                 .enumerate()
                 .map(|(i, v)| (i + 1) as f64 * x(v))
-                .sum()]
+                .sum();
         }
     }
 
@@ -419,5 +544,245 @@ mod tests {
                 assert!((j[(0, 0)] - (i + 1) as f64).abs() < 1e-6, "{arity}: {i}");
             }
         }
+    }
+
+    /// The linearization `linearize_into` replaced, kept as its bit oracle:
+    /// one `retract` per probe and a fresh residual `Vec` per evaluation,
+    /// with the residual computed by [`oracle_error`].
+    fn oracle_linearize(factor: &dyn Factor, values: &Values) -> LinearizedFactor {
+        let keys = factor.keys().to_vec();
+        let vars: Vec<&Variable> = keys.iter().map(|&k| values.get(k)).collect();
+        let r0 = oracle_error(factor, &vars);
+        let dim = r0.len();
+        let whitened0 = factor.noise().whiten(&r0);
+        let robust = factor.noise().robust_weight(&whitened0).sqrt();
+        let mut jacobians = Vec::with_capacity(keys.len());
+        let mut delta = vec![0.0; vars.iter().map(|v| v.dim()).max().unwrap_or(0)];
+        for (vi, &var) in vars.iter().enumerate() {
+            let vdim = var.dim();
+            let delta = &mut delta[..vdim];
+            let mut j = Mat::zeros(dim, vdim);
+            for d in 0..vdim {
+                delta[d] = H;
+                let plus = var.retract(delta);
+                delta[d] = -H;
+                let minus = var.retract(delta);
+                delta[d] = 0.0;
+                let mut list: Vec<&Variable> = vars.clone();
+                list[vi] = &plus;
+                let rp = oracle_error(factor, &list);
+                list[vi] = &minus;
+                let rm = oracle_error(factor, &list);
+                for (x, (p, m)) in j.col_mut(d).iter_mut().zip(rp.iter().zip(&rm)) {
+                    *x = (p - m) / (2.0 * H);
+                }
+            }
+            factor.noise().whiten_jacobian(&mut j);
+            if robust != 1.0 {
+                j.scale(robust);
+            }
+            jacobians.push(j);
+        }
+        let residual = whitened0.iter().map(|x| x * robust).collect();
+        LinearizedFactor {
+            keys,
+            jacobians,
+            residual,
+        }
+    }
+
+    /// The between and prior residuals as they were computed before the
+    /// measurement inverse was stored (`Z.local(·)`, inverting `Z` on every
+    /// evaluation); any other factor's own `error_into`.
+    fn oracle_error(factor: &dyn Factor, vars: &[&Variable]) -> Vec<f64> {
+        if let Some(f) = factor.as_any().downcast_ref::<BetweenFactor>() {
+            return match (vars[0], vars[1], f.measured()) {
+                (Variable::Se2(a), Variable::Se2(b), Variable::Se2(z)) => {
+                    z.local(a.inverse().compose(*b)).to_vec()
+                }
+                (Variable::Se3(a), Variable::Se3(b), Variable::Se3(z)) => {
+                    z.local(&a.inverse().compose(b)).to_vec()
+                }
+                other => panic!("oracle covers pose between factors only: {other:?}"),
+            };
+        }
+        if let Some(f) = factor.as_any().downcast_ref::<PriorFactor>() {
+            return f.prior().local(vars[0]);
+        }
+        error_vec(factor, vars)
+    }
+
+    /// A scalar that is often an exact `0.0` or `-0.0`.
+    fn scalar(rng: &mut XorShift64) -> f64 {
+        match rng.gen_index(4) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-5.0, 5.0),
+        }
+    }
+
+    /// An angle of a random shape: generic, tiny (the `θ < 1e-9`
+    /// branches), within 1e-6 of ±π, `0.0` or `-0.0`.
+    fn angle(rng: &mut XorShift64) -> f64 {
+        let pi = std::f64::consts::PI;
+        match rng.gen_index(5) {
+            0 => rng.gen_range(-3.0, 3.0),
+            1 => rng.gen_range(-1.0, 1.0) * 1e-11,
+            2 => {
+                let near = pi - rng.gen_range(0.0, 1e-6);
+                if rng.gen_bool(0.5) {
+                    near
+                } else {
+                    -near
+                }
+            }
+            3 => 0.0,
+            _ => -0.0,
+        }
+    }
+
+    fn se2(rng: &mut XorShift64) -> Se2 {
+        Se2::new(scalar(rng), scalar(rng), angle(rng))
+    }
+
+    /// A rotation vector of length [`angle`] about a random axis whose
+    /// components are often `±0.0`.
+    fn rotvec(rng: &mut XorShift64) -> [f64; 3] {
+        let mut axis = [scalar(rng), scalar(rng), scalar(rng)];
+        if axis.iter().all(|&x| x == 0.0) {
+            axis[rng.gen_index(3)] = 1.0;
+        }
+        let n = axis.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let theta = angle(rng);
+        axis.map(|x| x / n * theta)
+    }
+
+    fn se3(rng: &mut XorShift64) -> Se3 {
+        let t = [scalar(rng), scalar(rng), scalar(rng)];
+        Se3::from_parts(t, crate::Rot3::exp(&rotvec(rng)))
+    }
+
+    /// Diagonal noise of dimension `dim`, with a Huber kernel (often tight
+    /// enough to down-weight) a third of the time.
+    fn noise(rng: &mut XorShift64, dim: usize) -> NoiseModel {
+        let sigmas: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.05, 2.0)).collect();
+        let n = NoiseModel::from_sigmas(&sigmas);
+        if rng.gen_bool(0.33) {
+            n.with_huber(rng.gen_range(0.01, 2.0))
+        } else {
+            n
+        }
+    }
+
+    /// One sweep case: values plus a factor of the kind `case` cycles
+    /// through, measurements drawn exactly at, near, π away from, or
+    /// unrelated to the variables' relative pose.
+    fn sweep_case(rng: &mut XorShift64, case: usize) -> (Values, Box<dyn Factor>) {
+        let mut vals = Values::new();
+        let factor: Box<dyn Factor> = match case % 6 {
+            0 => {
+                let (a, b) = (se2(rng), se2(rng));
+                let rel = a.inverse().compose(b);
+                let z = match rng.gen_index(3) {
+                    0 => rel,
+                    1 => rel.compose(se2(rng)),
+                    _ => se2(rng),
+                };
+                let (ka, kb) = (vals.insert_se2(a), vals.insert_se2(b));
+                Box::new(BetweenFactor::se2(ka, kb, z, noise(rng, 3)))
+            }
+            1 => {
+                let (a, b) = (se3(rng), se3(rng));
+                let rel = a.inverse().compose(&b);
+                let z = match rng.gen_index(3) {
+                    0 => rel,
+                    1 => rel.compose(&se3(rng)),
+                    _ => se3(rng),
+                };
+                let (ka, kb) = (vals.insert_se3(a), vals.insert_se3(b));
+                Box::new(BetweenFactor::se3(ka, kb, z, noise(rng, 6)))
+            }
+            2 => {
+                let x = se2(rng);
+                let p = if rng.gen_bool(0.5) { x } else { se2(rng) };
+                let k = vals.insert_se2(x);
+                Box::new(PriorFactor::se2(k, p, noise(rng, 3)))
+            }
+            3 => {
+                let x = se3(rng);
+                let p = if rng.gen_bool(0.5) {
+                    x.compose(&se3(rng))
+                } else {
+                    se3(rng)
+                };
+                let k = vals.insert_se3(x);
+                Box::new(PriorFactor::se3(k, p, noise(rng, 6)))
+            }
+            4 => {
+                let pose = vals.insert_se2(se2(rng));
+                let lm = vals.insert(Variable::Vector(vec![scalar(rng), scalar(rng)]));
+                let range = rng.gen_range(0.1, 6.0);
+                Box::new(crate::RangeBearingFactor::new(
+                    pose,
+                    lm,
+                    range,
+                    angle(rng),
+                    noise(rng, 2),
+                ))
+            }
+            _ => {
+                let pose = vals.insert_se3(se3(rng));
+                let lm = vals.insert(Variable::Vector(vec![
+                    scalar(rng),
+                    scalar(rng),
+                    scalar(rng),
+                ]));
+                let z = [scalar(rng), scalar(rng), scalar(rng)];
+                Box::new(crate::PointObservationFactor::new(
+                    pose,
+                    lm,
+                    z,
+                    noise(rng, 3),
+                ))
+            }
+        };
+        (vals, factor)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_bits(got: &LinearizedFactor, want: &LinearizedFactor, what: &str) {
+        assert_eq!(got.keys, want.keys, "{what}");
+        assert_eq!(bits(&got.residual), bits(&want.residual), "residual {what}");
+        assert_eq!(got.jacobians.len(), want.jacobians.len(), "{what}");
+        for (g, w) in got.jacobians.iter().zip(&want.jacobians) {
+            assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()), "{what}");
+            assert_eq!(bits(g.as_slice()), bits(w.as_slice()), "jacobian {what}");
+        }
+    }
+
+    #[test]
+    fn linearize_matches_the_retract_and_vec_oracle_bit_for_bit() {
+        let mut rng = XorShift64::seed_from_u64(0x11ea_5eed);
+        // One buffer reused across every shape: `linearize_into` must not
+        // leak a previous factor's keys, blocks or residual.
+        let mut reused = LinearizedFactor::default();
+        let mut robust = 0usize;
+        for case in 0..2400 {
+            let (vals, f) = sweep_case(&mut rng, case);
+            let want = oracle_linearize(f.as_ref(), &vals);
+            let what = format!("case {case}: {f:?} at {vals:?}");
+            assert_same_bits(&linearize(f.as_ref(), &vals), &want, &what);
+            linearize_into(f.as_ref(), &vals, &mut reused);
+            assert_same_bits(&reused, &want, &what);
+            let w = f.noise().whiten(&oracle_error(f.as_ref(), &{
+                let vars: Vec<&Variable> = f.keys().iter().map(|&k| vals.get(k)).collect();
+                vars
+            }));
+            robust += usize::from(f.noise().robust_weight(&w) != 1.0);
+        }
+        assert!(robust > 100, "only {robust} cases down-weighted");
     }
 }

@@ -84,20 +84,6 @@ impl FactorGraph {
             .unwrap_or(&[])
     }
 
-    /// All variables that share a factor with `key` (excluding `key`) — the
-    /// "affected_variables" of Algorithm 1, line 2.
-    pub fn neighbors(&self, key: Key) -> Vec<Key> {
-        let mut out: Vec<Key> = self
-            .factors_of(key)
-            .iter()
-            .flat_map(|&f| self.factors[f].keys().iter().copied())
-            .filter(|&k| k != key)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Iterates `(index, factor)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &dyn Factor)> {
         self.factors
@@ -147,26 +133,6 @@ mod tests {
         assert_eq!(graph.factors_of(Key(1)).len(), 2);
         assert_eq!(graph.factors_of(Key(3)).len(), 1);
         assert!(graph.factors_of(Key(99)).is_empty());
-    }
-
-    #[test]
-    fn neighbors_excludes_self_and_dedups() {
-        let (mut graph, mut values) = chain(4);
-        let extra = values.insert_se2(Se2::identity());
-        graph.add(BetweenFactor::se2(
-            Key(1),
-            extra,
-            Se2::identity(),
-            NoiseModel::isotropic(3, 1.0),
-        ));
-        graph.add(BetweenFactor::se2(
-            Key(1),
-            extra,
-            Se2::identity(),
-            NoiseModel::isotropic(3, 1.0),
-        ));
-        let n = graph.neighbors(Key(1));
-        assert_eq!(n, vec![Key(0), Key(2), extra]);
     }
 
     #[test]

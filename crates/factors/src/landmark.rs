@@ -85,7 +85,7 @@ impl Factor for RangeBearingFactor {
         &self.noise
     }
 
-    fn error(&self, vars: &[&Variable]) -> Vec<f64> {
+    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
         let (pose, lm) = match (vars[0], vars[1]) {
             (Variable::Se2(p), Variable::Vector(l)) if l.len() == 2 => (p, l),
             _ => panic!("range-bearing factor expects (Se2, Vector2)"),
@@ -97,10 +97,10 @@ impl Factor for RangeBearingFactor {
             .sqrt()
             .max(1e-12);
         let predicted_bearing = local[1].atan2(local[0]);
-        vec![
+        out.copy_from_slice(&[
             predicted_range - self.range,
             wrap_angle(predicted_bearing - self.bearing),
-        ]
+        ]);
     }
 }
 
@@ -145,7 +145,7 @@ impl Factor for PointObservationFactor {
         &self.noise
     }
 
-    fn error(&self, vars: &[&Variable]) -> Vec<f64> {
+    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
         let (pose, lm) = match (vars[0], vars[1]) {
             (Variable::Se3(p), Variable::Vector(l)) if l.len() == 3 => (p, l),
             _ => panic!("point observation factor expects (Se3, Vector3)"),
@@ -153,7 +153,9 @@ impl Factor for PointObservationFactor {
         let t = pose.translation();
         let world = [lm[0] - t[0], lm[1] - t[1], lm[2] - t[2]];
         let local = pose.rotation().inverse().rotate(world);
-        (0..3).map(|i| local[i] - self.measured[i]).collect()
+        for (o, (l, m)) in out.iter_mut().zip(local.iter().zip(&self.measured)) {
+            *o = l - m;
+        }
     }
 }
 
@@ -189,7 +191,9 @@ mod tests {
         let mut v2 = vals.clone();
         v2.retract_at(lm, &delta);
         let vars: Vec<&Variable> = f.keys().iter().map(|&k| v2.get(k)).collect();
-        let actual = f.noise().whiten(&f.error(&vars));
+        let mut raw = [0.0; 2];
+        f.error_into(&vars, &mut raw);
+        let actual = f.noise().whiten(&raw);
         let jd = lin.jacobians[1].matvec(&delta);
         for k in 0..2 {
             let predicted = lin.residual[k] + jd[k];
@@ -228,6 +232,6 @@ mod tests {
         let b = vals.insert_se2(Se2::identity());
         let f = RangeBearingFactor::new(a, b, 1.0, 0.0, NoiseModel::isotropic(2, 0.1));
         let vars: Vec<&Variable> = f.keys().iter().map(|&k| vals.get(k)).collect();
-        let _ = f.error(&vars);
+        f.error_into(&vars, &mut [0.0; 2]);
     }
 }

@@ -43,7 +43,7 @@ mod se2;
 mod se3;
 mod values;
 
-pub use factor::{linearize, BetweenFactor, Factor, LinearizedFactor, PriorFactor};
+pub use factor::{linearize, linearize_into, BetweenFactor, Factor, LinearizedFactor, PriorFactor};
 pub use graph::FactorGraph;
 pub use key::Key;
 pub use landmark::{PointObservationFactor, RangeBearingFactor};

@@ -4,9 +4,13 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use supernova_factors::{linearize, Factor, FactorGraph, Key, LinearizedFactor, Values, Variable};
+use supernova_factors::{
+    linearize, linearize_into, Factor, FactorGraph, Key, LinearizedFactor, Values, Variable,
+};
 use supernova_linalg::ops::{Op, OpTrace};
-use supernova_linalg::{gemm_scratch, norm_inf, KernelScratch, Mat, NumericMode, Transpose};
+use supernova_linalg::{
+    gemm_path, gemm_scratch, norm_inf, GemmPath, KernelScratch, Mat, NumericMode, Transpose,
+};
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
     interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
@@ -134,6 +138,11 @@ pub struct IncrementalCore {
     /// Diagonal damping events (non-PD recoveries), for diagnostics.
     damping_events: usize,
     reorders: usize,
+    /// Reused by [`relinearize_vars`](Self::relinearize_vars): the factor
+    /// indices to relinearize, and the linearization being built (swapped
+    /// with the cached one it replaces).
+    relin_factors: Vec<usize>,
+    relin_scratch: LinearizedFactor,
 }
 
 impl IncrementalCore {
@@ -385,7 +394,6 @@ impl IncrementalCore {
             &mut self.h,
             &lf,
             &self.order_of_key,
-            1.0,
             Some(&mut self.pending_hessian_ops),
         );
         let idx = self.graph.add_arc(factor);
@@ -400,34 +408,36 @@ impl IncrementalCore {
         if vars.is_empty() {
             return 0;
         }
-        let mut factor_set = BTreeSet::new();
+        let mut factors = std::mem::take(&mut self.relin_factors);
+        factors.clear();
         for &v in vars {
-            let step: Vec<f64> = self.delta_of(v).to_vec();
-            self.theta.retract_at(v, &step);
             let off = self.offsets[self.order_of_key[v.0]];
-            for d in &mut self.delta[off..off + step.len()] {
-                *d = 0.0;
-            }
-            factor_set.extend(self.graph.factors_of(v).iter().copied());
+            let step = &mut self.delta[off..off + self.theta.get(v).dim()];
+            self.theta.retract_at(v, step);
+            step.fill(0.0);
+            factors.extend_from_slice(self.graph.factors_of(v));
         }
-        for &fi in &factor_set {
-            // Remove the stale contribution, relinearize, and re-apply.
-            apply_contribution(&mut self.h, &self.lin[fi], &self.order_of_key, -1.0, None);
-            let lf = linearize(self.graph.factor(fi), &self.theta);
+        factors.sort_unstable();
+        factors.dedup();
+        for &fi in &factors {
+            let lf = &mut self.relin_scratch;
+            linearize_into(self.graph.factor(fi), &self.theta, lf);
             self.pending_relin_elems += lf.jacobian_elems();
             self.pending_relin_factors += 1;
             self.dirty
                 .extend(lf.keys.iter().map(|k| self.order_of_key[k.0]));
-            apply_contribution(
+            replace_contribution(
                 &mut self.h,
-                &lf,
+                &self.lin[fi],
+                lf,
                 &self.order_of_key,
-                1.0,
-                Some(&mut self.pending_hessian_ops),
+                &mut self.pending_hessian_ops,
             );
-            self.lin[fi] = lf;
+            std::mem::swap(&mut self.lin[fi], lf);
         }
-        factor_set.len()
+        let relinearized = factors.len();
+        self.relin_factors = factors;
+        relinearized
     }
 
     /// Records that pattern column `col` gained an entry since the last
@@ -556,7 +566,7 @@ impl IncrementalCore {
         // Rebuild H from the cached linearizations.
         self.h = BlockMat::new(self.pattern.block_dims().to_vec());
         for lf in &self.lin {
-            apply_contribution(&mut self.h, lf, &self.order_of_key, 1.0, None);
+            apply_contribution(&mut self.h, lf, &self.order_of_key, None);
         }
         // Meter: one min-degree pass plus a fresh symbolic analysis.
         self.pending_symbolic_extra += 4 * self.pattern.nnz_blocks()
@@ -592,7 +602,13 @@ impl IncrementalCore {
     /// Block columns (elimination positions) whose Hessian contributions
     /// changed since the last solve.
     pub fn dirty_blocks(&self) -> Vec<usize> {
-        self.dirty.iter().copied().collect()
+        self.dirty_block_iter().collect()
+    }
+
+    /// [`dirty_blocks`](Self::dirty_blocks) in ascending order, without
+    /// collecting them.
+    pub(crate) fn dirty_block_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dirty.iter().copied()
     }
 
     /// Jacobian elements of the cached linearization of factor `idx` (the
@@ -743,58 +759,170 @@ fn gradient_into(
     }
 }
 
-/// Adds `sign · J_aᵀ J_b` contributions of one linearized factor into the
+/// The key pairs `(a, b)`, `b ≤ a`, of a factor with `n` keys, in the order
+/// the Hessian update visits them.
+fn key_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(|a| (0..=a).map(move |b| (a, b)))
+}
+
+/// Where key pair `(a, b)` of a factor lands in the block Hessian: the
+/// block `(row, col)`, `row ≥ col` (the later elimination position is the
+/// row), and the key indices whose Jacobians are the row and column
+/// operands of its `J_rowᵀ J_col`.
+fn pair_block(keys: &[Key], order_of_key: &[usize], a: usize, b: usize) -> [usize; 4] {
+    let (oa, ob) = (order_of_key[keys[a].0], order_of_key[keys[b].0]);
+    if oa >= ob {
+        [oa, ob, a, b]
+    } else {
+        [ob, oa, b, a]
+    }
+}
+
+/// Meters one factor's Hessian construction: the factor prefetch, then one
+/// GEMM + scatter per block pair (Figure 5 top).
+fn meter_contribution(ops: &mut OpTrace, lf: &LinearizedFactor, order_of_key: &[usize]) {
+    ops.push(Op::Memcpy {
+        bytes: lf.jacobian_elems() * 4,
+    });
+    for (a, b) in key_pairs(lf.keys.len()) {
+        let [_, _, r, c] = pair_block(&lf.keys, order_of_key, a, b);
+        let (m, n) = (lf.jacobians[r].cols(), lf.jacobians[c].cols());
+        ops.push(Op::Gemm { m, n, k: lf.dim() });
+        ops.push(Op::ScatterAdd {
+            blocks: 1,
+            elems: m * n,
+        });
+    }
+}
+
+/// Adds `J_aᵀ J_b` of every key pair of one linearized factor into the
 /// block Hessian (blocks addressed through the elimination order),
-/// optionally metering the Hessian-construction ops (one GEMM + scatter per
-/// block pair plus the factor prefetch, as in Figure 5 top).
+/// optionally metering the Hessian-construction ops.
 fn apply_contribution(
     h: &mut BlockMat,
     lf: &LinearizedFactor,
     order_of_key: &[usize],
-    sign: f64,
-    mut ops: Option<&mut OpTrace>,
+    ops: Option<&mut OpTrace>,
 ) {
-    if let Some(ops) = ops.as_deref_mut() {
-        ops.push(Op::Memcpy {
-            bytes: lf.jacobian_elems() * 4,
-        });
+    if let Some(ops) = ops {
+        meter_contribution(ops, lf, order_of_key);
     }
-    let fdim = lf.dim();
-    // One block buffer and one pack arena serve every block pair.
     let mut blk = Mat::default();
     let mut scratch = KernelScratch::new();
-    for (ai, (ka, ja)) in lf.keys.iter().zip(&lf.jacobians).enumerate() {
-        for (kb, jb) in lf.keys.iter().zip(&lf.jacobians).take(ai + 1) {
-            let (oa, ob) = (order_of_key[ka.0], order_of_key[kb.0]);
-            // Store at (row = later position, col = earlier position).
-            let (brow, bcol, jrow, jcol) = if oa >= ob {
-                (oa, ob, ja, jb)
-            } else {
-                (ob, oa, jb, ja)
-            };
+    for (a, b) in key_pairs(lf.keys.len()) {
+        let [brow, bcol, r, c] = pair_block(&lf.keys, order_of_key, a, b);
+        let (jr, jc) = (&lf.jacobians[r], &lf.jacobians[c]);
+        add_gram(
+            h.block_entry(brow, bcol),
+            jr,
+            jc,
+            1.0,
+            &mut blk,
+            &mut scratch,
+        );
+    }
+}
+
+/// Replaces one factor's contribution to the block Hessian: subtracts
+/// `old`'s `J_aᵀ J_b` and adds `new`'s, metering `new` as
+/// [`apply_contribution`] does. Each block is looked up once and receives
+/// `old`'s product with `alpha = −1`, then `new`'s with `alpha = 1` — the
+/// adds a full pass subtracting `old` followed by a full pass adding `new`
+/// makes on it, so `h` ends with the same bits. (A factor that repeats a
+/// key lands two pairs in one block; it takes the two passes.)
+fn replace_contribution(
+    h: &mut BlockMat,
+    old: &LinearizedFactor,
+    new: &LinearizedFactor,
+    order_of_key: &[usize],
+    ops: &mut OpTrace,
+) {
+    debug_assert_eq!(old.keys, new.keys, "replacing a different factor");
+    meter_contribution(ops, new, order_of_key);
+    let keys = &new.keys;
+    let mut blk = Mat::default();
+    let mut scratch = KernelScratch::new();
+    if (1..keys.len()).any(|i| keys[..i].contains(&keys[i])) {
+        for (lf, alpha) in [(old, -1.0), (new, 1.0)] {
+            for (a, b) in key_pairs(keys.len()) {
+                let [brow, bcol, r, c] = pair_block(keys, order_of_key, a, b);
+                let (jr, jc) = (&lf.jacobians[r], &lf.jacobians[c]);
+                add_gram(
+                    h.block_entry(brow, bcol),
+                    jr,
+                    jc,
+                    alpha,
+                    &mut blk,
+                    &mut scratch,
+                );
+            }
+        }
+        return;
+    }
+    for (a, b) in key_pairs(keys.len()) {
+        let [brow, bcol, r, c] = pair_block(keys, order_of_key, a, b);
+        let block = h.block_entry(brow, bcol);
+        let (jr, jc) = (&old.jacobians[r], &old.jacobians[c]);
+        add_gram(block, jr, jc, -1.0, &mut blk, &mut scratch);
+        let (jr, jc) = (&new.jacobians[r], &new.jacobians[c]);
+        add_gram(block, jr, jc, 1.0, &mut blk, &mut scratch);
+    }
+}
+
+/// `h += alpha · jrowᵀ · jcol`, leaving exactly the bits of
+/// `gemm_scratch(alpha, jrow, Yes, jcol, No, 0.0, blk)` followed by
+/// `h.add_block(0, 0, blk)`. Shapes `gemm` runs on its `DirectK3` /
+/// `DirectK6` path repeat that path's operation order straight into `h`:
+/// column `j` of `jcol` gathered as `alpha · b`, each dot started from
+/// `0.0`, and `0.0 + dot` (the zeroed output plus the dot) added to `h`.
+/// Any other shape goes through `blk`.
+fn add_gram(
+    h: &mut Mat,
+    jrow: &Mat,
+    jcol: &Mat,
+    alpha: f64,
+    blk: &mut Mat,
+    scratch: &mut KernelScratch,
+) {
+    assert_eq!(
+        (h.rows(), h.cols()),
+        (jrow.cols(), jcol.cols()),
+        "block shape mismatch"
+    );
+    match gemm_path(jrow.cols(), jcol.cols(), jrow.rows()) {
+        GemmPath::DirectK3 => add_gram_direct::<3>(h, jrow, jcol, alpha),
+        GemmPath::DirectK6 => add_gram_direct::<6>(h, jrow, jcol, alpha),
+        _ => {
             blk.reset(jrow.cols(), jcol.cols());
             gemm_scratch(
-                sign,
+                alpha,
                 jrow,
                 Transpose::Yes,
                 jcol,
                 Transpose::No,
                 0.0,
-                &mut blk,
-                &mut scratch,
+                blk,
+                scratch,
             );
-            h.add_to_block(brow, bcol, &blk);
-            if let Some(ops) = ops.as_deref_mut() {
-                ops.push(Op::Gemm {
-                    m: jrow.cols(),
-                    n: jcol.cols(),
-                    k: fdim,
-                });
-                ops.push(Op::ScatterAdd {
-                    blocks: 1,
-                    elems: jrow.cols() * jcol.cols(),
-                });
+            h.add_block(0, 0, blk);
+        }
+    }
+}
+
+/// [`add_gram`] for a contraction depth `K` on `gemm`'s direct path.
+fn add_gram_direct<const K: usize>(h: &mut Mat, jrow: &Mat, jcol: &Mat, alpha: f64) {
+    debug_assert_eq!((jrow.rows(), jcol.rows()), (K, K));
+    for j in 0..jcol.cols() {
+        let mut bcol = [0.0; K];
+        for (slot, &b) in bcol.iter_mut().zip(jcol.col(j)) {
+            *slot = alpha * b;
+        }
+        for (i, out) in h.col_mut(j).iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (&a, &b) in jrow.col(i).iter().zip(&bcol) {
+                acc += a * b;
             }
+            *out += 0.0 + acc;
         }
     }
 }
@@ -803,7 +931,159 @@ fn apply_contribution(
 mod tests {
     use super::*;
     use supernova_factors::{BetweenFactor, NoiseModel, PriorFactor, Se2};
+    use supernova_linalg::rng::XorShift64;
     use supernova_sparse::DispatchMode;
+
+    /// The signed Hessian update the fused replacement is checked against:
+    /// `sign · J_aᵀ J_b` per key pair through `gemm_scratch` into a zeroed
+    /// block, then `add_to_block`.
+    fn oracle_apply(
+        h: &mut BlockMat,
+        lf: &LinearizedFactor,
+        order_of_key: &[usize],
+        sign: f64,
+        mut ops: Option<&mut OpTrace>,
+    ) {
+        if let Some(ops) = ops.as_deref_mut() {
+            ops.push(Op::Memcpy {
+                bytes: lf.jacobian_elems() * 4,
+            });
+        }
+        let fdim = lf.dim();
+        for (ai, (ka, ja)) in lf.keys.iter().zip(&lf.jacobians).enumerate() {
+            for (kb, jb) in lf.keys.iter().zip(&lf.jacobians).take(ai + 1) {
+                let (oa, ob) = (order_of_key[ka.0], order_of_key[kb.0]);
+                let (brow, bcol, jrow, jcol) = if oa >= ob {
+                    (oa, ob, ja, jb)
+                } else {
+                    (ob, oa, jb, ja)
+                };
+                let mut blk = Mat::zeros(jrow.cols(), jcol.cols());
+                let mut scratch = KernelScratch::new();
+                gemm_scratch(
+                    sign,
+                    jrow,
+                    Transpose::Yes,
+                    jcol,
+                    Transpose::No,
+                    0.0,
+                    &mut blk,
+                    &mut scratch,
+                );
+                h.add_to_block(brow, bcol, &blk);
+                if let Some(ops) = ops.as_deref_mut() {
+                    ops.push(Op::Gemm {
+                        m: jrow.cols(),
+                        n: jcol.cols(),
+                        k: fdim,
+                    });
+                    ops.push(Op::ScatterAdd {
+                        blocks: 1,
+                        elems: jrow.cols() * jcol.cols(),
+                    });
+                }
+            }
+        }
+    }
+
+    /// An entry that is often an exact `0.0` or `-0.0`.
+    fn entry(rng: &mut XorShift64) -> f64 {
+        match rng.gen_index(5) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-3.0, 3.0),
+        }
+    }
+
+    /// A random linearized factor over 1–3 of the keys (dims `dims`), with
+    /// residual dimension 2, 3 or 6 — the direct `k = 3` / `k = 6` GEMM
+    /// paths and a fallback shape. One in twenty repeats a key.
+    fn random_lf(rng: &mut XorShift64, dims: &[usize]) -> LinearizedFactor {
+        let fdim = [2, 3, 6][rng.gen_index(3)];
+        let arity = 1 + rng.gen_index(3);
+        let mut keys: Vec<Key> = Vec::new();
+        while keys.len() < arity {
+            let k = Key(rng.gen_index(dims.len()));
+            if !keys.contains(&k) {
+                keys.push(k);
+            }
+        }
+        if arity > 1 && rng.gen_index(20) == 0 {
+            keys[1] = keys[0];
+        }
+        let jacobians = keys
+            .iter()
+            .map(|k| Mat::from_fn(fdim, dims[k.0], |_, _| entry(rng)))
+            .collect();
+        LinearizedFactor {
+            keys,
+            jacobians,
+            residual: vec![0.0; fdim],
+        }
+    }
+
+    fn block_bits(h: &BlockMat) -> Vec<(usize, usize, Vec<u64>)> {
+        (0..h.num_blocks())
+            .flat_map(|c| {
+                h.col_blocks(c)
+                    .map(move |(r, m)| (r, c, m.as_slice().iter().map(|x| x.to_bits()).collect()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replace_contribution_matches_subtract_then_add_bit_for_bit() {
+        let mut rng = XorShift64::seed_from_u64(0x4e55_1a75);
+        let mut shared_diagonals = 0usize;
+        for case in 0..400 {
+            let dims: Vec<usize> = (0..5).map(|_| [2, 3, 6][rng.gen_index(3)]).collect();
+            // A random elimination order, so pairs land in both orientations.
+            let mut order_of_key: Vec<usize> = (0..dims.len()).collect();
+            for i in (1..order_of_key.len()).rev() {
+                order_of_key.swap(i, rng.gen_index(i + 1));
+            }
+            let mut block_dims = vec![0; dims.len()];
+            for (k, &o) in order_of_key.iter().enumerate() {
+                block_dims[o] = dims[k];
+            }
+            let lins: Vec<LinearizedFactor> = (0..4).map(|_| random_lf(&mut rng, &dims)).collect();
+            let (mut want, mut got) = (
+                BlockMat::new(block_dims.clone()),
+                BlockMat::new(block_dims.clone()),
+            );
+            for lf in &lins {
+                oracle_apply(&mut want, lf, &order_of_key, 1.0, None);
+                apply_contribution(&mut got, lf, &order_of_key, None);
+            }
+            assert_eq!(block_bits(&got), block_bits(&want), "case {case}: apply");
+
+            // Relinearize factor 0: same keys, new Jacobians.
+            let old = &lins[0];
+            let mut new = random_lf(&mut rng, &dims);
+            new.keys.clone_from(&old.keys);
+            new.jacobians = old
+                .keys
+                .iter()
+                .zip(&old.jacobians)
+                .map(|(k, j)| Mat::from_fn(j.rows(), dims[k.0], |_, _| entry(&mut rng)))
+                .collect();
+            new.residual = vec![0.0; old.dim()];
+            if old
+                .keys
+                .iter()
+                .any(|k| lins[1..].iter().any(|lf| lf.keys.contains(k)))
+            {
+                shared_diagonals += 1;
+            }
+            let (mut want_ops, mut got_ops) = (OpTrace::new(), OpTrace::new());
+            oracle_apply(&mut want, old, &order_of_key, -1.0, None);
+            oracle_apply(&mut want, &new, &order_of_key, 1.0, Some(&mut want_ops));
+            replace_contribution(&mut got, old, &new, &order_of_key, &mut got_ops);
+            assert_eq!(block_bits(&got), block_bits(&want), "case {case}: replace");
+            assert_eq!(got_ops, want_ops, "case {case}: metering");
+        }
+        assert!(shared_diagonals > 100, "{shared_diagonals}");
+    }
 
     fn prior(k: usize, pose: Se2) -> Arc<dyn Factor> {
         Arc::new(PriorFactor::se2(

@@ -82,8 +82,8 @@ impl Factor for RemappedFactor {
         self.inner.noise()
     }
 
-    fn error(&self, vars: &[&Variable]) -> Vec<f64> {
-        self.inner.error(vars)
+    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+        self.inner.error_into(vars, out);
     }
 }
 

@@ -1,10 +1,9 @@
 //! Resource-Aware Incremental Smoothing and Mapping (RA-ISAM2, §4.1) — the
 //! paper's core algorithmic contribution.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use supernova_factors::{Factor, Key, Values, Variable};
+use supernova_factors::{Factor, FactorGraph, Key, Values, Variable};
 use supernova_runtime::{RelinCostModel, StepBudget, StepTrace};
 
 use crate::{IncrementalCore, OnlineSolver};
@@ -54,6 +53,30 @@ pub struct RaIsam2 {
     last_selected: usize,
     last_deferred: usize,
     steps_since_reorder: usize,
+    selection: Selection,
+}
+
+/// The buffers Algorithm 1 reuses across candidates and steps. Every
+/// per-node and per-factor vector is re-initialized at the start of a
+/// step's selection.
+#[derive(Default)]
+struct Selection {
+    /// Per node: its predicted recompute seconds this step, `NaN` until
+    /// first priced. `H` and the symbolic factorization do not change
+    /// during selection, so the first price is the price every time.
+    price: Vec<f64>,
+    /// Per node: on the committed set (the mandatory closure plus the
+    /// paths of accepted candidates).
+    visited: Vec<bool>,
+    /// Per node: the serial of the last candidate whose walk reached it.
+    walked: Vec<u32>,
+    /// Per factor: already charged to an accepted candidate.
+    charged: Vec<bool>,
+    candidates: Vec<(Key, f64)>,
+    affected: Vec<Key>,
+    marginal_nodes: Vec<usize>,
+    committed: Vec<usize>,
+    selected: Vec<Key>,
 }
 
 impl std::fmt::Debug for RaIsam2 {
@@ -77,6 +100,7 @@ impl RaIsam2 {
             last_selected: 0,
             last_deferred: 0,
             steps_since_reorder: 0,
+            selection: Selection::default(),
         }
     }
 
@@ -158,105 +182,17 @@ impl OnlineSolver for RaIsam2 {
         // Relinearization does not change the sparsity structure, so one
         // symbolic analysis serves both cost estimation and factorization.
         self.core.analyze();
-        // lint: allow(unwrap) — core.analyze() ran just above
-        let sym = self.core.symbolic().expect("analyzed");
-        let node_cost = |s: usize| {
-            let info = &sym.nodes()[s];
-            self.cost.predict_node_seconds(
-                info.pivot_dim,
-                info.rem_dim,
-                self.core.node_factor_bytes(info),
-            )
-        };
-
-        // Mandatory work: the new pose's factors already dirtied a path
-        // (everything, right after a reorder invalidated the cache).
-        let mandatory: Vec<usize> = if self.core.has_numeric_cache() {
-            self.core
-                .dirty_blocks()
-                .iter()
-                .map(|&b| sym.node_of_block(b))
-                .collect()
-        } else {
-            (0..sym.nodes().len()).collect()
-        };
-        let mut visited: BTreeSet<usize> = sym.ancestor_closure(mandatory).into_iter().collect();
-        let mandatory_list: Vec<usize> = visited.iter().copied().collect();
-        let (pending_elems, pending_factors) = self.core.pending_relin();
-        let mut spent = mandatory_list.iter().map(|&s| node_cost(s)).sum::<f64>()
-            + self.cost.solve_seconds(sym.l_nnz_scalars())
-            + self
-                .cost
-                .symbolic_seconds(sym.pattern_size_of_nodes(&mandatory_list))
-            + self.cost.relin_seconds(pending_elems, pending_factors);
-        let mut nodes_visited = mandatory_list.len();
-
-        // Candidates in descending relevance order (the greedy of §4.1).
-        let mut candidates: Vec<(Key, f64)> = (0..self.core.num_vars())
-            .map(Key)
-            .map(|k| (k, self.core.relevance(k)))
-            .filter(|&(_, s)| s > self.config.beta)
-            .collect();
-        // lint: allow(unwrap) — scores are sums of finite residuals
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
-
-        let mut selected: Vec<Key> = Vec::new();
-        let mut selected_factors: BTreeSet<usize> = BTreeSet::new();
-        let mut deferred = 0usize;
-        for (ci, &(cand, _)) in candidates.iter().enumerate() {
-            if spent >= budget {
-                deferred += candidates.len() - ci;
-                break;
-            }
-            // Algorithm 1: the variables sharing a factor with the
-            // candidate, and the paths from their nodes to the root,
-            // stopping at already-visited nodes.
-            let mut affected = self.core.graph().neighbors(cand);
-            affected.push(cand);
-            let mut marginal_nodes: Vec<usize> = Vec::new();
-            let mut probe: BTreeSet<usize> = BTreeSet::new();
-            for u in &affected {
-                let mut cur = Some(sym.node_of_block(self.core.block_of_key(*u)));
-                while let Some(s) = cur {
-                    if visited.contains(&s) || probe.contains(&s) {
-                        break;
-                    }
-                    probe.insert(s);
-                    marginal_nodes.push(s);
-                    cur = sym.nodes()[s].parent;
-                }
-            }
-            nodes_visited += marginal_nodes.len().max(1);
-            let marginal_factors: Vec<usize> = self
-                .core
-                .graph()
-                .factors_of(cand)
-                .iter()
-                .copied()
-                .filter(|fi| !selected_factors.contains(fi))
-                .collect();
-            let relin_elems: usize = marginal_factors
-                .iter()
-                .map(|&fi| self.core.factor_jacobian_elems(fi))
-                .sum();
-            let marginal = marginal_nodes.iter().map(|&s| node_cost(s)).sum::<f64>()
-                + self.cost.relin_seconds(relin_elems, marginal_factors.len())
-                + self
-                    .cost
-                    .symbolic_seconds(sym.pattern_size_of_nodes(&marginal_nodes));
-            if spent + marginal <= budget {
-                spent += marginal;
-                visited.extend(marginal_nodes);
-                selected_factors.extend(marginal_factors);
-                selected.push(cand);
-            } else {
-                deferred += 1;
-            }
-        }
-        self.last_selected = selected.len();
+        let (deferred, nodes_visited) = select(
+            &self.core,
+            self.cost.as_ref(),
+            self.config.beta,
+            budget,
+            &mut self.selection,
+        );
+        self.last_selected = self.selection.selected.len();
         self.last_deferred = deferred;
 
-        self.core.relinearize_vars(&selected);
+        self.core.relinearize_vars(&self.selection.selected);
         let mut trace = self.core.factorize_and_solve();
         trace.selection_nodes_visited = nodes_visited;
         trace
@@ -277,6 +213,153 @@ impl OnlineSolver for RaIsam2 {
     fn name(&self) -> &'static str {
         "RA-ISAM2"
     }
+}
+
+/// Algorithm 1's greedy selection (§4.1): charges the mandatory work (the
+/// ancestor closure of the dirty nodes, the solve, its symbolic analysis
+/// and the pending relinearization) against `budget`, then takes
+/// candidates past β in descending relevance while each one's marginal
+/// cost still fits. The chosen variables are left in `sel.selected`;
+/// returns `(deferred, nodes_visited)`.
+///
+/// Every node is priced at most once per call (`sel.price`), and the
+/// visited, per-candidate and per-factor sets are flag vectors, so the
+/// walk allocates nothing once its buffers have grown. The walk order — and
+/// with it the order of each float sum — is the order of the set-based
+/// walk it replaced, so the selection is the same bit for bit.
+fn select(
+    core: &IncrementalCore,
+    cost: &dyn RelinCostModel,
+    beta: f64,
+    budget: f64,
+    sel: &mut Selection,
+) -> (usize, usize) {
+    // lint: allow(unwrap) — the caller ran core.analyze()
+    let sym = core.symbolic().expect("analyzed");
+    let nodes = sym.nodes();
+    let graph = core.graph();
+    let Selection {
+        price,
+        visited,
+        walked,
+        charged,
+        candidates,
+        affected,
+        marginal_nodes,
+        committed,
+        selected,
+    } = sel;
+    price.clear();
+    price.resize(nodes.len(), f64::NAN);
+    visited.clear();
+    visited.resize(nodes.len(), false);
+    walked.clear();
+    walked.resize(nodes.len(), 0);
+    charged.clear();
+    charged.resize(graph.len(), false);
+    selected.clear();
+    let mut node_cost = |s: usize| {
+        if price[s].is_nan() {
+            let info = &nodes[s];
+            price[s] = cost.predict_node_seconds(
+                info.pivot_dim,
+                info.rem_dim,
+                core.node_factor_bytes(info),
+            );
+        }
+        price[s]
+    };
+
+    // Mandatory work: the new pose's factors already dirtied a path
+    // (everything, right after a reorder invalidated the cache).
+    if core.has_numeric_cache() {
+        for b in core.dirty_block_iter() {
+            sym.mark_ancestors(sym.node_of_block(b), visited);
+        }
+    } else {
+        visited.fill(true);
+    }
+    committed.clear();
+    committed.extend((0..nodes.len()).filter(|&s| visited[s]));
+    let (pending_elems, pending_factors) = core.pending_relin();
+    let mut spent = committed.iter().map(|&s| node_cost(s)).sum::<f64>()
+        + cost.solve_seconds(sym.l_nnz_scalars())
+        + cost.symbolic_seconds(sym.pattern_size_of_nodes(committed))
+        + cost.relin_seconds(pending_elems, pending_factors);
+    let mut nodes_visited = committed.len();
+
+    // Candidates in descending relevance order (the greedy of §4.1).
+    candidates.clear();
+    candidates.extend(
+        (0..core.num_vars())
+            .map(Key)
+            .map(|k| (k, core.relevance(k)))
+            .filter(|&(_, s)| s > beta),
+    );
+    // lint: allow(unwrap) — scores are sums of finite residuals
+    candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
+
+    let mut deferred = 0usize;
+    for (ci, &(cand, _)) in candidates.iter().enumerate() {
+        if spent >= budget {
+            deferred += candidates.len() - ci;
+            break;
+        }
+        // Algorithm 1: the variables sharing a factor with the candidate,
+        // and the paths from their nodes to the root, stopping at nodes
+        // already committed or already walked for this candidate.
+        affected_variables(graph, cand, affected);
+        let serial = ci as u32 + 1;
+        marginal_nodes.clear();
+        for &u in affected.iter() {
+            let mut cur = Some(sym.node_of_block(core.block_of_key(u)));
+            while let Some(s) = cur {
+                if visited[s] || walked[s] == serial {
+                    break;
+                }
+                walked[s] = serial;
+                marginal_nodes.push(s);
+                cur = nodes[s].parent;
+            }
+        }
+        nodes_visited += marginal_nodes.len().max(1);
+        let (mut relin_elems, mut relin_factors) = (0usize, 0usize);
+        for &fi in graph.factors_of(cand) {
+            if !charged[fi] {
+                relin_elems += core.factor_jacobian_elems(fi);
+                relin_factors += 1;
+            }
+        }
+        let marginal = marginal_nodes.iter().map(|&s| node_cost(s)).sum::<f64>()
+            + cost.relin_seconds(relin_elems, relin_factors)
+            + cost.symbolic_seconds(sym.pattern_size_of_nodes(marginal_nodes));
+        if spent + marginal <= budget {
+            spent += marginal;
+            for &s in marginal_nodes.iter() {
+                visited[s] = true;
+            }
+            for &fi in graph.factors_of(cand) {
+                charged[fi] = true;
+            }
+            selected.push(cand);
+        } else {
+            deferred += 1;
+        }
+    }
+    (deferred, nodes_visited)
+}
+
+/// Algorithm 1, line 2, into `out`: every variable that shares a factor
+/// with `key` (excluding `key`), ascending and deduplicated, then `key`
+/// itself.
+fn affected_variables(graph: &FactorGraph, key: Key, out: &mut Vec<Key>) {
+    out.clear();
+    for &fi in graph.factors_of(key) {
+        out.extend(graph.factor(fi).keys().iter().filter(|&&k| k != key));
+    }
+    out.sort_unstable();
+    out.dedup();
+    out.push(key);
 }
 
 #[cfg(test)]
@@ -321,6 +404,28 @@ mod tests {
             solver.step(Variable::Se2(init), factors);
         }
         truth
+    }
+
+    #[test]
+    fn affected_variables_excludes_the_key_and_dedups() {
+        let noise = || NoiseModel::isotropic(3, 0.1);
+        let mut graph = FactorGraph::new();
+        graph.add(PriorFactor::se2(Key(0), Se2::identity(), noise()));
+        for i in 1..4 {
+            graph.add(BetweenFactor::se2(
+                Key(i - 1),
+                Key(i),
+                Se2::new(1.0, 0.0, 0.0),
+                noise(),
+            ));
+        }
+        // Two parallel edges to a fifth variable.
+        for _ in 0..2 {
+            graph.add(BetweenFactor::se2(Key(1), Key(4), Se2::identity(), noise()));
+        }
+        let mut out = vec![Key(7)];
+        affected_variables(&graph, Key(1), &mut out);
+        assert_eq!(out, vec![Key(0), Key(2), Key(4), Key(1)]);
     }
 
     #[test]

@@ -70,15 +70,24 @@ impl BlockMat {
     /// Panics if `brow < bcol` (upper triangle) or if `m`'s shape does not
     /// match the block dimensions.
     pub fn add_to_block(&mut self, brow: usize, bcol: usize, m: &Mat) {
-        assert!(brow >= bcol, "upper-triangle write ({brow},{bcol})");
         assert_eq!(m.rows(), self.block_dims[brow], "block row dim mismatch");
         assert_eq!(m.cols(), self.block_dims[bcol], "block col dim mismatch");
-        let rows = self.block_dims[brow];
-        let cols = self.block_dims[bcol];
+        self.block_entry(brow, bcol).add_block(0, 0, m);
+    }
+
+    /// The block at `(brow, bcol)` for accumulating in place, materialized
+    /// as zeros when absent: one lookup for a caller that adds several
+    /// terms into the same block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `brow < bcol` (upper triangle).
+    pub fn block_entry(&mut self, brow: usize, bcol: usize) -> &mut Mat {
+        assert!(brow >= bcol, "upper-triangle write ({brow},{bcol})");
+        let (rows, cols) = (self.block_dims[brow], self.block_dims[bcol]);
         self.cols[bcol]
             .entry(brow)
             .or_insert_with(|| Mat::zeros(rows, cols))
-            .add_block(0, 0, m);
     }
 
     /// Zeroes every block in block column `bcol` and block row `bcol`
@@ -168,6 +177,15 @@ mod tests {
         assert_eq!(d[(2, 0)], 3.0);
         assert_eq!(d[(0, 2)], 3.0);
         assert_eq!(d[(1, 0)], d[(0, 1)]);
+    }
+
+    #[test]
+    fn block_entry_materializes_once() {
+        let mut h = BlockMat::new(vec![2, 1]);
+        h.block_entry(1, 0)[(0, 1)] = 3.0;
+        h.block_entry(1, 0)[(0, 0)] += 1.0;
+        assert_eq!(h.block(1, 0).unwrap().as_slice(), &[1.0, 3.0]);
+        assert_eq!(h.col_blocks(0).count(), 1);
     }
 
     #[test]

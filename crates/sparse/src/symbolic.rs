@@ -327,16 +327,23 @@ impl SymbolicFactor {
     pub fn ancestor_closure(&self, seed_nodes: impl IntoIterator<Item = usize>) -> Vec<usize> {
         let mut marked = vec![false; self.nodes.len()];
         for s in seed_nodes {
-            let mut cur = Some(s);
-            while let Some(c) = cur {
-                if marked[c] {
-                    break;
-                }
-                marked[c] = true;
-                cur = self.nodes[c].parent;
-            }
+            self.mark_ancestors(s, &mut marked);
         }
         (0..self.nodes.len()).filter(|&s| marked[s]).collect()
+    }
+
+    /// Marks node `s` and its ancestors in `marked` (one flag per node),
+    /// stopping at the first node already marked: a closure built seed by
+    /// seed, in place, without allocating.
+    pub fn mark_ancestors(&self, s: usize, marked: &mut [bool]) {
+        let mut cur = Some(s);
+        while let Some(c) = cur {
+            if marked[c] {
+                break;
+            }
+            marked[c] = true;
+            cur = self.nodes[c].parent;
+        }
     }
 
     /// The path of nodes from the node owning block `b` to its root,

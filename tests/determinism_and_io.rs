@@ -7,7 +7,7 @@ use supernova::core::{run_online, ExperimentConfig, PricingTarget, SolverKind};
 use supernova::datasets::Dataset;
 use supernova::factors::{Key, Variable};
 use supernova::hw::Platform;
-use supernova::runtime::CostModel;
+use supernova::runtime::{CostModel, StepTrace};
 use supernova::solvers::{RaIsam2Config, SolverEngine};
 
 #[test]
@@ -74,12 +74,14 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs RA-ISAM2 online over `ds`, each new pose guessed as the previous
-/// estimate composed with the odometry (as `core::run_online` does), and
-/// fingerprints the final factor bytes plus every pose estimate's f64 bits.
-fn se3_online_fingerprint(ds: &Dataset) -> u64 {
-    let cost = Arc::new(CostModel::new(Platform::supernova(2)));
-    let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
+/// Replays `ds` through `engine` online, each new pose guessed as the
+/// previous estimate composed with the odometry (as `core::run_online`
+/// does), handing every step's trace to `each`.
+fn replay_se3(
+    engine: &mut SolverEngine,
+    ds: &Dataset,
+    mut each: impl FnMut(&SolverEngine, StepTrace),
+) {
     for (i, step) in ds.online_steps().into_iter().enumerate() {
         let init = match (&step.odometry, i) {
             (Some(Variable::Se3(odom)), 1..) => match engine.pose_estimate(Key(i - 1)) {
@@ -88,12 +90,15 @@ fn se3_online_fingerprint(ds: &Dataset) -> u64 {
             },
             _ => step.truth.clone(),
         };
-        engine.step(init, step.factors);
+        let trace = engine.step(init, step.factors);
+        each(engine, trace);
     }
-    let mut h = fnv1a(
-        0xcbf2_9ce4_8422_2325,
-        &engine.numeric_bytes().expect("solved"),
-    );
+}
+
+/// Continues FNV-1a hash `h` over the final factor bytes plus every pose
+/// estimate's f64 bits.
+fn fingerprint_state(mut h: u64, engine: &SolverEngine) -> u64 {
+    h = fnv1a(h, &engine.numeric_bytes().expect("solved"));
     for (_, var) in engine.estimate().iter() {
         let pose = var.as_se3().expect("SE(3) stream");
         let rot = pose.rotation().matrix();
@@ -102,6 +107,18 @@ fn se3_online_fingerprint(ds: &Dataset) -> u64 {
         }
     }
     h
+}
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Runs RA-ISAM2 online over `ds` at the default budget and fingerprints
+/// the final factor bytes and estimates.
+fn se3_online_fingerprint(ds: &Dataset) -> u64 {
+    let cost = Arc::new(CostModel::new(Platform::supernova(2)));
+    let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
+    replay_se3(&mut engine, ds, |_, _| {});
+    fingerprint_state(FNV_OFFSET, &engine)
 }
 
 /// The cross-version golden for SE(3) numerics: factor bytes and estimates
@@ -119,6 +136,45 @@ fn se3_online_numerics_match_committed_golden() {
         got,
         [0xb145_1e31_fb44_5e57, 0x17e4_407e_d92d_d20e],
         "[sphere x0.12, cab1 x0.2] fingerprints: {got:#018x?}"
+    );
+}
+
+/// Fingerprints a budget-bound RA-ISAM2 session: every step's selection
+/// outcome `(selected, deferred, nodes visited)`, then the final factor
+/// bytes and estimate bits. Also returns the total deferrals.
+fn budgeted_selection_fingerprint(ds: &Dataset, target_seconds: f64) -> (u64, usize) {
+    let cost = Arc::new(CostModel::new(Platform::supernova(1)));
+    let mut engine = SolverEngine::new(
+        RaIsam2Config {
+            target_seconds,
+            ..RaIsam2Config::default()
+        },
+        cost,
+    );
+    let mut h = FNV_OFFSET;
+    let mut deferred_total = 0;
+    replay_se3(&mut engine, ds, |engine, trace| {
+        let (selected, deferred) = engine.last_selected_deferred();
+        deferred_total += deferred;
+        for n in [selected, deferred, trace.selection_nodes_visited] {
+            h = fnv1a(h, &(n as u64).to_le_bytes());
+        }
+    });
+    (fingerprint_state(h, &engine), deferred_total)
+}
+
+/// The cross-version golden for RA-ISAM2's selection when the budget binds:
+/// CAB1 on one accelerator set at a 4 ms target (the benchmark's
+/// `cab_budgeted` setting), where Algorithm 1 defers candidates. The SE(3)
+/// golden above runs at 33 ms, where nothing is deferred, so only this test
+/// pins which variables a budget-bound step relinearizes.
+#[test]
+fn budgeted_selection_matches_committed_golden() {
+    let (got, deferred) = budgeted_selection_fingerprint(&Dataset::cab1_scaled(0.3), 0.004);
+    assert!(deferred > 0, "the 4 ms budget must defer candidates");
+    assert_eq!(
+        got, 0xb81e_ee31_66ab_fd74,
+        "cab1 x0.3 @ 4 ms fingerprint: {got:#018x} ({deferred} deferrals)"
     );
 }
 
