@@ -217,12 +217,12 @@ const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
 /// supernodal triangular solve visits every supernode twice per step, the
 /// gradient rebuild visits every linearized factor once per step, the
 /// SO(3)/SE(3) group operations and the probe residuals run dozens of times
-/// per relinearized factor, the fused Hessian replacement once per block
-/// pair of every relinearized factor, and RA-ISAM2's selection walks the
+/// per relinearized factor, the Hessian replacement twice per block pair
+/// of every relinearized factor, and RA-ISAM2's selection walks the
 /// root path of every candidate (a name covers every fn of that name in its
 /// file, so `exp` scopes both `Rot3::exp` and `Se3::exp`, and `error_into`
 /// every factor's impl; a bodyless trait declaration scopes nothing).
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 21] = [
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 22] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
     ("crates/sparse/src/numeric.rs", "solve_in_place"),
     ("crates/solvers/src/engine.rs", "gradient_into"),
@@ -238,10 +238,11 @@ const HOT_ALLOC_FN_SCOPES: [(&str, &str); 21] = [
     ("crates/factors/src/se3.rs", "mul3"),
     ("crates/factors/src/factor.rs", "linearize_into"),
     ("crates/factors/src/factor.rs", "error_at_probe"),
+    ("crates/factors/src/factor.rs", "probe"),
     ("crates/factors/src/factor.rs", "error_into"),
     ("crates/solvers/src/engine.rs", "replace_contribution"),
+    ("crates/solvers/src/engine.rs", "add_grams"),
     ("crates/solvers/src/engine.rs", "add_gram"),
-    ("crates/solvers/src/engine.rs", "add_gram_direct"),
     ("crates/solvers/src/ra_isam2.rs", "select"),
     ("crates/solvers/src/ra_isam2.rs", "affected_variables"),
 ];

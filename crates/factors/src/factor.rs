@@ -114,12 +114,13 @@ fn se3_probes() -> &'static [[Se3; 2]; 6] {
 }
 
 /// The probe `var ⊕ (STEPS[s]·e_d)`. A pose is one `compose` with its
-/// tabled `Exp`; a vector is `retract`'s elementwise `x + δ_i`, including
-/// the `+ 0.0` off slot `d`.
+/// tabled `Exp`, on the stack; a vector is `retract`'s elementwise
+/// `x + δ_i`, including the `+ 0.0` off slot `d`, in a fresh `Vec`.
 fn probe(var: &Variable, d: usize, s: usize) -> Variable {
     match var {
         Variable::Se2(p) => Variable::Se2(p.compose(se2_probes()[d][s])),
         Variable::Se3(p) => Variable::Se3(p.compose(&se3_probes()[d][s])),
+        // Allocates once per probe: a landmark has 2 or 3 entries.
         Variable::Vector(v) => Variable::Vector(
             v.iter()
                 .enumerate()
@@ -143,9 +144,11 @@ pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedF
 }
 
 /// [`linearize`] into `out`, reusing its key, Jacobian and residual
-/// buffers (allocation-free once they have the factor's shape). Probes come
-/// from the tabled `Exp(±H·e_d)` and the probe residuals live on the stack;
-/// every bit equals a per-probe `retract` and a fresh residual `Vec`.
+/// buffers. Pose probes come from the tabled `Exp(±H·e_d)` and the probe
+/// residuals live on the stack, so a factor over poses only allocates
+/// nothing once `out` has its shape; each probe of a vector variable is a
+/// fresh `Vec`. Every bit equals a per-probe `retract` and a fresh
+/// residual `Vec`.
 pub fn linearize_into<F: Factor + ?Sized>(factor: &F, values: &Values, out: &mut LinearizedFactor) {
     let keys = factor.keys();
     let noise = factor.noise();
@@ -546,6 +549,35 @@ mod tests {
         }
     }
 
+    /// `e_k = x_{k mod 3} · y_{k div 3} + k · x_{(k+1) mod 3}` over two
+    /// 3-vectors: a residual wider than [`STACK_DIM`], so `linearize_into`
+    /// keeps its probe residuals on the heap.
+    #[derive(Debug)]
+    struct OuterProduct {
+        keys: [Key; 2],
+        noise: NoiseModel,
+    }
+
+    impl Factor for OuterProduct {
+        fn keys(&self) -> &[Key] {
+            &self.keys
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn noise(&self) -> &NoiseModel {
+            &self.noise
+        }
+        fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+            let (Variable::Vector(x), Variable::Vector(y)) = (vars[0], vars[1]) else {
+                panic!("vector variables only");
+            };
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = x[k % 3] * y[k / 3] + k as f64 * x[(k + 1) % 3];
+            }
+        }
+    }
+
     /// The linearization `linearize_into` replaced, kept as its bit oracle:
     /// one `retract` per probe and a fresh residual `Vec` per evaluation,
     /// with the residual computed by [`oracle_error`].
@@ -679,7 +711,7 @@ mod tests {
     /// unrelated to the variables' relative pose.
     fn sweep_case(rng: &mut XorShift64, case: usize) -> (Values, Box<dyn Factor>) {
         let mut vals = Values::new();
-        let factor: Box<dyn Factor> = match case % 6 {
+        let factor: Box<dyn Factor> = match case % 7 {
             0 => {
                 let (a, b) = (se2(rng), se2(rng));
                 let rel = a.inverse().compose(b);
@@ -730,7 +762,7 @@ mod tests {
                     noise(rng, 2),
                 ))
             }
-            _ => {
+            5 => {
                 let pose = vals.insert_se3(se3(rng));
                 let lm = vals.insert(Variable::Vector(vec![
                     scalar(rng),
@@ -744,6 +776,14 @@ mod tests {
                     z,
                     noise(rng, 3),
                 ))
+            }
+            _ => {
+                let mut vec3 = || Variable::Vector(vec![scalar(rng), scalar(rng), scalar(rng)]);
+                let keys = [vals.insert(vec3()), vals.insert(vec3())];
+                Box::new(OuterProduct {
+                    keys,
+                    noise: noise(rng, 9),
+                })
             }
         };
         (vals, factor)
@@ -769,7 +809,7 @@ mod tests {
         // One buffer reused across every shape: `linearize_into` must not
         // leak a previous factor's keys, blocks or residual.
         let mut reused = LinearizedFactor::default();
-        let mut robust = 0usize;
+        let (mut robust, mut wide) = (0usize, 0usize);
         for case in 0..2400 {
             let (vals, f) = sweep_case(&mut rng, case);
             let want = oracle_linearize(f.as_ref(), &vals);
@@ -782,7 +822,9 @@ mod tests {
                 vars
             }));
             robust += usize::from(f.noise().robust_weight(&w) != 1.0);
+            wide += usize::from(f.noise().dim() > STACK_DIM);
         }
         assert!(robust > 100, "only {robust} cases down-weighted");
+        assert!(wide > 100, "only {wide} cases wider than STACK_DIM");
     }
 }

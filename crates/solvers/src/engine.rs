@@ -807,29 +807,19 @@ fn apply_contribution(
     if let Some(ops) = ops {
         meter_contribution(ops, lf, order_of_key);
     }
-    let mut blk = Mat::default();
-    let mut scratch = KernelScratch::new();
-    for (a, b) in key_pairs(lf.keys.len()) {
-        let [brow, bcol, r, c] = pair_block(&lf.keys, order_of_key, a, b);
-        let (jr, jc) = (&lf.jacobians[r], &lf.jacobians[c]);
-        add_gram(
-            h.block_entry(brow, bcol),
-            jr,
-            jc,
-            1.0,
-            &mut blk,
-            &mut scratch,
-        );
-    }
+    add_grams(
+        h,
+        lf,
+        order_of_key,
+        1.0,
+        &mut Mat::default(),
+        &mut KernelScratch::new(),
+    );
 }
 
 /// Replaces one factor's contribution to the block Hessian: subtracts
-/// `old`'s `J_aᵀ J_b` and adds `new`'s, metering `new` as
-/// [`apply_contribution`] does. Each block is looked up once and receives
-/// `old`'s product with `alpha = −1`, then `new`'s with `alpha = 1` — the
-/// adds a full pass subtracting `old` followed by a full pass adding `new`
-/// makes on it, so `h` ends with the same bits. (A factor that repeats a
-/// key lands two pairs in one block; it takes the two passes.)
+/// `old`'s `J_aᵀ J_b` over every key pair, then adds `new`'s, metering
+/// `new` as [`apply_contribution`] does.
 fn replace_contribution(
     h: &mut BlockMat,
     old: &LinearizedFactor,
@@ -839,43 +829,35 @@ fn replace_contribution(
 ) {
     debug_assert_eq!(old.keys, new.keys, "replacing a different factor");
     meter_contribution(ops, new, order_of_key);
-    let keys = &new.keys;
     let mut blk = Mat::default();
     let mut scratch = KernelScratch::new();
-    if (1..keys.len()).any(|i| keys[..i].contains(&keys[i])) {
-        for (lf, alpha) in [(old, -1.0), (new, 1.0)] {
-            for (a, b) in key_pairs(keys.len()) {
-                let [brow, bcol, r, c] = pair_block(keys, order_of_key, a, b);
-                let (jr, jc) = (&lf.jacobians[r], &lf.jacobians[c]);
-                add_gram(
-                    h.block_entry(brow, bcol),
-                    jr,
-                    jc,
-                    alpha,
-                    &mut blk,
-                    &mut scratch,
-                );
-            }
-        }
-        return;
+    for (lf, alpha) in [(old, -1.0), (new, 1.0)] {
+        add_grams(h, lf, order_of_key, alpha, &mut blk, &mut scratch);
     }
-    for (a, b) in key_pairs(keys.len()) {
-        let [brow, bcol, r, c] = pair_block(keys, order_of_key, a, b);
-        let block = h.block_entry(brow, bcol);
-        let (jr, jc) = (&old.jacobians[r], &old.jacobians[c]);
-        add_gram(block, jr, jc, -1.0, &mut blk, &mut scratch);
-        let (jr, jc) = (&new.jacobians[r], &new.jacobians[c]);
-        add_gram(block, jr, jc, 1.0, &mut blk, &mut scratch);
+}
+
+/// Adds `alpha · J_aᵀ J_b` of every key pair of `lf` into its block.
+fn add_grams(
+    h: &mut BlockMat,
+    lf: &LinearizedFactor,
+    order_of_key: &[usize],
+    alpha: f64,
+    blk: &mut Mat,
+    scratch: &mut KernelScratch,
+) {
+    for (a, b) in key_pairs(lf.keys.len()) {
+        let [brow, bcol, r, c] = pair_block(&lf.keys, order_of_key, a, b);
+        let (jr, jc) = (&lf.jacobians[r], &lf.jacobians[c]);
+        add_gram(h.block_entry(brow, bcol), jr, jc, alpha, blk, scratch);
     }
 }
 
 /// `h += alpha · jrowᵀ · jcol`, leaving exactly the bits of
 /// `gemm_scratch(alpha, jrow, Yes, jcol, No, 0.0, blk)` followed by
 /// `h.add_block(0, 0, blk)`. Shapes `gemm` runs on its `DirectK3` /
-/// `DirectK6` path repeat that path's operation order straight into `h`:
-/// column `j` of `jcol` gathered as `alpha · b`, each dot started from
-/// `0.0`, and `0.0 + dot` (the zeroed output plus the dot) added to `h`.
-/// Any other shape goes through `blk`.
+/// `DirectK6` path go straight into `h` with `beta = 1`: that path adds a
+/// dot started from `+0.0`, which is never `-0.0`, so `h + dot` has the
+/// bits of `h + (0.0 + dot)`. Any other shape goes through `blk`.
 fn add_gram(
     h: &mut Mat,
     jrow: &Mat,
@@ -884,46 +866,14 @@ fn add_gram(
     blk: &mut Mat,
     scratch: &mut KernelScratch,
 ) {
-    assert_eq!(
-        (h.rows(), h.cols()),
-        (jrow.cols(), jcol.cols()),
-        "block shape mismatch"
-    );
-    match gemm_path(jrow.cols(), jcol.cols(), jrow.rows()) {
-        GemmPath::DirectK3 => add_gram_direct::<3>(h, jrow, jcol, alpha),
-        GemmPath::DirectK6 => add_gram_direct::<6>(h, jrow, jcol, alpha),
-        _ => {
-            blk.reset(jrow.cols(), jcol.cols());
-            gemm_scratch(
-                alpha,
-                jrow,
-                Transpose::Yes,
-                jcol,
-                Transpose::No,
-                0.0,
-                blk,
-                scratch,
-            );
-            h.add_block(0, 0, blk);
-        }
-    }
-}
-
-/// [`add_gram`] for a contraction depth `K` on `gemm`'s direct path.
-fn add_gram_direct<const K: usize>(h: &mut Mat, jrow: &Mat, jcol: &Mat, alpha: f64) {
-    debug_assert_eq!((jrow.rows(), jcol.rows()), (K, K));
-    for j in 0..jcol.cols() {
-        let mut bcol = [0.0; K];
-        for (slot, &b) in bcol.iter_mut().zip(jcol.col(j)) {
-            *slot = alpha * b;
-        }
-        for (i, out) in h.col_mut(j).iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (&a, &b) in jrow.col(i).iter().zip(&bcol) {
-                acc += a * b;
-            }
-            *out += 0.0 + acc;
-        }
+    let (m, n, k) = (jrow.cols(), jcol.cols(), jrow.rows());
+    let (yes, no) = (Transpose::Yes, Transpose::No);
+    if matches!(gemm_path(m, n, k), GemmPath::DirectK3 | GemmPath::DirectK6) {
+        gemm_scratch(alpha, jrow, yes, jcol, no, 1.0, h, scratch);
+    } else {
+        blk.reset(m, n);
+        gemm_scratch(alpha, jrow, yes, jcol, no, 0.0, blk, scratch);
+        h.add_block(0, 0, blk);
     }
 }
 
@@ -934,7 +884,7 @@ mod tests {
     use supernova_linalg::rng::XorShift64;
     use supernova_sparse::DispatchMode;
 
-    /// The signed Hessian update the fused replacement is checked against:
+    /// The signed Hessian update the replacement is checked against:
     /// `sign · J_aᵀ J_b` per key pair through `gemm_scratch` into a zeroed
     /// block, then `add_to_block`.
     fn oracle_apply(
@@ -995,9 +945,9 @@ mod tests {
         }
     }
 
-    /// A random linearized factor over 1–3 of the keys (dims `dims`), with
+    /// A random linearized factor over 1–3 distinct keys (dims `dims`), with
     /// residual dimension 2, 3 or 6 — the direct `k = 3` / `k = 6` GEMM
-    /// paths and a fallback shape. One in twenty repeats a key.
+    /// paths and a fallback shape.
     fn random_lf(rng: &mut XorShift64, dims: &[usize]) -> LinearizedFactor {
         let fdim = [2, 3, 6][rng.gen_index(3)];
         let arity = 1 + rng.gen_index(3);
@@ -1007,9 +957,6 @@ mod tests {
             if !keys.contains(&k) {
                 keys.push(k);
             }
-        }
-        if arity > 1 && rng.gen_index(20) == 0 {
-            keys[1] = keys[0];
         }
         let jacobians = keys
             .iter()

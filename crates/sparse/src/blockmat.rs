@@ -76,8 +76,8 @@ impl BlockMat {
     }
 
     /// The block at `(brow, bcol)` for accumulating in place, materialized
-    /// as zeros when absent: one lookup for a caller that adds several
-    /// terms into the same block.
+    /// as zeros when absent: a caller can add a product straight into it
+    /// instead of building the term first.
     ///
     /// # Panics
     ///
