@@ -22,6 +22,11 @@
 //!   kernels' outputs (a cheap cross-check, not a substitute for the
 //!   property tests in `crates/linalg/tests/proptests.rs`).
 //!
+//! The header records `host_cpus` and `target_features` — whether the
+//! binary was compiled with SSE4.2, AVX, AVX2 and FMA enabled — so a
+//! baseline-ISA build (a `RUSTFLAGS` override of `.cargo/config.toml`)
+//! cannot pass for the x86-64-v3 one.
+//!
 //! Timing interleaves blocked and reference trials of a calibrated
 //! repetition loop and gates on the median of the per-trial ratios, so
 //! host frequency drift cancels within each adjacent pair and a
@@ -421,12 +426,12 @@ fn cases() -> Vec<Case> {
     // same shape. The f32 GEMM floor at n ≥ 30 is the paper-alignment gate
     // (the FP32 datapath must actually be faster than the f64 one for the
     // precision trade to buy anything). The mixed mode shares f32 storage
-    // bandwidth but keeps 4×4 tiles with f64 accumulators, and on a
-    // 2-lane-SIMD host without FMA every f32 product pair costs an extra
-    // convert before its wide add (~56 FP ops per 64 flops vs 32 for pure
-    // f64) — so at in-cache sizes it lands near 0.65× of the f64 kernel
-    // and is gated only against falling below half, the point where the
-    // accuracy trade would stop being worth the storage savings.
+    // bandwidth but keeps 4×4 tiles with f64 accumulators, and every f32
+    // product pair costs an extra convert before its wide add (no
+    // contraction, so FMA units go unused) — so at in-cache sizes it lands
+    // near 0.65× of the f64 kernel and is gated only against falling below
+    // half, the point where the accuracy trade would stop being worth the
+    // storage savings.
     for d in [30usize, 60, 96] {
         out.push(Case {
             name: format!("gemm-f32-{d}"),
@@ -480,6 +485,20 @@ fn main() {
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"kernels\",");
     let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
+    // The instruction set the kernels were compiled for: `.cargo/config.toml`
+    // builds for x86-64-v3, and a `RUSTFLAGS` override replaces that
+    // silently, so every artifact says which build produced it.
+    let features = [
+        ("sse4.2", cfg!(target_feature = "sse4.2")),
+        ("avx", cfg!(target_feature = "avx")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+    ];
+    let features: Vec<String> = features
+        .iter()
+        .map(|(name, on)| format!("\"{name}\": {on}"))
+        .collect();
+    let _ = writeln!(out, "  \"target_features\": {{ {} }},", features.join(", "));
     out.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let r = measure(case);

@@ -61,7 +61,7 @@ const NB: usize = crate::kernels::CHOL_NB;
 /// mode's microkernel tile constants, so the same driver serves every
 /// [`NumericMode`]; the f64 instantiation is the historic driver operation
 /// for operation.
-fn factor_columns_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+pub(crate) fn factor_columns_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
     data: &mut [S],
     ld: usize,
     total: usize,
@@ -271,7 +271,7 @@ pub fn partial_cholesky_scratch(
 ///
 /// `F64` runs the historic f64 driver directly on the front. The narrow
 /// modes demote the front into the arena's f32 shadow, factor it with the
-/// mode's monomorphized engine (`F32`: f32 accumulation, 8×4 tiles;
+/// mode's monomorphized engine (`F32`: f32 accumulation, 16×4 tiles;
 /// `F32F64`: f64 accumulation, 4×4 tiles) and promote the result back —
 /// exactly, since every f32 is representable in f64 — so downstream
 /// merge/solve/serialization stay f64 and per-mode bit-identity across

@@ -27,14 +27,18 @@
 //! | mode     | storage | multiplies | accumulate | MR×NR |
 //! |----------|---------|------------|------------|-------|
 //! | `f64`    | f64     | f64        | f64        | 4×4   |
-//! | `f32`    | f32     | f32        | f32        | 8×4   |
+//! | `f32`    | f32     | f32        | f32        | 16×4  |
 //! | `f32f64` | f32     | f32        | f64        | 4×4   |
 //!
 //! The f64 instantiation reproduces the pre-generic kernels operation for
 //! operation, so `NumericMode::F64` remains bit-identical to the historic
-//! stack; f32 tiles are twice as tall because twice as many f32 lanes fit
-//! a vector register, which is what makes the narrow mode's throughput win
-//! (gated in `kernel_bench`) reliable under autovectorization.
+//! stack. A tile's shape decides only which outputs share registers, never
+//! the operations any one output sees (every output accumulates its `KC`
+//! slab in depth order and is added into `C` once per slab), so tile
+//! constants are chosen by measurement alone; `tile_shape_never_moves_a_bit`
+//! checks that. The f32 tile is two 8-lane AVX2 registers tall, which is
+//! what makes the narrow mode's throughput win (gated in `kernel_bench`)
+//! reliable under autovectorization.
 //!
 //! Pack buffers come from a caller-provided [`KernelScratch`] arena that
 //! grows monotonically and is reused across calls — the sparse executor
@@ -55,9 +59,9 @@ use crate::{Mat, NumericMode};
 pub const MR: usize = 4;
 /// f64 microkernel tile width (columns of `C` held in registers).
 pub const NR: usize = 4;
-/// f32 microkernel tile height: twice the f64 height, since twice as many
-/// f32 lanes fit one vector register.
-pub const MR_F32: usize = 8;
+/// f32 microkernel tile height: two 8-lane registers per tile column
+/// (16×4 beat 8×4 on every f32 `kernel_bench` row).
+pub const MR_F32: usize = 16;
 /// f32 microkernel tile width.
 pub const NR_F32: usize = 4;
 /// Depth of one packed block: panels of at most `KC` columns of `A` (rows
@@ -612,6 +616,19 @@ impl<'a, S: Scalar> View<'a, S> {
         self.data[(self.col + c) * self.ld + self.row + r]
     }
 
+    /// The first `K` rows of logical column `j`: one contiguous slice copy
+    /// when untransposed, a strided gather otherwise.
+    #[inline(always)]
+    fn column_head<const K: usize>(&self, j: usize) -> [S; K] {
+        if self.trans {
+            std::array::from_fn(|p| self.at(p, j))
+        } else {
+            let mut out = [S::ZERO; K];
+            out.copy_from_slice(self.storage_col(j, K));
+            out
+        }
+    }
+
     /// Contiguous storage column `c` (storage coordinates, not logical),
     /// restricted to the viewed rows.
     #[inline]
@@ -777,10 +794,38 @@ pub(crate) fn gemm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
     }
 }
 
-/// Direct kernel with the contraction depth `K` a compile-time constant:
-/// the column of `B` is gathered into registers once per output column and
-/// the `K`-term dot products unroll completely. Products are computed in
-/// storage precision; the dot accumulates in `A`.
+/// Row tiles `(i0, w)` covering `0..m`: four rows while four remain,
+/// then two, then one. [`gemm_direct_k_g`] sweeps each tile's rows side by
+/// side in one vector register; every output still sees exactly the
+/// operations, in the order, of the row-at-a-time loop. (SYRK and TRSM
+/// spell the same ladder out inline: through this iterator, `syrk-3` /
+/// `trsm-3` measured 10–40 % slower, while `gemm-3` / `gemm-6` measured
+/// 10–25 % slower without it.)
+fn row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut i0 = 0;
+    std::iter::from_fn(move || {
+        let w = match m - i0 {
+            0 => return None,
+            1 => 1,
+            2 | 3 => 2,
+            _ => 4,
+        };
+        i0 += w;
+        Some((i0 - w, w))
+    })
+}
+
+/// Direct kernel with the contraction depth `K` a compile-time constant.
+/// Every output is `out + dot`, the dot started from zero and adding
+/// `a[i,p] · (alpha · b[p,j])` for `p = 0..K` in order; products are
+/// computed in storage precision and the dot accumulates in `A`.
+///
+/// The transposition of `A` is resolved here, once, so no inner loop
+/// branches on it: a transposed `A` (the `Jᵀ J` Hessian blocks) has
+/// contiguous rows, and each output is one unrolled dot of two contiguous
+/// `K`-vectors; an untransposed `A` has contiguous columns, so its rows
+/// are taken in [`row_tiles`] and each tile's dots run side by side
+/// ([`direct_k_rows`]).
 fn gemm_direct_k_g<S: Scalar, A: Accum<S>, const K: usize>(
     alpha: S,
     a: &View<'_, S>,
@@ -790,21 +835,63 @@ fn gemm_direct_k_g<S: Scalar, A: Accum<S>, const K: usize>(
 ) {
     let (m, n) = (c.rows, c.cols);
     debug_assert_eq!(a.cols, K);
-    for j in 0..n {
-        let mut bcol = [S::ZERO; K];
-        for (p, slot) in bcol.iter_mut().enumerate() {
-            *slot = alpha * b.at(p, j);
-        }
-        let col = c.col_mut(j);
-        for (i, out) in col.iter_mut().enumerate() {
-            let mut acc = A::ZERO;
-            for (p, &bp) in bcol.iter().enumerate() {
-                acc += A::promote(a.at(i, p) * bp);
+    if a.trans {
+        for j in 0..n {
+            let bj = b.column_head::<K>(j);
+            let bcol: [S; K] = std::array::from_fn(|p| alpha * bj[p]);
+            for (i, out) in c.col_mut(j).iter_mut().enumerate() {
+                let ai = a.storage_col(i, K);
+                let mut acc = A::ZERO;
+                for (&ap, &bp) in ai.iter().zip(&bcol) {
+                    acc += A::promote(ap * bp);
+                }
+                *out = A::demote(A::promote(*out) + acc);
             }
-            *out = A::demote(A::promote(*out) + acc);
+        }
+    } else {
+        let acols: [&[S]; K] = std::array::from_fn(|p| a.storage_col(p, m));
+        for (i0, w) in row_tiles(m) {
+            match w {
+                4 => direct_k_rows::<S, A, K, 4>(alpha, &acols, b, c, i0),
+                2 => direct_k_rows::<S, A, K, 2>(alpha, &acols, b, c, i0),
+                _ => direct_k_rows::<S, A, K, 1>(alpha, &acols, b, c, i0),
+            }
         }
     }
     scratch.tick(2 * (m * n * K) as u64);
+}
+
+/// Rows `i0..i0 + W` of [`gemm_direct_k_g`] for an untransposed `A`
+/// (`acols` are its `K` columns): the `W × K` tile is loaded once and
+/// swept across every output column, one `W`-wide multiply-add per depth
+/// step against a broadcast `alpha · b[p,j]`.
+#[inline(always)]
+fn direct_k_rows<S: Scalar, A: Accum<S>, const K: usize, const W: usize>(
+    alpha: S,
+    acols: &[&[S]; K],
+    b: &View<'_, S>,
+    c: &mut MutView<'_, S>,
+    i0: usize,
+) {
+    let at: [[S; W]; K] = std::array::from_fn(|p| {
+        let mut t = [S::ZERO; W];
+        t.copy_from_slice(&acols[p][i0..i0 + W]);
+        t
+    });
+    for j in 0..c.cols {
+        let bj = b.column_head::<K>(j);
+        let mut acc = [A::ZERO; W];
+        for (tile, &bp) in at.iter().zip(&bj) {
+            let bp = alpha * bp;
+            for (x, &ar) in acc.iter_mut().zip(tile) {
+                *x += A::promote(ar * bp);
+            }
+        }
+        let out = c.col_tail_mut(j, i0, W);
+        for (o, &x) in out.iter_mut().zip(&acc) {
+            *o = A::demote(A::promote(*o) + x);
+        }
+    }
 }
 
 /// Generic direct kernel for small shapes: per-column AXPY when `A` is
@@ -945,8 +1032,10 @@ fn microkernel_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
     kc: usize,
     apanel: &[S],
     bpanel: &[S],
-    acc: &mut [[A; MR_]; NR_],
-) {
+) -> [[A; MR_]; NR_] {
+    // The tile is a local returned by value: behind a `&mut`, the
+    // accumulators get written back to memory on every depth step.
+    let mut acc = [[A::ZERO; MR_]; NR_];
     // Two depth steps per iteration: halves the loop-control overhead and
     // gives the scheduler two independent rank-1 updates to interleave.
     //
@@ -998,6 +1087,7 @@ fn microkernel_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
             }
         }
     }
+    acc
 }
 
 /// Packed GEMM: `C += (alpha·A)·B`, blocked over the contraction depth in
@@ -1027,8 +1117,7 @@ fn gemm_packed_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
                 let i0 = ib * MR_;
                 let ih = MR_.min(m - i0);
                 let apanel = &apack[ib * kc * MR_..(ib + 1) * kc * MR_];
-                let mut acc = [[A::ZERO; MR_]; NR_];
-                microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel, &mut acc);
+                let acc = microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel);
                 for (j, accj) in acc.iter().enumerate().take(jw) {
                     let col = c.col_tail_mut(j0 + j, i0, ih);
                     for (ci, &v) in col.iter_mut().zip(accj) {
@@ -1087,8 +1176,7 @@ pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
                 let i0 = ib * MR_;
                 let ih = MR_.min(n - i0);
                 let apanel = &apack[ib * kc * MR_..(ib + 1) * kc * MR_];
-                let mut acc = [[A::ZERO; MR_]; NR_];
-                microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel, &mut acc);
+                let acc = microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel);
                 for (j, accj) in acc.iter().enumerate().take(jw) {
                     let gj = j0 + j;
                     // Store only the i ≥ j half (global coordinates).
@@ -1108,6 +1196,8 @@ pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
 
 /// Direct small-size SYRK: column-AXPY over the lower triangle for the
 /// uniform modes, gathered wide-accumulating dots for the mixed mode.
+/// An untransposed `A` of depth 3 or 6 (the SE(2) / SE(3) pivot blocks of
+/// a small front) takes the fixed-depth form [`syrk_direct_k`].
 fn syrk_direct_g<S: Scalar, A: Accum<S>>(
     alpha: S,
     a: &View<'_, S>,
@@ -1116,24 +1206,30 @@ fn syrk_direct_g<S: Scalar, A: Accum<S>>(
 ) {
     let (n, k) = (a.rows, a.cols);
     if !A::WIDENS {
-        for j in 0..n {
-            for p in 0..k {
-                let ajp = alpha * a.at(j, p);
-                // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
-                if ajp == S::ZERO {
-                    continue;
-                }
-                if !a.trans {
-                    let base = (a.col + p) * a.ld + a.row;
-                    let acol = &a.data[base..base + n];
-                    let ccol = c.col_tail_mut(j, j, n - j);
-                    for (ci, &ai) in ccol.iter_mut().zip(&acol[j..]) {
-                        *ci += ai * ajp;
-                    }
-                } else {
-                    let ccol = c.col_tail_mut(j, j, n - j);
-                    for (r, ci) in ccol.iter_mut().enumerate() {
-                        *ci += a.at(j + r, p) * ajp;
+        match (a.trans, k) {
+            (false, 3) => syrk_direct_k::<S, 3>(alpha, a, c),
+            (false, 6) => syrk_direct_k::<S, 6>(alpha, a, c),
+            _ => {
+                for j in 0..n {
+                    for p in 0..k {
+                        let ajp = alpha * a.at(j, p);
+                        // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+                        if ajp == S::ZERO {
+                            continue;
+                        }
+                        if !a.trans {
+                            let base = (a.col + p) * a.ld + a.row;
+                            let acol = &a.data[base..base + n];
+                            let ccol = c.col_tail_mut(j, j, n - j);
+                            for (ci, &ai) in ccol.iter_mut().zip(&acol[j..]) {
+                                *ci += ai * ajp;
+                            }
+                        } else {
+                            let ccol = c.col_tail_mut(j, j, n - j);
+                            for (r, ci) in ccol.iter_mut().enumerate() {
+                                *ci += a.at(j + r, p) * ajp;
+                            }
+                        }
                     }
                 }
             }
@@ -1152,6 +1248,56 @@ fn syrk_direct_g<S: Scalar, A: Accum<S>>(
         }
     }
     scratch.tick((n * (n + 1)) as u64 * k as u64);
+}
+
+/// [`syrk_direct_g`]'s column-AXPY with the depth `K` a compile-time
+/// constant and `A` untransposed: column `j` of `C` is taken in row tiles
+/// of 4 / 2 / 1 from the diagonal down, and each tile stays in registers
+/// while every depth step whose `alpha · a[j,p]` is not an exact zero adds
+/// `a[i,p] · (alpha · a[j,p])`, `p` ascending — per element, the loop
+/// above.
+fn syrk_direct_k<S: Scalar, const K: usize>(alpha: S, a: &View<'_, S>, c: &mut MutView<'_, S>) {
+    let n = a.rows;
+    let acols: [&[S]; K] = std::array::from_fn(|p| a.storage_col(p, n));
+    for j in 0..n {
+        let aj: [S; K] = std::array::from_fn(|p| alpha * acols[p][j]);
+        let mut i0 = j;
+        while n - i0 >= 4 {
+            syrk_k_rows::<S, K, 4>(&aj, &acols, c, j, i0);
+            i0 += 4;
+        }
+        if n - i0 >= 2 {
+            syrk_k_rows::<S, K, 2>(&aj, &acols, c, j, i0);
+            i0 += 2;
+        }
+        if n > i0 {
+            syrk_k_rows::<S, K, 1>(&aj, &acols, c, j, i0);
+        }
+    }
+}
+
+/// Rows `i0..i0 + W` of column `j` in [`syrk_direct_k`].
+#[inline(always)]
+fn syrk_k_rows<S: Scalar, const K: usize, const W: usize>(
+    aj: &[S; K],
+    acols: &[&[S]; K],
+    c: &mut MutView<'_, S>,
+    j: usize,
+    i0: usize,
+) {
+    let out = c.col_tail_mut(j, i0, W);
+    let mut acc = [S::ZERO; W];
+    acc.copy_from_slice(out);
+    for (&ajp, acol) in aj.iter().zip(acols) {
+        // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+        if ajp == S::ZERO {
+            continue;
+        }
+        for (x, &ar) in acc.iter_mut().zip(&acol[i0..i0 + W]) {
+            *x += ar * ajp;
+        }
+    }
+    out.copy_from_slice(&acc);
 }
 
 /// In-block column width of the blocked TRSM (the GEMM update handles
@@ -1192,30 +1338,73 @@ pub(crate) fn trsm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
             let mut cview = MutView::raw(cur, bld, brow, 0, m, nb);
             gemm_core_g::<S, A, MR_, NR_>(-S::ONE, &x, &lt, &mut cview, scratch);
         }
-        // In-block forward substitution (columns j0..j0+nb).
+        // In-block forward substitution (columns j0..j0+nb): column `j` is
+        // taken eight rows at a time, each tile held in registers while it
+        // subtracts `x[i,p] · l[j,p]` for every solved `p` whose `l[j,p]`
+        // is not an exact zero, `p` ascending, and is then divided by
+        // `l[j,j]` — per element, the operations of a column-AXPY sweep.
         for j in j0..j0 + nb {
-            for p in j0..j {
-                let ljp = l.at(j, p);
-                // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
-                if ljp == S::ZERO {
-                    continue;
-                }
-                let (done, cur) = bdata.split_at_mut((bcol + j) * bld);
-                let src = &done[(bcol + p) * bld + brow..(bcol + p) * bld + brow + m];
-                let dst = &mut cur[brow..brow + m];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d -= s * ljp;
-                }
+            let mut lrow = [S::ZERO; TRSM_NB];
+            let lrow = &mut lrow[..j - j0];
+            for (x, p) in lrow.iter_mut().zip(j0..j) {
+                *x = l.at(j, p);
             }
+            let lrow = &*lrow;
             let d = l.at(j, j);
-            let base = (bcol + j) * bld + brow;
-            let col = &mut bdata[base..base + m];
-            col.iter_mut().for_each(|x| *x /= d);
+            let (done, cur) = bdata.split_at_mut((bcol + j) * bld);
+            let solved = &done[(bcol + j0) * bld..];
+            let col = &mut cur[brow..brow + m];
+            let mut i0 = 0;
+            while m - i0 >= 8 {
+                solve_rows::<S, 8>(&mut col[i0..i0 + 8], solved, bld, brow + i0, lrow, d);
+                i0 += 8;
+            }
+            if m - i0 >= 4 {
+                solve_rows::<S, 4>(&mut col[i0..i0 + 4], solved, bld, brow + i0, lrow, d);
+                i0 += 4;
+            }
+            if m - i0 >= 2 {
+                solve_rows::<S, 2>(&mut col[i0..i0 + 2], solved, bld, brow + i0, lrow, d);
+                i0 += 2;
+            }
+            if m > i0 {
+                solve_rows::<S, 1>(&mut col[i0..m], solved, bld, brow + i0, lrow, d);
+            }
         }
         // The GEMM update metered itself; this covers the in-block solve.
         scratch.tick((m * nb * nb) as u64);
         j0 += nb;
     }
+}
+
+/// `W` rows of one column of [`trsm_core_g`]'s in-block substitution:
+/// `solved` holds the block's already-solved columns `ld` apart, starting
+/// at the block's first column, and `lrow` the matching `l[j,p]`.
+#[inline(always)]
+fn solve_rows<S: Scalar, const W: usize>(
+    out: &mut [S],
+    solved: &[S],
+    ld: usize,
+    row: usize,
+    lrow: &[S],
+    d: S,
+) {
+    let mut acc = [S::ZERO; W];
+    acc.copy_from_slice(out);
+    for (q, &ljp) in lrow.iter().enumerate() {
+        // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+        if ljp == S::ZERO {
+            continue;
+        }
+        let src = &solved[q * ld + row..q * ld + row + W];
+        for (x, &s) in acc.iter_mut().zip(src) {
+            *x -= s * ljp;
+        }
+    }
+    for x in &mut acc {
+        *x /= d;
+    }
+    out.copy_from_slice(&acc);
 }
 
 /// f64 instantiation of [`gemm_core_g`] (the historic kernel stack).
@@ -1270,7 +1459,7 @@ pub(crate) fn gemm_mats(
 }
 
 /// Runs a closure with the mode's monomorphized kernel instantiation over
-/// f32 storage: `F32` gets the uniform 8×4 engine, `F32F64` (and, for
+/// f32 storage: `F32` gets the uniform 16×4 engine, `F32F64` (and, for
 /// totality, `F64`) the mixed 4×4 engine with f64 accumulation.
 macro_rules! with_f32_engine {
     ($mode:expr, $body:ident ( $($arg:expr),* $(,)? )) => {
@@ -1287,7 +1476,7 @@ macro_rules! with_f32_engine {
 /// `b_trans`), each with leading dimension equal to its storage rows.
 ///
 /// The [`NumericMode`] selects the engine: [`NumericMode::F32`] computes
-/// and accumulates in f32 with 8×4 tiles; [`NumericMode::F32F64`] (and
+/// and accumulates in f32 with 16×4 tiles; [`NumericMode::F32F64`] (and
 /// `F64`, for which this is the widest available f32-storage engine)
 /// multiplies in f32 and accumulates in f64 with 4×4 tiles.
 ///
@@ -1379,6 +1568,8 @@ pub fn trsm_right_lower_transpose_f32(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::factor_columns_g;
+    use crate::rng::XorShift64;
 
     fn filled(rows: usize, cols: usize, seed: f64) -> Mat {
         Mat::from_fn(rows, cols, |r, c| {
@@ -1722,8 +1913,296 @@ mod tests {
             );
             let narrow = pack_elems_bound_mode(n, NumericMode::F32);
             assert_eq!(narrow, pack_elems_bound_mode(n, NumericMode::F32F64));
-            // The 8-tall tiles never need less than the 4-tall ones.
+            // The 16-tall tiles never need less than the 4-tall ones.
             assert!(narrow >= pack_elems_bound(n));
+        }
+    }
+
+    /// `n` values in `[-2, 2)`, about `2 / spread` of them exact zeros of
+    /// either sign, so the structural-zero skips and signed-zero sums are
+    /// exercised.
+    fn rand_vals<S: Scalar>(rng: &mut XorShift64, n: usize, spread: usize) -> Vec<S> {
+        (0..n)
+            .map(|_| match rng.gen_index(spread) {
+                0 => S::ZERO,
+                1 => -S::ZERO,
+                _ => S::from_f64(rng.gen_range(-2.0, 2.0)),
+            })
+            .collect()
+    }
+
+    fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Shapes of one tile-shape case: GEMM `m × n × k`, SYRK `n × k`,
+    /// TRSM `m × n`, and a `chol × chol` front with `pivots` pivots.
+    struct Shapes {
+        m: usize,
+        n: usize,
+        k: usize,
+        chol: usize,
+        pivots: usize,
+        seed: u64,
+    }
+
+    /// Every output bit of GEMM, SYRK, TRSM and the partial Cholesky on
+    /// `sh`'s inputs, run through the `MR_ × NR_` instantiation of engine
+    /// `(S, A)`.
+    fn kernel_bits<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+        sh: &Shapes,
+    ) -> Vec<u64> {
+        let mut rng = XorShift64::seed_from_u64(sh.seed);
+        let mut scratch = KernelScratch::new();
+        let (m, n, k) = (sh.m, sh.n, sh.k);
+        let mut out = Vec::new();
+
+        let ta = sh.seed % 2 == 1;
+        let a = rand_vals::<S>(&mut rng, m * k, 16);
+        let b = rand_vals::<S>(&mut rng, k * n, 16);
+        let mut c = rand_vals::<S>(&mut rng, m * n, 16);
+        let av = View::raw(&a, if ta { k } else { m }, 0, 0, m, k, ta);
+        let bv = View::raw(&b, k, 0, 0, k, n, false);
+        let mut cv = MutView::raw(&mut c, m, 0, 0, m, n);
+        gemm_core_g::<S, A, MR_, NR_>(S::from_f64(-0.75), &av, &bv, &mut cv, &mut scratch);
+        out.extend(bits(&c));
+
+        let a = rand_vals::<S>(&mut rng, n * k, 16);
+        let mut c = rand_vals::<S>(&mut rng, n * n, 16);
+        let av = View::raw(&a, n, 0, 0, n, k, false);
+        let mut cv = MutView::raw(&mut c, n, 0, 0, n, n);
+        syrk_core_g::<S, A, MR_, NR_>(-S::ONE, &av, &mut cv, &mut scratch);
+        out.extend(bits(&c));
+
+        let l: Vec<S> = (0..n * n)
+            .map(|e| match (e % n, e / n) {
+                (i, j) if i == j => S::from_f64(2.0 + rng.gen_f64()),
+                (i, j) if i > j => S::from_f64(rng.gen_range(-0.5, 0.5)),
+                _ => S::ZERO,
+            })
+            .collect();
+        let mut x = rand_vals::<S>(&mut rng, m * n, 16);
+        let lv = View::raw(&l, n, 0, 0, n, n, false);
+        trsm_core_g::<S, A, MR_, NR_>(&lv, &mut x, m, 0, 0, m, n, &mut scratch);
+        out.extend(bits(&x));
+
+        // An SPD front G·Gᵀ + t·I, formed in f64 and rounded into S.
+        let t = sh.chol;
+        let g: Vec<f64> = (0..t * t).map(|_| rng.gen_range(-1.0, 1.0)).collect();
+        let mut front: Vec<S> = (0..t * t)
+            .map(|e| {
+                let (i, j) = (e % t, e / t);
+                let dot: f64 = (0..t).map(|p| g[i + p * t] * g[j + p * t]).sum();
+                S::from_f64(if i == j { dot + t as f64 } else { dot })
+            })
+            .collect();
+        factor_columns_g::<S, A, MR_, NR_>(&mut front, t, t, sh.pivots, &mut scratch)
+            .expect("SPD front");
+        out.extend(bits(&front));
+        out
+    }
+
+    /// A tile's shape decides which outputs share registers, never the
+    /// operations one output sees, so two tile instantiations of the same
+    /// engine must agree bit for bit — on tails in every dimension and on
+    /// depths past one `KC` slab.
+    #[test]
+    fn tile_shape_never_moves_a_bit() {
+        let mut rng = XorShift64::seed_from_u64(0x711e_5a9e);
+        for seed in 0..24 {
+            let mut dim = || 1 + rng.gen_index(130);
+            let (m, n, chol) = (dim(), dim(), dim());
+            let k = if seed % 4 == 3 {
+                KC + 1 + rng.gen_index(40)
+            } else {
+                1 + rng.gen_index(130)
+            };
+            let sh = Shapes {
+                m,
+                n,
+                k,
+                chol,
+                pivots: 1 + rng.gen_index(chol),
+                seed,
+            };
+            let what = format!("seed {seed}: {m}x{n}x{k}, front {chol}");
+            assert!(
+                kernel_bits::<f64, f64, MR, NR>(&sh) == kernel_bits::<f64, f64, 8, 2>(&sh),
+                "f64 {what}"
+            );
+            assert!(
+                kernel_bits::<f32, f32, MR_F32, NR_F32>(&sh) == kernel_bits::<f32, f32, 8, 4>(&sh),
+                "f32 {what}"
+            );
+            assert!(
+                kernel_bits::<f32, f64, MR, NR>(&sh) == kernel_bits::<f32, f64, 8, 4>(&sh),
+                "f32f64 {what}"
+            );
+        }
+    }
+
+    /// The row-at-a-time loop [`gemm_direct_k_g`] replaced.
+    fn oracle_direct_k<S: Scalar, A: Accum<S>, const K: usize>(
+        alpha: S,
+        a: &View<'_, S>,
+        b: &View<'_, S>,
+        c: &mut MutView<'_, S>,
+    ) {
+        for j in 0..c.cols {
+            let bcol: [S; K] = std::array::from_fn(|p| alpha * b.at(p, j));
+            for (i, out) in c.col_mut(j).iter_mut().enumerate() {
+                let mut acc = A::ZERO;
+                for (p, &bp) in bcol.iter().enumerate() {
+                    acc += A::promote(a.at(i, p) * bp);
+                }
+                *out = A::demote(A::promote(*out) + acc);
+            }
+        }
+    }
+
+    /// The column-AXPY loop [`syrk_direct_k`] replaced for depths 3 and 6.
+    fn oracle_syrk_axpy<S: Scalar>(alpha: S, a: &View<'_, S>, c: &mut MutView<'_, S>) {
+        let n = a.rows;
+        for j in 0..n {
+            for p in 0..a.cols {
+                let ajp = alpha * a.at(j, p);
+                // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+                if ajp == S::ZERO {
+                    continue;
+                }
+                for (r, ci) in c.col_tail_mut(j, j, n - j).iter_mut().enumerate() {
+                    *ci += a.at(j + r, p) * ajp;
+                }
+            }
+        }
+    }
+
+    fn direct_k_case<S: Scalar, A: Accum<S>, const K: usize>(
+        rng: &mut XorShift64,
+        m: usize,
+        n: usize,
+        ta: bool,
+        tb: bool,
+    ) {
+        let a = rand_vals::<S>(rng, m * K, 4);
+        let b = rand_vals::<S>(rng, K * n, 4);
+        let c0 = rand_vals::<S>(rng, m * n, 4);
+        let av = View::raw(&a, if ta { K } else { m }, 0, 0, m, K, ta);
+        let bv = View::raw(&b, if tb { n } else { K }, 0, 0, K, n, tb);
+        let alpha = S::from_f64(-1.25);
+        let (mut got, mut want) = (c0.clone(), c0);
+        let mut scratch = KernelScratch::new();
+        gemm_direct_k_g::<S, A, K>(
+            alpha,
+            &av,
+            &bv,
+            &mut MutView::raw(&mut got, m, 0, 0, m, n),
+            &mut scratch,
+        );
+        oracle_direct_k::<S, A, K>(alpha, &av, &bv, &mut MutView::raw(&mut want, m, 0, 0, m, n));
+        assert_eq!(bits(&got), bits(&want), "{m}x{n}x{K} ta {ta} tb {tb}");
+    }
+
+    fn syrk_k_case<S: Scalar + Accum<S>>(rng: &mut XorShift64, n: usize, k: usize) {
+        let a = rand_vals::<S>(rng, n * k, 4);
+        let c0 = rand_vals::<S>(rng, n * n, 4);
+        let av = View::raw(&a, n, 0, 0, n, k, false);
+        let alpha = S::from_f64(-1.0);
+        let (mut got, mut want) = (c0.clone(), c0);
+        let mut scratch = KernelScratch::new();
+        syrk_direct_g::<S, S>(
+            alpha,
+            &av,
+            &mut MutView::raw(&mut got, n, 0, 0, n, n),
+            &mut scratch,
+        );
+        oracle_syrk_axpy(alpha, &av, &mut MutView::raw(&mut want, n, 0, 0, n, n));
+        assert_eq!(bits(&got), bits(&want), "syrk {n}x{k}");
+    }
+
+    /// The fixed-depth direct kernels sweep row tiles side by side; every
+    /// output must still carry the row-at-a-time loop's bits, in every
+    /// engine, for every transposition, and through exact (signed) zeros.
+    #[test]
+    fn direct_kernels_match_row_at_a_time_loops_bit_for_bit() {
+        let mut rng = XorShift64::seed_from_u64(0xd1_4ec7);
+        for m in 1..=24 {
+            for n in (1..=24).filter(|n| m * n <= 24 * 24) {
+                for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+                    direct_k_case::<f64, f64, 3>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f64, f64, 6>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f32, f32, 6>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f32, f64, 3>(&mut rng, m, n, ta, tb);
+                }
+            }
+        }
+        for n in 1..=24 {
+            for k in [3, 6] {
+                syrk_k_case::<f64>(&mut rng, n, k);
+                syrk_k_case::<f32>(&mut rng, n, k);
+            }
+        }
+    }
+
+    /// The column-AXPY in-block substitution [`trsm_core_g`] replaced,
+    /// with the same packed GEMM update between blocks.
+    fn oracle_trsm<S: Scalar, A: Accum<S>>(l: &View<'_, S>, b: &mut [S], m: usize, n: usize) {
+        let mut scratch = KernelScratch::new();
+        let mut j0 = 0;
+        while j0 < n {
+            let nb = TRSM_NB.min(n - j0);
+            if j0 > 0 {
+                let (done, cur) = b.split_at_mut(j0 * m);
+                let x = View::raw(done, m, 0, 0, m, j0, false);
+                let lt = View::raw(l.data, l.ld, l.row + j0, l.col, j0, nb, true);
+                let mut cview = MutView::raw(cur, m, 0, 0, m, nb);
+                gemm_core_g::<S, A, MR, NR>(-S::ONE, &x, &lt, &mut cview, &mut scratch);
+            }
+            for j in j0..j0 + nb {
+                for p in j0..j {
+                    let ljp = l.at(j, p);
+                    // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+                    if ljp == S::ZERO {
+                        continue;
+                    }
+                    let (done, cur) = b.split_at_mut(j * m);
+                    for (d, &s) in cur[..m].iter_mut().zip(&done[p * m..p * m + m]) {
+                        *d -= s * ljp;
+                    }
+                }
+                let d = l.at(j, j);
+                b[j * m..j * m + m].iter_mut().for_each(|x| *x /= d);
+            }
+            j0 += nb;
+        }
+    }
+
+    fn trsm_case<S: Scalar, A: Accum<S>>(rng: &mut XorShift64, m: usize, n: usize) {
+        let l: Vec<S> = (0..n * n)
+            .map(|e| match (e % n, e / n) {
+                (i, j) if i == j => S::from_f64(1.5 + rng.gen_f64()),
+                (i, j) if i > j && rng.gen_index(3) > 0 => S::from_f64(rng.gen_range(-0.5, 0.5)),
+                _ => S::ZERO,
+            })
+            .collect();
+        let b0 = rand_vals::<S>(rng, m * n, 4);
+        let lv = View::raw(&l, n, 0, 0, n, n, false);
+        let (mut got, mut want) = (b0.clone(), b0);
+        trsm_core_g::<S, A, MR, NR>(&lv, &mut got, m, 0, 0, m, n, &mut KernelScratch::new());
+        oracle_trsm::<S, A>(&lv, &mut want, m, n);
+        assert_eq!(bits(&got), bits(&want), "trsm {m}x{n}");
+    }
+
+    /// The register-tiled in-block substitution must leave the bits of the
+    /// column sweep, including through exact zeros in `L` and `B`.
+    #[test]
+    fn trsm_matches_column_sweep_bit_for_bit() {
+        let mut rng = XorShift64::seed_from_u64(0x7b5_0de);
+        for _ in 0..40 {
+            let (m, n) = (1 + rng.gen_index(70), 1 + rng.gen_index(70));
+            trsm_case::<f64, f64>(&mut rng, m, n);
+            trsm_case::<f32, f32>(&mut rng, m, n);
+            trsm_case::<f32, f64>(&mut rng, m, n);
         }
     }
 }

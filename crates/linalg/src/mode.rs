@@ -10,7 +10,7 @@
 //! - [`F64`](NumericMode::F64): full double precision, 4×4 microkernel
 //!   tiles — the reference behavior, bit-identical to the pre-mode stack;
 //! - [`F32`](NumericMode::F32): f32 storage, multiplies *and*
-//!   accumulation, 8×4 tiles — models the systolic array's narrow
+//!   accumulation, 16×4 tiles — models the systolic array's narrow
 //!   datapath and doubles the scalars per vector register;
 //! - [`F32F64`](NumericMode::F32F64): f32 storage and multiplies with f64
 //!   accumulation, 4×4 tiles — the classic wide-accumulator MAC, paying
@@ -36,7 +36,7 @@ pub enum NumericMode {
     /// Full f64 storage and arithmetic (4×4 microkernel tiles).
     #[default]
     F64,
-    /// f32 storage, multiplies and accumulation (8×4 microkernel tiles).
+    /// f32 storage, multiplies and accumulation (16×4 microkernel tiles).
     F32,
     /// Mixed precision: f32 storage and multiplies, f64 accumulation
     /// (4×4 microkernel tiles).

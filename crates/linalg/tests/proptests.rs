@@ -291,7 +291,7 @@ fn transpose_product_identity() {
 // partial factorization are checked, per narrow [`NumericMode`], against the
 // unblocked f64 [`reference`] oracle on f32-representable inputs. Shapes
 // reuse [`gen_dim`], so the 3/6 SLAM fast paths, per-width microkernel
-// tails (dims not ≡ 0 mod 8 for the f32 engine's 8×4 tile) and the packed
+// tails (dims not ≡ 0 mod 16 for the f32 engine's 16×4 tile) and the packed
 // dispatch path are all exercised. Tolerances are width-appropriate:
 // proportional to f32's ~1.2e-7 unit roundoff times the reduction depth.
 

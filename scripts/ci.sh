@@ -10,7 +10,8 @@
 # at the first failure):
 #
 #   fmt          cargo fmt --check
-#   build        release build of the workspace (+ bench-harness bins)
+#   build        release build of the workspace (+ bench-harness bins);
+#                fails first if an x86_64 build does not target AVX2
 #   test         cargo test -q --workspace
 #   doc          cargo doc --no-deps with warnings denied
 #   lint         supernova-analyze lint + schedule/ledger/trace invariants
@@ -141,8 +142,25 @@ doc_deny_warnings() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 }
 
+# The workspace builds for x86-64-v3 (.cargo/config.toml). A RUSTFLAGS or
+# CARGO_ENCODED_RUSTFLAGS variable, even an empty one, replaces those flags
+# without a word, so an x86_64 build must show it still targets AVX2.
+require_target_isa() {
+    _cfg=$(cargo rustc -q --release -p supernova-linalg --lib -- --print cfg) || return 1
+    case "$_cfg" in
+        *'target_arch="x86_64"'*) ;;
+        *) return 0 ;;
+    esac
+    case "$_cfg" in
+        *'target_feature="avx2"'*) return 0 ;;
+    esac
+    echo "ci: this x86_64 build does not target AVX2: RUSTFLAGS or CARGO_ENCODED_RUSTFLAGS replaced .cargo/config.toml's target-cpu=x86-64-v3 (unset them; DESIGN.md §11)" >&2
+    return 1
+}
+
 build_all() {
-    cargo build --release --workspace &&
+    require_target_isa &&
+        cargo build --release --workspace &&
         cargo build --release -p supernova-bench --features bench-harness
 }
 

@@ -4,10 +4,10 @@
 //! trajectory accuracy (the gate `numeric_ape` applies at CI scale).
 
 use supernova::datasets::Dataset;
-use supernova::factors::Values;
+use supernova::factors::{Key, Values};
 use supernova::linalg::NumericMode;
 use supernova::metrics::{ape, ApeStats};
-use supernova::solvers::{Isam2, Isam2Config, OnlineSolver};
+use supernova::solvers::{IncrementalCore, Isam2, Isam2Config, OnlineSolver};
 use supernova::sparse::ParallelExecutor;
 
 fn replay(dataset: &Dataset, mode: NumericMode, threads: usize) -> (Values, Vec<u8>) {
@@ -90,4 +90,80 @@ fn mode_change_invalidates_numeric_cache() {
     // Setting the already-active mode keeps whatever cache exists.
     solver.core_mut().set_numeric_mode(NumericMode::F32);
     assert_eq!(solver.core().numeric_mode(), NumericMode::F32);
+}
+
+/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Bulk-builds a Sphere graph from dead-reckoned guesses, reorders it once
+/// (minimum degree), relinearizes every variable and runs one all-dirty
+/// `factorize_and_solve` under `mode` — the `sphere_refactor` benchmark's
+/// path. Returns an FNV-1a hash of the factor bytes followed by every
+/// update step's f64 bits, and the widest front and pivot block of the
+/// plan.
+fn refactor_fingerprint(mode: NumericMode) -> (u64, usize, usize) {
+    let ds = Dataset::sphere_seeded(120, 7);
+    let (_, values) = ds.full_graph();
+    let mut core = IncrementalCore::new(1);
+    core.set_executor(ParallelExecutor::new(1).with_numeric(mode));
+    for ((_, guess), step) in values.iter().zip(ds.online_steps()) {
+        core.add_variable(guess.clone());
+        for f in step.factors {
+            core.add_factor(f);
+        }
+    }
+    core.analyze();
+    let plan = core.reorder_candidate().expect("non-empty graph");
+    core.apply_reorder(plan);
+    core.analyze();
+    let all: Vec<Key> = (0..core.num_vars()).map(Key).collect();
+    core.relinearize_vars(&all);
+    core.factorize_and_solve();
+    let mut h = fnv1a(
+        0xcbf2_9ce4_8422_2325,
+        &core.numeric_bytes().expect("solved"),
+    );
+    for &k in &all {
+        for x in core.delta_of(k) {
+            h = fnv1a(h, &x.to_bits().to_le_bytes());
+        }
+    }
+    let tasks = core.plan().expect("analyzed").tasks();
+    let front = tasks.iter().map(|t| t.front_dim()).max().unwrap_or(0);
+    let pivots = tasks.iter().map(|t| t.pivot_dim).max().unwrap_or(0);
+    (h, front, pivots)
+}
+
+/// The cross-version golden for the dense kernels' absolute bits in every
+/// numeric mode, on the path that reaches the packed GEMM / SYRK / TRSM
+/// and the blocked Cholesky: an all-dirty factorization whose fronts are
+/// wider than the 48-column Cholesky panel. Kernel tile shapes and the
+/// instruction set the workspace is compiled for must not move a bit
+/// here; regenerate the constants only with a change that moves bits on
+/// purpose.
+#[test]
+fn refactor_numerics_match_committed_golden() {
+    let got = [NumericMode::F64, NumericMode::F32, NumericMode::F32F64].map(|mode| {
+        let (h, front, pivots) = refactor_fingerprint(mode);
+        assert!(
+            front > 48 && pivots > 48,
+            "{mode}: widest front {front}, widest pivot block {pivots} must exceed one panel"
+        );
+        h
+    });
+    assert_eq!(
+        got,
+        [
+            0xbdcf_c9dc_ad0a_e06b,
+            0xc38b_4a19_4a42_a9ff,
+            0x1439_3c6e_c661_839f
+        ],
+        "[f64, f32, f32f64] refactor fingerprints: {got:#018x?}"
+    );
 }
