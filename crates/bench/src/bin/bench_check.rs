@@ -56,11 +56,8 @@
 //! host frequency scaling cancels out of the gated number. Fresh speedups
 //! must meet the `min_speedup` floors recorded in the committed baseline
 //! (scaled by `BENCH_CHECK_KERNEL_SPEEDUP_SCALE`, default 1.0, for
-//! foreign hardware; narrow-width cases use
-//! `BENCH_CHECK_KERNEL_F32_SPEEDUP_SCALE`, defaulting to the generic
-//! scale — their floors are SIMD-width properties of the host, so they
-//! relax independently); per-call flop counts are shape-derived and
-//! gated exactly, as is each case's numeric width.
+//! foreign hardware); per-call flop counts are shape-derived and gated
+//! exactly, as is each case's numeric width.
 //!
 //! `results/README.md` documents the baseline-refresh workflow. Exits
 //! with the shared `Report` summary line naming any failed checks.
@@ -315,7 +312,7 @@ fn check_step_latency(report: &mut Report, gate: &Gate) {
             // The numeric mode is configuration, not measurement: a
             // wall-time comparison whose two sides ran different kernel
             // precisions is meaningless, so it must match exactly (0 f64,
-            // 1 f32, 2 f32f64).
+            // 1 f32).
             exact(
                 report,
                 &format!("step-latency/{ds}/{t}t/numeric-mode"),
@@ -439,16 +436,6 @@ fn check_kernels(report: &mut Report) {
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(1.0);
-    // Narrow-width floors get their own relaxation knob: the f32 / mixed
-    // advantage over f64 is a SIMD-width property of the host (doubled
-    // lanes without AVX, more with it), independent of how well the
-    // blocked f64 kernel beats the naive reference — so foreign CI
-    // hardware can scale the per-width floors separately. Defaults to the
-    // generic scale so one knob still relaxes everything.
-    let scale_f32 = std::env::var("BENCH_CHECK_KERNEL_F32_SPEEDUP_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(scale);
     let base_names = names(&base, "cases");
     report.check(
         "kernels/coverage",
@@ -480,17 +467,12 @@ fn check_kernels(report: &mut Report) {
             &format!("{fw:?} vs baseline {bw:?}"),
         );
         // The ratio gate: measured same-run speedup vs the baseline floor,
-        // scaled by the width-appropriate relaxation knob.
+        // scaled by the relaxation knob.
         let speedup = f.get("speedup_vs_reference").and_then(Json::as_f64);
         let floor = b.get("min_speedup").and_then(Json::as_f64);
         match (speedup, floor) {
             (Some(s), Some(fl)) => {
-                let case_scale = if bw.is_some_and(|w| w != "f64") {
-                    scale_f32
-                } else {
-                    scale
-                };
-                let limit = fl * case_scale;
+                let limit = fl * scale;
                 report.check(
                     &format!("kernels/{case}/speedup"),
                     s >= limit,

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Replays three datasets online through iSAM2 once per (numeric mode,
-//! executor thread count) pair — `f64`, `f32` and `f32f64` at 1, 2 and 4
+//! executor thread count) pair — `f64` and `f32` at 1, 2 and 4
 //! threads. After every step the cached `NumericFactor` is serialized to
 //! canonical bytes and hashed; at the end of the replay the full byte
 //! strings and the estimated trajectories are kept. For each (dataset,

@@ -68,11 +68,9 @@ impl Kernel {
 /// with the speedup floor `bench_check` holds the committed baseline to.
 ///
 /// `F64`-width cases time the blocked kernel against the seed-era naive
-/// reference; narrow-width cases time the mode's f32-storage engine
-/// against the **blocked f64 kernel** at the same shape — so their
-/// `speedup_vs_reference` is the per-width throughput ratio the paper's
-/// FP32-datapath claim rests on (gated via
-/// `BENCH_CHECK_KERNEL_F32_SPEEDUP_SCALE` in `bench_check`).
+/// reference; `F32`-width cases time the f32 engine against the **blocked
+/// f64 kernel** at the same shape — so their `speedup_vs_reference` is the
+/// per-width throughput ratio the paper's FP32-datapath claim rests on.
 struct Case {
     name: String,
     kernel: Kernel,
@@ -251,10 +249,10 @@ fn finish(
     }
 }
 
-/// Measures a narrow-width case: the mode's f32-storage engine (the
-/// "blocked" side) against the blocked **f64** kernel at the same shape
-/// (the "reference" side), both warm-arena. The ratio is per-width
-/// throughput, the diff the narrow path's rounding cost at this shape.
+/// Measures an `F32`-width case: the f32 engine (the "blocked" side)
+/// against the blocked **f64** kernel at the same shape (the "reference"
+/// side), both warm-arena. The ratio is per-width throughput, the diff
+/// the narrow path's rounding cost at this shape.
 fn measure_narrow(
     case: &Case,
     rng: &mut XorShift64,
@@ -262,7 +260,6 @@ fn measure_narrow(
     reps: u64,
     scratch: &mut KernelScratch,
 ) -> Measured {
-    let mode = case.width;
     let mut scratch64 = KernelScratch::with_capacity(pack_elems_bound(
         case.m.max(case.n).max(case.k).max(case.m + case.k),
     ));
@@ -279,7 +276,7 @@ fn measure_narrow(
                 reps,
                 || {
                     gemm_f32(
-                        mode, m, n, k, 1.0, &a32, false, &b32, false, 0.0, &mut c32, scratch,
+                        m, n, k, 1.0, &a32, false, &b32, false, 0.0, &mut c32, scratch,
                     );
                 },
                 || {
@@ -307,7 +304,7 @@ fn measure_narrow(
             let (t_n, t_f, speedup) = time_pair(
                 reps,
                 || {
-                    syrk_lower_f32(mode, n, k, 1.0, &a32, 0.0, &mut c32, scratch);
+                    syrk_lower_f32(n, k, 1.0, &a32, 0.0, &mut c32, scratch);
                 },
                 || {
                     syrk_lower_scratch(1.0, &a, 0.0, &mut c64, &mut scratch64);
@@ -328,7 +325,7 @@ fn measure_narrow(
                 reps,
                 || {
                     b32.copy_from_slice(&b0_32);
-                    trsm_right_lower_transpose_f32(mode, m, n, &l32, &mut b32, scratch);
+                    trsm_right_lower_transpose_f32(m, n, &l32, &mut b32, scratch);
                 },
                 || {
                     b64.as_mut_slice().copy_from_slice(b0.as_slice());
@@ -422,16 +419,10 @@ fn cases() -> Vec<Case> {
         k: 30,
         min_speedup: 0.8,
     });
-    // Per-width cases: the narrow engines vs the blocked f64 kernel at the
+    // Per-width cases: the f32 engine vs the blocked f64 kernel at the
     // same shape. The f32 GEMM floor at n ≥ 30 is the paper-alignment gate
     // (the FP32 datapath must actually be faster than the f64 one for the
-    // precision trade to buy anything). The mixed mode shares f32 storage
-    // bandwidth but keeps 4×4 tiles with f64 accumulators, and every f32
-    // product pair costs an extra convert before its wide add (no
-    // contraction, so FMA units go unused) — so at in-cache sizes it lands
-    // near 0.65× of the f64 kernel and is gated only against falling below
-    // half, the point where the accuracy trade would stop being worth the
-    // storage savings.
+    // precision trade to buy anything).
     for d in [30usize, 60, 96] {
         out.push(Case {
             name: format!("gemm-f32-{d}"),
@@ -461,17 +452,6 @@ fn cases() -> Vec<Case> {
         k: 60,
         min_speedup: 0.9,
     });
-    for d in [30usize, 60] {
-        out.push(Case {
-            name: format!("gemm-f32f64-{d}"),
-            kernel: Kernel::Gemm,
-            width: NumericMode::F32F64,
-            m: d,
-            n: d,
-            k: d,
-            min_speedup: 0.5,
-        });
-    }
     out
 }
 

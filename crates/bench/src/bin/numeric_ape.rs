@@ -6,11 +6,11 @@
 //! ```
 //!
 //! Replays M3500 and Sphere online through iSAM2 once per numeric mode
-//! (`f64`, `f32`, `f32f64`; 2-thread host executor — within a mode,
-//! results are thread-count independent) and evaluates the final
-//! trajectory's absolute pose error against ground truth. Writes every
-//! mode's APE to `results/numeric_ape.json`, then gates the narrow modes
-//! against the f64 run:
+//! (`f64`, `f32`; 2-thread host executor — within a mode, results are
+//! thread-count independent) and evaluates the final trajectory's
+//! absolute pose error against ground truth. Writes every mode's APE to
+//! `results/numeric_ape.json`, then gates the f32 mode against the f64
+//! run:
 //!
 //! - `ape-sane`: the f64 run produced a finite, non-degenerate APE;
 //! - `rmse-ratio` / `max-ratio`: the narrow mode's final RMSE and MAX may
@@ -23,7 +23,7 @@
 //! basin, so the narrow APE lands within tens of percent of f64's, not
 //! multiples. A ratio beyond 1.5 means narrow kernels are steering the
 //! optimizer somewhere else, which is a correctness regression of the
-//! mixed-precision stack, not noise (see DESIGN.md §13).
+//! f32 stack, not noise (see DESIGN.md §13).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;

@@ -104,7 +104,7 @@ struct Run {
     /// (0 serial, 2 level-batched; 1 is retired).
     dispatch_mode: u64,
     /// Numeric precision the run's kernels executed under
-    /// (0 f64, 1 f32, 2 f32f64), from `SUPERNOVA_NUMERIC` — `bench_check`
+    /// (0 f64, 1 f32), from `SUPERNOVA_NUMERIC` — `bench_check`
     /// gates it exactly so a baseline comparison can't silently mix
     /// precisions.
     numeric_mode: u64,

@@ -28,7 +28,7 @@
 //! `results/BENCH_fleet.json`.
 //!
 //! **Chaos mode** (`--chaos`) runs three crash/reconfiguration drills,
-//! each in all three numeric modes, each gated on zero loss and
+//! each in both numeric modes, each gated on zero loss and
 //! bit-identical estimates:
 //!
 //! 1. *router restart mid-migration* — a crash is injected at both
@@ -910,7 +910,7 @@ fn drill_add_shard_under_load(mode: NumericMode) -> Result<(), String> {
     chaos_finish(mode, drill, &journal_dir, shards, router, &globals, tick)
 }
 
-/// Runs all three drills in all three numeric modes; returns the failure
+/// Runs all three drills in both numeric modes; returns the failure
 /// descriptions (empty = chaos clean).
 fn run_chaos() -> Vec<String> {
     let mut failures = Vec::new();
@@ -938,7 +938,7 @@ fn run_chaos() -> Vec<String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--chaos") {
-        eprintln!("load_gen: chaos drills, 3 scenarios x 3 numeric modes");
+        eprintln!("load_gen: chaos drills, 3 scenarios x 2 numeric modes");
         let failures = run_chaos();
         if failures.is_empty() {
             eprintln!("load_gen: chaos OK");

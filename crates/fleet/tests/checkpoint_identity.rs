@@ -18,7 +18,6 @@ use supernova_serve::{decode_snapshot, encode_snapshot};
 use supernova_solvers::{RaIsam2Config, RestoreError, SolverEngine};
 use supernova_sparse::ParallelExecutor;
 
-const MODES: [NumericMode; 3] = [NumericMode::F64, NumericMode::F32, NumericMode::F32F64];
 const THREADS: [usize; 3] = [1, 2, 4];
 
 fn datasets() -> Vec<Dataset> {
@@ -49,7 +48,7 @@ fn snapshot_restore_replay_is_bit_identical_across_modes_threads_datasets() {
         let steps = ds.online_steps();
         assert!(steps.len() >= 8, "{}: dataset too small to cut", ds.name());
         let cut = steps.len() / 2;
-        for mode in MODES {
+        for mode in NumericMode::ALL {
             for threads in THREADS {
                 let case = format!("{} mode={mode:?} threads={threads}", ds.name());
 

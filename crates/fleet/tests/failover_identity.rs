@@ -61,7 +61,7 @@ fn solo_estimate(mode: NumericMode, kind: DatasetKind, steps: u32, seed: u64) ->
 
 #[test]
 fn shard_kill_failover_is_bit_identical_in_every_numeric_mode() {
-    for mode in [NumericMode::F64, NumericMode::F32, NumericMode::F32F64] {
+    for mode in NumericMode::ALL {
         let journal_dir =
             std::env::temp_dir().join(format!("fleet-failover-{mode:?}-{}", std::process::id()));
         let mut shards: Vec<Shard> = (0..SHARDS)

@@ -185,24 +185,6 @@ pub fn trsm_right_lower_transpose_scratch(l: &Mat, b: &mut Mat, scratch: &mut Ke
     );
 }
 
-/// General matrix–vector multiply `y = alpha * op(a) * x + beta * y`.
-///
-/// # Panics
-///
-/// Panics if the shapes are incompatible.
-pub fn gemv(alpha: f64, a: &Mat, op: Transpose, x: &[f64], beta: f64, y: &mut [f64]) {
-    let (m, n) = op.dims(a);
-    assert_eq!(x.len(), n, "gemv input length mismatch");
-    assert_eq!(y.len(), m, "gemv output length mismatch");
-    let prod = match op {
-        Transpose::No => a.matvec(x),
-        Transpose::Yes => a.matvec_transpose(x),
-    };
-    for i in 0..m {
-        y[i] = alpha * prod[i] + beta * y[i];
-    }
-}
-
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -211,23 +193,6 @@ pub fn gemv(alpha: f64, a: &Mat, op: Transpose, x: &[f64], beta: f64, y: &mut [f
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
     x.iter().zip(y).map(|(a, b)| a * b).sum()
-}
-
-/// `y += alpha * x` elementwise.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Euclidean norm of a slice.
-pub fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 /// Infinity norm (maximum absolute entry) of a slice; zero when empty.
@@ -452,23 +417,8 @@ mod tests {
     }
 
     #[test]
-    fn gemv_both_ops() {
-        let a = Mat::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mut y = vec![1.0, 1.0];
-        gemv(1.0, &a, Transpose::No, &[1.0, 0.0, 1.0], 1.0, &mut y);
-        assert_eq!(y, vec![5.0, 11.0]);
-        let mut z = vec![0.0; 3];
-        gemv(2.0, &a, Transpose::Yes, &[1.0, 1.0], 0.0, &mut z);
-        assert_eq!(z, vec![10.0, 14.0, 18.0]);
-    }
-
-    #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }

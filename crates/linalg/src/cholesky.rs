@@ -17,7 +17,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::kernels::{
-    syrk_core_g, trsm_core_g, Accum, KernelScratch, MutView, Scalar, View, MR, MR_F32, NR, NR_F32,
+    syrk_core_g, trsm_core_g, KernelScratch, MutView, Scalar, View, MR, MR_F32, NR, NR_F32,
 };
 use crate::{Mat, NumericMode};
 
@@ -57,11 +57,10 @@ const NB: usize = crate::kernels::CHOL_NB;
 /// panel, columns `0..pivots` hold `L_A` over `L_B` and the trailing
 /// `(total − pivots)²` lower triangle holds `C − L_B L_Bᵀ`.
 ///
-/// Generic over the storage scalar `S` and accumulator `A` with the
-/// mode's microkernel tile constants, so the same driver serves every
-/// [`NumericMode`]; the f64 instantiation is the historic driver operation
-/// for operation.
-pub(crate) fn factor_columns_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+/// Generic over the scalar `S` with the mode's microkernel tile
+/// constants, so the same driver serves every [`NumericMode`]; the f64
+/// instantiation is the historic driver operation for operation.
+pub(crate) fn factor_columns_g<S: Scalar, const MR_: usize, const NR_: usize>(
     data: &mut [S],
     ld: usize,
     total: usize,
@@ -71,7 +70,7 @@ pub(crate) fn factor_columns_g<S: Scalar, A: Accum<S>, const MR_: usize, const N
     let mut k = 0usize;
     while k < pivots {
         let b = NB.min(pivots - k);
-        cholesky_unblocked_raw_g::<S, A>(data, ld, k, b)?;
+        cholesky_unblocked_raw_g::<S>(data, ld, k, b)?;
         let below = total - k - b;
         if below > 0 {
             // Solve the full subcolumn against a packed copy of the diagonal
@@ -83,7 +82,7 @@ pub(crate) fn factor_columns_g<S: Scalar, A: Accum<S>, const MR_: usize, const N
                 lbuf[j * b..(j + 1) * b].copy_from_slice(src);
             }
             let lview = View::raw(&lbuf, b, 0, 0, b, b, false);
-            trsm_core_g::<S, A, MR_, NR_>(&lview, data, ld, k + b, k, below, b, scratch);
+            trsm_core_g::<S, MR_, NR_>(&lview, data, ld, k + b, k, below, b, scratch);
             S::put_panel(scratch, lbuf);
 
             // Trailing update: the panel's columns and the trailing block
@@ -92,7 +91,7 @@ pub(crate) fn factor_columns_g<S: Scalar, A: Accum<S>, const MR_: usize, const N
             let (left, right) = data.split_at_mut((k + b) * ld);
             let aview = View::raw(left, ld, k + b, k, below, b, false);
             let mut cview = MutView::raw(right, ld, k + b, 0, below, below);
-            syrk_core_g::<S, A, MR_, NR_>(-S::ONE, &aview, &mut cview, scratch);
+            syrk_core_g::<S, MR_, NR_>(-S::ONE, &aview, &mut cview, scratch);
         }
         k += b;
     }
@@ -107,16 +106,13 @@ fn factor_columns(
     pivots: usize,
     scratch: &mut KernelScratch,
 ) -> Result<(), NotPositiveDefiniteError> {
-    factor_columns_g::<f64, f64, MR, NR>(data, ld, total, pivots, scratch)
+    factor_columns_g::<f64, MR, NR>(data, ld, total, pivots, scratch)
 }
 
 /// Unblocked left-looking Cholesky of the `b × b` diagonal block at
 /// `(k, k)`; zeroes the block's strict upper triangle and reports pivot
-/// failures in global column coordinates. Dot products accumulate in `A`
-/// (the mixed mode keeps its wide accumulation even on the diagonal
-/// block); pivot positivity and finiteness are checked in `A` before the
-/// root is rounded back into storage.
-fn cholesky_unblocked_raw_g<S: Scalar, A: Accum<S>>(
+/// failures in global column coordinates.
+fn cholesky_unblocked_raw_g<S: Scalar>(
     data: &mut [S],
     ld: usize,
     k: usize,
@@ -125,22 +121,22 @@ fn cholesky_unblocked_raw_g<S: Scalar, A: Accum<S>>(
     for j in 0..b {
         let cj = (k + j) * ld + k;
         // d = a[j,j] - Σ_{p<j} L[j,p]²
-        let mut d = A::promote(data[cj + j]);
+        let mut d = data[cj + j];
         for p in 0..j {
             let ljp = data[(k + p) * ld + k + j];
-            d -= A::promote(ljp * ljp);
+            d -= ljp * ljp;
         }
-        if !(d > A::ZERO) || !d.is_finite() {
+        if !(d > S::ZERO) || !d.is_finite() {
             return Err(NotPositiveDefiniteError { col: k + j });
         }
-        let djj = A::demote(d.sqrt());
+        let djj = d.sqrt();
         data[cj + j] = djj;
         for i in (j + 1)..b {
-            let mut s = A::promote(data[cj + i]);
+            let mut s = data[cj + i];
             for p in 0..j {
-                s -= A::promote(data[(k + p) * ld + k + i] * data[(k + p) * ld + k + j]);
+                s -= data[(k + p) * ld + k + i] * data[(k + p) * ld + k + j];
             }
-            data[cj + i] = A::demote(s / A::promote(djj));
+            data[cj + i] = s / djj;
         }
         for i in 0..j {
             data[cj + i] = S::ZERO;
@@ -267,12 +263,11 @@ pub fn partial_cholesky_scratch(
 }
 
 /// [`partial_cholesky_scratch`] under a runtime [`NumericMode`] — the
-/// executor's per-worker hot path when a narrow mode is selected.
+/// executor's per-worker hot path.
 ///
-/// `F64` runs the historic f64 driver directly on the front. The narrow
-/// modes demote the front into the arena's f32 shadow, factor it with the
-/// mode's monomorphized engine (`F32`: f32 accumulation, 16×4 tiles;
-/// `F32F64`: f64 accumulation, 4×4 tiles) and promote the result back —
+/// `F64` runs the historic f64 driver directly on the front. `F32`
+/// demotes the front into the arena's f32 shadow, factors it with the f32
+/// engine (16×4 tiles) and promotes the result back —
 /// exactly, since every f32 is representable in f64 — so downstream
 /// merge/solve/serialization stay f64 and per-mode bit-identity across
 /// thread counts follows from the kernels' shape-pure dispatch. This
@@ -306,14 +301,8 @@ pub fn partial_cholesky_scratch_mode(
     for (d, &s) in shadow.iter_mut().zip(front.as_slice()) {
         *d = s as f32;
     }
-    let result = match mode {
-        NumericMode::F32 => {
-            factor_columns_g::<f32, f32, MR_F32, NR_F32>(&mut shadow, total, total, pivots, scratch)
-        }
-        NumericMode::F32F64 | NumericMode::F64 => {
-            factor_columns_g::<f32, f64, MR, NR>(&mut shadow, total, total, pivots, scratch)
-        }
-    };
+    let result =
+        factor_columns_g::<f32, MR_F32, NR_F32>(&mut shadow, total, total, pivots, scratch);
     // Promote back even on error so the front reflects the partial state,
     // mirroring the f64 path's contract.
     for (d, &s) in front.as_mut_slice().iter_mut().zip(shadow.iter()) {

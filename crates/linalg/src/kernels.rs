@@ -21,14 +21,14 @@
 //!   to fully unrolled direct kernels where packing overhead would
 //!   dominate.
 //!
-//! The whole stack is generic over a sealed [`Scalar`] storage type and an
-//! [`Accum`] accumulator type, monomorphized per [`NumericMode`]:
+//! The whole stack is generic over one sealed [`Scalar`] type — storage,
+//! multiplies and accumulation share it — monomorphized per
+//! [`NumericMode`]:
 //!
-//! | mode     | storage | multiplies | accumulate | MR×NR |
-//! |----------|---------|------------|------------|-------|
-//! | `f64`    | f64     | f64        | f64        | 4×4   |
-//! | `f32`    | f32     | f32        | f32        | 16×4  |
-//! | `f32f64` | f32     | f32        | f64        | 4×4   |
+//! | mode  | scalar | MR×NR |
+//! |-------|--------|-------|
+//! | `f64` | f64    | 4×4   |
+//! | `f32` | f32    | 16×4  |
 //!
 //! The f64 instantiation reproduces the pre-generic kernels operation for
 //! operation, so `NumericMode::F64` remains bit-identical to the historic
@@ -91,8 +91,8 @@ mod sealed {
 
 /// A storage scalar of the dense kernel stack (sealed: `f64` or `f32`).
 ///
-/// Operands, outputs and pack panels are stored as `Self`; the
-/// accumulation width is chosen independently via [`Accum`]. The
+/// Operands, outputs and pack panels are stored as `Self`, and every
+/// product and sum is computed in `Self`. The
 /// `#[doc(hidden)]` methods route each width to its typed buffers inside
 /// [`KernelScratch`] — they are an internal contract between the trait
 /// impls and the arena, not API.
@@ -125,6 +125,10 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// Widens into f64 (exact for both storage widths).
     fn to_f64(self) -> f64;
+    /// Square root (the Cholesky pivot).
+    fn sqrt(self) -> Self;
+    /// Whether the value is neither infinite nor NaN.
+    fn is_finite(self) -> bool;
 
     /// Returns this width's pack buffers grown to at least the requested
     /// lengths.
@@ -159,6 +163,16 @@ impl Scalar for f64 {
         self
     }
 
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+
+    #[inline(always)]
+    fn is_finite(self) -> bool {
+        f64::is_finite(self)
+    }
+
     fn packs(
         scratch: &mut KernelScratch,
         a_elems: usize,
@@ -190,6 +204,16 @@ impl Scalar for f32 {
         self as f64
     }
 
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f32::sqrt(self)
+    }
+
+    #[inline(always)]
+    fn is_finite(self) -> bool {
+        f32::is_finite(self)
+    }
+
     fn packs(
         scratch: &mut KernelScratch,
         a_elems: usize,
@@ -207,107 +231,12 @@ impl Scalar for f32 {
     }
 }
 
-/// An accumulator width paired with storage scalar `S`.
-///
-/// `Accum<f64> for f64` and `Accum<f32> for f32` are the uniform modes
-/// (promotion is the identity); `Accum<f32> for f64` is the mixed mode:
-/// products are computed in f32 (the storage width — modeling the systolic
-/// array's narrow multipliers) and summed in f64, paying one rounding per
-/// store instead of one per add.
-pub trait Accum<S: Scalar>: Scalar {
-    /// `true` when the accumulator is wider than the storage scalar (the
-    /// mixed mode); lets generic kernels statically pick the gathered
-    /// wide-accumulation form over in-storage AXPY updates.
-    const WIDENS: bool;
-
-    /// Widens a storage scalar into the accumulator (exact).
-    fn promote(s: S) -> Self;
-    /// Rounds the accumulator back into storage width.
-    fn demote(self) -> S;
-    /// Square root in accumulator precision (the Cholesky pivot).
-    fn sqrt(self) -> Self;
-    /// Finiteness check in accumulator precision.
-    fn is_finite(self) -> bool;
-}
-
-impl Accum<f64> for f64 {
-    const WIDENS: bool = false;
-
-    #[inline(always)]
-    fn promote(s: f64) -> Self {
-        s
-    }
-
-    #[inline(always)]
-    fn demote(self) -> f64 {
-        self
-    }
-
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        f64::sqrt(self)
-    }
-
-    #[inline(always)]
-    fn is_finite(self) -> bool {
-        f64::is_finite(self)
-    }
-}
-
-impl Accum<f32> for f32 {
-    const WIDENS: bool = false;
-
-    #[inline(always)]
-    fn promote(s: f32) -> Self {
-        s
-    }
-
-    #[inline(always)]
-    fn demote(self) -> f32 {
-        self
-    }
-
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        f32::sqrt(self)
-    }
-
-    #[inline(always)]
-    fn is_finite(self) -> bool {
-        f32::is_finite(self)
-    }
-}
-
-impl Accum<f32> for f64 {
-    const WIDENS: bool = true;
-
-    #[inline(always)]
-    fn promote(s: f32) -> Self {
-        s as f64
-    }
-
-    #[inline(always)]
-    fn demote(self) -> f32 {
-        self as f32
-    }
-
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        f64::sqrt(self)
-    }
-
-    #[inline(always)]
-    fn is_finite(self) -> bool {
-        f64::is_finite(self)
-    }
-}
-
 /// Reusable pack-buffer arena for the blocked kernels.
 ///
 /// Buffers grow monotonically (never shrink) and are fully overwritten on
 /// every use, so scratch contents can never leak between calls and a
 /// warm arena performs zero allocation. One typed buffer family exists per
-/// storage width (f64 for [`NumericMode::F64`], f32 for the narrow modes,
+/// storage width (f64 for [`NumericMode::F64`], f32 for [`NumericMode::F32`],
 /// plus an f32 front shadow for the demote → factor → promote narrow
 /// factorization path), so a mode switch warms up once and then both modes
 /// stay allocation-free. The arena also meters the multiply-add work the
@@ -325,7 +254,7 @@ pub struct KernelScratch {
     apack32: Vec<f32>,
     bpack32: Vec<f32>,
     lpack32: Vec<f32>,
-    /// f32 shadow of a front being factored in a narrow mode (taken and
+    /// f32 shadow of a front being factored in the f32 mode (taken and
     /// returned like `lpack`, so the arena stays usable for packs while
     /// the shadow is live).
     front32: Vec<f32>,
@@ -342,7 +271,7 @@ impl KernelScratch {
     /// An arena whose f64 pack buffers are pre-grown to `pack_elems`
     /// scalars each (use [`pack_elems_bound`] /
     /// `ExecutionPlan::max_pack_elems`-style precomputation), so even the
-    /// first call allocates nothing. For narrow modes, follow with
+    /// first call allocates nothing. For the f32 mode, follow with
     /// [`reserve_mode`](Self::reserve_mode).
     pub fn with_capacity(pack_elems: usize) -> Self {
         let mut s = Self::new();
@@ -384,7 +313,7 @@ impl KernelScratch {
     pub fn reserve_mode(&mut self, mode: NumericMode, pack_elems: usize, front_elems: usize) {
         match mode {
             NumericMode::F64 => self.reserve(pack_elems),
-            NumericMode::F32 | NumericMode::F32F64 => {
+            NumericMode::F32 => {
                 let a = self.apack32.len().max(pack_elems);
                 let b = self.bpack32.len().max(pack_elems);
                 let _ = self.packs32(a, b);
@@ -540,12 +469,12 @@ pub fn pack_elems_bound(n: usize) -> usize {
     round_up(n, MR.max(NR)) * n.min(KC)
 }
 
-/// Mode-aware [`pack_elems_bound`]: the narrow modes pack f32 panels whose
+/// Mode-aware [`pack_elems_bound`]: the f32 mode packs f32 panels whose
 /// row tiles round up to the taller [`MR_F32`] microkernel.
 pub fn pack_elems_bound_mode(n: usize, mode: NumericMode) -> usize {
     match mode {
         NumericMode::F64 => pack_elems_bound(n),
-        NumericMode::F32 | NumericMode::F32F64 => round_up(n, MR_F32.max(NR_F32)) * n.min(KC),
+        NumericMode::F32 => round_up(n, MR_F32.max(NR_F32)) * n.min(KC),
     }
 }
 
@@ -742,8 +671,8 @@ impl<'a, S: Scalar> MutView<'a, S> {
 /// Selection depends only on the operand shapes — never on values, thread
 /// counts or runtime feature detection — so the same call sites take the
 /// same path in serial and pooled executions (the determinism anchor).
-/// The table is shared by every [`NumericMode`]; modes differ only in tile
-/// constants and accumulator width, never in which path a shape takes.
+/// The table is shared by every [`NumericMode`]; modes differ only in
+/// scalar width and tile constants, never in which path a shape takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmPath {
     /// `k == 0` or an empty output: nothing to do.
@@ -774,7 +703,7 @@ pub fn gemm_path(m: usize, n: usize, k: usize) -> GemmPath {
 /// `C += A · B` on views, `beta` already applied to `C` by the caller.
 /// `alpha` is folded into the packed/gathered `B` operand, mirroring the
 /// classic column-AXPY operand order `a[i,p] · (alpha · b[p,j])`.
-pub(crate) fn gemm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+pub(crate) fn gemm_core_g<S: Scalar, const MR_: usize, const NR_: usize>(
     alpha: S,
     a: &View<'_, S>,
     b: &View<'_, S>,
@@ -787,10 +716,10 @@ pub(crate) fn gemm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
     debug_assert_eq!(b.cols, n, "gemm_core B column mismatch");
     match gemm_path(m, n, k) {
         GemmPath::Noop => {}
-        GemmPath::DirectK3 => gemm_direct_k_g::<S, A, 3>(alpha, a, b, c, scratch),
-        GemmPath::DirectK6 => gemm_direct_k_g::<S, A, 6>(alpha, a, b, c, scratch),
-        GemmPath::Direct => gemm_direct_g::<S, A>(alpha, a, b, c, scratch),
-        GemmPath::Packed => gemm_packed_g::<S, A, MR_, NR_>(alpha, a, b, c, scratch),
+        GemmPath::DirectK3 => gemm_direct_k_g::<S, 3>(alpha, a, b, c, scratch),
+        GemmPath::DirectK6 => gemm_direct_k_g::<S, 6>(alpha, a, b, c, scratch),
+        GemmPath::Direct => gemm_direct_g::<S>(alpha, a, b, c, scratch),
+        GemmPath::Packed => gemm_packed_g::<S, MR_, NR_>(alpha, a, b, c, scratch),
     }
 }
 
@@ -817,8 +746,7 @@ fn row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
 
 /// Direct kernel with the contraction depth `K` a compile-time constant.
 /// Every output is `out + dot`, the dot started from zero and adding
-/// `a[i,p] · (alpha · b[p,j])` for `p = 0..K` in order; products are
-/// computed in storage precision and the dot accumulates in `A`.
+/// `a[i,p] · (alpha · b[p,j])` for `p = 0..K` in order.
 ///
 /// The transposition of `A` is resolved here, once, so no inner loop
 /// branches on it: a transposed `A` (the `Jᵀ J` Hessian blocks) has
@@ -826,7 +754,7 @@ fn row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
 /// `K`-vectors; an untransposed `A` has contiguous columns, so its rows
 /// are taken in [`row_tiles`] and each tile's dots run side by side
 /// ([`direct_k_rows`]).
-fn gemm_direct_k_g<S: Scalar, A: Accum<S>, const K: usize>(
+fn gemm_direct_k_g<S: Scalar, const K: usize>(
     alpha: S,
     a: &View<'_, S>,
     b: &View<'_, S>,
@@ -841,20 +769,20 @@ fn gemm_direct_k_g<S: Scalar, A: Accum<S>, const K: usize>(
             let bcol: [S; K] = std::array::from_fn(|p| alpha * bj[p]);
             for (i, out) in c.col_mut(j).iter_mut().enumerate() {
                 let ai = a.storage_col(i, K);
-                let mut acc = A::ZERO;
+                let mut acc = S::ZERO;
                 for (&ap, &bp) in ai.iter().zip(&bcol) {
-                    acc += A::promote(ap * bp);
+                    acc += ap * bp;
                 }
-                *out = A::demote(A::promote(*out) + acc);
+                *out += acc;
             }
         }
     } else {
         let acols: [&[S]; K] = std::array::from_fn(|p| a.storage_col(p, m));
         for (i0, w) in row_tiles(m) {
             match w {
-                4 => direct_k_rows::<S, A, K, 4>(alpha, &acols, b, c, i0),
-                2 => direct_k_rows::<S, A, K, 2>(alpha, &acols, b, c, i0),
-                _ => direct_k_rows::<S, A, K, 1>(alpha, &acols, b, c, i0),
+                4 => direct_k_rows::<S, K, 4>(alpha, &acols, b, c, i0),
+                2 => direct_k_rows::<S, K, 2>(alpha, &acols, b, c, i0),
+                _ => direct_k_rows::<S, K, 1>(alpha, &acols, b, c, i0),
             }
         }
     }
@@ -866,7 +794,7 @@ fn gemm_direct_k_g<S: Scalar, A: Accum<S>, const K: usize>(
 /// swept across every output column, one `W`-wide multiply-add per depth
 /// step against a broadcast `alpha · b[p,j]`.
 #[inline(always)]
-fn direct_k_rows<S: Scalar, A: Accum<S>, const K: usize, const W: usize>(
+fn direct_k_rows<S: Scalar, const K: usize, const W: usize>(
     alpha: S,
     acols: &[&[S]; K],
     b: &View<'_, S>,
@@ -880,25 +808,23 @@ fn direct_k_rows<S: Scalar, A: Accum<S>, const K: usize, const W: usize>(
     });
     for j in 0..c.cols {
         let bj = b.column_head::<K>(j);
-        let mut acc = [A::ZERO; W];
+        let mut acc = [S::ZERO; W];
         for (tile, &bp) in at.iter().zip(&bj) {
             let bp = alpha * bp;
             for (x, &ar) in acc.iter_mut().zip(tile) {
-                *x += A::promote(ar * bp);
+                *x += ar * bp;
             }
         }
         let out = c.col_tail_mut(j, i0, W);
         for (o, &x) in out.iter_mut().zip(&acc) {
-            *o = A::demote(A::promote(*o) + x);
+            *o += x;
         }
     }
 }
 
 /// Generic direct kernel for small shapes: per-column AXPY when `A` is
-/// untransposed and the accumulator matches the storage width (contiguous
-/// columns); gathered dot products in `A` otherwise — the mixed mode
-/// always gathers so small shapes keep wide accumulation too.
-fn gemm_direct_g<S: Scalar, A: Accum<S>>(
+/// untransposed (contiguous columns), gathered dot products otherwise.
+fn gemm_direct_g<S: Scalar>(
     alpha: S,
     a: &View<'_, S>,
     b: &View<'_, S>,
@@ -906,7 +832,7 @@ fn gemm_direct_g<S: Scalar, A: Accum<S>>(
     scratch: &mut KernelScratch,
 ) {
     let (m, n, k) = (c.rows, c.cols, a.cols);
-    if !a.trans && !A::WIDENS {
+    if !a.trans {
         for j in 0..n {
             for p in 0..k {
                 let bpj = alpha * b.at(p, j);
@@ -921,11 +847,11 @@ fn gemm_direct_g<S: Scalar, A: Accum<S>>(
         for j in 0..n {
             let ccol = c.col_mut(j);
             for (i, out) in ccol.iter_mut().enumerate() {
-                let mut acc = A::ZERO;
+                let mut acc = S::ZERO;
                 for p in 0..k {
-                    acc += A::promote(a.at(i, p) * b.at(p, j));
+                    acc += a.at(i, p) * b.at(p, j);
                 }
-                *out = A::demote(A::promote(*out) + A::promote(alpha) * acc);
+                *out += alpha * acc;
             }
         }
     }
@@ -1023,29 +949,27 @@ fn pack_b_g<S: Scalar, const NR_: usize>(
 
 /// The register-tiled microkernel: accumulates the full `MR_ × NR_` tile
 /// product of one packed `A` panel and one packed `B` panel across `kc`
-/// depths. `acc` is column-major (`acc[j][i]`), in accumulator precision;
-/// each product is computed in storage precision and promoted — for the
-/// uniform modes promotion is the identity and this is the historic f64
-/// kernel operation for operation.
+/// depths. `acc` is column-major (`acc[j][i]`); the f64 instantiation is
+/// the historic f64 kernel operation for operation.
 #[inline(always)]
-fn microkernel_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+fn microkernel_g<S: Scalar, const MR_: usize, const NR_: usize>(
     kc: usize,
     apanel: &[S],
     bpanel: &[S],
-) -> [[A; MR_]; NR_] {
+) -> [[S; MR_]; NR_] {
     // The tile is a local returned by value: behind a `&mut`, the
     // accumulators get written back to memory on every depth step.
-    let mut acc = [[A::ZERO; MR_]; NR_];
+    let mut acc = [[S::ZERO; MR_]; NR_];
     // Two depth steps per iteration: halves the loop-control overhead and
     // gives the scheduler two independent rank-1 updates to interleave.
     //
-    // Each rank-1 row is staged through a fixed-width product array in
-    // storage precision before the promote-accumulate pass. The staging
-    // changes no arithmetic (same multiplies, same addition order, so f64
-    // stays bit-identical to the historic kernel) but splits the body into
-    // short independent loops the SLP vectorizer handles at every width —
-    // the fused form autovectorizes at 4×f64 yet collapses to spilled
-    // scalar code at 8×f32.
+    // Each rank-1 row is staged through a fixed-width product array before
+    // the accumulate pass. The staging changes no arithmetic (same
+    // multiplies, same addition order, so f64 stays bit-identical to the
+    // historic kernel) but splits the body into short independent loops
+    // the SLP vectorizer handles at every width — the fused form
+    // autovectorizes at 4×f64 yet collapses to spilled scalar code at
+    // 8×f32.
     let pairs = kc / 2;
     for (ap, bp) in apanel
         .chunks_exact(2 * MR_)
@@ -1067,7 +991,7 @@ fn microkernel_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
             }
             let accj = &mut acc[j];
             for i in 0..MR_ {
-                accj[i] += A::promote(p0[i]) + A::promote(p1[i]);
+                accj[i] += p0[i] + p1[i];
             }
         }
     }
@@ -1083,7 +1007,7 @@ fn microkernel_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
             }
             let accj = &mut acc[j];
             for i in 0..MR_ {
-                accj[i] += A::promote(prod[i]);
+                accj[i] += prod[i];
             }
         }
     }
@@ -1092,7 +1016,7 @@ fn microkernel_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
 
 /// Packed GEMM: `C += (alpha·A)·B`, blocked over the contraction depth in
 /// `KC` slabs, each slab packed once and swept by the microkernel.
-fn gemm_packed_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+fn gemm_packed_g<S: Scalar, const MR_: usize, const NR_: usize>(
     alpha: S,
     a: &View<'_, S>,
     b: &View<'_, S>,
@@ -1117,11 +1041,11 @@ fn gemm_packed_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
                 let i0 = ib * MR_;
                 let ih = MR_.min(m - i0);
                 let apanel = &apack[ib * kc * MR_..(ib + 1) * kc * MR_];
-                let acc = microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel);
+                let acc = microkernel_g::<S, MR_, NR_>(kc, apanel, bpanel);
                 for (j, accj) in acc.iter().enumerate().take(jw) {
                     let col = c.col_tail_mut(j0 + j, i0, ih);
                     for (ci, &v) in col.iter_mut().zip(accj) {
-                        *ci = A::demote(A::promote(*ci) + v);
+                        *ci += v;
                     }
                 }
             }
@@ -1136,7 +1060,7 @@ fn gemm_packed_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
 /// alpha-scaled, column panels) and sweeps only the tiles that intersect
 /// the lower triangle; diagonal tiles compute the full tile and store the
 /// `i ≥ j` half.
-pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+pub(crate) fn syrk_core_g<S: Scalar, const MR_: usize, const NR_: usize>(
     alpha: S,
     a: &View<'_, S>,
     c: &mut MutView<'_, S>,
@@ -1149,7 +1073,7 @@ pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
         return;
     }
     if n * n * k <= DIRECT_FLOP_CUTOFF {
-        syrk_direct_g::<S, A>(alpha, a, c, scratch);
+        syrk_direct_g::<S>(alpha, a, c, scratch);
         return;
     }
     let at = View {
@@ -1176,14 +1100,14 @@ pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
                 let i0 = ib * MR_;
                 let ih = MR_.min(n - i0);
                 let apanel = &apack[ib * kc * MR_..(ib + 1) * kc * MR_];
-                let acc = microkernel_g::<S, A, MR_, NR_>(kc, apanel, bpanel);
+                let acc = microkernel_g::<S, MR_, NR_>(kc, apanel, bpanel);
                 for (j, accj) in acc.iter().enumerate().take(jw) {
                     let gj = j0 + j;
                     // Store only the i ≥ j half (global coordinates).
                     let r0 = gj.saturating_sub(i0).min(ih);
                     let col = c.col_tail_mut(gj, i0 + r0, ih - r0);
                     for (ci, &v) in col.iter_mut().zip(&accj[r0..]) {
-                        *ci = A::demote(A::promote(*ci) + v);
+                        *ci += v;
                     }
                 }
             }
@@ -1194,56 +1118,41 @@ pub(crate) fn syrk_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
     scratch.tick((n * (n + 1)) as u64 * k as u64);
 }
 
-/// Direct small-size SYRK: column-AXPY over the lower triangle for the
-/// uniform modes, gathered wide-accumulating dots for the mixed mode.
-/// An untransposed `A` of depth 3 or 6 (the SE(2) / SE(3) pivot blocks of
-/// a small front) takes the fixed-depth form [`syrk_direct_k`].
-fn syrk_direct_g<S: Scalar, A: Accum<S>>(
+/// Direct small-size SYRK: column-AXPY over the lower triangle. An
+/// untransposed `A` of depth 3 or 6 (the SE(2) / SE(3) pivot blocks of a
+/// small front) takes the fixed-depth form [`syrk_direct_k`].
+fn syrk_direct_g<S: Scalar>(
     alpha: S,
     a: &View<'_, S>,
     c: &mut MutView<'_, S>,
     scratch: &mut KernelScratch,
 ) {
     let (n, k) = (a.rows, a.cols);
-    if !A::WIDENS {
-        match (a.trans, k) {
-            (false, 3) => syrk_direct_k::<S, 3>(alpha, a, c),
-            (false, 6) => syrk_direct_k::<S, 6>(alpha, a, c),
-            _ => {
-                for j in 0..n {
-                    for p in 0..k {
-                        let ajp = alpha * a.at(j, p);
-                        // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
-                        if ajp == S::ZERO {
-                            continue;
+    match (a.trans, k) {
+        (false, 3) => syrk_direct_k::<S, 3>(alpha, a, c),
+        (false, 6) => syrk_direct_k::<S, 6>(alpha, a, c),
+        _ => {
+            for j in 0..n {
+                for p in 0..k {
+                    let ajp = alpha * a.at(j, p);
+                    // lint: allow(float-eq) — structural-zero skip: exact zeros from sparsity
+                    if ajp == S::ZERO {
+                        continue;
+                    }
+                    if !a.trans {
+                        let base = (a.col + p) * a.ld + a.row;
+                        let acol = &a.data[base..base + n];
+                        let ccol = c.col_tail_mut(j, j, n - j);
+                        for (ci, &ai) in ccol.iter_mut().zip(&acol[j..]) {
+                            *ci += ai * ajp;
                         }
-                        if !a.trans {
-                            let base = (a.col + p) * a.ld + a.row;
-                            let acol = &a.data[base..base + n];
-                            let ccol = c.col_tail_mut(j, j, n - j);
-                            for (ci, &ai) in ccol.iter_mut().zip(&acol[j..]) {
-                                *ci += ai * ajp;
-                            }
-                        } else {
-                            let ccol = c.col_tail_mut(j, j, n - j);
-                            for (r, ci) in ccol.iter_mut().enumerate() {
-                                *ci += a.at(j + r, p) * ajp;
-                            }
+                    } else {
+                        let ccol = c.col_tail_mut(j, j, n - j);
+                        for (r, ci) in ccol.iter_mut().enumerate() {
+                            *ci += a.at(j + r, p) * ajp;
                         }
                     }
                 }
-            }
-        }
-    } else {
-        for j in 0..n {
-            let ccol = c.col_tail_mut(j, j, n - j);
-            for (r, ci) in ccol.iter_mut().enumerate() {
-                let i = j + r;
-                let mut acc = A::ZERO;
-                for p in 0..k {
-                    acc += A::promote(a.at(i, p) * (alpha * a.at(j, p)));
-                }
-                *ci = A::demote(A::promote(*ci) + acc);
             }
         }
     }
@@ -1309,12 +1218,9 @@ const TRSM_NB: usize = 32;
 ///
 /// Column blocks of width [`TRSM_NB`] are updated against all previously
 /// solved columns with one packed GEMM (`B[:,J] −= X[:,0..j0] · L[J,0..j0]ᵀ`)
-/// and then finished with the small in-block forward substitution. The
-/// bulk GEMM update accumulates in `A`; the in-block substitution operates
-/// in storage precision (its recurrence is inherently sequential in the
-/// stored values).
+/// and then finished with the small in-block forward substitution.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn trsm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
+pub(crate) fn trsm_core_g<S: Scalar, const MR_: usize, const NR_: usize>(
     l: &View<'_, S>,
     bdata: &mut [S],
     bld: usize,
@@ -1326,6 +1232,8 @@ pub(crate) fn trsm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
 ) {
     debug_assert_eq!(l.rows, n);
     debug_assert_eq!(l.cols, n);
+    // Row `j`'s solved `l[j,p]`, rewritten for each column before use.
+    let mut lbuf = [S::ZERO; TRSM_NB];
     let mut j0 = 0usize;
     while j0 < n {
         let nb = TRSM_NB.min(n - j0);
@@ -1336,7 +1244,7 @@ pub(crate) fn trsm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
             let x = View::raw(done, bld, brow, bcol, m, j0, false);
             let lt = View::raw(l.data, l.ld, l.row + j0, l.col, j0, nb, true);
             let mut cview = MutView::raw(cur, bld, brow, 0, m, nb);
-            gemm_core_g::<S, A, MR_, NR_>(-S::ONE, &x, &lt, &mut cview, scratch);
+            gemm_core_g::<S, MR_, NR_>(-S::ONE, &x, &lt, &mut cview, scratch);
         }
         // In-block forward substitution (columns j0..j0+nb): column `j` is
         // taken eight rows at a time, each tile held in registers while it
@@ -1344,8 +1252,7 @@ pub(crate) fn trsm_core_g<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: u
         // is not an exact zero, `p` ascending, and is then divided by
         // `l[j,j]` — per element, the operations of a column-AXPY sweep.
         for j in j0..j0 + nb {
-            let mut lrow = [S::ZERO; TRSM_NB];
-            let lrow = &mut lrow[..j - j0];
+            let lrow = &mut lbuf[..j - j0];
             for (x, p) in lrow.iter_mut().zip(j0..j) {
                 *x = l.at(j, p);
             }
@@ -1415,7 +1322,7 @@ pub(crate) fn gemm_core(
     c: &mut MutView<'_>,
     scratch: &mut KernelScratch,
 ) {
-    gemm_core_g::<f64, f64, MR, NR>(alpha, a, b, c, scratch);
+    gemm_core_g::<f64, MR, NR>(alpha, a, b, c, scratch);
 }
 
 /// f64 instantiation of [`syrk_core_g`].
@@ -1425,7 +1332,7 @@ pub(crate) fn syrk_core(
     c: &mut MutView<'_>,
     scratch: &mut KernelScratch,
 ) {
-    syrk_core_g::<f64, f64, MR, NR>(alpha, a, c, scratch);
+    syrk_core_g::<f64, MR, NR>(alpha, a, c, scratch);
 }
 
 /// f64 instantiation of [`trsm_core_g`].
@@ -1440,7 +1347,7 @@ pub(crate) fn trsm_core(
     n: usize,
     scratch: &mut KernelScratch,
 ) {
-    trsm_core_g::<f64, f64, MR, NR>(l, bdata, bld, brow, bcol, m, n, scratch);
+    trsm_core_g::<f64, MR, NR>(l, bdata, bld, brow, bcol, m, n, scratch);
 }
 
 /// Public-surface helper: `c = alpha·opa(a)·opb(b) + beta·c` entirely on
@@ -1458,34 +1365,19 @@ pub(crate) fn gemm_mats(
     gemm_core(alpha, a, b, &mut cv, scratch);
 }
 
-/// Runs a closure with the mode's monomorphized kernel instantiation over
-/// f32 storage: `F32` gets the uniform 16×4 engine, `F32F64` (and, for
-/// totality, `F64`) the mixed 4×4 engine with f64 accumulation.
-macro_rules! with_f32_engine {
-    ($mode:expr, $body:ident ( $($arg:expr),* $(,)? )) => {
-        match $mode {
-            NumericMode::F32 => $body::<f32, f32, MR_F32, NR_F32>($($arg),*),
-            NumericMode::F32F64 | NumericMode::F64 => $body::<f32, f64, MR, NR>($($arg),*),
-        }
-    };
-}
-
 /// f32-storage GEMM on raw column-major slices:
 /// `c = alpha·op(a)·op(b) + beta·c`, where `a` is stored `m × k`
 /// (`k × m` when `a_trans`) and `b` is stored `k × n` (`n × k` when
 /// `b_trans`), each with leading dimension equal to its storage rows.
 ///
-/// The [`NumericMode`] selects the engine: [`NumericMode::F32`] computes
-/// and accumulates in f32 with 16×4 tiles; [`NumericMode::F32F64`] (and
-/// `F64`, for which this is the widest available f32-storage engine)
-/// multiplies in f32 and accumulates in f64 with 4×4 tiles.
+/// This is the [`NumericMode::F32`] engine: it computes and accumulates in
+/// f32 with 16×4 tiles.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths don't cover the stated shapes.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_f32(
-    mode: NumericMode,
     m: usize,
     n: usize,
     k: usize,
@@ -1513,18 +1405,17 @@ pub fn gemm_f32(
     let bv = View::raw(b, b_ld, 0, 0, k, n, b_trans);
     let mut cv = MutView::raw(c, m, 0, 0, m, n);
     cv.scale(beta);
-    with_f32_engine!(mode, gemm_core_g(alpha, &av, &bv, &mut cv, scratch));
+    gemm_core_g::<f32, MR_F32, NR_F32>(alpha, &av, &bv, &mut cv, scratch);
 }
 
 /// f32-storage SYRK on raw column-major slices:
 /// `c_lower = beta·c_lower + alpha·a·aᵀ` with `a` stored `n × k` and `c`
-/// `n × n`, touching only `i ≥ j`. Engine selection as in [`gemm_f32`].
+/// `n × n`, touching only `i ≥ j`, on the engine of [`gemm_f32`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths don't cover the stated shapes.
 pub fn syrk_lower_f32(
-    mode: NumericMode,
     n: usize,
     k: usize,
     alpha: f32,
@@ -1538,18 +1429,17 @@ pub fn syrk_lower_f32(
     let av = View::raw(a, n, 0, 0, n, k, false);
     let mut cv = MutView::raw(c, n, 0, 0, n, n);
     cv.scale_lower(beta);
-    with_f32_engine!(mode, syrk_core_g(alpha, &av, &mut cv, scratch));
+    syrk_core_g::<f32, MR_F32, NR_F32>(alpha, &av, &mut cv, scratch);
 }
 
 /// f32-storage TRSM on raw column-major slices: solves `x·lᵀ = b` in
 /// place, with `l` a stored `n × n` lower triangle and `b` stored `m × n`.
-/// Engine selection as in [`gemm_f32`].
+/// Runs on the engine of [`gemm_f32`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths don't cover the stated shapes.
 pub fn trsm_right_lower_transpose_f32(
-    mode: NumericMode,
     m: usize,
     n: usize,
     l: &[f32],
@@ -1562,7 +1452,7 @@ pub fn trsm_right_lower_transpose_f32(
     assert!(l.len() >= n * n, "trsm_f32 l too short");
     assert!(b.len() >= m * n, "trsm_f32 b too short");
     let lv = View::raw(l, n, 0, 0, n, n, false);
-    with_f32_engine!(mode, trsm_core_g(&lv, b, m, 0, 0, m, n, scratch));
+    trsm_core_g::<f32, MR_F32, NR_F32>(&lv, b, m, 0, 0, m, n, scratch);
 }
 
 #[cfg(test)]
@@ -1705,35 +1595,33 @@ mod tests {
     }
 
     #[test]
-    fn presized_scratch_never_grows_in_narrow_modes() {
+    fn presized_scratch_never_grows_in_f32_mode() {
         let n = 96;
-        for mode in [NumericMode::F32, NumericMode::F32F64] {
-            let mut scratch = KernelScratch::new();
-            scratch.reserve_mode(mode, pack_elems_bound_mode(n, mode), n * n);
-            let base = scratch.grow_events();
-            let a: Vec<f32> = (0..n * n)
-                .map(|i| ((i * 7) % 11) as f32 * 0.25 - 0.5)
-                .collect();
-            let b: Vec<f32> = (0..n * n)
-                .map(|i| ((i * 3) % 13) as f32 * 0.25 - 1.0)
-                .collect();
-            let mut c = vec![0.0f32; n * n];
-            gemm_f32(
-                mode,
-                n,
-                n,
-                n,
-                1.0,
-                &a,
-                false,
-                &b,
-                false,
-                0.0,
-                &mut c,
-                &mut scratch,
-            );
-            assert_eq!(scratch.grow_events(), base, "{mode} pre-sized arena grew");
-        }
+        let mode = NumericMode::F32;
+        let mut scratch = KernelScratch::new();
+        scratch.reserve_mode(mode, pack_elems_bound_mode(n, mode), n * n);
+        let base = scratch.grow_events();
+        let a: Vec<f32> = (0..n * n)
+            .map(|i| ((i * 7) % 11) as f32 * 0.25 - 0.5)
+            .collect();
+        let b: Vec<f32> = (0..n * n)
+            .map(|i| ((i * 3) % 13) as f32 * 0.25 - 1.0)
+            .collect();
+        let mut c = vec![0.0f32; n * n];
+        gemm_f32(
+            n,
+            n,
+            n,
+            1.0,
+            &a,
+            false,
+            &b,
+            false,
+            0.0,
+            &mut c,
+            &mut scratch,
+        );
+        assert_eq!(scratch.grow_events(), base, "pre-sized f32 arena grew");
     }
 
     #[test]
@@ -1763,28 +1651,21 @@ mod tests {
         let b: Vec<f32> = (0..n * n)
             .map(|i| ((i * 11) % 7) as f32 * 0.5 - 1.5)
             .collect();
-        let mut flops = Vec::new();
-        for mode in [NumericMode::F32, NumericMode::F32F64] {
-            let mut scratch = KernelScratch::new();
-            let mut c = vec![0.0f32; n * n];
-            gemm_f32(
-                mode,
-                n,
-                n,
-                n,
-                1.0,
-                &a,
-                false,
-                &b,
-                false,
-                0.0,
-                &mut c,
-                &mut scratch,
-            );
-            flops.push(scratch.take_flops());
-        }
-        assert_eq!(flops[0], flops[1]);
-        assert_eq!(flops[0], 2 * (n * n * n) as u64);
+        let mut s32 = KernelScratch::new();
+        let mut c = vec![0.0f32; n * n];
+        gemm_f32(n, n, n, 1.0, &a, false, &b, false, 0.0, &mut c, &mut s32);
+        let mut s64 = KernelScratch::new();
+        let (a64, b64) = (filled(n, n, 0.0), filled(n, n, 1.0));
+        gemm_mats(
+            1.0,
+            &View::of(&a64, false),
+            &View::of(&b64, false),
+            0.0,
+            &mut Mat::zeros(n, n),
+            &mut s64,
+        );
+        assert_eq!(s32.flops(), s64.flops());
+        assert_eq!(s32.flops(), 2 * (n * n * n) as u64);
     }
 
     #[test]
@@ -1796,40 +1677,37 @@ mod tests {
             let want = naive(&a, &b);
             let a32: Vec<f32> = a.as_slice().iter().map(|&v| v as f32).collect();
             let b32: Vec<f32> = b.as_slice().iter().map(|&v| v as f32).collect();
-            for mode in [NumericMode::F32, NumericMode::F32F64] {
-                let mut c = vec![0.0f32; m * n];
-                gemm_f32(
-                    mode,
-                    m,
-                    n,
-                    k,
-                    1.0,
-                    &a32,
-                    false,
-                    &b32,
-                    false,
-                    0.0,
-                    &mut c,
-                    &mut scratch,
-                );
-                let scale = (k as f64).sqrt() * 8.0;
-                for j in 0..n {
-                    for i in 0..m {
-                        let got = c[j * m + i] as f64;
-                        let err = (got - want[(i, j)]).abs();
-                        assert!(
-                            err <= scale * f32::EPSILON as f64 * want[(i, j)].abs().max(8.0),
-                            "{mode} ({m},{n},{k}) at ({i},{j}): got {got}, want {}",
-                            want[(i, j)]
-                        );
-                    }
+            let mut c = vec![0.0f32; m * n];
+            gemm_f32(
+                m,
+                n,
+                k,
+                1.0,
+                &a32,
+                false,
+                &b32,
+                false,
+                0.0,
+                &mut c,
+                &mut scratch,
+            );
+            let scale = (k as f64).sqrt() * 8.0;
+            for j in 0..n {
+                for i in 0..m {
+                    let got = c[j * m + i] as f64;
+                    let err = (got - want[(i, j)]).abs();
+                    assert!(
+                        err <= scale * f32::EPSILON as f64 * want[(i, j)].abs().max(8.0),
+                        "({m},{n},{k}) at ({i},{j}): got {got}, want {}",
+                        want[(i, j)]
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn f32_engines_are_deterministic_per_mode() {
+    fn f32_engine_is_deterministic_across_arenas() {
         let (m, n, k) = (48, 36, 52);
         let a: Vec<f32> = (0..m * k)
             .map(|i| ((i * 13) % 17) as f32 * 0.125 - 1.0)
@@ -1837,71 +1715,21 @@ mod tests {
         let b: Vec<f32> = (0..k * n)
             .map(|i| ((i * 7) % 19) as f32 * 0.125 - 1.0)
             .collect();
-        for mode in [NumericMode::F32, NumericMode::F32F64] {
-            let mut c1 = vec![0.0f32; m * n];
-            let mut c2 = vec![0.0f32; m * n];
-            let mut s1 = KernelScratch::new();
-            let mut s2 = KernelScratch::with_capacity(pack_elems_bound(64));
-            s2.reserve_mode(mode, pack_elems_bound_mode(64, mode), 0);
-            gemm_f32(
-                mode, m, n, k, 1.0, &a, false, &b, false, 0.0, &mut c1, &mut s1,
-            );
-            gemm_f32(
-                mode, m, n, k, 1.0, &a, false, &b, false, 0.0, &mut c2, &mut s2,
-            );
-            assert!(
-                c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{mode} cold vs warm arena diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_mode_accumulates_wider_than_f32() {
-        // A contraction designed to lose low bits under f32 accumulation:
-        // many small contributions onto a large running sum. The mixed
-        // engine must land closer to the f64 result than the pure-f32 one.
-        let k = 4096;
-        let a: Vec<f32> = (0..k).map(|i| if i == 0 { 1024.0 } else { 1e-4 }).collect();
-        let b: Vec<f32> = vec![1.0; k];
-        let want: f64 = a.iter().map(|&x| x as f64).sum();
-        let run = |mode: NumericMode| {
-            let mut c = vec![0.0f32; 1];
-            let mut scratch = KernelScratch::new();
-            // m = n = 1 forces the gathered direct path; use larger m to hit
-            // the packed path instead.
-            let mut cp = vec![0.0f32; 32 * 32];
-            // Column-major 32 × k: every row of column p holds a[p].
-            let ap: Vec<f32> = (0..32 * k).map(|i| a[i / 32]).collect();
-            let bp: Vec<f32> = (0..k * 32).map(|i| b[i % k]).collect();
-            gemm_f32(
-                mode,
-                32,
-                32,
-                k,
-                1.0,
-                &ap,
-                false,
-                &bp,
-                false,
-                0.0,
-                &mut cp,
-                &mut scratch,
-            );
-            c[0] = cp[0];
-            c[0] as f64
-        };
-        let err32 = (run(NumericMode::F32) - want).abs();
-        let err_mixed = (run(NumericMode::F32F64) - want).abs();
-        assert!(
-            err_mixed <= err32,
-            "mixed accumulation must not be worse: mixed {err_mixed} vs f32 {err32}"
+        let mut c1 = vec![0.0f32; m * n];
+        let mut c2 = vec![0.0f32; m * n];
+        let mut s1 = KernelScratch::new();
+        let mut s2 = KernelScratch::with_capacity(pack_elems_bound(64));
+        s2.reserve_mode(
+            NumericMode::F32,
+            pack_elems_bound_mode(64, NumericMode::F32),
+            0,
         );
-        // And the mixed error is at the once-per-KC-slab rounding scale
-        // (the accumulator tile is demoted into C after each packed slab),
-        // not the once-per-add scale of pure f32.
-        let slabs = k.div_ceil(KC) as f64;
-        assert!(err_mixed <= want * f32::EPSILON as f64 * (slabs + 1.0));
+        gemm_f32(m, n, k, 1.0, &a, false, &b, false, 0.0, &mut c1, &mut s1);
+        gemm_f32(m, n, k, 1.0, &a, false, &b, false, 0.0, &mut c2, &mut s2);
+        assert!(
+            c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "cold vs warm arena diverged"
+        );
     }
 
     #[test]
@@ -1912,7 +1740,6 @@ mod tests {
                 pack_elems_bound(n)
             );
             let narrow = pack_elems_bound_mode(n, NumericMode::F32);
-            assert_eq!(narrow, pack_elems_bound_mode(n, NumericMode::F32F64));
             // The 16-tall tiles never need less than the 4-tall ones.
             assert!(narrow >= pack_elems_bound(n));
         }
@@ -1948,10 +1775,8 @@ mod tests {
 
     /// Every output bit of GEMM, SYRK, TRSM and the partial Cholesky on
     /// `sh`'s inputs, run through the `MR_ × NR_` instantiation of engine
-    /// `(S, A)`.
-    fn kernel_bits<S: Scalar, A: Accum<S>, const MR_: usize, const NR_: usize>(
-        sh: &Shapes,
-    ) -> Vec<u64> {
+    /// `S`.
+    fn kernel_bits<S: Scalar, const MR_: usize, const NR_: usize>(sh: &Shapes) -> Vec<u64> {
         let mut rng = XorShift64::seed_from_u64(sh.seed);
         let mut scratch = KernelScratch::new();
         let (m, n, k) = (sh.m, sh.n, sh.k);
@@ -1964,14 +1789,14 @@ mod tests {
         let av = View::raw(&a, if ta { k } else { m }, 0, 0, m, k, ta);
         let bv = View::raw(&b, k, 0, 0, k, n, false);
         let mut cv = MutView::raw(&mut c, m, 0, 0, m, n);
-        gemm_core_g::<S, A, MR_, NR_>(S::from_f64(-0.75), &av, &bv, &mut cv, &mut scratch);
+        gemm_core_g::<S, MR_, NR_>(S::from_f64(-0.75), &av, &bv, &mut cv, &mut scratch);
         out.extend(bits(&c));
 
         let a = rand_vals::<S>(&mut rng, n * k, 16);
         let mut c = rand_vals::<S>(&mut rng, n * n, 16);
         let av = View::raw(&a, n, 0, 0, n, k, false);
         let mut cv = MutView::raw(&mut c, n, 0, 0, n, n);
-        syrk_core_g::<S, A, MR_, NR_>(-S::ONE, &av, &mut cv, &mut scratch);
+        syrk_core_g::<S, MR_, NR_>(-S::ONE, &av, &mut cv, &mut scratch);
         out.extend(bits(&c));
 
         let l: Vec<S> = (0..n * n)
@@ -1983,7 +1808,7 @@ mod tests {
             .collect();
         let mut x = rand_vals::<S>(&mut rng, m * n, 16);
         let lv = View::raw(&l, n, 0, 0, n, n, false);
-        trsm_core_g::<S, A, MR_, NR_>(&lv, &mut x, m, 0, 0, m, n, &mut scratch);
+        trsm_core_g::<S, MR_, NR_>(&lv, &mut x, m, 0, 0, m, n, &mut scratch);
         out.extend(bits(&x));
 
         // An SPD front G·Gᵀ + t·I, formed in f64 and rounded into S.
@@ -1996,7 +1821,7 @@ mod tests {
                 S::from_f64(if i == j { dot + t as f64 } else { dot })
             })
             .collect();
-        factor_columns_g::<S, A, MR_, NR_>(&mut front, t, t, sh.pivots, &mut scratch)
+        factor_columns_g::<S, MR_, NR_>(&mut front, t, t, sh.pivots, &mut scratch)
             .expect("SPD front");
         out.extend(bits(&front));
         out
@@ -2027,22 +1852,18 @@ mod tests {
             };
             let what = format!("seed {seed}: {m}x{n}x{k}, front {chol}");
             assert!(
-                kernel_bits::<f64, f64, MR, NR>(&sh) == kernel_bits::<f64, f64, 8, 2>(&sh),
+                kernel_bits::<f64, MR, NR>(&sh) == kernel_bits::<f64, 8, 2>(&sh),
                 "f64 {what}"
             );
             assert!(
-                kernel_bits::<f32, f32, MR_F32, NR_F32>(&sh) == kernel_bits::<f32, f32, 8, 4>(&sh),
+                kernel_bits::<f32, MR_F32, NR_F32>(&sh) == kernel_bits::<f32, 8, 4>(&sh),
                 "f32 {what}"
-            );
-            assert!(
-                kernel_bits::<f32, f64, MR, NR>(&sh) == kernel_bits::<f32, f64, 8, 4>(&sh),
-                "f32f64 {what}"
             );
         }
     }
 
     /// The row-at-a-time loop [`gemm_direct_k_g`] replaced.
-    fn oracle_direct_k<S: Scalar, A: Accum<S>, const K: usize>(
+    fn oracle_direct_k<S: Scalar, const K: usize>(
         alpha: S,
         a: &View<'_, S>,
         b: &View<'_, S>,
@@ -2051,11 +1872,11 @@ mod tests {
         for j in 0..c.cols {
             let bcol: [S; K] = std::array::from_fn(|p| alpha * b.at(p, j));
             for (i, out) in c.col_mut(j).iter_mut().enumerate() {
-                let mut acc = A::ZERO;
+                let mut acc = S::ZERO;
                 for (p, &bp) in bcol.iter().enumerate() {
-                    acc += A::promote(a.at(i, p) * bp);
+                    acc += a.at(i, p) * bp;
                 }
-                *out = A::demote(A::promote(*out) + acc);
+                *out += acc;
             }
         }
     }
@@ -2077,7 +1898,7 @@ mod tests {
         }
     }
 
-    fn direct_k_case<S: Scalar, A: Accum<S>, const K: usize>(
+    fn direct_k_case<S: Scalar, const K: usize>(
         rng: &mut XorShift64,
         m: usize,
         n: usize,
@@ -2092,25 +1913,25 @@ mod tests {
         let alpha = S::from_f64(-1.25);
         let (mut got, mut want) = (c0.clone(), c0);
         let mut scratch = KernelScratch::new();
-        gemm_direct_k_g::<S, A, K>(
+        gemm_direct_k_g::<S, K>(
             alpha,
             &av,
             &bv,
             &mut MutView::raw(&mut got, m, 0, 0, m, n),
             &mut scratch,
         );
-        oracle_direct_k::<S, A, K>(alpha, &av, &bv, &mut MutView::raw(&mut want, m, 0, 0, m, n));
+        oracle_direct_k::<S, K>(alpha, &av, &bv, &mut MutView::raw(&mut want, m, 0, 0, m, n));
         assert_eq!(bits(&got), bits(&want), "{m}x{n}x{K} ta {ta} tb {tb}");
     }
 
-    fn syrk_k_case<S: Scalar + Accum<S>>(rng: &mut XorShift64, n: usize, k: usize) {
+    fn syrk_k_case<S: Scalar>(rng: &mut XorShift64, n: usize, k: usize) {
         let a = rand_vals::<S>(rng, n * k, 4);
         let c0 = rand_vals::<S>(rng, n * n, 4);
         let av = View::raw(&a, n, 0, 0, n, k, false);
         let alpha = S::from_f64(-1.0);
         let (mut got, mut want) = (c0.clone(), c0);
         let mut scratch = KernelScratch::new();
-        syrk_direct_g::<S, S>(
+        syrk_direct_g::<S>(
             alpha,
             &av,
             &mut MutView::raw(&mut got, n, 0, 0, n, n),
@@ -2129,10 +1950,10 @@ mod tests {
         for m in 1..=24 {
             for n in (1..=24).filter(|n| m * n <= 24 * 24) {
                 for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
-                    direct_k_case::<f64, f64, 3>(&mut rng, m, n, ta, tb);
-                    direct_k_case::<f64, f64, 6>(&mut rng, m, n, ta, tb);
-                    direct_k_case::<f32, f32, 6>(&mut rng, m, n, ta, tb);
-                    direct_k_case::<f32, f64, 3>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f64, 3>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f64, 6>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f32, 6>(&mut rng, m, n, ta, tb);
+                    direct_k_case::<f32, 3>(&mut rng, m, n, ta, tb);
                 }
             }
         }
@@ -2146,7 +1967,7 @@ mod tests {
 
     /// The column-AXPY in-block substitution [`trsm_core_g`] replaced,
     /// with the same packed GEMM update between blocks.
-    fn oracle_trsm<S: Scalar, A: Accum<S>>(l: &View<'_, S>, b: &mut [S], m: usize, n: usize) {
+    fn oracle_trsm<S: Scalar>(l: &View<'_, S>, b: &mut [S], m: usize, n: usize) {
         let mut scratch = KernelScratch::new();
         let mut j0 = 0;
         while j0 < n {
@@ -2156,7 +1977,7 @@ mod tests {
                 let x = View::raw(done, m, 0, 0, m, j0, false);
                 let lt = View::raw(l.data, l.ld, l.row + j0, l.col, j0, nb, true);
                 let mut cview = MutView::raw(cur, m, 0, 0, m, nb);
-                gemm_core_g::<S, A, MR, NR>(-S::ONE, &x, &lt, &mut cview, &mut scratch);
+                gemm_core_g::<S, MR, NR>(-S::ONE, &x, &lt, &mut cview, &mut scratch);
             }
             for j in j0..j0 + nb {
                 for p in j0..j {
@@ -2177,7 +1998,7 @@ mod tests {
         }
     }
 
-    fn trsm_case<S: Scalar, A: Accum<S>>(rng: &mut XorShift64, m: usize, n: usize) {
+    fn trsm_case<S: Scalar>(rng: &mut XorShift64, m: usize, n: usize) {
         let l: Vec<S> = (0..n * n)
             .map(|e| match (e % n, e / n) {
                 (i, j) if i == j => S::from_f64(1.5 + rng.gen_f64()),
@@ -2188,8 +2009,8 @@ mod tests {
         let b0 = rand_vals::<S>(rng, m * n, 4);
         let lv = View::raw(&l, n, 0, 0, n, n, false);
         let (mut got, mut want) = (b0.clone(), b0);
-        trsm_core_g::<S, A, MR, NR>(&lv, &mut got, m, 0, 0, m, n, &mut KernelScratch::new());
-        oracle_trsm::<S, A>(&lv, &mut want, m, n);
+        trsm_core_g::<S, MR, NR>(&lv, &mut got, m, 0, 0, m, n, &mut KernelScratch::new());
+        oracle_trsm::<S>(&lv, &mut want, m, n);
         assert_eq!(bits(&got), bits(&want), "trsm {m}x{n}");
     }
 
@@ -2200,9 +2021,8 @@ mod tests {
         let mut rng = XorShift64::seed_from_u64(0x7b5_0de);
         for _ in 0..40 {
             let (m, n) = (1 + rng.gen_index(70), 1 + rng.gen_index(70));
-            trsm_case::<f64, f64>(&mut rng, m, n);
-            trsm_case::<f32, f32>(&mut rng, m, n);
-            trsm_case::<f32, f64>(&mut rng, m, n);
+            trsm_case::<f64>(&mut rng, m, n);
+            trsm_case::<f32>(&mut rng, m, n);
         }
     }
 }

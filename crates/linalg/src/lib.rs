@@ -42,8 +42,8 @@ pub mod rng;
 mod triangular;
 
 pub use blas::{
-    axpy, dot, gemm, gemm_scratch, gemv, norm2, norm_inf, syrk_lower, syrk_lower_scratch,
-    trsm_right_lower_transpose, trsm_right_lower_transpose_scratch, Transpose,
+    dot, gemm, gemm_scratch, norm_inf, syrk_lower, syrk_lower_scratch, trsm_right_lower_transpose,
+    trsm_right_lower_transpose_scratch, Transpose,
 };
 pub use cholesky::{
     cholesky_in_place, cholesky_in_place_scratch, partial_cholesky_in_place,
@@ -51,7 +51,7 @@ pub use cholesky::{
 };
 pub use kernels::{
     gemm_f32, gemm_path, pack_elems_bound, pack_elems_bound_mode, syrk_lower_f32,
-    trsm_right_lower_transpose_f32, Accum, GemmPath, KernelScratch, Scalar,
+    trsm_right_lower_transpose_f32, GemmPath, KernelScratch, Scalar,
 };
 pub use matrix::Mat;
 pub use mode::{NumericMode, NUMERIC_ENV};

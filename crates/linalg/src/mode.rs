@@ -11,10 +11,7 @@
 //!   tiles — the reference behavior, bit-identical to the pre-mode stack;
 //! - [`F32`](NumericMode::F32): f32 storage, multiplies *and*
 //!   accumulation, 16×4 tiles — models the systolic array's narrow
-//!   datapath and doubles the scalars per vector register;
-//! - [`F32F64`](NumericMode::F32F64): f32 storage and multiplies with f64
-//!   accumulation, 4×4 tiles — the classic wide-accumulator MAC, paying
-//!   one rounding per store instead of one per add.
+//!   datapath and doubles the scalars per vector register.
 //!
 //! Whatever the mode, determinism guarantees hold *within* it: the same
 //! mode produces bit-identical results serial vs parallel and across
@@ -22,8 +19,8 @@
 
 use std::fmt;
 
-/// Environment variable selecting the numeric mode (`f64`, `f32` or
-/// `f32f64`); unset or unrecognized values mean [`NumericMode::F64`].
+/// Environment variable selecting the numeric mode (`f64` or `f32`);
+/// unset or unrecognized values mean [`NumericMode::F64`].
 pub const NUMERIC_ENV: &str = "SUPERNOVA_NUMERIC";
 
 /// Runtime-selectable precision of the dense numeric stack.
@@ -38,27 +35,23 @@ pub enum NumericMode {
     F64,
     /// f32 storage, multiplies and accumulation (16×4 microkernel tiles).
     F32,
-    /// Mixed precision: f32 storage and multiplies, f64 accumulation
-    /// (4×4 microkernel tiles).
-    F32F64,
 }
 
 impl NumericMode {
     /// Every mode, in wire-byte order.
-    pub const ALL: [NumericMode; 3] = [NumericMode::F64, NumericMode::F32, NumericMode::F32F64];
+    pub const ALL: [NumericMode; 2] = [NumericMode::F64, NumericMode::F32];
 
-    /// Canonical lowercase name (`"f64"`, `"f32"`, `"f32f64"`), the same
+    /// Canonical lowercase name (`"f64"`, `"f32"`), the same
     /// spelling [`NUMERIC_ENV`] accepts.
     pub fn as_str(self) -> &'static str {
         match self {
             NumericMode::F64 => "f64",
             NumericMode::F32 => "f32",
-            NumericMode::F32F64 => "f32f64",
         }
     }
 
     /// Stable numeric identity for counters and benchmark artifacts
-    /// (`F64 = 0`, `F32 = 1`, `F32F64 = 2`).
+    /// (`F64 = 0`, `F32 = 1`).
     pub fn as_u64(self) -> u64 {
         self.as_byte() as u64
     }
@@ -68,7 +61,6 @@ impl NumericMode {
         match self {
             NumericMode::F64 => 0,
             NumericMode::F32 => 1,
-            NumericMode::F32F64 => 2,
         }
     }
 
@@ -83,7 +75,6 @@ impl NumericMode {
         match b {
             0 => Ok(NumericMode::F64),
             1 => Ok(NumericMode::F32),
-            2 => Ok(NumericMode::F32F64),
             other => Err(other),
         }
     }
@@ -93,7 +84,6 @@ impl NumericMode {
         match s {
             "f64" => Some(NumericMode::F64),
             "f32" => Some(NumericMode::F32),
-            "f32f64" => Some(NumericMode::F32F64),
             _ => None,
         }
     }
@@ -131,6 +121,8 @@ mod tests {
             assert_eq!(m.as_u64(), m.as_byte() as u64);
             assert_eq!(NumericMode::parse(m.as_str()), Some(m));
         }
+        // Byte 2 was the retired mixed f32/f64 mode: an unknown byte now.
+        assert_eq!(NumericMode::from_byte(2), Err(2));
         assert_eq!(NumericMode::from_byte(3), Err(3));
         assert_eq!(NumericMode::from_byte(255), Err(255));
     }
@@ -147,6 +139,5 @@ mod tests {
         assert_eq!(NumericMode::default(), NumericMode::F64);
         assert!(!NumericMode::F64.is_narrow());
         assert!(NumericMode::F32.is_narrow());
-        assert!(NumericMode::F32F64.is_narrow());
     }
 }

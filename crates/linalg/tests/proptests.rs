@@ -286,16 +286,14 @@ fn transpose_product_identity() {
 }
 
 // ---------------------------------------------------------------------------
-// Narrow-mode acceptance suite: the f32-storage entry points (`gemm_f32`,
-// `syrk_lower_f32`, `trsm_right_lower_transpose_f32`) and the mode-selected
-// partial factorization are checked, per narrow [`NumericMode`], against the
+// f32-mode acceptance suite: the f32-storage entry points (`gemm_f32`,
+// `syrk_lower_f32`, `trsm_right_lower_transpose_f32`) and the
+// `NumericMode::F32` partial factorization are checked against the
 // unblocked f64 [`reference`] oracle on f32-representable inputs. Shapes
 // reuse [`gen_dim`], so the 3/6 SLAM fast paths, per-width microkernel
 // tails (dims not ≡ 0 mod 16 for the f32 engine's 16×4 tile) and the packed
 // dispatch path are all exercised. Tolerances are width-appropriate:
 // proportional to f32's ~1.2e-7 unit roundoff times the reduction depth.
-
-const NARROW: [NumericMode; 2] = [NumericMode::F32, NumericMode::F32F64];
 
 /// A random matrix whose entries are exactly representable in f32,
 /// returned both as the raw column-major f32 storage the narrow entry
@@ -309,8 +307,8 @@ fn gen_mat32(rng: &mut XorShift64, rows: usize, cols: usize) -> (Vec<f32>, Mat) 
 }
 
 /// Worst-case absolute error of a depth-`k` f32 reduction over entries of
-/// magnitude ≤ 2: one f32 rounding per product plus (for pure-f32
-/// accumulation) one per partial sum, with a wide safety margin. A
+/// magnitude ≤ 2: one f32 rounding per product plus one per partial sum,
+/// with a wide safety margin. A
 /// wrong-engine or wrong-tile bug produces O(1) errors, far above this.
 fn narrow_tol(k: usize) -> f64 {
     1e-5 * (k as f64 + 1.0)
@@ -341,32 +339,29 @@ fn narrow_gemm_agrees_with_f64_oracle() {
         let op = |t| if t { Transpose::Yes } else { Transpose::No };
         let mut want = c64;
         reference::gemm(alpha, &a64, op(a_trans), &b64, op(b_trans), beta, &mut want);
-        for mode in NARROW {
-            let mut c = c32.clone();
-            gemm_f32(
-                mode,
-                m,
-                n,
-                k,
-                alpha as f32,
-                &a32,
-                a_trans,
-                &b32,
-                b_trans,
-                beta as f32,
-                &mut c,
-                &mut scratch,
-            );
-            let tol = narrow_tol(k);
-            for j in 0..n {
-                for i in 0..m {
-                    let got = c[j * m + i] as f64;
-                    let w = want[(i, j)];
-                    assert!(
-                        (got - w).abs() < tol,
-                        "gemm {mode} case {case} ({m}x{n}x{k}) at ({i},{j}): got {got} want {w}"
-                    );
-                }
+        let mut c = c32.clone();
+        gemm_f32(
+            m,
+            n,
+            k,
+            alpha as f32,
+            &a32,
+            a_trans,
+            &b32,
+            b_trans,
+            beta as f32,
+            &mut c,
+            &mut scratch,
+        );
+        let tol = narrow_tol(k);
+        for j in 0..n {
+            for i in 0..m {
+                let got = c[j * m + i] as f64;
+                let w = want[(i, j)];
+                assert!(
+                    (got - w).abs() < tol,
+                    "gemm case {case} ({m}x{n}x{k}) at ({i},{j}): got {got} want {w}"
+                );
             }
         }
     }
@@ -384,36 +379,25 @@ fn narrow_syrk_agrees_with_f64_oracle_and_preserves_upper() {
         let (c32, c64) = gen_mat32(&mut rng, n, n);
         let mut want = c64;
         reference::syrk_lower(alpha, &a64, beta, &mut want);
-        for mode in NARROW {
-            let mut c = c32.clone();
-            syrk_lower_f32(
-                mode,
-                n,
-                k,
-                alpha as f32,
-                &a32,
-                beta as f32,
-                &mut c,
-                &mut scratch,
-            );
-            let tol = narrow_tol(k);
-            for j in 0..n {
-                for i in j..n {
-                    let got = c[j * n + i] as f64;
-                    let w = want[(i, j)];
-                    assert!(
-                        (got - w).abs() < tol,
-                        "syrk {mode} case {case} ({n}x{k}) at ({i},{j}): got {got} want {w}"
-                    );
-                }
-                // Strict upper triangle must be bit-untouched.
-                for i in 0..j {
-                    assert_eq!(
-                        c[j * n + i].to_bits(),
-                        c32[j * n + i].to_bits(),
-                        "syrk {mode} case {case} touched upper ({i},{j})"
-                    );
-                }
+        let mut c = c32.clone();
+        syrk_lower_f32(n, k, alpha as f32, &a32, beta as f32, &mut c, &mut scratch);
+        let tol = narrow_tol(k);
+        for j in 0..n {
+            for i in j..n {
+                let got = c[j * n + i] as f64;
+                let w = want[(i, j)];
+                assert!(
+                    (got - w).abs() < tol,
+                    "syrk case {case} ({n}x{k}) at ({i},{j}): got {got} want {w}"
+                );
+            }
+            // Strict upper triangle must be bit-untouched.
+            for i in 0..j {
+                assert_eq!(
+                    c[j * n + i].to_bits(),
+                    c32[j * n + i].to_bits(),
+                    "syrk case {case} touched upper ({i},{j})"
+                );
             }
         }
     }
@@ -441,20 +425,18 @@ fn narrow_trsm_agrees_with_f64_oracle() {
         let (b32, b64) = gen_mat32(&mut rng, m, n);
         let mut want = b64;
         reference::trsm_right_lower_transpose(&l64, &mut want);
-        for mode in NARROW {
-            let mut b = b32.clone();
-            trsm_right_lower_transpose_f32(mode, m, n, &l32, &mut b, &mut scratch);
-            // Forward error amplifies with the solve's reduction depth n.
-            let tol = narrow_tol(n) * 10.0;
-            for j in 0..n {
-                for i in 0..m {
-                    let got = b[j * m + i] as f64;
-                    let w = want[(i, j)];
-                    assert!(
-                        (got - w).abs() < tol,
-                        "trsm {mode} case {case} ({m}x{n}) at ({i},{j}): got {got} want {w}"
-                    );
-                }
+        let mut b = b32.clone();
+        trsm_right_lower_transpose_f32(m, n, &l32, &mut b, &mut scratch);
+        // Forward error amplifies with the solve's reduction depth n.
+        let tol = narrow_tol(n) * 10.0;
+        for j in 0..n {
+            for i in 0..m {
+                let got = b[j * m + i] as f64;
+                let w = want[(i, j)];
+                assert!(
+                    (got - w).abs() < tol,
+                    "trsm case {case} ({m}x{n}) at ({i},{j}): got {got} want {w}"
+                );
             }
         }
     }
@@ -463,7 +445,7 @@ fn narrow_trsm_agrees_with_f64_oracle() {
 #[test]
 fn narrow_partial_cholesky_matches_f64_oracle() {
     let mut scratch = KernelScratch::new();
-    // Front sizes spanning the 3/6 SLAM fast paths, both engines' tile
+    // Front sizes spanning the 3/6 SLAM fast paths, the f32 engine's tile
     // tails, and the blocked/packed path.
     const FRONTS: [usize; 8] = [1, 2, 3, 6, 7, 12, 30, 33];
     for case in 0..CASES {
@@ -484,24 +466,22 @@ fn narrow_partial_cholesky_matches_f64_oracle() {
         );
         let mut want = front0.clone();
         partial_cholesky_in_place(&mut want, pivots).unwrap();
-        for mode in NARROW {
-            let mut front = front0.clone();
-            partial_cholesky_scratch_mode(&mut front, pivots, &mut scratch, mode)
-                .unwrap_or_else(|e| panic!("{mode} case {case} n={n} p={pivots}: {e}"));
-            // Pivot-column factor entries and the trailing Schur update
-            // both live below the diagonal; entries scale like n, the
-            // reduction depth is ≤ n and the factor divides by pivots
-            // ≥ 1, so give the GEMM-depth bound an extra margin.
-            let tol = narrow_tol(n) * (n as f64 + 1.0);
-            for j in 0..n {
-                for i in j..n {
-                    let got = front[(i, j)];
-                    let w = want[(i, j)];
-                    assert!(
-                        (got - w).abs() < tol,
-                        "chol {mode} case {case} n={n} p={pivots} at ({i},{j}): got {got} want {w}"
-                    );
-                }
+        let mut front = front0.clone();
+        partial_cholesky_scratch_mode(&mut front, pivots, &mut scratch, NumericMode::F32)
+            .unwrap_or_else(|e| panic!("case {case} n={n} p={pivots}: {e}"));
+        // Pivot-column factor entries and the trailing Schur update
+        // both live below the diagonal; entries scale like n, the
+        // reduction depth is ≤ n and the factor divides by pivots
+        // ≥ 1, so give the GEMM-depth bound an extra margin.
+        let tol = narrow_tol(n) * (n as f64 + 1.0);
+        for j in 0..n {
+            for i in j..n {
+                let got = front[(i, j)];
+                let w = want[(i, j)];
+                assert!(
+                    (got - w).abs() < tol,
+                    "chol case {case} n={n} p={pivots} at ({i},{j}): got {got} want {w}"
+                );
             }
         }
     }

@@ -299,7 +299,7 @@ mod tests {
             NoiseModel::from_sigmas(&[0.05, 0.05, 0.02]).with_huber(1.5),
         ));
         EngineSnapshot {
-            numeric_mode: NumericMode::F32F64,
+            numeric_mode: NumericMode::F32,
             plan_generation: 3,
             updates: vec![
                 UpdateRecord {
@@ -387,12 +387,15 @@ mod tests {
             decode_snapshot(&wrong_version),
             Err(CheckpointError::BadVersion(_))
         ));
-        let mut wrong_mode = bytes.clone();
-        wrong_mode[6] = 0x7F;
-        assert!(matches!(
-            decode_snapshot(&wrong_mode),
-            Err(CheckpointError::BadNumericMode(0x7F))
-        ));
+        // Byte 2 (the retired mixed mode) is as unknown as 0x7F.
+        for b in [2, 0x7F] {
+            let mut wrong_mode = bytes.clone();
+            wrong_mode[6] = b;
+            assert!(matches!(
+                decode_snapshot(&wrong_mode),
+                Err(CheckpointError::BadNumericMode(got)) if got == b
+            ));
+        }
         let mut trailing = bytes;
         trailing.push(0);
         assert!(matches!(

@@ -231,7 +231,7 @@ impl ParallelExecutor {
 
     /// Reads the worker count from the `SUPERNOVA_THREADS` environment
     /// variable and the numeric mode from
-    /// [`supernova_linalg::NUMERIC_ENV`] (`f64`/`f32`/`f32f64`; unset or
+    /// [`supernova_linalg::NUMERIC_ENV`] (`f64`/`f32`; unset or
     /// unrecognized means f64). Unset (or unparsable, or 0) means **one
     /// worker**: wave dispatch spawns its workers per plan execution and
     /// measures slower than inline on the reference host, so multi-worker

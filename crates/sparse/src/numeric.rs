@@ -847,40 +847,39 @@ mod tests {
     }
 
     #[test]
-    fn narrow_modes_are_bit_identical_across_thread_counts() {
+    fn narrow_mode_is_bit_identical_across_thread_counts() {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
         let h = build_h(&p, 17);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
-        for mode in [NumericMode::F32, NumericMode::F32F64] {
-            let mut serial = NumericFactor::empty(&plan);
-            let exec = ParallelExecutor::serial().with_numeric(mode);
-            let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec).unwrap();
-            assert_eq!(sched_s.numeric, mode);
-            let bytes_s = serial.serialize_bytes();
-            for threads in [2usize, 4, 8] {
-                let mut par = NumericFactor::empty(&plan);
-                let exec = ParallelExecutor::new(threads).with_numeric(mode);
-                let (_, sched_p) = par.execute_plan(&plan, &h, &all, &exec).unwrap();
-                assert_eq!(sched_p.numeric, mode);
-                assert_eq!(
-                    bytes_s,
-                    par.serialize_bytes(),
-                    "{mode} at {threads} threads diverged from {mode} serial"
-                );
-            }
-            // The narrow engines genuinely round: a same-input f64 factor
-            // must differ, or the mode never reached the kernels.
-            let mut wide = NumericFactor::empty(&plan);
-            wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
-                .unwrap();
-            assert_ne!(
+        let mode = NumericMode::F32;
+        let mut serial = NumericFactor::empty(&plan);
+        let exec = ParallelExecutor::serial().with_numeric(mode);
+        let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec).unwrap();
+        assert_eq!(sched_s.numeric, mode);
+        let bytes_s = serial.serialize_bytes();
+        for threads in [2usize, 4, 8] {
+            let mut par = NumericFactor::empty(&plan);
+            let exec = ParallelExecutor::new(threads).with_numeric(mode);
+            let (_, sched_p) = par.execute_plan(&plan, &h, &all, &exec).unwrap();
+            assert_eq!(sched_p.numeric, mode);
+            assert_eq!(
                 bytes_s,
-                wide.serialize_bytes(),
-                "{mode} produced bitwise-f64 results; mode plumbing is dead"
+                par.serialize_bytes(),
+                "{mode} at {threads} threads diverged from {mode} serial"
             );
         }
+        // The narrow engine genuinely rounds: a same-input f64 factor
+        // must differ, or the mode never reached the kernels.
+        let mut wide = NumericFactor::empty(&plan);
+        wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
+            .unwrap();
+        assert_ne!(
+            bytes_s,
+            wide.serialize_bytes(),
+            "{mode} produced bitwise-f64 results; mode plumbing is dead"
+        );
     }
 
     #[test]

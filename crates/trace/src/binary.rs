@@ -324,13 +324,16 @@ mod tests {
             Err(CodecError::BadVersion(_))
         ));
         // Byte 6 is the numeric-mode header byte; an unknown mode must
-        // surface as a typed error, never a panic or a silent default.
-        let mut bad_mode = bytes.clone();
-        bad_mode[6] = 0x7F;
-        assert_eq!(
-            Trace::from_bytes(&bad_mode),
-            Err(CodecError::BadNumericMode(0x7F))
-        );
+        // surface as a typed error, never a panic or a silent default —
+        // byte 2 (the retired mixed mode) included.
+        for b in [2, 0x7F] {
+            let mut bad_mode = bytes.clone();
+            bad_mode[6] = b;
+            assert_eq!(
+                Trace::from_bytes(&bad_mode),
+                Err(CodecError::BadNumericMode(b))
+            );
+        }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(

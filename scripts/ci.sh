@@ -22,10 +22,10 @@
 #                every seeded dataset's execution plan; report archived at
 #                results/analyze_diagnostics.json
 #   determinism  serial vs 2/4-thread factorization bit-identity, swept
-#                over every numeric mode (f64 / f32 / f32f64); plus
+#                over both numeric modes (f64 / f32); plus
 #                analyze-incremental: prefix-reusing analysis vs a
 #                from-scratch twin, plan fingerprints equal on every step
-#   numeric-ape  per-mode trajectory accuracy: narrow-mode APE gated
+#   numeric-ape  per-mode trajectory accuracy: f32-mode APE gated
 #                against f64-mode APE, artifact at results/numeric_ape.json
 #   serve-smoke  serving layer: bit-identity, overload, trace cross-check
 #   fleet-smoke  fleet layer: shard routing, live migration, kill-a-shard

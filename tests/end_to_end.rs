@@ -169,7 +169,6 @@ fn collect_traces(
     kind: SolverKind,
     steps: usize,
 ) -> Vec<supernova::runtime::StepTrace> {
-    use supernova::solvers::OnlineSolver;
     let mut solver = kind.build(TARGET, 0.05);
     ds.online_steps()
         .iter()

@@ -37,39 +37,37 @@ fn narrow_mode_ape_stays_close_to_f64() {
     let (est64, bytes64) = replay(&ds, NumericMode::F64, 2);
     let wide: ApeStats = ape(&est64, &truth);
     assert!(wide.rmse.is_finite() && wide.count == 60);
-    for mode in [NumericMode::F32, NumericMode::F32F64] {
-        let (est, bytes) = replay(&ds, mode, 2);
-        // The mode must actually reach the kernels: narrow factors round
-        // where f64 does not.
-        assert_ne!(bytes, bytes64, "{mode} factor is bitwise f64");
-        // ...but the rounding must not steer the optimizer anywhere else.
-        // Same documented bound as the `numeric_ape` CI gate.
-        let narrow = ape(&est, &truth);
-        assert!(
-            narrow.rmse <= wide.rmse * 1.5 + 1e-3,
-            "{mode} RMSE {} vs f64 {}",
-            narrow.rmse,
-            wide.rmse
-        );
-        assert!(
-            narrow.max <= wide.max * 1.5 + 1e-3,
-            "{mode} MAX {} vs f64 {}",
-            narrow.max,
-            wide.max
-        );
-    }
+    let mode = NumericMode::F32;
+    let (est, bytes) = replay(&ds, mode, 2);
+    // The mode must actually reach the kernels: narrow factors round
+    // where f64 does not.
+    assert_ne!(bytes, bytes64, "{mode} factor is bitwise f64");
+    // ...but the rounding must not steer the optimizer anywhere else.
+    // Same documented bound as the `numeric_ape` CI gate.
+    let narrow = ape(&est, &truth);
+    assert!(
+        narrow.rmse <= wide.rmse * 1.5 + 1e-3,
+        "{mode} RMSE {} vs f64 {}",
+        narrow.rmse,
+        wide.rmse
+    );
+    assert!(
+        narrow.max <= wide.max * 1.5 + 1e-3,
+        "{mode} MAX {} vs f64 {}",
+        narrow.max,
+        wide.max
+    );
 }
 
 #[test]
 fn narrow_modes_deterministic_across_thread_counts() {
     let ds = Dataset::manhattan_seeded(40, 21);
-    for mode in [NumericMode::F32, NumericMode::F32F64] {
-        let (est1, bytes1) = replay(&ds, mode, 1);
-        for threads in [2usize, 4, 8] {
-            let (est, bytes) = replay(&ds, mode, threads);
-            assert_eq!(bytes, bytes1, "{mode} at {threads} threads diverged");
-            assert_eq!(est, est1, "{mode} estimate at {threads} threads diverged");
-        }
+    let mode = NumericMode::F32;
+    let (est1, bytes1) = replay(&ds, mode, 1);
+    for threads in [2usize, 4, 8] {
+        let (est, bytes) = replay(&ds, mode, threads);
+        assert_eq!(bytes, bytes1, "{mode} at {threads} threads diverged");
+        assert_eq!(est, est1, "{mode} estimate at {threads} threads diverged");
     }
 }
 
@@ -149,7 +147,7 @@ fn refactor_fingerprint(mode: NumericMode) -> (u64, usize, usize) {
 /// purpose.
 #[test]
 fn refactor_numerics_match_committed_golden() {
-    let got = [NumericMode::F64, NumericMode::F32, NumericMode::F32F64].map(|mode| {
+    let got = NumericMode::ALL.map(|mode| {
         let (h, front, pivots) = refactor_fingerprint(mode);
         assert!(
             front > 48 && pivots > 48,
@@ -159,11 +157,7 @@ fn refactor_numerics_match_committed_golden() {
     });
     assert_eq!(
         got,
-        [
-            0xbdcf_c9dc_ad0a_e06b,
-            0xc38b_4a19_4a42_a9ff,
-            0x1439_3c6e_c661_839f
-        ],
-        "[f64, f32, f32f64] refactor fingerprints: {got:#018x?}"
+        [0xbdcf_c9dc_ad0a_e06b, 0xc38b_4a19_4a42_a9ff],
+        "[f64, f32] refactor fingerprints: {got:#018x?}"
     );
 }
