@@ -23,9 +23,10 @@
 //!   multifrontal task body — the steady-state refactorization loop is
 //!   zero-alloc by design.
 //! - **panic-path**: no `.unwrap()`/`.expect(`/`panic!`/`unreachable!`/
-//!   slice indexing in the serving request handlers or the SNVT binary
-//!   decode paths — a malformed frame from the network must surface as a
-//!   protocol error, never as a process abort.
+//!   slice indexing in the serving request handlers, the shared `wire`
+//!   reader or the binary-format decode paths — a malformed frame from
+//!   the network must surface as a protocol error, never as a process
+//!   abort.
 //! - **wall-clock**: no `Instant::now`/`SystemTime` outside the two
 //!   modules that own time (the trace epoch clock and the plan executor's
 //!   schedule stamping) — ambient wall-clock reads are determinism hazards
@@ -248,16 +249,18 @@ const HOT_ALLOC_FN_SCOPES: [(&str, &str); 22] = [
 ];
 
 /// Files where every panic-capable construct is a protocol bug: the wire
-/// codec + request handlers of the serving layer and the SNVT binary
-/// decoder. Malformed input reaches these from outside the process, so
+/// codec + request handlers of the serving layer, the shared `wire`
+/// reader every binary format decodes through, and the SNVT / SNVJ / SNVR
+/// decoders. Malformed input reaches these from outside the process, so
 /// `unwrap`/`expect`/`panic!`/`unreachable!`/slice indexing must not
 /// appear — decode errors surface as `Result`s.
-const PANIC_PATH_SCOPES: [&str; 7] = [
+const PANIC_PATH_SCOPES: [&str; 8] = [
     "crates/serve/src/protocol.rs",
     "crates/serve/src/checkpoint.rs",
     "crates/serve/src/service.rs",
     "crates/serve/src/bin/serve_tcp.rs",
     "crates/trace/src/binary.rs",
+    "crates/trace/src/wire.rs",
     "crates/fleet/src/journal.rs",
     "crates/fleet/src/state.rs",
 ];

@@ -40,10 +40,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use supernova_fleet::{RouterConfig, Shard, ShardId, ShardRouter};
-use supernova_serve::protocol::{
-    recv_request, send_response, Request, Response, WireError, PROTOCOL_VERSION,
-};
-use supernova_serve::{AdmissionError, ServeConfig};
+use supernova_serve::protocol::{Request, Response, PROTOCOL_VERSION};
+use supernova_serve::service::serve_connection;
+use supernova_serve::ServeConfig;
 
 /// Journal suffixes longer than this trigger the periodic checkpoint at
 /// the end of the submit that crossed it.
@@ -91,55 +90,6 @@ fn handle(router: &mut ShardRouter, req: Request) -> (Response, bool) {
             false,
         ),
         Request::Shutdown => (Response::ShuttingDown, true),
-    }
-}
-
-/// Serves one front-door connection to completion. The shared router is
-/// locked per request — never across a blocking read — so a stalled
-/// client cannot wedge the fleet.
-fn serve_front_connection(
-    stream: TcpStream,
-    shared: &Arc<Mutex<ShardRouter>>,
-) -> Result<bool, WireError> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = std::io::BufWriter::new(stream);
-    let mut hello_done = false;
-    loop {
-        let req = match recv_request(&mut reader) {
-            Ok(req) => req,
-            Err(WireError::Closed) => return Ok(false),
-            Err(WireError::Malformed(why)) => {
-                let _ = send_response(&mut writer, &Response::Error(format!("malformed: {why}")));
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        };
-        if !hello_done {
-            let client = match req {
-                Request::Hello { version } => Some(version),
-                _ => None,
-            };
-            if client != Some(PROTOCOL_VERSION) {
-                let refusal = AdmissionError::ProtocolMismatch {
-                    client,
-                    supported: PROTOCOL_VERSION,
-                };
-                let _ = send_response(&mut writer, &Response::Error(refusal.to_string()));
-                return Ok(false);
-            }
-            hello_done = true;
-        }
-        let (rsp, stop) = {
-            let mut router = match shared.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            handle(&mut router, req)
-        };
-        send_response(&mut writer, &rsp)?;
-        if stop {
-            return Ok(true);
-        }
     }
 }
 
@@ -259,8 +209,17 @@ fn main() {
         let stopping = Arc::clone(&stopping);
         // Thread-per-connection: the ranked router mutex serializes every
         // request, so interleaving cannot affect fleet state order.
+        // The router is locked per request, never across a blocking read,
+        // so a stalled client cannot wedge the fleet.
+        let handle_locked = move |req| {
+            let mut router = match shared.lock() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            handle(&mut router, req)
+        };
         workers.push(std::thread::spawn(move || {
-            match serve_front_connection(stream, &shared) {
+            match serve_connection(stream, handle_locked) {
                 Ok(true) => {
                     stopping.store(true, Ordering::SeqCst);
                     // Wake the accept loop so it observes the stop flag.

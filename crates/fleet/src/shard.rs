@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use supernova_serve::service::{serve_connection, Replay};
+use supernova_serve::service::{handle, serve_connection, Replay};
 use supernova_serve::{ServeConfig, Server};
 
 use crate::ring::ShardId;
@@ -52,7 +52,7 @@ impl Shard {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                match serve_connection(stream, &thread_server, &mut replays) {
+                match serve_connection(stream, |req| handle(&thread_server, &mut replays, req)) {
                     Ok(true) => break,
                     Ok(false) => {}
                     Err(e) => eprintln!("{id}: connection error: {e}"),

@@ -1,11 +1,13 @@
 //! Admission control: bounded queues, typed rejections, shed accounting.
 
+use supernova_factors::Key;
+
 use crate::session::{SessionId, SessionRegistry};
 
 /// Why the server refused a request. Every refusal is cheap, typed, and
 /// deterministic — the client can tell "back off" (`QueueFull`,
 /// `SessionLimit`) apart from "you are wrong" (`UnknownSession`,
-/// `SessionClosing`).
+/// `SessionClosing`, `UnknownVariable`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AdmissionError {
     /// The engine pool is exhausted: no more concurrent sessions fit.
@@ -24,6 +26,16 @@ pub enum AdmissionError {
     UnknownSession(SessionId),
     /// The session is closing; it accepts no further updates.
     SessionClosing(SessionId),
+    /// The update's factors name a variable the session does not have and
+    /// this update would not add: a pose after the session's newest, as
+    /// when an earlier step was shed. Applying it would abort the worker,
+    /// so it is refused here and never queued.
+    UnknownVariable {
+        /// The session the update was for.
+        session: SessionId,
+        /// The first key beyond the pose this update would add.
+        key: Key,
+    },
     /// The server is shutting down.
     ShuttingDown,
     /// The connection spoke an unsupported protocol version (or skipped
@@ -50,6 +62,11 @@ impl std::fmt::Display for AdmissionError {
             }
             AdmissionError::UnknownSession(id) => write!(f, "{id} does not exist"),
             AdmissionError::SessionClosing(id) => write!(f, "{id} is closing"),
+            AdmissionError::UnknownVariable { session, key } => write!(
+                f,
+                "{session} update names unknown variable {key} (a pose after the one it adds); \
+                 update refused"
+            ),
             AdmissionError::ShuttingDown => write!(f, "server is shutting down"),
             AdmissionError::ProtocolMismatch { client, supported } => match client {
                 Some(v) => write!(

@@ -17,7 +17,9 @@
 //!    queue and a burst of 50 updates: admitted work must all complete
 //!    (shed + completed = submitted), the queue high-water mark must
 //!    respect the bound, degradation must engage and then recover to
-//!    level 0 once drained.
+//!    level 0 once drained. "Shed" counts both refusals at submit: a full
+//!    queue, and an update naming the pose of an earlier shed step
+//!    (`AdmissionError::UnknownVariable`).
 //! 3. **Trace emission.** Two sessions on two workers with
 //!    `TraceConfig::on()`: every dispatched step must emit a span tree
 //!    that passes `validate_trace`, and the collected trees must
@@ -215,7 +217,11 @@ fn phase_overload(report: &mut Report) {
     for (i, step) in ds.online_steps().into_iter().enumerate() {
         match server.submit(sid, UpdateRequest::new(i as u64, step.truth, step.factors)) {
             Ok(()) => admitted += 1,
-            Err(AdmissionError::QueueFull { .. }) => shed += 1,
+            // Once a step is shed, the steps after it name its missing
+            // pose and are refused at admission: both count as shed here.
+            Err(AdmissionError::QueueFull { .. } | AdmissionError::UnknownVariable { .. }) => {
+                shed += 1
+            }
             Err(e) => {
                 report.check(
                     "overload/admission",

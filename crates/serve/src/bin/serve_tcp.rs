@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 
-use supernova_serve::service::{serve_connection, Replay};
+use supernova_serve::service::{handle, serve_connection, Replay};
 use supernova_serve::{ServeConfig, Server};
 use supernova_trace::{chrome_document_wall, TraceConfig};
 
@@ -69,7 +69,7 @@ fn main() {
                 continue;
             }
         };
-        match serve_connection(stream, &server, &mut replays) {
+        match serve_connection(stream, |req| handle(&server, &mut replays, req)) {
             Ok(true) => break,
             Ok(false) => {}
             Err(e) => eprintln!("serve_tcp: connection error: {e}"),

@@ -19,7 +19,9 @@ use supernova_factors::{BetweenFactor, Factor, Key, NoiseModel, PriorFactor};
 use supernova_linalg::NumericMode;
 use supernova_solvers::{EngineSnapshot, UpdateRecord};
 
-use crate::protocol::{decode_variable, encode_variable, put_f64, put_u32, put_u64, Cursor};
+use supernova_trace::wire::{put_f64, put_header, put_u32, put_u64, ReadError, Reader};
+
+use crate::protocol::{decode_variable, encode_variable, MIN_VARIABLE_BYTES};
 
 /// Checkpoint magic: `SNVC`.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SNVC";
@@ -33,6 +35,13 @@ pub const MAX_CHECKPOINT_BYTES: usize = crate::protocol::MAX_FRAME_BYTES;
 
 const FACTOR_PRIOR: u8 = 0;
 const FACTOR_BETWEEN: u8 = 1;
+
+/// The smallest encoded update: level, an empty vector pose, a factor
+/// count.
+const MIN_UPDATE_BYTES: usize = 1 + MIN_VARIABLE_BYTES + 4;
+/// The smallest encoded factor: tag, one key, an empty vector
+/// measurement, an empty noise model (dimension + Huber flag).
+const MIN_FACTOR_BYTES: usize = 1 + 8 + MIN_VARIABLE_BYTES + 4 + 1;
 
 /// Why checkpoint bytes could not be produced or understood.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,6 +100,18 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::BadMagic => CheckpointError::BadMagic,
+            ReadError::BadVersion(v) => CheckpointError::BadVersion(v),
+            ReadError::TooLarge(_) => CheckpointError::TooLarge,
+            ReadError::Truncated => CheckpointError::Malformed("truncated frame"),
+            ReadError::TrailingBytes(_) => CheckpointError::Malformed("trailing bytes"),
+        }
+    }
+}
+
 impl From<crate::protocol::WireError> for CheckpointError {
     fn from(e: crate::protocol::WireError) -> Self {
         match e {
@@ -116,11 +137,8 @@ fn encode_noise(out: &mut Vec<u8>, noise: &NoiseModel) {
     }
 }
 
-fn decode_noise(cur: &mut Cursor<'_>) -> Result<NoiseModel, CheckpointError> {
-    let dim = cur.u32()? as usize;
-    if dim > cur.remaining() / 8 {
-        return Err(CheckpointError::TooLarge);
-    }
+fn decode_noise(cur: &mut Reader<'_>) -> Result<NoiseModel, CheckpointError> {
+    let dim = cur.count(8)?;
     let mut sqrt_info = Vec::with_capacity(dim);
     for _ in 0..dim {
         sqrt_info.push(cur.f64()?);
@@ -158,7 +176,7 @@ fn encode_factor(out: &mut Vec<u8>, factor: &dyn Factor) -> Result<(), Checkpoin
     Err(CheckpointError::UnsupportedFactor)
 }
 
-fn decode_factor(cur: &mut Cursor<'_>) -> Result<Arc<dyn Factor>, CheckpointError> {
+fn decode_factor(cur: &mut Reader<'_>) -> Result<Arc<dyn Factor>, CheckpointError> {
     match cur.u8()? {
         FACTOR_PRIOR => {
             let key = Key(cur.u64()? as usize);
@@ -194,8 +212,7 @@ fn decode_factor(cur: &mut Cursor<'_>) -> Result<Arc<dyn Factor>, CheckpointErro
 /// when the result would exceed [`MAX_CHECKPOINT_BYTES`].
 pub fn encode_snapshot(snapshot: &EngineSnapshot) -> Result<Vec<u8>, CheckpointError> {
     let mut out = Vec::new();
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    put_header(&mut out, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
     out.push(snapshot.numeric_mode.as_byte());
     put_u64(&mut out, snapshot.plan_generation as u64);
     put_u32(&mut out, snapshot.updates.len() as u32);
@@ -228,32 +245,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
     if bytes.len() > MAX_CHECKPOINT_BYTES {
         return Err(CheckpointError::TooLarge);
     }
-    let mut cur = Cursor::new(bytes);
-    if cur.take(4)? != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u16::from_le_bytes([cur.u8()?, cur.u8()?]);
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
+    let mut cur = Reader::new(bytes);
+    cur.header(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     let mode_byte = cur.u8()?;
     let numeric_mode =
         NumericMode::from_byte(mode_byte).map_err(CheckpointError::BadNumericMode)?;
     let plan_generation = cur.u64()? as usize;
-    let update_count = cur.u32()? as usize;
-    // Each update is at least 6 bytes (level + variable tag + empty factor
-    // and component counts); reject counts the buffer cannot back.
-    if update_count > cur.remaining() / 6 {
-        return Err(CheckpointError::TooLarge);
-    }
+    let update_count = cur.count(MIN_UPDATE_BYTES)?;
     let mut updates = Vec::with_capacity(update_count);
     for _ in 0..update_count {
         let level = cur.u8()?;
         let initial = decode_variable(&mut cur)?;
-        let factor_count = cur.u32()? as usize;
-        if factor_count > cur.remaining() {
-            return Err(CheckpointError::TooLarge);
-        }
+        let factor_count = cur.count(MIN_FACTOR_BYTES)?;
         let mut factors = Vec::with_capacity(factor_count);
         for _ in 0..factor_count {
             factors.push(decode_factor(&mut cur)?);
@@ -264,15 +267,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
             factors,
         });
     }
-    let estimate_count = cur.u32()? as usize;
-    if estimate_count > cur.remaining() {
-        return Err(CheckpointError::TooLarge);
-    }
+    let estimate_count = cur.count(MIN_VARIABLE_BYTES)?;
     let mut estimate = Vec::with_capacity(estimate_count);
     for _ in 0..estimate_count {
         estimate.push(decode_variable(&mut cur)?);
     }
-    cur.done()?;
+    cur.finish()?;
     Ok(EngineSnapshot {
         numeric_mode,
         plan_generation,
@@ -349,30 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_rejected_not_panicked() {
-        let bytes = encode_snapshot(&sample_snapshot()).expect("encode");
-        for n in 0..bytes.len() {
-            assert!(
-                decode_snapshot(&bytes[..n]).is_err(),
-                "prefix of {n} bytes decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_rejected_or_roundtrips() {
-        // Flipping any one byte must never panic; it either fails typed or
-        // yields a snapshot (bit flips inside an f64 payload decode fine —
-        // replay verification catches those downstream).
-        let bytes = encode_snapshot(&sample_snapshot()).expect("encode");
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xA5;
-            let _ = decode_snapshot(&bad);
-        }
-    }
-
-    #[test]
     fn header_violations_are_typed() {
         let bytes = encode_snapshot(&sample_snapshot()).expect("encode");
         let mut wrong_magic = bytes.clone();
@@ -412,8 +388,7 @@ mod tests {
         // known constant is brittle; instead check from_sqrt_info's gate
         // feeds through the decoder by constructing bytes directly.
         let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        put_header(&mut out, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
         out.push(NumericMode::F64.as_byte());
         put_u64(&mut out, 0);
         put_u32(&mut out, 1); // one update

@@ -313,7 +313,10 @@ impl Server {
     ///
     /// Typed refusals per [`AdmissionError`]; on
     /// [`AdmissionError::QueueFull`] the update is counted as shed on both
-    /// the server and the session.
+    /// the server and the session. An update whose factors name a key
+    /// after the pose it adds is refused with
+    /// [`AdmissionError::UnknownVariable`] (not counted as shed): once a
+    /// step is shed, the steps after it name a pose that never arrived.
     pub fn submit(&self, session: SessionId, req: UpdateRequest) -> Result<(), AdmissionError> {
         let mut st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
         if st.shutdown {
@@ -333,6 +336,16 @@ impl Server {
             .registry
             .get_mut(session)
             .expect("admitted session exists"); // lint: allow(unwrap)
+        let new_key = s.variables;
+        let unknown = req
+            .factors
+            .iter()
+            .flat_map(|f| f.keys())
+            .find(|k| k.0 > new_key);
+        if let Some(&key) = unknown {
+            return Err(AdmissionError::UnknownVariable { session, key });
+        }
+        s.variables += 1;
         s.queue.push_back(req);
         let depth = s.depth();
         s.stats.record_depth(depth);
@@ -520,6 +533,7 @@ impl Server {
                 .get_mut(session)
                 .expect("restoring session exists");
             s.busy = true;
+            s.variables = snapshot.updates.len();
             let engine = s.engine.take().expect("fresh session holds its engine"); // lint: allow(unwrap)
             (session, engine)
         };
@@ -804,9 +818,10 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_and_counts() {
-        // No workers can keep up with capacity 2 if we stop them from
-        // running: use deadline ordering against an already-busy session by
-        // submitting faster than a 1-worker server on a tiny queue.
+        // One worker on a capacity-2 queue cannot keep up with a burst of
+        // 12. Once a step is shed, later steps name the pose it would have
+        // added, so admission refuses them as unknown-variable updates
+        // instead of queueing work that would abort the worker.
         let server = Server::start(ServeConfig {
             workers: 1,
             max_sessions: 1,
@@ -815,25 +830,60 @@ mod tests {
         });
         let sid = server.create_session().expect("slot");
         let ds = Dataset::manhattan_seeded(12, 3);
-        let mut shed = 0u64;
+        let (mut queue_full, mut refused) = (0u64, 0u64);
         for (i, step) in ds.online_steps().into_iter().enumerate() {
             match server.submit(sid, UpdateRequest::new(i as u64, step.truth, step.factors)) {
                 Ok(()) => {}
                 Err(AdmissionError::QueueFull { capacity, .. }) => {
                     assert_eq!(capacity, 2);
-                    shed += 1;
+                    queue_full += 1;
                 }
+                Err(AdmissionError::UnknownVariable { .. }) => refused += 1,
                 Err(e) => panic!("unexpected admission error {e}"),
             }
         }
         server.drain(sid).expect("live");
         let stats = server.stats();
-        assert_eq!(stats.total_shed, shed);
-        assert_eq!(stats.sessions[0].completed + shed, 12);
+        assert_eq!(stats.total_shed, queue_full);
+        assert_eq!(stats.sessions[0].completed + queue_full + refused, 12);
         assert!(
             stats.sessions[0].max_queue_depth <= 2,
             "queue stayed bounded"
         );
+    }
+
+    #[test]
+    fn an_update_after_a_missing_pose_is_refused_not_applied() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            max_sessions: 1,
+            ..ServeConfig::default()
+        });
+        let sid = server.create_session().expect("slot");
+        let steps = Dataset::manhattan_seeded(3, 8).online_steps();
+        let submit = |i: usize| {
+            let step = &steps[i];
+            let req = UpdateRequest::new(i as u64, step.truth.clone(), step.factors.clone());
+            server.submit(sid, req)
+        };
+        submit(0).expect("step 0 admitted");
+        // Step 2 without step 1: its odometry names x2, but the pose it
+        // would add is x1.
+        assert_eq!(
+            submit(2),
+            Err(AdmissionError::UnknownVariable {
+                session: sid,
+                key: Key(2)
+            })
+        );
+        server.drain(sid).expect("drain returns: no worker died");
+        let stats = server.stats();
+        assert_eq!(stats.sessions[0].completed, 1);
+        assert_eq!(stats.total_shed, 0, "a refusal is not a shed");
+        // The gap can still be filled in order.
+        submit(1).expect("step 1 admitted");
+        submit(2).expect("step 2 admitted after step 1");
+        assert_eq!(server.estimate(sid).expect("live").len(), 3);
     }
 
     #[test]

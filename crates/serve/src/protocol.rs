@@ -17,6 +17,7 @@ use std::io::{Read, Write};
 
 use supernova_factors::{Rot2, Rot3, Se2, Se3, Variable};
 use supernova_linalg::Mat;
+use supernova_trace::wire::{put_bytes, put_f64, put_u32, put_u64, ReadError, Reader};
 
 /// Hard cap on accepted frame payloads (16 MiB): a corrupt or hostile
 /// length prefix must not convince the server to allocate unboundedly.
@@ -135,12 +136,13 @@ pub enum Response {
         /// Its id.
         session: u64,
     },
-    /// A `Submit` outcome: how many steps were enqueued and how many the
-    /// bounded queue shed.
+    /// A `Submit` outcome: how many steps were enqueued and whether the
+    /// bounded queue refused one.
     Submitted {
         /// Steps admitted to the queue.
         accepted: u32,
-        /// Steps shed (queue full).
+        /// Steps shed (queue full): 0 or 1, because submission stops at
+        /// the first refusal and leaves that step next in the replay.
         shed: u32,
     },
     /// The drained trajectory estimate, pose per incorporated variable.
@@ -209,85 +211,17 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-// --- primitive little-endian encoding ---------------------------------
-
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, at: 0 }
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        WireError::Malformed(match e {
+            ReadError::Truncated => "truncated frame",
+            ReadError::TooLarge(_) => "count exceeds the bytes left",
+            ReadError::TrailingBytes(_) => "trailing bytes",
+            // Frames carry no magic/version header; the arms keep the
+            // conversion total.
+            ReadError::BadMagic | ReadError::BadVersion(_) => "bad header",
+        })
     }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .ok_or(WireError::Malformed("length overflow"))?;
-        let s = self
-            .buf
-            .get(self.at..end)
-            .ok_or(WireError::Malformed("truncated frame"))?;
-        self.at = end;
-        Ok(s)
-    }
-
-    /// Takes exactly `N` bytes as an array — the fixed-width primitive
-    /// reads below go through this so no decode path ever indexes a slice.
-    fn take_arr<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let s = self.take(N)?;
-        let mut a = [0u8; N];
-        for (dst, src) in a.iter_mut().zip(s) {
-            *dst = *src;
-        }
-        Ok(a)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.take_arr::<1>()?;
-        Ok(b)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take_arr::<4>()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_arr::<8>()?))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn done(&self) -> Result<(), WireError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes"))
-        }
-    }
-
-    /// Bytes left in the buffer — lets callers sanity-check an element
-    /// count against the data that could actually back it before
-    /// pre-allocating.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.at)
-    }
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
 }
 
 // --- pose encoding ----------------------------------------------------
@@ -333,7 +267,10 @@ pub fn encode_variable(out: &mut Vec<u8>, var: &Variable) {
     }
 }
 
-pub(crate) fn decode_variable(cur: &mut Cursor<'_>) -> Result<Variable, WireError> {
+/// The smallest encoded pose: a zero-length vector (tag + length).
+pub(crate) const MIN_VARIABLE_BYTES: usize = 5;
+
+pub(crate) fn decode_variable(cur: &mut Reader<'_>) -> Result<Variable, WireError> {
     match cur.u8()? {
         VAR_SE2 => {
             let c = cur.f64()?;
@@ -360,10 +297,7 @@ pub(crate) fn decode_variable(cur: &mut Cursor<'_>) -> Result<Variable, WireErro
             )))
         }
         VAR_VEC => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME_BYTES / 8 {
-                return Err(WireError::Malformed("vector length exceeds frame cap"));
-            }
+            let n = cur.count(8)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(cur.f64()?);
@@ -444,8 +378,7 @@ impl Request {
                 put_u32(&mut out, *steps);
                 put_u64(&mut out, *seed);
                 put_u64(&mut out, *cursor);
-                put_u32(&mut out, checkpoint.len() as u32);
-                out.extend_from_slice(checkpoint);
+                put_bytes(&mut out, checkpoint);
             }
         }
         out
@@ -458,7 +391,7 @@ impl Request {
     /// [`WireError::Malformed`] on an unknown tag, truncation, or trailing
     /// bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut cur = Cursor::new(payload);
+        let mut cur = Reader::new(payload);
         let req = match cur.u8()? {
             REQ_CREATE => Request::CreateSession {
                 kind: DatasetKind::from_code(cur.u8()?)?,
@@ -486,8 +419,7 @@ impl Request {
                 let steps = cur.u32()?;
                 let seed = cur.u64()?;
                 let cursor = cur.u64()?;
-                let n = cur.u32()? as usize;
-                let checkpoint = cur.take(n)?.to_vec();
+                let checkpoint = cur.bytes()?.to_vec();
                 Request::Restore {
                     kind,
                     steps,
@@ -498,7 +430,7 @@ impl Request {
             }
             _ => return Err(WireError::Malformed("unknown request tag")),
         };
-        cur.done()?;
+        cur.finish()?;
         Ok(req)
     }
 }
@@ -548,13 +480,11 @@ impl Response {
                 put_u64(&mut out, *seed);
                 put_u64(&mut out, *cursor);
                 put_u64(&mut out, *applied);
-                put_u32(&mut out, checkpoint.len() as u32);
-                out.extend_from_slice(checkpoint);
+                put_bytes(&mut out, checkpoint);
             }
             Response::Error(msg) => {
                 out.push(RSP_ERROR);
-                put_u32(&mut out, msg.len() as u32);
-                out.extend_from_slice(msg.as_bytes());
+                put_bytes(&mut out, msg.as_bytes());
             }
         }
         out
@@ -567,7 +497,7 @@ impl Response {
     /// [`WireError::Malformed`] on an unknown tag, truncation, or trailing
     /// bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut cur = Cursor::new(payload);
+        let mut cur = Reader::new(payload);
         let rsp = match cur.u8()? {
             RSP_CREATED => Response::Created {
                 session: cur.u64()?,
@@ -577,10 +507,7 @@ impl Response {
                 shed: cur.u32()?,
             },
             RSP_ESTIMATE => {
-                let n = cur.u32()? as usize;
-                if n > MAX_FRAME_BYTES / 9 {
-                    return Err(WireError::Malformed("estimate count exceeds frame cap"));
-                }
+                let n = cur.count(MIN_VARIABLE_BYTES)?;
                 let mut vars = Vec::with_capacity(n);
                 for _ in 0..n {
                     vars.push(decode_variable(&mut cur)?);
@@ -599,8 +526,7 @@ impl Response {
                 let seed = cur.u64()?;
                 let cursor = cur.u64()?;
                 let applied = cur.u64()?;
-                let n = cur.u32()? as usize;
-                let checkpoint = cur.take(n)?.to_vec();
+                let checkpoint = cur.bytes()?.to_vec();
                 Response::Snapshot {
                     kind,
                     steps,
@@ -611,15 +537,13 @@ impl Response {
                 }
             }
             RSP_ERROR => {
-                let n = cur.u32()? as usize;
-                let bytes = cur.take(n)?;
-                let msg = std::str::from_utf8(bytes)
+                let msg = std::str::from_utf8(cur.bytes()?)
                     .map_err(|_| WireError::Malformed("error message is not UTF-8"))?;
                 Response::Error(msg.to_string())
             }
             _ => return Err(WireError::Malformed("unknown response tag")),
         };
-        cur.done()?;
+        cur.finish()?;
         Ok(rsp)
     }
 }
@@ -816,6 +740,28 @@ mod tests {
             matches!(recv_request(&mut r), Err(WireError::Closed)),
             "clean EOF"
         );
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left_not_the_frame_cap() {
+        // An estimate claiming MAX_FRAME_BYTES / 9 poses in a 5-byte
+        // payload, and one vector pose claiming MAX_FRAME_BYTES / 8
+        // components in a 10-byte payload: both must fail at the count,
+        // before anything is reserved (the frame-cap bound reserved
+        // 184 MiB and 16 MiB for these).
+        let mut many_poses = vec![RSP_ESTIMATE];
+        put_u32(&mut many_poses, (MAX_FRAME_BYTES / 9) as u32);
+        let mut long_vector = vec![RSP_ESTIMATE];
+        put_u32(&mut long_vector, 1);
+        long_vector.push(VAR_VEC);
+        put_u32(&mut long_vector, (MAX_FRAME_BYTES / 8) as u32);
+        assert_eq!((many_poses.len(), long_vector.len()), (5, 10));
+        for payload in [many_poses, long_vector] {
+            assert!(matches!(
+                Response::decode(&payload),
+                Err(WireError::Malformed("count exceeds the bytes left"))
+            ));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The replay-serving session service: the request handler and
-//! connection loop shared by the `serve_tcp` binary and the fleet shard
-//! harness.
+//! The replay-serving session service: the request handler shared by the
+//! `serve_tcp` binary and the fleet shard harness, and the one connection
+//! loop every TCP front door runs (those two and `fleet_router`).
 //!
 //! Every connection must open with a [`Request::Hello`] naming the
 //! protocol version; any other first frame — or an unsupported version —
@@ -53,8 +53,8 @@ pub fn handle(
 ) -> (Response, bool) {
     match req {
         Request::Hello { .. } => (
-            // Version agreement was checked at connection open; a repeated
-            // hello is an idempotent no-op.
+            // `serve_connection` answers every hello itself; this arm only
+            // keeps the handler total.
             Response::Hello {
                 version: PROTOCOL_VERSION,
             },
@@ -88,21 +88,29 @@ pub fn handle(
                     false,
                 );
             };
+            // Submission stops at the first full queue without consuming
+            // that step, so the replay never skips a pose: the refused step
+            // is the next one a later submit sends.
             let mut accepted = 0u32;
             let mut shed = 0u32;
             for i in 0..count {
                 let Some(step) = replay.steps.get(replay.cursor) else {
                     break; // the replayed trajectory is exhausted
                 };
-                replay.cursor += 1;
                 let req = UpdateRequest::new(
                     deadline + u64::from(i),
                     step.truth.clone(),
                     step.factors.clone(),
                 );
                 match server.submit(SessionId(session), req) {
-                    Ok(()) => accepted += 1,
-                    Err(AdmissionError::QueueFull { .. }) => shed += 1,
+                    Ok(()) => {
+                        replay.cursor += 1;
+                        accepted += 1;
+                    }
+                    Err(AdmissionError::QueueFull { .. }) => {
+                        shed = 1;
+                        break;
+                    }
                     Err(e) => return (Response::Error(e.to_string()), false),
                 }
             }
@@ -200,8 +208,11 @@ pub fn handle(
     }
 }
 
-/// Serves one connection until the peer hangs up or requests shutdown.
-/// Returns whether the whole server should stop.
+/// Serves one connection until the peer hangs up or `handle` asks to
+/// stop; returns whether the whole server should stop. The loop owns the
+/// handshake (see the module docs) and answers every hello itself; any
+/// other request goes to `handle`, which returns the response and a stop
+/// flag.
 ///
 /// # Errors
 ///
@@ -209,8 +220,7 @@ pub fn handle(
 /// frames) are answered with an error response and a clean `Ok(false)`.
 pub fn serve_connection(
     stream: TcpStream,
-    server: &Server,
-    replays: &mut BTreeMap<u64, Replay>,
+    mut handle: impl FnMut(Request) -> (Response, bool),
 ) -> Result<bool, WireError> {
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
@@ -242,10 +252,130 @@ pub fn serve_connection(
             }
             hello_done = true;
         }
-        let (rsp, stop) = handle(server, replays, req);
+        let (rsp, stop) = match req {
+            // A repeated hello is an idempotent no-op.
+            Request::Hello { .. } => (
+                Response::Hello {
+                    version: PROTOCOL_VERSION,
+                },
+                false,
+            ),
+            req => handle(req),
+        };
         send_response(&mut writer, &rsp)?;
         if stop {
             return Ok(true);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    use crate::protocol::{recv_response, send_request, write_frame};
+
+    /// Runs `serve_connection` on one loopback connection whose client
+    /// side is `script`. The handler records every request it is given,
+    /// stops on `Shutdown` and answers anything else `Created`.
+    fn serve_one(script: impl FnOnce(&mut TcpStream)) -> (Result<bool, WireError>, Vec<Request>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut seen = Vec::new();
+            let outcome = serve_connection(stream, |req| {
+                let stop = req == Request::Shutdown;
+                seen.push(req);
+                match stop {
+                    true => (Response::ShuttingDown, true),
+                    false => (Response::Created { session: 9 }, false),
+                }
+            });
+            (outcome, seen)
+        });
+        let mut client = TcpStream::connect(addr).expect("connect");
+        script(&mut client);
+        drop(client);
+        server.join().expect("server thread")
+    }
+
+    fn call(c: &mut TcpStream, req: &Request) -> Response {
+        send_request(c, req).expect("send");
+        recv_response(c).expect("response")
+    }
+
+    fn hello(version: u8) -> Request {
+        Request::Hello { version }
+    }
+
+    fn refusal(client: Option<u8>) -> Response {
+        let e = AdmissionError::ProtocolMismatch {
+            client,
+            supported: PROTOCOL_VERSION,
+        };
+        Response::Error(e.to_string())
+    }
+
+    fn assert_closed(c: &mut TcpStream) {
+        assert!(matches!(recv_response(c), Err(WireError::Closed)));
+    }
+
+    #[test]
+    fn a_first_frame_that_is_not_hello_is_refused_and_closes() {
+        let (outcome, seen) = serve_one(|c| {
+            assert_eq!(call(c, &Request::Close { session: 1 }), refusal(None));
+            assert_closed(c);
+        });
+        assert!(matches!(outcome, Ok(false)));
+        assert!(seen.is_empty(), "handler never called");
+    }
+
+    #[test]
+    fn an_unsupported_version_is_refused_and_closes() {
+        let (outcome, seen) = serve_one(|c| {
+            assert_eq!(call(c, &hello(1)), refusal(Some(1)));
+            assert_closed(c);
+        });
+        assert!(matches!(outcome, Ok(false)));
+        assert!(seen.is_empty(), "handler never called");
+    }
+
+    #[test]
+    fn a_malformed_payload_after_hello_is_answered_then_closes() {
+        let (outcome, seen) = serve_one(|c| {
+            let v = PROTOCOL_VERSION;
+            assert_eq!(call(c, &hello(v)), Response::Hello { version: v });
+            write_frame(c, &[0x7E]).expect("send");
+            match recv_response(c).expect("response") {
+                Response::Error(msg) => assert!(msg.starts_with("malformed: "), "{msg}"),
+                other => panic!("expected a malformed-frame error, got {other:?}"),
+            }
+            assert_closed(c);
+        });
+        assert!(matches!(outcome, Ok(false)));
+        assert!(seen.is_empty(), "handler never called");
+    }
+
+    #[test]
+    fn hellos_are_answered_by_the_loop_and_stop_ends_it() {
+        let (outcome, seen) = serve_one(|c| {
+            let v = PROTOCOL_VERSION;
+            assert_eq!(call(c, &hello(v)), Response::Hello { version: v });
+            let query = Request::QueryEstimate { session: 4 };
+            assert_eq!(call(c, &query), Response::Created { session: 9 });
+            assert_eq!(call(c, &hello(v)), Response::Hello { version: v });
+            assert_eq!(call(c, &Request::Shutdown), Response::ShuttingDown);
+            assert_closed(c);
+        });
+        assert!(
+            matches!(outcome, Ok(true)),
+            "stop ends the loop with Ok(true)"
+        );
+        assert_eq!(
+            seen,
+            vec![Request::QueryEstimate { session: 4 }, Request::Shutdown]
+        );
     }
 }

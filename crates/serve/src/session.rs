@@ -74,6 +74,9 @@ pub(crate) struct Session {
     pub(crate) closing: bool,
     /// Updates fully processed.
     pub(crate) completed: u64,
+    /// Variables the session has once everything admitted is applied —
+    /// also the key the next admitted update's new pose receives.
+    pub(crate) variables: usize,
     /// Monotonic sequence of the next update to be dispatched (for span
     /// ordering checks).
     pub(crate) next_seq: u64,
@@ -89,6 +92,7 @@ impl Session {
             busy: false,
             closing: false,
             completed: 0,
+            variables: 0,
             next_seq: 0,
             stats: SessionStats::new(degradation_levels),
         }

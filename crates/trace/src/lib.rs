@@ -28,6 +28,12 @@
 //! per-thread without locks and finished traces merge into the shared
 //! [`Tracer`] under one short-lived mutex.
 //!
+//! Modules: [`span`] (the span tree and its counters), [`tracer`] (the
+//! per-step builder and the shared sink), [`clock`] (the process-global
+//! epoch), [`chrome`] (Chrome trace-event export), [`binary`] (the `SNVT`
+//! golden-file codec) and [`wire`] (the panic-free little-endian reader
+//! and `put_*` helpers every binary format in the workspace is built on).
+//!
 //! See DESIGN.md §10 for the span taxonomy and the emission-point map.
 
 #![forbid(unsafe_code)]
@@ -38,6 +44,7 @@ pub mod chrome;
 pub mod clock;
 pub mod span;
 pub mod tracer;
+pub mod wire;
 
 pub use binary::CodecError;
 pub use chrome::chrome_document_wall;
