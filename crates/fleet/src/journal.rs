@@ -154,7 +154,7 @@ impl From<ReadError> for JournalError {
         match e {
             ReadError::BadMagic => JournalError::BadMagic,
             ReadError::BadVersion(v) => JournalError::BadVersion(v),
-            ReadError::TooLarge(n) => JournalError::TooLarge(n.min(u64::from(u32::MAX)) as u32),
+            ReadError::TooLarge(n) => JournalError::TooLarge(u32::try_from(n).unwrap_or(u32::MAX)),
             ReadError::Truncated => JournalError::Malformed("truncated"),
             ReadError::TrailingBytes(_) => JournalError::Malformed("trailing bytes in record"),
         }

@@ -414,20 +414,13 @@ impl Request {
             REQ_SNAPSHOT => Request::Snapshot {
                 session: cur.u64()?,
             },
-            REQ_RESTORE => {
-                let kind = DatasetKind::from_code(cur.u8()?)?;
-                let steps = cur.u32()?;
-                let seed = cur.u64()?;
-                let cursor = cur.u64()?;
-                let checkpoint = cur.bytes()?.to_vec();
-                Request::Restore {
-                    kind,
-                    steps,
-                    seed,
-                    cursor,
-                    checkpoint,
-                }
-            }
+            REQ_RESTORE => Request::Restore {
+                kind: DatasetKind::from_code(cur.u8()?)?,
+                steps: cur.u32()?,
+                seed: cur.u64()?,
+                cursor: cur.u64()?,
+                checkpoint: cur.bytes()?.to_vec(),
+            },
             _ => return Err(WireError::Malformed("unknown request tag")),
         };
         cur.finish()?;
@@ -520,22 +513,14 @@ impl Response {
             },
             RSP_SHUTTING_DOWN => Response::ShuttingDown,
             RSP_HELLO => Response::Hello { version: cur.u8()? },
-            RSP_SNAPSHOT => {
-                let kind = DatasetKind::from_code(cur.u8()?)?;
-                let steps = cur.u32()?;
-                let seed = cur.u64()?;
-                let cursor = cur.u64()?;
-                let applied = cur.u64()?;
-                let checkpoint = cur.bytes()?.to_vec();
-                Response::Snapshot {
-                    kind,
-                    steps,
-                    seed,
-                    cursor,
-                    applied,
-                    checkpoint,
-                }
-            }
+            RSP_SNAPSHOT => Response::Snapshot {
+                kind: DatasetKind::from_code(cur.u8()?)?,
+                steps: cur.u32()?,
+                seed: cur.u64()?,
+                cursor: cur.u64()?,
+                applied: cur.u64()?,
+                checkpoint: cur.bytes()?.to_vec(),
+            },
             RSP_ERROR => {
                 let msg = std::str::from_utf8(cur.bytes()?)
                     .map_err(|_| WireError::Malformed("error message is not UTF-8"))?;

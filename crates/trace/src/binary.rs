@@ -188,7 +188,7 @@ impl Trace {
         put_u64(&mut out, self.key.seq);
         put_u64(&mut out, self.key.step);
         put_u32(&mut out, table.len() as u32);
-        for (s, _) in &table {
+        for s in table.keys() {
             put_bytes(&mut out, s.as_bytes());
         }
         encode_span(&self.root, &table, &mut out);

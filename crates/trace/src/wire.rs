@@ -51,6 +51,9 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
+// The per-field reads and the `put_*` helpers are `#[inline]`: codecs in
+// other crates call them once per field, and the workspace builds without
+// LTO, so without the hint each field would be a cross-crate call.
 impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -58,6 +61,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
         let end = self.pos.checked_add(n).ok_or(ReadError::Truncated)?;
         let s = self.buf.get(self.pos..end).ok_or(ReadError::Truncated)?;
@@ -65,32 +69,38 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
         self.take(N)?.try_into().map_err(|_| ReadError::Truncated)
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, ReadError> {
         let [b] = self.array()?;
         Ok(b)
     }
 
     /// A little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, ReadError> {
         self.array().map(u16::from_le_bytes)
     }
 
     /// A little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, ReadError> {
         self.array().map(u32::from_le_bytes)
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, ReadError> {
         self.array().map(u64::from_le_bytes)
     }
 
     /// An `f64` stored as its little-endian bits (bit-exact).
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, ReadError> {
         self.u64().map(f64::from_bits)
     }
@@ -144,21 +154,25 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends a little-endian `u16`.
+#[inline]
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u32`.
+#[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
+#[inline]
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends an `f64` as its little-endian bits (bit-exact).
+#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
