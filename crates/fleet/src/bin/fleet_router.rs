@@ -13,8 +13,10 @@
 //! session ids handed out are fleet-global, and the router places them
 //! across shards by consistent hash, journaling every admitted update.
 //!
-//! Connections are served **concurrently**, one thread per connection.
-//! Every request serializes through the single ranked `router` mutex
+//! Connections are served **concurrently**, one thread per connection,
+//! each running `supernova_serve::service::serve_connection` (the same
+//! loop as `serve_tcp`, so the hello check and malformed-frame replies
+//! cannot drift). Every request serializes through the single ranked `router` mutex
 //! (rank 0 in the workspace lock order, below the serve dispatcher and
 //! executor locks it may dispatch into), so concurrent clients cannot
 //! reorder router state transitions — the journal and the durable state
