@@ -43,16 +43,7 @@ use supernova_linalg::NumericMode;
 use supernova_solvers::{Isam2, Isam2Config, OnlineSolver};
 use supernova_sparse::interference::plan_fingerprint;
 use supernova_sparse::ParallelExecutor;
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use supernova_trace::wire::{fnv1a, FNV_OFFSET};
 
 /// One replay: per-step factor hashes and plan fingerprints, final factor
 /// bytes, final estimate. `Variable` derives `PartialEq` over exact `f64`
@@ -86,7 +77,7 @@ fn replay(
     for step in &dataset.online_steps() {
         solver.step(step.truth.clone(), step.factors.clone());
         let bytes = solver.core().numeric_bytes().unwrap_or_default();
-        step_hashes.push(fnv1a(&bytes));
+        step_hashes.push(fnv1a(FNV_OFFSET, &bytes));
         plan_prints.push(solver.core().plan().map_or(0, plan_fingerprint));
     }
     let final_bytes = solver.core().numeric_bytes().unwrap_or_default();

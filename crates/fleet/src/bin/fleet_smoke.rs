@@ -10,10 +10,13 @@
 //! asserts the properties the fleet layer exists for:
 //!
 //! - **byte identity**: after migration and failover, every session's
-//!   drained estimate equals a solo replay of the same seed exactly;
+//!   drained estimate equals a solo replay of the same seed exactly
+//!   (`supernova_serve::service::solo_estimate`);
 //! - **zero loss**: every journaled admitted update was dispatched by
 //!   some shard (journal-vs-dispatch-ledger coverage, survivor replay
-//!   included), and no shard dispatched unjournaled work;
+//!   included), no shard dispatched unjournaled work, and every dispatch
+//!   maps to a placed session (`ShardRouter::ledger` +
+//!   `Ledger::coverage`);
 //! - **trace shape**: the router's `fleet.migrate` / `fleet.failover`
 //!   span trees pass `validate_trace`;
 //! - **clean journals**: every journal reads back typed and untruncated,
@@ -25,24 +28,14 @@
 //!
 //! Exits nonzero on any violation. Wall time is a few seconds.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use supernova_analyze::{
-    validate_checkpoint_bounds, validate_fleet_coverage_with_floors, validate_trace,
-    FleetJournalEntry, FleetSessionFloor,
-};
-use supernova_datasets::Dataset;
-use supernova_fleet::{
-    journal_floor_pairs, read_journal, RouterConfig, Shard, ShardId, ShardRouter,
-};
+use supernova_analyze::{validate_checkpoint_bounds, validate_trace};
+use supernova_fleet::{RouterConfig, Shard, ShardId, ShardRouter, UNPLACED_DISPATCH};
 use supernova_linalg::NumericMode;
-use supernova_runtime::CostModel;
 use supernova_serve::protocol::DatasetKind;
+use supernova_serve::service::solo_estimate;
 use supernova_serve::ServeConfig;
-use supernova_solvers::SolverEngine;
-use supernova_sparse::ParallelExecutor;
 
 const SHARDS: u32 = 3;
 const SESSIONS: usize = 12;
@@ -69,32 +62,6 @@ fn descriptor(i: usize) -> (DatasetKind, u32, u64) {
     } else {
         (DatasetKind::Sphere, 18, 400 + i as u64)
     }
-}
-
-fn dataset(kind: DatasetKind, steps: u32, seed: u64) -> Dataset {
-    match kind {
-        DatasetKind::Manhattan => Dataset::manhattan_seeded(steps as usize, seed),
-        DatasetKind::Sphere => Dataset::sphere_seeded(steps as usize, seed),
-    }
-}
-
-fn solo_estimate(kind: DatasetKind, steps: u32, seed: u64) -> Vec<supernova_factors::Variable> {
-    let cfg = shard_cfg();
-    let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-    let mut e = SolverEngine::new(cfg.ra.clone(), cost);
-    e.set_executor(ParallelExecutor::new(cfg.executor_threads));
-    e.set_numeric_mode(cfg.numeric);
-    // The router admits at most `steps` updates per session (its cursor is
-    // clamped to the descriptor), while some generators emit a few extra
-    // online steps (e.g. sphere closures) — replay exactly the served prefix.
-    let ds = dataset(kind, steps, seed);
-    for step in ds.online_steps().iter().take(steps as usize) {
-        e.step(step.truth.clone(), step.factors.clone());
-    }
-    let values = e.estimate();
-    (0..values.len())
-        .map(|i| values.get(supernova_factors::Key(i)).clone())
-        .collect()
 }
 
 fn main() -> ExitCode {
@@ -210,7 +177,7 @@ fn main() -> ExitCode {
     for (i, g) in globals.iter().enumerate() {
         let (kind, steps, seed) = descriptor(i);
         let served = router.estimate(*g).expect("estimate");
-        let solo = solo_estimate(kind, steps, seed);
+        let solo = solo_estimate(&shard_cfg(), kind, steps, seed);
         if served != solo {
             eprintln!("fleet_smoke: session {g} diverged from solo replay");
             all_identical = false;
@@ -237,27 +204,11 @@ fn main() -> ExitCode {
     for g in &globals {
         router.close(*g).expect("close");
     }
-    let mut journaled: Vec<FleetJournalEntry> = Vec::new();
-    let mut floors: Vec<FleetSessionFloor> = Vec::new();
-    let mut truncated = 0usize;
-    for (_, path) in router.journal_paths() {
-        let contents = read_journal(&path).expect("journal reads back");
-        truncated += contents.truncated_tail;
-        journaled.extend(contents.entries.iter().filter_map(|e| match e {
-            supernova_fleet::JournalEntry::Update { session, seq, .. } => Some(FleetJournalEntry {
-                session: *session,
-                seq: *seq,
-            }),
-            _ => None,
-        }));
-        floors.extend(
-            journal_floor_pairs(&path)
-                .expect("journal floors read back")
-                .into_iter()
-                .map(|(session, floor)| FleetSessionFloor { session, floor }),
-        );
-    }
-    check("journals read back untruncated", truncated == 0);
+    let ledger = router.ledger().expect("journals read back");
+    check(
+        "journals read back untruncated",
+        ledger.truncated_bytes == 0,
+    );
     let stats = router.stats();
     check("periodic checkpoints ran", stats.checkpoints > 0);
     check(
@@ -265,45 +216,19 @@ fn main() -> ExitCode {
         stats.compactions > 0 && stats.compacted_records > 0,
     );
 
-    // Map every shard's dispatch ledger (shard-local session ids) back to
-    // fleet-global ids via the router's placement history. Restored
-    // sessions keep their global seq numbering (next_seq = applied), so
-    // the pairs line up directly.
-    let placement_map: BTreeMap<(ShardId, u64), u64> = router
-        .placements()
-        .iter()
-        .map(|p| ((p.shard, p.local), p.global))
-        .collect();
+    // Coverage runs after shutdown, over every shard's dispatch spans.
     router.shutdown();
     drop(router);
-    let mut dispatched: Vec<FleetJournalEntry> = Vec::new();
-    let mut unknown_locals = 0usize;
-    for shard in &shards {
-        for span in shard.server().spans() {
-            let rec = span.record();
-            let Some(global) = placement_map.get(&(shard.id(), rec.session)) else {
-                eprintln!(
-                    "fleet_smoke: {} dispatched unknown local session {}",
-                    shard.id(),
-                    rec.session
-                );
-                unknown_locals += 1;
-                continue;
-            };
-            dispatched.push(FleetJournalEntry {
-                session: *global,
-                seq: rec.seq,
-            });
-        }
-    }
-    check(
-        "every dispatch maps to a fleet session",
-        unknown_locals == 0,
-    );
-    let coverage = validate_fleet_coverage_with_floors(&journaled, &floors, &dispatched);
+    let coverage = ledger.coverage(&shards);
     for v in &coverage {
         eprintln!("fleet_smoke: coverage: {v}");
     }
+    check(
+        "every dispatch maps to a fleet session",
+        !coverage
+            .iter()
+            .any(|v| v.detail.starts_with(UNPLACED_DISPATCH)),
+    );
     check("zero lost admitted updates (coverage)", coverage.is_empty());
 
     drop(shards);

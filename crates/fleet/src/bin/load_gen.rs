@@ -50,29 +50,19 @@
 //! Every mode exits nonzero if an identity, coverage, bound or span
 //! check fails.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
-use supernova_analyze::{
-    validate_checkpoint_bounds, validate_dispatch, validate_fleet_coverage_with_floors,
-    validate_trace, FleetJournalEntry, FleetSessionFloor,
-};
+use supernova_analyze::{validate_checkpoint_bounds, validate_dispatch, validate_trace};
 use supernova_datasets::Dataset;
-use supernova_factors::{Key, Values, Variable};
 use supernova_fleet::{
-    journal_floor_pairs, read_journal, CrashPoint, FleetError, HashRing, JournalEntry,
-    RouterConfig, Shard, ShardId, ShardRouter,
+    CrashPoint, FleetError, HashRing, RouterConfig, Shard, ShardId, ShardRouter,
 };
-use supernova_hw::Platform;
 use supernova_linalg::NumericMode;
-use supernova_runtime::CostModel;
 use supernova_serve::protocol::DatasetKind;
+use supernova_serve::service::{solo_estimate, solo_replay};
 use supernova_serve::{AdmissionError, ServeConfig, Server, ServerStats, UpdateRequest};
-use supernova_solvers::{RaIsam2Config, SolverEngine};
-use supernova_sparse::ParallelExecutor;
 
 /// The i-th session's dataset (alternating families, distinct seeds).
 fn session_dataset(i: usize) -> Dataset {
@@ -81,16 +71,6 @@ fn session_dataset(i: usize) -> Dataset {
     } else {
         Dataset::sphere_seeded(30, 201 + i as u64)
     }
-}
-
-fn solo_estimate(ds: &Dataset) -> Values {
-    let cost = Arc::new(CostModel::new(Platform::supernova(2)));
-    let mut e = SolverEngine::new(RaIsam2Config::default(), cost);
-    e.set_executor(ParallelExecutor::new(1));
-    for step in &ds.online_steps() {
-        e.step(step.truth.clone(), step.factors.clone());
-    }
-    e.estimate()
 }
 
 struct ScenarioResult {
@@ -168,7 +148,7 @@ fn run_scenario(
         let mut all = true;
         for (i, ds) in datasets.iter().enumerate() {
             let served = server.estimate(ids[i]).expect("session is live");
-            if served != solo_estimate(ds) {
+            if served != solo_replay(server.config(), &step_lists[i]).estimate() {
                 eprintln!("{name}: session {i} ({}) diverged from solo", ds.name());
                 all = false;
             }
@@ -320,35 +300,6 @@ fn fleet_descriptor(i: usize) -> (DatasetKind, u32, u64) {
     }
 }
 
-fn fleet_dataset(kind: DatasetKind, steps: u32, seed: u64) -> Dataset {
-    match kind {
-        DatasetKind::Manhattan => Dataset::manhattan_seeded(steps as usize, seed),
-        DatasetKind::Sphere => Dataset::sphere_seeded(steps as usize, seed),
-    }
-}
-
-fn fleet_solo_estimate(
-    cfg: &ServeConfig,
-    kind: DatasetKind,
-    steps: u32,
-    seed: u64,
-) -> Vec<Variable> {
-    let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-    let mut e = SolverEngine::new(cfg.ra.clone(), cost);
-    e.set_executor(ParallelExecutor::new(cfg.executor_threads));
-    e.set_numeric_mode(cfg.numeric);
-    // The router admits at most `steps` updates per session; some generators
-    // emit extra online steps (sphere closures) — replay the served prefix.
-    let ds = fleet_dataset(kind, steps, seed);
-    for step in ds.online_steps().iter().take(steps as usize) {
-        e.step(step.truth.clone(), step.factors.clone());
-    }
-    let values = e.estimate();
-    (0..values.len())
-        .map(|i| values.get(Key(i)).clone())
-        .collect()
-}
-
 struct FleetResult {
     sessions_total: usize,
     shards: u32,
@@ -476,7 +427,7 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
                 let (kind, steps, seed) = fleet_descriptor(i);
                 let served = router.estimate(*g).expect("estimate");
                 bit_identity_checked += 1;
-                if served != fleet_solo_estimate(&shard_cfg, kind, steps, seed) {
+                if served != solo_estimate(&shard_cfg, kind, steps, seed) {
                     eprintln!("load_gen: fleet session {g} diverged from solo replay");
                     bit_identical = false;
                 }
@@ -490,51 +441,15 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
     let traces = router.take_traces();
     let trace_violations: usize = traces.iter().map(|t| validate_trace(t).len()).sum();
 
-    // Journal-vs-dispatch coverage (see fleet_smoke for the mapping).
-    // Compaction drops records below durable floors, so the witness is
-    // floors-aware: checkpoint records and close tombstones from the
-    // same journals account for the compacted prefixes.
-    let mut journaled: Vec<FleetJournalEntry> = Vec::new();
-    let mut floors: Vec<FleetSessionFloor> = Vec::new();
-    let mut journal_truncated_bytes = 0usize;
-    for (_, path) in router.journal_paths() {
-        let contents = read_journal(&path).expect("journal reads back");
-        journal_truncated_bytes += contents.truncated_tail;
-        journaled.extend(contents.entries.iter().filter_map(|e| match e {
-            JournalEntry::Update { session, seq, .. } => Some(FleetJournalEntry {
-                session: *session,
-                seq: *seq,
-            }),
-            _ => None,
-        }));
-        floors.extend(
-            journal_floor_pairs(&path)
-                .expect("journal reads back")
-                .into_iter()
-                .map(|(session, floor)| FleetSessionFloor { session, floor }),
-        );
-    }
-    let placement_map: BTreeMap<(ShardId, u64), u64> = router
-        .placements()
-        .iter()
-        .map(|p| ((p.shard, p.local), p.global))
-        .collect();
+    // Journal-vs-dispatch coverage. Compaction drops records below
+    // durable floors, so the witness is floors-aware: checkpoint records
+    // and close tombstones from the same journals account for the
+    // compacted prefixes.
+    let ledger = router.ledger().expect("journals read back");
     let stats = router.stats();
     router.shutdown();
     drop(router);
-    let mut dispatched: Vec<FleetJournalEntry> = Vec::new();
-    for shard in &shards {
-        for span in shard.server().spans() {
-            let rec = span.record();
-            if let Some(global) = placement_map.get(&(shard.id(), rec.session)) {
-                dispatched.push(FleetJournalEntry {
-                    session: *global,
-                    seq: rec.seq,
-                });
-            }
-        }
-    }
-    let coverage = validate_fleet_coverage_with_floors(&journaled, &floors, &dispatched);
+    let coverage = ledger.coverage(&shards);
     let lost_updates = coverage
         .iter()
         .filter(|v| v.detail.contains("lost"))
@@ -561,7 +476,7 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
         compactions: stats.compactions,
         compacted_records: stats.compacted_records,
         journal_records: stats.journal_records,
-        journal_truncated_bytes,
+        journal_truncated_bytes: ledger.truncated_bytes,
         lost_updates,
         coverage_violations: coverage.len(),
         trace_violations,
@@ -710,7 +625,7 @@ fn chaos_finish(
         let served = router
             .estimate(*g)
             .map_err(|e| format!("{drill}: estimate session {g}: {e}"))?;
-        if served != fleet_solo_estimate(&shard_cfg, kind, steps, seed) {
+        if served != solo_estimate(&shard_cfg, kind, steps, seed) {
             return Err(format!(
                 "{drill}: session {g} estimate diverged from solo replay"
             ));
@@ -722,52 +637,18 @@ fn chaos_finish(
             .map_err(|e| format!("{drill}: close session {g}: {e}"))?;
     }
 
-    let mut journaled: Vec<FleetJournalEntry> = Vec::new();
-    let mut floors: Vec<FleetSessionFloor> = Vec::new();
-    let mut truncated = 0usize;
-    for (_, path) in router.journal_paths() {
-        let contents =
-            read_journal(&path).map_err(|e| format!("{drill}: journal read-back: {e}"))?;
-        truncated += contents.truncated_tail;
-        journaled.extend(contents.entries.iter().filter_map(|e| match e {
-            JournalEntry::Update { session, seq, .. } => Some(FleetJournalEntry {
-                session: *session,
-                seq: *seq,
-            }),
-            _ => None,
-        }));
-        floors.extend(
-            journal_floor_pairs(&path)
-                .map_err(|e| format!("{drill}: journal floors: {e}"))?
-                .into_iter()
-                .map(|(session, floor)| FleetSessionFloor { session, floor }),
-        );
-    }
-    if truncated != 0 {
+    let ledger = router
+        .ledger()
+        .map_err(|e| format!("{drill}: journal read-back: {e}"))?;
+    if ledger.truncated_bytes != 0 {
         return Err(format!(
-            "{drill}: {truncated} torn journal byte(s) after clean drill"
+            "{drill}: {} torn journal byte(s) after clean drill",
+            ledger.truncated_bytes
         ));
     }
-    let placement_map: BTreeMap<(ShardId, u64), u64> = router
-        .placements()
-        .iter()
-        .map(|p| ((p.shard, p.local), p.global))
-        .collect();
     router.shutdown();
     drop(router);
-    let mut dispatched: Vec<FleetJournalEntry> = Vec::new();
-    for shard in &shards {
-        for span in shard.server().spans() {
-            let rec = span.record();
-            if let Some(global) = placement_map.get(&(shard.id(), rec.session)) {
-                dispatched.push(FleetJournalEntry {
-                    session: *global,
-                    seq: rec.seq,
-                });
-            }
-        }
-    }
-    let coverage = validate_fleet_coverage_with_floors(&journaled, &floors, &dispatched);
+    let coverage = ledger.coverage(&shards);
     drop(shards);
     let _ = std::fs::remove_dir_all(journal_dir);
     if let Some(v) = coverage.first() {

@@ -31,7 +31,10 @@
 //!   to an uninterrupted run — zero admitted updates lost. A crashed
 //!   router comes back via [`restore`], which replays its own state file
 //!   and re-verifies every shard's journal cursor before accepting
-//!   traffic.
+//!   traffic. The zero-loss witness lives here too, once: [`ledger`]
+//!   reads every journal a single time into a [`Ledger`], and
+//!   [`Ledger::coverage`] checks it against the shards' dispatch spans
+//!   (an unplaced dispatch is a violation).
 //!
 //! Binaries: `fleet_router` (a concurrent TCP front door speaking the
 //! same wire protocol as `serve_tcp`, so clients need not know the fleet
@@ -41,11 +44,14 @@
 //! generator, including the `--fleet` scenario behind
 //! `results/BENCH_fleet.json` and the `--chaos` drills: router restart
 //! at both migration crash points, double-shard-kill, and
-//! add-shard-under-load, each gated on bit-identity and zero loss).
+//! add-shard-under-load, each gated on bit-identity and zero loss). The
+//! bins and tests judge bit-identity with `supernova_serve::service`'s
+//! solo-replay oracle and zero loss with the [`Ledger`].
 //!
 //! [`kill_shard`]: router::ShardRouter::kill_shard
 //! [`add_shard`]: router::ShardRouter::add_shard
 //! [`restore`]: router::ShardRouter::restore
+//! [`ledger`]: router::ShardRouter::ledger
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -61,8 +67,8 @@ pub use journal::{
 };
 pub use ring::{HashRing, ShardId, VNODES_PER_SHARD};
 pub use router::{
-    journal_floor_pairs, journal_update_pairs, CrashPoint, FailoverReport, FleetError, FleetStats,
-    Placement, RebalanceReport, RestartReport, RouterConfig, ShardRouter,
+    CrashPoint, FailoverReport, FleetError, FleetStats, Ledger, Placement, RebalanceReport,
+    RestartReport, RouterConfig, ShardRouter, UNPLACED_DISPATCH,
 };
 pub use shard::Shard;
 pub use state::{

@@ -1,6 +1,6 @@
 //! The shard router: consistent-hash placement, live migration, elastic
 //! resharding, and crash failover over a fleet of
-//! [`Shard`](crate::shard::Shard)-style backends.
+//! [`Shard`]-style backends.
 //!
 //! The router is the fleet's only stateful coordinator. It owns:
 //!
@@ -48,8 +48,12 @@
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use supernova_analyze::{
+    validate_fleet_coverage_with_floors, FleetJournalEntry, FleetSessionFloor, Invariant,
+    ScheduleViolation,
+};
 use supernova_linalg::NumericMode;
 use supernova_serve::checkpoint::{encode_snapshot, CheckpointError};
 use supernova_serve::protocol::{
@@ -60,6 +64,7 @@ use supernova_trace::{epoch_seconds, Category, Span, StepKey, Trace};
 
 use crate::journal::{read_journal, JournalEntry, JournalError, JournalWriter};
 use crate::ring::{HashRing, ShardId};
+use crate::shard::Shard;
 use crate::state::{
     load_state, save_state, CheckpointRecord, PendingMigration, PlacementRecord, RouteRecord,
     RouterState, StateError,
@@ -740,6 +745,41 @@ impl ShardRouter {
             .collect();
         out.extend(self.retired_journals.iter().cloned());
         out
+    }
+
+    /// Reads every journal in [`journal_paths`](Self::journal_paths) once
+    /// and returns the zero-loss witness's [`Ledger`].
+    ///
+    /// # Errors
+    ///
+    /// A journal that cannot be read back.
+    pub fn ledger(&self) -> Result<Ledger, FleetError> {
+        let mut ledger = Ledger {
+            placements: self
+                .placements
+                .iter()
+                .map(|p| ((p.shard, p.local), p.global))
+                .collect(),
+            ..Ledger::default()
+        };
+        for (_, path) in self.journal_paths() {
+            let contents = read_journal(&path)?;
+            ledger.truncated_bytes += contents.truncated_tail;
+            for entry in contents.entries {
+                match entry {
+                    JournalEntry::Update { session, seq, .. } => {
+                        ledger.journaled.push(FleetJournalEntry { session, seq });
+                    }
+                    JournalEntry::Checkpoint { session, floor }
+                    | JournalEntry::Tombstone {
+                        session,
+                        seq: floor,
+                    } => ledger.floors.push(FleetSessionFloor { session, floor }),
+                    JournalEntry::Create { .. } => {}
+                }
+            }
+        }
+        Ok(ledger)
     }
 
     fn conn(&mut self, shard: ShardId) -> Result<&mut ShardConn, FleetError> {
@@ -1453,36 +1493,62 @@ impl ShardRouter {
     }
 }
 
-/// Reads a journal back and returns its update records as
-/// `(session, seq)` pairs plus the raw contents — the shape
-/// `supernova_analyze::validate_fleet_coverage` consumes.
-pub fn journal_update_pairs(path: &Path) -> Result<Vec<(u64, u64)>, FleetError> {
-    let contents = read_journal(path)?;
-    Ok(contents
-        .entries
-        .iter()
-        .filter_map(|e| match e {
-            JournalEntry::Update { session, seq, .. } => Some((*session, *seq)),
-            _ => None,
-        })
-        .collect())
+/// The detail prefix of the violation [`Ledger::coverage`] reports for a
+/// dispatch whose `(shard, local session)` no placement names.
+pub const UNPLACED_DISPATCH: &str = "unplaced dispatch";
+
+/// The fleet's durable books as the zero-loss witness reads them: every
+/// live and retired journal read once ([`ShardRouter::ledger`]), plus the
+/// placement history that maps shard-local dispatches back to fleet-global
+/// sessions.
+#[derive(Clone, Debug, Default)]
+pub struct Ledger {
+    /// Every journaled admitted update.
+    journaled: Vec<FleetJournalEntry>,
+    /// Durable floors: checkpoint records, and close tombstones (a clean
+    /// close accounts for the session's whole admitted prefix).
+    floors: Vec<FleetSessionFloor>,
+    /// Torn-tail bytes summed over every journal (0 after a clean run).
+    pub truncated_bytes: usize,
+    /// `(shard, local session) → global session`, over every placement the
+    /// router ever made (initial routes, migrations, failovers).
+    placements: BTreeMap<(ShardId, u64), u64>,
 }
 
-/// Reads a journal back and returns its durable floor witnesses as
-/// `(session, floor)` pairs: checkpoint-floor records plus close
-/// tombstones (a clean close accounts for the session's whole admitted
-/// prefix). The floors-aware coverage validator
-/// (`supernova_analyze::validate_fleet_coverage_with_floors`) takes the
-/// per-session maximum of these.
-pub fn journal_floor_pairs(path: &Path) -> Result<Vec<(u64, u64)>, FleetError> {
-    let contents = read_journal(path)?;
-    Ok(contents
-        .entries
-        .iter()
-        .filter_map(|e| match e {
-            JournalEntry::Checkpoint { session, floor } => Some((*session, *floor)),
-            JournalEntry::Tombstone { session, seq } => Some((*session, *seq)),
-            _ => None,
-        })
-        .collect())
+impl Ledger {
+    /// Cross-checks the ledger against what `shards` dispatched, in
+    /// fleet-global numbering, with
+    /// [`validate_fleet_coverage_with_floors`]. A span's local session maps
+    /// to its global one through the placements; its seq needs no mapping,
+    /// because a restored session continues the checkpoint's seq
+    /// numbering. A dispatch no placement
+    /// names is a violation too (detail prefix [`UNPLACED_DISPATCH`]): the
+    /// router never admitted it. Call after [`ShardRouter::shutdown`], so
+    /// every admitted update has run. Empty = zero admitted updates lost.
+    pub fn coverage(&self, shards: &[Shard]) -> Vec<ScheduleViolation> {
+        let mut violations = Vec::new();
+        let mut dispatched = Vec::new();
+        for shard in shards {
+            for span in shard.server().spans() {
+                let (local, seq) = (span.session.0, span.seq);
+                match self.placements.get(&(shard.id(), local)) {
+                    Some(&session) => dispatched.push(FleetJournalEntry { session, seq }),
+                    None => violations.push(ScheduleViolation {
+                        invariant: Invariant::Coverage,
+                        detail: format!(
+                            "{UNPLACED_DISPATCH}: {} ran local session {local} seq {seq}, \
+                             which no placement names",
+                            shard.id()
+                        ),
+                    }),
+                }
+            }
+        }
+        violations.extend(validate_fleet_coverage_with_floors(
+            &self.journaled,
+            &self.floors,
+            &dispatched,
+        ));
+        violations
+    }
 }

@@ -2,19 +2,15 @@
 //! round-trips a router drop/restore with every cursor re-verified,
 //! `add_shard` rebalances exactly the ring-minimal session set, periodic
 //! checkpoints and journal compaction run under load — and none of it
-//! perturbs a single estimate bit relative to solo replays.
+//! perturbs a single estimate bit relative to solo replays or loses an
+//! admitted update (the `Ledger` witness), while a dispatch the router
+//! never placed is caught.
 
-use std::sync::Arc;
-
-use supernova_datasets::Dataset;
-use supernova_factors::{Key, Variable};
-use supernova_fleet::{HashRing, RouterConfig, Shard, ShardId, ShardRouter};
+use supernova_fleet::{HashRing, RouterConfig, Shard, ShardId, ShardRouter, UNPLACED_DISPATCH};
 use supernova_linalg::NumericMode;
-use supernova_runtime::CostModel;
 use supernova_serve::protocol::DatasetKind;
-use supernova_serve::ServeConfig;
-use supernova_solvers::SolverEngine;
-use supernova_sparse::ParallelExecutor;
+use supernova_serve::service::{generate, solo_estimate};
+use supernova_serve::{ServeConfig, UpdateRequest};
 
 const SHARDS: u32 = 3;
 const SESSIONS: usize = 6;
@@ -49,25 +45,6 @@ fn descriptor(i: usize) -> (DatasetKind, u32, u64) {
     } else {
         (DatasetKind::Sphere, STEPS, 3_000 + i as u64)
     }
-}
-
-fn solo_estimate(kind: DatasetKind, steps: u32, seed: u64) -> Vec<Variable> {
-    let cfg = shard_cfg();
-    let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-    let mut e = SolverEngine::new(cfg.ra.clone(), cost);
-    e.set_executor(ParallelExecutor::new(cfg.executor_threads));
-    e.set_numeric_mode(cfg.numeric);
-    let ds = match kind {
-        DatasetKind::Manhattan => Dataset::manhattan_seeded(steps as usize, seed),
-        DatasetKind::Sphere => Dataset::sphere_seeded(steps as usize, seed),
-    };
-    for step in ds.online_steps().iter().take(steps as usize) {
-        e.step(step.truth.clone(), step.factors.clone());
-    }
-    let values = e.estimate();
-    (0..values.len())
-        .map(|i| values.get(Key(i)).clone())
-        .collect()
 }
 
 #[test]
@@ -171,7 +148,7 @@ fn router_restart_and_rebalance_round_trip_bit_identically() {
         let (kind, steps, seed) = descriptor(i);
         assert_eq!(
             router.estimate(*g).expect("estimate"),
-            solo_estimate(kind, steps, seed),
+            solo_estimate(&shard_cfg(), kind, steps, seed),
             "session {g} diverged after restart + rebalance"
         );
     }
@@ -186,8 +163,33 @@ fn router_restart_and_rebalance_round_trip_bit_identically() {
     for g in &globals {
         router.close(*g).expect("close");
     }
+
+    // --- Zero loss across the restart and the rebalance. Then a dispatch
+    // the router never placed — a session created straight on a shard's
+    // server — is a violation naming that shard and local session.
+    let ledger = router.ledger().expect("journals read back");
+    assert_eq!(ledger.truncated_bytes, 0, "torn journal bytes");
     router.shutdown();
     drop(router);
+    assert_eq!(ledger.coverage(&shards), Vec::new(), "routed run is clean");
+    let rogue = shards[0].server();
+    let local = rogue.create_session().expect("free slot");
+    let step = generate(DatasetKind::Manhattan, 2, 1)
+        .online_steps()
+        .remove(0);
+    let update = UpdateRequest::new(0, step.truth, step.factors);
+    rogue.submit(local, update).expect("admitted");
+    rogue.drain(local).expect("live");
+    let coverage = ledger.coverage(&shards);
+    let named = format!(
+        "{UNPLACED_DISPATCH}: {} ran local session {} seq 0",
+        shards[0].id(),
+        local.0
+    );
+    assert!(
+        coverage.len() == 1 && coverage[0].detail.starts_with(&named),
+        "expected one violation starting {named:?}, got {coverage:?}"
+    );
     drop(shards);
     let _ = std::fs::remove_dir_all(&journal_dir);
 }

@@ -1,21 +1,15 @@
-//! The ISSUE's headline acceptance drill, once per numeric mode: bring up
+//! The fleet's headline failover drill, once per numeric mode: bring up
 //! three TCP shards, stream mixed Manhattan/Sphere sessions through the
 //! router, kill a shard that hosts sessions mid-stream, and require the
 //! survivors' final estimates to be byte-identical to solo replays — i.e.
 //! checkpoint-plus-journal failover loses nothing and perturbs nothing,
-//! in f64, f32, and mixed precision alike.
+//! in f64 and f32 alike.
 
-use std::sync::Arc;
-
-use supernova_datasets::Dataset;
-use supernova_factors::{Key, Variable};
 use supernova_fleet::{RouterConfig, Shard, ShardId, ShardRouter};
 use supernova_linalg::NumericMode;
-use supernova_runtime::CostModel;
 use supernova_serve::protocol::DatasetKind;
+use supernova_serve::service::solo_estimate;
 use supernova_serve::ServeConfig;
-use supernova_solvers::SolverEngine;
-use supernova_sparse::ParallelExecutor;
 
 const SHARDS: u32 = 3;
 const SESSIONS: usize = 6;
@@ -37,26 +31,6 @@ fn descriptor(i: usize) -> (DatasetKind, u32, u64) {
     } else {
         (DatasetKind::Sphere, 10, 800 + i as u64)
     }
-}
-
-fn solo_estimate(mode: NumericMode, kind: DatasetKind, steps: u32, seed: u64) -> Vec<Variable> {
-    let cfg = shard_cfg(mode);
-    let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-    let mut e = SolverEngine::new(cfg.ra.clone(), cost);
-    e.set_executor(ParallelExecutor::new(cfg.executor_threads));
-    e.set_numeric_mode(mode);
-    let ds = match kind {
-        DatasetKind::Manhattan => Dataset::manhattan_seeded(steps as usize, seed),
-        DatasetKind::Sphere => Dataset::sphere_seeded(steps as usize, seed),
-    };
-    // The router admits at most `steps` updates; replay the served prefix.
-    for step in ds.online_steps().iter().take(steps as usize) {
-        e.step(step.truth.clone(), step.factors.clone());
-    }
-    let values = e.estimate();
-    (0..values.len())
-        .map(|i| values.get(Key(i)).clone())
-        .collect()
 }
 
 #[test]
@@ -115,7 +89,7 @@ fn shard_kill_failover_is_bit_identical_in_every_numeric_mode() {
         for (i, g) in globals.iter().enumerate() {
             let (kind, steps, seed) = descriptor(i);
             let served = router.estimate(*g).expect("estimate");
-            let solo = solo_estimate(mode, kind, steps, seed);
+            let solo = solo_estimate(&shard_cfg(mode), kind, steps, seed);
             assert_eq!(served, solo, "{mode:?}: session {g} diverged from solo");
         }
 

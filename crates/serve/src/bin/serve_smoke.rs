@@ -11,8 +11,9 @@
 //!    sphere seeds) share two workers with queues large enough that
 //!    nothing sheds and degradation never engages. Each session's drained
 //!    estimate must equal — by exact `f64` bits — a solo replay of the
-//!    same seed on a fresh engine, no matter how the sessions interleaved
-//!    across the workers. Zero sheds is asserted.
+//!    same seed on a fresh engine (`service::solo_replay`, the one
+//!    oracle every serve and fleet gate shares), no matter how the
+//!    sessions interleaved across the workers. Zero sheds is asserted.
 //! 2. **Graceful degradation under overload.** One worker, a capacity-8
 //!    queue and a burst of 50 updates: admitted work must all complete
 //!    (shed + completed = submitted), the queue high-water mark must
@@ -35,16 +36,11 @@
 //! order; the run ends with one summary line naming any failed checks.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use supernova_analyze::{validate_dispatch, validate_trace, validate_trace_dispatch};
 use supernova_datasets::Dataset;
-use supernova_factors::Values;
-use supernova_hw::Platform;
-use supernova_runtime::CostModel;
+use supernova_serve::service::solo_replay;
 use supernova_serve::{AdmissionError, ServeConfig, Server, UpdateRequest};
-use supernova_solvers::{RaIsam2Config, SolverEngine};
-use supernova_sparse::ParallelExecutor;
 use supernova_trace::TraceConfig;
 
 /// Ordered pass/fail ledger: every sub-check lands here under a stable
@@ -92,17 +88,6 @@ impl Report {
             ExitCode::FAILURE
         }
     }
-}
-
-/// A solo replay of `ds` on a fresh engine — the bit-identity reference.
-fn solo_estimate(ds: &Dataset) -> Values {
-    let cost = Arc::new(CostModel::new(Platform::supernova(2)));
-    let mut e = SolverEngine::new(RaIsam2Config::default(), cost);
-    e.set_executor(ParallelExecutor::new(1));
-    for step in &ds.online_steps() {
-        e.step(step.truth.clone(), step.factors.clone());
-    }
-    e.estimate()
 }
 
 fn check_spans(report: &mut Report, server: &Server, phase: &str) {
@@ -173,7 +158,7 @@ fn phase_bit_identity(report: &mut Report) {
 
     for (i, ds) in datasets.iter().enumerate() {
         let served = server.estimate(ids[i]).expect("session is live");
-        let solo = solo_estimate(ds);
+        let solo = solo_replay(server.config(), &step_lists[i]).estimate();
         report.check(
             &format!("bit-identity/served-eq-solo[{}#{i}]", ds.name()),
             served == solo,

@@ -391,17 +391,7 @@ impl Server {
     ///
     /// [`AdmissionError::UnknownSession`] if the session is not live.
     pub fn estimate(&self, session: SessionId) -> Result<Values, AdmissionError> {
-        self.drain(session)?;
-        let st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
-        let s = st
-            .registry
-            .get(session)
-            .ok_or(AdmissionError::UnknownSession(session))?;
-        // lint: allow(unwrap) — a drained session is not busy, so it holds its engine
-        Ok(s.engine
-            .as_ref()
-            .expect("drained session holds its engine") // lint: allow(unwrap)
-            .estimate())
+        self.with_drained_engine(session, SolverEngine::estimate)
     }
 
     /// Drains `session`, then returns its estimate of one pose.
@@ -410,17 +400,7 @@ impl Server {
     ///
     /// [`AdmissionError::UnknownSession`] if the session is not live.
     pub fn pose_estimate(&self, session: SessionId, key: Key) -> Result<Variable, AdmissionError> {
-        self.drain(session)?;
-        let st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
-        let s = st
-            .registry
-            .get(session)
-            .ok_or(AdmissionError::UnknownSession(session))?;
-        // lint: allow(unwrap) — a drained session is not busy, so it holds its engine
-        Ok(s.engine
-            .as_ref()
-            .expect("drained session holds its engine") // lint: allow(unwrap)
-            .pose_estimate(key))
+        self.with_drained_engine(session, |e| e.pose_estimate(key))
     }
 
     /// Closes `session`: refuses further updates, drains what was admitted,
@@ -477,17 +457,25 @@ impl Server {
     ///
     /// [`AdmissionError::UnknownSession`] if the session is not live.
     pub fn snapshot_session(&self, session: SessionId) -> Result<EngineSnapshot, AdmissionError> {
+        self.with_drained_engine(session, SolverEngine::snapshot)
+    }
+
+    /// Drains `session`, then runs `read` on its engine under the
+    /// registry lock.
+    fn with_drained_engine<T>(
+        &self,
+        session: SessionId,
+        read: impl FnOnce(&SolverEngine) -> T,
+    ) -> Result<T, AdmissionError> {
         self.drain(session)?;
         let st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
         let s = st
             .registry
             .get(session)
             .ok_or(AdmissionError::UnknownSession(session))?;
-        // lint: allow(unwrap) — a drained session is not busy, so it holds its engine
-        Ok(s.engine
-            .as_ref()
-            .expect("drained session holds its engine") // lint: allow(unwrap)
-            .snapshot())
+        // A drained session is not busy, so it holds its engine.
+        let engine = s.engine.as_ref().expect("drained session holds its engine"); // lint: allow(unwrap)
+        Ok(read(engine))
     }
 
     /// Opens a new session from a checkpoint (the migration/failover
@@ -732,17 +720,8 @@ fn worker_loop(worker: usize, inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::solo_replay;
     use supernova_datasets::Dataset;
-
-    fn solo_estimate(ds: &Dataset) -> Values {
-        let cost = Arc::new(CostModel::new(Platform::supernova(2)));
-        let mut e = SolverEngine::new(RaIsam2Config::default(), cost);
-        e.set_executor(ParallelExecutor::new(1));
-        for step in &ds.online_steps() {
-            e.step(step.truth.clone(), step.factors.clone());
-        }
-        e.estimate()
-    }
 
     fn submit_all(server: &Server, sid: SessionId, ds: &Dataset) {
         for (i, step) in ds.online_steps().into_iter().enumerate() {
@@ -768,8 +747,10 @@ mod tests {
         let sb = server.create_session().expect("slot b");
         submit_all(&server, sa, &a);
         submit_all(&server, sb, &b);
-        assert_eq!(server.estimate(sa).expect("live"), solo_estimate(&a));
-        assert_eq!(server.estimate(sb).expect("live"), solo_estimate(&b));
+        for (sid, ds) in [(sa, &a), (sb, &b)] {
+            let solo = solo_replay(server.config(), &ds.online_steps());
+            assert_eq!(server.estimate(sid).expect("live"), solo.estimate());
+        }
         let ra = server.close(sa).expect("close a");
         assert_eq!(ra.completed, 40);
         assert_eq!(ra.shed, 0);
@@ -780,12 +761,6 @@ mod tests {
         // The configured numeric mode must reach every pooled engine's
         // kernels: a served f32 session reproduces a solo f32 run exactly.
         let ds = Dataset::manhattan_seeded(30, 5);
-        let cost = Arc::new(CostModel::new(Platform::supernova(2)));
-        let mut solo = SolverEngine::new(RaIsam2Config::default(), cost);
-        solo.set_executor(ParallelExecutor::new(1).with_numeric(NumericMode::F32));
-        for step in &ds.online_steps() {
-            solo.step(step.truth.clone(), step.factors.clone());
-        }
         let server = Server::start(ServeConfig {
             workers: 2,
             max_sessions: 2,
@@ -794,6 +769,8 @@ mod tests {
         });
         let sid = server.create_session().expect("slot");
         submit_all(&server, sid, &ds);
+        let solo = solo_replay(server.config(), &ds.online_steps());
+        assert_eq!(solo.numeric_mode(), NumericMode::F32);
         assert_eq!(server.estimate(sid).expect("live"), solo.estimate());
         let report = server.close(sid).expect("close");
         assert_eq!(report.completed, 30);

@@ -29,8 +29,11 @@
 //! and the degradation histogram. The `serve_tcp` binary exposes the layer
 //! over a length-prefixed TCP protocol ([`protocol`]); `serve_smoke` is the
 //! CI gate (solo-vs-served bit-identity, zero sheds at low rate, dispatcher
-//! span invariants). The workspace load generator (`load_gen`, including
-//! the single-server nominal/overload scenarios behind
+//! span invariants). Every served-vs-solo check in this crate and in
+//! `supernova-fleet` compares against one oracle,
+//! [`service::solo_replay`] / [`service::solo_estimate`], which builds its
+//! engine apart from the server's pool. The workspace load generator
+//! (`load_gen`, including the single-server nominal/overload scenarios behind
 //! `results/BENCH_serve_throughput.json`) lives in `supernova-fleet`,
 //! which layers shard routing and crash failover on top of this crate.
 //!

@@ -1,6 +1,8 @@
 //! The replay-serving session service: the request handler shared by the
-//! `serve_tcp` binary and the fleet shard harness, and the one connection
-//! loop every TCP front door runs (those two and `fleet_router`).
+//! `serve_tcp` binary and the fleet shard harness, the one connection
+//! loop every TCP front door runs (those two and `fleet_router`), and the
+//! solo-replay oracle ([`solo_replay`], [`solo_estimate`]) every serve and
+//! fleet gate judges a served session against.
 //!
 //! Every connection must open with a [`Request::Hello`] naming the
 //! protocol version; any other first frame — or an unsupported version —
@@ -11,15 +13,19 @@
 use std::collections::BTreeMap;
 use std::io::BufWriter;
 use std::net::TcpStream;
+use std::sync::Arc;
 
 use supernova_datasets::{Dataset, OnlineStep};
-use supernova_factors::Key;
+use supernova_factors::{Key, Values, Variable};
+use supernova_runtime::CostModel;
+use supernova_solvers::SolverEngine;
+use supernova_sparse::ParallelExecutor;
 
 use crate::checkpoint::{decode_snapshot, encode_snapshot};
 use crate::protocol::{
     recv_request, send_response, DatasetKind, Request, Response, WireError, PROTOCOL_VERSION,
 };
-use crate::{AdmissionError, Server, SessionId, UpdateRequest};
+use crate::{AdmissionError, ServeConfig, Server, SessionId, UpdateRequest};
 
 /// Server-side replay state of one session: its generator descriptor, the
 /// regenerated step stream, and how far the client has pushed it.
@@ -42,6 +48,41 @@ pub fn generate(kind: DatasetKind, steps: u32, seed: u64) -> Dataset {
         DatasetKind::Manhattan => Dataset::manhattan_seeded(steps as usize, seed),
         DatasetKind::Sphere => Dataset::sphere_seeded(steps as usize, seed),
     }
+}
+
+/// Replays `steps` in order on a fresh engine built from `cfg`'s `ra`,
+/// `platform`, `executor_threads` and `numeric` — the reference a served
+/// session must match bit for bit. It builds its engine here rather than
+/// through `Server::start`'s pool code on purpose: a pool that configured
+/// its engines wrongly must still disagree with this oracle.
+pub fn solo_replay(cfg: &ServeConfig, steps: &[OnlineStep]) -> SolverEngine {
+    let cost = Arc::new(CostModel::new(cfg.platform.clone()));
+    let mut engine = SolverEngine::new(cfg.ra, cost);
+    engine.set_executor(ParallelExecutor::new(cfg.executor_threads));
+    engine.set_numeric_mode(cfg.numeric);
+    for step in steps {
+        engine.step(step.truth.clone(), step.factors.clone());
+    }
+    engine
+}
+
+/// The pose list a session replaying `(kind, steps, seed)` under `cfg`
+/// must answer [`Request::QueryEstimate`] with once every step it was
+/// given has run: [`solo_replay`] over the served prefix. A replay admits
+/// at most `steps` updates, while some generators emit a few more online
+/// steps (sphere closures), so the stream is cut at `steps`.
+pub fn solo_estimate(cfg: &ServeConfig, kind: DatasetKind, steps: u32, seed: u64) -> Vec<Variable> {
+    let mut served = generate(kind, steps, seed).online_steps();
+    served.truncate(steps as usize);
+    poses(&solo_replay(cfg, &served).estimate())
+}
+
+/// Every pose of `values` in key order, as [`Response::Estimate`] carries
+/// them.
+fn poses(values: &Values) -> Vec<Variable> {
+    (0..values.len())
+        .map(|i| values.get(Key(i)).clone())
+        .collect()
 }
 
 /// Applies one request. Returns the response and whether the server
@@ -117,12 +158,7 @@ pub fn handle(
             (Response::Submitted { accepted, shed }, false)
         }
         Request::QueryEstimate { session } => match server.estimate(SessionId(session)) {
-            Ok(values) => {
-                let vars = (0..values.len())
-                    .map(|i| values.get(Key(i)).clone())
-                    .collect();
-                (Response::Estimate(vars), false)
-            }
+            Ok(values) => (Response::Estimate(poses(&values)), false),
             Err(e) => (Response::Error(e.to_string()), false),
         },
         Request::Close { session } => match server.close(SessionId(session)) {

@@ -36,6 +36,8 @@
 
 use std::fmt;
 
+use supernova_trace::wire::{fnv1a, FNV_OFFSET};
+
 use crate::plan::{ExecutionPlan, PlanTask};
 
 /// A scalar rectangle within one resource (update matrix or factor
@@ -232,51 +234,34 @@ impl PlanCertificate {
 /// change to dependencies, level assignment, front layout or a scatter
 /// target changes the fingerprint.
 pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
-    let mut h = Fnv::new();
-    h.push(plan.num_tasks());
-    h.push(plan.levels().len());
+    let mut h = FNV_OFFSET;
+    // Each value is hashed as its 8 little-endian bytes.
+    let mut push = |v: usize| h = fnv1a(h, &(v as u64).to_le_bytes());
+    push(plan.num_tasks());
+    push(plan.levels().len());
     for t in plan.tasks() {
-        h.push(t.node);
-        h.push(t.parent.map_or(usize::MAX, |p| p));
-        h.push(t.level);
-        h.push(t.first_col);
-        h.push(t.ncols);
-        h.push(t.pivot_dim);
-        h.push(t.rem_dim);
-        h.push(t.merges.len());
+        push(t.node);
+        push(t.parent.map_or(usize::MAX, |p| p));
+        push(t.level);
+        push(t.first_col);
+        push(t.ncols);
+        push(t.pivot_dim);
+        push(t.rem_dim);
+        push(t.merges.len());
         for mg in &t.merges {
-            h.push(mg.child);
-            h.push(mg.blocks.len());
+            push(mg.child);
+            push(mg.blocks.len());
             for b in &mg.blocks {
-                h.push(b.src_row);
-                h.push(b.src_col);
-                h.push(b.dst_row);
-                h.push(b.dst_col);
-                h.push(b.rows);
-                h.push(b.cols);
+                push(b.src_row);
+                push(b.src_col);
+                push(b.dst_row);
+                push(b.dst_col);
+                push(b.rows);
+                push(b.cols);
             }
         }
     }
-    h.finish()
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, v: usize) {
-        for b in (v as u64).to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
+    h
 }
 
 /// Derives the per-task read/write sets from the plan, mirroring what

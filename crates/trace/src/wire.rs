@@ -13,7 +13,8 @@
 //! - a complete structure must end the buffer ([`Reader::finish`]).
 //!
 //! Each format maps [`ReadError`] into its own public error type with one
-//! `From` impl, so its decoder reads with plain `?`.
+//! `From` impl, so its decoder reads with plain `?`. [`fnv1a`] hashes byte
+//! images for the determinism fingerprints.
 
 /// Why bytes failed to decode at the wire layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,6 +188,21 @@ pub fn put_header(out: &mut Vec<u8>, magic: &[u8; 4], version: u16) {
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(out, bytes.len() as u32);
     out.extend_from_slice(bytes);
+}
+
+/// The 64-bit FNV-1a offset basis: the hash [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the 64-bit FNV-1a hash `h` over `bytes`, one byte at a time
+/// — the workspace's one fingerprint of byte images (plan structure,
+/// factor bytes, estimate bits).
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]

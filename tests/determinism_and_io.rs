@@ -9,6 +9,7 @@ use supernova::factors::{Key, Variable};
 use supernova::hw::Platform;
 use supernova::runtime::{CostModel, StepTrace};
 use supernova::solvers::{RaIsam2Config, SolverEngine};
+use supernova_trace::wire::{fnv1a, FNV_OFFSET};
 
 #[test]
 fn identical_runs_produce_identical_latencies_and_errors() {
@@ -65,15 +66,6 @@ fn g2o_roundtrip_preserves_solver_behaviour() {
     }
 }
 
-/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Replays `ds` through `engine` online, each new pose guessed as the
 /// previous estimate composed with the odometry (as `core::run_online`
 /// does), handing every step's trace to `each`.
@@ -108,9 +100,6 @@ fn fingerprint_state(mut h: u64, engine: &SolverEngine) -> u64 {
     }
     h
 }
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Runs RA-ISAM2 online over `ds` at the default budget and fingerprints
 /// the final factor bytes and estimates.

@@ -9,6 +9,7 @@ use supernova::linalg::NumericMode;
 use supernova::metrics::{ape, ApeStats};
 use supernova::solvers::{IncrementalCore, Isam2, Isam2Config, OnlineSolver};
 use supernova::sparse::ParallelExecutor;
+use supernova_trace::wire::{fnv1a, FNV_OFFSET};
 
 fn replay(dataset: &Dataset, mode: NumericMode, threads: usize) -> (Values, Vec<u8>) {
     let mut solver = Isam2::new(Isam2Config::default());
@@ -90,15 +91,6 @@ fn mode_change_invalidates_numeric_cache() {
     assert_eq!(solver.core().numeric_mode(), NumericMode::F32);
 }
 
-/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Bulk-builds a Sphere graph from dead-reckoned guesses, reorders it once
 /// (minimum degree), relinearizes every variable and runs one all-dirty
 /// `factorize_and_solve` under `mode` — the `sphere_refactor` benchmark's
@@ -123,10 +115,7 @@ fn refactor_fingerprint(mode: NumericMode) -> (u64, usize, usize) {
     let all: Vec<Key> = (0..core.num_vars()).map(Key).collect();
     core.relinearize_vars(&all);
     core.factorize_and_solve();
-    let mut h = fnv1a(
-        0xcbf2_9ce4_8422_2325,
-        &core.numeric_bytes().expect("solved"),
-    );
+    let mut h = fnv1a(FNV_OFFSET, &core.numeric_bytes().expect("solved"));
     for &k in &all {
         for x in core.delta_of(k) {
             h = fnv1a(h, &x.to_bits().to_le_bytes());
