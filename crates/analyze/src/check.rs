@@ -1,10 +1,11 @@
 //! The ordered pass/fail ledger the CI gate binaries share.
 //!
-//! Every gate in `scripts/ci.sh` (`determinism`, `bench_check`, and the
-//! serving layer's `serve_smoke`) reports the same way: each sub-check
-//! has a stable name, verdicts print in execution order, and the run ends
-//! with one summary line naming any failed checks — so a red CI log reads
-//! identically from run to run and the first `FAIL` line is the diagnosis.
+//! Every gate binary in `scripts/ci.sh` (`determinism`, `numeric_ape`,
+//! `bench_check`, `serve_smoke` and `fleet_smoke`) reports the same way:
+//! each sub-check has a stable name, verdicts print in execution order,
+//! and the run ends with one summary line naming any failed checks — so a
+//! red CI log reads identically from run to run and the first `FAIL` line
+//! is the diagnosis.
 
 use std::process::ExitCode;
 
@@ -37,21 +38,6 @@ impl Report {
             eprintln!("FAIL {name}: {detail}");
         }
         self.results.push((name.to_string(), ok));
-    }
-
-    /// Checks recorded so far.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Whether no checks were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// Whether every recorded check passed.
-    pub fn all_passed(&self) -> bool {
-        self.results.iter().all(|(_, ok)| *ok)
     }
 
     /// Prints the summary line and converts the ledger to an exit code.

@@ -25,6 +25,8 @@
 //!   ([`ExecTrace`](supernova_runtime::ExecTrace)): happens-before
 //!   legality over the elimination tree, per-unit exclusivity, LLC
 //!   capacity replay, busy-time bounds and energy-ledger conservation.
+//! - [`Report`]: the ordered pass/fail ledger every CI gate binary
+//!   prints its verdicts through.
 //!
 //! See DESIGN.md ("Analysis & invariants") for the rule and invariant
 //! inventory and the reasoning behind each.
@@ -32,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod check;
 pub mod interference;
 pub mod lint;
 pub mod report;
@@ -39,6 +42,7 @@ pub mod validate;
 pub mod validate_fleet;
 pub mod validate_trace;
 
+pub use check::Report;
 pub use interference::{certify_datasets, DatasetCertification};
 pub use lint::{
     lint_file, lint_file_diag, lint_workspace, lint_workspace_diag, AllowedViolation, Diagnostics,

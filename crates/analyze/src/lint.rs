@@ -1493,7 +1493,7 @@ mod tests {
             }
         }
         let allowed = "std::thread::spawn(f); // lint: allow(thread-spawn)\n";
-        assert!(lint_file("crates/bench/src/harness.rs", allowed).is_empty());
+        assert!(lint_file("crates/bench/src/suite.rs", allowed).is_empty());
         let test_mod = "#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(f); }\n}\n";
         assert!(lint_file("crates/runtime/src/sched.rs", test_mod).is_empty());
     }
@@ -1661,7 +1661,7 @@ mod tests {
         for exempt in [
             "crates/trace/src/clock.rs",
             "crates/sparse/src/executor.rs",
-            "crates/bench/src/harness.rs",
+            "crates/bench/src/suite.rs",
             "crates/serve/src/bin/load_gen.rs",
         ] {
             let v = lint_file(exempt, now);

@@ -1,12 +1,11 @@
 //! Machine-readable diagnostics report for the `analyze` driver.
 //!
-//! Hand-rolled JSON (the workspace is dependency-free by policy) with a
-//! deterministic field and element order, so CI can archive the report as
-//! an artifact and diff it across runs: lint findings and allow-escape
-//! provenance from [`crate::lint`], plus the per-dataset plan
-//! certification sweep from [`crate::interference`].
+//! A [`Json`] tree with a deterministic field and element order, so CI can
+//! archive the report as an artifact and diff it across runs: lint
+//! findings and allow-escape provenance from [`crate::lint`], plus the
+//! per-dataset plan certification sweep from [`crate::interference`].
 
-use std::fmt::Write as _;
+use supernova_trace::json::Json;
 
 use crate::interference::DatasetCertification;
 use crate::lint::{AllowedViolation, Diagnostics, Violation};
@@ -14,131 +13,86 @@ use crate::lint::{AllowedViolation, Diagnostics, Violation};
 /// Report schema version, bumped on any structural change.
 pub const REPORT_VERSION: u32 = 1;
 
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn violation_json(v: &Violation) -> Json {
+    Json::obj([
+        ("rule", v.rule.id().into()),
+        ("severity", v.rule.severity().into()),
+        ("file", v.file.display().to_string().into()),
+        ("line", v.line.into()),
+        ("col", v.col.into()),
+        ("message", v.message.as_str().into()),
+    ])
 }
 
-fn violation_json(v: &Violation, indent: &str, out: &mut String) {
-    out.push_str(indent);
-    out.push_str("{\"rule\": ");
-    esc(v.rule.id(), out);
-    out.push_str(", \"severity\": ");
-    esc(v.rule.severity(), out);
-    out.push_str(", \"file\": ");
-    esc(&v.file.display().to_string(), out);
-    let _ = write!(
-        out,
-        ", \"line\": {}, \"col\": {}, \"message\": ",
-        v.line, v.col
-    );
-    esc(&v.message, out);
-    out.push('}');
+fn allowed_json(a: &AllowedViolation) -> Json {
+    let v = &a.violation;
+    Json::obj([
+        ("rule", v.rule.id().into()),
+        ("file", v.file.display().to_string().into()),
+        ("line", v.line.into()),
+        ("col", v.col.into()),
+        ("allow_line", a.allow_line.into()),
+        ("message", v.message.as_str().into()),
+    ])
 }
 
-fn allowed_json(a: &AllowedViolation, indent: &str, out: &mut String) {
-    out.push_str(indent);
-    out.push_str("{\"rule\": ");
-    esc(a.violation.rule.id(), out);
-    out.push_str(", \"file\": ");
-    esc(&a.violation.file.display().to_string(), out);
-    let _ = write!(
-        out,
-        ", \"line\": {}, \"col\": {}, \"allow_line\": {}, \"message\": ",
-        a.violation.line, a.violation.col, a.allow_line
-    );
-    esc(&a.violation.message, out);
-    out.push('}');
+fn cert_json(c: &DatasetCertification) -> Json {
+    let violations = c
+        .violations
+        .iter()
+        .map(|v| {
+            Json::obj([
+                ("kind", v.kind.id().into()),
+                ("task_a", v.task_a.into()),
+                ("task_b", v.task_b.into()),
+                ("message", v.message.as_str().into()),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("dataset", c.dataset.as_str().into()),
+        ("steps", c.steps.into()),
+        ("tasks", c.num_tasks.into()),
+        ("levels", c.num_levels.into()),
+        ("fingerprint", format!("{:#018x}", c.fingerprint).into()),
+        ("certified", c.certified.into()),
+        ("violations", Json::Arr(violations)),
+    ])
 }
 
-fn cert_json(c: &DatasetCertification, indent: &str, out: &mut String) {
-    out.push_str(indent);
-    out.push_str("{\"dataset\": ");
-    esc(&c.dataset, out);
-    let _ = write!(
-        out,
-        ", \"steps\": {}, \"tasks\": {}, \"levels\": {}, \"fingerprint\": \"{:#018x}\", \
-         \"certified\": {}, \"violations\": [",
-        c.steps, c.num_tasks, c.num_levels, c.fingerprint, c.certified
-    );
-    for (i, v) in c.violations.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"kind\": ");
-        esc(v.kind.id(), out);
-        let _ = write!(
-            out,
-            ", \"task_a\": {}, \"task_b\": {}, \"message\": ",
-            v.task_a, v.task_b
-        );
-        esc(&v.message, out);
-        out.push('}');
-    }
-    out.push_str("]}");
-}
-
-/// Renders the full diagnostics report as pretty-printed JSON with a
-/// trailing newline. Element order follows the deterministic scan order of
-/// the producers, so byte-identical inputs yield byte-identical reports.
+/// Renders the full diagnostics report as a JSON document with a trailing
+/// newline. Element order follows the deterministic scan order of the
+/// producers, so byte-identical inputs yield byte-identical reports.
 pub fn render_json(diags: &Diagnostics, certs: &[DatasetCertification]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
-    let _ = writeln!(
-        out,
-        "  \"summary\": {{\"violations\": {}, \"allowed\": {}, \"datasets_certified\": {}, \
-         \"datasets_total\": {}}},",
-        diags.violations.len(),
-        diags.allowed.len(),
-        certs.iter().filter(|c| c.certified).count(),
-        certs.len()
-    );
-    out.push_str("  \"lint\": {\n    \"violations\": [");
-    for (i, v) in diags.violations.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        violation_json(v, "      ", &mut out);
-    }
-    if diags.violations.is_empty() {
-        out.push(']');
-    } else {
-        out.push_str("\n    ]");
-    }
-    out.push_str(",\n    \"allowed\": [");
-    for (i, a) in diags.allowed.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        allowed_json(a, "      ", &mut out);
-    }
-    if diags.allowed.is_empty() {
-        out.push(']');
-    } else {
-        out.push_str("\n    ]");
-    }
-    out.push_str("\n  },\n  \"interference\": [");
-    for (i, c) in certs.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        cert_json(c, "    ", &mut out);
-    }
-    if certs.is_empty() {
-        out.push(']');
-    } else {
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
+    let summary = Json::obj([
+        ("violations", diags.violations.len().into()),
+        ("allowed", diags.allowed.len().into()),
+        (
+            "datasets_certified",
+            certs.iter().filter(|c| c.certified).count().into(),
+        ),
+        ("datasets_total", certs.len().into()),
+    ]);
+    let lint = Json::obj([
+        (
+            "violations",
+            Json::Arr(diags.violations.iter().map(violation_json).collect()),
+        ),
+        (
+            "allowed",
+            Json::Arr(diags.allowed.iter().map(allowed_json).collect()),
+        ),
+    ]);
+    Json::obj([
+        ("version", REPORT_VERSION.into()),
+        ("summary", summary),
+        ("lint", lint),
+        (
+            "interference",
+            Json::Arr(certs.iter().map(cert_json).collect()),
+        ),
+    ])
+    .write()
 }
 
 #[cfg(test)]

@@ -64,8 +64,8 @@
 
 use std::process::ExitCode;
 
-use supernova_bench::check::Report;
-use supernova_bench::json::{parse, Json};
+use supernova_analyze::Report;
+use supernova_trace::json::{parse, Json};
 
 const FRESH_STEP: &str = "results/BENCH_step_latency.json";
 const BASE_STEP: &str = "results/baselines/BENCH_step_latency.json";

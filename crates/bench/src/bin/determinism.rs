@@ -36,7 +36,7 @@
 
 use std::process::ExitCode;
 
-use supernova_bench::check::Report;
+use supernova_analyze::Report;
 use supernova_datasets::Dataset;
 use supernova_factors::{Key, Variable};
 use supernova_linalg::NumericMode;

@@ -1,10 +1,8 @@
 //! `kernel_bench` — throughput of the blocked dense kernels vs. the
 //! unblocked reference implementations they replaced.
 //!
-//! Gated behind the `bench-harness` feature:
-//!
 //! ```text
-//! cargo run --release -p supernova-bench --features bench-harness --bin kernel_bench
+//! cargo run --release -p supernova-bench --bin kernel_bench
 //! ```
 //!
 //! Times GEMM, SYRK and TRSM at the SLAM-typical square sizes 3, 6, 12,
@@ -36,7 +34,6 @@
 //! call — both sides pay the identical copy, leaving the gated ratio
 //! fair (absolute TRSM GFLOP/s at tiny sizes is understated).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use supernova_linalg::rng::XorShift64;
@@ -45,6 +42,7 @@ use supernova_linalg::{
     syrk_lower_scratch, trsm_right_lower_transpose_f32, trsm_right_lower_transpose_scratch,
     KernelScratch, Mat, NumericMode, Transpose,
 };
+use supernova_trace::json::Json;
 
 /// Which kernel a case exercises.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -461,53 +459,45 @@ fn main() {
         .unwrap_or(1);
     let cases = cases();
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"kernels\",");
-    let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
     // The instruction set the kernels were compiled for: `.cargo/config.toml`
     // builds for x86-64-v3, and a `RUSTFLAGS` override replaces that
     // silently, so every artifact says which build produced it.
-    let features = [
-        ("sse4.2", cfg!(target_feature = "sse4.2")),
-        ("avx", cfg!(target_feature = "avx")),
-        ("avx2", cfg!(target_feature = "avx2")),
-        ("fma", cfg!(target_feature = "fma")),
-    ];
-    let features: Vec<String> = features
-        .iter()
-        .map(|(name, on)| format!("\"{name}\": {on}"))
-        .collect();
-    let _ = writeln!(out, "  \"target_features\": {{ {} }},", features.join(", "));
-    out.push_str("  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
+    let features = Json::obj([
+        ("sse4.2", cfg!(target_feature = "sse4.2").into()),
+        ("avx", cfg!(target_feature = "avx").into()),
+        ("avx2", cfg!(target_feature = "avx2").into()),
+        ("fma", cfg!(target_feature = "fma").into()),
+    ]);
+    let mut rows = Vec::new();
+    for case in &cases {
         let r = measure(case);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", case.name);
-        let _ = writeln!(out, "      \"kernel\": \"{}\",", case.kernel.id());
-        let _ = writeln!(out, "      \"width\": \"{}\",", case.width);
-        let _ = writeln!(out, "      \"m\": {},", case.m);
-        let _ = writeln!(out, "      \"n\": {},", case.n);
-        let _ = writeln!(out, "      \"k\": {},", case.k);
-        let _ = writeln!(out, "      \"flops_per_call\": {},", r.flops);
-        let _ = writeln!(out, "      \"reps\": {},", r.reps);
-        let _ = writeln!(out, "      \"blocked_gflops\": {:.4},", r.blocked_gflops);
-        let _ = writeln!(
-            out,
-            "      \"reference_gflops\": {:.4},",
-            r.reference_gflops
-        );
-        let _ = writeln!(out, "      \"speedup_vs_reference\": {:.4},", r.speedup);
-        let _ = writeln!(out, "      \"min_speedup\": {:.2},", case.min_speedup);
-        let _ = writeln!(out, "      \"max_abs_diff\": {:.3e}", r.max_abs_diff);
-        let comma = if i + 1 < cases.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
+        rows.push(Json::obj([
+            ("name", case.name.as_str().into()),
+            ("kernel", case.kernel.id().into()),
+            ("width", case.width.to_string().into()),
+            ("m", case.m.into()),
+            ("n", case.n.into()),
+            ("k", case.k.into()),
+            ("flops_per_call", r.flops.into()),
+            ("reps", r.reps.into()),
+            ("blocked_gflops", Json::fixed(r.blocked_gflops, 4)),
+            ("reference_gflops", Json::fixed(r.reference_gflops, 4)),
+            ("speedup_vs_reference", Json::fixed(r.speedup, 4)),
+            ("min_speedup", Json::fixed(case.min_speedup, 2)),
+            ("max_abs_diff", Json::Num(format!("{:.3e}", r.max_abs_diff))),
+        ]));
         eprintln!(
             "{:>22}: blocked {:7.3} GF/s, reference {:7.3} GF/s, {:5.2}x (floor {:.2}x)",
             case.name, r.blocked_gflops, r.reference_gflops, r.speedup, case.min_speedup
         );
     }
-    out.push_str("  ]\n}\n");
+    let out = Json::obj([
+        ("bench", "kernels".into()),
+        ("host_cpus", host_cpus.into()),
+        ("target_features", features),
+        ("cases", Json::Arr(rows)),
+    ])
+    .write();
 
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/BENCH_kernels.json", &out).expect("write results/BENCH_kernels.json");

@@ -25,16 +25,16 @@
 //! optimizer somewhere else, which is a correctness regression of the
 //! f32 stack, not noise (see DESIGN.md §13).
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use supernova_bench::check::Report;
+use supernova_analyze::Report;
 use supernova_datasets::Dataset;
 use supernova_factors::Values;
 use supernova_linalg::NumericMode;
 use supernova_metrics::{ape, ApeStats};
 use supernova_solvers::{Isam2, Isam2Config, OnlineSolver};
 use supernova_sparse::ParallelExecutor;
+use supernova_trace::json::Json;
 
 /// Narrow-mode APE may not exceed this multiple of the f64-mode APE.
 const RATIO_LIMIT: f64 = 1.5;
@@ -61,12 +61,8 @@ fn main() -> ExitCode {
     let datasets = [Dataset::m3500_scaled(0.06), Dataset::sphere_scaled(0.12)];
     let mut report = Report::new();
 
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"numeric_ape\",\n");
-    let _ = writeln!(out, "  \"ratio_limit\": {RATIO_LIMIT},");
-    out.push_str("  \"datasets\": [\n");
-
-    for (d, dataset) in datasets.iter().enumerate() {
+    let mut rows = Vec::new();
+    for dataset in &datasets {
         let name = dataset.name();
         eprintln!("{name}: {} steps", dataset.num_steps());
         let wide = replay_ape(dataset, NumericMode::F64);
@@ -79,37 +75,30 @@ fn main() -> ExitCode {
             ),
         );
 
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"poses\": {},", wide.count);
-        out.push_str("      \"modes\": [\n");
+        let mut modes = Vec::new();
         let mut stats = Vec::new();
-        for (m, mode) in NumericMode::ALL.into_iter().enumerate() {
+        for mode in NumericMode::ALL {
             let s = if mode == NumericMode::F64 {
                 wide
             } else {
                 replay_ape(dataset, mode)
             };
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"mode\": \"{mode}\",");
-            let _ = writeln!(out, "          \"rmse_m\": {:.9},", s.rmse);
-            let _ = writeln!(out, "          \"max_m\": {:.9},", s.max);
-            let _ = writeln!(
-                out,
-                "          \"rmse_ratio_vs_f64\": {:.6}",
-                s.rmse / wide.rmse.max(f64::MIN_POSITIVE)
-            );
-            let comma = if m + 1 < NumericMode::ALL.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "        }}{comma}");
+            modes.push(Json::obj([
+                ("mode", mode.to_string().into()),
+                ("rmse_m", Json::fixed(s.rmse, 9)),
+                ("max_m", Json::fixed(s.max, 9)),
+                (
+                    "rmse_ratio_vs_f64",
+                    Json::fixed(s.rmse / wide.rmse.max(f64::MIN_POSITIVE), 6),
+                ),
+            ]));
             stats.push((mode, s));
         }
-        out.push_str("      ]\n");
-        let comma = if d + 1 < datasets.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
+        rows.push(Json::obj([
+            ("name", name.into()),
+            ("poses", wide.count.into()),
+            ("modes", Json::Arr(modes)),
+        ]));
 
         for (mode, s) in &stats {
             if *mode == NumericMode::F64 {
@@ -133,7 +122,12 @@ fn main() -> ExitCode {
             );
         }
     }
-    out.push_str("  ]\n}\n");
+    let out = Json::obj([
+        ("bench", "numeric_ape".into()),
+        ("ratio_limit", Json::Num(RATIO_LIMIT.to_string())),
+        ("datasets", Json::Arr(rows)),
+    ])
+    .write();
 
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/numeric_ape.json", &out).expect("write results/numeric_ape.json");

@@ -2,10 +2,8 @@
 //! serial vs. parallel, plus the virtual-time cost of the same traces on
 //! the SuperNoVA SoC.
 //!
-//! Gated behind the `bench-harness` feature:
-//!
 //! ```text
-//! cargo run --release -p supernova-bench --features bench-harness --bin step_bench
+//! cargo run --release -p supernova-bench --bin step_bench
 //! ```
 //!
 //! Replays each dataset online through iSAM2 with the host executor pinned
@@ -38,7 +36,6 @@
 //! solver phases, the host executor's per-worker task rows and the
 //! modeled accelerator-unit occupancy.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,6 +46,7 @@ use supernova_linalg::NumericMode;
 use supernova_runtime::{simulate_step, CostModel, SchedulerConfig};
 use supernova_solvers::{Isam2, Isam2Config, OnlineSolver, RaIsam2Config, SolverEngine};
 use supernova_sparse::ParallelExecutor;
+use supernova_trace::json::Json;
 use supernova_trace::{chrome_document_wall, StepKey, Trace, TraceConfig};
 
 /// Replays `dataset` through a span-traced engine and writes the
@@ -193,67 +191,46 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"step_latency\",");
-    let _ = writeln!(out, "  \"sim_platform\": \"supernova-2s\",");
-    let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    out.push_str("  \"datasets\": [\n");
-
-    for (d, dataset) in datasets.iter().enumerate() {
+    let mut dataset_rows = Vec::new();
+    for dataset in &datasets {
         eprintln!("{}: {} steps", dataset.name(), dataset.num_steps());
         let runs: Vec<Run> = thread_counts.iter().map(|&t| replay(dataset, t)).collect();
         let serial = runs[0].wall_s;
         let serial_refactor = runs[0].refactor_wall_s;
 
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", dataset.name());
-        let _ = writeln!(out, "      \"steps\": {},", dataset.num_steps());
-        let _ = writeln!(
-            out,
-            "      \"modeled_critical_path_speedup\": {:.4},",
-            runs.last().map(|r| r.modeled_speedup).unwrap_or(1.0)
-        );
-        out.push_str("      \"runs\": [\n");
-        for (i, r) in runs.iter().enumerate() {
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"threads\": {},", r.threads);
-            let _ = writeln!(out, "          \"host_wall_s\": {:.6},", r.wall_s);
-            let _ = writeln!(
-                out,
-                "          \"host_refactor_wall_s\": {:.6},",
-                r.refactor_wall_s
-            );
-            let _ = writeln!(
-                out,
-                "          \"speedup_vs_serial\": {:.4},",
-                serial / r.wall_s
-            );
-            let _ = writeln!(
-                out,
-                "          \"refactor_speedup_vs_serial\": {:.4},",
-                serial_refactor / r.refactor_wall_s
-            );
-            let _ = writeln!(out, "          \"dispatch_mode\": {},", r.dispatch_mode);
-            let _ = writeln!(out, "          \"numeric_mode\": {},", r.numeric_mode);
-            let _ = writeln!(
-                out,
-                "          \"level_occupancy\": {:.6},",
-                r.level_occupancy
-            );
-            let _ = writeln!(
-                out,
-                "          \"dispatch_overhead_per_task_s\": {:.9},",
-                r.dispatch_overhead_per_task_s
-            );
-            let _ = writeln!(out, "          \"sim_numeric_s\": {:.9},", r.sim_numeric_s);
-            let _ = writeln!(out, "          \"sim_cycles\": {:.0}", r.sim_cycles);
-            let comma = if i + 1 < runs.len() { "," } else { "" };
-            let _ = writeln!(out, "        }}{comma}");
-        }
-        out.push_str("      ]\n");
-        let comma = if d + 1 < datasets.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
+        let run_rows: Vec<Json> = runs
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("threads", r.threads.into()),
+                    ("host_wall_s", Json::fixed(r.wall_s, 6)),
+                    ("host_refactor_wall_s", Json::fixed(r.refactor_wall_s, 6)),
+                    ("speedup_vs_serial", Json::fixed(serial / r.wall_s, 4)),
+                    (
+                        "refactor_speedup_vs_serial",
+                        Json::fixed(serial_refactor / r.refactor_wall_s, 4),
+                    ),
+                    ("dispatch_mode", r.dispatch_mode.into()),
+                    ("numeric_mode", r.numeric_mode.into()),
+                    ("level_occupancy", Json::fixed(r.level_occupancy, 6)),
+                    (
+                        "dispatch_overhead_per_task_s",
+                        Json::fixed(r.dispatch_overhead_per_task_s, 9),
+                    ),
+                    ("sim_numeric_s", Json::fixed(r.sim_numeric_s, 9)),
+                    ("sim_cycles", Json::fixed(r.sim_cycles, 0)),
+                ])
+            })
+            .collect();
+        dataset_rows.push(Json::obj([
+            ("name", dataset.name().into()),
+            ("steps", dataset.num_steps().into()),
+            (
+                "modeled_critical_path_speedup",
+                Json::fixed(runs.last().map(|r| r.modeled_speedup).unwrap_or(1.0), 4),
+            ),
+            ("runs", Json::Arr(run_rows)),
+        ]));
 
         for r in &runs {
             eprintln!(
@@ -273,7 +250,13 @@ fn main() {
             );
         }
     }
-    out.push_str("  ]\n}\n");
+    let out = Json::obj([
+        ("bench", "step_latency".into()),
+        ("sim_platform", "supernova-2s".into()),
+        ("host_cpus", host_cpus.into()),
+        ("datasets", Json::Arr(dataset_rows)),
+    ])
+    .write();
 
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/BENCH_step_latency.json", &out)

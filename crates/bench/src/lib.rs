@@ -10,11 +10,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod check;
 mod experiments;
-#[cfg(feature = "bench-harness")]
-pub mod harness;
-pub mod json;
 mod suite;
 
 pub use experiments::{run_experiment, EXPERIMENTS};

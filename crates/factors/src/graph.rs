@@ -71,11 +71,6 @@ impl FactorGraph {
         self.factors[idx].as_ref()
     }
 
-    /// The shared handle of the factor at `idx`.
-    pub fn factor_arc(&self, idx: usize) -> Arc<dyn Factor> {
-        Arc::clone(&self.factors[idx])
-    }
-
     /// Indices of the factors constraining `key` (empty for unknown keys).
     pub fn factors_of(&self, key: Key) -> &[usize] {
         self.var_factors

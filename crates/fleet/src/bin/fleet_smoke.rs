@@ -30,7 +30,7 @@
 
 use std::process::ExitCode;
 
-use supernova_analyze::{validate_checkpoint_bounds, validate_trace};
+use supernova_analyze::{validate_checkpoint_bounds, validate_trace, Report};
 use supernova_fleet::{RouterConfig, Shard, ShardId, ShardRouter, UNPLACED_DISPATCH};
 use supernova_linalg::NumericMode;
 use supernova_serve::protocol::DatasetKind;
@@ -67,15 +67,7 @@ fn descriptor(i: usize) -> (DatasetKind, u32, u64) {
 fn main() -> ExitCode {
     let numeric = NumericMode::default();
     let journal_dir = std::env::temp_dir().join(format!("fleet-smoke-{}", std::process::id()));
-    let mut failures = 0usize;
-    let mut check = |name: &str, ok: bool| {
-        if ok {
-            eprintln!("fleet_smoke: {name}: ok");
-        } else {
-            eprintln!("fleet_smoke: {name}: FAILED");
-            failures += 1;
-        }
-    };
+    let mut report = Report::new();
 
     // --- Bring up the fleet.
     let mut shards: Vec<Shard> = (0..SHARDS)
@@ -120,9 +112,11 @@ fn main() -> ExitCode {
         .find(|s| **s != home)
         .expect("another shard");
     router.migrate(mover, target).expect("migrate");
-    check(
+    let moved = router.shard_of(mover) == Some(target);
+    report.check(
         "migration repoints the route",
-        router.shard_of(mover) == Some(target),
+        moved,
+        &format!("{home} -> {target}"),
     );
 
     // A few more steps everywhere so post-migration state advances.
@@ -139,30 +133,39 @@ fn main() -> ExitCode {
         .iter()
         .filter(|g| router.shard_of(**g) == Some(dead))
         .count();
-    check("dead shard hosts sessions", victims > 0);
+    report.check(
+        "dead shard hosts sessions",
+        victims > 0,
+        &format!("{victims} on {dead}"),
+    );
     for shard in shards.iter_mut().filter(|s| s.id() == dead) {
         shard.kill();
     }
-    let report = router.kill_shard(dead).expect("failover");
-    check(
+    let failover = router.kill_shard(dead).expect("failover");
+    let rehomed = failover.sessions;
+    report.check(
         "failover re-homed every victim",
-        report.sessions == victims as u64,
+        rehomed == victims as u64,
+        &format!("{rehomed} of {victims}"),
     );
-    check(
-        "failover replayed journal updates",
-        report.replayed_updates > 0,
-    );
-    check(
+    let replayed = failover.replayed_updates;
+    let detail = format!("{replayed} replayed");
+    report.check("failover replayed journal updates", replayed > 0, &detail);
+    let off_dead = globals.iter().all(|g| router.shard_of(*g) != Some(dead));
+    let detail = format!("{SESSIONS} checked");
+    report.check(
         "no session still routed to the dead shard",
-        globals.iter().all(|g| router.shard_of(*g) != Some(dead)),
+        off_dead,
+        &detail,
     );
-    let bounds = validate_checkpoint_bounds(&report.suffix_lens, CHECKPOINT_K);
+    let bounds = validate_checkpoint_bounds(&failover.suffix_lens, CHECKPOINT_K);
     for v in &bounds {
         eprintln!("fleet_smoke: suffix bound: {v}");
     }
-    check(
+    report.check(
         "failover replay suffixes bounded by checkpoint interval K",
         bounds.is_empty(),
+        &format!("{} violation(s)", bounds.len()),
     );
 
     // --- Finish every trajectory on the survivors.
@@ -173,47 +176,60 @@ fn main() -> ExitCode {
     }
 
     // --- Byte identity: served estimates equal solo replays exactly.
-    let mut all_identical = true;
+    let mut diverged = 0;
     for (i, g) in globals.iter().enumerate() {
         let (kind, steps, seed) = descriptor(i);
         let served = router.estimate(*g).expect("estimate");
-        let solo = solo_estimate(&shard_cfg(), kind, steps, seed);
-        if served != solo {
+        if served != solo_estimate(&shard_cfg(), kind, steps, seed) {
             eprintln!("fleet_smoke: session {g} diverged from solo replay");
-            all_identical = false;
+            diverged += 1;
         }
     }
-    check("served estimates byte-identical to solo", all_identical);
+    let detail = format!("{diverged} of {SESSIONS} diverged");
+    report.check(
+        "served estimates byte-identical to solo",
+        diverged == 0,
+        &detail,
+    );
 
     // --- Fleet trace shapes.
     let traces = router.take_traces();
-    let migrate_roots = traces
-        .iter()
-        .filter(|t| t.root.name == "fleet.migrate")
-        .count();
-    let failover_roots = traces
-        .iter()
-        .filter(|t| t.root.name == "fleet.failover")
-        .count();
-    check("fleet.migrate trace recorded", migrate_roots >= 1);
-    check("fleet.failover traces recorded", failover_roots >= 1);
+    let roots = |name: &str| traces.iter().filter(|t| t.root.name == name).count();
+    let (migrate_roots, failover_roots) = (roots("fleet.migrate"), roots("fleet.failover"));
+    let detail = format!("{migrate_roots} root(s)");
+    report.check("fleet.migrate trace recorded", migrate_roots >= 1, &detail);
+    let detail = format!("{failover_roots} root(s)");
+    report.check(
+        "fleet.failover traces recorded",
+        failover_roots >= 1,
+        &detail,
+    );
     let trace_violations: usize = traces.iter().map(|t| validate_trace(t).len()).sum();
-    check("fleet traces pass validate_trace", trace_violations == 0);
+    let detail = format!("{trace_violations} violation(s)");
+    report.check(
+        "fleet traces pass validate_trace",
+        trace_violations == 0,
+        &detail,
+    );
 
     // --- Close everything, then journal-vs-dispatch coverage.
     for g in &globals {
         router.close(*g).expect("close");
     }
     let ledger = router.ledger().expect("journals read back");
-    check(
-        "journals read back untruncated",
-        ledger.truncated_bytes == 0,
-    );
+    let torn = ledger.truncated_bytes;
+    let detail = format!("{torn} torn byte(s)");
+    report.check("journals read back untruncated", torn == 0, &detail);
     let stats = router.stats();
-    check("periodic checkpoints ran", stats.checkpoints > 0);
-    check(
+    let detail = format!("{} checkpoint(s)", stats.checkpoints);
+    report.check("periodic checkpoints ran", stats.checkpoints > 0, &detail);
+    report.check(
         "journal compaction ran and dropped records",
         stats.compactions > 0 && stats.compacted_records > 0,
+        &format!(
+            "{} run(s), {} record(s)",
+            stats.compactions, stats.compacted_records
+        ),
     );
 
     // Coverage runs after shutdown, over every shard's dispatch spans.
@@ -223,22 +239,24 @@ fn main() -> ExitCode {
     for v in &coverage {
         eprintln!("fleet_smoke: coverage: {v}");
     }
-    check(
+    let unplaced = coverage
+        .iter()
+        .filter(|v| v.detail.starts_with(UNPLACED_DISPATCH))
+        .count();
+    let detail = format!("{unplaced} unplaced dispatch(es)");
+    report.check(
         "every dispatch maps to a fleet session",
-        !coverage
-            .iter()
-            .any(|v| v.detail.starts_with(UNPLACED_DISPATCH)),
+        unplaced == 0,
+        &detail,
     );
-    check("zero lost admitted updates (coverage)", coverage.is_empty());
+    let detail = format!("{} violation(s)", coverage.len());
+    report.check(
+        "zero lost admitted updates (coverage)",
+        coverage.is_empty(),
+        &detail,
+    );
 
     drop(shards);
     let _ = std::fs::remove_dir_all(&journal_dir);
-
-    if failures == 0 {
-        eprintln!("fleet_smoke: OK");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fleet_smoke: {failures} check(s) FAILED");
-        ExitCode::FAILURE
-    }
+    report.finish("fleet_smoke")
 }

@@ -50,7 +50,6 @@
 //! Every mode exits nonzero if an identity, coverage, bound or span
 //! check fails.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -63,6 +62,7 @@ use supernova_linalg::NumericMode;
 use supernova_serve::protocol::DatasetKind;
 use supernova_serve::service::{solo_estimate, solo_replay};
 use supernova_serve::{AdmissionError, ServeConfig, Server, ServerStats, UpdateRequest};
+use supernova_trace::json::Json;
 
 /// The i-th session's dataset (alternating families, distinct seeds).
 fn session_dataset(i: usize) -> Dataset {
@@ -190,74 +190,44 @@ fn emit_json(results: &[ScenarioResult]) -> String {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"serve_throughput\",");
-    let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let (p50, p95, p99) = r.stats.aggregate_latency;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"sessions\": {},", r.sessions);
-        let _ = writeln!(out, "      \"workers\": {},", r.workers);
-        let _ = writeln!(out, "      \"queue_capacity\": {},", r.queue_capacity);
-        let _ = writeln!(
-            out,
-            "      \"deterministic_counts\": {},",
-            r.deterministic_counts
-        );
-        let _ = writeln!(out, "      \"updates_submitted\": {},", r.submitted);
-        let _ = writeln!(
-            out,
-            "      \"updates_completed\": {},",
-            r.stats.total_completed
-        );
-        let _ = writeln!(out, "      \"updates_shed\": {},", r.stats.total_shed);
-        let _ = writeln!(
-            out,
-            "      \"updates_shed_at_submit\": {},",
-            r.shed_at_submit
-        );
-        let _ = writeln!(out, "      \"wall_s\": {:.6},", r.wall_s);
-        let _ = writeln!(
-            out,
-            "      \"throughput_updates_per_s\": {:.2},",
-            r.stats.total_completed as f64 / r.wall_s.max(1e-12)
-        );
-        let _ = writeln!(out, "      \"latency_p50_ms\": {:.4},", p50 * 1e3);
-        let _ = writeln!(out, "      \"latency_p95_ms\": {:.4},", p95 * 1e3);
-        let _ = writeln!(out, "      \"latency_p99_ms\": {:.4},", p99 * 1e3);
-        let _ = writeln!(out, "      \"max_queue_depth\": {},", r.max_depth);
-        let hist: Vec<String> = r
-            .stats
-            .degradation_histogram
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
-        let _ = writeln!(
-            out,
-            "      \"degradation_histogram\": [{}],",
-            hist.join(", ")
-        );
-        let _ = writeln!(
-            out,
-            "      \"bit_identical_to_solo\": {},",
-            match r.bit_identical {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            }
-        );
-        let _ = writeln!(
-            out,
-            "      \"dispatch_span_violations\": {}",
-            r.span_violations
-        );
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let scenarios = results
+        .iter()
+        .map(|r| {
+            let (p50, p95, p99) = r.stats.aggregate_latency;
+            Json::obj([
+                ("name", r.name.into()),
+                ("sessions", r.sessions.into()),
+                ("workers", r.workers.into()),
+                ("queue_capacity", r.queue_capacity.into()),
+                ("deterministic_counts", r.deterministic_counts.into()),
+                ("updates_submitted", r.submitted.into()),
+                ("updates_completed", r.stats.total_completed.into()),
+                ("updates_shed", r.stats.total_shed.into()),
+                ("updates_shed_at_submit", r.shed_at_submit.into()),
+                ("wall_s", Json::fixed(r.wall_s, 6)),
+                (
+                    "throughput_updates_per_s",
+                    Json::fixed(r.stats.total_completed as f64 / r.wall_s.max(1e-12), 2),
+                ),
+                ("latency_p50_ms", Json::fixed(p50 * 1e3, 4)),
+                ("latency_p95_ms", Json::fixed(p95 * 1e3, 4)),
+                ("latency_p99_ms", Json::fixed(p99 * 1e3, 4)),
+                ("max_queue_depth", r.max_depth.into()),
+                (
+                    "degradation_histogram",
+                    r.stats.degradation_histogram.clone().into(),
+                ),
+                ("bit_identical_to_solo", r.bit_identical.into()),
+                ("dispatch_span_violations", r.span_violations.into()),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("bench", "serve_throughput".into()),
+        ("host_cpus", host_cpus.into()),
+        ("scenarios", Json::Arr(scenarios)),
+    ])
+    .write()
 }
 
 // ---------------------------------------------------------------------------
@@ -491,52 +461,38 @@ fn emit_fleet_json(r: &FleetResult) -> String {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"fleet\",");
-    let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(out, "  \"sessions_total\": {},", r.sessions_total);
-    let _ = writeln!(out, "  \"shards\": {},", r.shards);
-    let _ = writeln!(out, "  \"shards_killed\": {},", r.shards_killed);
-    let _ = writeln!(out, "  \"steps_per_session\": {},", r.steps_per_session);
-    let _ = writeln!(out, "  \"checkpoint_interval\": {},", r.checkpoint_interval);
-    let _ = writeln!(out, "  \"updates_admitted\": {},", r.updates_admitted);
-    let _ = writeln!(out, "  \"migrations\": {},", r.migrations);
-    let _ = writeln!(out, "  \"failover_sessions\": {},", r.failover_sessions);
-    let _ = writeln!(out, "  \"replayed_updates\": {},", r.replayed_updates);
-    let _ = writeln!(out, "  \"max_replay_suffix\": {},", r.max_replay_suffix);
-    let _ = writeln!(
-        out,
-        "  \"suffix_bound_violations\": {},",
-        r.suffix_bound_violations
-    );
-    let _ = writeln!(out, "  \"checkpoints\": {},", r.checkpoints);
-    let _ = writeln!(out, "  \"compactions\": {},", r.compactions);
-    let _ = writeln!(out, "  \"compacted_records\": {},", r.compacted_records);
-    let _ = writeln!(out, "  \"journal_records\": {},", r.journal_records);
-    let _ = writeln!(
-        out,
-        "  \"journal_truncated_bytes\": {},",
-        r.journal_truncated_bytes
-    );
-    let _ = writeln!(out, "  \"lost_updates\": {},", r.lost_updates);
-    let _ = writeln!(out, "  \"coverage_violations\": {},", r.coverage_violations);
-    let _ = writeln!(out, "  \"trace_violations\": {},", r.trace_violations);
-    let _ = writeln!(
-        out,
-        "  \"bit_identity_checked\": {},",
-        r.bit_identity_checked
-    );
-    let _ = writeln!(out, "  \"bit_identical_to_solo\": {},", r.bit_identical);
-    let _ = writeln!(
-        out,
-        "  \"throughput_updates_per_s\": {:.2},",
-        r.updates_admitted as f64 / r.wall_s.max(1e-12)
-    );
-    let _ = writeln!(out, "  \"wall_s\": {:.6},", r.wall_s);
-    let _ = writeln!(out, "  \"recovery_wall_s\": {:.6}", r.recovery_wall_s);
-    out.push_str("}\n");
-    out
+    Json::obj([
+        ("bench", "fleet".into()),
+        ("host_cpus", host_cpus.into()),
+        ("sessions_total", r.sessions_total.into()),
+        ("shards", r.shards.into()),
+        ("shards_killed", r.shards_killed.into()),
+        ("steps_per_session", r.steps_per_session.into()),
+        ("checkpoint_interval", r.checkpoint_interval.into()),
+        ("updates_admitted", r.updates_admitted.into()),
+        ("migrations", r.migrations.into()),
+        ("failover_sessions", r.failover_sessions.into()),
+        ("replayed_updates", r.replayed_updates.into()),
+        ("max_replay_suffix", r.max_replay_suffix.into()),
+        ("suffix_bound_violations", r.suffix_bound_violations.into()),
+        ("checkpoints", r.checkpoints.into()),
+        ("compactions", r.compactions.into()),
+        ("compacted_records", r.compacted_records.into()),
+        ("journal_records", r.journal_records.into()),
+        ("journal_truncated_bytes", r.journal_truncated_bytes.into()),
+        ("lost_updates", r.lost_updates.into()),
+        ("coverage_violations", r.coverage_violations.into()),
+        ("trace_violations", r.trace_violations.into()),
+        ("bit_identity_checked", r.bit_identity_checked.into()),
+        ("bit_identical_to_solo", r.bit_identical.into()),
+        (
+            "throughput_updates_per_s",
+            Json::fixed(r.updates_admitted as f64 / r.wall_s.max(1e-12), 2),
+        ),
+        ("wall_s", Json::fixed(r.wall_s, 6)),
+        ("recovery_wall_s", Json::fixed(r.recovery_wall_s, 6)),
+    ])
+    .write()
 }
 
 // ---------------------------------------------------------------------------
@@ -775,11 +731,14 @@ fn drill_add_shard_under_load(mode: NumericMode) -> Result<(), String> {
         })
         .count() as u64;
 
+    // Into `shards` before `add_shard`: if it fails, the router (declared
+    // after `shards`) drops first and closes the joiner's connection.
     let joiner = Shard::spawn(ShardId(3), chaos_shard_cfg(mode)).expect("bind joining shard");
-    let report = router
-        .add_shard(ShardId(3), joiner.addr())
-        .map_err(|e| format!("{drill}: add_shard: {e}"))?;
+    let joiner_addr = joiner.addr();
     shards.push(joiner);
+    let report = router
+        .add_shard(ShardId(3), joiner_addr)
+        .map_err(|e| format!("{drill}: add_shard: {e}"))?;
     if report.sessions_remapped != expect_remapped {
         return Err(format!(
             "{drill}: remapped {} session(s), ring names {expect_remapped}",

@@ -706,14 +706,6 @@ impl ShardRouter {
         self.routes.get(&global).map(|r| r.shard)
     }
 
-    /// The session's checkpoint floor (updates its latest durable
-    /// checkpoint has applied), if one has been taken.
-    pub fn checkpoint_floor(&self, global: u64) -> Option<u64> {
-        self.routes
-            .get(&global)
-            .and_then(|r| r.checkpoint.as_ref().map(|c| c.applied))
-    }
-
     /// Full placement history (initial routes, migrations, failovers).
     pub fn placements(&self) -> &[Placement] {
         &self.placements
@@ -977,15 +969,6 @@ impl ShardRouter {
         }
         self.maybe_compact(shard)?;
         Ok(accepted)
-    }
-
-    /// Checkpoints one open session on demand: drain + snapshot, verify
-    /// the applied count against the router's cursor, journal the new
-    /// floor, persist. Returns the floor.
-    pub fn checkpoint_session(&mut self, global: u64) -> Result<u64, FleetError> {
-        let floor = self.verify_and_checkpoint(global)?;
-        self.persist()?;
-        Ok(floor)
     }
 
     /// Drains the session and returns its full trajectory estimate.

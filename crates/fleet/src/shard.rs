@@ -25,6 +25,10 @@ use supernova_serve::{ServeConfig, Server};
 use crate::ring::ShardId;
 
 /// A serve backend listening on its own local TCP port.
+///
+/// Drop the router holding a shard's connection before the shard:
+/// dropping a `Shard` joins its accept thread, which blocks reading a
+/// connection that is still open.
 pub struct Shard {
     id: ShardId,
     addr: SocketAddr,
@@ -84,11 +88,6 @@ impl Shard {
     /// argument rests on the router's journal, not on this accessor).
     pub fn server(&self) -> &Arc<Server> {
         &self.server
-    }
-
-    /// Whether the shard has been killed.
-    pub fn is_dead(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
     }
 
     /// Crashes the shard: stops accepting new connections. No drain, no

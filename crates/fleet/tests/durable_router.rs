@@ -116,11 +116,14 @@ fn router_restart_and_rebalance_round_trip_bit_identically() {
                 && router.shard_of(**g) != Some(ShardId(SHARDS))
         })
         .count() as u64;
+    // Into `shards` before `add_shard`, so a failure drops the router
+    // first instead of hanging on the joiner's open connection.
     let joiner = Shard::spawn(ShardId(SHARDS), shard_cfg()).expect("bind joiner");
-    let rebalance = router
-        .add_shard(ShardId(SHARDS), joiner.addr())
-        .expect("add shard");
+    let joiner_addr = joiner.addr();
     shards.push(joiner);
+    let rebalance = router
+        .add_shard(ShardId(SHARDS), joiner_addr)
+        .expect("add shard");
     assert_eq!(rebalance.added, ShardId(SHARDS));
     assert_eq!(
         rebalance.sessions_remapped, expected_movers,

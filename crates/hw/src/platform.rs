@@ -213,12 +213,6 @@ impl Platform {
         &self.soc
     }
 
-    /// Converts modeled virtual-time seconds to SoC clock cycles (the
-    /// deterministic tick unit the trace layer records hardware spans in).
-    pub fn seconds_to_cycles(&self, seconds: f64) -> u64 {
-        (seconds * self.soc.freq_hz).round().max(0.0) as u64
-    }
-
     /// Number of accelerator sets; zero for non-accelerated platforms.
     pub fn accel_sets(&self) -> usize {
         if self.comp.is_some() {

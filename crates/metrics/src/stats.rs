@@ -88,16 +88,6 @@ impl Histogram {
         }
     }
 
-    /// The bucket width in sample units.
-    pub fn bucket_width(&self) -> f64 {
-        self.width
-    }
-
-    /// The number of buckets (including the saturated top bucket).
-    pub fn num_buckets(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
         self.total

@@ -37,58 +37,11 @@
 
 use std::process::ExitCode;
 
-use supernova_analyze::{validate_dispatch, validate_trace, validate_trace_dispatch};
+use supernova_analyze::{validate_dispatch, validate_trace, validate_trace_dispatch, Report};
 use supernova_datasets::Dataset;
 use supernova_serve::service::solo_replay;
 use supernova_serve::{AdmissionError, ServeConfig, Server, UpdateRequest};
 use supernova_trace::TraceConfig;
-
-/// Ordered pass/fail ledger: every sub-check lands here under a stable
-/// name, in execution order, so failures read the same way run to run.
-struct Report {
-    results: Vec<(String, bool)>,
-}
-
-impl Report {
-    fn new() -> Self {
-        Report {
-            results: Vec::new(),
-        }
-    }
-
-    /// Records one named sub-check and prints its verdict immediately.
-    fn check(&mut self, name: &str, ok: bool, detail: &str) {
-        if ok {
-            println!("PASS {name}: {detail}");
-        } else {
-            eprintln!("FAIL {name}: {detail}");
-        }
-        self.results.push((name.to_string(), ok));
-    }
-
-    /// Prints the summary line and converts the ledger to an exit code.
-    fn finish(self, bin: &str) -> ExitCode {
-        let failed: Vec<&str> = self
-            .results
-            .iter()
-            .filter(|(_, ok)| !ok)
-            .map(|(name, _)| name.as_str())
-            .collect();
-        let total = self.results.len();
-        if failed.is_empty() {
-            println!("{bin}: {total}/{total} checks passed");
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "{bin}: {}/{} checks passed; FAILED: {}",
-                total - failed.len(),
-                total,
-                failed.join(", ")
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
 
 fn check_spans(report: &mut Report, server: &Server, phase: &str) {
     let records: Vec<_> = server.spans().iter().map(|s| s.record()).collect();

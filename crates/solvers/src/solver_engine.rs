@@ -130,11 +130,6 @@ impl SolverEngine {
         self.trace_cfg = cfg;
     }
 
-    /// The engine's current trace configuration.
-    pub fn trace_config(&self) -> TraceConfig {
-        self.trace_cfg
-    }
-
     /// Additionally prices every traced step on `platform` with the
     /// virtual-time scheduler and attaches the resulting `hw` span
     /// (per-unit busy intervals in modeled cycles) to the step's tree.

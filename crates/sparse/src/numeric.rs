@@ -424,16 +424,6 @@ impl NumericFactor {
         trace
     }
 
-    /// The stored factor columns `[L_A; L_B]` of supernode `s`: the leading
-    /// `pivot_dim` columns of its front, column-major with
-    /// `pivot_dim + rem_dim` rows each (the node's block rows, in `rows`
-    /// order).
-    pub fn node_columns(&self, s: usize) -> &[f64] {
-        // lint: allow(unwrap) — node factored before its L block is read
-        let nf = self.nodes[s].as_ref().expect("missing node factor");
-        &nf.front.as_slice()[..nf.front.rows() * nf.m]
-    }
-
     /// The marginal covariance of one variable block: the `(b, b)` diagonal
     /// block of `H⁻¹`, recovered by back-substituting unit vectors through
     /// the factor (the standard SLAM covariance-recovery query).

@@ -12,26 +12,9 @@
 //!   (and simulator virtual) intervals in microseconds, one viewer row per
 //!   worker track. Not deterministic; meant for humans.
 
+use crate::json::Json;
 use crate::span::{Span, Timebase};
 use crate::tracer::Trace;
-
-/// Escapes a string for a JSON string literal (ASCII control, quote,
-/// backslash).
-fn esc(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// The canonical-layout duration of a span: at least its own ticks, at
 /// least the sum of its children, never zero (so every span is visible).
@@ -40,87 +23,69 @@ fn canonical_dur(span: &Span) -> u64 {
     span.ticks.max(child_sum).max(1)
 }
 
-fn write_args(span: &Span, trace: Option<&Trace>, out: &mut String) {
-    out.push_str("\"args\":{");
-    let mut first = true;
+/// One complete (`"ph": "X"`) trace event. `args` carries the step key
+/// (on a trace's root span only), the span's ticks when nonzero, and its
+/// counters.
+fn event(span: &Span, ts: Json, dur: Json, tid: u32, trace: Option<&Trace>) -> Json {
+    let mut args = Vec::new();
     if let Some(t) = trace {
-        out.push_str(&format!(
-            "\"session\":{},\"seq\":{},\"step\":{}",
-            t.key.session, t.key.seq, t.key.step
-        ));
-        first = false;
+        args.push(("session".to_string(), t.key.session.into()));
+        args.push(("seq".to_string(), t.key.seq.into()));
+        args.push(("step".to_string(), t.key.step.into()));
     }
     if span.ticks > 0 {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&format!("\"ticks\":{}", span.ticks));
-        first = false;
+        args.push(("ticks".to_string(), span.ticks.into()));
     }
     for (name, value) in span.counters.iter() {
-        if !first {
-            out.push(',');
-        }
-        out.push('"');
-        esc(name, out);
-        out.push_str(&format!("\":{value}"));
-        first = false;
+        args.push((name.to_string(), value.into()));
     }
-    out.push('}');
+    Json::obj([
+        ("name", span.name.as_str().into()),
+        ("cat", span.cat.as_str().into()),
+        ("ph", "X".into()),
+        ("ts", ts),
+        ("dur", dur),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+        ("args", Json::Obj(args)),
+    ])
 }
 
-fn emit_canonical(span: &Span, ts: u64, trace: Option<&Trace>, out: &mut String, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
-    esc(&span.name, out);
-    out.push_str("\",\"cat\":\"");
-    out.push_str(span.cat.as_str());
-    out.push_str("\",\"ph\":\"X\",\"ts\":");
-    out.push_str(&ts.to_string());
-    out.push_str(&format!(
-        ",\"dur\":{},\"pid\":1,\"tid\":0,",
-        canonical_dur(span)
-    ));
-    write_args(span, trace, out);
-    out.push('}');
+fn emit_canonical(span: &Span, ts: u64, trace: Option<&Trace>, events: &mut Vec<Json>) {
+    let dur = canonical_dur(span);
+    events.push(event(span, ts.into(), dur.into(), 0, trace));
     let mut child_ts = ts;
     for c in &span.children {
-        emit_canonical(c, child_ts, None, out, first);
+        emit_canonical(c, child_ts, None, events);
         child_ts += canonical_dur(c);
     }
 }
 
-fn emit_wall(span: &Span, base: f64, trace: Option<&Trace>, out: &mut String, first: &mut bool) {
+fn emit_wall(span: &Span, base: f64, trace: Option<&Trace>, events: &mut Vec<Json>) {
     // Markers have no interval of their own; they surface via their
     // parent's args in the profile view.
     if span.has_interval() {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
         let (ts, tid) = match span.timebase {
             Timebase::Wall => ((span.start - base) * 1e6, span.track),
             // Virtual spans render on their own lane block so the two
             // timebases do not visually interleave.
             Timebase::Virtual => (span.start * 1e6, 100 + span.track),
         };
-        out.push_str("{\"name\":\"");
-        esc(&span.name, out);
-        out.push_str("\",\"cat\":\"");
-        out.push_str(span.cat.as_str());
-        out.push_str(&format!(
-            "\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{tid},",
-            span.duration() * 1e6
-        ));
-        write_args(span, trace, out);
-        out.push('}');
+        let dur = Json::fixed(span.duration() * 1e6, 3);
+        events.push(event(span, Json::fixed(ts, 3), dur, tid, trace));
     }
     for c in &span.children {
-        emit_wall(c, base, None, out, first);
+        emit_wall(c, base, None, events);
     }
+}
+
+/// The trace-event document around `events`.
+fn document(events: Vec<Json>) -> String {
+    Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+    ])
+    .write()
 }
 
 impl Trace {
@@ -131,30 +96,16 @@ impl Trace {
     /// children are packed sequentially inside their parent.
     pub fn to_chrome_json(&self) -> String {
         let canon = self.canonical();
-        let mut out = String::with_capacity(canon.span_count() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        emit_canonical(&canon.root, 0, Some(&canon), &mut out, &mut first);
-        out.push_str("]}");
-        out
+        let mut events = Vec::with_capacity(canon.span_count());
+        emit_canonical(&canon.root, 0, Some(&canon), &mut events);
+        document(events)
     }
 
     /// The wall-clock (profile) Chrome trace-event JSON document:
     /// real intervals in microseconds, one `tid` per worker track,
     /// virtual-time hardware spans on `tid >= 100`. Not deterministic.
     pub fn to_chrome_json_wall(&self) -> String {
-        let mut out = String::with_capacity(self.span_count() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        emit_wall(
-            &self.root,
-            self.root.start,
-            Some(self),
-            &mut out,
-            &mut first,
-        );
-        out.push_str("]}");
-        out
+        chrome_document_wall(std::slice::from_ref(self))
     }
 }
 
@@ -167,18 +118,17 @@ pub fn chrome_document_wall(traces: &[Trace]) -> String {
         .map(|t| t.root.start)
         .fold(f64::INFINITY, f64::min);
     let base = if base.is_finite() { base } else { 0.0 };
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
+    let mut events = Vec::new();
     for t in traces {
-        emit_wall(&t.root, base, Some(t), &mut out, &mut first);
+        emit_wall(&t.root, base, Some(t), &mut events);
     }
-    out.push_str("]}");
-    out
+    document(events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use crate::span::{Category, CounterSet, StepKey};
 
     fn sample() -> Trace {
@@ -208,6 +158,29 @@ mod tests {
         }
     }
 
+    /// The parsed `traceEvents` of a document.
+    fn parse_events(doc: &str) -> Vec<Json> {
+        let doc = parse(doc).expect("valid JSON");
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
+        doc.get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array")
+            .to_vec()
+    }
+
+    fn field<'a>(event: &'a Json, key: &str) -> &'a Json {
+        event
+            .get(key)
+            .unwrap_or_else(|| panic!("{key} in {event:?}"))
+    }
+
+    fn arg(event: &Json, key: &str) -> Option<f64> {
+        field(event, "args").get(key).and_then(Json::as_f64)
+    }
+
     #[test]
     fn canonical_json_is_stable_and_orders_children() {
         let t = sample();
@@ -221,32 +194,54 @@ mod tests {
         shuffled.root.end = 99.9;
         shuffled.root.children[1].children[0].track = 3;
         assert_eq!(shuffled.to_chrome_json(), json);
-        // tick-derived layout: exec dur = max(50, 30+20, 1) = 50, root
-        // dur = max(0, 50 + 9000, 1).
-        assert!(
-            json.contains("\"name\":\"exec\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":0,\"dur\":50")
+        let events = parse_events(&json);
+        assert_eq!(events.len(), 5);
+        // tick-derived layout: exec dur = max(50, 30+20, 1) = 50 at ts 0,
+        // root dur = max(0, 50 + 9000, 1).
+        let exec = events
+            .iter()
+            .find(|e| field(e, "name").as_str() == Some("exec"))
+            .expect("exec event");
+        assert_eq!(field(exec, "cat").as_str(), Some("exec"));
+        assert_eq!(field(exec, "ph").as_str(), Some("X"));
+        assert_eq!(field(exec, "ts"), &Json::Num("0".into()));
+        assert_eq!(field(exec, "dur"), &Json::Num("50".into()));
+        let root = &events[0];
+        assert_eq!(field(root, "name").as_str(), Some("solver.step"));
+        assert_eq!(field(root, "dur"), &Json::Num("9050".into()));
+        // The step key rides on the root event only; every track is 0.
+        assert_eq!(
+            ["session", "seq", "step"].map(|k| arg(root, k)),
+            [Some(3.0), Some(7.0), Some(8.0)]
         );
-        assert!(json.contains("\"dur\":9050"));
-        assert!(json.contains("\"session\":3,\"seq\":7,\"step\":8"));
+        assert!(events[1..].iter().all(|e| arg(e, "session").is_none()));
+        assert!(events.iter().all(|e| field(e, "tid").as_f64() == Some(0.0)));
         // node 2 sorts before node 5 in canonical order.
-        let n2 = json.find("\"node\":2").expect("node 2 present");
-        let n5 = json.find("\"node\":5").expect("node 5 present");
-        assert!(n2 < n5);
+        let nodes: Vec<f64> = events.iter().filter_map(|e| arg(e, "node")).collect();
+        assert_eq!(nodes, [2.0, 5.0]);
     }
 
     #[test]
     fn wall_json_uses_real_intervals() {
         let t = sample();
-        let json = t.to_chrome_json_wall();
+        let events = parse_events(&t.to_chrome_json_wall());
         // Root starts at ts 0 (anchored at its own start), 0.5 s long.
-        assert!(json.contains("\"ts\":0.000,\"dur\":500000.000"));
-        // Virtual hw span lands on the tid >= 100 block.
-        assert!(json.contains("\"tid\":100"));
+        let root = &events[0];
+        assert_eq!(field(root, "ts"), &Json::Num("0.000".into()));
+        assert_eq!(field(root, "dur"), &Json::Num("500000.000".into()));
+        let tid_of = |name: &str, node: Option<f64>| {
+            events
+                .iter()
+                .find(|e| field(e, "name").as_str() == Some(name) && arg(e, "node") == node)
+                .and_then(|e| field(e, "tid").as_f64())
+        };
+        // Virtual hw span lands on the tid >= 100 block, at its own start.
+        assert_eq!(tid_of("hw", None), Some(100.0));
         // Worker track of task_b survives.
-        assert!(json.contains("\"tid\":1"));
-        let doc = chrome_document_wall(&[t.clone(), t]);
-        assert!(doc.starts_with("{\"displayTimeUnit\""));
-        assert!(doc.ends_with("]}"));
+        assert_eq!(tid_of("exec.task", Some(5.0)), Some(1.0));
+        assert_eq!(tid_of("exec.task", Some(2.0)), Some(0.0));
+        let doc = parse_events(&chrome_document_wall(&[t.clone(), t]));
+        assert_eq!(doc.len(), 2 * events.len());
     }
 
     #[test]
@@ -260,8 +255,8 @@ mod tests {
             numeric_mode: Default::default(),
             root,
         };
-        let json = t.to_chrome_json();
-        assert!(json.contains("we\\\\ird\\n"));
-        assert!(json.contains("a\\\"b"));
+        let events = parse_events(&t.to_chrome_json());
+        assert_eq!(field(&events[0], "name").as_str(), Some("we\\ird\n"));
+        assert_eq!(arg(&events[0], "a\"b"), Some(1.0));
     }
 }

@@ -1,40 +1,62 @@
-//! A minimal recursive-descent JSON reader for the benchmark artifacts.
+//! The one JSON layer under every artifact the workspace writes or reads:
+//! `results/BENCH_*.json`, `results/numeric_ape.json`, the analyze
+//! diagnostics report and the Chrome trace-event exports.
 //!
-//! `bench_check` compares freshly generated `results/BENCH_*.json` files
-//! against committed baselines, so it needs to *read* the JSON the bench
-//! binaries write by hand. The workspace takes no external dependencies;
-//! this module is the few hundred lines of RFC 8259 subset the regression
-//! gate actually needs: objects, arrays, strings (with escapes), numbers
-//! as `f64`, booleans and `null`. It is a reader for trusted, in-repo
-//! artifacts — errors carry a byte offset for debugging, not recovery.
+//! Producers build a [`Json`] tree and call [`Json::write`]; `bench_check`
+//! reads artifacts back with [`parse`]. Two choices keep a written
+//! artifact and its parse the same tree:
+//!
+//! - **Numbers keep their literal text** ([`Json::Num`] holds a `String`).
+//!   A producer fixes the digits once ([`Json::fixed`], integer `From`
+//!   impls) and a reader's [`Json::as_f64`] parses exactly those digits,
+//!   so an exact gate compares the same bits on both sides.
+//! - **Objects keep member order** (a `Vec`, not a map), so an artifact's
+//!   key order is the order its producer wrote.
+//!
+//! The workspace takes no external dependencies; the reader is the RFC
+//! 8259 subset the artifacts use, for trusted in-repo files — errors carry
+//! a byte offset for debugging, not recovery.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed JSON value. Object keys are kept in a `BTreeMap`, so
-/// iteration order is deterministic regardless of file order.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, widened to `f64`.
-    Num(f64),
+    /// A number, as its literal text.
+    Num(String),
     /// A string, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object.
-    Obj(BTreeMap<String, Json>),
+    /// An object, members in document order.
+    Obj(Vec<(String, Json)>),
 }
 
 impl Json {
+    /// An object from a fixed member list, in that order.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    /// `x` with `decimals` digits after the point (`format!("{x:.d$}")`);
+    /// `null` when `x` is not finite, which JSON cannot spell.
+    pub fn fixed(x: f64, decimals: usize) -> Json {
+        if x.is_finite() {
+            Json::Num(format!("{x:.decimals$}"))
+        } else {
+            Json::Null
+        }
+    }
+
     /// Member lookup on an object (`None` for other variants or a
     /// missing key).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(m) => m.get(key),
+            Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -47,10 +69,11 @@ impl Json {
         }
     }
 
-    /// The numeric value (`None` for other variants).
+    /// The numeric value: the literal text parsed as `f64` (`None` for
+    /// other variants).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(n) => n.parse().ok(),
             _ => None,
         }
     }
@@ -71,9 +94,157 @@ impl Json {
         }
     }
 
-    /// Whether this value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
+    /// The document text, with a trailing newline.
+    ///
+    /// One layout: the root, every array holding a non-empty container
+    /// and every object with such an array below it are expanded, one
+    /// member per line, indented by two spaces; every other container sits
+    /// on one line. So a BENCH run, an analyze finding and a Chrome event
+    /// each take one line.
+    pub fn write(&self) -> String {
+        let mut out = String::new();
+        self.write_at(0, true, &mut out);
+        out.push('\n');
+        out
+    }
+
+    /// A scalar, or a container with no members.
+    fn is_leaf(&self) -> bool {
+        match self {
+            Json::Arr(v) => v.is_empty(),
+            Json::Obj(m) => m.is_empty(),
+            _ => true,
+        }
+    }
+
+    /// Whether this value is written on one line below the root.
+    fn is_inline(&self) -> bool {
+        match self {
+            Json::Arr(v) => v.iter().all(Json::is_leaf),
+            Json::Obj(m) => m.iter().all(|(_, v)| v.is_inline()),
+            _ => true,
+        }
+    }
+
+    fn write_at(&self, indent: usize, root: bool, out: &mut String) {
+        let expand = root || !self.is_inline();
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(v) if expand && !v.is_empty() => {
+                ('[', ']', v.iter().map(|x| (None, x)).collect())
+            }
+            Json::Obj(m) if expand && !m.is_empty() => (
+                '{',
+                '}',
+                m.iter().map(|(k, x)| (Some(k.as_str()), x)).collect(),
+            ),
+            _ => return self.write_inline(out),
+        };
+        out.push(open);
+        for (i, (key, x)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('\n');
+            out.push_str(&" ".repeat(indent + 2));
+            if let Some(k) = key {
+                write_str(k, out);
+                out.push_str(": ");
+            }
+            x.write_at(indent + 2, false, out);
+        }
+        out.push('\n');
+        out.push_str(&" ".repeat(indent));
+        out.push(close);
+    }
+
+    fn write_inline(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => out.push_str(n),
+            Json::Str(s) => write_str(s, out),
+            Json::Arr(v) => {
+                out.push('[');
+                for (i, x) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    x.write_inline(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(m) => {
+                out.push('{');
+                for (i, (k, x)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_str(k, out);
+                    out.push_str(": ");
+                    x.write_inline(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// Writes `s` as a JSON string literal: quote, backslash and every ASCII
+/// control character escaped, everything else verbatim.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n.to_string())
+            }
+        }
+    )*};
+}
+from_integer!(u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
     }
 }
 
@@ -169,11 +340,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{', "expected '{'")?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(Json::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -182,13 +353,13 @@ impl<'a> Parser<'a> {
             self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
             let val = self.value(depth + 1)?;
-            map.insert(key, val);
+            members.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(Json::Obj(members));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -299,9 +470,10 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Json::Num(text.to_string())),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -330,8 +502,15 @@ mod tests {
             run.get("host_wall_s").and_then(Json::as_f64),
             Some(0.416829)
         );
+        assert_eq!(run.get("host_wall_s"), Some(&Json::Num("0.416829".into())));
         assert_eq!(run.get("ok").and_then(Json::as_bool), Some(true));
-        assert!(run.get("skipped").expect("key").is_null());
+        assert_eq!(run.get("skipped"), Some(&Json::Null));
+        // Members stay in document order.
+        let Json::Obj(members) = &v else {
+            panic!("root is an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "host_cpus", "datasets"]);
     }
 
     #[test]
@@ -347,5 +526,45 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
+    }
+
+    #[test]
+    fn written_documents_parse_back_to_the_same_tree() {
+        let hostile = "q\"b\\s\nn\tt\u{1}c é ∑";
+        let doc = Json::obj([
+            ("name", hostile.into()),
+            (hostile, Json::fixed(0.1 + 0.2, 9)),
+            ("e", Json::Num(format!("{:.3e}", 1.5e-7))),
+            ("zero_e", Json::Num(format!("{:.3e}", 0.0))),
+            ("negative", Json::fixed(-2.5, 4)),
+            ("whole", Json::fixed(28453177.4, 0)),
+            ("int", u64::MAX.into()),
+            ("nan", Json::fixed(f64::NAN, 3)),
+            ("none", Option::<bool>::None.into()),
+            ("some", Some(false).into()),
+            ("empty_arr", Json::Arr(Vec::new())),
+            ("empty_obj", Json::Obj(Vec::new())),
+            ("scalars", vec![1u64, 2, 3].into()),
+            (
+                "nested",
+                Json::Arr(vec![
+                    Json::obj([("k", Json::obj([("deep", vec!["x", "y"].into())]))]),
+                    Json::Arr(vec![Json::Arr(Vec::new()), Json::obj([])]),
+                    Json::Arr(vec![Json::Arr(vec![Json::Null])]),
+                ]),
+            ),
+        ]);
+        let text = doc.write();
+        assert_eq!(parse(&text), Ok(doc.clone()), "{text}");
+        assert!(text.ends_with("}\n"));
+        assert_eq!(doc.get("nan"), Some(&Json::Null));
+        assert_eq!(doc.get("whole"), Some(&Json::Num("28453177".into())));
+        assert_eq!(doc.get("e").and_then(Json::as_f64), Some(1.5e-7));
+        // Control characters are escaped; non-ASCII is written verbatim.
+        assert!(text.contains(r#""q\"b\\s\nn\tt\u0001c é ∑""#), "{text}");
+        // Arrays of scalars and flat objects sit on one line.
+        assert!(text.contains("\n  \"scalars\": [1, 2, 3],\n"), "{text}");
+        assert!(text.contains("\n    {\"k\": {\"deep\": [\"x\", \"y\"]}},\n"));
+        assert_eq!(Json::Arr(Vec::new()).write(), "[]\n");
     }
 }

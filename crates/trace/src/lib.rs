@@ -31,8 +31,10 @@
 //! Modules: [`span`] (the span tree and its counters), [`tracer`] (the
 //! per-step builder and the shared sink), [`clock`] (the process-global
 //! epoch), [`chrome`] (Chrome trace-event export), [`binary`] (the `SNVT`
-//! golden-file codec) and [`wire`] (the panic-free little-endian reader
-//! and `put_*` helpers every binary format in the workspace is built on).
+//! golden-file codec), [`wire`] (the panic-free little-endian reader
+//! and `put_*` helpers every binary format in the workspace is built on)
+//! and [`json`] (the one JSON reader and writer every artifact and Chrome
+//! export goes through).
 //!
 //! See DESIGN.md §10 for the span taxonomy and the emission-point map.
 
@@ -42,6 +44,7 @@
 pub mod binary;
 pub mod chrome;
 pub mod clock;
+pub mod json;
 pub mod span;
 pub mod tracer;
 pub mod wire;

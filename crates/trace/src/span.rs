@@ -279,11 +279,6 @@ impl SpanGuard {
         self.span.start
     }
 
-    /// Sets the deterministic work weight.
-    pub fn set_ticks(&mut self, ticks: u64) {
-        self.span.ticks = ticks;
-    }
-
     /// Sets a counter on the span.
     pub fn counter(&mut self, name: &str, value: u64) {
         self.span.counters.set(name, value);

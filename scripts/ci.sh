@@ -10,8 +10,8 @@
 # at the first failure):
 #
 #   fmt          cargo fmt --check
-#   build        release build of the workspace (+ bench-harness bins);
-#                fails first if an x86_64 build does not target AVX2
+#   build        release build of the workspace; fails first if an
+#                x86_64 build does not target AVX2
 #   test         cargo test -q --workspace
 #   doc          cargo doc --no-deps with warnings denied
 #   lint         supernova-analyze lint + schedule/ledger/trace invariants
@@ -160,8 +160,7 @@ require_target_isa() {
 
 build_all() {
     require_target_isa &&
-        cargo build --release --workspace &&
-        cargo build --release -p supernova-bench --features bench-harness
+        cargo build --release --workspace
 }
 
 static_analysis() {
@@ -170,7 +169,7 @@ static_analysis() {
 }
 
 bench_regen() {
-    cargo run --release -q -p supernova-bench --features bench-harness --bin step_bench &&
+    cargo run --release -q -p supernova-bench --bin step_bench &&
         cargo run --release -q -p supernova-fleet --bin load_gen >/dev/null &&
         cargo run --release -q -p supernova-fleet --bin load_gen -- --fleet >/dev/null
 }
@@ -189,7 +188,7 @@ run_stage() {
         fleet-smoke) cargo run --release -q -p supernova-fleet --bin fleet_smoke ;;
         chaos) cargo run --release -q -p supernova-fleet --bin load_gen -- --chaos ;;
         bench-quick) cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick ;;
-        kernel-bench) cargo run --release -q -p supernova-bench --features bench-harness --bin kernel_bench ;;
+        kernel-bench) cargo run --release -q -p supernova-bench --bin kernel_bench ;;
         bench) bench_regen ;;
         bench-check) cargo run --release -q -p supernova-bench --bin bench_check ;;
         *)
