@@ -1,18 +1,18 @@
-//! Workspace lint driver: `cargo run -p supernova-analyze --bin lint`.
+//! Dynamic invariant driver: `cargo run -p supernova-analyze --bin lint`.
 //!
-//! Runs the source lint pass over every crate's `src/` tree, then a
-//! schedule/ledger invariant sweep of the virtual-time scheduler across
-//! every ablation configuration on a synthetic elimination forest, then a
-//! host-schedule sweep on the real plan executor, then a unified-trace
-//! sweep: each seeded dataset is replayed through a traced `SolverEngine`
-//! and every step's span tree is run through `validate_trace`. Exits
-//! nonzero if anything is flagged, so `scripts/ci.sh` can gate on it.
+//! Runs a schedule/ledger invariant sweep of the virtual-time scheduler
+//! across every ablation configuration on a synthetic elimination forest,
+//! then a host-schedule sweep on the real plan executor, then a
+//! unified-trace sweep: each seeded dataset is replayed through a traced
+//! `SolverEngine` and every step's span tree is run through
+//! `validate_trace`. Exits nonzero if anything is flagged, so
+//! `scripts/ci.sh` can gate on it. The source lint pass is not run here:
+//! the `analyze` bin runs it once per CI run (stage `static-analysis`).
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use supernova_analyze::{lint_workspace, validate_host_schedule, validate_step, validate_trace};
+use supernova_analyze::{validate_host_schedule, validate_step, validate_trace};
 use supernova_datasets::Dataset;
 use supernova_hw::Platform;
 use supernova_linalg::ops::Op;
@@ -23,16 +23,6 @@ use supernova_sparse::{
     BlockMat, BlockPattern, ExecutionPlan, NumericFactor, ParallelExecutor, SymbolicFactor,
 };
 use supernova_trace::{StepKey, Trace, TraceConfig};
-
-/// The workspace root: this file lives at `crates/analyze/src/bin/lint.rs`.
-fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or(manifest)
-}
 
 /// A synthetic step: a binary elimination tree of 15 supernodes with
 /// realistic op mixes, plus hessian and solve streams.
@@ -173,7 +163,6 @@ fn check_traces() -> Result<(usize, usize), String> {
                     seq: i as u64,
                     step: i as u64 + 1,
                 },
-                numeric_mode: engine.numeric_mode(),
                 root,
             };
             let violations = validate_trace(&trace);
@@ -192,27 +181,7 @@ fn check_traces() -> Result<(usize, usize), String> {
 }
 
 fn main() -> ExitCode {
-    let root = workspace_root();
     let mut failed = false;
-
-    println!("lint: scanning {}", root.display());
-    match lint_workspace(&root) {
-        Ok(violations) => {
-            for v in &violations {
-                println!("  {v}");
-            }
-            if violations.is_empty() {
-                println!("lint: clean");
-            } else {
-                println!("lint: {} violation(s)", violations.len());
-                failed = true;
-            }
-        }
-        Err(e) => {
-            eprintln!("lint: cannot read workspace: {e}");
-            failed = true;
-        }
-    }
 
     println!("invariants: checking scheduler ablations");
     let trace = synthetic_trace();

@@ -12,8 +12,9 @@
 //!   no ambient wall-clock reads, ranked lock ordering, no float `==` in
 //!   kernels, strict crate attributes), with a `// lint: allow(<rule>)`
 //!   escape hatch that doubles as documentation of every deliberate
-//!   exception. Run it with `cargo run -p supernova-analyze --bin lint`,
-//!   or `--bin analyze -- --json <path>` for the machine-readable report.
+//!   exception. Run it with `cargo run -p supernova-analyze --bin analyze`
+//!   (`-- --json <path>` writes the machine-readable report); the `lint`
+//!   bin runs the dynamic invariant sweeps below, not this pass.
 //! - [`interference`]: the static interference checker over the
 //!   [`ExecutionPlan`](supernova_sparse::ExecutionPlan) IR — proves every
 //!   same-level task pair access-disjoint and issues the
@@ -45,8 +46,7 @@ pub mod validate_trace;
 pub use check::Report;
 pub use interference::{certify_datasets, DatasetCertification};
 pub use lint::{
-    lint_file, lint_file_diag, lint_workspace, lint_workspace_diag, AllowedViolation, Diagnostics,
-    Rule, Violation,
+    lint_file, lint_file_diag, lint_workspace_diag, AllowedViolation, Diagnostics, Rule, Violation,
 };
 pub use report::render_json;
 pub use validate::{

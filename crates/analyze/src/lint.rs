@@ -249,17 +249,17 @@ const HOT_ALLOC_FN_SCOPES: [(&str, &str); 22] = [
 ];
 
 /// Files where every panic-capable construct is a protocol bug: the wire
-/// codec + request handlers of the serving layer, the shared `wire`
-/// reader every binary format decodes through, and the SNVT / SNVJ / SNVR
-/// decoders. Malformed input reaches these from outside the process, so
+/// codec + request handlers of the serving layer (frames and the SNVC
+/// checkpoint decoder), the shared `wire` reader every binary format
+/// decodes through, and the SNVJ / SNVR decoders. Malformed input reaches
+/// these from outside the process, so
 /// `unwrap`/`expect`/`panic!`/`unreachable!`/slice indexing must not
 /// appear — decode errors surface as `Result`s.
-const PANIC_PATH_SCOPES: [&str; 8] = [
+const PANIC_PATH_SCOPES: [&str; 7] = [
     "crates/serve/src/protocol.rs",
     "crates/serve/src/checkpoint.rs",
     "crates/serve/src/service.rs",
     "crates/serve/src/bin/serve_tcp.rs",
-    "crates/trace/src/binary.rs",
     "crates/trace/src/wire.rs",
     "crates/fleet/src/journal.rs",
     "crates/fleet/src/state.rs",
@@ -1300,16 +1300,6 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints every crate's `src/` tree under the workspace `root`, returning
-/// live findings only.
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] if the workspace layout cannot be read.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
-    Ok(lint_workspace_diag(root)?.violations)
-}
-
 /// Lints every crate's `src/` tree under the workspace `root` (members in
 /// `crates/` plus the root package's `src/`) with full diagnostics.
 ///
@@ -1602,7 +1592,7 @@ mod tests {
 
     #[test]
     fn panic_path_rules_fire_in_decode_scope() {
-        let file = "crates/trace/src/binary.rs";
+        let file = "crates/trace/src/wire.rs";
         // unwrap/expect report under panic-path (not unwrap) in scope.
         let v = lint_file(file, "fn f() { x.unwrap(); }\n");
         assert_eq!(v.len(), 1, "{v:?}");

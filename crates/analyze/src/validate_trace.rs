@@ -313,7 +313,6 @@ mod tests {
                 seq: 2,
                 step: 3,
             },
-            numeric_mode: Default::default(),
             root,
         }
     }
@@ -364,7 +363,6 @@ mod tests {
             .any(|v| v.invariant == Invariant::TraceShape));
         let bare = Trace {
             key: StepKey::default(),
-            numeric_mode: Default::default(),
             root: Span::marker("mystery", Category::Serve, 0),
         };
         assert!(validate_trace(&bare)
@@ -381,7 +379,6 @@ mod tests {
             }
             Trace {
                 key: StepKey::default(),
-                numeric_mode: Default::default(),
                 root,
             }
         };

@@ -184,7 +184,7 @@ fn crafted_access_overlaps_carry_the_right_kind() {
 #[test]
 fn panic_path_fixture_caught_with_right_rule_id() {
     let fixture = "fn decode(buf: &[u8]) -> u8 {\n    let b = buf[0];\n    b\n}\n";
-    let v = lint_file("crates/trace/src/binary.rs", fixture);
+    let v = lint_file("crates/trace/src/wire.rs", fixture);
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].rule, Rule::PanicPath);
     assert_eq!(v[0].rule.id(), "panic-path");
@@ -261,7 +261,7 @@ fn allow_above_multi_line_statement_suppresses_the_whole_statement() {
                let tag = frame\n\
                \u{20}   .header()\n\
                \u{20}   .bytes[0];\n";
-    let d = lint_file_diag("crates/trace/src/binary.rs", src);
+    let d = lint_file_diag("crates/trace/src/wire.rs", src);
     assert!(d.violations.is_empty(), "{:?}", d.violations);
     assert_eq!(d.allowed.len(), 1);
     assert_eq!(d.allowed[0].allow_line, 1);

@@ -68,7 +68,6 @@ fn dump_trace(dataset: &Dataset, path: &str) {
                     seq: i as u64,
                     step: i as u64 + 1,
                 },
-                numeric_mode: engine.numeric_mode(),
                 root,
             });
         }

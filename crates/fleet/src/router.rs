@@ -1142,7 +1142,6 @@ impl ShardRouter {
                 seq: applied,
                 step: applied,
             },
-            numeric_mode: self.cfg.numeric,
             root,
         });
         Ok(())
@@ -1354,7 +1353,6 @@ impl ShardRouter {
                     seq: cursor,
                     step: cursor,
                 },
-                numeric_mode: self.cfg.numeric,
                 root,
             });
         }

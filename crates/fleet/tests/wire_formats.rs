@@ -1,6 +1,6 @@
-//! Byte pins and a robustness suite for the workspace's five binary
-//! formats: `SNVT` traces, `serve` request/response frames, `SNVC`
-//! checkpoints, `SNVJ` journals and `SNVR` router state.
+//! Byte pins and a robustness suite for the workspace's four binary
+//! formats: `serve` request/response frames, `SNVC` checkpoints, `SNVJ`
+//! journals and `SNVR` router state.
 //!
 //! **Pins.** Every fixture under `tests/fixtures/` is the encoding of a
 //! literal value built below — no solver run, no transcendental function —
@@ -9,9 +9,7 @@
 //! that re-encodes to the same bytes. After an intentional format change
 //! (which also bumps that format's version), regenerate with
 //! `cargo test -p supernova-fleet --test wire_formats -- --ignored
-//! regenerate_fixtures` and commit the diff with the change. `SNVT` is
-//! pinned by the workspace's `tests/trace_golden.rs`; this suite only
-//! attacks its fixture.
+//! regenerate_fixtures` and commit the diff with the change.
 //!
 //! **Robustness.** One table drives every decoder over every strict
 //! prefix of its input and over single-byte flips chosen by the in-tree
@@ -37,7 +35,6 @@ use supernova_serve::protocol::{
 };
 use supernova_serve::{decode_snapshot, encode_snapshot};
 use supernova_solvers::{EngineSnapshot, UpdateRecord};
-use supernova_trace::Trace;
 
 // --- literal values -----------------------------------------------------
 
@@ -481,16 +478,12 @@ fn verdict<T, E: std::fmt::Debug>(r: Result<T, E>) -> Result<(), String> {
 
 fn cases() -> Vec<Case> {
     use PrefixContract::{Rejected, TornTail};
-    let trace = include_bytes!("../../../tests/fixtures/m3500_step50.snvt").to_vec();
-    let mut out = vec![
-        case("SNVT", trace, |b| verdict(Trace::from_bytes(b)), Rejected),
-        case(
-            "SNVJ",
-            read_fixture("snvj.bin"),
-            |b| verdict(read_journal_bytes(b)),
-            TornTail,
-        ),
-    ];
+    let mut out = vec![case(
+        "SNVJ",
+        read_fixture("snvj.bin"),
+        |b| verdict(read_journal_bytes(b)),
+        TornTail,
+    )];
     for name in ["snvc_f64.bin", "snvc_f32.bin"] {
         out.push(case(
             name,

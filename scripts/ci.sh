@@ -14,12 +14,15 @@
 #                x86_64 build does not target AVX2
 #   test         cargo test -q --workspace
 #   doc          cargo doc --no-deps with warnings denied
-#   lint         supernova-analyze lint + schedule/ledger/trace invariants
+#   lint         supernova-analyze `lint` bin: schedule/ledger,
+#                host-schedule and trace invariant sweeps (no source lint;
+#                static-analysis owns that pass)
 #   static-analysis
-#                machine-readable diagnostics: lint engine v2 JSON report
-#                (fails on any non-allowlisted finding, every allow-escape
-#                recorded with provenance) + interference certification of
-#                every seeded dataset's execution plan; report archived at
+#                the one source lint pass per run, as machine-readable
+#                diagnostics: lint engine v2 JSON report (fails on any
+#                non-allowlisted finding, every allow-escape recorded with
+#                provenance) + interference certification of every seeded
+#                dataset's execution plan; report archived at
 #                results/analyze_diagnostics.json
 #   determinism  serial vs 2/4-thread factorization bit-identity, swept
 #                over both numeric modes (f64 / f32); plus

@@ -4,17 +4,18 @@
 //! traced M3500 replay with the hardware simulator attached), not
 //! hand-built span trees:
 //!
-//! - the canonical Chrome export and canonical binary encoding are
-//!   byte-identical across 1/2/4 host executor threads, once the two
+//! - the canonical traces are equal (`==`), and so are their canonical
+//!   Chrome exports, across 1/2/4 host executor threads, once the two
 //!   intentionally thread-dependent counters (`workers` and
 //!   `dispatch_mode` — how the tasks were dispatched, not what was
 //!   computed) are stripped — on M3500 and on a Sphere replay with wide
 //!   fronts, one whole-task span per recomputed node at every width;
-//! - the SNVT binary encoding round-trips every trace exactly;
+//! - no event of a traced replay carries one `args` member twice;
 //! - step 50 of the M3500 replay matches a committed golden fixture
-//!   byte-for-byte (`tests/fixtures/m3500_step50.snvt`). Regenerate with
+//!   byte-for-byte (`tests/fixtures/m3500_step50.json`, its canonical
+//!   Chrome export). Regenerate with
 //!   `TRACE_GOLDEN_UPDATE=1 cargo test --test trace_golden` after an
-//!   intentional change to the span taxonomy or the encoding, and commit
+//!   intentional change to the span taxonomy or the export, and commit
 //!   the diff alongside the change that motivated it.
 
 use std::sync::Arc;
@@ -24,9 +25,10 @@ use supernova_hw::Platform;
 use supernova_runtime::{CostModel, SchedulerConfig};
 use supernova_solvers::{RaIsam2Config, SolverEngine};
 use supernova_sparse::ParallelExecutor;
-use supernova_trace::{CounterSet, Span, StepKey, Trace, TraceConfig};
+use supernova_trace::json::{parse, Json};
+use supernova_trace::{chrome_document_wall, CounterSet, Span, StepKey, Trace, TraceConfig};
 
-const GOLDEN_PATH: &str = "tests/fixtures/m3500_step50.snvt";
+const GOLDEN_PATH: &str = "tests/fixtures/m3500_step50.json";
 const GOLDEN_STEP: usize = 50;
 
 /// [`traced_replay_of`] the M3500 dataset the golden fixture is cut from.
@@ -55,7 +57,6 @@ fn traced_replay_of(ds: &Dataset, threads: usize, steps: usize) -> Vec<Trace> {
                 seq: i as u64,
                 step: i as u64 + 1,
             },
-            numeric_mode: engine.numeric_mode(),
             root,
         });
     }
@@ -85,6 +86,16 @@ fn thread_invariant(trace: &Trace) -> Trace {
     canonical
 }
 
+/// The `traceEvents` of a Chrome document.
+fn events(doc: &str) -> Vec<Json> {
+    parse(doc)
+        .expect("the export is valid JSON")
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("a traceEvents array")
+        .to_vec()
+}
+
 #[test]
 fn canonical_export_identical_across_thread_counts() {
     // The first 40 steps of M3500 × 0.06 (narrow fronts), and the whole
@@ -101,15 +112,15 @@ fn canonical_export_identical_across_thread_counts() {
             for (step, (a, b)) in serial.iter().zip(&run).enumerate() {
                 let (a, b) = (thread_invariant(a), thread_invariant(b));
                 assert_eq!(
-                    a.to_chrome_json(),
-                    b.to_chrome_json(),
-                    "{} step {step}: canonical Chrome JSON differs between 1 and {threads} threads",
+                    a,
+                    b,
+                    "{} step {step}: canonical trace differs between 1 and {threads} threads",
                     ds.name()
                 );
                 assert_eq!(
-                    a.to_bytes(),
-                    b.to_bytes(),
-                    "{} step {step}: canonical SNVT bytes differ between 1 and {threads} threads",
+                    a.to_chrome_json(),
+                    b.to_chrome_json(),
+                    "{} step {step}: canonical Chrome JSON differs between 1 and {threads} threads",
                     ds.name()
                 );
             }
@@ -118,46 +129,56 @@ fn canonical_export_identical_across_thread_counts() {
 }
 
 #[test]
-fn binary_encoding_round_trips_real_traces() {
-    for trace in traced_replay(2, 30) {
-        let decoded = Trace::from_bytes(&trace.to_bytes()).expect("decode own encoding");
-        assert_eq!(decoded, trace, "as-recorded trace did not round-trip");
-        let canonical = trace.canonical();
-        let decoded = Trace::from_bytes(&canonical.to_bytes()).expect("decode canonical");
-        assert_eq!(decoded, canonical, "canonical trace did not round-trip");
+fn no_event_repeats_an_args_member() {
+    let traces = traced_replay(2, 30);
+    let mut docs: Vec<String> = traces.iter().map(Trace::to_chrome_json).collect();
+    docs.push(chrome_document_wall(&traces));
+    for doc in &docs {
+        for event in events(doc) {
+            let Some(Json::Obj(args)) = event.get("args") else {
+                panic!("event without an args object: {event:?}");
+            };
+            let mut names: Vec<&str> = args.iter().map(|(name, _)| name.as_str()).collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(names.len(), before, "repeated args member in {event:?}");
+        }
     }
 }
 
 #[test]
 fn m3500_step50_matches_golden_fixture() {
     let traces = traced_replay(2, GOLDEN_STEP);
-    let bytes = traces
+    let json = traces
         .last()
         .expect("replay produced traces")
-        .canonical()
-        .to_bytes();
+        .to_chrome_json();
 
     if std::env::var_os("TRACE_GOLDEN_UPDATE").is_some() {
         std::fs::create_dir_all("tests/fixtures").expect("create tests/fixtures");
-        std::fs::write(GOLDEN_PATH, &bytes).expect("write golden fixture");
-        eprintln!("updated {GOLDEN_PATH} ({} bytes)", bytes.len());
+        std::fs::write(GOLDEN_PATH, &json).expect("write golden fixture");
+        eprintln!("updated {GOLDEN_PATH} ({} bytes)", json.len());
         return;
     }
 
-    let golden = std::fs::read(GOLDEN_PATH).unwrap_or_else(|e| {
+    let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
         panic!("cannot read {GOLDEN_PATH}: {e}; regenerate with TRACE_GOLDEN_UPDATE=1")
     });
-    // Compare decoded trees first so a mismatch names the divergent span
-    // instead of a byte offset, then require exact bytes.
-    let ours = Trace::from_bytes(&bytes).expect("decode fresh canonical trace");
-    let theirs = Trace::from_bytes(&golden).expect("decode committed golden fixture");
+    // Compare events first so a mismatch names the divergent span instead
+    // of a byte offset, then require exact bytes.
+    let (ours, theirs) = (events(&json), events(&golden));
+    if let Some(i) = (0..ours.len().max(theirs.len())).find(|&i| ours.get(i) != theirs.get(i)) {
+        panic!(
+            "M3500 step {GOLDEN_STEP} diverged from the golden fixture at event {i}:\n  \
+             now:    {:?}\n  golden: {:?}",
+            ours.get(i).map(Json::write),
+            theirs.get(i).map(Json::write)
+        );
+    }
     assert_eq!(
-        ours, theirs,
-        "M3500 step {GOLDEN_STEP} canonical trace diverged from the golden fixture"
-    );
-    assert_eq!(
-        bytes, golden,
-        "equal trees but different bytes — the SNVT encoder changed; \
+        json, golden,
+        "equal events but different bytes — the JSON writer changed; \
          regenerate the fixture if this was intentional"
     );
 }
