@@ -1652,7 +1652,7 @@ mod tests {
             "crates/trace/src/clock.rs",
             "crates/sparse/src/executor.rs",
             "crates/bench/src/suite.rs",
-            "crates/serve/src/bin/load_gen.rs",
+            "crates/fleet/src/bin/load_gen.rs",
         ] {
             let v = lint_file(exempt, now);
             assert!(

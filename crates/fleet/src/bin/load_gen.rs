@@ -1,29 +1,20 @@
-//! `load_gen` — replays seeded datasets against the serving stack and
-//! records throughput, latency percentiles and degradation behaviour.
+//! `load_gen` — drives the fleet layer: a seeded failover drill and a set
+//! of chaos drills, each gated on zero loss and bit-identity.
 //!
 //! ```text
-//! cargo run --release -p supernova-fleet --bin load_gen [sessions] [workers]
-//! cargo run --release -p supernova-fleet --bin load_gen -- --fleet [sessions] [shards]
+//! cargo run --release -p supernova-fleet --bin load_gen -- --fleet
 //! cargo run --release -p supernova-fleet --bin load_gen -- --chaos
 //! ```
 //!
-//! **Single-server mode** (default: 8 sessions, 2 workers) drives one
-//! in-process `Server` exactly as before: sessions alternate between
-//! `manhattan_seeded` and `sphere_seeded` trajectories, submitted
-//! round-robin with a global logical deadline tick. Two scenarios run —
-//! *nominal* (nothing sheds, every drained estimate checked bit-for-bit
-//! against a solo replay) and *overload* (capacity-8 queues, aggressive
-//! degradation knee) — and land in `results/BENCH_serve_throughput.json`.
-//! `updates_shed_at_submit` counts both refusals at submit: a full queue,
-//! and an update naming the pose of an earlier shed step
-//! (`AdmissionError::UnknownVariable`); `updates_shed` is the server's
-//! full-queue count alone.
+//! With neither flag it prints its usage and exits 2. Single-server
+//! correctness is `serve_smoke`'s; serve wall time is measured by
+//! `benchmark/`'s `serve_waves` workload.
 //!
-//! **Fleet mode** (`--fleet`, default: 2000 sessions on 3 shards) drives
+//! **Fleet mode** (`--fleet`: 2000 sessions on 3 shards) drives
 //! a [`ShardRouter`] over real TCP shards in waves of concurrent
 //! sessions, migrates a session every few waves, and *kills a shard
-//! mid-run* with queued work — then measures what the fleet layer
-//! promises: recovery latency, migration counts, a zero-loss
+//! mid-run* with queued work — then records what the fleet layer
+//! promises: failover and migration counts, a zero-loss
 //! journal-vs-dispatch coverage witness, and byte-identity of served
 //! estimates against solo replays (all kill-wave sessions plus a sample
 //! of every wave). The router runs the every-K-updates checkpoint policy
@@ -51,189 +42,26 @@
 //! check fails.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use supernova_analyze::{validate_checkpoint_bounds, validate_dispatch, validate_trace};
-use supernova_datasets::Dataset;
+use supernova_analyze::{validate_checkpoint_bounds, validate_trace};
 use supernova_fleet::{
     CrashPoint, FleetError, HashRing, RouterConfig, Shard, ShardId, ShardRouter,
 };
 use supernova_linalg::NumericMode;
 use supernova_serve::protocol::DatasetKind;
-use supernova_serve::service::{solo_estimate, solo_replay};
-use supernova_serve::{AdmissionError, ServeConfig, Server, ServerStats, UpdateRequest};
+use supernova_serve::service::solo_estimate;
+use supernova_serve::ServeConfig;
 use supernova_trace::json::Json;
-
-/// The i-th session's dataset (alternating families, distinct seeds).
-fn session_dataset(i: usize) -> Dataset {
-    if i % 2 == 0 {
-        Dataset::manhattan_seeded(40, 101 + i as u64)
-    } else {
-        Dataset::sphere_seeded(30, 201 + i as u64)
-    }
-}
-
-struct ScenarioResult {
-    name: &'static str,
-    /// Whether the scenario's admission counts are timing-independent.
-    /// Nominal queues never fill, so shed counts are deterministic (zero);
-    /// overload sheds race the workers' drain rate, so its exact counts
-    /// vary run to run and `bench_check` gates on conservation instead.
-    deterministic_counts: bool,
-    sessions: usize,
-    workers: usize,
-    queue_capacity: usize,
-    submitted: u64,
-    shed_at_submit: u64,
-    wall_s: f64,
-    stats: ServerStats,
-    max_depth: usize,
-    bit_identical: Option<bool>,
-    span_violations: usize,
-}
-
-fn run_scenario(
-    name: &'static str,
-    cfg: ServeConfig,
-    sessions: usize,
-    check_identity: bool,
-    deterministic_counts: bool,
-) -> ScenarioResult {
-    let workers = cfg.workers;
-    let queue_capacity = cfg.queue_capacity;
-    let server = Server::start(cfg);
-    let ids: Vec<_> = (0..sessions)
-        .map(|_| {
-            server
-                .create_session()
-                .expect("pool sized to the session count")
-        })
-        .collect();
-    let datasets: Vec<Dataset> = (0..sessions).map(session_dataset).collect();
-    let step_lists: Vec<_> = datasets.iter().map(Dataset::online_steps).collect();
-
-    let t0 = Instant::now();
-    let mut cursors = vec![0usize; sessions];
-    let mut tick = 0u64;
-    let mut submitted = 0u64;
-    let mut shed_at_submit = 0u64;
-    loop {
-        let mut any = false;
-        for i in 0..sessions {
-            if cursors[i] < step_lists[i].len() {
-                let s = &step_lists[i][cursors[i]];
-                match server.submit(
-                    ids[i],
-                    UpdateRequest::new(tick, s.truth.clone(), s.factors.clone()),
-                ) {
-                    Ok(()) => submitted += 1,
-                    Err(
-                        AdmissionError::QueueFull { .. } | AdmissionError::UnknownVariable { .. },
-                    ) => shed_at_submit += 1,
-                    Err(e) => panic!("unexpected admission error: {e}"),
-                }
-                cursors[i] += 1;
-                tick += 1;
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    server.drain_all();
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    let bit_identical = if check_identity {
-        let mut all = true;
-        for (i, ds) in datasets.iter().enumerate() {
-            let served = server.estimate(ids[i]).expect("session is live");
-            if served != solo_replay(server.config(), &step_lists[i]).estimate() {
-                eprintln!("{name}: session {i} ({}) diverged from solo", ds.name());
-                all = false;
-            }
-        }
-        Some(all)
-    } else {
-        None
-    };
-
-    let stats = server.stats();
-    let max_depth = stats
-        .sessions
-        .iter()
-        .map(|s| s.max_queue_depth)
-        .max()
-        .unwrap_or(0);
-    let records: Vec<_> = server.spans().iter().map(|s| s.record()).collect();
-    let violations = validate_dispatch(workers, &records);
-    for v in &violations {
-        eprintln!("{name}: dispatch invariant violated: {v}");
-    }
-    ScenarioResult {
-        name,
-        deterministic_counts,
-        sessions,
-        workers,
-        queue_capacity,
-        submitted,
-        shed_at_submit,
-        wall_s,
-        stats,
-        max_depth,
-        bit_identical,
-        span_violations: violations.len(),
-    }
-}
-
-fn emit_json(results: &[ScenarioResult]) -> String {
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let scenarios = results
-        .iter()
-        .map(|r| {
-            let (p50, p95, p99) = r.stats.aggregate_latency;
-            Json::obj([
-                ("name", r.name.into()),
-                ("sessions", r.sessions.into()),
-                ("workers", r.workers.into()),
-                ("queue_capacity", r.queue_capacity.into()),
-                ("deterministic_counts", r.deterministic_counts.into()),
-                ("updates_submitted", r.submitted.into()),
-                ("updates_completed", r.stats.total_completed.into()),
-                ("updates_shed", r.stats.total_shed.into()),
-                ("updates_shed_at_submit", r.shed_at_submit.into()),
-                ("wall_s", Json::fixed(r.wall_s, 6)),
-                (
-                    "throughput_updates_per_s",
-                    Json::fixed(r.stats.total_completed as f64 / r.wall_s.max(1e-12), 2),
-                ),
-                ("latency_p50_ms", Json::fixed(p50 * 1e3, 4)),
-                ("latency_p95_ms", Json::fixed(p95 * 1e3, 4)),
-                ("latency_p99_ms", Json::fixed(p99 * 1e3, 4)),
-                ("max_queue_depth", r.max_depth.into()),
-                (
-                    "degradation_histogram",
-                    r.stats.degradation_histogram.clone().into(),
-                ),
-                ("bit_identical_to_solo", r.bit_identical.into()),
-                ("dispatch_span_violations", r.span_violations.into()),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("bench", "serve_throughput".into()),
-        ("host_cpus", host_cpus.into()),
-        ("scenarios", Json::Arr(scenarios)),
-    ])
-    .write()
-}
 
 // ---------------------------------------------------------------------------
 // Fleet scenario
 // ---------------------------------------------------------------------------
 
+/// Sessions the fleet drill runs. The exact `fleet/*` rows of
+/// `bench_check` hold at this size only.
+const FLEET_SESSIONS: usize = 2000;
+/// Shards the fleet drill starts with; one of them is killed mid-run.
+const FLEET_SHARDS: u32 = 3;
 /// Concurrent sessions per wave (each wave creates, runs and closes its
 /// sessions before the next starts, so "thousands of sessions" needs only
 /// a wave-sized engine pool per shard).
@@ -292,13 +120,11 @@ struct FleetResult {
     trace_violations: usize,
     bit_identity_checked: usize,
     bit_identical: bool,
-    wall_s: f64,
-    recovery_wall_s: f64,
 }
 
-fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
+fn run_fleet() -> FleetResult {
     let journal_dir = std::env::temp_dir().join(format!("fleet-loadgen-{}", std::process::id()));
-    let mut shards: Vec<Shard> = (0..shard_count)
+    let mut shards: Vec<Shard> = (0..FLEET_SHARDS)
         .map(|i| Shard::spawn(ShardId(i), fleet_shard_cfg()).expect("bind shard listener"))
         .collect();
     let endpoints: Vec<_> = shards.iter().map(|s| (s.id(), s.addr())).collect();
@@ -314,12 +140,10 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
     )
     .expect("connect router");
 
-    let waves = sessions_total.div_ceil(WAVE);
+    let waves = FLEET_SESSIONS.div_ceil(WAVE);
     let kill_wave = waves / 2;
-    let t0 = Instant::now();
     let mut tick = 0u64;
     let mut updates_admitted = 0u64;
-    let mut recovery_wall_s = 0.0f64;
     let mut killed: Option<ShardId> = None;
     let mut suffix_bound_violations = 0usize;
     let mut bit_identity_checked = 0usize;
@@ -327,7 +151,7 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
     let mut next_session = 0usize;
 
     for wave in 0..waves {
-        let wave_n = WAVE.min(sessions_total - next_session);
+        let wave_n = WAVE.min(FLEET_SESSIONS - next_session);
         let indices: Vec<usize> = (next_session..next_session + wave_n).collect();
         next_session += wave_n;
         let globals: Vec<u64> = indices
@@ -364,7 +188,6 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
                 shard.kill();
             }
             let report = router.kill_shard(dead).expect("failover");
-            recovery_wall_s = report.recovery_wall_s;
             killed = Some(dead);
             // The periodic checkpoint policy's headline bound: no replay
             // suffix may exceed K.
@@ -375,11 +198,8 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
             suffix_bound_violations += bounds.len();
             eprintln!(
                 "load_gen: killed {dead}: {} session(s) re-homed, {} update(s) replayed \
-                 (max suffix {}), {:.3}s recovery",
-                report.sessions,
-                report.replayed_updates,
-                report.max_replay_suffix,
-                report.recovery_wall_s
+                 (max suffix {})",
+                report.sessions, report.replayed_updates, report.max_replay_suffix
             );
         }
 
@@ -405,7 +225,6 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
             router.close(*g).expect("close");
         }
     }
-    let wall_s = t0.elapsed().as_secs_f64();
 
     // Trace shapes.
     let traces = router.take_traces();
@@ -431,8 +250,8 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
     let _ = std::fs::remove_dir_all(&journal_dir);
 
     FleetResult {
-        sessions_total,
-        shards: shard_count,
+        sessions_total: FLEET_SESSIONS,
+        shards: FLEET_SHARDS,
         shards_killed: u32::from(killed.is_some()),
         steps_per_session: FLEET_STEPS,
         checkpoint_interval: FLEET_CHECKPOINT_K,
@@ -452,8 +271,6 @@ fn run_fleet(sessions_total: usize, shard_count: u32) -> FleetResult {
         trace_violations,
         bit_identity_checked,
         bit_identical,
-        wall_s,
-        recovery_wall_s,
     }
 }
 
@@ -485,12 +302,6 @@ fn emit_fleet_json(r: &FleetResult) -> String {
         ("trace_violations", r.trace_violations.into()),
         ("bit_identity_checked", r.bit_identity_checked.into()),
         ("bit_identical_to_solo", r.bit_identical.into()),
-        (
-            "throughput_updates_per_s",
-            Json::fixed(r.updates_admitted as f64 / r.wall_s.max(1e-12), 2),
-        ),
-        ("wall_s", Json::fixed(r.wall_s, 6)),
-        ("recovery_wall_s", Json::fixed(r.recovery_wall_s, 6)),
     ])
     .write()
 }
@@ -782,91 +593,50 @@ fn run_chaos() -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--chaos") {
-        eprintln!("load_gen: chaos drills, 3 scenarios x 2 numeric modes");
-        let failures = run_chaos();
-        if failures.is_empty() {
-            eprintln!("load_gen: chaos OK");
-            return ExitCode::SUCCESS;
+    let mut args = std::env::args().skip(1);
+    match (args.next().as_deref(), args.next()) {
+        (Some("--chaos"), None) => chaos_main(),
+        (Some("--fleet"), None) => fleet_main(),
+        _ => {
+            eprintln!("usage: load_gen --fleet | --chaos");
+            ExitCode::from(2)
         }
-        eprintln!("load_gen: chaos FAILED ({} drill(s)):", failures.len());
-        for f in &failures {
-            eprintln!("load_gen:   {f}");
-        }
-        return ExitCode::FAILURE;
     }
-    if args.first().map(String::as_str) == Some("--fleet") {
-        let sessions: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2000);
-        let shards: u32 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(3);
-        eprintln!("load_gen: fleet scenario, {sessions} sessions on {shards} shards");
-        let result = run_fleet(sessions, shards.max(3));
-        let json = emit_fleet_json(&result);
-        std::fs::create_dir_all("results").expect("create results/");
-        std::fs::write("results/BENCH_fleet.json", &json).expect("write results/BENCH_fleet.json");
-        print!("{json}");
-        let ok = result.coverage_violations == 0
-            && result.trace_violations == 0
-            && result.lost_updates == 0
-            && result.journal_truncated_bytes == 0
-            && result.bit_identical
-            && result.suffix_bound_violations == 0
-            && result.shards_killed == 1;
-        if ok {
-            eprintln!("load_gen: fleet OK");
-            return ExitCode::SUCCESS;
-        }
-        eprintln!("load_gen: fleet FAILED");
-        return ExitCode::FAILURE;
+}
+
+fn chaos_main() -> ExitCode {
+    eprintln!("load_gen: chaos drills, 3 scenarios x 2 numeric modes");
+    let failures = run_chaos();
+    if failures.is_empty() {
+        eprintln!("load_gen: chaos OK");
+        return ExitCode::SUCCESS;
     }
+    eprintln!("load_gen: chaos FAILED ({} drill(s)):", failures.len());
+    for f in &failures {
+        eprintln!("load_gen:   {f}");
+    }
+    ExitCode::FAILURE
+}
 
-    let sessions: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let workers: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2);
-    eprintln!("load_gen: {sessions} sessions on {workers} workers");
-
-    let nominal = run_scenario(
-        "nominal",
-        ServeConfig {
-            workers,
-            max_sessions: sessions,
-            queue_capacity: 256,
-            degrade_start: 1 << 20,
-            ..ServeConfig::default()
-        },
-        sessions,
-        true,
-        true,
-    );
-    let overload = run_scenario(
-        "overload",
-        ServeConfig {
-            workers,
-            max_sessions: sessions,
-            queue_capacity: 8,
-            degrade_start: 4,
-            degrade_stride: 4,
-            ..ServeConfig::default()
-        },
-        sessions,
-        false,
-        false,
-    );
-
-    let results = [nominal, overload];
-    let json = emit_json(&results);
+fn fleet_main() -> ExitCode {
+    eprintln!("load_gen: fleet scenario, {FLEET_SESSIONS} sessions on {FLEET_SHARDS} shards");
+    let result = run_fleet();
+    let json = emit_fleet_json(&result);
     std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_serve_throughput.json", &json)
-        .expect("write results/BENCH_serve_throughput.json");
+    std::fs::write("results/BENCH_fleet.json", &json).expect("write results/BENCH_fleet.json");
     print!("{json}");
-
-    let ok = results
-        .iter()
-        .all(|r| r.span_violations == 0 && r.bit_identical.unwrap_or(true));
+    let ok = result.coverage_violations == 0
+        && result.trace_violations == 0
+        && result.lost_updates == 0
+        && result.journal_truncated_bytes == 0
+        && result.bit_identical
+        && result.suffix_bound_violations == 0
+        && result.shards_killed == 1;
     if ok {
-        eprintln!("load_gen: OK");
+        eprintln!("load_gen: fleet OK");
         ExitCode::SUCCESS
     } else {
-        eprintln!("load_gen: FAILED");
+        eprintln!("load_gen: fleet FAILED");
         ExitCode::FAILURE
     }
 }

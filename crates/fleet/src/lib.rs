@@ -40,9 +40,8 @@
 //! same wire protocol as `serve_tcp`, so clients need not know the fleet
 //! exists; `--resume` restarts it over a previous instance's books),
 //! `fleet_smoke` (the CI gate: 3 shards, a migration, a kill, byte-
-//! identity and zero-loss asserts), and `load_gen` (the workspace load
-//! generator, including the `--fleet` scenario behind
-//! `results/BENCH_fleet.json` and the `--chaos` drills: router restart
+//! identity and zero-loss asserts), and `load_gen` (the `--fleet` drill
+//! behind `results/BENCH_fleet.json` and the `--chaos` drills: router restart
 //! at both migration crash points, double-shard-kill, and
 //! add-shard-under-load, each gated on bit-identity and zero loss). The
 //! bins and tests judge bit-identity with `supernova_serve::service`'s

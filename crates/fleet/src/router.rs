@@ -272,8 +272,6 @@ pub struct FailoverReport {
     pub suffix_lens: Vec<(u64, u64)>,
     /// The longest single-session suffix replayed.
     pub max_replay_suffix: u64,
-    /// Wall seconds from kill to the last session re-homed.
-    pub recovery_wall_s: f64,
 }
 
 /// What one `add_shard` rebalance did.
@@ -1357,7 +1355,6 @@ impl ShardRouter {
             });
         }
 
-        let t1 = epoch_seconds();
         self.stats.failovers += 1;
         self.stats.failover_sessions += victims.len() as u64;
         self.stats.replayed_updates += replayed_total;
@@ -1369,7 +1366,6 @@ impl ShardRouter {
             replayed_updates: replayed_total,
             suffix_lens,
             max_replay_suffix,
-            recovery_wall_s: t1 - t0,
         })
     }
 

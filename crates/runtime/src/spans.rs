@@ -66,12 +66,11 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     span.counters.set("tasks", sched.spans.len() as u64);
     span.counters.set("kernel_flops", sched.kernel_flops());
     // Which dispatch strategy sequenced the execution (serial /
-    // level-batched) — lets bench_check gate the
-    // dispatch-overhead-per-task metric against the mode that produced it.
+    // level-batched), so the span's timing is read against the path that
+    // produced it.
     span.counters.set("dispatch_mode", sched.mode.as_u64());
-    // Numeric precision the workers' kernels ran under (f64 / f32 /
-    // mixed) — step artifacts and bench_check gate against the mode that
-    // produced the numbers.
+    // Numeric precision the workers' kernels ran under (f64 / f32), so a
+    // traced step records the arithmetic its numbers came from.
     span.counters.set("numeric_mode", sched.numeric.as_u64());
     span
 }

@@ -4,7 +4,7 @@
 //! cargo run --release -p supernova-serve --bin serve_smoke
 //! ```
 //!
-//! Three phases, all in-process (no sockets, no timing dependence in the
+//! Four phases, all in-process (no sockets, no timing dependence in the
 //! *checked* properties):
 //!
 //! 1. **Bit-identity at low rate.** Four sessions (two Manhattan, two
@@ -22,14 +22,21 @@
 //!    pace) and then recover to level 0 once drained. "Shed" counts both
 //!    refusals at submit: a full queue, and an update naming the pose of
 //!    an earlier shed step (`AdmissionError::UnknownVariable`).
-//! 3. **Trace emission.** Two sessions on two workers with
+//! 3. **Overload across sessions.** Eight seeded sessions (alternating
+//!    Manhattan and sphere) on two workers, capacity-8 queues and
+//!    degradation from depth 4 in strides of 4, submitted round-robin
+//!    with a global deadline tick. How many updates shed races the
+//!    workers, so only what holds either way is checked: every admitted
+//!    update completes, and the dispatch spans of two workers serving
+//!    shedding sessions satisfy every dispatch invariant.
+//! 4. **Trace emission.** Two sessions on two workers with
 //!    `TraceConfig::on()`: every dispatched step must emit a span tree
 //!    that passes `validate_trace`, and the collected trees must
 //!    cross-check against the dispatch ledger
 //!    (`validate_trace_dispatch`: one tree per record, matching worker
 //!    tracks, record interval inside the root span).
 //!
-//! Phases 1 and 2 also run the recorded dispatch spans through
+//! Phases 1 to 3 also run the recorded dispatch spans through
 //! `supernova_analyze::validate_dispatch` (worker exclusivity,
 //! per-session happens-before, sequence coverage).
 //!
@@ -209,6 +216,70 @@ fn phase_overload(report: &mut Report) {
     check_spans(report, &server, "overload");
 }
 
+fn phase_multi_overload(report: &mut Report) {
+    let sessions = 8;
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        max_sessions: sessions,
+        queue_capacity: 8,
+        degrade_start: 4,
+        degrade_stride: 4,
+        ..ServeConfig::default()
+    });
+    let ids: Vec<_> = (0..sessions)
+        .map(|_| server.create_session().expect("8 slots configured"))
+        .collect();
+    let step_lists: Vec<_> = (0..sessions)
+        .map(|i| {
+            if i % 2 == 0 {
+                Dataset::manhattan_seeded(40, 101 + i as u64)
+            } else {
+                Dataset::sphere_seeded(30, 201 + i as u64)
+            }
+            .online_steps()
+        })
+        .collect();
+    let mut tick = 0u64;
+    let mut admitted = 0u64;
+    let mut shed = 0u64;
+    for round in 0..step_lists.iter().map(Vec::len).max().unwrap_or(0) {
+        for (i, steps) in step_lists.iter().enumerate() {
+            let Some(s) = steps.get(round) else {
+                continue;
+            };
+            match server.submit(
+                ids[i],
+                UpdateRequest::new(tick, s.truth.clone(), s.factors.clone()),
+            ) {
+                Ok(()) => admitted += 1,
+                Err(AdmissionError::QueueFull { .. } | AdmissionError::UnknownVariable { .. }) => {
+                    shed += 1
+                }
+                Err(e) => {
+                    report.check(
+                        "multi-overload/admission",
+                        false,
+                        &format!("unexpected admission error {e}"),
+                    );
+                    return;
+                }
+            }
+            tick += 1;
+        }
+    }
+    server.drain_all();
+    let stats = server.stats();
+    report.check(
+        "multi-overload/admitted-completes",
+        stats.total_completed == admitted,
+        &format!(
+            "{admitted} admitted, {} completed ({shed} shed at admission)",
+            stats.total_completed
+        ),
+    );
+    check_spans(report, &server, "multi-overload");
+}
+
 fn phase_traces(report: &mut Report) {
     let datasets = [
         Dataset::manhattan_seeded(30, 41),
@@ -301,6 +372,7 @@ fn main() -> ExitCode {
     let mut report = Report::new();
     phase_bit_identity(&mut report);
     phase_overload(&mut report);
+    phase_multi_overload(&mut report);
     phase_traces(&mut report);
     report.finish("serve_smoke")
 }

@@ -28,14 +28,14 @@
 //! [`Histogram`](supernova_metrics::Histogram)), queue depths, shed counts
 //! and the degradation histogram. The `serve_tcp` binary exposes the layer
 //! over a length-prefixed TCP protocol ([`protocol`]); `serve_smoke` is the
-//! CI gate (solo-vs-served bit-identity, zero sheds at low rate, dispatcher
-//! span invariants). Every served-vs-solo check in this crate and in
-//! `supernova-fleet` compares against one oracle,
-//! [`service::solo_replay`] / [`service::solo_estimate`], which builds its
-//! engine apart from the server's pool. The workspace load generator
-//! (`load_gen`, including the single-server nominal/overload scenarios behind
-//! `results/BENCH_serve_throughput.json`) lives in `supernova-fleet`,
-//! which layers shard routing and crash failover on top of this crate.
+//! CI gate (solo-vs-served bit-identity, zero sheds at low rate, overload
+//! on one and on eight sessions, dispatcher span invariants). Every
+//! served-vs-solo check in this crate and in `supernova-fleet` compares
+//! against one oracle, [`service::solo_replay`] /
+//! [`service::solo_estimate`], which builds its engine apart from the
+//! server's pool. Serve wall time is measured by `benchmark/`'s
+//! `serve_waves` workload; `supernova-fleet` layers shard routing and
+//! crash failover on top of this crate.
 //!
 //! # Example
 //!

@@ -117,24 +117,6 @@ impl HostSchedule {
     pub fn kernel_flops(&self) -> u64 {
         self.spans.iter().map(|s| s.kernel_flops).sum()
     }
-
-    /// Total dispatch overhead in worker-seconds: wall-clock capacity the
-    /// pool held (`makespan × workers`) minus the time workers actually
-    /// spent inside tasks. Covers claim-cursor traffic, barrier waits and
-    /// wave-tail idling.
-    pub fn dispatch_overhead_s(&self) -> f64 {
-        (self.makespan() * self.workers as f64 - self.busy_time()).max(0.0)
-    }
-
-    /// Dispatch overhead per executed span, in seconds — the metric the
-    /// benchmark ledger tracks for the inline and the wave path alike.
-    pub fn dispatch_overhead_per_task_s(&self) -> f64 {
-        if self.spans.is_empty() {
-            0.0
-        } else {
-            self.dispatch_overhead_s() / self.spans.len() as f64
-        }
-    }
 }
 
 /// Aggregate statistics over an executor's persistent pack-arena pool —
@@ -893,20 +875,6 @@ mod tests {
         // present and the schedule total agrees.
         assert!(sched.spans.iter().all(|s| s.kernel_flops == 0));
         assert_eq!(sched.kernel_flops(), 0);
-    }
-
-    #[test]
-    fn dispatch_overhead_metrics_are_finite() {
-        let plan = plan_of(10);
-        let cert = certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let (res, sched) =
-            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        assert!(sched.dispatch_overhead_s() >= 0.0);
-        assert!(sched.dispatch_overhead_per_task_s() >= 0.0);
-        assert!(sched.dispatch_overhead_per_task_s().is_finite());
-        assert_eq!(HostSchedule::default().dispatch_overhead_per_task_s(), 0.0);
     }
 
     #[test]

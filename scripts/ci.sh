@@ -44,9 +44,12 @@
 #   kernel-bench regenerate results/BENCH_kernels.json (blocked vs
 #                reference dense-kernel throughput; gated on the
 #                in-process speedup ratio, which is host-noise immune)
-#   bench        regenerate results/BENCH_*.json (step_bench + load_gen,
-#                including the fleet failover drill)
-#   bench-check  compare fresh benchmarks against results/baselines/
+#   bench        regenerate results/BENCH_step_latency.json (step_bench)
+#                and results/BENCH_fleet.json (the load_gen --fleet
+#                failover drill)
+#   bench-check  compare fresh benchmarks against results/baselines/:
+#                exact drift checks and in-process speedup ratios; no
+#                wall time is compared (benchmark/ measures wall time)
 #
 # No network access required — the workspace has no external dependencies
 # and every gate is an in-tree binary. Per-stage wall-clock timings and
@@ -173,7 +176,6 @@ static_analysis() {
 
 bench_regen() {
     cargo run --release -q -p supernova-bench --bin step_bench &&
-        cargo run --release -q -p supernova-fleet --bin load_gen >/dev/null &&
         cargo run --release -q -p supernova-fleet --bin load_gen -- --fleet >/dev/null
 }
 
