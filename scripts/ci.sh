@@ -28,6 +28,10 @@
 #                over both numeric modes (f64 / f32); plus
 #                analyze-incremental: prefix-reusing analysis vs a
 #                from-scratch twin, plan fingerprints equal on every step
+#   repro        `repro all --scale 0.05` into a scratch directory, then
+#                `diff -r` against tests/fixtures/repro_0.05/: every
+#                paper table and figure CSV, simulator output included,
+#                byte for byte (refresh: results/README.md)
 #   numeric-ape  per-mode trajectory accuracy: f32-mode APE gated
 #                against f64-mode APE, artifact at results/numeric_ape.json
 #   serve-smoke  serving layer: bit-identity, overload, trace cross-check
@@ -60,7 +64,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build test doc lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos bench-quick kernel-bench bench bench-check"
+STAGES="fmt build test doc lint static-analysis determinism repro numeric-ape serve-smoke fleet-smoke chaos bench-quick kernel-bench bench bench-check"
 
 now() {
     # GNU date gives fractional seconds. Some date(1) implementations
@@ -174,6 +178,17 @@ static_analysis() {
         cargo run -q -p supernova-analyze --bin analyze -- --json results/analyze_diagnostics.json
 }
 
+# The paper's tables and figures at a small scale, written fresh and
+# compared byte for byte with the committed fixture.
+repro_gate() {
+    _out=$(mktemp -d) || return 1
+    cargo run --release -q -p supernova-bench --bin repro -- all --scale 0.05 --out "$_out" >/dev/null &&
+        diff -r tests/fixtures/repro_0.05 "$_out"
+    _rc=$?
+    rm -rf "$_out"
+    return $_rc
+}
+
 bench_regen() {
     cargo run --release -q -p supernova-bench --bin step_bench &&
         cargo run --release -q -p supernova-fleet --bin load_gen -- --fleet >/dev/null
@@ -188,6 +203,7 @@ run_stage() {
         lint) cargo run -q -p supernova-analyze --bin lint ;;
         static-analysis) static_analysis ;;
         determinism) cargo run --release -q -p supernova-bench --bin determinism ;;
+        repro) repro_gate ;;
         numeric-ape) cargo run --release -q -p supernova-bench --bin numeric_ape ;;
         serve-smoke) cargo run --release -q -p supernova-serve --bin serve_smoke ;;
         fleet-smoke) cargo run --release -q -p supernova-fleet --bin fleet_smoke ;;
