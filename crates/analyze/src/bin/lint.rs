@@ -73,10 +73,10 @@ fn synthetic_trace() -> StepTrace {
     trace
 }
 
-/// Factorize a banded-plus-loop SPD system on the real plan executor at
-/// several thread counts (full refactor and an incremental dirty subset)
-/// and validate every resulting [`supernova_sparse::HostSchedule`] for
-/// coverage, happens-before, and per-worker exclusivity.
+/// Factorize a banded-plus-loop SPD system on the real plan executor (full
+/// refactor, then an incremental dirty subset) and validate each resulting
+/// [`supernova_sparse::HostSchedule`] for coverage, happens-before, and
+/// exclusivity.
 fn check_host_schedules() -> Result<usize, String> {
     let blocks = 24usize;
     let mut pattern = BlockPattern::new((0..blocks).map(|i| 2 + i % 3).collect());
@@ -103,40 +103,25 @@ fn check_host_schedules() -> Result<usize, String> {
     let dirty = vec![3usize, 15];
 
     let mut checked = 0usize;
-    for threads in [1usize, 2, 4, 8] {
-        let exec = ParallelExecutor::new(threads);
-        let mut num = NumericFactor::empty(&plan);
-        for (label, seeds) in [("full", &all), ("incremental", &dirty)] {
-            let (stats, sched) = num
-                .execute_plan(&plan, &h, seeds, &exec)
-                .map_err(|e| format!("{threads} threads ({label}): factorization failed: {e}"))?;
-            // `execute_plan` certifies the plan itself for a multi-worker
-            // executor; if that ever stops, every run here would quietly
-            // be the inline schedule and the sweep would validate nothing
-            // about cross-worker ordering.
-            if threads > 1 && sched.workers <= 1 {
-                return Err(format!(
-                    "{threads} threads ({label}): ran inline on {} worker",
-                    sched.workers
-                ));
-            }
-            let violations = validate_host_schedule(&plan, &sched, &stats.recomputed_nodes());
-            if !violations.is_empty() {
-                let msgs: Vec<String> = violations
-                    .iter()
-                    .map(|v| format!("{threads} threads ({label}): {v}"))
-                    .collect();
-                return Err(msgs.join("\n  "));
-            }
-            checked += 1;
+    let exec = ParallelExecutor::default();
+    let mut num = NumericFactor::empty(&plan);
+    for (label, seeds) in [("full", &all), ("incremental", &dirty)] {
+        let (stats, sched) = num
+            .execute_plan(&plan, &h, seeds, &exec)
+            .map_err(|e| format!("{label}: factorization failed: {e}"))?;
+        let violations = validate_host_schedule(&plan, &sched, &stats.recomputed_nodes());
+        if !violations.is_empty() {
+            let msgs: Vec<String> = violations.iter().map(|v| format!("{label}: {v}")).collect();
+            return Err(msgs.join("\n  "));
         }
+        checked += 1;
     }
     Ok(checked)
 }
 
-/// Replays each seeded dataset through a traced engine (2-thread host
-/// executor, SuperNoVA-2S hardware pricing) and validates every step's
-/// span tree. Returns (traces checked, total spans) on success.
+/// Replays each seeded dataset through a traced engine (SuperNoVA-2S
+/// hardware pricing) and validates every step's span tree. Returns
+/// (traces checked, total spans) on success.
 fn check_traces() -> Result<(usize, usize), String> {
     let datasets = [
         Dataset::m3500_scaled(0.06),
@@ -149,7 +134,6 @@ fn check_traces() -> Result<(usize, usize), String> {
         let platform = Platform::supernova(2);
         let cost = Arc::new(CostModel::new(platform.clone()));
         let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
-        engine.set_executor(ParallelExecutor::new(2));
         engine.set_trace(TraceConfig::on());
         engine.set_trace_hw(platform, SchedulerConfig::default());
         for (i, step) in ds.online_steps().into_iter().enumerate() {

@@ -7,15 +7,14 @@
 //! per-task read/write sets from the plan's front layouts and extend-add
 //! scatter programs, closes them under the dependency edges'
 //! happens-before order, and proves every same-level task pair disjoint.
-//! A successful proof is a [`PlanCertificate`], which the parallel
-//! executor requires before it lets more than one worker touch the plan:
-//! with it, whole levels are dispatched from one atomic cursor.
+//! A successful proof is a [`PlanCertificate`]. The executor runs plans
+//! inline and needs none; the proof is a static check that the plan IR
+//! keeps the independence its `levels()` promise.
 //!
 //! This module adds the workspace-level driver: [`certify_datasets`] runs
 //! every seeded dataset through the real incremental engine and certifies
-//! the plan the engine actually executes, so CI can assert that batched
-//! dispatch is proven safe on all shipped workloads — not just on unit
-//! fixtures.
+//! the plan the engine actually executes, so CI checks the shipped
+//! workloads' plans — not just unit fixtures.
 
 use std::sync::Arc;
 
@@ -62,8 +61,7 @@ fn sweep_datasets() -> Vec<Dataset> {
 
 /// Replays each seeded dataset through the incremental engine and runs the
 /// interference checker on the final plan — the exact plan object the
-/// engine's executor would batch-dispatch. Also asserts the engine's own
-/// cached certificate agrees (the engine certifies on every re-analyze).
+/// engine's executor runs.
 pub fn certify_datasets() -> Vec<DatasetCertification> {
     let mut out = Vec::new();
     for ds in sweep_datasets() {
@@ -85,10 +83,7 @@ pub fn certify_datasets() -> Vec<DatasetCertification> {
                         num_tasks: cert.num_tasks(),
                         num_levels: cert.num_levels(),
                         fingerprint,
-                        // The engine's cached certificate must cover the
-                        // same plan — otherwise batched dispatch silently
-                        // degrades to inline execution.
-                        certified: core.plan_certificate().is_some_and(|c| c.covers(plan)),
+                        certified: true,
                         violations: Vec::new(),
                     },
                     Err(violations) => DatasetCertification {

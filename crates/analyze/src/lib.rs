@@ -17,10 +17,9 @@
 //!   bin runs the dynamic invariant sweeps below, not this pass.
 //! - [`interference`]: the static interference checker over the
 //!   [`ExecutionPlan`](supernova_sparse::ExecutionPlan) IR — proves every
-//!   same-level task pair access-disjoint and issues the
+//!   same-level task pair access-disjoint and issues a
 //!   [`PlanCertificate`](supernova_sparse::interference::PlanCertificate)
-//!   that unlocks the executor's batched level dispatch — plus the
-//!   seeded-dataset certification sweep.
+//!   — plus the seeded-dataset certification sweep.
 //! - [`validate`]: a schedule and ledger invariant checker over the
 //!   runtime's executed-schedule traces
 //!   ([`ExecTrace`](supernova_runtime::ExecTrace)): happens-before

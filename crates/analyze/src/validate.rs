@@ -278,13 +278,13 @@ pub fn validate_exec(trace: &StepTrace, exec: &ExecTrace) -> Vec<ScheduleViolati
 /// Checks a **host** execution record against its plan: the same
 /// happens-before, exclusivity and coverage invariants the simulator's
 /// schedules are held to, applied to wall-clock spans actually executed by
-/// the `ParallelExecutor` worker pool.
+/// the host executor.
 ///
 /// `recomputed` is the step's recomputed task set (e.g.
 /// `RefactorStats::recomputed_nodes()`); the schedule must cover it
-/// exactly — one span per recomputed task, on the inline and the wave
-/// path alike — every parent span must start after each recomputed
-/// child's span ends, and no worker may run two spans at once.
+/// exactly — one span per recomputed task — every parent span must start
+/// after each recomputed child's span ends, and no two spans may overlap
+/// (the executor runs one task at a time).
 pub fn validate_host_schedule(
     plan: &ExecutionPlan,
     sched: &HostSchedule,
@@ -311,7 +311,7 @@ pub fn validate_host_schedule(
     }
     let span_of: BTreeMap<usize, &TaskSpan> = sched.spans.iter().map(|s| (s.node, s)).collect();
 
-    // --- Sane spans on valid workers.
+    // --- Sane spans.
     for s in &sched.spans {
         if s.end < s.start - tol {
             out.push(ScheduleViolation {
@@ -319,15 +319,6 @@ pub fn validate_host_schedule(
                 detail: format!(
                     "node {} span ends at {:.3e}s before its start {:.3e}s",
                     s.node, s.end, s.start
-                ),
-            });
-        }
-        if s.worker >= sched.workers {
-            out.push(ScheduleViolation {
-                invariant: Invariant::UnitExclusive,
-                detail: format!(
-                    "node {} ran on worker {} of a {}-worker pool",
-                    s.node, s.worker, sched.workers
                 ),
             });
         }
@@ -352,27 +343,21 @@ pub fn validate_host_schedule(
         }
     }
 
-    // --- Per-worker exclusivity.
-    for worker in 0..sched.workers {
-        let mut intervals: Vec<(f64, f64, usize)> = sched
-            .spans
-            .iter()
-            .filter(|s| s.worker == worker)
-            .map(|s| (s.start, s.end, s.node))
-            .collect();
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        for w in intervals.windows(2) {
-            let (_, e0, n0) = w[0];
-            let (s1, _, n1) = w[1];
-            if s1 < e0 - tol {
-                out.push(ScheduleViolation {
-                    invariant: Invariant::UnitExclusive,
-                    detail: format!(
-                        "worker {worker} runs node {n0} until {e0:.3e}s but node {n1} \
-                         starts at {s1:.3e}s"
-                    ),
-                });
-            }
+    // --- Exclusivity: one task at a time.
+    let mut intervals: Vec<(f64, f64, usize)> = sched
+        .spans
+        .iter()
+        .map(|s| (s.start, s.end, s.node))
+        .collect();
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    for w in intervals.windows(2) {
+        let (_, e0, n0) = w[0];
+        let (s1, _, n1) = w[1];
+        if s1 < e0 - tol {
+            out.push(ScheduleViolation {
+                invariant: Invariant::UnitExclusive,
+                detail: format!("node {n0} runs until {e0:.3e}s but node {n1} starts at {s1:.3e}s"),
+            });
         }
     }
 
@@ -749,7 +734,7 @@ mod tests {
         };
 
         /// A loopy SPD system plus its plan, factor inputs and executor run.
-        fn run(threads: usize) -> (ExecutionPlan, HostSchedule, Vec<usize>) {
+        fn run() -> (ExecutionPlan, HostSchedule, Vec<usize>) {
             let mut p = BlockPattern::new(vec![2, 3, 1, 2, 2, 3, 1, 2]);
             for i in 0..7 {
                 p.add_block_edge(i, i + 1);
@@ -770,26 +755,21 @@ mod tests {
             let all: Vec<usize> = (0..p.num_blocks()).collect();
             let mut num = NumericFactor::empty(&plan);
             let (stats, sched) = num
-                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
+                .execute_plan(&plan, &h, &all, &ParallelExecutor::default())
                 .expect("SPD fixture");
             (plan, sched, stats.recomputed_nodes())
         }
 
         #[test]
-        fn host_schedules_validate_at_every_thread_count() {
-            for threads in [1usize, 2, 4] {
-                let (plan, sched, recomputed) = run(threads);
-                let v = validate_host_schedule(&plan, &sched, &recomputed);
-                assert!(v.is_empty(), "{threads} threads: {v:?}");
-                // Self-certifying `execute_plan` must not shrink the
-                // multi-thread cases to the inline schedule.
-                assert_eq!(sched.workers > 1, threads > 1, "{threads} threads");
-            }
+        fn host_schedules_validate() {
+            let (plan, sched, recomputed) = run();
+            let v = validate_host_schedule(&plan, &sched, &recomputed);
+            assert!(v.is_empty(), "{v:?}");
         }
 
         #[test]
         fn parent_starting_early_is_rejected() {
-            let (plan, mut sched, recomputed) = run(2);
+            let (plan, mut sched, recomputed) = run();
             // Corrupt: drag the last-started span (a root-side parent whose
             // children all ran) back to before time zero.
             let last = sched
@@ -810,9 +790,9 @@ mod tests {
         }
 
         #[test]
-        fn worker_overlap_is_rejected() {
-            let (plan, mut sched, recomputed) = run(1);
-            // Corrupt: put every span on worker 0 at the same interval.
+        fn overlapping_spans_are_rejected() {
+            let (plan, mut sched, recomputed) = run();
+            // Corrupt: put every span at the same interval.
             for s in &mut sched.spans {
                 s.start = 0.0;
                 s.end = 1.0;
@@ -827,22 +807,11 @@ mod tests {
 
         #[test]
         fn missing_or_foreign_span_is_rejected() {
-            let (plan, mut sched, recomputed) = run(2);
+            let (plan, mut sched, recomputed) = run();
             sched.spans.pop();
             let v = validate_host_schedule(&plan, &sched, &recomputed);
             assert!(
                 v.iter().any(|v| v.invariant == Invariant::Coverage),
-                "got {v:?}"
-            );
-        }
-
-        #[test]
-        fn out_of_pool_worker_is_rejected() {
-            let (plan, mut sched, recomputed) = run(2);
-            sched.spans[0].worker = sched.workers + 3;
-            let v = validate_host_schedule(&plan, &sched, &recomputed);
-            assert!(
-                v.iter().any(|v| v.invariant == Invariant::UnitExclusive),
                 "got {v:?}"
             );
         }

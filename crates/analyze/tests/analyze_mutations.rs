@@ -38,8 +38,7 @@ fn pristine_plan_certifies_and_mutants_escape_the_certificate() {
     assert!(cert.covers(&pristine));
 
     // Any structural edit must change the fingerprint: a stale certificate
-    // silently covering a mutated plan would let the executor batch an
-    // unproven schedule.
+    // must never vouch for a plan it did not prove.
     let mut mutant = plan();
     if let Some(mg) = mutant
         .tasks_mut()

@@ -1,38 +1,34 @@
-//! `determinism` — the CI gate proving parallel host factorization is
-//! bit-identical to serial execution, in every numeric mode.
+//! `determinism` — the CI gate pinning the factor bytes and estimates of
+//! three online replays, in every numeric mode, to committed constants.
 //!
 //! ```text
 //! cargo run --release -p supernova-bench --bin determinism
 //! ```
 //!
-//! Replays three datasets online through iSAM2 once per (numeric mode,
-//! executor thread count) pair — `f64` and `f32` at 1, 2 and 4
-//! threads. After every step the cached `NumericFactor` is serialized to
-//! canonical bytes and hashed; at the end of the replay the full byte
-//! strings and the estimated trajectories are kept. For each (dataset,
-//! mode, thread count) triple three named sub-checks must hold against
-//! the same-mode serial run:
+//! Replays three datasets online through iSAM2 once per numeric mode
+//! (`f64` and `f32`). For each (dataset, mode) pair two named sub-checks
+//! compare the run with the [`ORACLE`] row recorded for it:
 //!
-//! - `step-hashes`: every per-step hash matches the serial run (the
-//!   factor never diverges, even transiently),
-//! - `final-bytes`: the final serialized factor is byte-for-byte
-//!   identical, and
-//! - `estimate`: the final trajectory estimate is bit-identical
-//!   (`f64::to_bits`).
+//! - `final-bytes`: an FNV-1a hash of the final serialized
+//!   `NumericFactor`, and
+//! - `estimate`: an FNV-1a hash of every final pose estimate's `f64` bits.
 //!
-//! Equality is exact *within* a mode only — the narrow modes round where
-//! f64 does not, so cross-mode bytes differ by design (`numeric_ape`
-//! gates how much that costs in trajectory accuracy). Sub-checks report
-//! `PASS`/`FAIL` in a fixed order and the run ends with one summary line
-//! naming any failed checks. See DESIGN.md "Plan/exec split & host
-//! parallelism" for why equality is exact rather than within-tolerance.
+//! The constants were recorded when plans could still run on several
+//! host threads, from the one-thread run every multi-thread run was
+//! proven bit-identical to. They are the only pin on the f32 factor bytes
+//! of these three replays, so they move only with a change that moves
+//! bits on purpose, and that change says so. Bytes differ *across* modes
+//! by design (`numeric_ape` gates what that costs in accuracy).
 //!
-//! Finally, per dataset, `analyze-incremental` replays at 1 and 4 threads
-//! beside a twin whose core re-derives the symbolic factorization and the
-//! plan from nothing on every structural change: the plan fingerprints
-//! must agree on every step and the final factor bytes must be identical —
+//! Then, per (dataset, mode), `analyze-incremental` replays beside a twin
+//! whose core re-derives the symbolic factorization and the plan from
+//! nothing on every structural change: the plan fingerprints must agree
+//! on every step and the final factor bytes must be identical —
 //! `IncrementalCore::analyze`'s prefix reuse changes what a step costs,
 //! never what it computes.
+//!
+//! Sub-checks report `PASS`/`FAIL` in a fixed order and the run ends with
+//! one summary line naming any failed checks.
 
 use std::process::ExitCode;
 
@@ -45,126 +41,150 @@ use supernova_sparse::interference::plan_fingerprint;
 use supernova_sparse::ParallelExecutor;
 use supernova_trace::wire::{fnv1a, FNV_OFFSET};
 
-/// One replay: per-step factor hashes and plan fingerprints, final factor
-/// bytes, final estimate. `Variable` derives `PartialEq` over exact `f64`
-/// values, so comparing estimates across runs is an exact-equality check,
-/// not a tolerance.
+/// `(dataset, mode, final factor-bytes hash, estimate hash)` of every
+/// replay this gate runs.
+const ORACLE: [(&str, NumericMode, u64, u64); 6] = [
+    (
+        "M210",
+        NumericMode::F64,
+        0x248a_a9f9_d305_a72b,
+        0x0406_e7fd_f007_97e8,
+    ),
+    (
+        "M210",
+        NumericMode::F32,
+        0x71df_663c_f7c2_29a7,
+        0xd9ac_a2d5_fc04_4c11,
+    ),
+    (
+        "Sphere306",
+        NumericMode::F64,
+        0x8dc6_beb5_3797_202d,
+        0xa32c_4125_dec1_328d,
+    ),
+    (
+        "Sphere306",
+        NumericMode::F32,
+        0xca9c_bfb0_3d54_e80b,
+        0xebdc_f635_397e_08b8,
+    ),
+    (
+        "CAB1",
+        NumericMode::F64,
+        0x7759_4c6b_f42c_a849,
+        0x8bad_e12b_b5c9_35a0,
+    ),
+    (
+        "CAB1",
+        NumericMode::F32,
+        0xba91_9a9d_bef9_c2ff,
+        0x5a2e_cb2d_91da_54b8,
+    ),
+];
+
+/// One replay: per-step plan fingerprints, final factor bytes, final
+/// estimate hash.
 struct Replay {
-    step_hashes: Vec<u64>,
     plan_prints: Vec<u64>,
     final_bytes: Vec<u8>,
-    estimate: Vec<Variable>,
+    estimate_hash: u64,
+}
+
+/// FNV-1a over every pose's coordinates, as `f64` bits.
+fn estimate_hash(estimate: &[Variable]) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut eat = |xs: &[f64]| {
+        for x in xs {
+            h = fnv1a(h, &x.to_bits().to_le_bytes());
+        }
+    };
+    for var in estimate {
+        match var {
+            Variable::Se2(p) => {
+                let (c, s) = p.rotation().cos_sin();
+                eat(&[p.x(), p.y(), c, s]);
+            }
+            Variable::Se3(p) => {
+                eat(p.rotation().matrix().as_slice());
+                eat(&p.translation());
+            }
+            Variable::Vector(v) => eat(v),
+        }
+    }
+    h
 }
 
 /// Replays `dataset` online; with `analyze_from_scratch` the core re-derives
 /// its symbolic factorization and plan from nothing on every structural
 /// change instead of updating them.
-fn replay(
-    dataset: &Dataset,
-    mode: NumericMode,
-    threads: usize,
-    analyze_from_scratch: bool,
-) -> Replay {
+fn replay(dataset: &Dataset, mode: NumericMode, analyze_from_scratch: bool) -> Replay {
     let mut solver = Isam2::new(Isam2Config::default());
     solver
         .core_mut()
-        .set_executor(ParallelExecutor::new(threads).with_numeric(mode));
+        .set_executor(ParallelExecutor::default().with_numeric(mode));
     solver
         .core_mut()
         .set_analyze_from_scratch(analyze_from_scratch);
-    let mut step_hashes = Vec::new();
     let mut plan_prints = Vec::new();
     for step in &dataset.online_steps() {
         solver.step(step.truth.clone(), step.factors.clone());
-        let bytes = solver.core().numeric_bytes().unwrap_or_default();
-        step_hashes.push(fnv1a(FNV_OFFSET, &bytes));
         plan_prints.push(solver.core().plan().map_or(0, plan_fingerprint));
     }
     let final_bytes = solver.core().numeric_bytes().unwrap_or_default();
-    let estimate = (0..solver.core().num_vars())
+    let estimate: Vec<Variable> = (0..solver.core().num_vars())
         .map(|i| solver.core().pose_estimate(Key(i)))
         .collect();
     Replay {
-        step_hashes,
         plan_prints,
         final_bytes,
-        estimate,
+        estimate_hash: estimate_hash(&estimate),
     }
 }
 
 fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
     let name = dataset.name();
     eprintln!("{name} [{mode}]: {} steps", dataset.num_steps());
-    let serial = replay(dataset, mode, 1, false);
-    for threads in [2usize, 4] {
-        let run = replay(dataset, mode, threads, false);
-        let diverged = serial
-            .step_hashes
-            .iter()
-            .zip(&run.step_hashes)
-            .position(|(a, b)| a != b);
-        report.check(
-            &format!("{name}/{mode}/{threads}t/step-hashes"),
-            diverged.is_none(),
-            &match diverged {
-                None => format!("{} per-step hashes match serial", run.step_hashes.len()),
-                Some(step) => format!("factor diverges from serial at step {step}"),
-            },
-        );
-        report.check(
-            &format!("{name}/{mode}/{threads}t/final-bytes"),
-            run.final_bytes == serial.final_bytes,
-            &format!(
-                "{} vs {} bytes",
-                run.final_bytes.len(),
-                serial.final_bytes.len()
-            ),
-        );
-        report.check(
-            &format!("{name}/{mode}/{threads}t/estimate"),
-            run.estimate == serial.estimate,
-            &format!(
-                "{} poses compared by exact f64 equality",
-                run.estimate.len()
-            ),
-        );
-    }
-}
+    let run = replay(dataset, mode, false);
+    let bytes_hash = fnv1a(FNV_OFFSET, &run.final_bytes);
+    let oracle = ORACLE
+        .iter()
+        .find(|&&(ds, m, ..)| ds == name && m == mode)
+        .map(|&(.., bytes, estimate)| (bytes, estimate));
+    let pinned = |got: u64, want: Option<u64>| match want {
+        Some(want) => (got == want, format!("{got:#018x}, oracle {want:#018x}")),
+        None => (false, format!("{got:#018x}, no oracle row")),
+    };
+    let (ok, detail) = pinned(bytes_hash, oracle.map(|o| o.0));
+    report.check(&format!("{name}/{mode}/final-bytes"), ok, &detail);
+    let (ok, detail) = pinned(run.estimate_hash, oracle.map(|o| o.1));
+    report.check(&format!("{name}/{mode}/estimate"), ok, &detail);
 
-/// Incremental analysis vs a from-scratch twin, at 1 and 4 threads (the
-/// structure is mode-independent, so one numeric mode suffices).
-fn check_analyze_incremental(report: &mut Report, dataset: &Dataset) {
-    let name = dataset.name();
-    for threads in [1usize, 4] {
-        let mode = NumericMode::F64;
-        let incremental = replay(dataset, mode, threads, false);
-        let scratch = replay(dataset, mode, threads, true);
-        let diverged = incremental
-            .plan_prints
-            .iter()
-            .zip(&scratch.plan_prints)
-            .position(|(a, b)| a != b);
-        report.check(
-            &format!("{name}/analyze-incremental/{threads}t/plan-fingerprints"),
-            diverged.is_none(),
-            &match diverged {
-                None => format!(
-                    "{} per-step fingerprints match from-scratch analysis",
-                    incremental.plan_prints.len()
-                ),
-                Some(step) => format!("plan diverges from from-scratch analysis at step {step}"),
-            },
-        );
-        report.check(
-            &format!("{name}/analyze-incremental/{threads}t/final-bytes"),
-            incremental.final_bytes == scratch.final_bytes,
-            &format!(
-                "{} vs {} bytes",
-                incremental.final_bytes.len(),
-                scratch.final_bytes.len()
+    let scratch = replay(dataset, mode, true);
+    let diverged = run
+        .plan_prints
+        .iter()
+        .zip(&scratch.plan_prints)
+        .position(|(a, b)| a != b);
+    report.check(
+        &format!("{name}/{mode}/analyze-incremental/plan-fingerprints"),
+        diverged.is_none(),
+        &match diverged {
+            None => format!(
+                "{} per-step fingerprints match from-scratch analysis",
+                run.plan_prints.len()
             ),
-        );
-    }
+            Some(step) => format!("plan diverges from from-scratch analysis at step {step}"),
+        },
+    );
+    report.check(
+        &format!("{name}/{mode}/analyze-incremental/final-bytes"),
+        run.final_bytes == scratch.final_bytes,
+        &format!(
+            "{} vs {} bytes",
+            run.final_bytes.len(),
+            scratch.final_bytes.len()
+        ),
+    );
 }
 
 fn main() -> ExitCode {
@@ -178,7 +198,6 @@ fn main() -> ExitCode {
         for mode in NumericMode::ALL {
             check(&mut report, dataset, mode);
         }
-        check_analyze_incremental(&mut report, dataset);
     }
     report.finish("determinism")
 }

@@ -6,8 +6,7 @@
 //! ```
 //!
 //! Replays M3500 and Sphere online through iSAM2 once per numeric mode
-//! (`f64`, `f32`; 2-thread host executor — within a mode, results are
-//! thread-count independent) and evaluates the final trajectory's
+//! (`f64`, `f32`) and evaluates the final trajectory's
 //! absolute pose error against ground truth. Writes every mode's APE to
 //! `results/numeric_ape.json`, then gates the f32 mode against the f64
 //! run:
@@ -46,7 +45,7 @@ fn replay_ape(dataset: &Dataset, mode: NumericMode) -> ApeStats {
     let mut solver = Isam2::new(Isam2Config::default());
     solver
         .core_mut()
-        .set_executor(ParallelExecutor::new(2).with_numeric(mode));
+        .set_executor(ParallelExecutor::default().with_numeric(mode));
     for step in &dataset.online_steps() {
         solver.step(step.truth.clone(), step.factors.clone());
     }

@@ -1,5 +1,5 @@
 //! Checkpoint round-trip bit-identity, proptest style: for every numeric
-//! mode × executor width × dataset family, snapshot a live engine mid
+//! mode × dataset family, snapshot a live engine mid
 //! trajectory, push the snapshot through the SNVC wire codec, restore it
 //! into a fresh engine, finish the trajectory on both — and require the
 //! restored run to be *byte-identical* to the uninterrupted one. Plus the
@@ -16,21 +16,17 @@ use supernova_linalg::NumericMode;
 use supernova_runtime::CostModel;
 use supernova_serve::{decode_snapshot, encode_snapshot};
 use supernova_solvers::{RaIsam2Config, RestoreError, SolverEngine};
-use supernova_sparse::ParallelExecutor;
-
-const THREADS: [usize; 3] = [1, 2, 4];
 
 fn datasets() -> Vec<Dataset> {
     // Small scaled cuts of the paper's benchmark families: M3500 (planar
     // grid-world) and CAB1 (concatenated AR sessions). Sized so the full
-    // mode × thread matrix stays fast in debug builds.
+    // mode matrix stays fast in debug builds.
     vec![Dataset::m3500_scaled(0.008), Dataset::cab1_scaled(0.06)]
 }
 
-fn engine(mode: NumericMode, threads: usize) -> SolverEngine {
+fn engine(mode: NumericMode) -> SolverEngine {
     let cost = Arc::new(CostModel::new(Platform::supernova(2)));
     let mut e = SolverEngine::new(RaIsam2Config::default(), cost);
-    e.set_executor(ParallelExecutor::new(threads));
     e.set_numeric_mode(mode);
     e
 }
@@ -43,47 +39,44 @@ fn poses(e: &SolverEngine) -> Vec<Variable> {
 }
 
 #[test]
-fn snapshot_restore_replay_is_bit_identical_across_modes_threads_datasets() {
+fn snapshot_restore_replay_is_bit_identical_across_modes_and_datasets() {
     for ds in datasets() {
         let steps = ds.online_steps();
         assert!(steps.len() >= 8, "{}: dataset too small to cut", ds.name());
         let cut = steps.len() / 2;
         for mode in NumericMode::ALL {
-            for threads in THREADS {
-                let case = format!("{} mode={mode:?} threads={threads}", ds.name());
+            let case = format!("{} mode={mode:?}", ds.name());
 
-                // Reference: the uninterrupted run.
-                let mut reference = engine(mode, threads);
-                for s in &steps {
-                    reference.step(s.truth.clone(), s.factors.clone());
-                }
-
-                // Interrupted run: snapshot at the cut, round-trip the
-                // checkpoint through the SNVC codec, restore into a fresh
-                // engine, then finish the trajectory there.
-                let mut live = engine(mode, threads);
-                for s in &steps[..cut] {
-                    live.step(s.truth.clone(), s.factors.clone());
-                }
-                let bytes = encode_snapshot(&live.snapshot())
-                    .unwrap_or_else(|e| panic!("{case}: encode: {e}"));
-                let decoded =
-                    decode_snapshot(&bytes).unwrap_or_else(|e| panic!("{case}: decode: {e}"));
-                let mut restored = engine(mode, threads);
-                restored
-                    .restore(&decoded)
-                    .unwrap_or_else(|e| panic!("{case}: restore: {e}"));
-                assert_eq!(poses(&restored), poses(&live), "{case}: witness replay");
-                for s in &steps[cut..] {
-                    restored.step(s.truth.clone(), s.factors.clone());
-                }
-
-                assert_eq!(
-                    poses(&restored),
-                    poses(&reference),
-                    "{case}: restored run diverged from the uninterrupted run"
-                );
+            // Reference: the uninterrupted run.
+            let mut reference = engine(mode);
+            for s in &steps {
+                reference.step(s.truth.clone(), s.factors.clone());
             }
+
+            // Interrupted run: snapshot at the cut, round-trip the
+            // checkpoint through the SNVC codec, restore into a fresh
+            // engine, then finish the trajectory there.
+            let mut live = engine(mode);
+            for s in &steps[..cut] {
+                live.step(s.truth.clone(), s.factors.clone());
+            }
+            let bytes =
+                encode_snapshot(&live.snapshot()).unwrap_or_else(|e| panic!("{case}: encode: {e}"));
+            let decoded = decode_snapshot(&bytes).unwrap_or_else(|e| panic!("{case}: decode: {e}"));
+            let mut restored = engine(mode);
+            restored
+                .restore(&decoded)
+                .unwrap_or_else(|e| panic!("{case}: restore: {e}"));
+            assert_eq!(poses(&restored), poses(&live), "{case}: witness replay");
+            for s in &steps[cut..] {
+                restored.step(s.truth.clone(), s.factors.clone());
+            }
+
+            assert_eq!(
+                poses(&restored),
+                poses(&reference),
+                "{case}: restored run diverged from the uninterrupted run"
+            );
         }
     }
 }
@@ -95,7 +88,7 @@ fn truncated_checkpoints_are_typed_rejections() {
     // never yield a snapshot.
     let ds = Dataset::m3500_scaled(0.008);
     let steps = ds.online_steps();
-    let mut e = engine(NumericMode::F64, 1);
+    let mut e = engine(NumericMode::F64);
     for s in &steps[..steps.len() / 2] {
         e.step(s.truth.clone(), s.factors.clone());
     }
@@ -116,7 +109,7 @@ fn tampered_witness_is_caught_by_replay_verification() {
     // the update log and must reject the lying witness with a typed error.
     let ds = Dataset::m3500_scaled(0.008);
     let steps = ds.online_steps();
-    let mut e = engine(NumericMode::F64, 1);
+    let mut e = engine(NumericMode::F64);
     for s in &steps[..steps.len() / 2] {
         e.step(s.truth.clone(), s.factors.clone());
     }
@@ -127,7 +120,7 @@ fn tampered_witness_is_caught_by_replay_verification() {
     let n = bytes.len();
     bytes[n - 2] ^= 0xFF;
     let decoded = decode_snapshot(&bytes).expect("tampered witness still decodes");
-    let mut fresh = engine(NumericMode::F64, 1);
+    let mut fresh = engine(NumericMode::F64);
     match fresh.restore(&decoded) {
         Err(RestoreError::EstimateMismatch { .. }) => {}
         other => panic!("tampered witness not rejected: {other:?}"),

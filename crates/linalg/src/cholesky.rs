@@ -236,7 +236,7 @@ pub fn partial_cholesky_in_place(
 }
 
 /// [`partial_cholesky_in_place`] with a caller-owned pack-buffer arena —
-/// the multifrontal executor's per-worker hot path (zero-alloc when warm).
+/// the multifrontal executor's hot path (zero-alloc when warm).
 ///
 /// # Errors
 ///
@@ -263,14 +263,14 @@ pub fn partial_cholesky_scratch(
 }
 
 /// [`partial_cholesky_scratch`] under a runtime [`NumericMode`] — the
-/// executor's per-worker hot path.
+/// executor's hot path.
 ///
 /// `F64` runs the historic f64 driver directly on the front. `F32`
 /// demotes the front into the arena's f32 shadow, factors it with the f32
 /// engine (16×4 tiles) and promotes the result back —
 /// exactly, since every f32 is representable in f64 — so downstream
-/// merge/solve/serialization stay f64 and per-mode bit-identity across
-/// thread counts follows from the kernels' shape-pure dispatch. This
+/// merge/solve/serialization stay f64 and per-mode bit-identity follows
+/// from the kernels' shape-pure dispatch. This
 /// models the paper's FP32 COMP systolic array: narrow datapath in the
 /// factorization, full-width bookkeeping around it.
 ///

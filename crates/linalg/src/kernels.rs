@@ -42,10 +42,10 @@
 //!
 //! Pack buffers come from a caller-provided [`KernelScratch`] arena that
 //! grows monotonically and is reused across calls — the sparse executor
-//! threads one per worker so the steady-state refactor loop performs zero
-//! heap allocation in every mode (machine-checked by `supernova-analyze`'s
-//! `hot-alloc` lint; the allowed escapes in this file are the cold-path
-//! constructors).
+//! pools them across plan executions so the steady-state refactor loop
+//! performs zero heap allocation in every mode (machine-checked by
+//! `supernova-analyze`'s `hot-alloc` lint; the allowed escapes in this
+//! file are the cold-path constructors).
 //!
 //! Every path is a pure function of the operand values, shapes and mode:
 //! the same call always performs the same operations in the same order, so
@@ -464,7 +464,7 @@ impl KernelScratch {
 
 /// Scalars each f64 pack buffer of a [`KernelScratch`] needs for any
 /// blocked kernel whose operands fit in an `n × n` envelope — the
-/// per-front bound the execution plan uses to pre-size per-worker arenas.
+/// per-front bound the execution plan uses to pre-size the executor's arena.
 pub fn pack_elems_bound(n: usize) -> usize {
     round_up(n, MR.max(NR)) * n.min(KC)
 }

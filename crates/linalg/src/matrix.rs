@@ -137,7 +137,7 @@ impl Mat {
 
     /// Reshapes to `rows × cols` with every entry zeroed, reusing the
     /// existing allocation when capacity allows — the workspace primitive
-    /// of the plan executor's per-worker frontal buffers.
+    /// of the plan executor's per-node frontal buffers.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;

@@ -14,8 +14,8 @@
 //!   datapath and doubles the scalars per vector register.
 //!
 //! Whatever the mode, determinism guarantees hold *within* it: the same
-//! mode produces bit-identical results serial vs parallel and across
-//! thread counts, because kernel dispatch stays a pure function of shape.
+//! mode produces bit-identical results run to run, because kernel
+//! dispatch stays a pure function of shape.
 
 use std::fmt;
 
@@ -26,7 +26,7 @@ pub const NUMERIC_ENV: &str = "SUPERNOVA_NUMERIC";
 /// Runtime-selectable precision of the dense numeric stack.
 ///
 /// Threaded from `ServeConfig` / `SolverEngine` through the executor's
-/// per-worker scratch arenas down to the packed microkernels; recorded in
+/// scratch arena down to the packed microkernels; recorded in
 /// step/trace artifacts so replays can't silently mix precisions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NumericMode {

@@ -17,10 +17,8 @@ use crate::{ExecTrace, StepTrace};
 
 /// Builds the `exec` span for one host plan execution: a wall-clock span
 /// over the schedule's makespan with one `exec.task` child per executed
-/// task (track = worker index, ticks = the task's deterministic flop
-/// count from the step trace). `workers` and `dispatch_mode` — which
-/// record how the tasks were dispatched — are the only counters that
-/// depend on the thread count.
+/// task (ticks = the task's deterministic flop count from the step
+/// trace).
 pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     let flops: BTreeMap<usize, u64> = trace
         .nodes
@@ -54,22 +52,16 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
             sched.origin + t.end,
         );
         child.ticks = ticks;
-        child.track = t.worker as u32;
         child.counters.set("node", t.node as u64);
-        // Measured (not modeled) flops from the worker's kernel arena —
+        // Measured (not modeled) flops from the executor's kernel arena —
         // deterministic, a pure function of the task's front shape.
         child.counters.set("kernel_flops", t.kernel_flops);
         span.children.push(child);
     }
     span.ticks = total;
-    span.counters.set("workers", sched.workers as u64);
     span.counters.set("tasks", sched.spans.len() as u64);
     span.counters.set("kernel_flops", sched.kernel_flops());
-    // Which dispatch strategy sequenced the execution (serial /
-    // level-batched), so the span's timing is read against the path that
-    // produced it.
-    span.counters.set("dispatch_mode", sched.mode.as_u64());
-    // Numeric precision the workers' kernels ran under (f64 / f32), so a
+    // Numeric precision the kernels ran under (f64 / f32), so a
     // traced step records the arithmetic its numbers came from.
     span.counters.set("numeric_mode", sched.numeric.as_u64());
     span

@@ -53,14 +53,13 @@ pub struct ServeConfig {
     pub ra: RaIsam2Config,
     /// Platform whose cost model drives relinearization selection.
     pub platform: Platform,
-    /// Host-executor width each engine factors with (shared so per-session
-    /// results do not depend on which engine a session lands on).
+    /// Inert: no product code reads it, since every engine runs its plans
+    /// inline. Kept only because the `benchmark/` package names it.
+    #[doc(hidden)]
     pub executor_threads: usize,
     /// Numeric precision every pooled engine's dense kernels run under
-    /// (shared for the same reason as [`executor_threads`]; see
-    /// [`NumericMode`]).
-    ///
-    /// [`executor_threads`]: ServeConfig::executor_threads
+    /// (shared so per-session results do not depend on which engine a
+    /// session lands on; see [`NumericMode`]).
     pub numeric: NumericMode,
     /// Total queued depth up to which the server runs undegraded.
     pub degrade_start: usize,
@@ -242,7 +241,7 @@ impl Server {
     /// `workers` dispatcher threads.
     pub fn start(cfg: ServeConfig) -> Self {
         let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-        let exec = ParallelExecutor::new(cfg.executor_threads).with_numeric(cfg.numeric);
+        let exec = ParallelExecutor::default().with_numeric(cfg.numeric);
         let pool = (0..cfg.max_sessions.max(1))
             .map(|_| {
                 let mut e = SolverEngine::new(cfg.ra, Arc::clone(&cost) as _);

@@ -19,7 +19,6 @@ use supernova_datasets::{Dataset, OnlineStep};
 use supernova_factors::{Key, Values, Variable};
 use supernova_runtime::CostModel;
 use supernova_solvers::SolverEngine;
-use supernova_sparse::ParallelExecutor;
 
 use crate::checkpoint::{decode_snapshot, encode_snapshot};
 use crate::protocol::{
@@ -51,14 +50,13 @@ pub fn generate(kind: DatasetKind, steps: u32, seed: u64) -> Dataset {
 }
 
 /// Replays `steps` in order on a fresh engine built from `cfg`'s `ra`,
-/// `platform`, `executor_threads` and `numeric` — the reference a served
+/// `platform` and `numeric` — the reference a served
 /// session must match bit for bit. It builds its engine here rather than
 /// through `Server::start`'s pool code on purpose: a pool that configured
 /// its engines wrongly must still disagree with this oracle.
 pub fn solo_replay(cfg: &ServeConfig, steps: &[OnlineStep]) -> SolverEngine {
     let cost = Arc::new(CostModel::new(cfg.platform.clone()));
     let mut engine = SolverEngine::new(cfg.ra, cost);
-    engine.set_executor(ParallelExecutor::new(cfg.executor_threads));
     engine.set_numeric_mode(cfg.numeric);
     for step in steps {
         engine.step(step.truth.clone(), step.factors.clone());

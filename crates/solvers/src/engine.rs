@@ -1,8 +1,7 @@
 //! Shared machinery of the incremental solvers (ISAM2 and RA-ISAM2).
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use supernova_factors::{
     linearize, linearize_into, Factor, FactorGraph, Key, LinearizedFactor, Values, Variable,
@@ -13,8 +12,8 @@ use supernova_linalg::{
 };
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
-    interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
-    ParallelExecutor, PlanCertificate, SupernodeInfo, SymbolicFactor,
+    ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor, ParallelExecutor,
+    SupernodeInfo, SymbolicFactor,
 };
 
 /// A prepared fill-reducing reordering (see
@@ -36,40 +35,6 @@ impl ReorderPlan {
     /// plan (for cost prediction).
     pub fn symbolic(&self) -> &SymbolicFactor {
         &self.sym
-    }
-}
-
-/// The cached execution plan together with its level-safety certificate.
-/// The certificate is a memo of the plan it sits beside: replacing the plan
-/// replaces the (empty) memo, so a stale proof can never outlive its plan.
-#[derive(Debug)]
-struct CachedPlan {
-    plan: ExecutionPlan,
-    /// Derived by the static interference checker on first demand — only
-    /// multi-worker dispatch and outside observers ever read it. `None`
-    /// inside: the plan could not be proven safe, and the executor runs it
-    /// inline on the calling thread whatever its worker count.
-    cert: OnceLock<Option<PlanCertificate>>,
-}
-
-impl CachedPlan {
-    fn new(plan: ExecutionPlan) -> Self {
-        CachedPlan {
-            plan,
-            cert: OnceLock::new(),
-        }
-    }
-
-    /// The certificate, certifying now if nobody asked before (counted in
-    /// `certifications`).
-    fn certificate(&self, certifications: &AtomicUsize) -> Option<&PlanCertificate> {
-        self.cert
-            .get_or_init(|| {
-                // Relaxed: a diagnostic count, publishes nothing.
-                certifications.fetch_add(1, Ordering::Relaxed);
-                interference::certify(&self.plan).ok()
-            })
-            .as_ref()
     }
 }
 
@@ -100,11 +65,10 @@ pub struct IncrementalCore {
     pattern: BlockPattern,
     h: BlockMat,
     sym: Option<SymbolicFactor>,
-    /// Execution plan derived from `sym` (with its on-demand certificate),
-    /// cached across steps and brought up to date only when the pattern's
+    /// Execution plan derived from `sym`, cached across steps and brought up to date only when the pattern's
     /// structure (or the elimination order) actually changes — see
     /// [`analyze`](Self::analyze).
-    plan: Option<CachedPlan>,
+    plan: Option<ExecutionPlan>,
     /// Lowest elimination position whose pattern column gained an entry
     /// since `sym` was derived; `None` while `sym` matches the pattern.
     /// Everything `sym` and the plan hold below this column is still valid.
@@ -116,10 +80,7 @@ pub struct IncrementalCore {
     /// Bumped every time the plan cache is rebuilt (testability hook for
     /// the invalidation rules).
     plan_generation: usize,
-    /// How many plans were certified (see
-    /// [`plan_certifications`](Self::plan_certifications)).
-    plan_certifications: AtomicUsize,
-    /// Host executor the numeric plans run on (`SUPERNOVA_THREADS`).
+    /// Host executor the numeric plans run on.
     executor: ParallelExecutor,
     /// Wall-clock schedule of the latest numeric plan execution.
     last_host_schedule: Option<HostSchedule>,
@@ -147,15 +108,12 @@ pub struct IncrementalCore {
 
 impl IncrementalCore {
     /// Creates an empty core with the given supernode amalgamation slack.
-    /// The host executor is configured from `SUPERNOVA_THREADS`; unset
-    /// means one worker (inline execution, whole fronts) — multi-worker
-    /// wave dispatch is opt-in through the variable or
-    /// [`set_executor`](Self::set_executor). Results are bit-identical at
-    /// every thread count.
+    /// The host executor's numeric mode comes from
+    /// [`supernova_linalg::NUMERIC_ENV`] (unset means f64).
     pub fn new(relax: usize) -> Self {
         IncrementalCore {
             relax,
-            executor: ParallelExecutor::from_env(),
+            executor: ParallelExecutor::default().with_numeric(NumericMode::from_env()),
             ..Self::default()
         }
     }
@@ -164,10 +122,7 @@ impl IncrementalCore {
     /// executor's numeric mode differs from the installed one, the cached
     /// numeric factor is dropped — factors computed under different kernel
     /// engines are not interchangeable, so the next solve refactors from
-    /// scratch under the new mode. The cached plan stays: its certificate
-    /// is derived when a multi-worker executor first runs it, so widening
-    /// the executor after [`analyze`](Self::analyze) still gets
-    /// level-batched dispatch.
+    /// scratch under the new mode. The cached plan stays.
     pub fn set_executor(&mut self, exec: ParallelExecutor) {
         if exec.numeric() != self.executor.numeric() {
             self.num = None;
@@ -235,28 +190,7 @@ impl IncrementalCore {
 
     /// The cached execution plan (after the first [`analyze`](Self::analyze)).
     pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref().map(|cached| &cached.plan)
-    }
-
-    /// The level-safety certificate of the cached plan, if the static
-    /// interference checker can prove it. The proof is derived on first
-    /// demand and kept with the plan: this call certifies the plan unless
-    /// a multi-worker execution (or an earlier call) already did. `None`
-    /// before the first [`analyze`](Self::analyze) or for an unprovable
-    /// plan.
-    pub fn plan_certificate(&self) -> Option<&PlanCertificate> {
-        self.plan
-            .as_ref()
-            .and_then(|cached| cached.certificate(&self.plan_certifications))
-    }
-
-    /// How many plans were run through the interference checker. A plan is
-    /// certified at most once, and only when something reads the proof: a
-    /// [`factorize_and_solve`](Self::factorize_and_solve) on a multi-worker
-    /// executor, or [`plan_certificate`](Self::plan_certificate). Stays 0
-    /// on one executor thread.
-    pub fn plan_certifications(&self) -> usize {
-        self.plan_certifications.load(Ordering::Relaxed)
+        self.plan.as_ref()
     }
 
     /// How many times the plan cache has been (re)built. Stays flat across
@@ -315,8 +249,8 @@ impl IncrementalCore {
     }
 
     /// Canonical byte serialization of the cached numeric factor, for
-    /// bit-exactness comparisons across executor thread counts (the
-    /// determinism gate in `scripts/ci.sh`). `None` before the first solve.
+    /// bit-exactness comparisons (the determinism gate in `scripts/ci.sh`
+    /// pins a hash of it). `None` before the first solve.
     pub fn numeric_bytes(&self) -> Option<Vec<u8>> {
         self.num.as_ref().map(NumericFactor::serialize_bytes)
     }
@@ -464,8 +398,7 @@ impl IncrementalCore {
     /// [`SymbolicFactor::analyze`] + [`ExecutionPlan::from_symbolic`]
     /// (debug builds assert it).
     /// [`apply_reorder`](Self::apply_reorder) installs a fresh pair, since
-    /// a permutation leaves no column in place. The plan's certificate is
-    /// not derived here — see [`plan_certificate`](Self::plan_certificate).
+    /// a permutation leaves no column in place.
     pub fn analyze(&mut self) -> &SymbolicFactor {
         let changed = self.lowest_changed.take();
         let stale = changed.is_some() || self.sym.is_none();
@@ -487,11 +420,11 @@ impl IncrementalCore {
         let sym = self.sym.as_ref().expect("just set");
         if stale {
             let plan = match self.plan.take() {
-                Some(cached) => cached.plan.update(sym, first_changed),
+                Some(plan) => plan.update(sym, first_changed),
                 None => ExecutionPlan::from_symbolic(sym),
             };
             debug_assert_eq!(plan, ExecutionPlan::from_symbolic(sym));
-            self.plan = Some(CachedPlan::new(plan));
+            self.plan = Some(plan);
             self.plan_generation += 1;
         }
         sym
@@ -576,8 +509,7 @@ impl IncrementalCore {
         // A permutation leaves no column in place, so nothing of the old
         // symbolic factorization or plan is reusable: install the pair the
         // candidate was priced with.
-        let exec_plan = ExecutionPlan::from_symbolic(&plan.sym);
-        self.plan = Some(CachedPlan::new(exec_plan));
+        self.plan = Some(ExecutionPlan::from_symbolic(&plan.sym));
         self.plan_generation += 1;
         self.sym = Some(plan.sym);
         self.lowest_changed = None;
@@ -638,32 +570,21 @@ impl IncrementalCore {
             .expect("analyze() before factorize_and_solve()"); // lint: allow(unwrap)
 
         // analyze() populates the plan alongside sym
-        let cached = self
+        let plan = self
             .plan
             .as_ref()
             .expect("analyze() before factorize_and_solve()"); // lint: allow(unwrap)
-        let plan = &cached.plan;
-        // Only multi-worker dispatch spends the level-safety proof (one
-        // worker runs the plan serially whatever it says), so only a
-        // multi-worker executor makes the plan derive it.
-        let cert = if self.executor.threads() > 1 {
-            cached.certificate(&self.plan_certifications)
-        } else {
-            None
-        };
         let dirty: Vec<usize> = self.dirty.iter().copied().collect();
 
         // Incremental plan execution with non-PD damping recovery.
         let mut attempts = 0usize;
         let stats = loop {
             let result = match self.num.as_mut() {
-                Some(num) => {
-                    num.execute_plan_certified(plan, &self.h, &dirty, &self.executor, cert)
-                }
+                Some(num) => num.execute_plan(plan, &self.h, &dirty, &self.executor),
                 None => {
                     let all: Vec<usize> = (0..plan.num_blocks()).collect();
                     let mut num = NumericFactor::empty(plan);
-                    num.execute_plan_certified(plan, &self.h, &all, &self.executor, cert)
+                    num.execute_plan(plan, &self.h, &all, &self.executor)
                         .map(|out| {
                             self.num = Some(num);
                             out
@@ -882,7 +803,7 @@ mod tests {
     use super::*;
     use supernova_factors::{BetweenFactor, NoiseModel, PriorFactor, Se2};
     use supernova_linalg::rng::XorShift64;
-    use supernova_sparse::DispatchMode;
+    use supernova_sparse::interference;
 
     /// The signed Hessian update the replacement is checked against:
     /// `sign · J_aᵀ J_b` per key pair through `gemm_scratch` into a zeroed
@@ -1158,11 +1079,10 @@ mod tests {
         assert!(t.symbolic_pattern_elems > 0);
     }
 
-    /// Drives a loopy stream producing real fill under the natural order
-    /// through `core`, solving after every pose. Returns how many plan
-    /// generations were executed.
-    fn drive_loopy(core: &mut IncrementalCore, n: usize) -> usize {
-        let mut executed = 0usize;
+    /// A core driven through a loopy stream producing real fill under the
+    /// natural order, solving after every pose.
+    fn loopy_core(n: usize) -> IncrementalCore {
+        let mut core = IncrementalCore::new(0);
         core.add_variable(Variable::Se2(Se2::identity()));
         core.add_factor(prior(0, Se2::identity()));
         for i in 1..n {
@@ -1171,17 +1091,9 @@ mod tests {
             if i >= 6 && i % 2 == 0 {
                 core.add_factor(between(i - 6, i, Se2::new(6.0, 0.0, 0.0)));
             }
-            let gen = core.plan_generation();
             core.analyze();
-            executed += core.plan_generation() - gen;
             core.factorize_and_solve();
         }
-        executed
-    }
-
-    fn loopy_core(n: usize) -> IncrementalCore {
-        let mut core = IncrementalCore::new(0);
-        drive_loopy(&mut core, n);
         core
     }
 
@@ -1238,104 +1150,6 @@ mod tests {
             plan.num_tasks(),
             core.symbolic().expect("sym").nodes().len()
         );
-    }
-
-    /// [`loopy_core`] on `threads` executor workers, with the number of
-    /// plan generations it executed.
-    fn loopy_replay(threads: usize, n: usize) -> (IncrementalCore, usize) {
-        let mut core = IncrementalCore::new(0);
-        core.set_executor(ParallelExecutor::new(threads));
-        let executed = drive_loopy(&mut core, n);
-        (core, executed)
-    }
-
-    #[test]
-    fn one_thread_never_certifies_and_two_threads_certify_each_executed_plan() {
-        let (serial, executed) = loopy_replay(1, 24);
-        assert_eq!(executed, 23, "every step grew the structure");
-        assert_eq!(
-            serial.plan_certifications(),
-            0,
-            "nothing reads the proof on one worker"
-        );
-
-        let (wide, executed) = loopy_replay(2, 24);
-        assert_eq!(wide.plan_certifications(), executed);
-        // Same bytes either way: the proof only changes when tasks run.
-        assert_eq!(wide.numeric_bytes(), serial.numeric_bytes());
-        assert_eq!(wide.estimate(), serial.estimate());
-    }
-
-    #[test]
-    fn plan_certificate_certifies_once_per_generation() {
-        let (mut core, _) = loopy_replay(1, 12);
-        assert_eq!(core.plan_certifications(), 0);
-        let plan = core.plan().expect("analyzed");
-        assert!(core.plan_certificate().is_some_and(|c| c.covers(plan)));
-        assert!(core.plan_certificate().is_some(), "memoized");
-        assert_eq!(core.plan_certifications(), 1);
-
-        // Value-only work keeps the plan, and the proof with it.
-        core.relinearize_vars(&[Key(3)]);
-        core.analyze();
-        core.factorize_and_solve();
-        assert!(core.plan_certificate().is_some());
-        assert_eq!(core.plan_certifications(), 1);
-
-        // A new generation starts unproven.
-        core.add_variable(Variable::Se2(Se2::new(12.0, 0.0, 0.0)));
-        core.add_factor(between(11, 12, Se2::new(1.0, 0.0, 0.0)));
-        core.analyze();
-        core.factorize_and_solve();
-        assert_eq!(core.plan_certifications(), 1);
-        let plan = core.plan().expect("analyzed");
-        assert!(core.plan_certificate().is_some_and(|c| c.covers(plan)));
-        assert_eq!(core.plan_certifications(), 2);
-
-        // So does a reorder.
-        let reorder = core.reorder_candidate().expect("nonempty");
-        core.apply_reorder(reorder);
-        assert!(core.plan_certificate().is_some());
-        assert_eq!(core.plan_certifications(), 3);
-
-        core.reset();
-        assert_eq!(core.plan_certifications(), 0);
-        assert!(core.plan_certificate().is_none(), "no plan, no proof");
-    }
-
-    #[test]
-    fn widening_the_executor_after_analyze_still_batches() {
-        // All-dirty refactorization of a plan that was built, and already
-        // executed, on one worker: the wider executor must get the proof
-        // the serial one never asked for.
-        let (mut core, _) = loopy_replay(1, 24);
-        let serial_bytes = core.numeric_bytes().expect("solved");
-        assert_eq!(core.plan_certifications(), 0);
-        assert_eq!(
-            core.last_host_schedule().expect("executed").mode,
-            DispatchMode::Serial
-        );
-
-        core.set_executor(ParallelExecutor::new(2));
-        let all: Vec<Key> = (0..core.num_vars()).map(Key).collect();
-        core.relinearize_vars(&all);
-        let gen = core.plan_generation();
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen, "same plan");
-        core.factorize_and_solve();
-        assert_eq!(
-            core.last_host_schedule().expect("executed").mode,
-            DispatchMode::LevelBatched
-        );
-        assert_eq!(core.plan_certifications(), 1);
-
-        // And the bytes match a serial core doing the same.
-        let (mut serial, _) = loopy_replay(1, 24);
-        assert_eq!(serial.numeric_bytes().expect("solved"), serial_bytes);
-        serial.relinearize_vars(&all);
-        serial.analyze();
-        serial.factorize_and_solve();
-        assert_eq!(core.numeric_bytes(), serial.numeric_bytes());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Static interference analysis over the [`ExecutionPlan`] IR.
 //!
 //! The plan's `levels()` doc promises that tasks within a topological
-//! level are mutually independent. The executor's batched dispatch mode
-//! ([`crate::ParallelExecutor`]) *relies* on that promise: its only
-//! ordering is one atomic cursor per level and a barrier between levels,
-//! so two tasks in the same level run with no ordering at all. This
-//! module turns the promise into a proof:
+//! level are mutually independent, so a level-barrier dispatch would be
+//! observably identical to postorder execution. The executor runs plans
+//! inline and relies on nothing here; the pass stays as a static check of
+//! the plan IR. This module turns the promise into a proof:
 //!
 //! 1. [`extract_accesses`] derives every task's read/write set straight
 //!    from the plan — the Hessian block columns it assembles (reads), the
@@ -16,7 +15,7 @@
 //!    both writes land in the task's own front — the factor columns are
 //!    its leading columns, the update matrix its trailing block — which
 //!    no other task writes.
-//! 2. The happens-before relation available to batched dispatch is just
+//! 2. The happens-before relation a level-barrier dispatch provides is just
 //!    `level(a) < level(b)` — the level barrier. [`check_accesses`] proves
 //!    that every conflicting pair (write–write, or read–write on
 //!    overlapping rectangles of the same resource) is ordered by it, i.e.
@@ -26,13 +25,11 @@
 //!    partitions the tasks, parents sit above children, scatter blocks
 //!    stay inside their source and destination bounds) and, when every
 //!    check passes, emits a [`PlanCertificate`] carrying a structural
-//!    fingerprint of the plan. The executor re-derives the fingerprint
-//!    before trusting a certificate, so a certificate can never be applied
-//!    to a plan it was not computed from.
+//!    fingerprint of the plan; [`PlanCertificate::covers`] re-derives the
+//!    fingerprint, so a certificate never vouches for another plan.
 //!
 //! `supernova-analyze` re-exports this pass and runs it over the committed
-//! dataset plans in CI; `solvers::engine` certifies each plan once at
-//! plan-cache build time.
+//! dataset plans in CI.
 
 use std::fmt;
 
@@ -79,8 +76,8 @@ impl Region {
     }
 }
 
-/// A shared resource a plan task can touch. The per-worker frontal
-/// workspace is private and deliberately absent.
+/// A shared resource a plan task can touch. The kernel pack arena is
+/// private scratch and deliberately absent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Resource {
     /// Block column `b` of the assembled Hessian (read-only input).
@@ -186,7 +183,7 @@ impl fmt::Display for InterferenceViolation {
 }
 
 /// The proof token that a plan is level-safe: every intra-level task pair
-/// is access-disjoint, so batched (level-barrier) dispatch is observably
+/// is access-disjoint, so a level-barrier dispatch would be observably
 /// identical to inline postorder execution.
 ///
 /// The certificate is bound to the plan it was computed from by a
@@ -221,8 +218,7 @@ impl PlanCertificate {
         self.accesses
     }
 
-    /// Whether this certificate was computed from `plan` — the executor's
-    /// gate before switching to batched dispatch.
+    /// Whether this certificate was computed from `plan`.
     pub fn covers(&self, plan: &ExecutionPlan) -> bool {
         self.num_tasks == plan.num_tasks()
             && self.num_levels == plan.levels().len()
@@ -324,7 +320,7 @@ pub fn extract_accesses(plan: &ExecutionPlan) -> Vec<Access> {
 
 /// Proves pairwise disjointness of the access set under level-barrier
 /// ordering: `level_of[t]` is the topological level of task `t`, and the
-/// only happens-before edge batched dispatch provides is
+/// only happens-before edge a level-barrier dispatch provides is
 /// `level(a) < level(b)`.
 ///
 /// Returns every disproof found (empty = proven safe). Exposed separately
@@ -497,7 +493,7 @@ fn check_structure(plan: &ExecutionPlan) -> Vec<InterferenceViolation> {
 }
 
 /// Runs the full interference proof over `plan` and, if it holds, emits
-/// the [`PlanCertificate`] the executor's batched dispatch mode requires.
+/// its [`PlanCertificate`].
 ///
 /// # Errors
 ///

@@ -15,10 +15,11 @@
 //!   [`OpTrace`](supernova_linalg::ops::OpTrace)s for the hardware model;
 //! - supernodal forward/backward solves ([`NumericFactor::solve_in_place`]);
 //! - fill-reducing [`ordering`]s;
-//! - the plan/exec split: [`ExecutionPlan`] (topologically-leveled task IR
-//!   with precomputed scatter targets, derived once per symbolic structure)
-//!   executed serially or on the [`ParallelExecutor`] worker pool with
-//!   bit-identical results, recorded as a [`HostSchedule`].
+//! - the plan/exec split: [`ExecutionPlan`] (postordered task IR with
+//!   precomputed scatter targets, derived once per symbolic structure),
+//!   executed inline in plan postorder by the [`ParallelExecutor`] and
+//!   recorded as a [`HostSchedule`]. One step runs on one thread; the
+//!   serve dispatcher runs sessions in parallel.
 //!
 //! # Example
 //!
@@ -58,7 +59,7 @@ mod plan;
 mod symbolic;
 
 pub use blockmat::BlockMat;
-pub use executor::{DispatchMode, HostSchedule, ParallelExecutor, PoolStats, TaskSpan};
+pub use executor::{HostSchedule, ParallelExecutor, PoolStats, TaskSpan};
 pub use interference::PlanCertificate;
 pub use numeric::{FactorizeError, NodeTrace, NumericFactor, RefactorStats};
 pub use ordering::Permutation;

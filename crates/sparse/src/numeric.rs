@@ -5,12 +5,10 @@
 //! the sym-based [`NumericFactor::factorize`]/[`NumericFactor::refactor`]
 //! entry points derive a throwaway plan and run it serially, while the
 //! incremental engine caches one plan per symbolic structure and drives
-//! [`NumericFactor::execute_plan`] directly (optionally on the
-//! [`ParallelExecutor`] worker pool — results are bit-identical).
+//! [`NumericFactor::execute_plan`] directly.
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 use supernova_linalg::ops::{Op, OpTrace};
 use supernova_linalg::{
@@ -160,7 +158,7 @@ impl NumericFactor {
         dirty_blocks: &[usize],
     ) -> Result<RefactorStats, FactorizeError> {
         let plan = ExecutionPlan::from_symbolic(sym);
-        self.execute_plan(&plan, h, dirty_blocks, &ParallelExecutor::serial())
+        self.execute_plan(&plan, h, dirty_blocks, &ParallelExecutor::default())
             .map(|(stats, _)| stats)
     }
 
@@ -179,21 +177,11 @@ impl NumericFactor {
     /// node whose structural signature no longer matches the cached factor.
     /// A recomputed task factors in its cached same-signature node's front
     /// if there is one, else in a fresh `t × t` buffer; buffers never move
-    /// between nodes. Running on the worker pool is **bit-identical** to
-    /// serial execution: every task merges its children's cached update
-    /// matrices in the plan's fixed child order, so f64 sums never depend
-    /// on completion order.
+    /// between nodes. Tasks run in plan postorder, each merging its
+    /// children's cached update matrices in the plan's fixed child order.
     ///
     /// Returns the refactor stats (traces in children-before-parents plan
-    /// postorder, exactly as the serial path reports them) and the wall-
-    /// clock [`HostSchedule`] of the execution.
-    ///
-    /// A multi-worker `exec` dispatches across workers only with the
-    /// plan's level-safety proof in hand, so this derives it
-    /// ([`interference::certify`](crate::interference::certify)) on every
-    /// call with `exec.threads() > 1`; a caller that executes one plan
-    /// many times memoizes the proof and calls
-    /// [`execute_plan_certified`](Self::execute_plan_certified) instead.
+    /// postorder) and the wall-clock [`HostSchedule`] of the execution.
     ///
     /// # Errors
     ///
@@ -206,34 +194,6 @@ impl NumericFactor {
         h: &BlockMat,
         dirty_blocks: &[usize],
         exec: &ParallelExecutor,
-    ) -> Result<(RefactorStats, HostSchedule), FactorizeError> {
-        let cert = if exec.threads() > 1 {
-            crate::interference::certify(plan).ok()
-        } else {
-            None
-        };
-        self.execute_plan_certified(plan, h, dirty_blocks, exec, cert.as_ref())
-    }
-
-    /// [`execute_plan`](Self::execute_plan) with the level-safety proof
-    /// supplied by the caller (the solver engine memoizes it per plan)
-    /// instead of derived per call. A covering certificate lets a
-    /// multi-worker executor dispatch proven-safe waves in lock-free
-    /// batches ([`DispatchMode::LevelBatched`](crate::DispatchMode));
-    /// without one the plan runs inline on the calling thread, whatever
-    /// the thread count. Bit-identical either way: every task runs whole,
-    /// in its own front, on either path.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_plan`](Self::execute_plan).
-    pub fn execute_plan_certified(
-        &mut self,
-        plan: &ExecutionPlan,
-        h: &BlockMat,
-        dirty_blocks: &[usize],
-        exec: &ParallelExecutor,
-        cert: Option<&crate::PlanCertificate>,
     ) -> Result<(RefactorStats, HostSchedule), FactorizeError> {
         let num_nodes = plan.num_tasks();
         // Pair every task with the previous factorization's node of the
@@ -263,51 +223,33 @@ impl NumericFactor {
             is_recompute[s] = true;
         }
 
-        // One write-once slot per node: reused factors are published up
-        // front, recomputed ones by whichever worker runs the task. Beside
-        // it, one take-once slot hands a recomputed task its cached node's
-        // front to factor in again.
-        let slots: Vec<OnceLock<(NodeFactor, OpTrace)>> =
-            (0..num_nodes).map(|_| OnceLock::new()).collect();
-        let mut spares: Vec<Mutex<Option<Mat>>> = Vec::with_capacity(num_nodes);
+        // Reused nodes keep their factor; a recomputed task takes its
+        // cached node's front to factor in again and leaves its own node
+        // behind for its parent to read.
+        let mut nodes: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
+        let mut spares: Vec<Option<Mat>> = Vec::with_capacity(num_nodes);
         let mut reused = 0usize;
         for (s, nf) in cached.into_iter().enumerate() {
-            let spare = if is_recompute[s] {
-                nf.map(|nf| nf.front)
+            if is_recompute[s] {
+                spares.push(nf.map(|nf| nf.front));
+                nodes.push(None);
             } else {
                 // lint: allow(unwrap) — a task without a cached pair is a seed
-                let nf = nf.expect("reused node missing from cache");
-                let _ = slots[s].set((nf, OpTrace::new()));
+                nodes.push(Some(nf.expect("reused node missing from cache")));
+                spares.push(None);
                 reused += 1;
-                None
-            };
-            spares.push(Mutex::new(spare));
+            }
         }
 
+        let mut traces: Vec<Option<OpTrace>> = vec![None; num_nodes];
         let numeric = exec.numeric();
-        let (res, sched) = exec.run(plan, &is_recompute, cert, |s, scratch| {
-            // lint: allow(unwrap) — the lock is held only for `take`, which cannot panic
-            let spare = spares[s].lock().expect("spare slot poisoned").take();
-            let out = compute_task(plan, h, s, &slots, spare, scratch, numeric)?;
-            let published = slots[s].set(out).is_ok();
-            debug_assert!(published, "task {s} executed twice");
+        let (res, sched) = exec.run(plan, &is_recompute, |s, scratch| {
+            let (nf, trace) = compute_task(plan, h, s, &nodes, spares[s].take(), scratch, numeric)?;
+            nodes[s] = Some(nf);
+            traces[s] = Some(trace);
             Ok(())
         });
         res?;
-
-        let mut nodes: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
-        let mut traces: Vec<Option<OpTrace>> = vec![None; num_nodes];
-        for (s, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some((nf, trace)) => {
-                    if is_recompute[s] {
-                        traces[s] = Some(trace);
-                    }
-                    nodes.push(Some(nf));
-                }
-                None => nodes.push(None),
-            }
-        }
         self.nodes = nodes;
 
         // Report traces in plan postorder so stats are executor-independent.
@@ -325,7 +267,7 @@ impl NumericFactor {
 
     /// Serializes the factor into a canonical little-endian byte string
     /// (per-node signature, dimensions, and f64 payloads). The CI
-    /// determinism gate diffs these bytes across thread counts.
+    /// determinism gate pins a hash of these bytes.
     pub fn serialize_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for nf in &self.nodes {
@@ -485,7 +427,7 @@ fn compute_task(
     plan: &ExecutionPlan,
     h: &BlockMat,
     s: usize,
-    slots: &[OnceLock<(NodeFactor, OpTrace)>],
+    nodes: &[Option<NodeFactor>],
     spare: Option<Mat>,
     scratch: &mut KernelScratch,
     numeric: NumericMode,
@@ -530,12 +472,13 @@ fn compute_task(
     }
 
     // Extend-add each child's cached update matrix (the merge step), in
-    // the plan's fixed child order — the determinism anchor that makes
-    // parallel execution bit-identical to serial. The update is the
-    // trailing block of the child's front.
+    // the plan's fixed child order. The update is the trailing block of
+    // the child's front.
     for mg in &task.merges {
-        // lint: allow(unwrap) — the executor completes children before parents
-        let (child, _) = slots[mg.child].get().expect("child factored after parent");
+        // lint: allow(unwrap) — postorder completes children before parents
+        let child = nodes[mg.child]
+            .as_ref()
+            .expect("child factored after parent");
         for b in &mg.blocks {
             front.add_block_from(
                 b.dst_row,
@@ -559,9 +502,9 @@ fn compute_task(
     }
 
     // Three-step partial factorization (Figure 5, bottom), run through
-    // the worker's pooled pack arena: zero allocation once warm, and the
+    // the executor's pooled pack arena: zero allocation once warm, and the
     // arena's flop meter feeds the span's `kernel_flops`. The executor's
-    // numeric mode picks the kernel engine (f64 / f32 / mixed).
+    // numeric mode picks the kernel engine (f64 / f32).
     partial_cholesky_scratch_mode(&mut front, m, scratch, numeric).map_err(|e| FactorizeError {
         node: s,
         front_col: e.col(),
@@ -778,10 +721,9 @@ mod tests {
         let err = NumericFactor::factorize(&sym, &h).unwrap_err();
         assert!(!format!("{err}").is_empty());
 
-        // Wide fronts: supernodes {0} and {1} are 128-wide leaves of one
-        // level (four workers run them as a wave) under the root {2, 3}.
-        // A pivot poisoned past node 0's first kernel panel is reported at
-        // its node and front column on either path.
+        // Wide fronts: supernodes {0} and {1} are 128-wide leaves under
+        // the root {2, 3}. A pivot poisoned past node 0's first kernel
+        // panel is reported at its node and front column.
         let mut p = BlockPattern::new(vec![64; 4]);
         p.add_block_edge(0, 3);
         p.add_block_edge(1, 2);
@@ -796,121 +738,35 @@ mod tests {
         let mut bad = Mat::zeros(64, 64);
         bad[(50, 50)] = -1e9;
         h.add_to_block(0, 0, &bad);
-        let all = [0usize, 1, 2, 3];
-        for threads in [1usize, 4] {
-            let mut num = NumericFactor::empty(&plan);
-            let err = num
-                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
-                .unwrap_err();
-            assert_eq!((err.node(), err.front_col()), (0, 50), "{threads} threads");
-        }
+        let mut num = NumericFactor::empty(&plan);
+        let err = num
+            .execute_plan(&plan, &h, &[0, 1, 2, 3], &ParallelExecutor::default())
+            .unwrap_err();
+        assert_eq!((err.node(), err.front_col()), (0, 50));
     }
 
     #[test]
-    fn parallel_execution_is_bit_identical_to_serial() {
-        let p = loopy_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let plan = ExecutionPlan::from_symbolic(&sym);
-        let h = build_h(&p, 17);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-
-        let mut serial = NumericFactor::empty(&plan);
-        let (stats_s, sched_s) = serial
-            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
-            .unwrap();
-        let bytes_s = serial.serialize_bytes();
-        assert_eq!(sched_s.workers, 1);
-
-        for threads in [2usize, 4, 8] {
-            let mut par = NumericFactor::empty(&plan);
-            let (stats_p, sched_p) = par
-                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
-                .unwrap();
-            assert_eq!(bytes_s, par.serialize_bytes(), "{threads} threads diverged");
-            assert_eq!(stats_s.recomputed_nodes(), stats_p.recomputed_nodes());
-            assert_eq!(stats_s.flops(), stats_p.flops());
-            assert_eq!(sched_p.spans.len(), plan.num_tasks());
-            // `execute_plan` derives the certificate itself, so this really
-            // is a multi-worker schedule, not an inline fallback.
-            assert!(sched_p.workers > 1, "{threads} threads ran inline");
-        }
-    }
-
-    #[test]
-    fn narrow_mode_is_bit_identical_across_thread_counts() {
+    fn narrow_mode_reaches_the_kernels() {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
         let h = build_h(&p, 17);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
         let mode = NumericMode::F32;
-        let mut serial = NumericFactor::empty(&plan);
-        let exec = ParallelExecutor::serial().with_numeric(mode);
-        let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec).unwrap();
-        assert_eq!(sched_s.numeric, mode);
-        let bytes_s = serial.serialize_bytes();
-        for threads in [2usize, 4, 8] {
-            let mut par = NumericFactor::empty(&plan);
-            let exec = ParallelExecutor::new(threads).with_numeric(mode);
-            let (_, sched_p) = par.execute_plan(&plan, &h, &all, &exec).unwrap();
-            assert_eq!(sched_p.numeric, mode);
-            assert_eq!(
-                bytes_s,
-                par.serialize_bytes(),
-                "{mode} at {threads} threads diverged from {mode} serial"
-            );
-        }
+        let mut narrow = NumericFactor::empty(&plan);
+        let exec = ParallelExecutor::default().with_numeric(mode);
+        let (_, sched) = narrow.execute_plan(&plan, &h, &all, &exec).unwrap();
+        assert_eq!(sched.numeric, mode);
         // The narrow engine genuinely rounds: a same-input f64 factor
         // must differ, or the mode never reached the kernels.
         let mut wide = NumericFactor::empty(&plan);
-        wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
+        wide.execute_plan(&plan, &h, &all, &ParallelExecutor::default())
             .unwrap();
         assert_ne!(
-            bytes_s,
+            narrow.serialize_bytes(),
             wide.serialize_bytes(),
             "{mode} produced bitwise-f64 results; mode plumbing is dead"
         );
-    }
-
-    #[test]
-    fn certified_batched_execution_is_bit_identical_to_serial() {
-        let p = loopy_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let plan = ExecutionPlan::from_symbolic(&sym);
-        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
-        let h = build_h(&p, 17);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-
-        let mut serial = NumericFactor::empty(&plan);
-        let (stats_s, _) = serial
-            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
-            .unwrap();
-        let bytes_s = serial.serialize_bytes();
-
-        for threads in [2usize, 4, 8] {
-            let mut par = NumericFactor::empty(&plan);
-            let (stats_p, sched_p) = par
-                .execute_plan_certified(
-                    &plan,
-                    &h,
-                    &all,
-                    &ParallelExecutor::new(threads),
-                    Some(&cert),
-                )
-                .unwrap();
-            assert_eq!(
-                sched_p.mode,
-                crate::DispatchMode::LevelBatched,
-                "{threads} threads should batch"
-            );
-            assert_eq!(
-                bytes_s,
-                par.serialize_bytes(),
-                "{threads}-thread batched dispatch diverged"
-            );
-            assert_eq!(stats_s.recomputed_nodes(), stats_p.recomputed_nodes());
-            assert_eq!(stats_s.flops(), stats_p.flops());
-        }
     }
 
     #[test]
@@ -923,13 +779,13 @@ mod tests {
 
         let mut via_plan = NumericFactor::empty(&plan);
         via_plan
-            .execute_plan(&plan, &h0, &all, &ParallelExecutor::new(4))
+            .execute_plan(&plan, &h0, &all, &ParallelExecutor::default())
             .unwrap();
 
         let mut h1 = h0.clone();
         h1.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
         let (stats, _) = via_plan
-            .execute_plan(&plan, &h1, &[2], &ParallelExecutor::new(4))
+            .execute_plan(&plan, &h1, &[2], &ParallelExecutor::default())
             .unwrap();
 
         // Mirror the serial refactor path on a fresh factor.
@@ -964,64 +820,54 @@ mod tests {
 
     #[test]
     fn recycled_fronts_match_a_fresh_execution_after_every_step() {
-        for threads in [1usize, 2, 4] {
-            let exec = ParallelExecutor::new(threads);
-            let mut p = loopy_pattern();
-            let all: Vec<usize> = (0..p.num_blocks()).collect();
-            let mut plan = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0));
-            let mut h = build_h(&p, 1);
-            let mut num = NumericFactor::empty(&plan);
-            // One incremental step, checked byte for byte against a fresh
-            // factor of the same system.
-            let step =
-                |num: &mut NumericFactor, plan: &ExecutionPlan, h: &BlockMat, dirty: &[usize]| {
-                    let (stats, _) = num.execute_plan(plan, h, dirty, &exec).unwrap();
-                    let mut fresh = NumericFactor::empty(plan);
-                    fresh.execute_plan(plan, h, &all, &exec).unwrap();
-                    assert_eq!(
-                        num.serialize_bytes(),
-                        fresh.serialize_bytes(),
-                        "{threads} threads"
-                    );
-                    stats.reused
-                };
-            step(&mut num, &plan, &h, &all);
+        let exec = ParallelExecutor::default();
+        let mut p = loopy_pattern();
+        let all: Vec<usize> = (0..p.num_blocks()).collect();
+        let mut plan = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0));
+        let mut h = build_h(&p, 1);
+        let mut num = NumericFactor::empty(&plan);
+        // One incremental step, checked byte for byte against a fresh
+        // factor of the same system.
+        let step =
+            |num: &mut NumericFactor, plan: &ExecutionPlan, h: &BlockMat, dirty: &[usize]| {
+                let (stats, _) = num.execute_plan(plan, h, dirty, &exec).unwrap();
+                let mut fresh = NumericFactor::empty(plan);
+                fresh.execute_plan(plan, h, &all, &exec).unwrap();
+                assert_eq!(num.serialize_bytes(), fresh.serialize_bytes());
+                stats.reused
+            };
+        step(&mut num, &plan, &h, &all);
 
-            // Values only, every node dirty: every task refactors in the
-            // front it had.
-            let seeded = fronts(&num);
-            for b in 0..p.num_blocks() {
-                h.add_to_block(b, b, &Mat::from_diag(&vec![0.5; p.block_dims()[b]]));
-            }
-            assert_eq!(step(&mut num, &plan, &h, &all), 0);
-            assert_eq!(
-                fronts(&num),
-                seeded,
-                "{threads} threads reallocated a front"
-            );
-            h.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
-            assert!(step(&mut num, &plan, &h, &[2]) > 0);
-            assert_eq!(fronts(&num), seeded);
-
-            // A loop closure: a node that keeps its signature keeps its
-            // front, a new signature gets a fresh one.
-            p.add_block_edge(1, 6);
-            plan = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0));
-            h.add_to_block(6, 1, &Mat::from_fn(1, 3, |_, c| 0.1 * c as f64));
-            step(&mut num, &plan, &h, &[1, 6]);
-            let after = fronts(&num);
-            let kept = after
-                .iter()
-                .filter(|(sig, _)| seeded.iter().any(|(s, _)| s == sig));
-            assert!(kept.clone().all(|front| seeded.contains(front)));
-            assert!((1..after.len()).contains(&kept.count()));
-
-            // A failed factorization leaves nothing to recycle; the re-seed
-            // runs every task in a fresh front.
-            let mut bad = h.clone();
-            bad.add_to_block(0, 0, &Mat::from_diag(&[-1e9, -1e9]));
-            assert!(num.execute_plan(&plan, &bad, &all, &exec).is_err());
-            assert_eq!(step(&mut num, &plan, &h, &all), 0);
+        // Values only, every node dirty: every task refactors in the
+        // front it had.
+        let seeded = fronts(&num);
+        for b in 0..p.num_blocks() {
+            h.add_to_block(b, b, &Mat::from_diag(&vec![0.5; p.block_dims()[b]]));
         }
+        assert_eq!(step(&mut num, &plan, &h, &all), 0);
+        assert_eq!(fronts(&num), seeded, "a front was reallocated");
+        h.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
+        assert!(step(&mut num, &plan, &h, &[2]) > 0);
+        assert_eq!(fronts(&num), seeded);
+
+        // A loop closure: a node that keeps its signature keeps its
+        // front, a new signature gets a fresh one.
+        p.add_block_edge(1, 6);
+        plan = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0));
+        h.add_to_block(6, 1, &Mat::from_fn(1, 3, |_, c| 0.1 * c as f64));
+        step(&mut num, &plan, &h, &[1, 6]);
+        let after = fronts(&num);
+        let kept = after
+            .iter()
+            .filter(|(sig, _)| seeded.iter().any(|(s, _)| s == sig));
+        assert!(kept.clone().all(|front| seeded.contains(front)));
+        assert!((1..after.len()).contains(&kept.count()));
+
+        // A failed factorization leaves nothing to recycle; the re-seed
+        // runs every task in a fresh front.
+        let mut bad = h.clone();
+        bad.add_to_block(0, 0, &Mat::from_diag(&[-1e9, -1e9]));
+        assert!(num.execute_plan(&plan, &bad, &all, &exec).is_err());
+        assert_eq!(step(&mut num, &plan, &h, &all), 0);
     }
 }

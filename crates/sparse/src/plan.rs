@@ -10,10 +10,9 @@
 //! above the lowest changed column — see `solvers::engine`'s plan cache.
 //!
 //! Because every scatter target is fixed at plan time and children are
-//! merged in the plan's fixed child order, executing the plan serially or
-//! on the worker pool ([`crate::ParallelExecutor`]) produces bit-identical
-//! factors: each task is a pure function of `H` and its children's cached
-//! update matrices, independent of completion order.
+//! merged in the plan's fixed child order, each task is a pure function of
+//! `H` and its children's cached update matrices; the
+//! [`crate::ParallelExecutor`] runs the tasks in plan postorder.
 
 use crate::SymbolicFactor;
 
@@ -347,7 +346,7 @@ impl ExecutionPlan {
     }
 
     /// Largest front (scalar elements) of any task — the size the narrow
-    /// numeric modes' f32 front shadow in each worker's
+    /// numeric modes' f32 front shadow in the executor's
     /// [`supernova_linalg::KernelScratch`] is grown to once.
     pub fn max_workspace_elems(&self) -> usize {
         self.max_workspace_elems
@@ -355,7 +354,7 @@ impl ExecutionPlan {
 
     /// Scalars each kernel pack buffer needs for the plan's largest front
     /// ([`supernova_linalg::pack_elems_bound`] over all tasks) — the size
-    /// each worker's [`supernova_linalg::KernelScratch`] is pre-grown to,
+    /// the executor's [`supernova_linalg::KernelScratch`] is pre-grown to,
     /// so the blocked kernels never allocate mid-execution.
     pub fn max_pack_elems(&self) -> usize {
         self.tasks
@@ -367,9 +366,9 @@ impl ExecutionPlan {
 
     /// Mode-aware variant of [`Self::max_pack_elems`]: the narrow modes
     /// pack into f32 arenas whose row-panel rounding differs (the f32
-    /// engine uses wider microkernel tiles), so workers executing under a
-    /// narrow [`supernova_linalg::NumericMode`] pre-grow their scratch
-    /// with this bound instead.
+    /// engine uses wider microkernel tiles), so an executor running under a
+    /// narrow [`supernova_linalg::NumericMode`] pre-grows its scratch with
+    /// this bound instead.
     pub fn max_pack_elems_mode(&self, mode: supernova_linalg::NumericMode) -> usize {
         self.tasks
             .iter()
@@ -426,6 +425,9 @@ impl ExecutionPlan {
     /// heaviest task), averaged over levels weighted by level work. 1.0
     /// means every barrier-to-barrier interval keeps all workers busy; a
     /// single-task level scores `1 / workers`.
+    ///
+    /// A model only: the executor runs plans inline, and nothing in the
+    /// workspace reads this; the `benchmark/` package still reports it.
     pub fn level_occupancy(&self, workers: usize) -> f64 {
         let workers = workers.max(1) as f64;
         let mut weighted = 0.0f64;

@@ -24,10 +24,11 @@
 #                provenance) + interference certification of every seeded
 #                dataset's execution plan; report archived at
 #                results/analyze_diagnostics.json
-#   determinism  serial vs 2/4-thread factorization bit-identity, swept
-#                over both numeric modes (f64 / f32); plus
-#                analyze-incremental: prefix-reusing analysis vs a
-#                from-scratch twin, plan fingerprints equal on every step
+#   determinism  three online replays in both numeric modes (f64 / f32):
+#                final factor-bytes and estimate hashes against committed
+#                oracle constants; plus analyze-incremental: prefix-reusing
+#                analysis vs a from-scratch twin, plan fingerprints equal
+#                on every step
 #   repro        `repro all --scale 0.05` into a scratch directory, then
 #                `diff -r` against tests/fixtures/repro_0.05/: every
 #                paper table and figure CSV, simulator output included,
@@ -43,17 +44,17 @@
 #                add-shard-under-load — all gated on bit-identity + zero loss
 #   bench-quick  the benchmark/ harness at tiny sizes (`run --quick`):
 #                every workload's correctness checks — phase-driver byte
-#                identity, 1-vs-2-thread factor bytes, served/routed bit
-#                identity — in well under a minute; no timing is gated
+#                identity, served/routed bit identity — in well under a
+#                minute; no timing is gated
 #   kernel-bench regenerate results/BENCH_kernels.json (blocked vs
 #                reference dense-kernel throughput; gated on the
 #                in-process speedup ratio, which is host-noise immune)
-#   bench        regenerate results/BENCH_step_latency.json (step_bench)
-#                and results/BENCH_fleet.json (the load_gen --fleet
+#   bench        regenerate results/BENCH_fleet.json (the load_gen --fleet
 #                failover drill)
-#   bench-check  compare fresh benchmarks against results/baselines/:
-#                exact drift checks and in-process speedup ratios; no
-#                wall time is compared (benchmark/ measures wall time)
+#   bench-check  compare the fresh kernel and fleet artifacts against
+#                results/baselines/: exact drift checks and in-process
+#                kernel speedup ratios; no wall time is compared
+#                (benchmark/ measures wall time)
 #
 # No network access required — the workspace has no external dependencies
 # and every gate is an in-tree binary. Per-stage wall-clock timings and
@@ -189,11 +190,6 @@ repro_gate() {
     return $_rc
 }
 
-bench_regen() {
-    cargo run --release -q -p supernova-bench --bin step_bench &&
-        cargo run --release -q -p supernova-fleet --bin load_gen -- --fleet >/dev/null
-}
-
 run_stage() {
     case "$1" in
         fmt) cargo fmt --all --check ;;
@@ -210,7 +206,7 @@ run_stage() {
         chaos) cargo run --release -q -p supernova-fleet --bin load_gen -- --chaos ;;
         bench-quick) cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick ;;
         kernel-bench) cargo run --release -q -p supernova-bench --bin kernel_bench ;;
-        bench) bench_regen ;;
+        bench) cargo run --release -q -p supernova-fleet --bin load_gen -- --fleet >/dev/null ;;
         bench-check) cargo run --release -q -p supernova-bench --bin bench_check ;;
         *)
             echo "ci: unknown stage '$1'" >&2

@@ -61,55 +61,50 @@ fn assert_bit_identical(a: &Values, b: &Values) {
     }
 }
 
-/// Cold pass then warm pass, at one worker and at several. The cold pass
-/// may grow the arenas (monotonically — the high-water mark never
-/// regresses); the warm pass must show the exact end-of-cold-pass pool
-/// statistics after every single step: no reallocation, no new
-/// workspaces, no high-water movement. And the warm pass — running on
-/// pre-sized arenas instead of lazily-grown ones — must produce a
-/// bit-identical estimate.
+/// Cold pass then warm pass. The cold pass may grow the arena
+/// (monotonically — the high-water mark never regresses); the warm pass
+/// must show the exact end-of-cold-pass pool statistics after every single
+/// step: no reallocation, no new workspaces, no high-water movement. And
+/// the warm pass — running on a pre-sized arena instead of a lazily-grown
+/// one — must produce a bit-identical estimate.
 #[test]
 fn warm_replay_is_allocation_free_and_bit_identical() {
-    for threads in [1usize, 3] {
-        let exec = ParallelExecutor::new(threads);
-        let start = exec.pool_stats();
-        assert_eq!(
-            start,
-            PoolStats {
-                workspaces: threads,
-                ..PoolStats::default()
-            },
-            "fresh pool: one empty workspace per worker, nothing grown"
-        );
+    let exec = ParallelExecutor::default();
+    assert_eq!(
+        exec.pool_stats(),
+        PoolStats {
+            workspaces: 1,
+            ..PoolStats::default()
+        },
+        "fresh pool: one empty workspace, nothing grown"
+    );
 
-        // Clones share the workspace pool: the warm pass starts with the
-        // arenas the cold pass grew.
-        let (cold_estimate, cold_stats) = replay(exec.clone());
-        let end = *cold_stats.last().expect("cold pass produced steps");
+    // Clones share the workspace pool: the warm pass starts with the
+    // arena the cold pass grew.
+    let (cold_estimate, cold_stats) = replay(exec.clone());
+    let end = *cold_stats.last().expect("cold pass produced steps");
+    assert!(
+        end.high_water_elems > 0,
+        "replay never exercised the packed kernels"
+    );
+    for w in cold_stats.windows(2) {
         assert!(
-            end.high_water_elems > 0,
-            "threads={threads}: replay never exercised the packed kernels"
+            w[1].high_water_elems >= w[0].high_water_elems
+                && w[1].grow_events >= w[0].grow_events
+                && w[1].workspaces >= w[0].workspaces,
+            "pool statistics regressed mid-replay"
         );
-        for w in cold_stats.windows(2) {
-            assert!(
-                w[1].high_water_elems >= w[0].high_water_elems
-                    && w[1].grow_events >= w[0].grow_events
-                    && w[1].workspaces >= w[0].workspaces,
-                "threads={threads}: pool statistics regressed mid-replay"
-            );
-        }
-
-        let (warm_estimate, warm_stats) = replay(exec);
-        for (i, s) in warm_stats.iter().enumerate() {
-            assert_eq!(
-                *s,
-                end,
-                "threads={threads}: warm replay grew an arena at step {} \
-                 (cold end {end:?})",
-                i + 1
-            );
-        }
-
-        assert_bit_identical(&cold_estimate, &warm_estimate);
     }
+
+    let (warm_estimate, warm_stats) = replay(exec);
+    for (i, s) in warm_stats.iter().enumerate() {
+        assert_eq!(
+            *s,
+            end,
+            "warm replay grew an arena at step {} (cold end {end:?})",
+            i + 1
+        );
+    }
+
+    assert_bit_identical(&cold_estimate, &warm_estimate);
 }

@@ -33,7 +33,7 @@ fn committed_artifacts_round_trip_through_the_json_layer() {
     assert!(
         files
             .iter()
-            .any(|f| f.ends_with("baselines/BENCH_step_latency.json"))
+            .any(|f| f.ends_with("baselines/BENCH_fleet.json"))
             && files.iter().any(|f| f.ends_with("numeric_ape.json")),
         "expected the committed artifacts, found {files:?}"
     );

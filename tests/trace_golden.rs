@@ -4,12 +4,10 @@
 //! traced M3500 replay with the hardware simulator attached), not
 //! hand-built span trees:
 //!
-//! - the canonical traces are equal (`==`), and so are their canonical
-//!   Chrome exports, across 1/2/4 host executor threads, once the two
-//!   intentionally thread-dependent counters (`workers` and
-//!   `dispatch_mode` — how the tasks were dispatched, not what was
-//!   computed) are stripped — on M3500 and on a Sphere replay with wide
-//!   fronts, one whole-task span per recomputed node at every width;
+//! - the canonical traces of two identical replays are equal (`==`), and
+//!   so are their canonical Chrome exports — on M3500 and on a Sphere
+//!   replay with wide fronts: canonicalization leaves nothing of the wall
+//!   clock behind;
 //! - no event of a traced replay carries one `args` member twice;
 //! - step 50 of the M3500 replay matches a committed golden fixture
 //!   byte-for-byte (`tests/fixtures/m3500_step50.json`, its canonical
@@ -24,25 +22,23 @@ use supernova_datasets::Dataset;
 use supernova_hw::Platform;
 use supernova_runtime::{CostModel, SchedulerConfig};
 use supernova_solvers::{RaIsam2Config, SolverEngine};
-use supernova_sparse::ParallelExecutor;
 use supernova_trace::json::{parse, Json};
-use supernova_trace::{chrome_document_wall, CounterSet, Span, StepKey, Trace, TraceConfig};
+use supernova_trace::{chrome_document_wall, StepKey, Trace, TraceConfig};
 
 const GOLDEN_PATH: &str = "tests/fixtures/m3500_step50.json";
 const GOLDEN_STEP: usize = 50;
 
 /// [`traced_replay_of`] the M3500 dataset the golden fixture is cut from.
-fn traced_replay(threads: usize, steps: usize) -> Vec<Trace> {
-    traced_replay_of(&Dataset::m3500_scaled(0.06), threads, steps)
+fn traced_replay(steps: usize) -> Vec<Trace> {
+    traced_replay_of(&Dataset::m3500_scaled(0.06), steps)
 }
 
 /// Replays the first `steps` steps of `ds` through a traced engine with
 /// the simulator attached, returning one `Trace` per step.
-fn traced_replay_of(ds: &Dataset, threads: usize, steps: usize) -> Vec<Trace> {
+fn traced_replay_of(ds: &Dataset, steps: usize) -> Vec<Trace> {
     let platform = Platform::supernova(2);
     let cost = Arc::new(CostModel::new(platform.clone()));
     let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
-    engine.set_executor(ParallelExecutor::new(threads));
     engine.set_trace(TraceConfig::on());
     engine.set_trace_hw(platform, SchedulerConfig::default());
     let mut out = Vec::new();
@@ -63,29 +59,6 @@ fn traced_replay_of(ds: &Dataset, threads: usize, steps: usize) -> Vec<Trace> {
     out
 }
 
-/// Drops the `workers` and `dispatch_mode` counters everywhere in the
-/// tree: they record the host executor width and the dispatch path it
-/// took (inline / waves), the only fields that legitimately differ between
-/// otherwise-identical replays at different thread counts.
-fn strip_worker_counters(span: &mut Span) {
-    let mut counters = CounterSet::new();
-    for (name, value) in span.counters.iter() {
-        if !["workers", "dispatch_mode"].contains(&name) {
-            counters.set(name, value);
-        }
-    }
-    span.counters = counters;
-    for child in &mut span.children {
-        strip_worker_counters(child);
-    }
-}
-
-fn thread_invariant(trace: &Trace) -> Trace {
-    let mut canonical = trace.canonical();
-    strip_worker_counters(&mut canonical.root);
-    canonical
-}
-
 /// The `traceEvents` of a Chrome document.
 fn events(doc: &str) -> Vec<Json> {
     parse(doc)
@@ -97,7 +70,7 @@ fn events(doc: &str) -> Vec<Json> {
 }
 
 #[test]
-fn canonical_export_identical_across_thread_counts() {
+fn canonical_export_identical_across_replays() {
     // The first 40 steps of M3500 × 0.06 (narrow fronts), and the whole
     // of Sphere × 0.12, whose widest fronts reach 96 columns and more.
     let cases = [
@@ -105,32 +78,30 @@ fn canonical_export_identical_across_thread_counts() {
         (Dataset::sphere_scaled(0.12), usize::MAX),
     ];
     for (ds, steps) in cases {
-        let serial = traced_replay_of(&ds, 1, steps);
-        for threads in [2usize, 4] {
-            let run = traced_replay_of(&ds, threads, steps);
-            assert_eq!(run.len(), serial.len());
-            for (step, (a, b)) in serial.iter().zip(&run).enumerate() {
-                let (a, b) = (thread_invariant(a), thread_invariant(b));
-                assert_eq!(
-                    a,
-                    b,
-                    "{} step {step}: canonical trace differs between 1 and {threads} threads",
-                    ds.name()
-                );
-                assert_eq!(
-                    a.to_chrome_json(),
-                    b.to_chrome_json(),
-                    "{} step {step}: canonical Chrome JSON differs between 1 and {threads} threads",
-                    ds.name()
-                );
-            }
+        let first = traced_replay_of(&ds, steps);
+        let second = traced_replay_of(&ds, steps);
+        assert_eq!(first.len(), second.len());
+        for (step, (a, b)) in first.iter().zip(&second).enumerate() {
+            let (a, b) = (a.canonical(), b.canonical());
+            assert_eq!(
+                a,
+                b,
+                "{} step {step}: canonical trace differs between replays",
+                ds.name()
+            );
+            assert_eq!(
+                a.to_chrome_json(),
+                b.to_chrome_json(),
+                "{} step {step}: canonical Chrome JSON differs between replays",
+                ds.name()
+            );
         }
     }
 }
 
 #[test]
 fn no_event_repeats_an_args_member() {
-    let traces = traced_replay(2, 30);
+    let traces = traced_replay(30);
     let mut docs: Vec<String> = traces.iter().map(Trace::to_chrome_json).collect();
     docs.push(chrome_document_wall(&traces));
     for doc in &docs {
@@ -149,7 +120,7 @@ fn no_event_repeats_an_args_member() {
 
 #[test]
 fn m3500_step50_matches_golden_fixture() {
-    let traces = traced_replay(2, GOLDEN_STEP);
+    let traces = traced_replay(GOLDEN_STEP);
     let json = traces
         .last()
         .expect("replay produced traces")
