@@ -189,16 +189,14 @@ impl ParallelExecutor {
 
     /// Checks the pool's largest arena out (a cold one if a clone holds
     /// them all), with its flop meter drained so per-task deltas start from
-    /// zero and grown to the plan's `(front, pack)` bounds: every pack
-    /// buffer to `pack` scalars (use
-    /// [`ExecutionPlan::max_pack_elems_mode`]) and, under a narrow
+    /// zero and grown to `plan`'s bounds: every pack buffer to
+    /// [`ExecutionPlan::max_pack_elems_mode`] scalars and, under a narrow
     /// [`NumericMode`], the f32 pack panels too and the f32 front shadow
-    /// to the largest front, `front` scalars (use
-    /// [`ExecutionPlan::max_workspace_elems`]). So no kernel allocates
-    /// mid-execution in any mode. Taking the *largest* is what makes the
-    /// pool go quiet: once warm, it dominates every plan, and replays stop
-    /// allocating entirely.
-    fn checkout(&self, (front, pack): (usize, usize)) -> KernelScratch {
+    /// to the largest front ([`ExecutionPlan::max_workspace_elems`]). So
+    /// no kernel allocates mid-execution in any mode. Taking the *largest*
+    /// is what makes the pool go quiet: once warm, it dominates every
+    /// plan, and replays stop allocating entirely.
+    fn checkout(&self, plan: &ExecutionPlan) -> KernelScratch {
         // lint: allow(unwrap) — poisoning as above
         let mut pool = self.pool.lock().unwrap();
         pool.sort_by_key(|s| std::cmp::Reverse(s.high_water_elems()));
@@ -208,9 +206,10 @@ impl ParallelExecutor {
             pool.remove(0)
         };
         drop(pool);
+        let pack = plan.max_pack_elems_mode(self.numeric);
         scratch.reserve(pack);
         if self.numeric.is_narrow() {
-            scratch.reserve_mode(self.numeric, pack, front);
+            scratch.reserve_mode(self.numeric, pack, plan.max_workspace_elems());
         }
         scratch.take_flops();
         scratch
@@ -241,13 +240,9 @@ impl ParallelExecutor {
         F: FnMut(usize, &mut KernelScratch) -> Result<(), E>,
     {
         assert_eq!(recompute.len(), plan.num_tasks());
-        let bounds = (
-            plan.max_workspace_elems(),
-            plan.max_pack_elems_mode(self.numeric),
-        );
         let epoch = supernova_trace::epoch_seconds();
         let origin = Instant::now();
-        let mut scratch = self.checkout(bounds);
+        let mut scratch = self.checkout(plan);
         // lint: allow(hot-alloc) — per-execution span record, not the task path
         let mut spans = Vec::new();
         let mut res = Ok(());

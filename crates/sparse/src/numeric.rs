@@ -204,7 +204,7 @@ impl NumericFactor {
             .into_iter()
             .flatten()
             .peekable();
-        let mut cached: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
+        let mut nodes: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
         let mut seeds: Vec<usize> = Vec::new();
         for (s, task) in plan.tasks().iter().enumerate() {
             while old.next_if(|nf| nf.sig.0 < task.sig.0).is_some() {}
@@ -212,7 +212,7 @@ impl NumericFactor {
             if hit.is_none() {
                 seeds.push(s);
             }
-            cached.push(hit);
+            nodes.push(hit);
         }
         for &b in dirty_blocks {
             seeds.push(plan.node_of_block(b));
@@ -223,46 +223,24 @@ impl NumericFactor {
             is_recompute[s] = true;
         }
 
-        // Reused nodes keep their factor; a recomputed task takes its
-        // cached node's front to factor in again and leaves its own node
-        // behind for its parent to read.
-        let mut nodes: Vec<Option<NodeFactor>> = Vec::with_capacity(num_nodes);
-        let mut spares: Vec<Option<Mat>> = Vec::with_capacity(num_nodes);
-        let mut reused = 0usize;
-        for (s, nf) in cached.into_iter().enumerate() {
-            if is_recompute[s] {
-                spares.push(nf.map(|nf| nf.front));
-                nodes.push(None);
-            } else {
-                // lint: allow(unwrap) — a task without a cached pair is a seed
-                nodes.push(Some(nf.expect("reused node missing from cache")));
-                spares.push(None);
-                reused += 1;
-            }
-        }
-
-        let mut traces: Vec<Option<OpTrace>> = vec![None; num_nodes];
+        // A reused node keeps its cached factor (every task without one is
+        // a seed). A recomputed task takes its cached node's front to
+        // factor in again and leaves its own node in the slot for its
+        // parent to read; the executor runs tasks in plan postorder, so
+        // the traces come out in that order.
+        let reused = num_nodes - recompute.len();
+        let mut recomputed = Vec::with_capacity(recompute.len());
         let numeric = exec.numeric();
         let (res, sched) = exec.run(plan, &is_recompute, |s, scratch| {
-            let (nf, trace) = compute_task(plan, h, s, &nodes, spares[s].take(), scratch, numeric)?;
+            let spare = nodes[s].take().map(|nf| nf.front);
+            let (nf, ops) = compute_task(plan, h, s, &nodes, spare, scratch, numeric)?;
             nodes[s] = Some(nf);
-            traces[s] = Some(trace);
+            recomputed.push(NodeTrace { node: s, ops });
             Ok(())
         });
         res?;
         self.nodes = nodes;
-
-        // Report traces in plan postorder so stats are executor-independent.
-        let mut stats = RefactorStats {
-            recomputed: Vec::new(),
-            reused,
-        };
-        for &s in plan.postorder() {
-            if let Some(ops) = traces[s].take() {
-                stats.recomputed.push(NodeTrace { node: s, ops });
-            }
-        }
-        Ok((stats, sched))
+        Ok((RefactorStats { recomputed, reused }, sched))
     }
 
     /// Serializes the factor into a canonical little-endian byte string
