@@ -264,8 +264,8 @@ const PANIC_PATH_SCOPES: [&str; 7] = [
 
 /// The only modules allowed to read the wall clock: the process-global
 /// trace epoch and the executor's task-span stamping (whose wall fields
-/// are documented as nondeterministic). Everywhere else in library code, `Instant::now`/`SystemTime` is a
-/// determinism hazard.
+/// are documented as nondeterministic). Everywhere else in library code,
+/// `Instant::now`/`SystemTime` is a determinism hazard.
 const WALL_CLOCK_ALLOWLIST: [&str; 2] =
     ["crates/trace/src/clock.rs", "crates/sparse/src/executor.rs"];
 

@@ -65,9 +65,9 @@ pub struct IncrementalCore {
     pattern: BlockPattern,
     h: BlockMat,
     sym: Option<SymbolicFactor>,
-    /// Execution plan derived from `sym`, cached across steps and brought up to date only when the pattern's
-    /// structure (or the elimination order) actually changes — see
-    /// [`analyze`](Self::analyze).
+    /// Execution plan derived from `sym`, cached across steps and brought
+    /// up to date only when the pattern's structure (or the elimination
+    /// order) actually changes — see [`analyze`](Self::analyze).
     plan: Option<ExecutionPlan>,
     /// Lowest elimination position whose pattern column gained an entry
     /// since `sym` was derived; `None` while `sym` matches the pattern.
