@@ -219,7 +219,7 @@ const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
 /// of every relinearized factor, and RA-ISAM2's selection walks the
 /// root path of every candidate (a name covers every fn of that name in its
 /// file, so `exp` scopes both `Rot3::exp` and `Se3::exp`, and `error_into`
-/// every factor's impl; a bodyless trait declaration scopes nothing).
+/// the `Factor` dispatch with the prior and between residuals).
 const HOT_ALLOC_FN_SCOPES: [(&str, &str); 22] = [
     ("crates/sparse/src/numeric.rs", "compute_task"),
     ("crates/sparse/src/numeric.rs", "solve_in_place"),

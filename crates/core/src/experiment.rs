@@ -133,7 +133,7 @@ impl Reference {
             let init = initial_guess(&warm, i, step);
             warm.insert(init);
             for f in &step.factors {
-                graph.add_arc(std::sync::Arc::clone(f));
+                graph.add(f.clone());
             }
             if next_eval < eval_steps.len() && eval_steps[next_eval] == i {
                 let (solved, _) = solver.solve(&graph, &warm);

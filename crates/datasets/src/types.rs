@@ -1,7 +1,5 @@
 //! Dataset containers and the online replay schedule.
 
-use std::sync::Arc;
-
 use supernova_factors::{
     BetweenFactor, Factor, FactorGraph, Key, NoiseModel, PriorFactor, Values, Variable,
 };
@@ -46,7 +44,7 @@ pub struct OnlineStep {
     /// Ground-truth pose (for evaluation only — never shown to solvers).
     pub truth: Variable,
     /// Factors arriving with this pose.
-    pub factors: Vec<Arc<dyn Factor>>,
+    pub factors: Vec<Factor>,
 }
 
 /// A pose-graph dataset: ground truth plus noisy measurements.
@@ -210,11 +208,9 @@ impl Dataset {
         if n > 0 {
             let p0 = self.ground_truth[0].clone();
             let dim = p0.dim();
-            steps[0].factors.push(Arc::new(PriorFactor::new(
-                Key(0),
-                p0,
-                NoiseModel::isotropic(dim, self.prior_sigma),
-            )));
+            steps[0].factors.push(
+                PriorFactor::new(Key(0), p0, NoiseModel::isotropic(dim, self.prior_sigma)).into(),
+            );
         }
         for e in &self.edges {
             let mut noise = NoiseModel::from_sigmas(&e.sigmas);
@@ -223,13 +219,8 @@ impl Dataset {
                     noise = noise.with_huber(k);
                 }
             }
-            let f: Arc<dyn Factor> = Arc::new(BetweenFactor::new(
-                Key(e.from),
-                Key(e.to),
-                e.measurement.clone(),
-                noise,
-            ));
-            steps[e.to].factors.push(f);
+            let f = BetweenFactor::new(Key(e.from), Key(e.to), e.measurement.clone(), noise);
+            steps[e.to].factors.push(f.into());
             if e.to == e.from + 1 && steps[e.to].odometry.is_none() {
                 steps[e.to].odometry = Some(e.measurement.clone());
             }
@@ -244,15 +235,15 @@ impl Dataset {
         let mut graph = FactorGraph::new();
         let mut values = Values::new();
         let mut prev: Option<Variable> = None;
-        for s in &steps {
+        for s in steps {
             let init = match (&prev, &s.odometry) {
                 (Some(p), Some(o)) => compose_var(p, o),
                 _ => s.truth.clone(),
             };
             prev = Some(init.clone());
             values.insert(init);
-            for f in &s.factors {
-                graph.add_arc(Arc::clone(f));
+            for f in s.factors {
+                graph.add(f);
             }
         }
         (graph, values)

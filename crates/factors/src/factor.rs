@@ -1,52 +1,121 @@
-//! The factor abstraction and the built-in factor types.
+//! The closed set of factor kinds and their linearization.
 
 use std::sync::OnceLock;
 
 use supernova_linalg::Mat;
 
-use crate::{Key, NoiseModel, Se2, Se3, Values, Variable};
+use crate::{
+    Key, NoiseModel, PointObservationFactor, RangeBearingFactor, Se2, Se3, Values, Variable,
+};
 
 /// One measurement constraint `φ_i(X)` over a small set of variables
-/// (Equation (1) of the paper).
+/// (Equation (1) of the paper): a pose prior, a relative pose, or a
+/// landmark observation. The set is closed, so a checkpoint codec or a
+/// per-kind Jacobian is one exhaustive `match`.
 ///
-/// Implementations provide the *raw* residual at given variable values; the
+/// Each kind provides the *raw* residual at given variable values; the
 /// solver layer obtains whitened Jacobians through [`linearize`], which uses
-/// central differences on the manifold retraction.
-///
-/// [`linearize`]: Factor::linearize
-pub trait Factor: std::fmt::Debug + Send + Sync {
-    /// The variables this factor constrains, in Jacobian-block order.
-    fn keys(&self) -> &[Key];
+/// central differences on the manifold retraction. `From<Kind>` lets every
+/// `impl Into<Factor>` parameter take a kind directly.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Factor {
+    /// A prior anchoring one variable.
+    Prior(PriorFactor),
+    /// A relative constraint between two variables of the same kind.
+    Between(BetweenFactor),
+    /// A planar range-bearing landmark observation.
+    RangeBearing(RangeBearingFactor),
+    /// A 3-D point-landmark observation in the body frame.
+    PointObservation(PointObservationFactor),
+}
 
-    /// The concrete factor behind the trait object; checkpoint codecs
-    /// downcast through this to serialize the factor kinds they know.
-    fn as_any(&self) -> &dyn std::any::Any;
+impl Factor {
+    /// The variables this factor constrains, in Jacobian-block order.
+    pub fn keys(&self) -> &[Key] {
+        match self {
+            Factor::Prior(f) => &f.keys,
+            Factor::Between(f) => &f.keys,
+            Factor::RangeBearing(f) => &f.keys,
+            Factor::PointObservation(f) => &f.keys,
+        }
+    }
 
     /// The measurement noise model (also fixes the residual dimension).
-    fn noise(&self) -> &NoiseModel;
+    pub fn noise(&self) -> &NoiseModel {
+        match self {
+            Factor::Prior(f) => &f.noise,
+            Factor::Between(f) => &f.noise,
+            Factor::RangeBearing(f) => &f.noise,
+            Factor::PointObservation(f) => &f.noise,
+        }
+    }
 
     /// Writes the raw (unwhitened) residual evaluated at `vars`, which
     /// correspond to [`keys`](Self::keys) in order, into `out` (length
     /// `noise().dim()`).
-    fn error_into(&self, vars: &[&Variable], out: &mut [f64]);
+    pub fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+        match self {
+            Factor::Prior(f) => f.error_into(vars, out),
+            Factor::Between(f) => f.error_into(vars, out),
+            Factor::RangeBearing(f) => f.error_into(vars, out),
+            Factor::PointObservation(f) => f.error_into(vars, out),
+        }
+    }
 
     /// Linearizes this factor at `values`: whitened Jacobian blocks (one per
     /// key) and whitened residual. This is the block row `J_i` of §3.3.
-    fn linearize(&self, values: &Values) -> LinearizedFactor
-    where
-        Self: Sized,
-    {
+    pub fn linearize(&self, values: &Values) -> LinearizedFactor {
         linearize(self, values)
     }
 
     /// The weighted squared error `‖Σ^{-1/2} φ_i‖²` at `values` (IRLS
     /// down-weighted when the noise model carries a robust kernel).
-    fn weighted_error2(&self, values: &Values) -> f64 {
+    pub fn weighted_error2(&self, values: &Values) -> f64 {
         let vars: Vec<&Variable> = self.keys().iter().map(|&k| values.get(k)).collect();
         let mut r = vec![0.0; self.noise().dim()];
         self.error_into(&vars, &mut r);
         let w = self.noise().whiten(&r);
         self.noise().robust_weight(&w) * w.iter().map(|x| x * x).sum::<f64>()
+    }
+
+    /// This factor over renamed variables: every key passed through `map`.
+    /// A residual never reads its keys, so the renamed factor evaluates
+    /// bit for bit as the original at the same variable values.
+    pub fn map_keys(mut self, map: impl Fn(Key) -> Key) -> Self {
+        let keys: &mut [Key] = match &mut self {
+            Factor::Prior(f) => &mut f.keys,
+            Factor::Between(f) => &mut f.keys,
+            Factor::RangeBearing(f) => &mut f.keys,
+            Factor::PointObservation(f) => &mut f.keys,
+        };
+        for k in keys {
+            *k = map(*k);
+        }
+        self
+    }
+}
+
+impl From<PriorFactor> for Factor {
+    fn from(f: PriorFactor) -> Self {
+        Factor::Prior(f)
+    }
+}
+
+impl From<BetweenFactor> for Factor {
+    fn from(f: BetweenFactor) -> Self {
+        Factor::Between(f)
+    }
+}
+
+impl From<RangeBearingFactor> for Factor {
+    fn from(f: RangeBearingFactor) -> Self {
+        Factor::RangeBearing(f)
+    }
+}
+
+impl From<PointObservationFactor> for Factor {
+    fn from(f: PointObservationFactor) -> Self {
+        Factor::PointObservation(f)
     }
 }
 
@@ -81,12 +150,13 @@ const H: f64 = 1e-6;
 /// The two probe steps per tangent direction: `+H`, then `−H`.
 const STEPS: [f64; 2] = [H, -H];
 
-/// Keys whose variables [`linearize_into`] lists on the stack (every
-/// in-tree factor has one or two).
-const STACK_KEYS: usize = 4;
+/// The most keys any factor kind has: [`linearize_into`] lists the
+/// variables of every factor on the stack.
+const MAX_KEYS: usize = 2;
 
 /// Residual dimension whose probe residuals [`linearize_into`] keeps on the
-/// stack (every in-tree factor's is at most 6).
+/// stack (every pose or landmark factor's is at most 6; a prior or between
+/// over a longer vector probes on the heap).
 const STACK_DIM: usize = 8;
 
 /// `Exp(±H·e_d)` for each of a pose type's `N` tangent directions: entry
@@ -137,7 +207,7 @@ static UNUSED: Variable = Variable::Vector(Vec::new());
 ///
 /// The property tests verify first-order agreement:
 /// `e(x ⊕ δ) ≈ e(x) + J δ` with `O(‖δ‖²)` error.
-pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedFactor {
+pub fn linearize(factor: &Factor, values: &Values) -> LinearizedFactor {
     let mut out = LinearizedFactor::default();
     linearize_into(factor, values, &mut out);
     out
@@ -149,21 +219,15 @@ pub fn linearize<F: Factor + ?Sized>(factor: &F, values: &Values) -> LinearizedF
 /// nothing once `out` has its shape; each probe of a vector variable is a
 /// fresh `Vec`. Every bit equals a per-probe `retract` and a fresh
 /// residual `Vec`.
-pub fn linearize_into<F: Factor + ?Sized>(factor: &F, values: &Values, out: &mut LinearizedFactor) {
+pub fn linearize_into(factor: &Factor, values: &Values, out: &mut LinearizedFactor) {
     let keys = factor.keys();
     let noise = factor.noise();
     let dim = noise.dim();
-    let mut stack_vars = [&UNUSED; STACK_KEYS];
-    let heap_vars: Vec<&Variable>;
-    let vars: &[&Variable] = if keys.len() <= STACK_KEYS {
-        for (slot, &k) in stack_vars.iter_mut().zip(keys) {
-            *slot = values.get(k);
-        }
-        &stack_vars[..keys.len()]
-    } else {
-        heap_vars = keys.iter().map(|&k| values.get(k)).collect();
-        &heap_vars
-    };
+    let mut stack_vars = [&UNUSED; MAX_KEYS];
+    for (slot, &k) in stack_vars.iter_mut().zip(keys) {
+        *slot = values.get(k);
+    }
+    let vars = &stack_vars[..keys.len()];
 
     // r0, whitened in place (`Σ^{-1/2} r`, as `NoiseModel::whiten` does).
     out.keys.clear();
@@ -177,7 +241,7 @@ pub fn linearize_into<F: Factor + ?Sized>(factor: &F, values: &Values, out: &mut
     let robust = noise.robust_weight(&out.residual).sqrt();
 
     let mut stack_probes = [0.0; 2 * STACK_DIM];
-    // lint: allow(hot-alloc) — empty; grows only past STACK_DIM (no in-tree factor)
+    // lint: allow(hot-alloc) — empty; grows only past STACK_DIM (a vector over 8 long)
     let mut heap_probes = Vec::new();
     let (rp, rm) = if dim <= STACK_DIM {
         stack_probes[..2 * dim].split_at_mut(dim)
@@ -206,22 +270,15 @@ pub fn linearize_into<F: Factor + ?Sized>(factor: &F, values: &Values, out: &mut
 }
 
 /// Writes the raw residual of `factor` with slot `vi` of `vars` replaced by
-/// `probe` into `out`. The probe list is built on the stack for up to
-/// [`STACK_KEYS`] keys.
-fn error_at_probe<F: Factor + ?Sized>(
-    factor: &F,
+/// `probe` into `out`, listing the variables on the stack.
+fn error_at_probe(
+    factor: &Factor,
     vars: &[&Variable],
     vi: usize,
     probe: &Variable,
     out: &mut [f64],
 ) {
-    if vars.len() > STACK_KEYS {
-        // lint: allow(hot-alloc) — more than four keys (no in-tree factor)
-        let mut list = vars.to_vec();
-        list[vi] = probe;
-        return factor.error_into(&list, out);
-    }
-    let mut list = [probe; STACK_KEYS];
+    let mut list = [probe; MAX_KEYS];
     list[..vars.len()].copy_from_slice(vars);
     list[vi] = probe;
     factor.error_into(&list[..vars.len()], out);
@@ -230,7 +287,7 @@ fn error_at_probe<F: Factor + ?Sized>(
 /// The group inverse of a pose measurement, computed once at construction
 /// so a residual starts from it instead of re-inverting per evaluation.
 /// Vectors carry none: their residual is a plain difference.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Inverse {
     Se2(Se2),
     Se3(Se3),
@@ -249,7 +306,7 @@ impl Inverse {
 
 /// Anchors a variable to a known value — the gauge constraint of every SLAM
 /// problem (and the marginalization device of the fixed-lag smoother).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PriorFactor {
     keys: [Key; 1],
     prior: Variable,
@@ -292,20 +349,6 @@ impl PriorFactor {
     pub fn prior(&self) -> &Variable {
         &self.prior
     }
-}
-
-impl Factor for PriorFactor {
-    fn keys(&self) -> &[Key] {
-        &self.keys
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
 
     /// `Log(prior⁻¹ · x)` — `prior.local(x)` with the inverse stored.
     fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
@@ -325,7 +368,7 @@ impl Factor for PriorFactor {
 
 /// A relative-pose (odometry or loop-closure) constraint between two
 /// variables: `e = Log(Z⁻¹ · (X_a⁻¹ · X_b))`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BetweenFactor {
     keys: [Key; 2],
     measured: Variable,
@@ -368,20 +411,6 @@ impl BetweenFactor {
     pub fn measured(&self) -> &Variable {
         &self.measured
     }
-}
-
-impl Factor for BetweenFactor {
-    fn keys(&self) -> &[Key] {
-        &self.keys
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
 
     /// `Z⁻¹ · (X_a⁻¹ · X_b)`, then `Log` — the operation sequence of
     /// `Z.local(X_a⁻¹ · X_b)`, with `Z⁻¹` stored.
@@ -409,7 +438,7 @@ mod tests {
     use supernova_linalg::rng::XorShift64;
 
     /// The raw residual of `f` at `vars` as a fresh `Vec`.
-    fn error_vec(f: &dyn Factor, vars: &[&Variable]) -> Vec<f64> {
+    fn error_vec(f: &Factor, vars: &[&Variable]) -> Vec<f64> {
         let mut out = vec![0.0; f.noise().dim()];
         f.error_into(vars, &mut out);
         out
@@ -419,7 +448,11 @@ mod tests {
     fn prior_zero_error_at_prior() {
         let mut vals = Values::new();
         let k = vals.insert_se2(Se2::new(1.0, 2.0, 0.3));
-        let f = PriorFactor::se2(k, Se2::new(1.0, 2.0, 0.3), NoiseModel::isotropic(3, 0.1));
+        let f = Factor::from(PriorFactor::se2(
+            k,
+            Se2::new(1.0, 2.0, 0.3),
+            NoiseModel::isotropic(3, 0.1),
+        ));
         assert!(f.weighted_error2(&vals) < 1e-18);
     }
 
@@ -428,7 +461,12 @@ mod tests {
         let mut vals = Values::new();
         let a = vals.insert_se2(Se2::new(0.0, 0.0, 0.0));
         let b = vals.insert_se2(Se2::new(1.0, 0.0, 0.1));
-        let f = BetweenFactor::se2(a, b, Se2::new(1.0, 0.0, 0.1), NoiseModel::isotropic(3, 0.1));
+        let f = Factor::from(BetweenFactor::se2(
+            a,
+            b,
+            Se2::new(1.0, 0.0, 0.1),
+            NoiseModel::isotropic(3, 0.1),
+        ));
         assert!(f.weighted_error2(&vals) < 1e-16);
     }
 
@@ -437,7 +475,12 @@ mod tests {
         let mut vals = Values::new();
         let a = vals.insert_se2(Se2::identity());
         let b = vals.insert_se2(Se2::new(2.0, 0.0, 0.0));
-        let f = BetweenFactor::se2(a, b, Se2::new(1.0, 0.0, 0.0), NoiseModel::isotropic(3, 1.0));
+        let f = Factor::from(BetweenFactor::se2(
+            a,
+            b,
+            Se2::new(1.0, 0.0, 0.0),
+            NoiseModel::isotropic(3, 1.0),
+        ));
         let e2 = f.weighted_error2(&vals);
         assert!((e2 - 1.0).abs() < 1e-9, "expected 1.0, got {e2}");
     }
@@ -447,12 +490,12 @@ mod tests {
         let mut vals = Values::new();
         let a = vals.insert_se3(Se3::identity());
         let b = vals.insert_se3(Se3::from_parts([1.0, 0.0, 0.0], crate::Rot3::identity()));
-        let f = BetweenFactor::se3(
+        let f = Factor::from(BetweenFactor::se3(
             a,
             b,
             Se3::from_parts([1.0, 0.0, 0.0], crate::Rot3::identity()),
             NoiseModel::isotropic(6, 0.1),
-        );
+        ));
         let lin = f.linearize(&vals);
         assert_eq!(lin.keys, vec![a, b]);
         assert_eq!(lin.dim(), 6);
@@ -467,7 +510,12 @@ mod tests {
         let mut vals = Values::new();
         let a = vals.insert_se2(Se2::new(0.3, -0.2, 0.4));
         let b = vals.insert_se2(Se2::new(1.2, 0.5, 0.9));
-        let f = BetweenFactor::se2(a, b, Se2::new(1.0, 0.0, 0.3), NoiseModel::isotropic(3, 1.0));
+        let f = Factor::from(BetweenFactor::se2(
+            a,
+            b,
+            Se2::new(1.0, 0.0, 0.3),
+            NoiseModel::isotropic(3, 1.0),
+        ));
         let lin = f.linearize(&vals);
 
         let delta = [1e-4, -2e-4, 1.5e-4];
@@ -490,98 +538,19 @@ mod tests {
         let mut vals = Values::new();
         let a = vals.insert(Variable::Vector(vec![1.0, 1.0]));
         let b = vals.insert(Variable::Vector(vec![3.0, 0.0]));
-        let f = BetweenFactor::new(
+        let f = Factor::from(BetweenFactor::new(
             a,
             b,
             Variable::Vector(vec![2.0, -1.0]),
             NoiseModel::isotropic(2, 1.0),
-        );
+        ));
         assert!(f.weighted_error2(&vals) < 1e-18);
-    }
-
-    /// `e = Σ_i (i + 1) · x_i` over scalar variables: Jacobian block `i`
-    /// is `[i + 1]`.
-    #[derive(Debug)]
-    struct WeightedSum {
-        keys: Vec<Key>,
-        noise: NoiseModel,
-    }
-
-    impl Factor for WeightedSum {
-        fn keys(&self) -> &[Key] {
-            &self.keys
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn noise(&self) -> &NoiseModel {
-            &self.noise
-        }
-        fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
-            let x = |v: &Variable| match v {
-                Variable::Vector(x) => x[0],
-                _ => panic!("scalar variables only"),
-            };
-            out[0] = vars
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (i + 1) as f64 * x(v))
-                .sum();
-        }
-    }
-
-    #[test]
-    fn linearize_probes_factors_of_any_arity() {
-        // Arity 2 builds its probe list on the stack, arity 6 on the heap.
-        for arity in [2, 6] {
-            let mut vals = Values::new();
-            let keys = (0..arity)
-                .map(|i| vals.insert(Variable::Vector(vec![0.5 * i as f64])))
-                .collect();
-            let f = WeightedSum {
-                keys,
-                noise: NoiseModel::isotropic(1, 1.0),
-            };
-            let lin = linearize(&f, &vals);
-            for (i, j) in lin.jacobians.iter().enumerate() {
-                assert!((j[(0, 0)] - (i + 1) as f64).abs() < 1e-6, "{arity}: {i}");
-            }
-        }
-    }
-
-    /// `e_k = x_{k mod 3} · y_{k div 3} + k · x_{(k+1) mod 3}` over two
-    /// 3-vectors: a residual wider than [`STACK_DIM`], so `linearize_into`
-    /// keeps its probe residuals on the heap.
-    #[derive(Debug)]
-    struct OuterProduct {
-        keys: [Key; 2],
-        noise: NoiseModel,
-    }
-
-    impl Factor for OuterProduct {
-        fn keys(&self) -> &[Key] {
-            &self.keys
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn noise(&self) -> &NoiseModel {
-            &self.noise
-        }
-        fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
-            let (Variable::Vector(x), Variable::Vector(y)) = (vars[0], vars[1]) else {
-                panic!("vector variables only");
-            };
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = x[k % 3] * y[k / 3] + k as f64 * x[(k + 1) % 3];
-            }
-        }
     }
 
     /// The linearization `linearize_into` replaced, kept as its bit oracle:
     /// one `retract` per probe and a fresh residual `Vec` per evaluation,
     /// with the residual computed by [`oracle_error`].
-    fn oracle_linearize(factor: &dyn Factor, values: &Values) -> LinearizedFactor {
+    fn oracle_linearize(factor: &Factor, values: &Values) -> LinearizedFactor {
         let keys = factor.keys().to_vec();
         let vars: Vec<&Variable> = keys.iter().map(|&k| values.get(k)).collect();
         let r0 = oracle_error(factor, &vars);
@@ -625,23 +594,22 @@ mod tests {
 
     /// The between and prior residuals as they were computed before the
     /// measurement inverse was stored (`Z.local(·)`, inverting `Z` on every
-    /// evaluation); any other factor's own `error_into`.
-    fn oracle_error(factor: &dyn Factor, vars: &[&Variable]) -> Vec<f64> {
-        if let Some(f) = factor.as_any().downcast_ref::<BetweenFactor>() {
-            return match (vars[0], vars[1], f.measured()) {
+    /// evaluation); any other residual (vector betweens included) as the
+    /// factor computes it.
+    fn oracle_error(factor: &Factor, vars: &[&Variable]) -> Vec<f64> {
+        match factor {
+            Factor::Between(f) => match (vars[0], vars[1], f.measured()) {
                 (Variable::Se2(a), Variable::Se2(b), Variable::Se2(z)) => {
                     z.local(a.inverse().compose(*b)).to_vec()
                 }
                 (Variable::Se3(a), Variable::Se3(b), Variable::Se3(z)) => {
                     z.local(&a.inverse().compose(b)).to_vec()
                 }
-                other => panic!("oracle covers pose between factors only: {other:?}"),
-            };
+                _ => error_vec(factor, vars),
+            },
+            Factor::Prior(f) => f.prior().local(vars[0]),
+            _ => error_vec(factor, vars),
         }
-        if let Some(f) = factor.as_any().downcast_ref::<PriorFactor>() {
-            return f.prior().local(vars[0]);
-        }
-        error_vec(factor, vars)
     }
 
     /// A scalar that is often an exact `0.0` or `-0.0`.
@@ -709,9 +677,9 @@ mod tests {
     /// One sweep case: values plus a factor of the kind `case` cycles
     /// through, measurements drawn exactly at, near, π away from, or
     /// unrelated to the variables' relative pose.
-    fn sweep_case(rng: &mut XorShift64, case: usize) -> (Values, Box<dyn Factor>) {
+    fn sweep_case(rng: &mut XorShift64, case: usize) -> (Values, Factor) {
         let mut vals = Values::new();
-        let factor: Box<dyn Factor> = match case % 7 {
+        let factor: Factor = match case % 7 {
             0 => {
                 let (a, b) = (se2(rng), se2(rng));
                 let rel = a.inverse().compose(b);
@@ -721,7 +689,7 @@ mod tests {
                     _ => se2(rng),
                 };
                 let (ka, kb) = (vals.insert_se2(a), vals.insert_se2(b));
-                Box::new(BetweenFactor::se2(ka, kb, z, noise(rng, 3)))
+                BetweenFactor::se2(ka, kb, z, noise(rng, 3)).into()
             }
             1 => {
                 let (a, b) = (se3(rng), se3(rng));
@@ -732,13 +700,13 @@ mod tests {
                     _ => se3(rng),
                 };
                 let (ka, kb) = (vals.insert_se3(a), vals.insert_se3(b));
-                Box::new(BetweenFactor::se3(ka, kb, z, noise(rng, 6)))
+                BetweenFactor::se3(ka, kb, z, noise(rng, 6)).into()
             }
             2 => {
                 let x = se2(rng);
                 let p = if rng.gen_bool(0.5) { x } else { se2(rng) };
                 let k = vals.insert_se2(x);
-                Box::new(PriorFactor::se2(k, p, noise(rng, 3)))
+                PriorFactor::se2(k, p, noise(rng, 3)).into()
             }
             3 => {
                 let x = se3(rng);
@@ -748,19 +716,13 @@ mod tests {
                     se3(rng)
                 };
                 let k = vals.insert_se3(x);
-                Box::new(PriorFactor::se3(k, p, noise(rng, 6)))
+                PriorFactor::se3(k, p, noise(rng, 6)).into()
             }
             4 => {
                 let pose = vals.insert_se2(se2(rng));
                 let lm = vals.insert(Variable::Vector(vec![scalar(rng), scalar(rng)]));
                 let range = rng.gen_range(0.1, 6.0);
-                Box::new(crate::RangeBearingFactor::new(
-                    pose,
-                    lm,
-                    range,
-                    angle(rng),
-                    noise(rng, 2),
-                ))
+                RangeBearingFactor::new(pose, lm, range, angle(rng), noise(rng, 2)).into()
             }
             5 => {
                 let pose = vals.insert_se3(se3(rng));
@@ -770,20 +732,15 @@ mod tests {
                     scalar(rng),
                 ]));
                 let z = [scalar(rng), scalar(rng), scalar(rng)];
-                Box::new(crate::PointObservationFactor::new(
-                    pose,
-                    lm,
-                    z,
-                    noise(rng, 3),
-                ))
+                PointObservationFactor::new(pose, lm, z, noise(rng, 3)).into()
             }
             _ => {
-                let mut vec3 = || Variable::Vector(vec![scalar(rng), scalar(rng), scalar(rng)]);
-                let keys = [vals.insert(vec3()), vals.insert(vec3())];
-                Box::new(OuterProduct {
-                    keys,
-                    noise: noise(rng, 9),
-                })
+                // Nine-vectors: a residual wider than STACK_DIM, so
+                // `linearize_into` keeps its probe residuals on the heap.
+                let mut vec9 = || Variable::Vector((0..9).map(|_| scalar(rng)).collect());
+                let (a, b, z) = (vec9(), vec9(), vec9());
+                let (ka, kb) = (vals.insert(a), vals.insert(b));
+                BetweenFactor::new(ka, kb, z, noise(rng, 9)).into()
             }
         };
         (vals, factor)
@@ -812,12 +769,12 @@ mod tests {
         let (mut robust, mut wide) = (0usize, 0usize);
         for case in 0..2400 {
             let (vals, f) = sweep_case(&mut rng, case);
-            let want = oracle_linearize(f.as_ref(), &vals);
+            let want = oracle_linearize(&f, &vals);
             let what = format!("case {case}: {f:?} at {vals:?}");
-            assert_same_bits(&linearize(f.as_ref(), &vals), &want, &what);
-            linearize_into(f.as_ref(), &vals, &mut reused);
+            assert_same_bits(&linearize(&f, &vals), &want, &what);
+            linearize_into(&f, &vals, &mut reused);
             assert_same_bits(&reused, &want, &what);
-            let w = f.noise().whiten(&oracle_error(f.as_ref(), &{
+            let w = f.noise().whiten(&oracle_error(&f, &{
                 let vars: Vec<&Variable> = f.keys().iter().map(|&k| vals.get(k)).collect();
                 vars
             }));

@@ -1,14 +1,11 @@
 //! The factor graph container.
 
-use std::sync::Arc;
-
 use crate::{Factor, Key};
 
 /// A factor graph: the set of measurement factors plus the
 /// variable → factors adjacency the relinearization machinery needs.
 ///
-/// Factors are stored behind `Arc` so solver snapshots (e.g. the background
-/// loop-closure solver of the Local+Global baseline) can share them cheaply.
+/// Factors are stored by value, in insertion order.
 ///
 /// # Example
 ///
@@ -24,7 +21,7 @@ use crate::{Factor, Key};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FactorGraph {
-    factors: Vec<Arc<dyn Factor>>,
+    factors: Vec<Factor>,
     var_factors: Vec<Vec<usize>>,
 }
 
@@ -35,12 +32,8 @@ impl FactorGraph {
     }
 
     /// Adds a factor, returning its index.
-    pub fn add(&mut self, factor: impl Factor + 'static) -> usize {
-        self.add_arc(Arc::new(factor))
-    }
-
-    /// Adds an already-shared factor, returning its index.
-    pub fn add_arc(&mut self, factor: Arc<dyn Factor>) -> usize {
+    pub fn add(&mut self, factor: impl Into<Factor>) -> usize {
+        let factor = factor.into();
         let idx = self.factors.len();
         for &k in factor.keys() {
             if k.0 >= self.var_factors.len() {
@@ -67,8 +60,8 @@ impl FactorGraph {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
-    pub fn factor(&self, idx: usize) -> &dyn Factor {
-        self.factors[idx].as_ref()
+    pub fn factor(&self, idx: usize) -> &Factor {
+        &self.factors[idx]
     }
 
     /// Indices of the factors constraining `key` (empty for unknown keys).
@@ -80,11 +73,8 @@ impl FactorGraph {
     }
 
     /// Iterates `(index, factor)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &dyn Factor)> {
-        self.factors
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i, f.as_ref()))
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Factor)> {
+        self.factors.iter().enumerate()
     }
 
     /// Total weighted squared error `Σ ‖Σ^{-1/2} φ_i‖²` at `values`.

@@ -5,7 +5,7 @@
 //! (the classic 2-D landmark SLAM measurement) and 3-D point observations
 //! in the body frame.
 
-use crate::{Factor, Key, NoiseModel, Variable};
+use crate::{Key, NoiseModel, Variable};
 
 /// Wraps an angle to `(-π, π]`.
 fn wrap_angle(a: f64) -> f64 {
@@ -26,20 +26,21 @@ fn wrap_angle(a: f64) -> f64 {
 /// # Example
 ///
 /// ```
-/// use supernova_factors::{Factor, NoiseModel, RangeBearingFactor, Se2, Values, Variable};
+/// use supernova_factors::{FactorGraph, NoiseModel, RangeBearingFactor, Se2, Values, Variable};
 ///
 /// let mut values = Values::new();
 /// let pose = values.insert_se2(Se2::identity());
 /// let lm = values.insert(Variable::Vector(vec![2.0, 0.0]));
-/// let f = RangeBearingFactor::new(pose, lm, 2.0, 0.0, NoiseModel::from_sigmas(&[0.1, 0.01]));
-/// assert!(f.weighted_error2(&values) < 1e-18);
+/// let mut graph = FactorGraph::new();
+/// graph.add(RangeBearingFactor::new(pose, lm, 2.0, 0.0, NoiseModel::from_sigmas(&[0.1, 0.01])));
+/// assert!(graph.total_error2(&values) < 1e-18);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RangeBearingFactor {
-    keys: [Key; 2],
+    pub(crate) keys: [Key; 2],
     range: f64,
     bearing: f64,
-    noise: NoiseModel,
+    pub(crate) noise: NoiseModel,
 }
 
 impl RangeBearingFactor {
@@ -70,22 +71,8 @@ impl RangeBearingFactor {
     pub fn bearing(&self) -> f64 {
         self.bearing
     }
-}
 
-impl Factor for RangeBearingFactor {
-    fn keys(&self) -> &[Key] {
-        &self.keys
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+    pub(crate) fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
         let (pose, lm) = match (vars[0], vars[1]) {
             (Variable::Se2(p), Variable::Vector(l)) if l.len() == 2 => (p, l),
             _ => panic!("range-bearing factor expects (Se2, Vector2)"),
@@ -108,11 +95,11 @@ impl Factor for RangeBearingFactor {
 /// residual `X⁻¹·l − ẑ` (three components).
 ///
 /// The landmark is a [`Variable::Vector`] of length 3.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PointObservationFactor {
-    keys: [Key; 2],
+    pub(crate) keys: [Key; 2],
     measured: [f64; 3],
-    noise: NoiseModel,
+    pub(crate) noise: NoiseModel,
 }
 
 impl PointObservationFactor {
@@ -130,22 +117,13 @@ impl PointObservationFactor {
             noise,
         }
     }
-}
 
-impl Factor for PointObservationFactor {
-    fn keys(&self) -> &[Key] {
-        &self.keys
+    /// The measured body-frame coordinates.
+    pub fn measured(&self) -> [f64; 3] {
+        self.measured
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
+    pub(crate) fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
         let (pose, lm) = match (vars[0], vars[1]) {
             (Variable::Se3(p), Variable::Vector(l)) if l.len() == 3 => (p, l),
             _ => panic!("point observation factor expects (Se3, Vector3)"),
@@ -162,7 +140,7 @@ impl Factor for PointObservationFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{linearize, Rot3, Se2, Se3, Values};
+    use crate::{linearize, Factor, Rot3, Se2, Se3, Values};
 
     #[test]
     fn range_bearing_zero_at_truth() {
@@ -170,7 +148,13 @@ mod tests {
         let pose = vals.insert_se2(Se2::new(1.0, 1.0, std::f64::consts::FRAC_PI_2));
         let lm = vals.insert(Variable::Vector(vec![1.0, 4.0]));
         // Landmark is 3 m straight ahead (the pose faces +y).
-        let f = RangeBearingFactor::new(pose, lm, 3.0, 0.0, NoiseModel::from_sigmas(&[0.1, 0.02]));
+        let f = Factor::from(RangeBearingFactor::new(
+            pose,
+            lm,
+            3.0,
+            0.0,
+            NoiseModel::from_sigmas(&[0.1, 0.02]),
+        ));
         assert!(f.weighted_error2(&vals) < 1e-16);
     }
 
@@ -185,7 +169,13 @@ mod tests {
         let mut vals = Values::new();
         let pose = vals.insert_se2(Se2::new(0.3, -0.4, 0.7));
         let lm = vals.insert(Variable::Vector(vec![2.5, 1.5]));
-        let f = RangeBearingFactor::new(pose, lm, 2.0, 0.3, NoiseModel::from_sigmas(&[0.1, 0.05]));
+        let f = Factor::from(RangeBearingFactor::new(
+            pose,
+            lm,
+            2.0,
+            0.3,
+            NoiseModel::from_sigmas(&[0.1, 0.05]),
+        ));
         let lin = linearize(&f, &vals);
         let delta = [1e-4, -5e-5];
         let mut v2 = vals.clone();
@@ -220,7 +210,12 @@ mod tests {
             p.rotation()
                 .inverse()
                 .rotate([world[0] - t[0], world[1] - t[1], world[2] - t[2]]);
-        let f = PointObservationFactor::new(pose, lm, local, NoiseModel::isotropic(3, 0.1));
+        let f = Factor::from(PointObservationFactor::new(
+            pose,
+            lm,
+            local,
+            NoiseModel::isotropic(3, 0.1),
+        ));
         assert!(f.weighted_error2(&vals) < 1e-16);
     }
 
@@ -230,7 +225,13 @@ mod tests {
         let mut vals = Values::new();
         let a = vals.insert_se2(Se2::identity());
         let b = vals.insert_se2(Se2::identity());
-        let f = RangeBearingFactor::new(a, b, 1.0, 0.0, NoiseModel::isotropic(2, 0.1));
+        let f = Factor::from(RangeBearingFactor::new(
+            a,
+            b,
+            1.0,
+            0.0,
+            NoiseModel::isotropic(2, 0.1),
+        ));
         let vars: Vec<&Variable> = f.keys().iter().map(|&k| vals.get(k)).collect();
         f.error_into(&vars, &mut [0.0; 2]);
     }

@@ -9,9 +9,10 @@
 //! - [`Variable`] / [`Values`] — heterogeneous state containers keyed by
 //!   [`Key`];
 //! - Gaussian [`NoiseModel`]s that whiten residuals and Jacobians;
-//! - the [`Factor`] trait with [`PriorFactor`] and [`BetweenFactor`]
-//!   implementations (Jacobians by central differences, validated against
-//!   first-order Taylor expansion in the property tests);
+//! - the closed [`Factor`] enum over its four kinds — [`PriorFactor`],
+//!   [`BetweenFactor`], [`RangeBearingFactor`] and
+//!   [`PointObservationFactor`] — with Jacobians by central differences,
+//!   validated against first-order Taylor expansion in the property tests;
 //! - [`FactorGraph`] with variable↔factor adjacency, the structure the
 //!   relinearization logic of ISAM2/RA-ISAM2 walks.
 //!

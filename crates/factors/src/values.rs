@@ -24,6 +24,24 @@ impl Variable {
         }
     }
 
+    /// `true` when every stored component is finite (no NaN or infinity).
+    pub fn is_finite(&self) -> bool {
+        match self {
+            Variable::Se2(p) => {
+                let (c, s) = p.rotation().cos_sin();
+                [c, s, p.x(), p.y()].iter().all(|x| x.is_finite())
+            }
+            Variable::Se3(p) => {
+                let m = p.rotation().matrix();
+                m.as_slice()
+                    .iter()
+                    .chain(&p.translation())
+                    .all(|x| x.is_finite())
+            }
+            Variable::Vector(v) => v.iter().all(|x| x.is_finite()),
+        }
+    }
+
     /// Retraction `self ⊕ delta`.
     ///
     /// # Panics

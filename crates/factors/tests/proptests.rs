@@ -9,7 +9,7 @@ use supernova_linalg::rng::XorShift64;
 const CASES: u64 = 128;
 
 /// The raw residual of `f` at `vars` as a fresh `Vec`.
-fn error_vec(f: &dyn Factor, vars: &[&Variable]) -> Vec<f64> {
+fn error_vec(f: &Factor, vars: &[&Variable]) -> Vec<f64> {
     let mut out = vec![0.0; f.noise().dim()];
     f.error_into(vars, &mut out);
     out
@@ -178,7 +178,7 @@ fn between_se2_jacobian_first_order() {
         let mut vals = Values::new();
         let ka = vals.insert_se2(a);
         let kb = vals.insert_se2(b);
-        let f = BetweenFactor::se2(ka, kb, z, NoiseModel::isotropic(3, 1.0));
+        let f = Factor::from(BetweenFactor::se2(ka, kb, z, NoiseModel::isotropic(3, 1.0)));
         let lin = f.linearize(&vals);
 
         // Perturb b and compare against the linear prediction.
@@ -210,7 +210,7 @@ fn between_se3_jacobian_first_order() {
         let ka = vals.insert_se3(a.clone());
         let kb = vals.insert_se3(b.clone());
         let z = a.inverse().compose(&b); // zero-residual measurement
-        let f = BetweenFactor::se3(ka, kb, z, NoiseModel::isotropic(6, 1.0));
+        let f = Factor::from(BetweenFactor::se3(ka, kb, z, NoiseModel::isotropic(6, 1.0)));
         let lin = f.linearize(&vals);
 
         let mut v2 = vals.clone();
@@ -236,7 +236,7 @@ fn prior_jacobian_first_order() {
         let delta = small_delta6(&mut rng);
         let mut vals = Values::new();
         let k = vals.insert_se3(a.clone());
-        let f = PriorFactor::se3(k, a, NoiseModel::isotropic(6, 0.5));
+        let f = Factor::from(PriorFactor::se3(k, a, NoiseModel::isotropic(6, 0.5)));
         let lin = f.linearize(&vals);
         let mut v2 = vals.clone();
         v2.retract_at(k, &delta);

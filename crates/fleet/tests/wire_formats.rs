@@ -2,9 +2,12 @@
 //! formats: `serve` request/response frames, `SNVC` checkpoints, `SNVJ`
 //! journals and `SNVR` router state.
 //!
-//! **Pins.** Every fixture under `tests/fixtures/` is the encoding of a
-//! literal value built below — no solver run, no transcendental function —
-//! so the bytes move only when an encoder does. Each fixture must be
+//! **Pins.** Every fixture under `tests/fixtures/` but one is the encoding
+//! of a literal value built below — no solver run, no transcendental
+//! function — so the bytes move only when an encoder does. The exception,
+//! `snvc_landmarks.bin`, is a snapshot of two landmark sessions run
+//! through `SolverEngine`: its witness estimate also moves if a solver
+//! bit does. Each fixture must be
 //! reproduced byte for byte by today's encoder and decode back to a value
 //! that re-encodes to the same bytes. After an intentional format change
 //! (which also bumps that format's version), regenerate with
@@ -18,23 +21,29 @@
 //! torn-tail tolerant by contract: a prefix that cuts into a record
 //! returns the records before it and reports the cut-off bytes.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use supernova_factors::{BetweenFactor, Factor, Key, NoiseModel, PriorFactor, Rot2, Rot3};
-use supernova_factors::{Se2, Se3, Variable};
+use supernova_factors::{PointObservationFactor, RangeBearingFactor, Se2, Se3, Variable};
 use supernova_fleet::{
     decode_state, encode_state, read_journal_bytes, CheckpointRecord, FleetStats, JournalEntry,
     JournalWriter, PendingMigration, PlacementRecord, RouteRecord, RouterState,
 };
+use supernova_hw::Platform;
 use supernova_linalg::rng::XorShift64;
 use supernova_linalg::{Mat, NumericMode};
+use supernova_runtime::CostModel;
 use supernova_serve::protocol::{
-    read_frame, write_frame, DatasetKind, Request, Response, PROTOCOL_VERSION,
+    encode_variable, read_frame, write_frame, DatasetKind, Request, Response, PROTOCOL_VERSION,
 };
-use supernova_serve::{decode_snapshot, encode_snapshot};
-use supernova_solvers::{EngineSnapshot, UpdateRecord};
+use supernova_serve::service::handle;
+use supernova_serve::{
+    decode_snapshot, encode_snapshot, CheckpointError, ServeConfig, Server, SessionId,
+};
+use supernova_solvers::{EngineSnapshot, RaIsam2Config, SolverEngine, UpdateRecord};
 
 // --- literal values -----------------------------------------------------
 
@@ -62,47 +71,52 @@ fn snapshot(numeric_mode: NumericMode) -> EngineSnapshot {
             UpdateRecord {
                 level: 0,
                 initial: Variable::Se2(se2(0.0, 0.0, 1.0, 0.0)),
-                factors: vec![Arc::new(PriorFactor::se2(
+                factors: vec![PriorFactor::se2(
                     Key(0),
                     se2(0.0, 0.0, 1.0, 0.0),
                     noise(&[10.0, 10.0, 50.0], None),
-                ))],
+                )
+                .into()],
             },
             UpdateRecord {
                 level: 2,
                 initial: Variable::Se2(se2(1.25, -0.5, 0.6, 0.8)),
-                factors: vec![Arc::new(BetweenFactor::se2(
+                factors: vec![BetweenFactor::se2(
                     Key(0),
                     Key(1),
                     se2(1.25, -0.5, 0.6, 0.8),
                     noise(&[20.0, 20.0, 40.0], Some(1.5)),
-                ))],
+                )
+                .into()],
             },
             UpdateRecord {
                 level: 1,
                 initial: Variable::Se3(se3([0.5, 0.25, -2.0])),
                 factors: vec![
-                    Arc::new(PriorFactor::se3(
+                    PriorFactor::se3(
                         Key(2),
                         se3([0.5, 0.25, -2.0]),
                         noise(&[4.0, 4.0, 4.0, 8.0, 8.0, 8.0], Some(0.75)),
-                    )),
-                    Arc::new(BetweenFactor::se3(
+                    )
+                    .into(),
+                    BetweenFactor::se3(
                         Key(1),
                         Key(2),
                         se3([-1.0, 3.5, 0.125]),
                         noise(&[2.0, 2.0, 2.0, 16.0, 16.0, 16.0], None),
-                    )),
+                    )
+                    .into(),
                 ],
             },
             UpdateRecord {
                 level: 0,
                 initial: Variable::Vector(vec![3.0, -4.5]),
-                factors: vec![Arc::new(PriorFactor::new(
+                factors: vec![PriorFactor::new(
                     Key(3),
                     Variable::Vector(vec![3.0, -4.5]),
                     noise(&[1.0, 0.5], None),
-                ))],
+                )
+                .into()],
             },
             UpdateRecord {
                 level: 3,
@@ -118,6 +132,94 @@ fn snapshot(numeric_mode: NumericMode) -> EngineSnapshot {
             Variable::Vector(Vec::new()),
         ],
     }
+}
+
+/// One update per step: the new variable's initial guess and its factors.
+type Session = Vec<(Variable, Vec<Factor>)>;
+
+/// Two landmark sessions in one engine, each anchored by its own prior: a
+/// planar one (poses x0, x2, x4; landmarks l1, l3; range-bearing
+/// sightings) and a 3-D one (poses x5, x7; landmarks l6, l8; body-frame
+/// point observations). Measurements are literals, not noise draws.
+fn landmark_session() -> Session {
+    let rb = |pose, lm, range, bearing| -> Factor {
+        RangeBearingFactor::new(
+            Key(pose),
+            Key(lm),
+            range,
+            bearing,
+            noise(&[10.0, 20.0], None),
+        )
+        .into()
+    };
+    let obs = |pose, lm, z| -> Factor {
+        PointObservationFactor::new(Key(pose), Key(lm), z, noise(&[8.0, 8.0, 8.0], Some(2.0)))
+            .into()
+    };
+    let odometry = noise(&[20.0, 20.0, 40.0], None);
+    let odometry3 = noise(&[10.0, 10.0, 10.0, 20.0, 20.0, 20.0], None);
+    let vector = |v: &[f64]| Variable::Vector(v.to_vec());
+    vec![
+        (
+            Variable::Se2(se2(0.0, 0.0, 1.0, 0.0)),
+            vec![
+                PriorFactor::se2(Key(0), se2(0.0, 0.0, 1.0, 0.0), noise(&[100.0; 3], None)).into(),
+            ],
+        ),
+        (vector(&[2.0, 1.0]), vec![rb(0, 1, 2.25, 0.5)]),
+        (
+            Variable::Se2(se2(1.0, 0.0, 0.8, 0.6)),
+            vec![
+                BetweenFactor::se2(Key(0), Key(2), se2(1.1, 0.05, 0.8, 0.6), odometry.clone())
+                    .into(),
+                rb(2, 1, 1.5, 0.125),
+            ],
+        ),
+        (
+            vector(&[3.0, -1.0]),
+            vec![rb(2, 3, 2.0, -1.25), rb(0, 3, 3.25, -0.375)],
+        ),
+        (
+            Variable::Se2(se2(2.0, 0.5, 0.6, 0.8)),
+            vec![
+                BetweenFactor::se2(Key(2), Key(4), se2(0.9, 0.75, 0.8, 0.6), odometry).into(),
+                rb(4, 1, 0.75, -0.25),
+                rb(4, 3, 1.5, -2.5),
+            ],
+        ),
+        (
+            Variable::Se3(se3([0.0, 0.0, 1.0])),
+            vec![PriorFactor::se3(Key(5), se3([0.0, 0.0, 1.0]), noise(&[100.0; 6], None)).into()],
+        ),
+        (vector(&[1.0, 2.0, 0.5]), vec![obs(5, 6, [2.0, -1.0, -0.5])]),
+        (
+            Variable::Se3(se3([0.5, 1.0, 1.0])),
+            vec![
+                BetweenFactor::se3(Key(5), Key(7), se3([1.0, -0.5, 0.125]), odometry3).into(),
+                obs(7, 6, [1.0, -0.5, -0.375]),
+            ],
+        ),
+        (
+            vector(&[-1.0, 3.0, 1.5]),
+            vec![obs(7, 8, [2.0, 1.5, 0.5]), obs(5, 8, [3.0, 1.0, 0.5])],
+        ),
+    ]
+}
+
+fn landmark_engine(mode: NumericMode) -> SolverEngine {
+    let cost = Arc::new(CostModel::new(Platform::supernova(2)));
+    let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
+    engine.set_numeric_mode(mode);
+    engine
+}
+
+/// The engine snapshot after every step of [`landmark_session`].
+fn landmark_snapshot() -> EngineSnapshot {
+    let mut engine = landmark_engine(NumericMode::F64);
+    for (initial, factors) in landmark_session() {
+        engine.step(initial, factors);
+    }
+    engine.snapshot()
 }
 
 /// All four record tags.
@@ -324,6 +426,10 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
             "snvc_f32.bin",
             encode_snapshot(&snapshot(NumericMode::F32)).expect("encode"),
         ),
+        (
+            "snvc_landmarks.bin",
+            encode_snapshot(&landmark_snapshot()).expect("encode"),
+        ),
         ("snvj.bin", journal_image()),
         (
             "snvr_roll_forward.bin",
@@ -381,30 +487,14 @@ fn encoders_reproduce_the_committed_fixtures() {
 
 #[test]
 fn committed_fixtures_decode_to_their_values() {
-    for mode in [NumericMode::F64, NumericMode::F32] {
-        let name = match mode {
-            NumericMode::F64 => "snvc_f64.bin",
-            NumericMode::F32 => "snvc_f32.bin",
-        };
+    for (name, want) in [
+        ("snvc_f64.bin", snapshot(NumericMode::F64)),
+        ("snvc_f32.bin", snapshot(NumericMode::F32)),
+        ("snvc_landmarks.bin", landmark_snapshot()),
+    ] {
         let bytes = read_fixture(name);
         let back = decode_snapshot(&bytes).expect("decode SNVC fixture");
-        let want = snapshot(mode);
-        assert_eq!(back.numeric_mode, want.numeric_mode);
-        assert_eq!(back.plan_generation, want.plan_generation);
-        assert_eq!(back.estimate, want.estimate);
-        assert_eq!(back.updates.len(), want.updates.len());
-        for (got, want) in back.updates.iter().zip(&want.updates) {
-            assert_eq!((got.level, &got.initial), (want.level, &want.initial));
-            let keys =
-                |fs: &[Arc<dyn Factor>]| fs.iter().map(|f| f.keys().to_vec()).collect::<Vec<_>>();
-            let weights = |fs: &[Arc<dyn Factor>]| -> Vec<(Vec<f64>, Option<f64>)> {
-                fs.iter()
-                    .map(|f| (f.noise().sqrt_info().to_vec(), f.noise().huber_k()))
-                    .collect()
-            };
-            assert_eq!(keys(&got.factors), keys(&want.factors));
-            assert_eq!(weights(&got.factors), weights(&want.factors));
-        }
+        assert_eq!(back, want, "{name}");
         assert_eq!(encode_snapshot(&back).expect("re-encode"), bytes, "{name}");
     }
 
@@ -436,6 +526,151 @@ fn committed_fixtures_decode_to_their_values() {
         .map(|p| Response::decode(p).expect("decode response fixture"))
         .collect();
     assert_eq!(rsps, responses());
+}
+
+// --- landmark sessions --------------------------------------------------
+
+/// The estimate's bits, in wire encoding.
+fn estimate_bytes(engine: &SolverEngine) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (_, v) in engine.estimate().iter() {
+        encode_variable(&mut out, v);
+    }
+    out
+}
+
+#[test]
+fn landmark_sessions_round_trip_through_snvc_bit_for_bit() {
+    let session = landmark_session();
+    for mode in NumericMode::ALL {
+        let mut reference = landmark_engine(mode);
+        for (initial, factors) in session.clone() {
+            reference.step(initial, factors);
+        }
+        for cut in 1..session.len() {
+            let mut live = landmark_engine(mode);
+            for (initial, factors) in session[..cut].iter().cloned() {
+                live.step(initial, factors);
+            }
+            let bytes = encode_snapshot(&live.snapshot()).expect("landmark factors encode");
+            let back = decode_snapshot(&bytes).expect("decode");
+            let mut restored = landmark_engine(mode);
+            restored.restore(&back).expect("replay matches the witness");
+            for (initial, factors) in session[cut..].iter().cloned() {
+                restored.step(initial, factors);
+            }
+            assert_eq!(
+                estimate_bytes(&restored),
+                estimate_bytes(&reference),
+                "mode {mode:?}, cut after {cut} steps"
+            );
+        }
+    }
+}
+
+// --- hostile checkpoints -------------------------------------------------
+
+/// A two-update planar session whose second update carries `factor`.
+fn hostile_blob(factor: Factor) -> Vec<u8> {
+    let pose = |x| Variable::Se2(se2(x, 0.0, 1.0, 0.0));
+    let prior = PriorFactor::se2(Key(0), se2(0.0, 0.0, 1.0, 0.0), noise(&[10.0; 3], None));
+    encode_snapshot(&EngineSnapshot {
+        numeric_mode: NumericMode::F64,
+        plan_generation: 0,
+        updates: vec![
+            UpdateRecord {
+                level: 0,
+                initial: pose(0.0),
+                factors: vec![prior.into()],
+            },
+            UpdateRecord {
+                level: 0,
+                initial: pose(1.0),
+                factors: vec![factor],
+            },
+        ],
+        estimate: vec![pose(0.0), pose(1.0)],
+    })
+    .expect("encode")
+}
+
+/// `blob` decodes to `want`; a `Restore` carrying it is refused, and the
+/// one-session server then still creates and serves a session.
+fn assert_refused(blob: Vec<u8>, want: CheckpointError) {
+    assert_eq!(decode_snapshot(&blob).expect_err("decoded"), want);
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        max_sessions: 1,
+        ..ServeConfig::default()
+    });
+    let mut replays = BTreeMap::new();
+    let restore = Request::Restore {
+        kind: DatasetKind::Manhattan,
+        steps: 8,
+        seed: 1,
+        cursor: 2,
+        checkpoint: blob,
+    };
+    match handle(&server, &mut replays, restore) {
+        (Response::Error(msg), false) => {
+            assert!(msg.starts_with("checkpoint rejected: "), "{msg}");
+        }
+        other => panic!("restore answered {other:?}"),
+    }
+    let create = Request::CreateSession {
+        kind: DatasetKind::Manhattan,
+        steps: 8,
+        seed: 1,
+    };
+    let session = match handle(&server, &mut replays, create) {
+        (Response::Created { session }, false) => session,
+        other => panic!("create answered {other:?}"),
+    };
+    let submit = Request::Submit {
+        session,
+        deadline: 1_000,
+        count: 8,
+    };
+    assert!(matches!(
+        handle(&server, &mut replays, submit),
+        (
+            Response::Submitted {
+                accepted: 8,
+                shed: 0
+            },
+            false
+        )
+    ));
+    server.drain(SessionId(session)).expect("drain");
+    assert_eq!(
+        server.estimate(SessionId(session)).expect("estimate").len(),
+        8
+    );
+}
+
+#[test]
+fn snvc_naming_a_later_pose_is_refused() {
+    let ahead = BetweenFactor::se2(
+        Key(0),
+        Key(5),
+        se2(1.0, 0.0, 1.0, 0.0),
+        noise(&[10.0; 3], None),
+    );
+    assert_refused(
+        hostile_blob(ahead.into()),
+        CheckpointError::UnknownKey { update: 1, key: 5 },
+    );
+}
+
+#[test]
+fn snvc_with_a_nan_measurement_is_refused() {
+    let nan = BetweenFactor::se2(
+        Key(0),
+        Key(1),
+        se2(f64::NAN, 0.0, 1.0, 0.0),
+        noise(&[10.0; 3], None),
+    );
+    assert_refused(hostile_blob(nan.into()), CheckpointError::NonFinite);
 }
 
 // --- robustness ---------------------------------------------------------
@@ -484,7 +719,7 @@ fn cases() -> Vec<Case> {
         |b| verdict(read_journal_bytes(b)),
         TornTail,
     )];
-    for name in ["snvc_f64.bin", "snvc_f32.bin"] {
+    for name in ["snvc_f64.bin", "snvc_f32.bin", "snvc_landmarks.bin"] {
         out.push(case(
             name,
             read_fixture(name),

@@ -9,13 +9,16 @@
 //! replays it and verifies the rebuilt estimate against the witness, so a
 //! checkpoint that decodes but lies is still rejected.
 //!
-//! Only the factor kinds the datasets produce ([`PriorFactor`],
-//! [`BetweenFactor`]) are serializable; encoding any other factor is a
-//! typed [`CheckpointError::UnsupportedFactor`], never a silent drop.
+//! Every [`Factor`] kind has a tag: prior 0, between 1, range-bearing 2,
+//! point observation 3. A decoded snapshot is checked as state before any
+//! engine sees it: every value finite, and no update naming a variable
+//! added after it (the rule `Server::submit` applies). Bytes that would
+//! panic a replay are a typed error instead.
 
-use std::sync::Arc;
-
-use supernova_factors::{BetweenFactor, Factor, Key, NoiseModel, PriorFactor};
+use supernova_factors::{
+    BetweenFactor, Factor, Key, NoiseModel, PointObservationFactor, PriorFactor,
+    RangeBearingFactor, Variable,
+};
 use supernova_linalg::NumericMode;
 use supernova_solvers::{EngineSnapshot, UpdateRecord};
 
@@ -35,6 +38,8 @@ pub const MAX_CHECKPOINT_BYTES: usize = crate::protocol::MAX_FRAME_BYTES;
 
 const FACTOR_PRIOR: u8 = 0;
 const FACTOR_BETWEEN: u8 = 1;
+const FACTOR_RANGE_BEARING: u8 = 2;
+const FACTOR_POINT_OBSERVATION: u8 = 3;
 
 /// The smallest encoded update: level, an empty vector pose, a factor
 /// count.
@@ -67,6 +72,17 @@ pub enum CheckpointError {
     BadNoise,
     /// A factor's noise dimension disagrees with its measurement.
     DimensionMismatch,
+    /// A measurement, initial guess or estimate holds a NaN or infinity.
+    NonFinite,
+    /// A range-bearing measurement's range is not positive.
+    NonPositiveRange,
+    /// An update's factor names a variable no earlier update added.
+    UnknownKey {
+        /// Index of the offending update (it adds variable `update`).
+        update: usize,
+        /// The key it names.
+        key: usize,
+    },
     /// An element count implies more data than the buffer holds.
     TooLarge,
     /// The buffer is truncated or carries trailing/invalid bytes.
@@ -74,8 +90,6 @@ pub enum CheckpointError {
         /// What the decoder tripped on.
         &'static str,
     ),
-    /// The snapshot holds a factor kind the codec cannot serialize.
-    UnsupportedFactor,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -89,11 +103,13 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::DimensionMismatch => {
                 f.write_str("noise/measurement dimension mismatch")
             }
+            CheckpointError::NonFinite => f.write_str("value is not finite"),
+            CheckpointError::NonPositiveRange => f.write_str("range must be positive"),
+            CheckpointError::UnknownKey { update, key } => {
+                write!(f, "update {update} names unknown variable x{key}")
+            }
             CheckpointError::TooLarge => f.write_str("element count exceeds the buffer"),
             CheckpointError::Malformed(why) => write!(f, "malformed checkpoint: {why}"),
-            CheckpointError::UnsupportedFactor => {
-                f.write_str("snapshot holds a non-serializable factor kind")
-            }
         }
     }
 }
@@ -151,53 +167,96 @@ fn decode_noise(cur: &mut Reader<'_>) -> Result<NoiseModel, CheckpointError> {
     NoiseModel::from_sqrt_info(sqrt_info, huber).ok_or(CheckpointError::BadNoise)
 }
 
-fn encode_factor(out: &mut Vec<u8>, factor: &dyn Factor) -> Result<(), CheckpointError> {
-    if let Some(prior) = factor.as_any().downcast_ref::<PriorFactor>() {
-        let &[key] = prior.keys() else {
-            return Err(CheckpointError::Malformed("prior factor key arity"));
-        };
-        out.push(FACTOR_PRIOR);
-        put_u64(out, key.0 as u64);
-        encode_variable(out, prior.prior());
-        encode_noise(out, prior.noise());
-        return Ok(());
+fn encode_factor(out: &mut Vec<u8>, factor: &Factor) {
+    out.push(match factor {
+        Factor::Prior(_) => FACTOR_PRIOR,
+        Factor::Between(_) => FACTOR_BETWEEN,
+        Factor::RangeBearing(_) => FACTOR_RANGE_BEARING,
+        Factor::PointObservation(_) => FACTOR_POINT_OBSERVATION,
+    });
+    for k in factor.keys() {
+        put_u64(out, k.0 as u64);
     }
-    if let Some(between) = factor.as_any().downcast_ref::<BetweenFactor>() {
-        let &[a, b] = between.keys() else {
-            return Err(CheckpointError::Malformed("between factor key arity"));
-        };
-        out.push(FACTOR_BETWEEN);
-        put_u64(out, a.0 as u64);
-        put_u64(out, b.0 as u64);
-        encode_variable(out, between.measured());
-        encode_noise(out, between.noise());
-        return Ok(());
+    match factor {
+        Factor::Prior(f) => encode_variable(out, f.prior()),
+        Factor::Between(f) => encode_variable(out, f.measured()),
+        Factor::RangeBearing(f) => {
+            put_f64(out, f.range());
+            put_f64(out, f.bearing());
+        }
+        Factor::PointObservation(f) => {
+            for x in f.measured() {
+                put_f64(out, x);
+            }
+        }
     }
-    Err(CheckpointError::UnsupportedFactor)
+    encode_noise(out, factor.noise());
 }
 
-fn decode_factor(cur: &mut Reader<'_>) -> Result<Arc<dyn Factor>, CheckpointError> {
+fn decode_key(cur: &mut Reader<'_>) -> Result<Key, CheckpointError> {
+    Ok(Key(cur.u64()? as usize))
+}
+
+fn decode_f64(cur: &mut Reader<'_>) -> Result<f64, CheckpointError> {
+    let x = cur.f64()?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(CheckpointError::NonFinite)
+    }
+}
+
+fn decode_finite_variable(cur: &mut Reader<'_>) -> Result<Variable, CheckpointError> {
+    let v = decode_variable(cur)?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(CheckpointError::NonFinite)
+    }
+}
+
+/// Decodes one factor. Each constructor asserts its preconditions; they
+/// are checked first, so hostile bytes are a typed error, not a panic.
+fn decode_factor(cur: &mut Reader<'_>) -> Result<Factor, CheckpointError> {
     match cur.u8()? {
         FACTOR_PRIOR => {
-            let key = Key(cur.u64()? as usize);
-            let prior = decode_variable(cur)?;
+            let key = decode_key(cur)?;
+            let prior = decode_finite_variable(cur)?;
             let noise = decode_noise(cur)?;
-            // The constructor asserts dimension agreement; pre-validate so
-            // hostile bytes surface as a typed error, not a panic.
             if noise.dim() != prior.dim() {
                 return Err(CheckpointError::DimensionMismatch);
             }
-            Ok(Arc::new(PriorFactor::new(key, prior, noise)))
+            Ok(PriorFactor::new(key, prior, noise).into())
         }
         FACTOR_BETWEEN => {
-            let a = Key(cur.u64()? as usize);
-            let b = Key(cur.u64()? as usize);
-            let measured = decode_variable(cur)?;
+            let (a, b) = (decode_key(cur)?, decode_key(cur)?);
+            let measured = decode_finite_variable(cur)?;
             let noise = decode_noise(cur)?;
             if noise.dim() != measured.dim() {
                 return Err(CheckpointError::DimensionMismatch);
             }
-            Ok(Arc::new(BetweenFactor::new(a, b, measured, noise)))
+            Ok(BetweenFactor::new(a, b, measured, noise).into())
+        }
+        FACTOR_RANGE_BEARING => {
+            let (pose, lm) = (decode_key(cur)?, decode_key(cur)?);
+            let (range, bearing) = (decode_f64(cur)?, decode_f64(cur)?);
+            let noise = decode_noise(cur)?;
+            if noise.dim() != 2 {
+                return Err(CheckpointError::DimensionMismatch);
+            }
+            if range <= 0.0 {
+                return Err(CheckpointError::NonPositiveRange);
+            }
+            Ok(RangeBearingFactor::new(pose, lm, range, bearing, noise).into())
+        }
+        FACTOR_POINT_OBSERVATION => {
+            let (pose, lm) = (decode_key(cur)?, decode_key(cur)?);
+            let measured = [decode_f64(cur)?, decode_f64(cur)?, decode_f64(cur)?];
+            let noise = decode_noise(cur)?;
+            if noise.dim() != 3 {
+                return Err(CheckpointError::DimensionMismatch);
+            }
+            Ok(PointObservationFactor::new(pose, lm, measured, noise).into())
         }
         other => Err(CheckpointError::BadFactorTag(other)),
     }
@@ -207,9 +266,8 @@ fn decode_factor(cur: &mut Reader<'_>) -> Result<Arc<dyn Factor>, CheckpointErro
 ///
 /// # Errors
 ///
-/// [`CheckpointError::UnsupportedFactor`] when the update log holds a
-/// factor kind the codec cannot represent, [`CheckpointError::TooLarge`]
-/// when the result would exceed [`MAX_CHECKPOINT_BYTES`].
+/// [`CheckpointError::TooLarge`] when the result would exceed
+/// [`MAX_CHECKPOINT_BYTES`].
 pub fn encode_snapshot(snapshot: &EngineSnapshot) -> Result<Vec<u8>, CheckpointError> {
     let mut out = Vec::new();
     put_header(&mut out, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
@@ -221,7 +279,7 @@ pub fn encode_snapshot(snapshot: &EngineSnapshot) -> Result<Vec<u8>, CheckpointE
         encode_variable(&mut out, &rec.initial);
         put_u32(&mut out, rec.factors.len() as u32);
         for f in &rec.factors {
-            encode_factor(&mut out, f.as_ref())?;
+            encode_factor(&mut out, f);
         }
     }
     put_u32(&mut out, snapshot.estimate.len() as u32);
@@ -239,7 +297,10 @@ pub fn encode_snapshot(snapshot: &EngineSnapshot) -> Result<Vec<u8>, CheckpointE
 /// # Errors
 ///
 /// Any [`CheckpointError`]; the decode path never panics, whatever the
-/// bytes. A decoded snapshot still faces replay verification in
+/// bytes. Update `i` adds variable `i`, so a factor in it naming a key
+/// above `i` is [`CheckpointError::UnknownKey`]; a NaN or infinity
+/// anywhere is [`CheckpointError::NonFinite`]. A decoded snapshot still
+/// faces replay verification in
 /// [`SolverEngine::restore`](supernova_solvers::SolverEngine::restore).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> {
     if bytes.len() > MAX_CHECKPOINT_BYTES {
@@ -253,13 +314,17 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
     let plan_generation = cur.u64()? as usize;
     let update_count = cur.count(MIN_UPDATE_BYTES)?;
     let mut updates = Vec::with_capacity(update_count);
-    for _ in 0..update_count {
+    for update in 0..update_count {
         let level = cur.u8()?;
-        let initial = decode_variable(&mut cur)?;
+        let initial = decode_finite_variable(&mut cur)?;
         let factor_count = cur.count(MIN_FACTOR_BYTES)?;
         let mut factors = Vec::with_capacity(factor_count);
         for _ in 0..factor_count {
-            factors.push(decode_factor(&mut cur)?);
+            let factor = decode_factor(&mut cur)?;
+            if let Some(key) = factor.keys().iter().find(|k| k.0 > update) {
+                return Err(CheckpointError::UnknownKey { update, key: key.0 });
+            }
+            factors.push(factor);
         }
         updates.push(UpdateRecord {
             level,
@@ -270,7 +335,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
     let estimate_count = cur.count(MIN_VARIABLE_BYTES)?;
     let mut estimate = Vec::with_capacity(estimate_count);
     for _ in 0..estimate_count {
-        estimate.push(decode_variable(&mut cur)?);
+        estimate.push(decode_finite_variable(&mut cur)?);
     }
     cur.finish()?;
     Ok(EngineSnapshot {
@@ -284,56 +349,55 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supernova_factors::{Se2, Variable};
+    use supernova_factors::Se2;
 
+    /// Every factor kind, Huber on and off.
     fn sample_snapshot() -> EngineSnapshot {
-        let prior: Arc<dyn Factor> = Arc::new(PriorFactor::se2(
+        let prior = PriorFactor::se2(
             Key(0),
             Se2::new(0.0, 0.0, 0.0),
             NoiseModel::isotropic(3, 0.1),
-        ));
-        let odom: Arc<dyn Factor> = Arc::new(BetweenFactor::se2(
+        );
+        let odom = BetweenFactor::se2(
             Key(0),
             Key(1),
             Se2::new(1.0, 0.0, 0.1),
             NoiseModel::from_sigmas(&[0.05, 0.05, 0.02]).with_huber(1.5),
-        ));
+        );
+        let sighting =
+            RangeBearingFactor::new(Key(1), Key(2), 2.5, -0.75, NoiseModel::isotropic(2, 0.2));
+        let point = PointObservationFactor::new(
+            Key(0),
+            Key(3),
+            [1.0, -2.0, 0.5],
+            NoiseModel::isotropic(3, 0.1).with_huber(2.0),
+        );
+        let update = |level, initial, factors| UpdateRecord {
+            level,
+            initial,
+            factors,
+        };
         EngineSnapshot {
             numeric_mode: NumericMode::F32,
             plan_generation: 3,
             updates: vec![
-                UpdateRecord {
-                    level: 0,
-                    initial: Variable::Se2(Se2::new(0.0, 0.0, 0.0)),
-                    factors: vec![prior],
-                },
-                UpdateRecord {
-                    level: 2,
-                    initial: Variable::Se2(Se2::new(1.0, 0.0, 0.1)),
-                    factors: vec![odom],
-                },
+                update(
+                    0,
+                    Variable::Se2(Se2::new(0.0, 0.0, 0.0)),
+                    vec![prior.into()],
+                ),
+                update(2, Variable::Se2(Se2::new(1.0, 0.0, 0.1)), vec![odom.into()]),
+                update(1, Variable::Vector(vec![3.0, 1.0]), vec![sighting.into()]),
+                update(
+                    0,
+                    Variable::Vector(vec![1.0, -2.0, 0.5]),
+                    vec![point.into()],
+                ),
             ],
             estimate: vec![
                 Variable::Se2(Se2::new(0.0, 0.0, 0.0)),
                 Variable::Se2(Se2::new(1.0 / 3.0, -7.2e-9, 2.5)),
             ],
-        }
-    }
-
-    fn assert_records_equal(a: &EngineSnapshot, b: &EngineSnapshot) {
-        assert_eq!(a.numeric_mode, b.numeric_mode);
-        assert_eq!(a.plan_generation, b.plan_generation);
-        assert_eq!(a.estimate, b.estimate);
-        assert_eq!(a.updates.len(), b.updates.len());
-        for (x, y) in a.updates.iter().zip(&b.updates) {
-            assert_eq!(x.level, y.level);
-            assert_eq!(x.initial, y.initial);
-            assert_eq!(x.factors.len(), y.factors.len());
-            for (f, g) in x.factors.iter().zip(&y.factors) {
-                assert_eq!(f.keys(), g.keys());
-                assert_eq!(f.noise().sqrt_info(), g.noise().sqrt_info());
-                assert_eq!(f.noise().huber_k(), g.noise().huber_k());
-            }
         }
     }
 
@@ -343,7 +407,7 @@ mod tests {
         let bytes = encode_snapshot(&snap).expect("encode");
         assert_eq!(&bytes[..4], b"SNVC");
         let back = decode_snapshot(&bytes).expect("decode");
-        assert_records_equal(&snap, &back);
+        assert_eq!(back, snap);
         // Idempotent: re-encoding the decoded snapshot is byte-identical.
         assert_eq!(encode_snapshot(&back).expect("re-encode"), bytes);
     }
@@ -419,5 +483,45 @@ mod tests {
             decode_snapshot(&bad_dim),
             Err(CheckpointError::DimensionMismatch)
         ));
+    }
+
+    #[test]
+    fn decoded_state_is_checked_before_replay() {
+        let reject = |snap: &EngineSnapshot| {
+            decode_snapshot(&encode_snapshot(snap).expect("encode")).expect_err("rejected")
+        };
+        let mut ahead = sample_snapshot();
+        ahead.updates[1].factors[0] = ahead.updates[1].factors[0]
+            .clone()
+            .map_keys(|k| Key(k.0 * 5));
+        assert_eq!(
+            reject(&ahead),
+            CheckpointError::UnknownKey { update: 1, key: 5 }
+        );
+        let mut nan = sample_snapshot();
+        nan.estimate[1] = Variable::Vector(vec![0.0, f64::NAN]);
+        assert_eq!(reject(&nan), CheckpointError::NonFinite);
+        let mut infinite = sample_snapshot();
+        infinite.updates[3].factors[0] = PointObservationFactor::new(
+            Key(0),
+            Key(3),
+            [1.0, f64::INFINITY, 0.5],
+            NoiseModel::isotropic(3, 0.1),
+        )
+        .into();
+        assert_eq!(reject(&infinite), CheckpointError::NonFinite);
+        // A range the constructor would refuse: flip the sign bit of the
+        // encoded range (2.5 → -2.5).
+        let mut bytes = encode_snapshot(&sample_snapshot()).expect("encode");
+        let range = 2.5f64.to_le_bytes();
+        let at = bytes
+            .windows(8)
+            .position(|w| w == range)
+            .expect("range bytes present");
+        bytes[at + 7] ^= 0x80;
+        assert_eq!(
+            decode_snapshot(&bytes).expect_err("rejected"),
+            CheckpointError::NonPositiveRange
+        );
     }
 }

@@ -1,7 +1,6 @@
 //! Session identity, lifecycle state, and the registry.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use supernova_factors::{Factor, Variable};
 use supernova_solvers::SolverEngine;
@@ -31,12 +30,12 @@ pub struct UpdateRequest {
     /// Initial guess for the new pose.
     pub initial: Variable,
     /// Factors arriving with the new pose.
-    pub factors: Vec<Arc<dyn Factor>>,
+    pub factors: Vec<Factor>,
 }
 
 impl UpdateRequest {
     /// Convenience constructor.
-    pub fn new(deadline: u64, initial: Variable, factors: Vec<Arc<dyn Factor>>) -> Self {
+    pub fn new(deadline: u64, initial: Variable, factors: Vec<Factor>) -> Self {
         UpdateRequest {
             deadline,
             initial,

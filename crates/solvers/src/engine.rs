@@ -1,7 +1,6 @@
 //! Shared machinery of the incremental solvers (ISAM2 and RA-ISAM2).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use supernova_factors::{
     linearize, linearize_into, Factor, FactorGraph, Key, LinearizedFactor, Values, Variable,
@@ -305,7 +304,8 @@ impl IncrementalCore {
     /// # Panics
     ///
     /// Panics if the factor references an unknown variable.
-    pub fn add_factor(&mut self, factor: Arc<dyn Factor>) {
+    pub fn add_factor(&mut self, factor: impl Into<Factor>) {
+        let factor = factor.into();
         for k in factor.keys() {
             assert!(
                 k.0 < self.num_vars(),
@@ -320,7 +320,7 @@ impl IncrementalCore {
         if let Some(col) = self.pattern.add_clique(&blocks) {
             self.note_changed_column(col);
         }
-        let lf = linearize(factor.as_ref(), &self.theta);
+        let lf = linearize(&factor, &self.theta);
         self.pending_relin_elems += lf.jacobian_elems();
         self.pending_relin_factors += 1;
         self.dirty.extend(blocks.iter().copied());
@@ -330,7 +330,7 @@ impl IncrementalCore {
             &self.order_of_key,
             Some(&mut self.pending_hessian_ops),
         );
-        let idx = self.graph.add_arc(factor);
+        let idx = self.graph.add(factor);
         debug_assert_eq!(idx, self.lin.len());
         self.lin.push(lf);
     }
@@ -953,21 +953,12 @@ mod tests {
         assert!(shared_diagonals > 100, "{shared_diagonals}");
     }
 
-    fn prior(k: usize, pose: Se2) -> Arc<dyn Factor> {
-        Arc::new(PriorFactor::se2(
-            Key(k),
-            pose,
-            NoiseModel::isotropic(3, 0.1),
-        ))
+    fn prior(k: usize, pose: Se2) -> Factor {
+        PriorFactor::se2(Key(k), pose, NoiseModel::isotropic(3, 0.1)).into()
     }
 
-    fn between(a: usize, b: usize, z: Se2) -> Arc<dyn Factor> {
-        Arc::new(BetweenFactor::se2(
-            Key(a),
-            Key(b),
-            z,
-            NoiseModel::isotropic(3, 0.05),
-        ))
+    fn between(a: usize, b: usize, z: Se2) -> Factor {
+        BetweenFactor::se2(Key(a), Key(b), z, NoiseModel::isotropic(3, 0.05)).into()
     }
 
     /// Builds a 4-pose chain with slightly wrong initial guesses.

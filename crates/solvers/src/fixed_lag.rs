@@ -1,7 +1,5 @@
 //! Fixed-lag smoother — the paper's "Local" baseline (§5.5, baseline 1).
 
-use std::sync::Arc;
-
 use supernova_factors::{Factor, Key, NoiseModel, PriorFactor, Values, Variable};
 use supernova_runtime::StepTrace;
 
@@ -37,7 +35,7 @@ pub struct FixedLagSmoother {
     /// Best estimate of every pose so far (frozen outside the window).
     estimates: Vec<Variable>,
     /// Factors whose keys are all inside the current window.
-    active: Vec<Arc<dyn Factor>>,
+    active: Vec<Factor>,
 }
 
 impl FixedLagSmoother {
@@ -62,33 +60,8 @@ impl FixedLagSmoother {
     }
 }
 
-/// Remaps a factor's keys into the window-local key space.
-#[derive(Debug)]
-struct RemappedFactor {
-    inner: Arc<dyn Factor>,
-    keys: Vec<Key>,
-}
-
-impl Factor for RemappedFactor {
-    fn keys(&self) -> &[Key] {
-        &self.keys
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn noise(&self) -> &NoiseModel {
-        self.inner.noise()
-    }
-
-    fn error_into(&self, vars: &[&Variable], out: &mut [f64]) {
-        self.inner.error_into(vars, out);
-    }
-}
-
 impl OnlineSolver for FixedLagSmoother {
-    fn step(&mut self, new_variable: Variable, factors: Vec<Arc<dyn Factor>>) -> StepTrace {
+    fn step(&mut self, new_variable: Variable, factors: Vec<Factor>) -> StepTrace {
         self.estimates.push(new_variable);
         let start = self.window_start();
         // Keep only factors fully inside the window; discard the rest (the
@@ -119,11 +92,8 @@ impl OnlineSolver for FixedLagSmoother {
             NoiseModel::isotropic(dim, 1e-3),
         ));
         for f in &self.active {
-            let keys: Vec<Key> = f.keys().iter().map(|k| Key(k.0 - start)).collect();
-            graph.add(RemappedFactor {
-                inner: Arc::clone(f),
-                keys,
-            });
+            // Window-local keys: the residual is the same, bit for bit.
+            graph.add(f.clone().map_keys(|k| Key(k.0 - start)));
         }
         let solver = BatchSolver::new(BatchConfig {
             max_iterations: self.config.iterations,
@@ -168,13 +138,8 @@ mod tests {
     use super::*;
     use supernova_factors::{BetweenFactor, Se2};
 
-    fn odo(a: usize, b: usize, z: Se2) -> Arc<dyn Factor> {
-        Arc::new(BetweenFactor::se2(
-            Key(a),
-            Key(b),
-            z,
-            NoiseModel::isotropic(3, 0.05),
-        ))
+    fn odo(a: usize, b: usize, z: Se2) -> Factor {
+        BetweenFactor::se2(Key(a), Key(b), z, NoiseModel::isotropic(3, 0.05)).into()
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Incremental smoothing and mapping (ISAM2, §3.4) — the paper's
 //! "Incremental" baseline.
 
-use std::sync::Arc;
-
 use supernova_factors::{Factor, Key, Values, Variable};
 use supernova_runtime::StepTrace;
 
@@ -73,7 +71,7 @@ impl Isam2 {
 }
 
 impl OnlineSolver for Isam2 {
-    fn step(&mut self, new_variable: Variable, factors: Vec<Arc<dyn Factor>>) -> StepTrace {
+    fn step(&mut self, new_variable: Variable, factors: Vec<Factor>) -> StepTrace {
         self.core.add_variable(new_variable);
         for f in factors {
             self.core.add_factor(f);
@@ -136,22 +134,18 @@ mod tests {
             .collect();
         let mut solver = Isam2::new(Isam2Config::default());
         for i in 0..n {
-            let mut factors: Vec<Arc<dyn Factor>> = Vec::new();
+            let mut factors: Vec<Factor> = Vec::new();
             let initial = if i == 0 {
-                factors.push(Arc::new(PriorFactor::se2(
-                    Key(0),
-                    truth[0],
-                    NoiseModel::isotropic(3, 0.01),
-                )));
+                factors.push(
+                    PriorFactor::se2(Key(0), truth[0], NoiseModel::isotropic(3, 0.01)).into(),
+                );
                 truth[0]
             } else {
                 let z = truth[i - 1].inverse().compose(truth[i]);
-                factors.push(Arc::new(BetweenFactor::se2(
-                    Key(i - 1),
-                    Key(i),
-                    z,
-                    NoiseModel::isotropic(3, 0.05),
-                )));
+                factors.push(
+                    BetweenFactor::se2(Key(i - 1), Key(i), z, NoiseModel::isotropic(3, 0.05))
+                        .into(),
+                );
                 // Initial guess from the previous *estimate* plus odometry,
                 // perturbed to exercise relinearization.
                 let prev = solver.pose_estimate(Key(i - 1)).as_se2().copied().unwrap();
@@ -159,12 +153,9 @@ mod tests {
             };
             if close_loop && i == n - 1 {
                 let z = truth[i].inverse().compose(truth[0]);
-                factors.push(Arc::new(BetweenFactor::se2(
-                    Key(i),
-                    Key(0),
-                    z,
-                    NoiseModel::isotropic(3, 0.05),
-                )));
+                factors.push(
+                    BetweenFactor::se2(Key(i), Key(0), z, NoiseModel::isotropic(3, 0.05)).into(),
+                );
             }
             solver.step(
                 Variable::Se2(truth[i].compose(Se2::new(0.0, 0.0, 0.0))),
@@ -200,21 +191,17 @@ mod tests {
         let mut solver = Isam2::new(Isam2Config::default());
         let mut odometry_nodes = 0usize;
         for i in 0..n {
-            let mut factors: Vec<Arc<dyn Factor>> = Vec::new();
+            let mut factors: Vec<Factor> = Vec::new();
             if i == 0 {
-                factors.push(Arc::new(PriorFactor::se2(
-                    Key(0),
-                    truth[0],
-                    NoiseModel::isotropic(3, 0.01),
-                )));
+                factors.push(
+                    PriorFactor::se2(Key(0), truth[0], NoiseModel::isotropic(3, 0.01)).into(),
+                );
             } else {
                 let z = truth[i - 1].inverse().compose(truth[i]);
-                factors.push(Arc::new(BetweenFactor::se2(
-                    Key(i - 1),
-                    Key(i),
-                    z,
-                    NoiseModel::isotropic(3, 0.05),
-                )));
+                factors.push(
+                    BetweenFactor::se2(Key(i - 1), Key(i), z, NoiseModel::isotropic(3, 0.05))
+                        .into(),
+                );
             }
             let trace = solver.step(Variable::Se2(truth[i]), factors);
             if i == n - 1 {
@@ -223,19 +210,11 @@ mod tests {
         }
         // Now a loop closure back to pose 2 (with a consistent measurement).
         let z = truth[2].inverse().compose(truth[n - 1]);
-        let lc: Arc<dyn Factor> = Arc::new(BetweenFactor::se2(
-            Key(2),
-            Key(n - 1),
-            z,
-            NoiseModel::isotropic(3, 0.05),
-        ));
+        let lc: Factor =
+            BetweenFactor::se2(Key(2), Key(n - 1), z, NoiseModel::isotropic(3, 0.05)).into();
         let zlast = Se2::new(1.0, 0.0, 0.0);
-        let odo: Arc<dyn Factor> = Arc::new(BetweenFactor::se2(
-            Key(n - 1),
-            Key(n),
-            zlast,
-            NoiseModel::isotropic(3, 0.05),
-        ));
+        let odo: Factor =
+            BetweenFactor::se2(Key(n - 1), Key(n), zlast, NoiseModel::isotropic(3, 0.05)).into();
         let trace = solver.step(Variable::Se2(Se2::new(n as f64, 0.0, 0.0)), vec![odo, lc]);
         assert!(
             trace.nodes.len() > odometry_nodes,

@@ -18,17 +18,15 @@
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//! use supernova_factors::{BetweenFactor, Factor, NoiseModel, PriorFactor, Se2, Variable};
+//! use supernova_factors::{BetweenFactor, NoiseModel, PriorFactor, Se2, Variable};
 //! use supernova_solvers::{Isam2, Isam2Config, OnlineSolver};
 //!
 //! let mut solver = Isam2::new(Isam2Config::default());
-//! let prior: Arc<dyn Factor> =
-//!     Arc::new(PriorFactor::se2(0.into(), Se2::identity(), NoiseModel::isotropic(3, 0.1)));
-//! solver.step(Variable::Se2(Se2::identity()), vec![prior]);
-//! let odom: Arc<dyn Factor> = Arc::new(BetweenFactor::se2(
-//!     0.into(), 1.into(), Se2::new(1.0, 0.0, 0.0), NoiseModel::isotropic(3, 0.05)));
-//! solver.step(Variable::Se2(Se2::new(1.0, 0.0, 0.0)), vec![odom]);
+//! let prior = PriorFactor::se2(0.into(), Se2::identity(), NoiseModel::isotropic(3, 0.1));
+//! solver.step(Variable::Se2(Se2::identity()), vec![prior.into()]);
+//! let odom = BetweenFactor::se2(
+//!     0.into(), 1.into(), Se2::new(1.0, 0.0, 0.0), NoiseModel::isotropic(3, 0.05));
+//! solver.step(Variable::Se2(Se2::new(1.0, 0.0, 0.0)), vec![odom.into()]);
 //! assert_eq!(solver.estimate().len(), 2);
 //! ```
 

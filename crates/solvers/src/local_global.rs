@@ -2,8 +2,6 @@
 //! local solver at sensor rate plus a background loop-closure solver whose
 //! correction arrives only after its (modeled) solve latency.
 
-use std::sync::Arc;
-
 use supernova_factors::{Factor, FactorGraph, Key, Values, Variable};
 use supernova_runtime::StepTrace;
 
@@ -91,7 +89,7 @@ impl LocalGlobal {
 }
 
 impl OnlineSolver for LocalGlobal {
-    fn step(&mut self, new_variable: Variable, factors: Vec<Arc<dyn Factor>>) -> StepTrace {
+    fn step(&mut self, new_variable: Variable, factors: Vec<Factor>) -> StepTrace {
         let window_start = self
             .estimates
             .len()
@@ -101,7 +99,7 @@ impl OnlineSolver for LocalGlobal {
             if f.keys().iter().any(|k| k.0 < window_start) {
                 saw_loop_closure = true;
             }
-            self.full_graph.add_arc(Arc::clone(f));
+            self.full_graph.add(f.clone());
         }
         let trace = self.local.step(new_variable, factors);
         self.estimates
@@ -180,13 +178,8 @@ mod tests {
     use super::*;
     use supernova_factors::{BetweenFactor, NoiseModel, PriorFactor, Se2};
 
-    fn odo(a: usize, b: usize, z: Se2) -> Arc<dyn Factor> {
-        Arc::new(BetweenFactor::se2(
-            Key(a),
-            Key(b),
-            z,
-            NoiseModel::isotropic(3, 0.05),
-        ))
+    fn odo(a: usize, b: usize, z: Se2) -> Factor {
+        BetweenFactor::se2(Key(a), Key(b), z, NoiseModel::isotropic(3, 0.05)).into()
     }
 
     #[test]
@@ -198,11 +191,8 @@ mod tests {
             },
             ..LocalGlobalConfig::default()
         });
-        let prior: Arc<dyn Factor> = Arc::new(PriorFactor::se2(
-            Key(0),
-            Se2::identity(),
-            NoiseModel::isotropic(3, 0.01),
-        ));
+        let prior: Factor =
+            PriorFactor::se2(Key(0), Se2::identity(), NoiseModel::isotropic(3, 0.01)).into();
         s.step(Variable::Se2(Se2::identity()), vec![prior]);
         // Drift: biased odometry along a line.
         for i in 1..30 {

@@ -151,7 +151,7 @@ impl RaIsam2 {
 }
 
 impl OnlineSolver for RaIsam2 {
-    fn step(&mut self, new_variable: Variable, factors: Vec<Arc<dyn Factor>>) -> StepTrace {
+    fn step(&mut self, new_variable: Variable, factors: Vec<Factor>) -> StepTrace {
         self.core.add_variable(new_variable);
         for f in factors {
             self.core.add_factor(f);
@@ -383,21 +383,17 @@ mod tests {
     fn drive_line(solver: &mut RaIsam2, n: usize) -> Vec<Se2> {
         let truth: Vec<Se2> = (0..n).map(|i| Se2::new(i as f64, 0.0, 0.0)).collect();
         for i in 0..n {
-            let mut factors: Vec<Arc<dyn Factor>> = Vec::new();
+            let mut factors: Vec<Factor> = Vec::new();
             if i == 0 {
-                factors.push(Arc::new(PriorFactor::se2(
-                    Key(0),
-                    truth[0],
-                    NoiseModel::isotropic(3, 0.01),
-                )));
+                factors.push(
+                    PriorFactor::se2(Key(0), truth[0], NoiseModel::isotropic(3, 0.01)).into(),
+                );
             } else {
                 let z = truth[i - 1].inverse().compose(truth[i]);
-                factors.push(Arc::new(BetweenFactor::se2(
-                    Key(i - 1),
-                    Key(i),
-                    z,
-                    NoiseModel::isotropic(3, 0.05),
-                )));
+                factors.push(
+                    BetweenFactor::se2(Key(i - 1), Key(i), z, NoiseModel::isotropic(3, 0.05))
+                        .into(),
+                );
             }
             // Slightly corrupted initial guess.
             let init = truth[i].compose(Se2::new(0.03, -0.02, 0.01));
@@ -464,21 +460,17 @@ mod tests {
         let truth: Vec<Se2> = (0..5).map(|i| Se2::new(i as f64, 0.0, 0.0)).collect();
         let mut last = StepTrace::default();
         for i in 0..5 {
-            let mut factors: Vec<Arc<dyn Factor>> = Vec::new();
+            let mut factors: Vec<Factor> = Vec::new();
             if i == 0 {
-                factors.push(Arc::new(PriorFactor::se2(
-                    Key(0),
-                    truth[0],
-                    NoiseModel::isotropic(3, 0.01),
-                )));
+                factors.push(
+                    PriorFactor::se2(Key(0), truth[0], NoiseModel::isotropic(3, 0.01)).into(),
+                );
             } else {
                 let z = truth[i - 1].inverse().compose(truth[i]);
-                factors.push(Arc::new(BetweenFactor::se2(
-                    Key(i - 1),
-                    Key(i),
-                    z,
-                    NoiseModel::isotropic(3, 0.05),
-                )));
+                factors.push(
+                    BetweenFactor::se2(Key(i - 1), Key(i), z, NoiseModel::isotropic(3, 0.05))
+                        .into(),
+                );
             }
             last = solver.step(Variable::Se2(truth[i]), factors);
         }

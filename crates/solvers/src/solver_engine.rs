@@ -28,14 +28,14 @@ use crate::{OnlineSolver, RaIsam2, RaIsam2Config};
 /// the budget degradation level the step actually ran under (degradation
 /// changes relinearization selection, so replaying at a different level
 /// would diverge).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UpdateRecord {
     /// Budget degradation level the step ran under.
     pub level: u8,
     /// The new pose's initial guess.
     pub initial: Variable,
-    /// The step's factors (shared, not deep-copied).
-    pub factors: Vec<Arc<dyn Factor>>,
+    /// The step's factors.
+    pub factors: Vec<Factor>,
 }
 
 /// A verified-replay checkpoint of a live engine: the full applied-update
@@ -44,7 +44,7 @@ pub struct UpdateRecord {
 /// bit-identical to the original run — then checks the rebuilt estimate
 /// against the witness, so a corrupt or mismatched checkpoint is a typed
 /// error, never a silently wrong map.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EngineSnapshot {
     /// Numeric precision the session's kernels ran under.
     pub numeric_mode: NumericMode,
@@ -176,7 +176,7 @@ impl SolverEngine {
 
     /// Processes one online step (the new pose's initial guess plus its
     /// factors), under the engine's current budget degradation.
-    pub fn step(&mut self, initial: Variable, factors: Vec<Arc<dyn Factor>>) -> StepTrace {
+    pub fn step(&mut self, initial: Variable, factors: Vec<Factor>) -> StepTrace {
         self.steps += 1;
         self.log.push(UpdateRecord {
             level: self.solver.budget().degradation(),

@@ -1,7 +1,5 @@
 //! The common interface of the online SLAM backends.
 
-use std::sync::Arc;
-
 use supernova_factors::{Factor, Key, Values, Variable};
 use supernova_runtime::StepTrace;
 
@@ -12,7 +10,7 @@ pub trait OnlineSolver {
     /// Processes one step: the new pose's initial guess plus its factors
     /// (which may reference any earlier pose). Returns the step's work
     /// trace for hardware pricing.
-    fn step(&mut self, new_variable: Variable, factors: Vec<Arc<dyn Factor>>) -> StepTrace;
+    fn step(&mut self, new_variable: Variable, factors: Vec<Factor>) -> StepTrace;
 
     /// Current estimate of a single pose.
     fn pose_estimate(&self, key: Key) -> Variable;

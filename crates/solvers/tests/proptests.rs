@@ -50,31 +50,23 @@ fn drive(solver: &mut dyn OnlineSolver, sc: &Scenario) {
     let mut noise = move |s: f64| noise_rng.gen_range(-s, s);
     let n = sc.truth.len();
     for i in 0..n {
-        let mut factors: Vec<Arc<dyn Factor>> = Vec::new();
+        let mut factors: Vec<Factor> = Vec::new();
         if i == 0 {
-            factors.push(Arc::new(PriorFactor::se2(
-                Key(0),
-                sc.truth[0],
-                NoiseModel::isotropic(3, 0.01),
-            )));
+            factors
+                .push(PriorFactor::se2(Key(0), sc.truth[0], NoiseModel::isotropic(3, 0.01)).into());
         } else {
             let z = sc.truth[i - 1].inverse().compose(sc.truth[i]);
-            factors.push(Arc::new(BetweenFactor::se2(
-                Key(i - 1),
-                Key(i),
-                z,
-                NoiseModel::isotropic(3, 0.05),
-            )));
+            factors.push(
+                BetweenFactor::se2(Key(i - 1), Key(i), z, NoiseModel::isotropic(3, 0.05)).into(),
+            );
         }
         for &(from, to) in &sc.closures {
             if to == i {
                 let z = sc.truth[from].inverse().compose(sc.truth[to]);
-                factors.push(Arc::new(BetweenFactor::se2(
-                    Key(from),
-                    Key(to),
-                    z,
-                    NoiseModel::isotropic(3, 0.05),
-                )));
+                factors.push(
+                    BetweenFactor::se2(Key(from), Key(to), z, NoiseModel::isotropic(3, 0.05))
+                        .into(),
+                );
             }
         }
         let init = if i == 0 {

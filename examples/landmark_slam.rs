@@ -11,8 +11,6 @@
 //! cargo run --release --example landmark_slam
 //! ```
 
-use std::sync::Arc;
-
 use supernova::factors::{
     BetweenFactor, Key, NoiseModel, PriorFactor, RangeBearingFactor, Se2, Variable,
 };
@@ -70,20 +68,20 @@ fn main() {
         let pose_key = core.add_variable(Variable::Se2(initial));
         pose_keys.push(pose_key);
         if i == 0 {
-            core.add_factor(Arc::new(PriorFactor::se2(
+            core.add_factor(PriorFactor::se2(
                 pose_key,
                 *pose,
                 NoiseModel::isotropic(3, 0.01),
-            )));
+            ));
         } else {
             let z = truth_poses[i - 1].inverse().compose(*pose);
             let zn = z.compose(Se2::new(noise(0.03), noise(0.03), noise(0.01)));
-            core.add_factor(Arc::new(BetweenFactor::se2(
+            core.add_factor(BetweenFactor::se2(
                 pose_keys[i - 1],
                 pose_key,
                 zn,
                 NoiseModel::isotropic(3, 0.05),
-            )));
+            ));
         }
         // Observe every landmark in range (robust kernel on the observation).
         for (li, lm) in truth_landmarks.iter().enumerate() {
@@ -104,13 +102,13 @@ fn main() {
                     k
                 }
             };
-            core.add_factor(Arc::new(RangeBearingFactor::new(
+            core.add_factor(RangeBearingFactor::new(
                 pose_key,
                 key,
                 (dist + noise(0.05)).max(0.1),
                 bearing + noise(0.01),
                 NoiseModel::from_sigmas(&[0.08, 0.02]).with_huber(2.5),
-            )));
+            ));
         }
         core.analyze();
         core.factorize_and_solve();

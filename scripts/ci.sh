@@ -16,7 +16,8 @@
 #   doc          cargo doc --no-deps with warnings denied
 #   lint         supernova-analyze `lint` bin: schedule/ledger,
 #                host-schedule and trace invariant sweeps (no source lint;
-#                static-analysis owns that pass)
+#                static-analysis owns that pass). This stage and the next
+#                run under the test profile: optimized, debug assertions on
 #   static-analysis
 #                the one source lint pass per run, as machine-readable
 #                diagnostics: lint engine v2 JSON report (fails on any
@@ -176,7 +177,7 @@ build_all() {
 
 static_analysis() {
     mkdir -p results &&
-        cargo run -q -p supernova-analyze --bin analyze -- --json results/analyze_diagnostics.json
+        cargo run -q --profile test -p supernova-analyze --bin analyze -- --json results/analyze_diagnostics.json
 }
 
 # The paper's tables and figures at a small scale, written fresh and
@@ -196,7 +197,7 @@ run_stage() {
         build) build_all ;;
         test) cargo test -q --workspace ;;
         doc) doc_deny_warnings ;;
-        lint) cargo run -q -p supernova-analyze --bin lint ;;
+        lint) cargo run -q --profile test -p supernova-analyze --bin lint ;;
         static-analysis) static_analysis ;;
         determinism) cargo run --release -q -p supernova-bench --bin determinism ;;
         repro) repro_gate ;;
