@@ -62,6 +62,26 @@ impl Factor {
         }
     }
 
+    /// Whether [`error_into`](Self::error_into) accepts `var` at key
+    /// position `slot`: the measurement's kind and dimension for a prior
+    /// or between, `(Se2, 2-vector)` for a range-bearing observation and
+    /// `(Se3, 3-vector)` for a point observation. Any other variable
+    /// panics the residual.
+    pub fn fits(&self, slot: usize, var: &Variable) -> bool {
+        let like = |m: &Variable| {
+            std::mem::discriminant(m) == std::mem::discriminant(var) && m.dim() == var.dim()
+        };
+        match (self, slot, var) {
+            (Factor::Prior(f), ..) => like(f.prior()),
+            (Factor::Between(f), ..) => like(f.measured()),
+            (Factor::RangeBearing(_), 0, Variable::Se2(_))
+            | (Factor::PointObservation(_), 0, Variable::Se3(_)) => true,
+            (Factor::RangeBearing(_), 1, Variable::Vector(l)) => l.len() == 2,
+            (Factor::PointObservation(_), 1, Variable::Vector(l)) => l.len() == 3,
+            _ => false,
+        }
+    }
+
     /// Linearizes this factor at `values`: whitened Jacobian blocks (one per
     /// key) and whitened residual. This is the block row `J_i` of §3.3.
     pub fn linearize(&self, values: &Values) -> LinearizedFactor {
@@ -442,6 +462,43 @@ mod tests {
         let mut out = vec![0.0; f.noise().dim()];
         f.error_into(vars, &mut out);
         out
+    }
+
+    #[test]
+    fn fits_accepts_only_what_the_residual_evaluates() {
+        let n = |d| NoiseModel::isotropic(d, 0.1);
+        let (a, b) = (Key(0), Key(1));
+        let vars = [
+            Variable::Se2(Se2::identity()),
+            Variable::Se3(Se3::identity()),
+            Variable::Vector(vec![1.0, 2.0]),
+            Variable::Vector(vec![1.0, 2.0, 3.0]),
+        ];
+        // Per factor and key slot: the index in `vars` it fits.
+        let cases: [(Factor, &[usize]); 4] = [
+            (PriorFactor::se2(a, Se2::identity(), n(3)).into(), &[0]),
+            (
+                BetweenFactor::new(a, b, Variable::Vector(vec![0.5, 0.5]), n(2)).into(),
+                &[2, 2],
+            ),
+            (
+                RangeBearingFactor::new(a, b, 1.0, 0.0, n(2)).into(),
+                &[0, 2],
+            ),
+            (
+                PointObservationFactor::new(a, b, [1.0; 3], n(3)).into(),
+                &[1, 3],
+            ),
+        ];
+        for (f, fitting) in &cases {
+            for (slot, &want) in fitting.iter().enumerate() {
+                for (i, var) in vars.iter().enumerate() {
+                    assert_eq!(f.fits(slot, var), i == want, "{f:?} slot {slot} {var:?}");
+                }
+            }
+            let args: Vec<&Variable> = fitting.iter().map(|&i| &vars[i]).collect();
+            assert!(error_vec(f, &args).iter().all(|x| x.is_finite()));
+        }
     }
 
     #[test]

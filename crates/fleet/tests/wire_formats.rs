@@ -43,7 +43,7 @@ use supernova_serve::service::handle;
 use supernova_serve::{
     decode_snapshot, encode_snapshot, CheckpointError, ServeConfig, Server, SessionId,
 };
-use supernova_solvers::{EngineSnapshot, RaIsam2Config, SolverEngine, UpdateRecord};
+use supernova_solvers::{EngineSnapshot, RaIsam2Config, RestoreError, SolverEngine, UpdateRecord};
 
 // --- literal values -----------------------------------------------------
 
@@ -598,6 +598,22 @@ fn hostile_blob(factor: Factor) -> Vec<u8> {
 /// one-session server then still creates and serves a session.
 fn assert_refused(blob: Vec<u8>, want: CheckpointError) {
     assert_eq!(decode_snapshot(&blob).expect_err("decoded"), want);
+    assert_restore_answered(blob, &format!("checkpoint rejected: {want}"));
+}
+
+/// `blob` decodes, but an engine refuses to replay it with `want`; a
+/// `Restore` carrying it is refused, and the one-session server then
+/// still creates and serves a session.
+fn assert_unreplayable(blob: Vec<u8>, want: RestoreError) {
+    let snapshot = decode_snapshot(&blob).expect("decodes");
+    let refused = landmark_engine(NumericMode::F64).restore(&snapshot);
+    assert_eq!(refused, Err(want.clone()));
+    assert_restore_answered(blob, &format!("restore rejected: {want}"));
+}
+
+/// A `Restore` carrying `blob` is answered `Error(want)`, and the
+/// one-session server then still creates and serves a session.
+fn assert_restore_answered(blob: Vec<u8>, want: &str) {
     let server = Server::start(ServeConfig {
         workers: 1,
         max_sessions: 1,
@@ -612,9 +628,7 @@ fn assert_refused(blob: Vec<u8>, want: CheckpointError) {
         checkpoint: blob,
     };
     match handle(&server, &mut replays, restore) {
-        (Response::Error(msg), false) => {
-            assert!(msg.starts_with("checkpoint rejected: "), "{msg}");
-        }
+        (Response::Error(msg), false) => assert_eq!(msg, want),
         other => panic!("restore answered {other:?}"),
     }
     let create = Request::CreateSession {
@@ -671,6 +685,23 @@ fn snvc_with_a_nan_measurement_is_refused() {
         noise(&[10.0; 3], None),
     );
     assert_refused(hostile_blob(nan.into()), CheckpointError::NonFinite);
+}
+
+/// Each kind over a variable its residual does not evaluate. The bytes
+/// are well formed; replaying them unchecked panics inside
+/// `restore_session` and leaves the session busy.
+#[test]
+fn snvc_factors_over_the_wrong_variable_kind_are_refused() {
+    let unfit = |key| RestoreError::UnfitVariable { update: 1, key };
+    // A range-bearing sighting whose landmark x1 is a planar pose.
+    let sighting = RangeBearingFactor::new(Key(0), Key(1), 2.0, 0.5, noise(&[5.0; 2], None));
+    assert_unreplayable(hostile_blob(sighting.into()), unfit(1));
+    // A point observation from the planar pose x0.
+    let point = PointObservationFactor::new(Key(0), Key(1), [1.0; 3], noise(&[5.0; 3], None));
+    assert_unreplayable(hostile_blob(point.into()), unfit(0));
+    // A 3-D between over two planar poses.
+    let odom = BetweenFactor::se3(Key(0), Key(1), se3([1.0; 3]), noise(&[10.0; 6], None));
+    assert_unreplayable(hostile_blob(odom.into()), unfit(0));
 }
 
 // --- robustness ---------------------------------------------------------

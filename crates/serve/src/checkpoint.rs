@@ -12,8 +12,10 @@
 //! Every [`Factor`] kind has a tag: prior 0, between 1, range-bearing 2,
 //! point observation 3. A decoded snapshot is checked as state before any
 //! engine sees it: every value finite, and no update naming a variable
-//! added after it (the rule `Server::submit` applies). Bytes that would
-//! panic a replay are a typed error instead.
+//! added after it (the rule `Server::submit` applies). Whether each
+//! factor's variables have the kinds its residual evaluates is a property
+//! of the session, not of the bytes: `SolverEngine::restore` checks it
+//! before replaying anything.
 
 use supernova_factors::{
     BetweenFactor, Factor, Key, NoiseModel, PointObservationFactor, PriorFactor,

@@ -23,8 +23,8 @@ use supernova_trace::{Category, Span, SpanGuard, TraceConfig};
 
 use crate::{OnlineSolver, RaIsam2, RaIsam2Config};
 
-/// One applied online update, as recorded by the engine's always-on log:
-/// everything a replay needs to reproduce the step bit-for-bit, including
+/// One applied online update, as a snapshot carries it: everything a
+/// replay needs to reproduce the step bit-for-bit, including
 /// the budget degradation level the step actually ran under (degradation
 /// changes relinearization selection, so replaying at a different level
 /// would diverge).
@@ -36,6 +36,16 @@ pub struct UpdateRecord {
     pub initial: Variable,
     /// The step's factors.
     pub factors: Vec<Factor>,
+}
+
+/// What the engine's always-on log keeps per applied update. The step's
+/// factors are the next `factors` entries of the solver's factor graph,
+/// which only ever appends them, in step order; the log does not hold a
+/// second copy.
+struct LogEntry {
+    level: u8,
+    initial: Variable,
+    factors: usize,
 }
 
 /// A verified-replay checkpoint of a live engine: the full applied-update
@@ -72,6 +82,15 @@ pub enum RestoreError {
         /// Index of the first diverging pose.
         pose: usize,
     },
+    /// An update's factor names a variable no earlier update added, or
+    /// one whose kind its residual does not evaluate (see
+    /// [`Factor::fits`]); replaying it would panic.
+    UnfitVariable {
+        /// Index of the update carrying the factor.
+        update: usize,
+        /// The variable's key.
+        key: usize,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -82,6 +101,12 @@ impl std::fmt::Display for RestoreError {
             }
             RestoreError::EstimateMismatch { pose } => {
                 write!(f, "replayed estimate diverges from witness at pose {pose}")
+            }
+            RestoreError::UnfitVariable { update, key } => {
+                write!(
+                    f,
+                    "update {update} has a factor that cannot evaluate x{key}"
+                )
             }
         }
     }
@@ -97,7 +122,7 @@ pub struct SolverEngine {
     trace_cfg: TraceConfig,
     trace_hw: Option<(Platform, SchedulerConfig)>,
     last_span: Option<Span>,
-    log: Vec<UpdateRecord>,
+    log: Vec<LogEntry>,
 }
 
 impl std::fmt::Debug for SolverEngine {
@@ -178,10 +203,10 @@ impl SolverEngine {
     /// factors), under the engine's current budget degradation.
     pub fn step(&mut self, initial: Variable, factors: Vec<Factor>) -> StepTrace {
         self.steps += 1;
-        self.log.push(UpdateRecord {
+        self.log.push(LogEntry {
             level: self.solver.budget().degradation(),
             initial: initial.clone(),
-            factors: factors.clone(),
+            factors: factors.len(),
         });
         if !self.trace_cfg.enabled {
             return self.solver.step(initial, factors);
@@ -310,10 +335,19 @@ impl SolverEngine {
     /// applied-update log (with per-step degradation levels) plus the
     /// current pose estimates as a witness.
     pub fn snapshot(&self) -> EngineSnapshot {
+        let mut graph = self.solver.core().graph().iter().map(|(_, f)| f.clone());
         EngineSnapshot {
             numeric_mode: self.numeric_mode(),
             plan_generation: self.plan_generation(),
-            updates: self.log.clone(),
+            updates: self
+                .log
+                .iter()
+                .map(|e| UpdateRecord {
+                    level: e.level,
+                    initial: e.initial.clone(),
+                    factors: graph.by_ref().take(e.factors).collect(),
+                })
+                .collect(),
             estimate: (0..self.num_poses())
                 .map(|i| self.pose_estimate(Key(i)))
                 .collect(),
@@ -323,12 +357,25 @@ impl SolverEngine {
     /// Rebuilds a session from a checkpoint by resetting the engine and
     /// replaying the update log under the checkpoint's numeric mode and
     /// per-step degradation levels, then verifies the rebuilt estimate
-    /// against the checkpoint witness. On error the engine is left reset
-    /// (safe to return to the pool); on success the update log, step
-    /// counter and estimates match the snapshotted engine exactly, so
-    /// subsequent steps are bit-identical to the uninterrupted run.
+    /// against the checkpoint witness. Update `i` adds variable `i`, so
+    /// every factor is first checked against the initial guesses of the
+    /// keys it names ([`RestoreError::UnfitVariable`]). On error the
+    /// engine is left reset (safe to return to the pool); on success the
+    /// update log, step counter and estimates match the snapshotted
+    /// engine exactly, so subsequent steps are bit-identical to the
+    /// uninterrupted run.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), RestoreError> {
         self.reset();
+        for (update, rec) in snapshot.updates.iter().enumerate() {
+            for f in &rec.factors {
+                for (slot, &Key(key)) in f.keys().iter().enumerate() {
+                    let added = snapshot.updates.get(key).filter(|_| key <= update);
+                    if !added.is_some_and(|r| f.fits(slot, &r.initial)) {
+                        return Err(RestoreError::UnfitVariable { update, key });
+                    }
+                }
+            }
+        }
         self.set_numeric_mode(snapshot.numeric_mode);
         // Replay without span emission: restore is one logical operation,
         // not N traced steps (the caller wraps it in a fleet.restore span).
@@ -485,6 +532,42 @@ mod tests {
         snap.estimate.pop();
         let err = r.restore(&snap).expect_err("short witness accepted");
         assert!(matches!(err, RestoreError::PoseCount { .. }));
+    }
+
+    #[test]
+    fn restore_refuses_factors_it_cannot_evaluate() {
+        let ds = Dataset::manhattan_seeded(12, 4);
+        let mut e = engine();
+        for step in &ds.online_steps() {
+            e.step(step.truth.clone(), step.factors.clone());
+        }
+        let snap = e.snapshot();
+        let odom = snap.updates[5].factors[0].clone();
+        assert_eq!(odom.keys(), [Key(4), Key(5)]);
+        let refused = |f: Factor| {
+            let mut bad = snap.clone();
+            bad.updates[5].factors[0] = f;
+            let mut r = engine();
+            let err = r.restore(&bad).expect_err("unfit factor accepted");
+            assert_eq!(r.num_poses(), 0, "engine left reset");
+            err
+        };
+        // A key no earlier update added.
+        assert_eq!(
+            refused(odom.clone().map_keys(|k| Key(k.0 * 2))),
+            RestoreError::UnfitVariable { update: 5, key: 8 }
+        );
+        // A 3-D between over planar poses.
+        let se3 = supernova_factors::BetweenFactor::se3(
+            Key(4),
+            Key(5),
+            supernova_factors::Se3::identity(),
+            supernova_factors::NoiseModel::isotropic(6, 0.1),
+        );
+        assert_eq!(
+            refused(se3.into()),
+            RestoreError::UnfitVariable { update: 5, key: 4 }
+        );
     }
 
     #[test]
