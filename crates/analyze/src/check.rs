@@ -1,7 +1,7 @@
 //! The ordered pass/fail ledger the CI gate binaries share.
 //!
-//! Every gate binary in `scripts/ci.sh` (`determinism`, `numeric_ape`,
-//! `bench_check`, `serve_smoke` and `fleet_smoke`) reports the same way:
+//! Every gate binary in `scripts/ci.sh` (`determinism`, `bench_check`,
+//! `serve_smoke` and `fleet_smoke`) reports the same way:
 //! each sub-check has a stable name, verdicts print in execution order,
 //! and the run ends with one summary line naming any failed checks — so a
 //! red CI log reads identically from run to run and the first `FAIL` line

@@ -11,7 +11,7 @@
 //! - `results/BENCH_fleet.json`   vs `results/baselines/BENCH_fleet.json`
 //!
 //! It compares only fields that do not depend on the host: per-call kernel
-//! flops and numeric widths, and every count of the fleet drill. They must
+//! flops and every count of the fleet drill. They must
 //! match the baseline *exactly*: any change is a correctness regression,
 //! not noise. No wall time is compared with a baseline recorded on another
 //! machine; `benchmark/` is where wall-clock time is measured. Simulator
@@ -27,8 +27,7 @@
 //! cancels out of the gated number. Fresh speedups must meet the
 //! `min_speedup` floors recorded in the committed baseline (scaled by
 //! `BENCH_CHECK_KERNEL_SPEEDUP_SCALE`, default 1.0, for foreign
-//! hardware); per-call flop counts are shape-derived and gated exactly,
-//! as is each case's numeric width.
+//! hardware); per-call flop counts are shape-derived and gated exactly.
 //!
 //! `results/README.md` documents the baseline-refresh workflow. Exits
 //! with the shared `Report` summary line naming any failed checks.
@@ -128,16 +127,6 @@ fn check_kernels(report: &mut Report) {
             &format!("kernels/{case}/flops"),
             f.get("flops_per_call").and_then(Json::as_f64),
             b.get("flops_per_call").and_then(Json::as_f64),
-        );
-        // The numeric width is part of the case's identity — a fresh run
-        // that re-measured a case at a different precision proves the
-        // harness drifted, so it is gated exactly.
-        let fw = f.get("width").and_then(Json::as_str);
-        let bw = b.get("width").and_then(Json::as_str);
-        report.check(
-            &format!("kernels/{case}/width"),
-            fw.is_some() && fw == bw,
-            &format!("{fw:?} vs baseline {bw:?}"),
         );
         // The ratio gate: measured same-run speedup vs the baseline floor,
         // scaled by the relaxation knob.

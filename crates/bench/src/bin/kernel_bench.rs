@@ -38,9 +38,8 @@ use std::time::Instant;
 
 use supernova_linalg::rng::XorShift64;
 use supernova_linalg::{
-    gemm_f32, gemm_scratch, pack_elems_bound, pack_elems_bound_mode, reference, syrk_lower_f32,
-    syrk_lower_scratch, trsm_right_lower_transpose_f32, trsm_right_lower_transpose_scratch,
-    KernelScratch, Mat, NumericMode, Transpose,
+    gemm_scratch, pack_elems_bound, reference, syrk_lower_scratch,
+    trsm_right_lower_transpose_scratch, KernelScratch, Mat, Transpose,
 };
 use supernova_trace::json::Json;
 
@@ -62,17 +61,12 @@ impl Kernel {
     }
 }
 
-/// One benchmark case: a kernel at one operand shape and numeric width,
-/// with the speedup floor `bench_check` holds the committed baseline to.
-///
-/// `F64`-width cases time the blocked kernel against the seed-era naive
-/// reference; `F32`-width cases time the f32 engine against the **blocked
-/// f64 kernel** at the same shape — so their `speedup_vs_reference` is the
-/// per-width throughput ratio the paper's FP32-datapath claim rests on.
+/// One benchmark case: a kernel at one operand shape, timed against the
+/// seed-era naive reference, with the speedup floor `bench_check` holds
+/// the committed baseline to.
 struct Case {
     name: String,
     kernel: Kernel,
-    width: NumericMode,
     m: usize,
     n: usize,
     k: usize,
@@ -155,10 +149,6 @@ fn measure(case: &Case) -> Measured {
 
     let envelope = case.m.max(case.n).max(case.k).max(case.m + case.k);
     let mut scratch = KernelScratch::with_capacity(pack_elems_bound(envelope));
-    if case.width.is_narrow() {
-        scratch.reserve_mode(case.width, pack_elems_bound_mode(envelope, case.width), 0);
-        return measure_narrow(case, &mut rng, flops, reps, &mut scratch);
-    }
     match case.kernel {
         Kernel::Gemm => {
             let a = Mat::from_fn(case.m, case.k, |_, _| rng.gen_range(-1.0, 1.0));
@@ -247,113 +237,6 @@ fn finish(
     }
 }
 
-/// Measures an `F32`-width case: the f32 engine (the "blocked" side)
-/// against the blocked **f64** kernel at the same shape (the "reference"
-/// side), both warm-arena. The ratio is per-width throughput, the diff
-/// the narrow path's rounding cost at this shape.
-fn measure_narrow(
-    case: &Case,
-    rng: &mut XorShift64,
-    flops: u64,
-    reps: u64,
-    scratch: &mut KernelScratch,
-) -> Measured {
-    let mut scratch64 = KernelScratch::with_capacity(pack_elems_bound(
-        case.m.max(case.n).max(case.k).max(case.m + case.k),
-    ));
-    let (t_narrow, t_f64, speedup, max_abs_diff) = match case.kernel {
-        Kernel::Gemm => {
-            let a = Mat::from_fn(case.m, case.k, |_, _| rng.gen_range(-1.0, 1.0));
-            let b = Mat::from_fn(case.k, case.n, |_, _| rng.gen_range(-1.0, 1.0));
-            let a32: Vec<f32> = a.as_slice().iter().map(|&v| v as f32).collect();
-            let b32: Vec<f32> = b.as_slice().iter().map(|&v| v as f32).collect();
-            let mut c32 = vec![0.0f32; case.m * case.n];
-            let mut c64 = Mat::zeros(case.m, case.n);
-            let (m, n, k) = (case.m, case.n, case.k);
-            let (t_n, t_f, speedup) = time_pair(
-                reps,
-                || {
-                    gemm_f32(
-                        m, n, k, 1.0, &a32, false, &b32, false, 0.0, &mut c32, scratch,
-                    );
-                },
-                || {
-                    gemm_scratch(
-                        1.0,
-                        &a,
-                        Transpose::No,
-                        &b,
-                        Transpose::No,
-                        0.0,
-                        &mut c64,
-                        &mut scratch64,
-                    );
-                },
-            );
-            let diff = diff32(&c32, c64.as_slice());
-            (t_n, t_f, speedup, diff)
-        }
-        Kernel::Syrk => {
-            let a = Mat::from_fn(case.n, case.k, |_, _| rng.gen_range(-1.0, 1.0));
-            let a32: Vec<f32> = a.as_slice().iter().map(|&v| v as f32).collect();
-            let mut c32 = vec![0.0f32; case.n * case.n];
-            let mut c64 = Mat::zeros(case.n, case.n);
-            let (n, k) = (case.n, case.k);
-            let (t_n, t_f, speedup) = time_pair(
-                reps,
-                || {
-                    syrk_lower_f32(n, k, 1.0, &a32, 0.0, &mut c32, scratch);
-                },
-                || {
-                    syrk_lower_scratch(1.0, &a, 0.0, &mut c64, &mut scratch64);
-                },
-            );
-            let diff = diff32(&c32, c64.as_slice());
-            (t_n, t_f, speedup, diff)
-        }
-        Kernel::Trsm => {
-            let l = lower_triangular(case.n);
-            let b0 = Mat::from_fn(case.m, case.n, |_, _| rng.gen_range(-1.0, 1.0));
-            let l32: Vec<f32> = l.as_slice().iter().map(|&v| v as f32).collect();
-            let b0_32: Vec<f32> = b0.as_slice().iter().map(|&v| v as f32).collect();
-            let mut b32 = b0_32.clone();
-            let mut b64 = b0.clone();
-            let (m, n) = (case.m, case.n);
-            let (t_n, t_f, speedup) = time_pair(
-                reps,
-                || {
-                    b32.copy_from_slice(&b0_32);
-                    trsm_right_lower_transpose_f32(m, n, &l32, &mut b32, scratch);
-                },
-                || {
-                    b64.as_mut_slice().copy_from_slice(b0.as_slice());
-                    trsm_right_lower_transpose_scratch(&l, &mut b64, &mut scratch64);
-                },
-            );
-            let diff = diff32(&b32, b64.as_slice());
-            (t_n, t_f, speedup, diff)
-        }
-    };
-    let gflops = |t: f64| (flops * reps) as f64 / t.max(1e-12) / 1e9;
-    Measured {
-        flops,
-        reps,
-        blocked_gflops: gflops(t_narrow),
-        reference_gflops: gflops(t_f64),
-        speedup,
-        max_abs_diff,
-    }
-}
-
-/// Worst absolute element difference between an f32 result and its f64
-/// counterpart (the narrow path's rounding cost witness).
-fn diff32(got: &[f32], want: &[f64]) -> f64 {
-    got.iter()
-        .zip(want)
-        .map(|(&x, &y)| (x as f64 - y).abs())
-        .fold(0.0, f64::max)
-}
-
 fn cases() -> Vec<Case> {
     let mut out = Vec::new();
     for kernel in [Kernel::Gemm, Kernel::Syrk, Kernel::Trsm] {
@@ -377,7 +260,6 @@ fn cases() -> Vec<Case> {
             out.push(Case {
                 name: format!("{}-{d}", kernel.id()),
                 kernel,
-                width: NumericMode::F64,
                 m: d,
                 n: d,
                 k: d,
@@ -393,7 +275,6 @@ fn cases() -> Vec<Case> {
     out.push(Case {
         name: "gemm-panel-96x48x30".into(),
         kernel: Kernel::Gemm,
-        width: NumericMode::F64,
         m: 96,
         n: 48,
         k: 30,
@@ -402,7 +283,6 @@ fn cases() -> Vec<Case> {
     out.push(Case {
         name: "syrk-panel-90x30".into(),
         kernel: Kernel::Syrk,
-        width: NumericMode::F64,
         m: 90,
         n: 90,
         k: 30,
@@ -411,44 +291,10 @@ fn cases() -> Vec<Case> {
     out.push(Case {
         name: "trsm-panel-90x30".into(),
         kernel: Kernel::Trsm,
-        width: NumericMode::F64,
         m: 90,
         n: 30,
         k: 30,
         min_speedup: 0.8,
-    });
-    // Per-width cases: the f32 engine vs the blocked f64 kernel at the
-    // same shape. The f32 GEMM floor at n ≥ 30 is the paper-alignment gate
-    // (the FP32 datapath must actually be faster than the f64 one for the
-    // precision trade to buy anything).
-    for d in [30usize, 60, 96] {
-        out.push(Case {
-            name: format!("gemm-f32-{d}"),
-            kernel: Kernel::Gemm,
-            width: NumericMode::F32,
-            m: d,
-            n: d,
-            k: d,
-            min_speedup: 1.5,
-        });
-    }
-    out.push(Case {
-        name: "syrk-f32-60".into(),
-        kernel: Kernel::Syrk,
-        width: NumericMode::F32,
-        m: 60,
-        n: 60,
-        k: 60,
-        min_speedup: 1.2,
-    });
-    out.push(Case {
-        name: "trsm-f32-60".into(),
-        kernel: Kernel::Trsm,
-        width: NumericMode::F32,
-        m: 60,
-        n: 60,
-        k: 60,
-        min_speedup: 0.9,
     });
     out
 }
@@ -474,7 +320,6 @@ fn main() {
         rows.push(Json::obj([
             ("name", case.name.as_str().into()),
             ("kernel", case.kernel.id().into()),
-            ("width", case.width.to_string().into()),
             ("m", case.m.into()),
             ("n", case.n.into()),
             ("k", case.k.into()),

@@ -152,11 +152,9 @@ fn main() {
         std::env::temp_dir().join(format!("fleet-router-{}", std::process::id()))
     });
     let cfg = RouterConfig {
-        seed,
-        numeric: ServeConfig::default().numeric,
-        journal_dir: journal_dir.clone(),
         checkpoint_interval: CHECKPOINT_INTERVAL,
         compact_interval: COMPACT_INTERVAL,
+        ..RouterConfig::new(seed, journal_dir.clone())
     };
     let router = if resume {
         match ShardRouter::restore(cfg, &endpoints) {

@@ -32,7 +32,6 @@ use std::process::ExitCode;
 
 use supernova_analyze::{validate_checkpoint_bounds, validate_trace, Report};
 use supernova_fleet::{RouterConfig, Shard, ShardId, ShardRouter, UNPLACED_DISPATCH};
-use supernova_linalg::NumericMode;
 use supernova_serve::protocol::DatasetKind;
 use supernova_serve::service::solo_estimate;
 use supernova_serve::ServeConfig;
@@ -65,7 +64,6 @@ fn descriptor(i: usize) -> (DatasetKind, u32, u64) {
 }
 
 fn main() -> ExitCode {
-    let numeric = NumericMode::default();
     let journal_dir = std::env::temp_dir().join(format!("fleet-smoke-{}", std::process::id()));
     let mut report = Report::new();
 
@@ -76,11 +74,9 @@ fn main() -> ExitCode {
     let endpoints: Vec<_> = shards.iter().map(|s| (s.id(), s.addr())).collect();
     let mut router = ShardRouter::connect(
         RouterConfig {
-            seed: 0xF1EE7,
-            numeric,
-            journal_dir: journal_dir.clone(),
             checkpoint_interval: CHECKPOINT_K,
             compact_interval: COMPACT_INTERVAL,
+            ..RouterConfig::new(0xF1EE7, journal_dir.clone())
         },
         &endpoints,
     )

@@ -23,8 +23,7 @@
 //! `results/BENCH_fleet.json`.
 //!
 //! **Chaos mode** (`--chaos`) runs three crash/reconfiguration drills,
-//! each in both numeric modes, each gated on zero loss and
-//! bit-identical estimates:
+//! each gated on zero loss and bit-identical estimates:
 //!
 //! 1. *router restart mid-migration* — a crash is injected at both
 //!    migration crash points (intent durable / target restored); the
@@ -47,7 +46,6 @@ use supernova_analyze::{validate_checkpoint_bounds, validate_trace};
 use supernova_fleet::{
     CrashPoint, FleetError, HashRing, RouterConfig, Shard, ShardId, ShardRouter,
 };
-use supernova_linalg::NumericMode;
 use supernova_serve::protocol::DatasetKind;
 use supernova_serve::service::solo_estimate;
 use supernova_serve::ServeConfig;
@@ -130,11 +128,9 @@ fn run_fleet() -> FleetResult {
     let endpoints: Vec<_> = shards.iter().map(|s| (s.id(), s.addr())).collect();
     let mut router = ShardRouter::connect(
         RouterConfig {
-            seed: 0xF1EE7,
-            numeric: fleet_shard_cfg().numeric,
-            journal_dir: journal_dir.clone(),
             checkpoint_interval: FLEET_CHECKPOINT_K,
             compact_interval: FLEET_COMPACT_INTERVAL,
+            ..RouterConfig::new(0xF1EE7, journal_dir.clone())
         },
         &endpoints,
     )
@@ -314,21 +310,14 @@ fn emit_fleet_json(r: &FleetResult) -> String {
 const CHAOS_K: u64 = 4;
 /// Aggressive compaction so every drill also crosses compacted journals.
 const CHAOS_COMPACT: u64 = 8;
+/// Ring seed of every chaos router.
+const CHAOS_SEED: u64 = 0xC4A0_5000;
 
-fn chaos_shard_cfg(mode: NumericMode) -> ServeConfig {
-    ServeConfig {
-        numeric: mode,
-        ..fleet_shard_cfg()
-    }
-}
-
-fn chaos_router_cfg(mode: NumericMode, journal_dir: std::path::PathBuf) -> RouterConfig {
+fn chaos_router_cfg(journal_dir: std::path::PathBuf) -> RouterConfig {
     RouterConfig {
-        seed: 0xC4A0_5000 + mode.as_u64(),
-        numeric: mode,
-        journal_dir,
         checkpoint_interval: CHAOS_K,
         compact_interval: CHAOS_COMPACT,
+        ..RouterConfig::new(CHAOS_SEED, journal_dir)
     }
 }
 
@@ -336,22 +325,18 @@ fn chaos_router_cfg(mode: NumericMode, journal_dir: std::path::PathBuf) -> Route
 /// half of each trajectory submitted (so every crash lands mid-stream
 /// with live state on the shards).
 fn chaos_setup(
-    mode: NumericMode,
     label: &str,
     n: u32,
     sessions: usize,
 ) -> (std::path::PathBuf, Vec<Shard>, ShardRouter, Vec<u64>, u64) {
-    let journal_dir = std::env::temp_dir().join(format!(
-        "fleet-chaos-{label}-{}-{}",
-        mode.as_str(),
-        std::process::id()
-    ));
+    let journal_dir =
+        std::env::temp_dir().join(format!("fleet-chaos-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&journal_dir);
     let shards: Vec<Shard> = (0..n)
-        .map(|i| Shard::spawn(ShardId(i), chaos_shard_cfg(mode)).expect("bind shard"))
+        .map(|i| Shard::spawn(ShardId(i), fleet_shard_cfg()).expect("bind shard"))
         .collect();
     let endpoints: Vec<_> = shards.iter().map(|s| (s.id(), s.addr())).collect();
-    let mut router = ShardRouter::connect(chaos_router_cfg(mode, journal_dir.clone()), &endpoints)
+    let mut router = ShardRouter::connect(chaos_router_cfg(journal_dir.clone()), &endpoints)
         .expect("connect router");
     let globals: Vec<u64> = (0..sessions)
         .map(|i| {
@@ -368,11 +353,9 @@ fn chaos_setup(
     (journal_dir, shards, router, globals, tick)
 }
 
-/// Finishes every trajectory, checks bit-identity against per-mode solo
-/// replays, closes the sessions, and runs the floors-aware zero-loss
+/// Finishes every trajectory, checks bit-identity against solo replays, closes the sessions, and runs the floors-aware zero-loss
 /// coverage witness over journals and shard dispatch ledgers.
 fn chaos_finish(
-    mode: NumericMode,
     drill: &str,
     journal_dir: &std::path::Path,
     shards: Vec<Shard>,
@@ -386,7 +369,7 @@ fn chaos_finish(
             .map_err(|e| format!("{drill}: submit rest of session {g}: {e}"))?;
         tick += u64::from(FLEET_STEPS);
     }
-    let shard_cfg = chaos_shard_cfg(mode);
+    let shard_cfg = fleet_shard_cfg();
     for (i, g) in globals.iter().enumerate() {
         let (kind, steps, seed) = fleet_descriptor(i);
         let served = router
@@ -430,13 +413,13 @@ fn chaos_finish(
 /// Drill 1: a router crash at each migration crash point, then a restart
 /// over the durable books. `restore` must resolve the interrupted
 /// migration the right way and re-verify every cursor before traffic.
-fn drill_router_restart_mid_migration(mode: NumericMode) -> Result<(), String> {
+fn drill_router_restart_mid_migration() -> Result<(), String> {
     for (point, expected) in [
         (CrashPoint::MigrateAfterIntent, "rolled-back"),
         (CrashPoint::MigrateAfterRestore, "rolled-forward"),
     ] {
         let drill = format!("restart-mid-migration[{expected}]");
-        let (journal_dir, shards, mut router, globals, tick) = chaos_setup(mode, "restart", 3, 6);
+        let (journal_dir, shards, mut router, globals, tick) = chaos_setup("restart", 3, 6);
         let endpoints: Vec<_> = shards.iter().map(|s| (s.id(), s.addr())).collect();
 
         let mover = globals[0];
@@ -458,7 +441,7 @@ fn drill_router_restart_mid_migration(mode: NumericMode) -> Result<(), String> {
         drop(router);
 
         let (router, report) =
-            ShardRouter::restore(chaos_router_cfg(mode, journal_dir.clone()), &endpoints)
+            ShardRouter::restore(chaos_router_cfg(journal_dir.clone()), &endpoints)
                 .map_err(|e| format!("{drill}: restore failed: {e}"))?;
         if report.pending_resolution != Some(expected) {
             return Err(format!(
@@ -483,16 +466,16 @@ fn drill_router_restart_mid_migration(mode: NumericMode) -> Result<(), String> {
                 "{drill}: mover on {landed} after restart, expected {want}"
             ));
         }
-        chaos_finish(mode, &drill, &journal_dir, shards, router, &globals, tick)?;
+        chaos_finish(&drill, &journal_dir, shards, router, &globals, tick)?;
     }
     Ok(())
 }
 
 /// Drill 2: two of four shards die back to back with queued work; every
 /// victim re-homes twice if need be, with replay suffixes bounded by K.
-fn drill_double_shard_kill(mode: NumericMode) -> Result<(), String> {
+fn drill_double_shard_kill() -> Result<(), String> {
     let drill = "double-shard-kill";
-    let (journal_dir, mut shards, mut router, globals, tick) = chaos_setup(mode, "double", 4, 8);
+    let (journal_dir, mut shards, mut router, globals, tick) = chaos_setup("double", 4, 8);
     for victim_slot in [0usize, 1] {
         let dead = router
             .shard_of(globals[victim_slot])
@@ -519,19 +502,18 @@ fn drill_double_shard_kill(mode: NumericMode) -> Result<(), String> {
             router.live_shards().len()
         ));
     }
-    chaos_finish(mode, drill, &journal_dir, shards, router, &globals, tick)
+    chaos_finish(drill, &journal_dir, shards, router, &globals, tick)
 }
 
 /// Drill 3: a fourth shard joins mid-trajectory. Exactly the ring-minimal
 /// remap set live-migrates onto it and every session's placement matches
 /// a freshly seeded four-member ring.
-fn drill_add_shard_under_load(mode: NumericMode) -> Result<(), String> {
+fn drill_add_shard_under_load() -> Result<(), String> {
     let drill = "add-shard-under-load";
-    let (journal_dir, mut shards, mut router, globals, tick) = chaos_setup(mode, "add", 3, 12);
+    let (journal_dir, mut shards, mut router, globals, tick) = chaos_setup("add", 3, 12);
 
     // Expected remap set from ring arithmetic alone.
-    let seed = 0xC4A0_5000 + mode.as_u64();
-    let mut grown = HashRing::new(seed);
+    let mut grown = HashRing::new(CHAOS_SEED);
     for i in 0..4 {
         grown.add(ShardId(i));
     }
@@ -544,7 +526,7 @@ fn drill_add_shard_under_load(mode: NumericMode) -> Result<(), String> {
 
     // Into `shards` before `add_shard`: if it fails, the router (declared
     // after `shards`) drops first and closes the joiner's connection.
-    let joiner = Shard::spawn(ShardId(3), chaos_shard_cfg(mode)).expect("bind joining shard");
+    let joiner = Shard::spawn(ShardId(3), fleet_shard_cfg()).expect("bind joining shard");
     let joiner_addr = joiner.addr();
     shards.push(joiner);
     let report = router
@@ -564,28 +546,26 @@ fn drill_add_shard_under_load(mode: NumericMode) -> Result<(), String> {
             ));
         }
     }
-    chaos_finish(mode, drill, &journal_dir, shards, router, &globals, tick)
+    chaos_finish(drill, &journal_dir, shards, router, &globals, tick)
 }
 
-/// Runs all three drills in both numeric modes; returns the failure
-/// descriptions (empty = chaos clean).
+/// Runs all three drills; returns the failure descriptions (empty = chaos
+/// clean).
 fn run_chaos() -> Vec<String> {
     let mut failures = Vec::new();
-    for mode in NumericMode::ALL {
-        for (name, run) in [
-            (
-                "router-restart-mid-migration",
-                drill_router_restart_mid_migration as fn(NumericMode) -> Result<(), String>,
-            ),
-            ("double-shard-kill", drill_double_shard_kill),
-            ("add-shard-under-load", drill_add_shard_under_load),
-        ] {
-            match run(mode) {
-                Ok(()) => eprintln!("load_gen: chaos {name} [{}] OK", mode.as_str()),
-                Err(why) => {
-                    eprintln!("load_gen: chaos {name} [{}] FAILED: {why}", mode.as_str());
-                    failures.push(format!("{name}[{}]: {why}", mode.as_str()));
-                }
+    for (name, run) in [
+        (
+            "router-restart-mid-migration",
+            drill_router_restart_mid_migration as fn() -> Result<(), String>,
+        ),
+        ("double-shard-kill", drill_double_shard_kill),
+        ("add-shard-under-load", drill_add_shard_under_load),
+    ] {
+        match run() {
+            Ok(()) => eprintln!("load_gen: chaos {name} OK"),
+            Err(why) => {
+                eprintln!("load_gen: chaos {name} FAILED: {why}");
+                failures.push(format!("{name}: {why}"));
             }
         }
     }
@@ -605,7 +585,7 @@ fn main() -> ExitCode {
 }
 
 fn chaos_main() -> ExitCode {
-    eprintln!("load_gen: chaos drills, 3 scenarios x 2 numeric modes");
+    eprintln!("load_gen: chaos drills, 3 scenarios");
     let failures = run_chaos();
     if failures.is_empty() {
         eprintln!("load_gen: chaos OK");

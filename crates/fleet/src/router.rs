@@ -192,9 +192,9 @@ pub struct RouterConfig {
     /// Ring seed: placement is a pure function of this and the member
     /// set, so a restarted router re-derives identical routes.
     pub seed: u64,
-    /// The numeric mode every shard runs (checkpoints carry theirs and
-    /// shards refuse a mismatch; the router needs it to synthesize the
-    /// empty checkpoint for never-checkpointed sessions on failover).
+    /// Ignored: shards have one numeric stack. Kept so existing struct
+    /// literals still compile; [`RouterConfig::new`] fills it.
+    #[doc(hidden)]
     pub numeric: NumericMode,
     /// Directory the per-shard journals and the `router.snvr` state file
     /// live in (created if absent).
@@ -212,6 +212,21 @@ pub struct RouterConfig {
     /// witnesses). `0` disables automatic compaction;
     /// [`ShardRouter::compact_shard`] stays available manually.
     pub compact_interval: u64,
+}
+
+impl RouterConfig {
+    /// A router on ring seed `seed` journaling under `journal_dir`, with
+    /// periodic checkpoints and automatic compaction off (set
+    /// `checkpoint_interval` / `compact_interval` to turn them on).
+    pub fn new(seed: u64, journal_dir: PathBuf) -> Self {
+        RouterConfig {
+            seed,
+            numeric: NumericMode,
+            journal_dir,
+            checkpoint_interval: 0,
+            compact_interval: 0,
+        }
+    }
 }
 
 /// One (session → shard) placement event, in order: the initial route,
@@ -1195,7 +1210,6 @@ impl ShardRouter {
     /// was never snapshotted (its whole history replays from the journal).
     fn empty_checkpoint(&self) -> Result<Vec<u8>, FleetError> {
         let snap = EngineSnapshot {
-            numeric_mode: self.cfg.numeric,
             plan_generation: 0,
             updates: Vec::new(),
             estimate: Vec::new(),

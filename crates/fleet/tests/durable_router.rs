@@ -7,7 +7,6 @@
 //! never placed is caught.
 
 use supernova_fleet::{HashRing, RouterConfig, Shard, ShardId, ShardRouter, UNPLACED_DISPATCH};
-use supernova_linalg::NumericMode;
 use supernova_serve::protocol::DatasetKind;
 use supernova_serve::service::{generate, solo_estimate};
 use supernova_serve::{ServeConfig, UpdateRequest};
@@ -31,11 +30,9 @@ fn shard_cfg() -> ServeConfig {
 
 fn router_cfg(journal_dir: std::path::PathBuf) -> RouterConfig {
     RouterConfig {
-        seed: SEED,
-        numeric: NumericMode::default(),
-        journal_dir,
         checkpoint_interval: CHECKPOINT_K,
         compact_interval: COMPACT_INTERVAL,
+        ..RouterConfig::new(SEED, journal_dir)
     }
 }
 

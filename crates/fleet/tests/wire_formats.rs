@@ -2,14 +2,17 @@
 //! formats: `serve` request/response frames, `SNVC` checkpoints, `SNVJ`
 //! journals and `SNVR` router state.
 //!
-//! **Pins.** Every fixture under `tests/fixtures/` but one is the encoding
+//! **Pins.** Every fixture under `tests/fixtures/` but two is the encoding
 //! of a literal value built below — no solver run, no transcendental
-//! function — so the bytes move only when an encoder does. The exception,
+//! function — so the bytes move only when an encoder does. One exception,
 //! `snvc_landmarks.bin`, is a snapshot of two landmark sessions run
 //! through `SolverEngine`: its witness estimate also moves if a solver
-//! bit does. Each fixture must be
+//! bit does. Each of these fixtures must be
 //! reproduced byte for byte by today's encoder and decode back to a value
-//! that re-encodes to the same bytes. After an intentional format change
+//! that re-encodes to the same bytes. The other exception, `snvc_f32.bin`,
+//! is `snvc_f64.bin` with its reserved byte set to 1, as written when the
+//! kernels had an f32 mode: no encoder writes it, and the decoder must
+//! refuse it. After an intentional format change
 //! (which also bumps that format's version), regenerate with
 //! `cargo test -p supernova-fleet --test wire_formats -- --ignored
 //! regenerate_fixtures` and commit the diff with the change.
@@ -34,7 +37,7 @@ use supernova_fleet::{
 };
 use supernova_hw::Platform;
 use supernova_linalg::rng::XorShift64;
-use supernova_linalg::{Mat, NumericMode};
+use supernova_linalg::Mat;
 use supernova_runtime::CostModel;
 use supernova_serve::protocol::{
     encode_variable, read_frame, write_frame, DatasetKind, Request, Response, PROTOCOL_VERSION,
@@ -63,9 +66,8 @@ fn noise(sqrt_info: &[f64], huber: Option<f64>) -> NoiseModel {
 
 /// SE(2), SE(3) and vector poses; prior and between factors; Huber on
 /// and off.
-fn snapshot(numeric_mode: NumericMode) -> EngineSnapshot {
+fn snapshot() -> EngineSnapshot {
     EngineSnapshot {
-        numeric_mode,
         plan_generation: 7,
         updates: vec![
             UpdateRecord {
@@ -206,16 +208,14 @@ fn landmark_session() -> Session {
     ]
 }
 
-fn landmark_engine(mode: NumericMode) -> SolverEngine {
+fn landmark_engine() -> SolverEngine {
     let cost = Arc::new(CostModel::new(Platform::supernova(2)));
-    let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
-    engine.set_numeric_mode(mode);
-    engine
+    SolverEngine::new(RaIsam2Config::default(), cost)
 }
 
 /// The engine snapshot after every step of [`landmark_session`].
 fn landmark_snapshot() -> EngineSnapshot {
-    let mut engine = landmark_engine(NumericMode::F64);
+    let mut engine = landmark_engine();
     for (initial, factors) in landmark_session() {
         engine.step(initial, factors);
     }
@@ -420,11 +420,7 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         (
             "snvc_f64.bin",
-            encode_snapshot(&snapshot(NumericMode::F64)).expect("encode"),
-        ),
-        (
-            "snvc_f32.bin",
-            encode_snapshot(&snapshot(NumericMode::F32)).expect("encode"),
+            encode_snapshot(&snapshot()).expect("encode"),
         ),
         (
             "snvc_landmarks.bin",
@@ -488,8 +484,7 @@ fn encoders_reproduce_the_committed_fixtures() {
 #[test]
 fn committed_fixtures_decode_to_their_values() {
     for (name, want) in [
-        ("snvc_f64.bin", snapshot(NumericMode::F64)),
-        ("snvc_f32.bin", snapshot(NumericMode::F32)),
+        ("snvc_f64.bin", snapshot()),
         ("snvc_landmarks.bin", landmark_snapshot()),
     ] {
         let bytes = read_fixture(name);
@@ -542,29 +537,27 @@ fn estimate_bytes(engine: &SolverEngine) -> Vec<u8> {
 #[test]
 fn landmark_sessions_round_trip_through_snvc_bit_for_bit() {
     let session = landmark_session();
-    for mode in NumericMode::ALL {
-        let mut reference = landmark_engine(mode);
-        for (initial, factors) in session.clone() {
-            reference.step(initial, factors);
+    let mut reference = landmark_engine();
+    for (initial, factors) in session.clone() {
+        reference.step(initial, factors);
+    }
+    for cut in 1..session.len() {
+        let mut live = landmark_engine();
+        for (initial, factors) in session[..cut].iter().cloned() {
+            live.step(initial, factors);
         }
-        for cut in 1..session.len() {
-            let mut live = landmark_engine(mode);
-            for (initial, factors) in session[..cut].iter().cloned() {
-                live.step(initial, factors);
-            }
-            let bytes = encode_snapshot(&live.snapshot()).expect("landmark factors encode");
-            let back = decode_snapshot(&bytes).expect("decode");
-            let mut restored = landmark_engine(mode);
-            restored.restore(&back).expect("replay matches the witness");
-            for (initial, factors) in session[cut..].iter().cloned() {
-                restored.step(initial, factors);
-            }
-            assert_eq!(
-                estimate_bytes(&restored),
-                estimate_bytes(&reference),
-                "mode {mode:?}, cut after {cut} steps"
-            );
+        let bytes = encode_snapshot(&live.snapshot()).expect("landmark factors encode");
+        let back = decode_snapshot(&bytes).expect("decode");
+        let mut restored = landmark_engine();
+        restored.restore(&back).expect("replay matches the witness");
+        for (initial, factors) in session[cut..].iter().cloned() {
+            restored.step(initial, factors);
         }
+        assert_eq!(
+            estimate_bytes(&restored),
+            estimate_bytes(&reference),
+            "cut after {cut} steps"
+        );
     }
 }
 
@@ -575,7 +568,6 @@ fn hostile_blob(factor: Factor) -> Vec<u8> {
     let pose = |x| Variable::Se2(se2(x, 0.0, 1.0, 0.0));
     let prior = PriorFactor::se2(Key(0), se2(0.0, 0.0, 1.0, 0.0), noise(&[10.0; 3], None));
     encode_snapshot(&EngineSnapshot {
-        numeric_mode: NumericMode::F64,
         plan_generation: 0,
         updates: vec![
             UpdateRecord {
@@ -606,7 +598,7 @@ fn assert_refused(blob: Vec<u8>, want: CheckpointError) {
 /// still creates and serves a session.
 fn assert_unreplayable(blob: Vec<u8>, want: RestoreError) {
     let snapshot = decode_snapshot(&blob).expect("decodes");
-    let refused = landmark_engine(NumericMode::F64).restore(&snapshot);
+    let refused = landmark_engine().restore(&snapshot);
     assert_eq!(refused, Err(want.clone()));
     assert_restore_answered(blob, &format!("restore rejected: {want}"));
 }
@@ -687,6 +679,20 @@ fn snvc_with_a_nan_measurement_is_refused() {
     assert_refused(hostile_blob(nan.into()), CheckpointError::NonFinite);
 }
 
+/// A checkpoint written under the retired f32 mode carries 1 in the
+/// reserved byte: it is refused, not replayed in f64.
+#[test]
+fn snvc_from_the_retired_f32_mode_is_refused() {
+    let blob = read_fixture("snvc_f32.bin");
+    let mut f64_blob = read_fixture("snvc_f64.bin");
+    f64_blob[6] = 1;
+    assert_eq!(
+        blob, f64_blob,
+        "snvc_f32.bin is snvc_f64.bin with byte 6 = 1"
+    );
+    assert_refused(blob, CheckpointError::BadNumericMode(1));
+}
+
 /// Each kind over a variable its residual does not evaluate. The bytes
 /// are well formed; replaying them unchecked panics inside
 /// `restore_session` and leaves the session busy.
@@ -750,7 +756,7 @@ fn cases() -> Vec<Case> {
         |b| verdict(read_journal_bytes(b)),
         TornTail,
     )];
-    for name in ["snvc_f64.bin", "snvc_f32.bin", "snvc_landmarks.bin"] {
+    for name in ["snvc_f64.bin", "snvc_landmarks.bin"] {
         out.push(case(
             name,
             read_fixture(name),

@@ -16,10 +16,8 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::kernels::{
-    syrk_core_g, trsm_core_g, KernelScratch, MutView, Scalar, View, MR, MR_F32, NR, NR_F32,
-};
-use crate::{Mat, NumericMode};
+use crate::kernels::{syrk_core_g, trsm_core_g, KernelScratch, MutView, View, MR, NR};
+use crate::Mat;
 
 /// The matrix handed to a Cholesky factorization was not (numerically)
 /// symmetric positive definite.
@@ -57,11 +55,10 @@ const NB: usize = crate::kernels::CHOL_NB;
 /// panel, columns `0..pivots` hold `L_A` over `L_B` and the trailing
 /// `(total − pivots)²` lower triangle holds `C − L_B L_Bᵀ`.
 ///
-/// Generic over the scalar `S` with the mode's microkernel tile
-/// constants, so the same driver serves every [`NumericMode`]; the f64
-/// instantiation is the historic driver operation for operation.
-pub(crate) fn factor_columns_g<S: Scalar, const MR_: usize, const NR_: usize>(
-    data: &mut [S],
+/// Generic over the microkernel tile constants only, so tests can check
+/// that a tile's shape never moves a bit.
+pub(crate) fn factor_columns_g<const MR_: usize, const NR_: usize>(
+    data: &mut [f64],
     ld: usize,
     total: usize,
     pivots: usize,
@@ -70,20 +67,20 @@ pub(crate) fn factor_columns_g<S: Scalar, const MR_: usize, const NR_: usize>(
     let mut k = 0usize;
     while k < pivots {
         let b = NB.min(pivots - k);
-        cholesky_unblocked_raw_g::<S>(data, ld, k, b)?;
+        cholesky_unblocked_raw(data, ld, k, b)?;
         let below = total - k - b;
         if below > 0 {
             // Solve the full subcolumn against a packed copy of the diagonal
             // block (separate storage, so the blocked TRSM can read L while
             // writing the same columns of the front).
-            let mut lbuf = S::take_panel(scratch, b * b);
+            let mut lbuf = scratch.take_lpack(b * b);
             for j in 0..b {
                 let src = &data[(k + j) * ld + k..(k + j) * ld + k + b];
                 lbuf[j * b..(j + 1) * b].copy_from_slice(src);
             }
             let lview = View::raw(&lbuf, b, 0, 0, b, b, false);
-            trsm_core_g::<S, MR_, NR_>(&lview, data, ld, k + b, k, below, b, scratch);
-            S::put_panel(scratch, lbuf);
+            trsm_core_g::<MR_, NR_>(&lview, data, ld, k + b, k, below, b, scratch);
+            scratch.put_lpack(lbuf);
 
             // Trailing update: the panel's columns and the trailing block
             // are disjoint column ranges, so a column split gives aliasing-
@@ -91,14 +88,14 @@ pub(crate) fn factor_columns_g<S: Scalar, const MR_: usize, const NR_: usize>(
             let (left, right) = data.split_at_mut((k + b) * ld);
             let aview = View::raw(left, ld, k + b, k, below, b, false);
             let mut cview = MutView::raw(right, ld, k + b, 0, below, below);
-            syrk_core_g::<S, MR_, NR_>(-S::ONE, &aview, &mut cview, scratch);
+            syrk_core_g::<MR_, NR_>(-1.0, &aview, &mut cview, scratch);
         }
         k += b;
     }
     Ok(())
 }
 
-/// f64 instantiation of [`factor_columns_g`].
+/// The `MR × NR` instantiation of [`factor_columns_g`].
 fn factor_columns(
     data: &mut [f64],
     ld: usize,
@@ -106,14 +103,14 @@ fn factor_columns(
     pivots: usize,
     scratch: &mut KernelScratch,
 ) -> Result<(), NotPositiveDefiniteError> {
-    factor_columns_g::<f64, MR, NR>(data, ld, total, pivots, scratch)
+    factor_columns_g::<MR, NR>(data, ld, total, pivots, scratch)
 }
 
 /// Unblocked left-looking Cholesky of the `b × b` diagonal block at
 /// `(k, k)`; zeroes the block's strict upper triangle and reports pivot
 /// failures in global column coordinates.
-fn cholesky_unblocked_raw_g<S: Scalar>(
-    data: &mut [S],
+fn cholesky_unblocked_raw(
+    data: &mut [f64],
     ld: usize,
     k: usize,
     b: usize,
@@ -126,7 +123,7 @@ fn cholesky_unblocked_raw_g<S: Scalar>(
             let ljp = data[(k + p) * ld + k + j];
             d -= ljp * ljp;
         }
-        if !(d > S::ZERO) || !d.is_finite() {
+        if d <= 0.0 || !d.is_finite() {
             return Err(NotPositiveDefiniteError { col: k + j });
         }
         let djj = d.sqrt();
@@ -139,17 +136,17 @@ fn cholesky_unblocked_raw_g<S: Scalar>(
             data[cj + i] = s / djj;
         }
         for i in 0..j {
-            data[cj + i] = S::ZERO;
+            data[cj + i] = 0.0;
         }
     }
     Ok(())
 }
 
 /// Zeroes the strict upper triangle of the leading `n × n` block.
-fn zero_strict_upper<S: Scalar>(data: &mut [S], ld: usize, n: usize) {
+fn zero_strict_upper(data: &mut [f64], ld: usize, n: usize) {
     for j in 1..n {
         for x in &mut data[j * ld..j * ld + j.min(ld)] {
-            *x = S::ZERO;
+            *x = 0.0;
         }
     }
 }
@@ -258,58 +255,6 @@ pub fn partial_cholesky_scratch(
     // The pivot block's strict upper triangle is zeroed (so the leading
     // columns are usable as L directly); everything right of the pivot
     // columns is left untouched, as before.
-    zero_strict_upper(front.as_mut_slice(), total, pivots);
-    Ok(())
-}
-
-/// [`partial_cholesky_scratch`] under a runtime [`NumericMode`] — the
-/// executor's hot path.
-///
-/// `F64` runs the historic f64 driver directly on the front. `F32`
-/// demotes the front into the arena's f32 shadow, factors it with the f32
-/// engine (16×4 tiles) and promotes the result back —
-/// exactly, since every f32 is representable in f64 — so downstream
-/// merge/solve/serialization stay f64 and per-mode bit-identity follows
-/// from the kernels' shape-pure dispatch. This
-/// models the paper's FP32 COMP systolic array: narrow datapath in the
-/// factorization, full-width bookkeeping around it.
-///
-/// # Errors
-///
-/// Returns [`NotPositiveDefiniteError`] (with a column index relative to
-/// the front) if the pivot block is not positive definite *in the chosen
-/// precision* — a front can be SPD in f64 yet fail in f32, which is
-/// precisely the signal the mode exists to measure.
-///
-/// # Panics
-///
-/// Panics if `front` is not square or `pivots > front.rows()`.
-pub fn partial_cholesky_scratch_mode(
-    front: &mut Mat,
-    pivots: usize,
-    scratch: &mut KernelScratch,
-    mode: NumericMode,
-) -> Result<(), NotPositiveDefiniteError> {
-    if mode == NumericMode::F64 {
-        return partial_cholesky_scratch(front, pivots, scratch);
-    }
-    assert_eq!(front.rows(), front.cols(), "frontal matrix must be square");
-    let total = front.rows();
-    assert!(pivots <= total, "pivot count exceeds front size");
-    let elems = total * total;
-    let mut shadow = scratch.take_front32(elems);
-    for (d, &s) in shadow.iter_mut().zip(front.as_slice()) {
-        *d = s as f32;
-    }
-    let result =
-        factor_columns_g::<f32, MR_F32, NR_F32>(&mut shadow, total, total, pivots, scratch);
-    // Promote back even on error so the front reflects the partial state,
-    // mirroring the f64 path's contract.
-    for (d, &s) in front.as_mut_slice().iter_mut().zip(shadow.iter()) {
-        *d = s as f64;
-    }
-    scratch.put_front32(shadow);
-    result?;
     zero_strict_upper(front.as_mut_slice(), total, pivots);
     Ok(())
 }

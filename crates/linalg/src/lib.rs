@@ -35,7 +35,6 @@ mod blas;
 mod cholesky;
 pub mod kernels;
 mod matrix;
-pub mod mode;
 pub mod ops;
 pub mod reference;
 pub mod rng;
@@ -47,15 +46,18 @@ pub use blas::{
 };
 pub use cholesky::{
     cholesky_in_place, cholesky_in_place_scratch, partial_cholesky_in_place,
-    partial_cholesky_scratch, partial_cholesky_scratch_mode, NotPositiveDefiniteError,
+    partial_cholesky_scratch, NotPositiveDefiniteError,
 };
-pub use kernels::{
-    gemm_f32, gemm_path, pack_elems_bound, pack_elems_bound_mode, syrk_lower_f32,
-    trsm_right_lower_transpose_f32, GemmPath, KernelScratch, Scalar,
-};
+pub use kernels::{gemm_path, pack_elems_bound, GemmPath, KernelScratch};
 pub use matrix::Mat;
-pub use mode::{NumericMode, NUMERIC_ENV};
 pub use triangular::{solve_lower_leading, solve_lower_transpose_leading};
+
+/// Retired numeric-mode selector with no effect: the kernels compute in
+/// f64 only. Kept so `RouterConfig { numeric: NumericMode::default(), .. }`
+/// literals still compile; delete it with `RouterConfig::numeric`.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct NumericMode;
 
 /// Convenience result alias for fallible factorizations in this crate.
 pub type Result<T> = std::result::Result<T, NotPositiveDefiniteError>;

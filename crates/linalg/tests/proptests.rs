@@ -10,10 +10,8 @@
 
 use supernova_linalg::rng::XorShift64;
 use supernova_linalg::{
-    cholesky_in_place, gemm, gemm_f32, partial_cholesky_in_place, partial_cholesky_scratch_mode,
-    reference, solve_lower_leading, solve_lower_transpose_leading, syrk_lower, syrk_lower_f32,
-    trsm_right_lower_transpose, trsm_right_lower_transpose_f32, KernelScratch, Mat, NumericMode,
-    Transpose,
+    cholesky_in_place, gemm, partial_cholesky_in_place, reference, solve_lower_leading,
+    solve_lower_transpose_leading, syrk_lower, trsm_right_lower_transpose, Mat, Transpose,
 };
 
 const CASES: u64 = 128;
@@ -279,208 +277,6 @@ fn transpose_product_identity() {
                 assert!(
                     (c[(i, j)] - c[(j, i)]).abs() < 1e-10,
                     "case {case} at ({i},{j})"
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32-mode acceptance suite: the f32-storage entry points (`gemm_f32`,
-// `syrk_lower_f32`, `trsm_right_lower_transpose_f32`) and the
-// `NumericMode::F32` partial factorization are checked against the
-// unblocked f64 [`reference`] oracle on f32-representable inputs. Shapes
-// reuse [`gen_dim`], so the 3/6 SLAM fast paths, per-width microkernel
-// tails (dims not ≡ 0 mod 16 for the f32 engine's 16×4 tile) and the packed
-// dispatch path are all exercised. Tolerances are width-appropriate:
-// proportional to f32's ~1.2e-7 unit roundoff times the reduction depth.
-
-/// A random matrix whose entries are exactly representable in f32,
-/// returned both as the raw column-major f32 storage the narrow entry
-/// points consume and as the bit-equal f64 [`Mat`] the oracle consumes.
-fn gen_mat32(rng: &mut XorShift64, rows: usize, cols: usize) -> (Vec<f32>, Mat) {
-    let storage: Vec<f32> = (0..rows * cols)
-        .map(|_| rng.gen_range(-2.0, 2.0) as f32)
-        .collect();
-    let promoted = Mat::from_cols(rows, cols, storage.iter().map(|&x| x as f64).collect());
-    (storage, promoted)
-}
-
-/// Worst-case absolute error of a depth-`k` f32 reduction over entries of
-/// magnitude ≤ 2: one f32 rounding per product plus one per partial sum,
-/// with a wide safety margin. A
-/// wrong-engine or wrong-tile bug produces O(1) errors, far above this.
-fn narrow_tol(k: usize) -> f64 {
-    1e-5 * (k as f64 + 1.0)
-}
-
-#[test]
-fn narrow_gemm_agrees_with_f64_oracle() {
-    let mut scratch = KernelScratch::new();
-    for case in 0..CASES {
-        let mut rng = XorShift64::seed_from_u64(0x11b0_0000 + case);
-        let m = gen_dim(&mut rng);
-        let n = gen_dim(&mut rng);
-        let k = gen_dim(&mut rng);
-        let (alpha, beta) = gen_alpha_beta(&mut rng); // edge pool is f32-exact
-        let a_trans = rng.gen_bool(0.5);
-        let b_trans = rng.gen_bool(0.5);
-        let (a32, a64) = if a_trans {
-            gen_mat32(&mut rng, k, m)
-        } else {
-            gen_mat32(&mut rng, m, k)
-        };
-        let (b32, b64) = if b_trans {
-            gen_mat32(&mut rng, n, k)
-        } else {
-            gen_mat32(&mut rng, k, n)
-        };
-        let (c32, c64) = gen_mat32(&mut rng, m, n);
-        let op = |t| if t { Transpose::Yes } else { Transpose::No };
-        let mut want = c64;
-        reference::gemm(alpha, &a64, op(a_trans), &b64, op(b_trans), beta, &mut want);
-        let mut c = c32.clone();
-        gemm_f32(
-            m,
-            n,
-            k,
-            alpha as f32,
-            &a32,
-            a_trans,
-            &b32,
-            b_trans,
-            beta as f32,
-            &mut c,
-            &mut scratch,
-        );
-        let tol = narrow_tol(k);
-        for j in 0..n {
-            for i in 0..m {
-                let got = c[j * m + i] as f64;
-                let w = want[(i, j)];
-                assert!(
-                    (got - w).abs() < tol,
-                    "gemm case {case} ({m}x{n}x{k}) at ({i},{j}): got {got} want {w}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn narrow_syrk_agrees_with_f64_oracle_and_preserves_upper() {
-    let mut scratch = KernelScratch::new();
-    for case in 0..CASES {
-        let mut rng = XorShift64::seed_from_u64(0x11b1_0000 + case);
-        let n = gen_dim(&mut rng);
-        let k = gen_dim(&mut rng);
-        let (alpha, beta) = gen_alpha_beta(&mut rng);
-        let (a32, a64) = gen_mat32(&mut rng, n, k);
-        let (c32, c64) = gen_mat32(&mut rng, n, n);
-        let mut want = c64;
-        reference::syrk_lower(alpha, &a64, beta, &mut want);
-        let mut c = c32.clone();
-        syrk_lower_f32(n, k, alpha as f32, &a32, beta as f32, &mut c, &mut scratch);
-        let tol = narrow_tol(k);
-        for j in 0..n {
-            for i in j..n {
-                let got = c[j * n + i] as f64;
-                let w = want[(i, j)];
-                assert!(
-                    (got - w).abs() < tol,
-                    "syrk case {case} ({n}x{k}) at ({i},{j}): got {got} want {w}"
-                );
-            }
-            // Strict upper triangle must be bit-untouched.
-            for i in 0..j {
-                assert_eq!(
-                    c[j * n + i].to_bits(),
-                    c32[j * n + i].to_bits(),
-                    "syrk case {case} touched upper ({i},{j})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn narrow_trsm_agrees_with_f64_oracle() {
-    let mut scratch = KernelScratch::new();
-    for case in 0..CASES {
-        let mut rng = XorShift64::seed_from_u64(0x11b2_0000 + case);
-        let n = gen_dim(&mut rng);
-        let m = gen_dim(&mut rng);
-        // Well-conditioned lower-triangular L with f32-exact entries
-        // (quarters), covering single-tile, tail and blocked panel shapes.
-        let l64 = Mat::from_fn(n, n, |r, c| {
-            if r == c {
-                1.5 + 0.25 * (r % 3) as f64
-            } else if r > c {
-                0.25 * ((r * 5 + c * 3) % 3) as f64 - 0.25
-            } else {
-                0.0
-            }
-        });
-        let l32: Vec<f32> = l64.as_slice().iter().map(|&x| x as f32).collect();
-        let (b32, b64) = gen_mat32(&mut rng, m, n);
-        let mut want = b64;
-        reference::trsm_right_lower_transpose(&l64, &mut want);
-        let mut b = b32.clone();
-        trsm_right_lower_transpose_f32(m, n, &l32, &mut b, &mut scratch);
-        // Forward error amplifies with the solve's reduction depth n.
-        let tol = narrow_tol(n) * 10.0;
-        for j in 0..n {
-            for i in 0..m {
-                let got = b[j * m + i] as f64;
-                let w = want[(i, j)];
-                assert!(
-                    (got - w).abs() < tol,
-                    "trsm case {case} ({m}x{n}) at ({i},{j}): got {got} want {w}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn narrow_partial_cholesky_matches_f64_oracle() {
-    let mut scratch = KernelScratch::new();
-    // Front sizes spanning the 3/6 SLAM fast paths, the f32 engine's tile
-    // tails, and the blocked/packed path.
-    const FRONTS: [usize; 8] = [1, 2, 3, 6, 7, 12, 30, 33];
-    for case in 0..CASES {
-        let mut rng = XorShift64::seed_from_u64(0x11b3_0000 + case);
-        let n = FRONTS[rng.gen_index(FRONTS.len())];
-        let pivots = rng.gen_index(n + 1);
-        // Strongly diagonally dominant SPD front with f32-exact entries:
-        // G·Gᵀ + (n+1)·I, symmetrized, rounded to f32 (an eps-level
-        // symmetric perturbation that cannot break definiteness).
-        let g = gen_mat(&mut rng, n, n);
-        let mut a = Mat::from_diag(&vec![n as f64 + 1.0; n]);
-        syrk_lower(1.0, &g, 1.0, &mut a);
-        let sym = Mat::from_fn(n, n, |r, c| if r >= c { a[(r, c)] } else { a[(c, r)] });
-        let front0 = Mat::from_cols(
-            n,
-            n,
-            sym.as_slice().iter().map(|&x| (x as f32) as f64).collect(),
-        );
-        let mut want = front0.clone();
-        partial_cholesky_in_place(&mut want, pivots).unwrap();
-        let mut front = front0.clone();
-        partial_cholesky_scratch_mode(&mut front, pivots, &mut scratch, NumericMode::F32)
-            .unwrap_or_else(|e| panic!("case {case} n={n} p={pivots}: {e}"));
-        // Pivot-column factor entries and the trailing Schur update
-        // both live below the diagonal; entries scale like n, the
-        // reduction depth is ≤ n and the factor divides by pivots
-        // ≥ 1, so give the GEMM-depth bound an extra margin.
-        let tol = narrow_tol(n) * (n as f64 + 1.0);
-        for j in 0..n {
-            for i in j..n {
-                let got = front[(i, j)];
-                let w = want[(i, j)];
-                assert!(
-                    (got - w).abs() < tol,
-                    "chol case {case} n={n} p={pivots} at ({i},{j}): got {got} want {w}"
                 );
             }
         }

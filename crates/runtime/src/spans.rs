@@ -61,9 +61,6 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     span.ticks = total;
     span.counters.set("tasks", sched.spans.len() as u64);
     span.counters.set("kernel_flops", sched.kernel_flops());
-    // Numeric precision the kernels ran under (f64 / f32), so a
-    // traced step records the arithmetic its numbers came from.
-    span.counters.set("numeric_mode", sched.numeric.as_u64());
     span
 }
 

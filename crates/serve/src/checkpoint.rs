@@ -21,7 +21,6 @@ use supernova_factors::{
     BetweenFactor, Factor, Key, NoiseModel, PointObservationFactor, PriorFactor,
     RangeBearingFactor, Variable,
 };
-use supernova_linalg::NumericMode;
 use supernova_solvers::{EngineSnapshot, UpdateRecord};
 
 use supernova_trace::wire::{put_f64, put_header, put_u32, put_u64, ReadError, Reader};
@@ -33,6 +32,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SNVC";
 
 /// Checkpoint format version.
 pub const CHECKPOINT_VERSION: u16 = 1;
+
+/// The byte after the header, reserved: it named a numeric mode when the
+/// kernels had an f32 one. Written as 0; any other value is refused.
+const RESERVED_BYTE: u8 = 0;
 
 /// Hard cap on serialized checkpoints (matches the wire frame cap: a
 /// checkpoint must fit in one `Restore`/`Snapshot` frame).
@@ -60,7 +63,8 @@ pub enum CheckpointError {
         /// The version found in the header.
         u16,
     ),
-    /// The numeric-mode byte names no known mode.
+    /// The reserved byte after the header (offset 6, once the numeric
+    /// mode) is not 0.
     BadNumericMode(
         /// The offending byte.
         u8,
@@ -99,7 +103,7 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::BadMagic => f.write_str("not an SNVC checkpoint"),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::BadNumericMode(b) => write!(f, "unknown numeric-mode byte {b}"),
+            CheckpointError::BadNumericMode(b) => write!(f, "reserved byte is {b}, not 0"),
             CheckpointError::BadFactorTag(b) => write!(f, "unknown factor tag {b}"),
             CheckpointError::BadNoise => f.write_str("noise weights must be finite and positive"),
             CheckpointError::DimensionMismatch => {
@@ -273,7 +277,7 @@ fn decode_factor(cur: &mut Reader<'_>) -> Result<Factor, CheckpointError> {
 pub fn encode_snapshot(snapshot: &EngineSnapshot) -> Result<Vec<u8>, CheckpointError> {
     let mut out = Vec::new();
     put_header(&mut out, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
-    out.push(snapshot.numeric_mode.as_byte());
+    out.push(RESERVED_BYTE);
     put_u64(&mut out, snapshot.plan_generation as u64);
     put_u32(&mut out, snapshot.updates.len() as u32);
     for rec in &snapshot.updates {
@@ -310,9 +314,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
     }
     let mut cur = Reader::new(bytes);
     cur.header(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
-    let mode_byte = cur.u8()?;
-    let numeric_mode =
-        NumericMode::from_byte(mode_byte).map_err(CheckpointError::BadNumericMode)?;
+    match cur.u8()? {
+        RESERVED_BYTE => {}
+        other => return Err(CheckpointError::BadNumericMode(other)),
+    }
     let plan_generation = cur.u64()? as usize;
     let update_count = cur.count(MIN_UPDATE_BYTES)?;
     let mut updates = Vec::with_capacity(update_count);
@@ -341,7 +346,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, CheckpointError> 
     }
     cur.finish()?;
     Ok(EngineSnapshot {
-        numeric_mode,
         plan_generation,
         updates,
         estimate,
@@ -380,7 +384,6 @@ mod tests {
             factors,
         };
         EngineSnapshot {
-            numeric_mode: NumericMode::F32,
             plan_generation: 3,
             updates: vec![
                 update(
@@ -429,8 +432,8 @@ mod tests {
             decode_snapshot(&wrong_version),
             Err(CheckpointError::BadVersion(_))
         ));
-        // Byte 2 (the retired mixed mode) is as unknown as 0x7F.
-        for b in [2, 0x7F] {
+        // Byte 1 (the retired f32 mode) is as refused as 2 or 0x7F.
+        for b in [1, 2, 0x7F] {
             let mut wrong_mode = bytes.clone();
             wrong_mode[6] = b;
             assert!(matches!(
@@ -455,7 +458,7 @@ mod tests {
         // feeds through the decoder by constructing bytes directly.
         let mut out = Vec::new();
         put_header(&mut out, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
-        out.push(NumericMode::F64.as_byte());
+        out.push(RESERVED_BYTE);
         put_u64(&mut out, 0);
         put_u32(&mut out, 1); // one update
         out.push(0); // level

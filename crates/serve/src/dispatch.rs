@@ -28,7 +28,6 @@ use std::thread;
 
 use supernova_factors::{Key, Values, Variable};
 use supernova_hw::Platform;
-use supernova_linalg::NumericMode;
 use supernova_runtime::{CostModel, SchedulerConfig};
 use supernova_solvers::{EngineSnapshot, RaIsam2Config, RestoreError, SolverEngine};
 use supernova_sparse::ParallelExecutor;
@@ -57,10 +56,6 @@ pub struct ServeConfig {
     /// inline. Kept only because the `benchmark/` package names it.
     #[doc(hidden)]
     pub executor_threads: usize,
-    /// Numeric precision every pooled engine's dense kernels run under
-    /// (shared so per-session results do not depend on which engine a
-    /// session lands on; see [`NumericMode`]).
-    pub numeric: NumericMode,
     /// Total queued depth up to which the server runs undegraded.
     pub degrade_start: usize,
     /// Additional total depth per extra degradation level beyond the first.
@@ -87,7 +82,6 @@ impl Default for ServeConfig {
             ra: RaIsam2Config::default(),
             platform: Platform::supernova(2),
             executor_threads: 1,
-            numeric: NumericMode::default(),
             degrade_start: 16,
             degrade_stride: 8,
             max_degradation: 4,
@@ -154,14 +148,6 @@ pub enum SessionRestoreError {
     Admission(AdmissionError),
     /// Replay verification rejected the checkpoint.
     Engine(RestoreError),
-    /// The checkpoint's numeric mode differs from the server's; restoring
-    /// it here could not be bit-identical to the original run.
-    NumericMode {
-        /// The mode this server's engines run under.
-        server: NumericMode,
-        /// The mode the checkpoint was taken under.
-        checkpoint: NumericMode,
-    },
 }
 
 impl std::fmt::Display for SessionRestoreError {
@@ -169,10 +155,6 @@ impl std::fmt::Display for SessionRestoreError {
         match self {
             SessionRestoreError::Admission(e) => write!(f, "restore refused: {e}"),
             SessionRestoreError::Engine(e) => write!(f, "restore rejected: {e}"),
-            SessionRestoreError::NumericMode { server, checkpoint } => write!(
-                f,
-                "numeric-mode mismatch: server runs {server:?}, checkpoint is {checkpoint:?}"
-            ),
         }
     }
 }
@@ -241,7 +223,7 @@ impl Server {
     /// `workers` dispatcher threads.
     pub fn start(cfg: ServeConfig) -> Self {
         let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-        let exec = ParallelExecutor::default().with_numeric(cfg.numeric);
+        let exec = ParallelExecutor::default();
         let pool = (0..cfg.max_sessions.max(1))
             .map(|_| {
                 let mut e = SolverEngine::new(cfg.ra, Arc::clone(&cost) as _);
@@ -492,12 +474,6 @@ impl Server {
         &self,
         snapshot: &EngineSnapshot,
     ) -> Result<SessionId, SessionRestoreError> {
-        if snapshot.numeric_mode != self.inner.cfg.numeric {
-            return Err(SessionRestoreError::NumericMode {
-                server: self.inner.cfg.numeric,
-                checkpoint: snapshot.numeric_mode,
-            });
-        }
         // Admit and register the session first, then replay outside the
         // lock with the session marked busy — the same engine-out
         // protocol the workers use, so concurrent create_session calls
@@ -754,26 +730,6 @@ mod tests {
         let ra = server.close(sa).expect("close a");
         assert_eq!(ra.completed, 40);
         assert_eq!(ra.shed, 0);
-    }
-
-    #[test]
-    fn served_f32_sessions_match_solo_f32_bit_for_bit() {
-        // The configured numeric mode must reach every pooled engine's
-        // kernels: a served f32 session reproduces a solo f32 run exactly.
-        let ds = Dataset::manhattan_seeded(30, 5);
-        let server = Server::start(ServeConfig {
-            workers: 2,
-            max_sessions: 2,
-            numeric: NumericMode::F32,
-            ..ServeConfig::default()
-        });
-        let sid = server.create_session().expect("slot");
-        submit_all(&server, sid, &ds);
-        let solo = solo_replay(server.config(), &ds.online_steps());
-        assert_eq!(solo.numeric_mode(), NumericMode::F32);
-        assert_eq!(server.estimate(sid).expect("live"), solo.estimate());
-        let report = server.close(sid).expect("close");
-        assert_eq!(report.completed, 30);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use supernova_factors::{
 };
 use supernova_linalg::ops::{Op, OpTrace};
 use supernova_linalg::{
-    gemm_path, gemm_scratch, norm_inf, GemmPath, KernelScratch, Mat, NumericMode, Transpose,
+    gemm_path, gemm_scratch, norm_inf, GemmPath, KernelScratch, Mat, Transpose,
 };
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
@@ -107,43 +107,18 @@ pub struct IncrementalCore {
 
 impl IncrementalCore {
     /// Creates an empty core with the given supernode amalgamation slack.
-    /// The host executor's numeric mode comes from
-    /// [`supernova_linalg::NUMERIC_ENV`] (unset means f64).
     pub fn new(relax: usize) -> Self {
         IncrementalCore {
             relax,
-            executor: ParallelExecutor::default().with_numeric(NumericMode::from_env()),
             ..Self::default()
         }
     }
 
-    /// Overrides the host executor the numeric plans run on. If the new
-    /// executor's numeric mode differs from the installed one, the cached
-    /// numeric factor is dropped — factors computed under different kernel
-    /// engines are not interchangeable, so the next solve refactors from
-    /// scratch under the new mode. The cached plan stays.
+    /// Overrides the host executor the numeric plans run on. The cached
+    /// plan and numeric factor stay: executors differ only in their arena
+    /// pools, which never affect results.
     pub fn set_executor(&mut self, exec: ParallelExecutor) {
-        if exec.numeric() != self.executor.numeric() {
-            self.num = None;
-        }
         self.executor = exec;
-    }
-
-    /// Selects the numeric precision mode the dense kernels run under
-    /// (see [`NumericMode`]). Changing the mode invalidates the cached
-    /// numeric factor, forcing a full refactorization on the next solve;
-    /// setting the already-active mode is a no-op.
-    pub fn set_numeric_mode(&mut self, mode: NumericMode) {
-        if self.executor.numeric() != mode {
-            self.executor.set_numeric_mode(mode);
-            self.num = None;
-        }
-    }
-
-    /// The numeric precision mode the installed executor's kernels run
-    /// under.
-    pub fn numeric_mode(&self) -> NumericMode {
-        self.executor.numeric()
     }
 
     /// The installed host executor (pool-stats access: its persistent

@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use supernova_factors::{Factor, Key, Values, Variable};
 use supernova_hw::Platform;
-use supernova_linalg::NumericMode;
 use supernova_runtime::{
     exec_span, hw_span, simulate_step_traced, RelinCostModel, SchedulerConfig, StepBudget,
     StepTrace,
@@ -56,8 +55,6 @@ struct LogEntry {
 /// error, never a silently wrong map.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineSnapshot {
-    /// Numeric precision the session's kernels ran under.
-    pub numeric_mode: NumericMode,
     /// Plan-cache generation at snapshot time (informational; replay
     /// rebuilds the plan cache deterministically).
     pub plan_generation: usize,
@@ -184,19 +181,6 @@ impl SolverEngine {
     /// [`pool_stats`]: ParallelExecutor::pool_stats
     pub fn executor(&self) -> &ParallelExecutor {
         self.solver.core().executor()
-    }
-
-    /// Selects the numeric precision mode the dense kernels run under
-    /// (`SUPERNOVA_NUMERIC`; see [`NumericMode`]). Changing the mode drops
-    /// the cached numeric factor so the next step refactors under the new
-    /// kernel engine.
-    pub fn set_numeric_mode(&mut self, mode: NumericMode) {
-        self.solver.core_mut().set_numeric_mode(mode);
-    }
-
-    /// The numeric precision mode this engine's kernels run under.
-    pub fn numeric_mode(&self) -> NumericMode {
-        self.solver.core().numeric_mode()
     }
 
     /// Processes one online step (the new pose's initial guess plus its
@@ -337,7 +321,6 @@ impl SolverEngine {
     pub fn snapshot(&self) -> EngineSnapshot {
         let mut graph = self.solver.core().graph().iter().map(|(_, f)| f.clone());
         EngineSnapshot {
-            numeric_mode: self.numeric_mode(),
             plan_generation: self.plan_generation(),
             updates: self
                 .log
@@ -355,8 +338,8 @@ impl SolverEngine {
     }
 
     /// Rebuilds a session from a checkpoint by resetting the engine and
-    /// replaying the update log under the checkpoint's numeric mode and
-    /// per-step degradation levels, then verifies the rebuilt estimate
+    /// replaying the update log under the checkpoint's per-step
+    /// degradation levels, then verifies the rebuilt estimate
     /// against the checkpoint witness. Update `i` adds variable `i`, so
     /// every factor is first checked against the initial guesses of the
     /// keys it names ([`RestoreError::UnfitVariable`]). On error the
@@ -376,7 +359,6 @@ impl SolverEngine {
                 }
             }
         }
-        self.set_numeric_mode(snapshot.numeric_mode);
         // Replay without span emission: restore is one logical operation,
         // not N traced steps (the caller wraps it in a fleet.restore span).
         let trace_cfg = self.trace_cfg;

@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use supernova_linalg::{KernelScratch, NumericMode};
+use supernova_linalg::KernelScratch;
 
 use crate::ExecutionPlan;
 
@@ -46,8 +46,6 @@ pub struct HostSchedule {
     /// values are relative to this origin, so `origin + start` places a
     /// task on the same timeline as every other traced subsystem.
     pub origin: f64,
-    /// Numeric precision the kernels ran under.
-    pub numeric: NumericMode,
 }
 
 impl HostSchedule {
@@ -93,8 +91,7 @@ pub struct PoolStats {
     pub high_water_elems: usize,
 }
 
-/// The host executor: runs plans inline on the calling thread, under one
-/// numeric mode.
+/// The host executor: runs plans inline on the calling thread.
 ///
 /// The executor owns a persistent pool of blocked-kernel pack arenas
 /// ([`KernelScratch`]) that survives across `run` calls and is shared by
@@ -110,26 +107,14 @@ pub struct PoolStats {
 /// because the `benchmark/` package names it.
 #[derive(Clone, Debug)]
 pub struct ParallelExecutor {
-    numeric: NumericMode,
     pool: Arc<Mutex<Vec<KernelScratch>>>,
 }
 
-impl PartialEq for ParallelExecutor {
-    /// Configuration equality only — the arena pool is a cache and never
-    /// affects behavior.
-    fn eq(&self, other: &Self) -> bool {
-        self.numeric == other.numeric
-    }
-}
-
-impl Eq for ParallelExecutor {}
-
 impl Default for ParallelExecutor {
-    /// An f64 executor with one (empty, allocation-free) arena parked in
-    /// its pool.
+    /// An executor with one (empty, allocation-free) arena parked in its
+    /// pool.
     fn default() -> Self {
         ParallelExecutor {
-            numeric: NumericMode::default(),
             // lint: allow(hot-alloc) — one-time constructor, not the task path
             pool: Arc::new(Mutex::new(vec![KernelScratch::new()])),
         }
@@ -143,24 +128,6 @@ impl ParallelExecutor {
     #[doc(hidden)]
     pub fn new(_threads: usize) -> Self {
         ParallelExecutor::default()
-    }
-
-    /// Same executor with the given numeric mode for its kernels.
-    pub fn with_numeric(mut self, numeric: NumericMode) -> Self {
-        self.numeric = numeric;
-        self
-    }
-
-    /// Overrides the numeric mode in place. Takes effect on the next plan
-    /// execution; callers holding cached factors produced under another
-    /// mode must invalidate them (the solver engine does).
-    pub fn set_numeric_mode(&mut self, numeric: NumericMode) {
-        self.numeric = numeric;
-    }
-
-    /// The numeric precision this executor's kernels factor under.
-    pub fn numeric(&self) -> NumericMode {
-        self.numeric
     }
 
     /// Always 1: plans run inline. Survives only because the `benchmark/`
@@ -189,11 +156,9 @@ impl ParallelExecutor {
 
     /// Checks the pool's largest arena out (a cold one if a clone holds
     /// them all), with its flop meter drained so per-task deltas start from
-    /// zero and grown to `plan`'s bounds: every pack buffer to
-    /// [`ExecutionPlan::max_pack_elems_mode`] scalars and, under a narrow
-    /// [`NumericMode`], the f32 pack panels too and the f32 front shadow
-    /// to the largest front ([`ExecutionPlan::max_workspace_elems`]). So
-    /// no kernel allocates mid-execution in any mode. Taking the *largest*
+    /// zero and grown to `plan`'s bound: every pack buffer to
+    /// [`ExecutionPlan::max_pack_elems`] scalars, so no kernel allocates
+    /// mid-execution. Taking the *largest*
     /// is what makes the pool go quiet: once warm, it dominates every
     /// plan, and replays stop allocating entirely.
     fn checkout(&self, plan: &ExecutionPlan) -> KernelScratch {
@@ -206,11 +171,7 @@ impl ParallelExecutor {
             pool.remove(0)
         };
         drop(pool);
-        let pack = plan.max_pack_elems_mode(self.numeric);
-        scratch.reserve(pack);
-        if self.numeric.is_narrow() {
-            scratch.reserve_mode(self.numeric, pack, plan.max_workspace_elems());
-        }
+        scratch.reserve(plan.max_pack_elems());
         scratch.take_flops();
         scratch
     }
@@ -271,7 +232,6 @@ impl ParallelExecutor {
         let sched = HostSchedule {
             spans,
             origin: epoch,
-            numeric: self.numeric,
         };
         (res, sched)
     }
@@ -364,7 +324,6 @@ mod tests {
     #[test]
     fn new_ignores_its_width() {
         let exec = ParallelExecutor::new(4);
-        assert_eq!(exec, ParallelExecutor::default());
         assert_eq!(exec.threads(), 1);
         assert_eq!(exec.pool_stats().workspaces, 1);
     }

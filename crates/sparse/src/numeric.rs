@@ -12,8 +12,8 @@ use std::fmt;
 
 use supernova_linalg::ops::{Op, OpTrace};
 use supernova_linalg::{
-    partial_cholesky_scratch_mode, solve_lower_leading, solve_lower_transpose_leading,
-    KernelScratch, Mat, NumericMode,
+    partial_cholesky_scratch, solve_lower_leading, solve_lower_transpose_leading, KernelScratch,
+    Mat,
 };
 
 use crate::executor::{HostSchedule, ParallelExecutor};
@@ -230,10 +230,9 @@ impl NumericFactor {
         // the traces come out in that order.
         let reused = num_nodes - recompute.len();
         let mut recomputed = Vec::with_capacity(recompute.len());
-        let numeric = exec.numeric();
         let (res, sched) = exec.run(plan, &is_recompute, |s, scratch| {
             let spare = nodes[s].take().map(|nf| nf.front);
-            let (nf, ops) = compute_task(plan, h, s, &nodes, spare, scratch, numeric)?;
+            let (nf, ops) = compute_task(plan, h, s, &nodes, spare, scratch)?;
             nodes[s] = Some(nf);
             recomputed.push(NodeTrace { node: s, ops });
             Ok(())
@@ -408,7 +407,6 @@ fn compute_task(
     nodes: &[Option<NodeFactor>],
     spare: Option<Mat>,
     scratch: &mut KernelScratch,
-    numeric: NumericMode,
 ) -> Result<(NodeFactor, OpTrace), FactorizeError> {
     let task = &plan.tasks()[s];
     let m = task.pivot_dim;
@@ -481,9 +479,8 @@ fn compute_task(
 
     // Three-step partial factorization (Figure 5, bottom), run through
     // the executor's pooled pack arena: zero allocation once warm, and the
-    // arena's flop meter feeds the span's `kernel_flops`. The executor's
-    // numeric mode picks the kernel engine (f64 / f32).
-    partial_cholesky_scratch_mode(&mut front, m, scratch, numeric).map_err(|e| FactorizeError {
+    // arena's flop meter feeds the span's `kernel_flops`.
+    partial_cholesky_scratch(&mut front, m, scratch).map_err(|e| FactorizeError {
         node: s,
         front_col: e.col(),
     })?;
@@ -721,30 +718,6 @@ mod tests {
             .execute_plan(&plan, &h, &[0, 1, 2, 3], &ParallelExecutor::default())
             .unwrap_err();
         assert_eq!((err.node(), err.front_col()), (0, 50));
-    }
-
-    #[test]
-    fn narrow_mode_reaches_the_kernels() {
-        let p = loopy_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let plan = ExecutionPlan::from_symbolic(&sym);
-        let h = build_h(&p, 17);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-        let mode = NumericMode::F32;
-        let mut narrow = NumericFactor::empty(&plan);
-        let exec = ParallelExecutor::default().with_numeric(mode);
-        let (_, sched) = narrow.execute_plan(&plan, &h, &all, &exec).unwrap();
-        assert_eq!(sched.numeric, mode);
-        // The narrow engine genuinely rounds: a same-input f64 factor
-        // must differ, or the mode never reached the kernels.
-        let mut wide = NumericFactor::empty(&plan);
-        wide.execute_plan(&plan, &h, &all, &ParallelExecutor::default())
-            .unwrap();
-        assert_ne!(
-            narrow.serialize_bytes(),
-            wide.serialize_bytes(),
-            "{mode} produced bitwise-f64 results; mode plumbing is dead"
-        );
     }
 
     #[test]

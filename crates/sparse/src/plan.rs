@@ -124,7 +124,6 @@ pub struct ExecutionPlan {
     postorder: Vec<usize>,
     levels: Vec<Vec<usize>>,
     node_of_block: Vec<usize>,
-    max_workspace_elems: usize,
     total_dim: usize,
 }
 
@@ -282,12 +281,6 @@ impl ExecutionPlan {
         self.node_of_block.clear();
         self.node_of_block
             .extend((0..sym.num_blocks()).map(|b| sym.node_of_block(b)));
-        self.max_workspace_elems = self
-            .tasks
-            .iter()
-            .map(|t| t.workspace_elems)
-            .max()
-            .unwrap_or(0);
         self.total_dim = sym.total_dim();
 
         self
@@ -345,13 +338,6 @@ impl ExecutionPlan {
         self.total_dim
     }
 
-    /// Largest front (scalar elements) of any task — the size the narrow
-    /// numeric modes' f32 front shadow in the executor's
-    /// [`supernova_linalg::KernelScratch`] is grown to once.
-    pub fn max_workspace_elems(&self) -> usize {
-        self.max_workspace_elems
-    }
-
     /// Scalars each kernel pack buffer needs for the plan's largest front
     /// ([`supernova_linalg::pack_elems_bound`] over all tasks) — the size
     /// the executor's [`supernova_linalg::KernelScratch`] is pre-grown to,
@@ -360,19 +346,6 @@ impl ExecutionPlan {
         self.tasks
             .iter()
             .map(|t| supernova_linalg::pack_elems_bound(t.front_dim()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mode-aware variant of [`Self::max_pack_elems`]: the narrow modes
-    /// pack into f32 arenas whose row-panel rounding differs (the f32
-    /// engine uses wider microkernel tiles), so an executor running under a
-    /// narrow [`supernova_linalg::NumericMode`] pre-grows its scratch with
-    /// this bound instead.
-    pub fn max_pack_elems_mode(&self, mode: supernova_linalg::NumericMode) -> usize {
-        self.tasks
-            .iter()
-            .map(|t| supernova_linalg::pack_elems_bound_mode(t.front_dim(), mode))
             .max()
             .unwrap_or(0)
     }

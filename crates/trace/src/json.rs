@@ -1,6 +1,6 @@
 //! The one JSON layer under every artifact the workspace writes or reads:
-//! `results/BENCH_*.json`, `results/numeric_ape.json`, the analyze
-//! diagnostics report and the Chrome trace-event exports.
+//! `results/BENCH_*.json`, the analyze diagnostics report and the Chrome
+//! trace-event exports.
 //!
 //! Producers build a [`Json`] tree and call [`Json::write`]; `bench_check`
 //! reads artifacts back with [`parse`]. Two choices keep a written

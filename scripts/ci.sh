@@ -25,24 +25,21 @@
 #                provenance) + interference certification of every seeded
 #                dataset's execution plan; report archived at
 #                results/analyze_diagnostics.json
-#   determinism  three online replays in both numeric modes (f64 / f32):
-#                final factor-bytes and estimate hashes against committed
-#                oracle constants; plus analyze-incremental: prefix-reusing
-#                analysis vs a from-scratch twin, plan fingerprints equal
-#                on every step
+#   determinism  three online replays: final factor-bytes and estimate
+#                hashes against committed oracle constants; plus
+#                analyze-incremental: prefix-reusing analysis vs a
+#                from-scratch twin, plan fingerprints equal on every step
 #   repro        `repro all --scale 0.05` into a scratch directory, then
 #                `diff -r` against tests/fixtures/repro_0.05/: every
 #                paper table and figure CSV, simulator output included,
 #                byte for byte (refresh: results/README.md)
-#   numeric-ape  per-mode trajectory accuracy: f32-mode APE gated
-#                against f64-mode APE, artifact at results/numeric_ape.json
 #   serve-smoke  serving layer: bit-identity, overload, trace cross-check
 #   fleet-smoke  fleet layer: shard routing, live migration, kill-a-shard
 #                failover with checkpoint-bounded replay suffixes,
 #                floors-aware zero-loss journal coverage, compaction
-#   chaos        fleet chaos drills in every numeric mode: router restart
-#                at both migration crash points, double shard kill,
-#                add-shard-under-load — all gated on bit-identity + zero loss
+#   chaos        fleet chaos drills: router restart at both migration
+#                crash points, double shard kill, add-shard-under-load —
+#                all gated on bit-identity + zero loss
 #   bench-quick  the benchmark/ harness at tiny sizes (`run --quick`):
 #                every workload's correctness checks — phase-driver byte
 #                identity, served/routed bit identity — in well under a
@@ -66,7 +63,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build test doc lint static-analysis determinism repro numeric-ape serve-smoke fleet-smoke chaos bench-quick kernel-bench bench bench-check"
+STAGES="fmt build test doc lint static-analysis determinism repro serve-smoke fleet-smoke chaos bench-quick kernel-bench bench bench-check"
 
 now() {
     # GNU date gives fractional seconds. Some date(1) implementations
@@ -201,7 +198,6 @@ run_stage() {
         static-analysis) static_analysis ;;
         determinism) cargo run --release -q -p supernova-bench --bin determinism ;;
         repro) repro_gate ;;
-        numeric-ape) cargo run --release -q -p supernova-bench --bin numeric_ape ;;
         serve-smoke) cargo run --release -q -p supernova-serve --bin serve_smoke ;;
         fleet-smoke) cargo run --release -q -p supernova-fleet --bin fleet_smoke ;;
         chaos) cargo run --release -q -p supernova-fleet --bin load_gen -- --chaos ;;

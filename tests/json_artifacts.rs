@@ -34,7 +34,9 @@ fn committed_artifacts_round_trip_through_the_json_layer() {
         files
             .iter()
             .any(|f| f.ends_with("baselines/BENCH_fleet.json"))
-            && files.iter().any(|f| f.ends_with("numeric_ape.json")),
+            && files
+                .iter()
+                .any(|f| f.ends_with("results/BENCH_kernels.json")),
         "expected the committed artifacts, found {files:?}"
     );
     for file in &files {
