@@ -222,33 +222,8 @@ fn replay(
     solver: &mut dyn OnlineSolver,
     mut f: impl FnMut(&supernova_runtime::StepTrace),
 ) {
-    use supernova_factors::{Key, Variable};
     for (i, step) in ds.online_steps().iter().enumerate() {
-        let init = if i == 0 {
-            step.truth.clone()
-        } else {
-            match &step.odometry {
-                Some(Variable::Se2(o)) => {
-                    // lint: allow(unwrap) — odometry chain guarantees an SE(2) estimate
-                    let p = solver
-                        .pose_estimate(Key(i - 1))
-                        .as_se2()
-                        .copied()
-                        .expect("se2"); // lint: allow(unwrap)
-                    Variable::Se2(p.compose(*o))
-                }
-                Some(Variable::Se3(o)) => {
-                    // lint: allow(unwrap) — odometry chain guarantees an SE(3) estimate
-                    let p = solver
-                        .pose_estimate(Key(i - 1))
-                        .as_se3()
-                        .cloned()
-                        .expect("se3"); // lint: allow(unwrap)
-                    Variable::Se3(p.compose(o))
-                }
-                _ => step.truth.clone(),
-            }
-        };
+        let init = step.initial_guess(i, |key| solver.pose_estimate(key));
         let trace = solver.step(init, step.factors.clone());
         f(&trace);
     }

@@ -1,7 +1,7 @@
 //! The online experiment runner: replay, multi-platform pricing, accuracy.
 
-use supernova_datasets::{Dataset, OnlineStep};
-use supernova_factors::{Key, Values, Variable};
+use supernova_datasets::Dataset;
+use supernova_factors::Values;
 use supernova_hw::Platform;
 use supernova_metrics::{ape, ApeStats, IrmseAccumulator};
 use supernova_runtime::{simulate_step, SchedulerConfig, StepLatency};
@@ -130,7 +130,7 @@ impl Reference {
         let mut trajectories = Vec::with_capacity(eval_steps.len());
         let mut next_eval = 0usize;
         for (i, step) in online.iter().enumerate() {
-            let init = initial_guess(&warm, i, step);
+            let init = step.initial_guess(i, |key| warm.get(key).clone());
             warm.insert(init);
             for f in &step.factors {
                 graph.add(f.clone());
@@ -167,28 +167,6 @@ impl Reference {
     }
 }
 
-/// The odometry-propagated initial guess for the new pose of `step`.
-fn initial_guess(prev_estimates: &Values, i: usize, step: &OnlineStep) -> Variable {
-    if i == 0 {
-        return step.truth.clone();
-    }
-    match &step.odometry {
-        Some(odom) => {
-            let prev = prev_estimates.get(Key(i - 1));
-            compose(prev, odom)
-        }
-        None => step.truth.clone(),
-    }
-}
-
-fn compose(pose: &Variable, rel: &Variable) -> Variable {
-    match (pose, rel) {
-        (Variable::Se2(a), Variable::Se2(b)) => Variable::Se2(a.compose(*b)),
-        (Variable::Se3(a), Variable::Se3(b)) => Variable::Se3(a.compose(b)),
-        _ => panic!("compose over mismatched variable kinds"),
-    }
-}
-
 /// Replays `dataset` through `solver` online: one pose per step, pricing
 /// each step's trace on every target in `cfg.pricings`, and evaluating
 /// accuracy against `reference` at the configured stride.
@@ -209,14 +187,7 @@ pub fn run_online(
     };
     let mut acc = IrmseAccumulator::new();
     for (i, step) in online.iter().enumerate() {
-        let init = if i == 0 {
-            step.truth.clone()
-        } else {
-            match &step.odometry {
-                Some(odom) => compose(&solver.pose_estimate(Key(i - 1)), odom),
-                None => step.truth.clone(),
-            }
-        };
+        let init = step.initial_guess(i, |key| solver.pose_estimate(key));
         let trace = solver.step(init, step.factors.clone());
         for (p, target) in cfg.pricings.iter().enumerate() {
             record.latencies[p].push(simulate_step(&target.platform, &trace, &target.sched));

@@ -47,6 +47,27 @@ pub struct OnlineStep {
     pub factors: Vec<Factor>,
 }
 
+impl OnlineStep {
+    /// The initial guess for the pose step `i` adds: the previous pose's
+    /// current estimate, `previous(Key(i - 1))`, composed with the
+    /// odometry; the ground truth on step 0 and on a step without
+    /// odometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the previous pose and the odometry differ in kind.
+    pub fn initial_guess(&self, i: usize, previous: impl FnOnce(Key) -> Variable) -> Variable {
+        let Some(odometry) = self.odometry.as_ref().filter(|_| i > 0) else {
+            return self.truth.clone();
+        };
+        match (previous(Key(i - 1)), odometry) {
+            (Variable::Se2(a), Variable::Se2(b)) => Variable::Se2(a.compose(*b)),
+            (Variable::Se3(a), Variable::Se3(b)) => Variable::Se3(a.compose(b)),
+            _ => panic!("compose over mismatched variable kinds"),
+        }
+    }
+}
+
 /// A pose-graph dataset: ground truth plus noisy measurements.
 #[derive(Clone, Debug)]
 pub struct Dataset {
@@ -234,13 +255,8 @@ impl Dataset {
         let steps = self.online_steps();
         let mut graph = FactorGraph::new();
         let mut values = Values::new();
-        let mut prev: Option<Variable> = None;
-        for s in steps {
-            let init = match (&prev, &s.odometry) {
-                (Some(p), Some(o)) => compose_var(p, o),
-                _ => s.truth.clone(),
-            };
-            prev = Some(init.clone());
+        for (i, s) in steps.into_iter().enumerate() {
+            let init = s.initial_guess(i, |key| values.get(key).clone());
             values.insert(init);
             for f in s.factors {
                 graph.add(f);
@@ -259,19 +275,6 @@ impl Dataset {
             edges: self.edges.iter().filter(|e| e.to < n).cloned().collect(),
             ..self.clone()
         }
-    }
-}
-
-/// Composes a pose variable with a relative transform of the same kind.
-///
-/// # Panics
-///
-/// Panics if the kinds differ.
-pub(crate) fn compose_var(pose: &Variable, rel: &Variable) -> Variable {
-    match (pose, rel) {
-        (Variable::Se2(a), Variable::Se2(b)) => Variable::Se2(a.compose(*b)),
-        (Variable::Se3(a), Variable::Se3(b)) => Variable::Se3(a.compose(b)),
-        _ => panic!("compose over mismatched variable kinds"),
     }
 }
 

@@ -62,7 +62,7 @@ const FLEET_SESSIONS: usize = 2000;
 const FLEET_SHARDS: u32 = 3;
 /// Concurrent sessions per wave (each wave creates, runs and closes its
 /// sessions before the next starts, so "thousands of sessions" needs only
-/// a wave-sized engine pool per shard).
+/// a wave-sized session limit per shard).
 const WAVE: usize = 20;
 /// Replay steps per fleet session.
 const FLEET_STEPS: u32 = 6;
@@ -79,7 +79,7 @@ fn fleet_shard_cfg() -> ServeConfig {
     ServeConfig {
         workers: 2,
         // Worst case a whole wave (plus failed-over victims) lands on one
-        // shard; size the pool so admission never refuses.
+        // shard; size the session limit so admission never refuses.
         max_sessions: 2 * WAVE,
         queue_capacity: 256,
         degrade_start: 1 << 20, // degradation off: replay must be exact

@@ -1,7 +1,7 @@
 //! Fleet-scale serving for the SuperNoVA stack: shard routing, session
 //! snapshot/restore migration, and crash-failover journal replay.
 //!
-//! The serve crate turns one engine pool into a server; this crate turns
+//! The serve crate turns one solver stack into a server; this crate turns
 //! N such servers into a *fleet* that a single front door coordinates:
 //!
 //! - [`ring`] — a seeded, dependency-free consistent-hash ring places

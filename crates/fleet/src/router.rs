@@ -48,7 +48,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use supernova_analyze::{
     validate_fleet_coverage_with_floors, FleetJournalEntry, FleetSessionFloor, Invariant,
@@ -398,6 +398,32 @@ fn dial(addr: &SocketAddr) -> Result<(TcpStream, BufWriter<TcpStream>), FleetErr
     }
 }
 
+/// Makes `id` at `addr` a fleet member: dials it, opens its journal under
+/// `dir` with `open` (`JournalWriter::create` for a new member,
+/// `open_append` on restart), joins it to the ring and keeps the
+/// connection.
+fn open_member(
+    ring: &mut HashRing,
+    conns: &mut BTreeMap<ShardId, ShardConn>,
+    dir: &Path,
+    id: ShardId,
+    addr: &SocketAddr,
+    open: fn(&Path, u64) -> Result<JournalWriter, JournalError>,
+) -> Result<(), FleetError> {
+    let (reader, writer) = dial(addr)?;
+    let journal = open(&dir.join(format!("shard-{}.snvj", id.0)), u64::from(id.0))?;
+    ring.add(id);
+    conns.insert(
+        id,
+        ShardConn {
+            reader,
+            writer,
+            journal,
+        },
+    );
+    Ok(())
+}
+
 /// The fleet coordinator. Logically single-threaded by design — the
 /// concurrent front door serializes requests through one lock — so
 /// placement, journal order and failover are all deterministic given the
@@ -439,19 +465,9 @@ impl ShardRouter {
         std::fs::create_dir_all(&cfg.journal_dir)?;
         let mut ring = HashRing::new(cfg.seed);
         let mut conns = BTreeMap::new();
-        for (id, addr) in shards {
-            let (reader, writer) = dial(addr)?;
-            let journal_path = cfg.journal_dir.join(format!("shard-{}.snvj", id.0));
-            let journal = JournalWriter::create(&journal_path, u64::from(id.0))?;
-            ring.add(*id);
-            conns.insert(
-                *id,
-                ShardConn {
-                    reader,
-                    writer,
-                    journal,
-                },
-            );
+        for &(id, ref addr) in shards {
+            let open = JournalWriter::create;
+            open_member(&mut ring, &mut conns, &cfg.journal_dir, id, addr, open)?;
         }
         let router = ShardRouter {
             cfg,
@@ -500,18 +516,8 @@ impl ShardRouter {
         for m in &st.members {
             let id = ShardId(*m);
             let addr = offered.get(&id).ok_or(FleetError::UnknownShard(id))?;
-            let (reader, writer) = dial(addr)?;
-            let journal_path = cfg.journal_dir.join(format!("shard-{}.snvj", id.0));
-            let journal = JournalWriter::open_append(&journal_path, u64::from(id.0))?;
-            ring.add(id);
-            conns.insert(
-                id,
-                ShardConn {
-                    reader,
-                    writer,
-                    journal,
-                },
-            );
+            let open = JournalWriter::open_append;
+            open_member(&mut ring, &mut conns, &cfg.journal_dir, id, addr, open)?;
         }
         if offered.len() != st.members.len() {
             return Err(FleetError::Desync(
@@ -636,33 +642,11 @@ impl ShardRouter {
                 session: p.source_local,
             });
         }
-        let route = self
-            .routes
-            .get(&global)
-            .ok_or(FleetError::UnknownSession(global))?;
-        let (kind, steps, seed) = (route.kind, route.steps, route.seed);
-        self.journal_append(
-            target,
-            &JournalEntry::Create {
-                session: global,
-                kind: kind.code(),
-                steps,
-                seed,
-            },
-        )?;
-        if let Some(route) = self.routes.get_mut(&global) {
-            route.shard = target;
-            route.local = new_local;
-            route.checkpoint = Some(Checkpoint {
-                applied: p.checkpoint.applied,
-                bytes: p.checkpoint.bytes,
-            });
-        }
-        self.placements.push(Placement {
-            global,
-            shard: target,
-            local: new_local,
-        });
+        let checkpoint = Checkpoint {
+            applied: p.checkpoint.applied,
+            bytes: p.checkpoint.bytes,
+        };
+        self.install_route(global, target, new_local, Some(checkpoint))?;
         self.stats.migrations += 1;
         Ok(Some("rolled-forward"))
     }
@@ -673,23 +657,8 @@ impl ShardRouter {
     fn verify_and_checkpoint(&mut self, global: u64) -> Result<u64, FleetError> {
         let route = self.open_route(global)?;
         let (shard, local, cursor) = (route.shard, route.local, route.cursor);
-        let (snap_cursor, applied, bytes) = match self
-            .conn(shard)?
-            .call(&Request::Snapshot { session: local })?
-        {
-            Response::Snapshot {
-                cursor,
-                applied,
-                checkpoint,
-                ..
-            } => (cursor, applied, checkpoint),
-            _ => return Err(FleetError::Desync("checkpoint: expected Snapshot")),
-        };
-        if snap_cursor != cursor || applied != cursor {
-            return Err(FleetError::Desync(
-                "checkpoint: drained shard cursor disagrees with the router's books",
-            ));
-        }
+        let checkpoint = self.snapshot_at_cursor(shard, local, cursor)?;
+        let applied = checkpoint.applied;
         self.journal_append(
             shard,
             &JournalEntry::Checkpoint {
@@ -698,10 +667,76 @@ impl ShardRouter {
             },
         )?;
         if let Some(route) = self.routes.get_mut(&global) {
-            route.checkpoint = Some(Checkpoint { applied, bytes });
+            route.checkpoint = Some(checkpoint);
         }
         self.stats.checkpoints += 1;
         Ok(applied)
+    }
+
+    /// Drains and snapshots shard-local session `local` on `shard`, and
+    /// requires both the shard's replay cursor and its applied count to
+    /// equal the router's `cursor`.
+    fn snapshot_at_cursor(
+        &mut self,
+        shard: ShardId,
+        local: u64,
+        cursor: u64,
+    ) -> Result<Checkpoint, FleetError> {
+        match self
+            .conn(shard)?
+            .call(&Request::Snapshot { session: local })?
+        {
+            Response::Snapshot {
+                cursor: at,
+                applied,
+                checkpoint,
+                ..
+            } if at == cursor && applied == cursor => Ok(Checkpoint {
+                applied,
+                bytes: checkpoint,
+            }),
+            Response::Snapshot { .. } => Err(FleetError::Desync(
+                "snapshot: drained shard cursor disagrees with the router's books",
+            )),
+            _ => Err(FleetError::Desync("snapshot: expected Snapshot")),
+        }
+    }
+
+    /// Homes `global` on `target` as shard-local session `local`: journals
+    /// its create descriptor there, repoints the route (installing
+    /// `checkpoint` as the new replay floor, if given) and records the
+    /// placement.
+    fn install_route(
+        &mut self,
+        global: u64,
+        target: ShardId,
+        local: u64,
+        checkpoint: Option<Checkpoint>,
+    ) -> Result<(), FleetError> {
+        let route = self
+            .routes
+            .get(&global)
+            .ok_or(FleetError::UnknownSession(global))?;
+        let create = JournalEntry::Create {
+            session: global,
+            kind: route.kind.code(),
+            steps: route.steps,
+            seed: route.seed,
+        };
+        self.journal_append(target, &create)?;
+        if let Some(route) = self.routes.get_mut(&global) {
+            route.shard = target;
+            route.local = local;
+            if checkpoint.is_some() {
+                route.checkpoint = checkpoint;
+            }
+        }
+        self.placements.push(Placement {
+            global,
+            shard: target,
+            local,
+        });
+        Ok(())
     }
 
     /// Live shards, ascending.
@@ -1049,24 +1084,9 @@ impl ShardRouter {
         );
         let t0 = epoch_seconds();
 
-        let (snap_cursor, applied, checkpoint) = match self
-            .conn(source)?
-            .call(&Request::Snapshot { session: local })?
-        {
-            Response::Snapshot {
-                cursor,
-                applied,
-                checkpoint,
-                ..
-            } => (cursor, applied, checkpoint),
-            _ => return Err(FleetError::Desync("migrate: expected Snapshot")),
-        };
-        if snap_cursor != cursor || applied != cursor {
-            return Err(FleetError::Desync(
-                "migrate: drained shard cursor disagrees with the router's books",
-            ));
-        }
-        let checkpoint_len = checkpoint.len() as u64;
+        let checkpoint = self.snapshot_at_cursor(source, local, cursor)?;
+        let applied = checkpoint.applied;
+        let checkpoint_len = checkpoint.bytes.len() as u64;
 
         // Write-ahead intent: durable before anything irreversible. A
         // crash from here to the target's ack rolls back.
@@ -1078,7 +1098,7 @@ impl ShardRouter {
             target_local: None,
             checkpoint: CheckpointRecord {
                 applied,
-                bytes: checkpoint.clone(),
+                bytes: checkpoint.bytes.clone(),
             },
         });
         self.persist()?;
@@ -1090,7 +1110,7 @@ impl ShardRouter {
             steps,
             seed,
             cursor,
-            checkpoint: checkpoint.clone(),
+            checkpoint: checkpoint.bytes.clone(),
         })? {
             Response::Created { session } => session,
             _ => return Err(FleetError::Desync("migrate: expected Created")),
@@ -1104,16 +1124,8 @@ impl ShardRouter {
         self.persist()?;
         self.crash_if(CrashPoint::MigrateAfterRestore)?;
 
-        self.journal_append(
-            to,
-            &JournalEntry::Create {
-                session: global,
-                kind: kind.code(),
-                steps,
-                seed,
-            },
-        )?;
-
+        // Close the stale source copy first, as a restart's roll-forward
+        // does, then home the session on the target.
         match self
             .conn(source)?
             .call(&Request::Close { session: local })?
@@ -1121,20 +1133,7 @@ impl ShardRouter {
             Response::Closed { .. } => {}
             _ => return Err(FleetError::Desync("migrate: expected Closed")),
         }
-
-        if let Some(route) = self.routes.get_mut(&global) {
-            route.shard = to;
-            route.local = new_local;
-            route.checkpoint = Some(Checkpoint {
-                applied,
-                bytes: checkpoint,
-            });
-        }
-        self.placements.push(Placement {
-            global,
-            shard: to,
-            local: new_local,
-        });
+        self.install_route(global, to, new_local, Some(checkpoint))?;
         self.stats.migrations += 1;
         self.stats.checkpoints += 1;
         self.pending = None;
@@ -1174,18 +1173,8 @@ impl ShardRouter {
         if self.conns.contains_key(&id) || self.retired_journals.iter().any(|(s, _)| *s == id) {
             return Err(FleetError::DuplicateShard(id));
         }
-        let (reader, writer) = dial(&addr)?;
-        let journal_path = self.cfg.journal_dir.join(format!("shard-{}.snvj", id.0));
-        let journal = JournalWriter::create(&journal_path, u64::from(id.0))?;
-        self.conns.insert(
-            id,
-            ShardConn {
-                reader,
-                writer,
-                journal,
-            },
-        );
-        self.ring.add(id);
+        let (ring, conns, dir) = (&mut self.ring, &mut self.conns, &self.cfg.journal_dir);
+        open_member(ring, conns, dir, id, &addr, JournalWriter::create)?;
         self.epoch += 1;
         // Minimal remap set: open sessions the grown ring now places on
         // the new shard but that live elsewhere.
@@ -1300,15 +1289,9 @@ impl ShardRouter {
                 Response::Created { session } => session,
                 _ => return Err(FleetError::Desync("failover: expected Created")),
             };
-            self.journal_append(
-                target,
-                &JournalEntry::Create {
-                    session: global,
-                    kind: kind.code(),
-                    steps,
-                    seed,
-                },
-            )?;
+            // The floor stays: the session resumes from the checkpoint it
+            // already had.
+            self.install_route(global, target, new_local, None)?;
             for (seq, deadline) in suffix.iter().copied() {
                 let (accepted, shed) = match self.conn(target)?.call(&Request::Submit {
                     session: new_local,
@@ -1339,16 +1322,6 @@ impl ShardRouter {
             replayed_total += suffix.len() as u64;
             suffix_lens.push((global, suffix.len() as u64));
             self.stats.max_replay_suffix = self.stats.max_replay_suffix.max(suffix.len() as u64);
-
-            if let Some(route) = self.routes.get_mut(&global) {
-                route.shard = target;
-                route.local = new_local;
-            }
-            self.placements.push(Placement {
-                global,
-                shard: target,
-                local: new_local,
-            });
 
             let t_done = epoch_seconds();
             let mut root = Span::wall("fleet.failover", Category::Serve, t0, t_done);

@@ -58,8 +58,7 @@ fn snapshot_restore_replay_is_bit_identical_across_datasets() {
         let bytes =
             encode_snapshot(&live.snapshot()).unwrap_or_else(|e| panic!("{case}: encode: {e}"));
         let decoded = decode_snapshot(&bytes).unwrap_or_else(|e| panic!("{case}: decode: {e}"));
-        let mut restored = engine();
-        restored
+        let mut restored = engine()
             .restore(&decoded)
             .unwrap_or_else(|e| panic!("{case}: restore: {e}"));
         assert_eq!(poses(&restored), poses(&live), "{case}: witness replay");
@@ -114,8 +113,7 @@ fn tampered_witness_is_caught_by_replay_verification() {
     let n = bytes.len();
     bytes[n - 2] ^= 0xFF;
     let decoded = decode_snapshot(&bytes).expect("tampered witness still decodes");
-    let mut fresh = engine();
-    match fresh.restore(&decoded) {
+    match engine().restore(&decoded) {
         Err(RestoreError::EstimateMismatch { .. }) => {}
         other => panic!("tampered witness not rejected: {other:?}"),
     }

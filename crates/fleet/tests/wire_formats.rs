@@ -548,8 +548,9 @@ fn landmark_sessions_round_trip_through_snvc_bit_for_bit() {
         }
         let bytes = encode_snapshot(&live.snapshot()).expect("landmark factors encode");
         let back = decode_snapshot(&bytes).expect("decode");
-        let mut restored = landmark_engine();
-        restored.restore(&back).expect("replay matches the witness");
+        let mut restored = landmark_engine()
+            .restore(&back)
+            .expect("replay matches the witness");
         for (initial, factors) in session[cut..].iter().cloned() {
             restored.step(initial, factors);
         }
@@ -598,8 +599,8 @@ fn assert_refused(blob: Vec<u8>, want: CheckpointError) {
 /// still creates and serves a session.
 fn assert_unreplayable(blob: Vec<u8>, want: RestoreError) {
     let snapshot = decode_snapshot(&blob).expect("decodes");
-    let refused = landmark_engine().restore(&snapshot);
-    assert_eq!(refused, Err(want.clone()));
+    let refused = landmark_engine().restore(&snapshot).err();
+    assert_eq!(refused, Some(want.clone()));
     assert_restore_answered(blob, &format!("restore rejected: {want}"));
 }
 
@@ -694,8 +695,7 @@ fn snvc_from_the_retired_f32_mode_is_refused() {
 }
 
 /// Each kind over a variable its residual does not evaluate. The bytes
-/// are well formed; replaying them unchecked panics inside
-/// `restore_session` and leaves the session busy.
+/// are well formed; replaying them unchecked would panic in the solver.
 #[test]
 fn snvc_factors_over_the_wrong_variable_kind_are_refused() {
     let unfit = |key| RestoreError::UnfitVariable { update: 1, key };
@@ -708,6 +708,27 @@ fn snvc_factors_over_the_wrong_variable_kind_are_refused() {
     // A 3-D between over two planar poses.
     let odom = BetweenFactor::se3(Key(0), Key(1), se3([1.0; 3]), noise(&[10.0; 6], None));
     assert_unreplayable(hostile_blob(odom.into()), unfit(0));
+}
+
+/// Finite, well kinded and keyed in order, so it passes every input
+/// check, yet no damping makes its system factorizable: replay panics in
+/// the solver, and the restore boundary refuses it instead of letting the
+/// panic reach the server.
+#[test]
+fn snvc_whose_replay_cannot_factorize_is_refused() {
+    let origin = se2(0.0, 0.0, 1.0, 0.0);
+    let prior = PriorFactor::se2(Key(0), origin, noise(&[10.0; 3], None));
+    let blob = encode_snapshot(&EngineSnapshot {
+        plan_generation: 0,
+        updates: vec![UpdateRecord {
+            level: 0,
+            initial: Variable::Se2(se2(1e300, 0.0, 1.0, 0.0)),
+            factors: vec![prior.into()],
+        }],
+        estimate: vec![Variable::Se2(origin)],
+    })
+    .expect("encode");
+    assert_unreplayable(blob, RestoreError::Unsolvable { update: 0 });
 }
 
 // --- robustness ---------------------------------------------------------

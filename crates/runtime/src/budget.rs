@@ -10,7 +10,7 @@
 //!
 //! Degradation is quantized into integer *levels* so policy decisions are
 //! reproducible: level `d` scales the effective budget by `2⁻ᵈ`. The level
-//! is clamped to [`StepBudget::max_degradation`], below which the budget
+//! is clamped to [`StepBudget::MAX_DEGRADATION`], below which the budget
 //! still covers the mandatory work of a step (the new pose's dirty path),
 //! so a degraded session loses relinearization freshness, never updates.
 
@@ -36,12 +36,11 @@ pub struct StepBudget {
     target_seconds: f64,
     safety: f64,
     degradation: u8,
-    max_degradation: u8,
 }
 
 impl StepBudget {
-    /// The default ceiling on degradation levels (a 16× budget cut).
-    pub const DEFAULT_MAX_DEGRADATION: u8 = 4;
+    /// The ceiling on degradation levels (a 16× budget cut).
+    pub const MAX_DEGRADATION: u8 = 4;
 
     /// A budget at degradation level 0.
     ///
@@ -55,15 +54,7 @@ impl StepBudget {
             target_seconds,
             safety,
             degradation: 0,
-            max_degradation: Self::DEFAULT_MAX_DEGRADATION,
         }
-    }
-
-    /// Overrides the degradation ceiling (clamping the current level).
-    pub fn with_max_degradation(mut self, max: u8) -> Self {
-        self.max_degradation = max;
-        self.degradation = self.degradation.min(max);
-        self
     }
 
     /// The undegraded per-step target in seconds.
@@ -81,11 +72,6 @@ impl StepBudget {
         self.degradation
     }
 
-    /// The degradation ceiling.
-    pub fn max_degradation(&self) -> u8 {
-        self.max_degradation
-    }
-
     /// The budget the solver should fill this step:
     /// `target · safety · 2^-degradation`.
     pub fn effective_seconds(&self) -> f64 {
@@ -95,7 +81,7 @@ impl StepBudget {
     /// Tightens the budget one level. Returns `false` (and changes
     /// nothing) when already at the ceiling.
     pub fn degrade(&mut self) -> bool {
-        if self.degradation >= self.max_degradation {
+        if self.degradation >= Self::MAX_DEGRADATION {
             return false;
         }
         self.degradation += 1;
@@ -114,7 +100,7 @@ impl StepBudget {
 
     /// Jumps straight to `level` (clamped to the ceiling).
     pub fn set_degradation(&mut self, level: u8) {
-        self.degradation = level.min(self.max_degradation);
+        self.degradation = level.min(Self::MAX_DEGRADATION);
     }
 }
 
@@ -135,23 +121,25 @@ mod tests {
 
     #[test]
     fn degrade_and_recover_clamp_at_the_ends() {
-        let mut b = StepBudget::new(1.0, 1.0).with_max_degradation(2);
+        let mut b = StepBudget::new(1.0, 1.0);
         assert!(!b.recover(), "already at level 0");
-        assert!(b.degrade());
-        assert!(b.degrade());
-        assert!(!b.degrade(), "ceiling is 2");
-        assert_eq!(b.degradation(), 2);
-        assert!(b.recover());
-        assert!(b.recover());
+        for _ in 0..StepBudget::MAX_DEGRADATION {
+            assert!(b.degrade());
+        }
+        assert!(!b.degrade(), "ceiling is 4");
+        assert_eq!(b.degradation(), 4);
+        for _ in 0..StepBudget::MAX_DEGRADATION {
+            assert!(b.recover());
+        }
         assert!(!b.recover());
         assert_eq!(b.effective_seconds(), 1.0);
     }
 
     #[test]
     fn set_degradation_clamps() {
-        let mut b = StepBudget::new(1.0, 1.0).with_max_degradation(3);
+        let mut b = StepBudget::new(1.0, 1.0);
         b.set_degradation(200);
-        assert_eq!(b.degradation(), 3);
+        assert_eq!(b.degradation(), StepBudget::MAX_DEGRADATION);
         b.set_degradation(1);
         assert_eq!(b.effective_seconds(), 0.5);
     }

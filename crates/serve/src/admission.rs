@@ -10,7 +10,7 @@ use crate::session::{SessionId, SessionRegistry};
 /// `SessionClosing`, `UnknownVariable`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// The engine pool is exhausted: no more concurrent sessions fit.
+    /// The server already holds its maximum number of concurrent sessions.
     SessionLimit {
         /// The configured maximum number of concurrent sessions.
         max_sessions: usize,
@@ -125,7 +125,7 @@ impl AdmissionController {
         self.max_sessions
     }
 
-    /// Session creations refused because the pool was exhausted.
+    /// Session creations refused at the session limit.
     pub fn rejected_creates(&self) -> u64 {
         self.rejected_creates
     }
@@ -203,9 +203,9 @@ mod tests {
         let mut reg = SessionRegistry::new();
         let mut adm = AdmissionController::new(2, 4);
         assert!(adm.admit_create(&reg).is_ok());
-        reg.insert(engine(), 4);
+        reg.insert(engine());
         assert!(adm.admit_create(&reg).is_ok());
-        reg.insert(engine(), 4);
+        reg.insert(engine());
         assert_eq!(
             adm.admit_create(&reg),
             Err(AdmissionError::SessionLimit { max_sessions: 2 })
@@ -217,7 +217,7 @@ mod tests {
     fn queue_full_sheds_with_typed_error() {
         let mut reg = SessionRegistry::new();
         let mut adm = AdmissionController::new(4, 2);
-        let id = reg.insert(engine(), 4);
+        let id = reg.insert(engine());
         assert!(adm.admit_update(&reg, id).is_ok());
         push(&mut reg, id);
         assert!(adm.admit_update(&reg, id).is_ok());
@@ -241,7 +241,7 @@ mod tests {
             adm.admit_update(&reg, ghost),
             Err(AdmissionError::UnknownSession(ghost))
         );
-        let id = reg.insert(engine(), 4);
+        let id = reg.insert(engine());
         reg.get_mut(id).expect("session").closing = true;
         assert_eq!(
             adm.admit_update(&reg, id),

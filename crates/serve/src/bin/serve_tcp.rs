@@ -6,7 +6,7 @@
 //!
 //! Binds `addr` (default `127.0.0.1:7654`; use port `0` for an ephemeral
 //! port) and prints `serve_tcp listening on <addr>` once ready. With
-//! `--trace <path>`, span emission is enabled on every pooled engine and
+//! `--trace <path>`, span emission is enabled on every session's engine and
 //! a Chrome trace-event document (wall-clock layout, one row per worker
 //! plus virtual hardware rows) covering every dispatched step is written
 //! to `<path>` at shutdown — load it in `chrome://tracing` or Perfetto. The

@@ -1,4 +1,5 @@
-//! The deadline-aware dispatcher: a fixed worker pool over the engine pool.
+//! The deadline-aware dispatcher: a fixed worker pool over the sessions'
+//! engines.
 //!
 //! Scheduling discipline:
 //!
@@ -7,8 +8,8 @@
 //!   deadline; ties go to the lowest session id. Within one session, updates
 //!   apply strictly in submission order.
 //! - **Per-session exclusivity.** While a worker applies an update it holds
-//!   the session's engine outside the registry lock and the session is
-//!   marked busy, so no second worker can touch it. A session therefore
+//!   the session's engine outside the registry lock, and a session without
+//!   its engine is busy, so no second worker can touch it. A session therefore
 //!   sees a serial, submission-ordered step sequence no matter how many
 //!   workers run or how sessions interleave — which is what makes served
 //!   estimates bit-identical to solo runs.
@@ -19,16 +20,17 @@
 //!   instead of dropping admitted updates; queues stay bounded by admission
 //!   control, not by shedding admitted work.
 //!
-//! Every dispatched step is recorded as a [`DispatchSpan`] (up to a
-//! configured cap) so `supernova-analyze` can check the worker-exclusivity
-//! and per-session happens-before invariants on real executions.
+//! Every dispatched step is recorded as a [`DispatchSpan`] (the first
+//! [`RECORDED_SPANS`]) so `supernova-analyze` can check the
+//! worker-exclusivity and per-session happens-before invariants on real
+//! executions.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use supernova_factors::{Key, Values, Variable};
 use supernova_hw::Platform;
-use supernova_runtime::{CostModel, SchedulerConfig};
+use supernova_runtime::{CostModel, SchedulerConfig, StepBudget};
 use supernova_solvers::{EngineSnapshot, RaIsam2Config, RestoreError, SolverEngine};
 use supernova_sparse::ParallelExecutor;
 use supernova_trace::{epoch_seconds, Category, StepKey, Trace, TraceConfig, Tracer};
@@ -37,18 +39,21 @@ use crate::admission::{AdmissionController, AdmissionError};
 use crate::session::{SessionCloseReport, SessionId, SessionRegistry, UpdateRequest};
 use crate::stats::{latency_histogram, ServerStats, SessionSnapshot};
 
+/// How many [`DispatchSpan`]s a server records; later steps go unrecorded.
+const RECORDED_SPANS: usize = 65_536;
+
 /// Serving-layer configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Dispatcher worker threads. One worker serializes everything (the
     /// deterministic reference); more workers overlap distinct sessions.
     pub workers: usize,
-    /// Engine-pool size = maximum concurrent sessions.
+    /// Maximum concurrent sessions; each owns one engine while it is open.
     pub max_sessions: usize,
     /// Per-session bounded queue capacity; a full queue sheds updates with
     /// [`AdmissionError::QueueFull`].
     pub queue_capacity: usize,
-    /// RA-ISAM2 configuration shared by every pooled engine.
+    /// RA-ISAM2 configuration of every session's engine.
     pub ra: RaIsam2Config,
     /// Platform whose cost model drives relinearization selection.
     pub platform: Platform,
@@ -58,12 +63,10 @@ pub struct ServeConfig {
     pub executor_threads: usize,
     /// Total queued depth up to which the server runs undegraded.
     pub degrade_start: usize,
-    /// Additional total depth per extra degradation level beyond the first.
+    /// Additional total depth per extra degradation level beyond the first
+    /// (each level halves the per-step budget, up to
+    /// [`StepBudget::MAX_DEGRADATION`]).
     pub degrade_stride: usize,
-    /// Degradation ceiling (each level halves the per-step budget).
-    pub max_degradation: u8,
-    /// Cap on recorded [`DispatchSpan`]s (0 disables recording).
-    pub record_spans: usize,
     /// Unified span-tree tracing (`supernova-trace`). When enabled, every
     /// dispatched step records a full `serve.dispatch` → `solver.step` →
     /// `exec`/`hw` tree retrievable via [`Server::take_traces`]; engines
@@ -84,8 +87,6 @@ impl Default for ServeConfig {
             executor_threads: 1,
             degrade_start: 16,
             degrade_stride: 8,
-            max_degradation: 4,
-            record_spans: 65_536,
             trace: TraceConfig::default(),
         }
     }
@@ -101,7 +102,7 @@ impl ServeConfig {
         let over = depth - self.degrade_start - 1;
         let extra = over / self.degrade_stride.max(1);
         let level = 1 + extra.min(usize::from(u8::MAX) - 1);
-        (level as u8).min(self.max_degradation)
+        (level as u8).min(StepBudget::MAX_DEGRADATION)
     }
 }
 
@@ -144,7 +145,7 @@ impl DispatchSpan {
 /// Why a checkpoint could not be admitted as a new session.
 #[derive(Debug, PartialEq)]
 pub enum SessionRestoreError {
-    /// Admission refused the session (pool exhausted, shutting down).
+    /// Admission refused the session (session limit, shutting down).
     Admission(AdmissionError),
     /// Replay verification rejected the checkpoint.
     Engine(RestoreError),
@@ -170,8 +171,6 @@ impl From<AdmissionError> for SessionRestoreError {
 /// Everything the registry lock protects.
 struct State {
     registry: SessionRegistry,
-    /// Idle engines (recycled on close).
-    pool: Vec<SolverEngine>,
     admission: AdmissionController,
     /// Current degradation level (a function of total queued depth).
     level: u8,
@@ -186,6 +185,11 @@ struct State {
 
 struct Inner {
     cfg: ServeConfig,
+    /// The cost model every engine prices relinearization with.
+    cost: Arc<CostModel>,
+    /// The executor every engine runs its plans on: its kernel arenas
+    /// stay warm across sessions.
+    exec: ParallelExecutor,
     state: Mutex<State>,
     /// Signalled when a session may have become ready (or on shutdown).
     work_cv: Condvar,
@@ -195,7 +199,8 @@ struct Inner {
     tracer: Tracer,
 }
 
-/// The multi-session server: owns the engine pool and the worker threads.
+/// The multi-session server: owns every open session's engine and the
+/// worker threads.
 ///
 /// See the [crate docs](crate) for the full contract; construct with
 /// [`Server::start`], drive with [`Server::create_session`] /
@@ -219,31 +224,18 @@ impl std::fmt::Debug for Server {
 // means a worker panicked mid-step, and propagating the panic to every
 // caller is exactly right — hence the `.unwrap()`s below.
 impl Server {
-    /// Starts the server: warms `max_sessions` engines and spawns
-    /// `workers` dispatcher threads.
+    /// Starts the server and spawns `workers` dispatcher threads.
     pub fn start(cfg: ServeConfig) -> Self {
-        let cost = Arc::new(CostModel::new(cfg.platform.clone()));
-        let exec = ParallelExecutor::default();
-        let pool = (0..cfg.max_sessions.max(1))
-            .map(|_| {
-                let mut e = SolverEngine::new(cfg.ra, Arc::clone(&cost) as _);
-                e.set_executor(exec.clone());
-                if cfg.trace.enabled {
-                    e.set_trace(cfg.trace);
-                    e.set_trace_hw(cfg.platform.clone(), SchedulerConfig::default());
-                }
-                e
-            })
-            .collect::<Vec<_>>();
-        let admission = AdmissionController::new(pool.len(), cfg.queue_capacity.max(1));
-        let levels = usize::from(cfg.max_degradation) + 1;
+        let admission =
+            AdmissionController::new(cfg.max_sessions.max(1), cfg.queue_capacity.max(1));
         let inner = Arc::new(Inner {
+            cost: Arc::new(CostModel::new(cfg.platform.clone())),
+            exec: ParallelExecutor::default(),
             state: Mutex::new(State {
                 registry: SessionRegistry::new(),
-                pool,
                 admission,
                 level: 0,
-                level_histogram: vec![0; levels],
+                level_histogram: vec![0; usize::from(StepBudget::MAX_DEGRADATION) + 1],
                 closed_completed: 0,
                 spans: Vec::new(),
                 shutdown: false,
@@ -268,24 +260,28 @@ impl Server {
         &self.inner.cfg
     }
 
-    /// Opens a new session, taking one engine from the pool.
+    /// Opens a new session with an engine of its own.
     ///
     /// # Errors
     ///
-    /// [`AdmissionError::SessionLimit`] when the pool is exhausted,
+    /// [`AdmissionError::SessionLimit`] when `max_sessions` are open,
     /// [`AdmissionError::ShuttingDown`] after shutdown began.
     pub fn create_session(&self) -> Result<SessionId, AdmissionError> {
+        self.admit(self.inner.new_engine())
+    }
+
+    /// Admits `engine` as a new session under one lock. The session's
+    /// counters continue from the updates the engine has already applied
+    /// (none for a fresh engine, the checkpoint's for a restored one), so
+    /// journal seq numbers stay aligned across a move.
+    fn admit(&self, engine: SolverEngine) -> Result<SessionId, AdmissionError> {
         let mut st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
         if st.shutdown {
             return Err(AdmissionError::ShuttingDown);
         }
         let state = &mut *st;
         state.admission.admit_create(&state.registry)?;
-        // Admission caps live sessions at the pool size, so an engine is
-        // guaranteed free here. lint: allow(unwrap)
-        let engine = state.pool.pop().expect("engine pool underflow");
-        let levels = self.inner.cfg.max_degradation;
-        Ok(state.registry.insert(engine, levels))
+        Ok(state.registry.insert(engine))
     }
 
     /// Enqueues one update on `session`'s bounded queue.
@@ -385,8 +381,7 @@ impl Server {
     }
 
     /// Closes `session`: refuses further updates, drains what was admitted,
-    /// recycles the engine back into the pool, and reports the session's
-    /// lifetime statistics.
+    /// drops the session's engine, and reports its lifetime statistics.
     ///
     /// # Errors
     ///
@@ -415,13 +410,10 @@ impl Server {
             .registry
             .remove(session)
             .expect("closing session stays live"); // lint: allow(unwrap)
-
-        // drained ⇒ not busy ⇒ the engine is home
-        let mut engine = s.engine.expect("drained session holds its engine"); // lint: allow(unwrap)
-        engine.reset();
-        st.pool.push(engine);
         st.closed_completed += s.completed;
         st.level = self.inner.cfg.level_for_depth(st.registry.total_depth());
+        // The session's engine is freed with `s`, after the lock.
+        drop(st);
         Ok(SessionCloseReport {
             session,
             completed: s.completed,
@@ -460,75 +452,26 @@ impl Server {
     }
 
     /// Opens a new session from a checkpoint (the migration/failover
-    /// target side): takes an engine from the pool, replays the
-    /// checkpoint's update log and verifies it against its witness. The
-    /// new session's sequence counter continues from the checkpoint's
-    /// update count, so journal seq numbers stay aligned across the move.
+    /// target side): replays the checkpoint's update log into a fresh
+    /// engine and verifies it against its witness, then admits the
+    /// session. The new session's sequence counter continues from the
+    /// checkpoint's update count, so journal seq numbers stay aligned
+    /// across the move.
     ///
     /// # Errors
     ///
-    /// Typed refusals per [`SessionRestoreError`]; on engine-replay
-    /// rejection the engine is reset and returned to the pool, and no
-    /// session is left behind.
+    /// Typed refusals per [`SessionRestoreError`]. A refused or failed
+    /// restore leaves no session behind and holds no slot.
     pub fn restore_session(
         &self,
         snapshot: &EngineSnapshot,
     ) -> Result<SessionId, SessionRestoreError> {
-        // Admit and register the session first, then replay outside the
-        // lock with the session marked busy — the same engine-out
-        // protocol the workers use, so concurrent create_session calls
-        // see a consistent pool and can never underflow it.
-        let (session, mut engine) = {
-            let mut st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
-            if st.shutdown {
-                return Err(AdmissionError::ShuttingDown.into());
-            }
-            let state = &mut *st;
-            state.admission.admit_create(&state.registry)?;
-            // lint: allow(unwrap) — admission caps live sessions at pool size
-            let engine = state.pool.pop().expect("engine pool underflow");
-            let session = state
-                .registry
-                .insert(engine, self.inner.cfg.max_degradation);
-            // lint: allow(unwrap) — inserted one line above
-            let s = state
-                .registry
-                .get_mut(session)
-                .expect("restoring session exists");
-            s.busy = true;
-            s.variables = snapshot.updates.len();
-            let engine = s.engine.take().expect("fresh session holds its engine"); // lint: allow(unwrap)
-            (session, engine)
-        };
-        let outcome = engine.restore(snapshot);
-        let mut st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
-        match outcome {
-            Ok(()) => {
-                // lint: allow(unwrap) — busy sessions cannot be removed
-                let s = st
-                    .registry
-                    .get_mut(session)
-                    .expect("busy session stays live");
-                s.engine = Some(engine);
-                s.busy = false;
-                let applied = snapshot.updates.len() as u64;
-                s.next_seq = applied;
-                s.completed = applied;
-                drop(st);
-                self.inner.idle_cv.notify_all();
-                Ok(session)
-            }
-            Err(e) => {
-                // Roll back: the session never served a request, so it can
-                // vanish without anyone observing it.
-                st.registry.remove(session);
-                engine.reset();
-                st.pool.push(engine);
-                drop(st);
-                self.inner.idle_cv.notify_all();
-                Err(SessionRestoreError::Engine(e))
-            }
-        }
+        let engine = self
+            .inner
+            .new_engine()
+            .restore(snapshot)
+            .map_err(SessionRestoreError::Engine)?;
+        Ok(self.admit(engine)?)
     }
 
     /// The current degradation level.
@@ -536,7 +479,7 @@ impl Server {
         self.inner.state.lock().unwrap().level // lint: allow(unwrap)
     }
 
-    /// The recorded dispatch spans (up to the configured cap).
+    /// The recorded dispatch spans (the first 65 536).
     pub fn spans(&self) -> Vec<DispatchSpan> {
         self.inner.state.lock().unwrap().spans.clone() // lint: allow(unwrap)
     }
@@ -607,6 +550,20 @@ impl Drop for Server {
     }
 }
 
+impl Inner {
+    /// A fresh engine for one session, on the server's shared cost model
+    /// and executor.
+    fn new_engine(&self) -> SolverEngine {
+        let mut e = SolverEngine::new(self.cfg.ra, Arc::clone(&self.cost) as _);
+        e.set_executor(self.exec.clone());
+        if self.cfg.trace.enabled {
+            e.set_trace(self.cfg.trace);
+            e.set_trace_hw(self.cfg.platform.clone(), SchedulerConfig::default());
+        }
+        e
+    }
+}
+
 /// One dispatcher worker: pick the EDF session, take its engine, step
 /// outside the lock, return the engine and account the step.
 fn worker_loop(worker: usize, inner: &Inner) {
@@ -627,7 +584,6 @@ fn worker_loop(worker: usize, inner: &Inner) {
             };
             // lint: allow(unwrap) — picked under the same lock, so still live
             let s = st.registry.get_mut(session).expect("picked session exists");
-            s.busy = true;
             // lint: allow(unwrap) — `ready()` requires a non-empty queue
             let req = s
                 .queue
@@ -661,18 +617,18 @@ fn worker_loop(worker: usize, inner: &Inner) {
         }
 
         let mut st = inner.state.lock().unwrap(); // lint: allow(unwrap)
-                                                  // lint: allow(unwrap) — close() cannot remove a busy session
+
+        // lint: allow(unwrap) — close() cannot remove a busy session
         let s = st
             .registry
             .get_mut(session)
             .expect("busy session stays live"); // lint: allow(unwrap)
         s.engine = Some(engine);
-        s.busy = false;
         s.completed += 1;
         s.stats.record_step(t1 - t0, level);
         let idx = usize::from(level).min(st.level_histogram.len() - 1);
         st.level_histogram[idx] += 1;
-        if st.spans.len() < inner.cfg.record_spans {
+        if st.spans.len() < RECORDED_SPANS {
             st.spans.push(DispatchSpan {
                 worker,
                 session,
@@ -737,6 +693,8 @@ mod tests {
         let server = Server::start(ServeConfig {
             workers: 1,
             max_sessions: 1,
+            // Undegraded, as the solo replay runs.
+            degrade_start: usize::MAX,
             ..ServeConfig::default()
         });
         let s0 = server.create_session().expect("first slot");
@@ -744,9 +702,49 @@ mod tests {
             server.create_session(),
             Err(AdmissionError::SessionLimit { max_sessions: 1 })
         );
+        // Warm the shared executor's kernel arenas, the one piece of state
+        // that outlives a session.
+        submit_all(&server, s0, &Dataset::manhattan_seeded(60, 7));
         server.close(s0).expect("close");
-        let s1 = server.create_session().expect("recycled slot");
+        let s1 = server.create_session().expect("freed slot");
         assert_eq!(s1.0, 1, "session ids are never reused");
+        let ds = Dataset::sphere_seeded(40, 11);
+        submit_all(&server, s1, &ds);
+        let solo = solo_replay(server.config(), &ds.online_steps());
+        assert_eq!(
+            server.estimate(s1).expect("live"),
+            solo.estimate(),
+            "a session in a freed slot diverged from the solo replay"
+        );
+    }
+
+    #[test]
+    fn a_restored_session_continues_bit_for_bit() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            max_sessions: 2,
+            // Undegraded, as the solo replay runs.
+            degrade_start: usize::MAX,
+            ..ServeConfig::default()
+        });
+        let steps = Dataset::manhattan_seeded(30, 4).online_steps();
+        let submit = |sid, range: std::ops::Range<usize>| {
+            for i in range {
+                let step = &steps[i];
+                let req = UpdateRequest::new(i as u64, step.truth.clone(), step.factors.clone());
+                server.submit(sid, req).expect("admitted");
+            }
+        };
+        let a = server.create_session().expect("slot a");
+        submit(a, 0..18);
+        let snapshot = server.snapshot_session(a).expect("live");
+        let b = server.restore_session(&snapshot).expect("restored");
+        server.close(a).expect("close a");
+        submit(b, 18..steps.len());
+        let solo = solo_replay(server.config(), &steps);
+        assert_eq!(server.estimate(b).expect("live"), solo.estimate());
+        let report = server.close(b).expect("close b");
+        assert_eq!(report.completed, steps.len() as u64);
     }
 
     #[test]
@@ -824,7 +822,6 @@ mod tests {
         let cfg = ServeConfig {
             degrade_start: 4,
             degrade_stride: 2,
-            max_degradation: 3,
             ..ServeConfig::default()
         };
         assert_eq!(cfg.level_for_depth(0), 0);
@@ -833,7 +830,12 @@ mod tests {
         assert_eq!(cfg.level_for_depth(6), 1);
         assert_eq!(cfg.level_for_depth(7), 2);
         assert_eq!(cfg.level_for_depth(9), 3);
-        assert_eq!(cfg.level_for_depth(1000), 3, "clamped at the ceiling");
+        assert_eq!(cfg.level_for_depth(11), 4);
+        assert_eq!(
+            cfg.level_for_depth(1000),
+            StepBudget::MAX_DEGRADATION,
+            "clamped at the ceiling"
+        );
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! The rest of the workspace reproduces SuperNoVA's single-robot stack: one
 //! RA-ISAM2 instance, one elimination tree, one budget. This crate turns
-//! that stack into a *server*: a fixed pool of
-//! [`SolverEngine`](supernova_solvers::SolverEngine)s shared by many
-//! concurrent SLAM sessions, with the three properties a production backend
-//! needs and the paper's resource-awareness makes possible:
+//! that stack into a *server*: many concurrent SLAM sessions, each owning a
+//! [`SolverEngine`](supernova_solvers::SolverEngine) from open to close,
+//! with the three properties a production backend needs and the paper's
+//! resource-awareness makes possible:
 //!
 //! - **Admission control** ([`AdmissionController`]) — every session owns a
 //!   *bounded* request queue; when it fills, updates are shed with a typed
 //!   error instead of growing memory without bound, and session creation
-//!   beyond the engine pool is rejected outright.
+//!   beyond `max_sessions` is rejected outright.
 //! - **Deadline scheduling** ([`Server`]) — a fixed worker pool picks the
 //!   next session by earliest request deadline (ties to the lowest session
 //!   id), holding *per-session exclusivity*: a session's updates are always
@@ -33,7 +33,7 @@
 //! served-vs-solo check in this crate and in `supernova-fleet` compares
 //! against one oracle, [`service::solo_replay`] /
 //! [`service::solo_estimate`], which builds its engine apart from the
-//! server's pool. Serve wall time is measured by `benchmark/`'s
+//! server's construction code. Serve wall time is measured by `benchmark/`'s
 //! `serve_waves` workload; `supernova-fleet` layers shard routing and
 //! crash failover on top of this crate.
 //!

@@ -50,10 +50,10 @@ pub fn generate(kind: DatasetKind, steps: u32, seed: u64) -> Dataset {
 }
 
 /// Replays `steps` in order on a fresh engine built from `cfg`'s `ra` and
-/// `platform` — the reference a served
-/// session must match bit for bit. It builds its engine here rather than
-/// through `Server::start`'s pool code on purpose: a pool that configured
-/// its engines wrongly must still disagree with this oracle.
+/// `platform` — the reference a served session must match bit for bit. It
+/// builds its engine here rather than through the server's own engine
+/// construction on purpose: a server that configured its engines wrongly
+/// must still disagree with this oracle.
 pub fn solo_replay(cfg: &ServeConfig, steps: &[OnlineStep]) -> SolverEngine {
     let cost = Arc::new(CostModel::new(cfg.platform.clone()));
     let mut engine = SolverEngine::new(cfg.ra, cost);

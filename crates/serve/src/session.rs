@@ -57,18 +57,15 @@ pub struct SessionCloseReport {
     pub stats: SessionStats,
 }
 
-/// One live session: its engine slot, bounded queue, and statistics.
-///
-/// `engine` is `None` exactly while a worker is stepping the session (the
-/// worker holds the engine outside the registry lock); `busy` mirrors that
-/// so admission and drain logic never need to touch the engine itself.
+/// One live session: its engine, bounded queue, and statistics.
 #[derive(Debug)]
 pub(crate) struct Session {
     pub(crate) id: SessionId,
+    /// The session's own engine, built when it opened. `None` exactly
+    /// while a worker is stepping the session: the worker holds the engine
+    /// outside the registry lock.
     pub(crate) engine: Option<SolverEngine>,
     pub(crate) queue: VecDeque<UpdateRequest>,
-    /// A worker currently holds the engine and is applying an update.
-    pub(crate) busy: bool,
     /// `close()` has begun: no further updates are admitted.
     pub(crate) closing: bool,
     /// Updates fully processed.
@@ -83,17 +80,19 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    pub(crate) fn new(id: SessionId, engine: SolverEngine, degradation_levels: u8) -> Self {
+    /// A session over `engine`. A restored engine has already applied
+    /// its checkpoint's updates, so the counters continue from there.
+    pub(crate) fn new(id: SessionId, engine: SolverEngine) -> Self {
+        let applied = engine.steps();
         Session {
             id,
             engine: Some(engine),
             queue: VecDeque::new(),
-            busy: false,
             closing: false,
-            completed: 0,
-            variables: 0,
-            next_seq: 0,
-            stats: SessionStats::new(degradation_levels),
+            completed: applied as u64,
+            variables: applied,
+            next_seq: applied as u64,
+            stats: SessionStats::default(),
         }
     }
 
@@ -102,14 +101,15 @@ impl Session {
         self.queue.len()
     }
 
-    /// Whether a worker could pick this session right now.
+    /// Whether a worker could pick this session right now: no worker
+    /// holds its engine, and an update is queued.
     pub(crate) fn ready(&self) -> bool {
-        !self.busy && !self.queue.is_empty()
+        self.engine.is_some() && !self.queue.is_empty()
     }
 
     /// Whether all admitted work has been applied.
     pub(crate) fn drained(&self) -> bool {
-        !self.busy && self.queue.is_empty()
+        self.engine.is_some() && self.queue.is_empty()
     }
 }
 
@@ -143,11 +143,10 @@ impl SessionRegistry {
         self.sessions.values().map(Session::depth).sum()
     }
 
-    pub(crate) fn insert(&mut self, engine: SolverEngine, degradation_levels: u8) -> SessionId {
+    pub(crate) fn insert(&mut self, engine: SolverEngine) -> SessionId {
         let id = SessionId(self.next_id);
         self.next_id += 1;
-        self.sessions
-            .insert(id.0, Session::new(id, engine, degradation_levels));
+        self.sessions.insert(id.0, Session::new(id, engine));
         id
     }
 
@@ -210,12 +209,12 @@ mod tests {
     #[test]
     fn ids_are_sequential_and_stable_across_removal() {
         let mut reg = SessionRegistry::new();
-        let a = reg.insert(engine(), 4);
-        let b = reg.insert(engine(), 4);
+        let a = reg.insert(engine());
+        let b = reg.insert(engine());
         assert_eq!((a.0, b.0), (0, 1));
         let removed = reg.remove(a).expect("a exists");
         assert_eq!(removed.id, a);
-        let c = reg.insert(removed.engine.expect("engine present"), 4);
+        let c = reg.insert(removed.engine.expect("engine present"));
         assert_eq!(c.0, 2, "ids are never reused");
         assert_eq!(reg.len(), 2);
     }
@@ -223,9 +222,9 @@ mod tests {
     #[test]
     fn edf_picks_earliest_deadline_then_lowest_id() {
         let mut reg = SessionRegistry::new();
-        let a = reg.insert(engine(), 4);
-        let b = reg.insert(engine(), 4);
-        let c = reg.insert(engine(), 4);
+        let a = reg.insert(engine());
+        let b = reg.insert(engine());
+        let c = reg.insert(engine());
         reg.get_mut(a).expect("a").queue.push_back(request(9));
         reg.get_mut(b).expect("b").queue.push_back(request(5));
         reg.get_mut(c).expect("c").queue.push_back(request(5));
@@ -234,8 +233,9 @@ mod tests {
             Some(b),
             "earliest deadline, lowest id"
         );
-        // A busy session is skipped even with the earliest deadline.
-        reg.get_mut(b).expect("b").busy = true;
+        // A busy session (a worker holds its engine) is skipped even with
+        // the earliest deadline.
+        reg.get_mut(b).expect("b").engine = None;
         assert_eq!(reg.pick_earliest_deadline(), Some(c));
         reg.get_mut(c).expect("c").queue.clear();
         assert_eq!(reg.pick_earliest_deadline(), Some(a));

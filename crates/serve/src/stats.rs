@@ -1,6 +1,7 @@
 //! Server and per-session statistics snapshots.
 
 use supernova_metrics::Histogram;
+use supernova_runtime::StepBudget;
 
 use crate::session::SessionId;
 
@@ -20,17 +21,19 @@ pub struct SessionStats {
     shed: u64,
 }
 
-impl SessionStats {
-    /// Empty statistics able to count `degradation_levels + 1` levels.
-    pub fn new(degradation_levels: u8) -> Self {
+impl Default for SessionStats {
+    /// Empty statistics, one degradation counter per budget level.
+    fn default() -> Self {
         SessionStats {
             latency: Histogram::new(LATENCY_BUCKET_SECONDS, LATENCY_BUCKETS),
-            degraded_steps: vec![0; usize::from(degradation_levels) + 1],
+            degraded_steps: vec![0; usize::from(StepBudget::MAX_DEGRADATION) + 1],
             max_queue_depth: 0,
             shed: 0,
         }
     }
+}
 
+impl SessionStats {
     /// Records one applied update: its processing wall time and the
     /// degradation level it ran at.
     pub fn record_step(&mut self, seconds: f64, level: u8) {
@@ -109,7 +112,7 @@ pub struct ServerStats {
     pub total_completed: u64,
     /// Total updates shed at full queues (including closed sessions).
     pub total_shed: u64,
-    /// Session creations refused at the pool limit.
+    /// Session creations refused at the session limit.
     pub rejected_creates: u64,
     /// Total updates queued right now.
     pub total_queue_depth: usize,
@@ -170,14 +173,14 @@ mod tests {
 
     #[test]
     fn session_stats_track_levels_and_depth() {
-        let mut s = SessionStats::new(2);
+        let mut s = SessionStats::default();
         s.record_step(0.001, 0);
         s.record_step(0.002, 2);
         s.record_step(0.002, 7); // clamped into the top level
         s.record_depth(3);
         s.record_depth(1);
         s.record_shed();
-        assert_eq!(s.degraded_steps(), &[1, 0, 2]);
+        assert_eq!(s.degraded_steps(), &[1, 0, 1, 0, 1]);
         assert_eq!(s.max_queue_depth(), 3);
         assert_eq!(s.shed(), 1);
         assert_eq!(s.latency().count(), 3);

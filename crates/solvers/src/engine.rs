@@ -127,26 +127,6 @@ impl IncrementalCore {
         &self.executor
     }
 
-    /// Returns the core to its freshly-constructed state, dropping the
-    /// factor graph, linearizations, plan cache, numeric cache, host
-    /// schedule and every per-step accumulator, while keeping the
-    /// configuration (`relax`) and the installed executor.
-    ///
-    /// A recycled core is indistinguishable from a new one: replaying the
-    /// same step sequence afterwards produces bit-identical factors and
-    /// estimates (the serving layer's engine pool relies on this).
-    pub fn reset(&mut self) {
-        let relax = self.relax;
-        // Clones share the persistent workspace pool, so a recycled core
-        // keeps its warm (zero-alloc) buffers.
-        let executor = self.executor.clone();
-        *self = IncrementalCore {
-            relax,
-            executor,
-            ..Self::default()
-        };
-    }
-
     /// Test hook: when `on`, every [`analyze`](Self::analyze) that sees a
     /// structural change discards the previous symbolic factorization and
     /// plan and derives both from nothing — the reference the incremental

@@ -115,19 +115,6 @@ impl RaIsam2 {
         &mut self.budget
     }
 
-    /// Returns the solver to its freshly-constructed state (empty graph,
-    /// cleared plan/numeric caches and host schedule, zeroed counters,
-    /// budget back at degradation level 0), keeping the configuration, the
-    /// cost model and the installed executor. Replaying the same steps
-    /// after a reset is bit-identical to a fresh solver.
-    pub fn reset(&mut self) {
-        self.core.reset();
-        self.budget = StepBudget::new(self.config.target_seconds, self.config.safety);
-        self.last_selected = 0;
-        self.last_deferred = 0;
-        self.steps_since_reorder = 0;
-    }
-
     /// The underlying incremental engine.
     pub fn core(&self) -> &IncrementalCore {
         &self.core

@@ -1,14 +1,15 @@
-//! The pooled solver handle the serving layer schedules.
+//! The solver handle the serving layer schedules.
 //!
 //! A [`SolverEngine`] owns one RA-ISAM2 instance plus the bookkeeping a
-//! multi-tenant server needs: a step counter, a recycle generation, and a
-//! degradation knob that maps straight onto the solver's
-//! [`StepBudget`](supernova_runtime::StepBudget). Engines are expensive to
-//! warm up (plan cache, workspace growth), so the server keeps a fixed pool
-//! and recycles engines across sessions via [`SolverEngine::reset`] — which
-//! must (and does) restore the exact fresh-engine state, or pooled sessions
-//! would not be bit-identical to solo runs.
+//! multi-tenant server needs: a step counter, the applied-update log a
+//! checkpoint carries, and a degradation knob that maps straight onto the
+//! solver's [`StepBudget`](supernova_runtime::StepBudget). The server
+//! builds one engine when a session opens and drops it when the session
+//! closes. The kernel arenas, the one state worth keeping warm across
+//! sessions, live in the [`ParallelExecutor`] every engine of a server
+//! shares.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use supernova_factors::{Factor, Key, Values, Variable};
@@ -49,7 +50,7 @@ struct LogEntry {
 
 /// A verified-replay checkpoint of a live engine: the full applied-update
 /// log plus a witness estimate. [`SolverEngine::restore`] replays the log
-/// on a reset engine — which PR 2's determinism machinery proves
+/// into a fresh engine — which the determinism machinery proves
 /// bit-identical to the original run — then checks the rebuilt estimate
 /// against the witness, so a corrupt or mismatched checkpoint is a typed
 /// error, never a silently wrong map.
@@ -58,7 +59,7 @@ pub struct EngineSnapshot {
     /// Plan-cache generation at snapshot time (informational; replay
     /// rebuilds the plan cache deterministically).
     pub plan_generation: usize,
-    /// Every update applied since the engine was (re)set, in order.
+    /// Every update the engine has applied, in order.
     pub updates: Vec<UpdateRecord>,
     /// Witness: the pose estimates at snapshot time, one per pose.
     pub estimate: Vec<Variable>,
@@ -88,6 +89,12 @@ pub enum RestoreError {
         /// The variable's key.
         key: usize,
     },
+    /// Replaying an update panicked (its factorization kept failing after
+    /// damping, say): the log describes a system the solver cannot step.
+    Unsolvable {
+        /// Index of the update whose step panicked.
+        update: usize,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -105,17 +112,22 @@ impl std::fmt::Display for RestoreError {
                     "update {update} has a factor that cannot evaluate x{key}"
                 )
             }
+            RestoreError::Unsolvable { update } => {
+                write!(
+                    f,
+                    "replaying update {update} failed: the solver cannot step it"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for RestoreError {}
 
-/// A recyclable RA-ISAM2 instance for the serving layer's engine pool.
+/// One session's RA-ISAM2 instance, as the serving layer schedules it.
 pub struct SolverEngine {
     solver: RaIsam2,
     steps: usize,
-    generation: usize,
     trace_cfg: TraceConfig,
     trace_hw: Option<(Platform, SchedulerConfig)>,
     last_span: Option<Span>,
@@ -126,7 +138,6 @@ impl std::fmt::Debug for SolverEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolverEngine")
             .field("steps", &self.steps)
-            .field("generation", &self.generation)
             .field("solver", &self.solver)
             .finish()
     }
@@ -138,7 +149,6 @@ impl SolverEngine {
         SolverEngine {
             solver: RaIsam2::new(config, cost),
             steps: 0,
-            generation: 0,
             trace_cfg: TraceConfig::default(),
             trace_hw: None,
             last_span: None,
@@ -168,9 +178,8 @@ impl SolverEngine {
         self.last_span.take()
     }
 
-    /// Installs the host executor numeric plans run on (engines in a pool
-    /// share one executor width so per-session results are
-    /// interleaving-independent).
+    /// Installs the host executor numeric plans run on (a server's engines
+    /// share one, so its warm kernel arenas outlive every session).
     pub fn set_executor(&mut self, exec: ParallelExecutor) {
         self.solver.core_mut().set_executor(exec);
     }
@@ -242,14 +251,9 @@ impl SolverEngine {
         guard.finish()
     }
 
-    /// Steps processed since the last [`reset`](Self::reset).
+    /// Steps processed, replayed ones included.
     pub fn steps(&self) -> usize {
         self.steps
-    }
-
-    /// How many times this engine has been recycled through the pool.
-    pub fn generation(&self) -> usize {
-        self.generation
     }
 
     /// The current budget (target, safety, degradation level).
@@ -280,7 +284,7 @@ impl SolverEngine {
         self.solver.estimate()
     }
 
-    /// Number of poses incorporated since the last reset.
+    /// Number of poses incorporated.
     pub fn num_poses(&self) -> usize {
         self.solver.num_poses()
     }
@@ -294,20 +298,6 @@ impl SolverEngine {
     /// The underlying solver (read-only diagnostics).
     pub fn solver(&self) -> &RaIsam2 {
         &self.solver
-    }
-
-    /// Recycles the engine for a new session: clears the factor graph, the
-    /// plan and numeric caches, the host schedule and all per-step trace
-    /// state, returns the budget to degradation level 0, and bumps the
-    /// recycle generation. After `reset`, replaying any step sequence is
-    /// bit-identical to running it on a brand-new engine with the same
-    /// configuration.
-    pub fn reset(&mut self) {
-        self.solver.reset();
-        self.steps = 0;
-        self.generation += 1;
-        self.last_span = None;
-        self.log.clear();
     }
 
     /// How many times the solver's plan cache has been (re)built.
@@ -337,18 +327,19 @@ impl SolverEngine {
         }
     }
 
-    /// Rebuilds a session from a checkpoint by resetting the engine and
-    /// replaying the update log under the checkpoint's per-step
-    /// degradation levels, then verifies the rebuilt estimate
-    /// against the checkpoint witness. Update `i` adds variable `i`, so
-    /// every factor is first checked against the initial guesses of the
-    /// keys it names ([`RestoreError::UnfitVariable`]). On error the
-    /// engine is left reset (safe to return to the pool); on success the
-    /// update log, step counter and estimates match the snapshotted
-    /// engine exactly, so subsequent steps are bit-identical to the
-    /// uninterrupted run.
-    pub fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), RestoreError> {
-        self.reset();
+    /// Rebuilds a session from a checkpoint: replays the update log into
+    /// this fresh engine under the checkpoint's per-step degradation
+    /// levels, then verifies the rebuilt estimate against the checkpoint
+    /// witness (an engine that already held poses fails its pose count).
+    /// Update `i` adds variable `i`, so every factor is first checked
+    /// against the initial guesses of the keys it names
+    /// ([`RestoreError::UnfitVariable`]). A replayed step that panics is
+    /// caught here and refused as [`RestoreError::Unsolvable`]; the
+    /// half-replayed engine is dropped with the error, never reused. On
+    /// success the update log, step counter and estimates match the
+    /// snapshotted engine exactly, so subsequent steps are bit-identical
+    /// to the uninterrupted run.
+    pub fn restore(mut self, snapshot: &EngineSnapshot) -> Result<Self, RestoreError> {
         for (update, rec) in snapshot.updates.iter().enumerate() {
             for f in &rec.factors {
                 for (slot, &Key(key)) in f.keys().iter().enumerate() {
@@ -361,29 +352,31 @@ impl SolverEngine {
         }
         // Replay without span emission: restore is one logical operation,
         // not N traced steps (the caller wraps it in a fleet.restore span).
-        let trace_cfg = self.trace_cfg;
-        self.trace_cfg = TraceConfig::off();
-        for rec in &snapshot.updates {
-            self.set_degradation(rec.level);
-            self.step(rec.initial.clone(), rec.factors.clone());
+        let trace_cfg = std::mem::replace(&mut self.trace_cfg, TraceConfig::off());
+        let mut replayed = 0;
+        let replay = panic::catch_unwind(AssertUnwindSafe(|| {
+            for rec in &snapshot.updates {
+                self.set_degradation(rec.level);
+                self.step(rec.initial.clone(), rec.factors.clone());
+                replayed += 1;
+            }
+        }));
+        if replay.is_err() {
+            return Err(RestoreError::Unsolvable { update: replayed });
         }
         self.trace_cfg = trace_cfg;
-        self.last_span = None;
         if self.num_poses() != snapshot.estimate.len() {
-            let got = self.num_poses();
-            self.reset();
             return Err(RestoreError::PoseCount {
                 expected: snapshot.estimate.len(),
-                got,
+                got: self.num_poses(),
             });
         }
         for (i, want) in snapshot.estimate.iter().enumerate() {
             if self.pose_estimate(Key(i)) != *want {
-                self.reset();
                 return Err(RestoreError::EstimateMismatch { pose: i });
             }
         }
-        Ok(())
+        Ok(self)
     }
 }
 
@@ -397,59 +390,6 @@ mod tests {
     fn engine() -> SolverEngine {
         let cost = Arc::new(CostModel::new(Platform::supernova(2)));
         SolverEngine::new(RaIsam2Config::default(), cost)
-    }
-
-    fn replay(e: &mut SolverEngine, ds: &Dataset) -> (Vec<Variable>, Vec<u8>) {
-        for step in &ds.online_steps() {
-            e.step(step.truth.clone(), step.factors.clone());
-        }
-        let est = (0..e.num_poses())
-            .map(|i| e.pose_estimate(Key(i)))
-            .collect();
-        (est, e.numeric_bytes().unwrap_or_default())
-    }
-
-    #[test]
-    fn recycled_engine_matches_fresh_engine_bit_for_bit() {
-        // Warm an engine on one dataset, recycle it, replay another; a
-        // brand-new engine replaying the second dataset must agree exactly
-        // (estimates by f64 equality, factor by canonical bytes).
-        let warmup = Dataset::manhattan_seeded(60, 7);
-        let target = Dataset::sphere_seeded(40, 11);
-
-        let mut recycled = engine();
-        let _ = replay(&mut recycled, &warmup);
-        assert!(recycled.steps() > 0);
-        recycled.reset();
-        assert_eq!(recycled.steps(), 0);
-        assert_eq!(recycled.num_poses(), 0);
-        assert_eq!(recycled.generation(), 1);
-        assert!(
-            recycled.numeric_bytes().is_none(),
-            "numeric cache must clear"
-        );
-        let (est_recycled, bytes_recycled) = replay(&mut recycled, &target);
-
-        let mut fresh = engine();
-        let (est_fresh, bytes_fresh) = replay(&mut fresh, &target);
-
-        assert_eq!(est_recycled, est_fresh, "recycled estimates diverged");
-        assert_eq!(
-            bytes_recycled, bytes_fresh,
-            "recycled factor bytes diverged"
-        );
-    }
-
-    #[test]
-    fn reset_restores_budget_and_counters() {
-        let mut e = engine();
-        e.set_degradation(3);
-        assert_eq!(e.budget().degradation(), 3);
-        let ds = Dataset::manhattan_seeded(10, 3);
-        let _ = replay(&mut e, &ds);
-        e.reset();
-        assert_eq!(e.budget().degradation(), 0);
-        assert_eq!(e.last_selected_deferred(), (0, 0));
     }
 
     #[test]
@@ -476,8 +416,7 @@ mod tests {
         assert_eq!(snap.updates.len(), 18);
         assert_eq!(snap.estimate.len(), interrupted.num_poses());
 
-        let mut restored = engine();
-        restored.restore(&snap).expect("restore");
+        let mut restored = engine().restore(&snap).expect("restore");
         assert_eq!(restored.steps(), 18);
         for (i, step) in steps.iter().enumerate().skip(18) {
             restored.set_degradation(u8::from(i % 3 == 0));
@@ -502,17 +441,24 @@ mod tests {
             e.step(step.truth.clone(), step.factors.clone());
         }
         let mut snap = e.snapshot();
-        // Tamper with the witness: restore must fail typed, and leave the
-        // engine reset (safe to recycle).
+        // Tamper with the witness: restore must fail typed.
         let n = snap.estimate.len();
         snap.estimate[n - 1] = Variable::Se2(supernova_factors::Se2::new(1e9, 0.0, 0.0));
-        let mut r = engine();
-        let err = r.restore(&snap).expect_err("tampered witness accepted");
+        let err = engine()
+            .restore(&snap)
+            .expect_err("tampered witness accepted");
         assert!(matches!(err, RestoreError::EstimateMismatch { .. }));
-        assert_eq!(r.num_poses(), 0);
 
         snap.estimate.pop();
-        let err = r.restore(&snap).expect_err("short witness accepted");
+        let err = engine().restore(&snap).expect_err("short witness accepted");
+        assert!(matches!(err, RestoreError::PoseCount { .. }));
+
+        // An engine that already holds poses is not fresh: replaying on
+        // top of it cannot match the witness.
+        let full = e.snapshot();
+        let err = e
+            .restore(&full)
+            .expect_err("replay onto a used engine accepted");
         assert!(matches!(err, RestoreError::PoseCount { .. }));
     }
 
@@ -529,10 +475,7 @@ mod tests {
         let refused = |f: Factor| {
             let mut bad = snap.clone();
             bad.updates[5].factors[0] = f;
-            let mut r = engine();
-            let err = r.restore(&bad).expect_err("unfit factor accepted");
-            assert_eq!(r.num_poses(), 0, "engine left reset");
-            err
+            engine().restore(&bad).expect_err("unfit factor accepted")
         };
         // A key no earlier update added.
         assert_eq!(
@@ -557,7 +500,7 @@ mod tests {
         let ds = Dataset::manhattan_seeded(80, 5);
         let mut full = engine();
         let mut degraded = engine();
-        degraded.set_degradation(StepBudget::new(1.0, 1.0).max_degradation());
+        degraded.set_degradation(StepBudget::MAX_DEGRADATION);
         let mut full_selected = 0usize;
         let mut degraded_selected = 0usize;
         for step in &ds.online_steps() {

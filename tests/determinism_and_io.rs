@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use supernova::core::{run_online, ExperimentConfig, PricingTarget, SolverKind};
 use supernova::datasets::Dataset;
-use supernova::factors::{Key, Variable};
 use supernova::hw::Platform;
 use supernova::runtime::{CostModel, StepTrace};
 use supernova::solvers::{RaIsam2Config, SolverEngine};
@@ -75,13 +74,7 @@ fn replay_se3(
     mut each: impl FnMut(&SolverEngine, StepTrace),
 ) {
     for (i, step) in ds.online_steps().into_iter().enumerate() {
-        let init = match (&step.odometry, i) {
-            (Some(Variable::Se3(odom)), 1..) => match engine.pose_estimate(Key(i - 1)) {
-                Variable::Se3(prev) => Variable::Se3(prev.compose(odom)),
-                other => panic!("SE(3) stream holds {other:?}"),
-            },
-            _ => step.truth.clone(),
-        };
+        let init = step.initial_guess(i, |key| engine.pose_estimate(key));
         let trace = engine.step(init, step.factors);
         each(engine, trace);
     }
