@@ -24,7 +24,10 @@
 //!   runs with periodic checkpointing and aggressive compaction on);
 //! - **bounded failover**: every replay suffix at the kill is at most the
 //!   checkpoint interval K, and both the periodic checkpointer and the
-//!   journal compactor demonstrably ran.
+//!   journal compactor demonstrably ran;
+//! - **cheap checkpoints**: a submit that only takes a periodic checkpoint
+//!   (no compaction) leaves the router's state file unwritten
+//!   (`FleetStats::state_writes`).
 //!
 //! Exits nonzero on any violation. Wall time is a few seconds.
 
@@ -164,12 +167,25 @@ fn main() -> ExitCode {
         &format!("{} violation(s)", bounds.len()),
     );
 
-    // --- Finish every trajectory on the survivors.
+    // --- Finish every trajectory on the survivors, tallying the submits
+    // whose only side effect beyond the journal was a periodic checkpoint.
+    let (mut checkpoint_only, mut rewrites) = (0u64, 0u64);
     for (i, g) in globals.iter().enumerate() {
         let (_, steps, _) = descriptor(i);
+        let before = router.stats();
         router.submit(*g, tick, steps).expect("submit rest");
         tick += u64::from(steps);
+        let after = router.stats();
+        if after.checkpoints > before.checkpoints && after.compactions == before.compactions {
+            checkpoint_only += 1;
+            rewrites += after.state_writes - before.state_writes;
+        }
     }
+    report.check(
+        "periodic checkpoints leave the state file unwritten",
+        checkpoint_only > 0 && rewrites == 0,
+        &format!("{checkpoint_only} checkpoint-only submit(s), {rewrites} state write(s)"),
+    );
 
     // --- Byte identity: served estimates equal solo replays exactly.
     let mut diverged = 0;

@@ -20,7 +20,9 @@
 //! of every wave). The router runs the every-K-updates checkpoint policy
 //! and automatic journal compaction, so the run also gates the headline
 //! recovery bound: no failover replay suffix exceeds K. Results land in
-//! `results/BENCH_fleet.json`.
+//! `results/BENCH_fleet.json`, with the number of router state-file
+//! writes (`state_writes`) beside the journal counts; `bench_check` does
+//! not gate that field.
 //!
 //! **Chaos mode** (`--chaos`) runs three crash/reconfiguration drills,
 //! each gated on zero loss and bit-identical estimates:
@@ -112,6 +114,7 @@ struct FleetResult {
     compactions: u64,
     compacted_records: u64,
     journal_records: u64,
+    state_writes: u64,
     journal_truncated_bytes: usize,
     lost_updates: usize,
     coverage_violations: usize,
@@ -261,6 +264,7 @@ fn run_fleet() -> FleetResult {
         compactions: stats.compactions,
         compacted_records: stats.compacted_records,
         journal_records: stats.journal_records,
+        state_writes: stats.state_writes,
         journal_truncated_bytes: ledger.truncated_bytes,
         lost_updates,
         coverage_violations: coverage.len(),
@@ -292,6 +296,7 @@ fn emit_fleet_json(r: &FleetResult) -> String {
         ("compactions", r.compactions.into()),
         ("compacted_records", r.compacted_records.into()),
         ("journal_records", r.journal_records.into()),
+        ("state_writes", r.state_writes.into()),
         ("journal_truncated_bytes", r.journal_truncated_bytes.into()),
         ("lost_updates", r.lost_updates.into()),
         ("coverage_violations", r.coverage_violations.into()),

@@ -16,9 +16,10 @@
 //!   `serve_tcp` loop as a library), with a [`kill`](shard::Shard::kill)
 //!   that models a crash: no drain, no goodbye.
 //! - [`state`] — the router's own durable books: an atomic-rename `SNVR`
-//!   state file beside the journals (routing table, migration
-//!   checkpoints and write-ahead migration intent, ring epoch, lifetime
-//!   counters) that makes the router itself crash-survivable.
+//!   state file beside the journals (routing table with replay floors,
+//!   write-ahead migration intent with its checkpoint, ring epoch,
+//!   lifetime counters), rewritten on structural transitions only, that
+//!   makes the router itself crash-survivable.
 //! - [`router`] — the coordinator: persistent hello-gated protocol-v2
 //!   connections, journaled admission, live migration (drain → snapshot
 //!   → restore → atomically repoint) behind a durable write-ahead

@@ -13,10 +13,18 @@
 //!   floors, close tombstones) and flushed record-by-record;
 //! - the latest checkpoint taken for each session — from migrations, the
 //!   periodic every-K-updates policy, or restart re-verification — which
-//!   is the floor failover replays from;
+//!   is the floor failover replays from; it lives in memory, and only its
+//!   floor is durable (a `Checkpoint` journal record, and the route's
+//!   floor in the state file as of its last write);
 //! - its own durable books: an [`SNVR` state file](crate::state) beside
-//!   the journals, rewritten atomically after every mutation, so a router
-//!   crash is survivable ([`ShardRouter::restore`]).
+//!   the journals, rewritten atomically after every structural
+//!   transition (create, close, migration, growth, failover, compaction,
+//!   restart), so a router crash is survivable ([`ShardRouter::restore`]).
+//!   A periodic checkpoint does not rewrite it: its journal record is the
+//!   whole durable cost, and a restart derives each floor as the max of the
+//!   file's and the journals'. Lifetime counters ride along with each
+//!   write, so a crash can lose the periodic-checkpoint increments since
+//!   the last one.
 //!
 //! **Migration** drains the in-flight step via `Snapshot` (the shard
 //! drains the session before checkpointing), writes a *pending-migration
@@ -261,7 +269,9 @@ pub struct FleetStats {
     /// records actually on disk, which a compaction may have shrunk.
     pub journal_records: u64,
     /// Checkpoints taken (migration + periodic policy + restart
-    /// re-verification).
+    /// re-verification). Like every counter here it is saved with the
+    /// state file's structural writes, so a router crash loses the
+    /// periodic increments since the last one.
     pub checkpoints: u64,
     /// Journal compactions performed.
     pub compactions: u64,
@@ -271,6 +281,9 @@ pub struct FleetStats {
     /// session — the periodic checkpoint policy bounds this at
     /// [`RouterConfig::checkpoint_interval`].
     pub max_replay_suffix: u64,
+    /// Writes of the `SNVR` state file (one per structural transition;
+    /// periodic checkpoints write none).
+    pub state_writes: u64,
 }
 
 /// What one `kill_shard` recovery did.
@@ -334,13 +347,6 @@ impl CrashPoint {
     }
 }
 
-struct Checkpoint {
-    /// Updates the checkpoint has applied (the failover replay floor).
-    applied: u64,
-    /// Encoded SNVC bytes.
-    bytes: Vec<u8>,
-}
-
 struct Route {
     shard: ShardId,
     local: u64,
@@ -351,7 +357,9 @@ struct Route {
     /// the shard's replay cursor at all times).
     cursor: u64,
     closed: bool,
-    checkpoint: Option<Checkpoint>,
+    /// The latest checkpoint taken: its update count is the failover
+    /// replay floor.
+    checkpoint: Option<CheckpointRecord>,
 }
 
 impl Route {
@@ -469,7 +477,7 @@ impl ShardRouter {
             let open = JournalWriter::create;
             open_member(&mut ring, &mut conns, &cfg.journal_dir, id, addr, open)?;
         }
-        let router = ShardRouter {
+        let mut router = ShardRouter {
             cfg,
             ring,
             epoch: 0,
@@ -491,13 +499,15 @@ impl ShardRouter {
     /// Restarts a router over the durable books a previous instance left
     /// at `cfg.journal_dir`: loads the SNVR state file, re-dials every
     /// member shard, reopens the journals in append mode (truncating any
-    /// torn tail), recomputes every open session's admission cursor from
-    /// the journal union, resolves an interrupted migration (roll back
-    /// or roll forward per the pending intent), and then *re-verifies
-    /// every open session against its live shard* — a drain + snapshot
-    /// whose applied count must equal the journal-derived cursor — before
-    /// returning. Each verification checkpoint becomes the session's new
-    /// replay floor, so a restart also re-bounds every failover suffix.
+    /// torn tail), recomputes every open session's replay floor (the max
+    /// of the state file's and every journal `Checkpoint` record's) and
+    /// admission cursor from the journal union, resolves an interrupted
+    /// migration (roll back or roll forward per the pending intent), and
+    /// then *re-verifies every open session against its live shard* — a
+    /// drain + snapshot whose applied count must equal the derived cursor —
+    /// before returning. Each verification checkpoint becomes the
+    /// session's new replay floor and in-memory checkpoint, so a restart
+    /// also re-bounds every failover suffix.
     pub fn restore(
         cfg: RouterConfig,
         shards: &[(ShardId, SocketAddr)],
@@ -533,7 +543,11 @@ impl ShardRouter {
         // Cursors are journal-derived, not state-derived: one admitted
         // update = one durable record, so `max seq + 1` over the journal
         // union (live and retired shards alike) is the admission cursor.
+        // Floors are too: a periodic checkpoint journals its floor without
+        // rewriting the state file, so the journals' floor records win
+        // over the file's.
         let mut next_seq: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut floors: BTreeMap<u64, u64> = BTreeMap::new();
         let mut records_on_disk = 0u64;
         for (_, path) in conns
             .iter()
@@ -543,18 +557,23 @@ impl ShardRouter {
             let contents = read_journal(&path)?;
             records_on_disk += contents.entries.len() as u64;
             for entry in &contents.entries {
-                if let JournalEntry::Update { session, seq, .. } = entry {
-                    let slot = next_seq.entry(*session).or_insert(0);
-                    *slot = (*slot).max(seq + 1);
-                }
+                let (books, session, value) = match *entry {
+                    JournalEntry::Update { session, seq, .. } => (&mut next_seq, session, seq + 1),
+                    JournalEntry::Checkpoint { session, floor } => (&mut floors, session, floor),
+                    _ => continue,
+                };
+                let at = books.entry(session).or_insert(0);
+                *at = (*at).max(value);
             }
         }
 
+        // Routes come back without checkpoint bytes: the re-verification
+        // below takes a fresh checkpoint of every open session.
         let mut routes = BTreeMap::new();
         for r in &st.routes {
             let kind = DatasetKind::from_code(r.kind)
                 .map_err(|_| FleetError::Desync("restore: unknown dataset kind in state"))?;
-            let floor = r.checkpoint.as_ref().map_or(0, |c| c.applied);
+            let floor = r.applied.max(floors.get(&r.global).copied().unwrap_or(0));
             let cursor = floor.max(next_seq.get(&r.global).copied().unwrap_or(0));
             routes.insert(
                 r.global,
@@ -566,10 +585,7 @@ impl ShardRouter {
                     seed: r.seed,
                     cursor,
                     closed: false,
-                    checkpoint: r.checkpoint.as_ref().map(|c| Checkpoint {
-                        applied: c.applied,
-                        bytes: c.bytes.clone(),
-                    }),
+                    checkpoint: None,
                 },
             );
         }
@@ -642,11 +658,7 @@ impl ShardRouter {
                 session: p.source_local,
             });
         }
-        let checkpoint = Checkpoint {
-            applied: p.checkpoint.applied,
-            bytes: p.checkpoint.bytes,
-        };
-        self.install_route(global, target, new_local, Some(checkpoint))?;
+        self.install_route(global, target, new_local, Some(p.checkpoint))?;
         self.stats.migrations += 1;
         Ok(Some("rolled-forward"))
     }
@@ -681,7 +693,7 @@ impl ShardRouter {
         shard: ShardId,
         local: u64,
         cursor: u64,
-    ) -> Result<Checkpoint, FleetError> {
+    ) -> Result<CheckpointRecord, FleetError> {
         match self
             .conn(shard)?
             .call(&Request::Snapshot { session: local })?
@@ -691,7 +703,7 @@ impl ShardRouter {
                 applied,
                 checkpoint,
                 ..
-            } if at == cursor && applied == cursor => Ok(Checkpoint {
+            } if at == cursor && applied == cursor => Ok(CheckpointRecord {
                 applied,
                 bytes: checkpoint,
             }),
@@ -711,7 +723,7 @@ impl ShardRouter {
         global: u64,
         target: ShardId,
         local: u64,
-        checkpoint: Option<Checkpoint>,
+        checkpoint: Option<CheckpointRecord>,
     ) -> Result<(), FleetError> {
         let route = self
             .routes
@@ -849,8 +861,11 @@ impl ShardRouter {
     }
 
     /// Atomically rewrites the durable state file from the in-memory
-    /// books. Called after every mutation a restarted router must see.
-    fn persist(&self) -> Result<(), FleetError> {
+    /// books. Called after every structural transition a restarted router
+    /// must see; a periodic checkpoint's floor is durable in its journal
+    /// record instead.
+    fn persist(&mut self) -> Result<(), FleetError> {
+        self.stats.state_writes += 1;
         let state = RouterState {
             seed: self.cfg.seed,
             epoch: self.epoch,
@@ -869,10 +884,7 @@ impl ShardRouter {
                     kind: r.kind.code(),
                     steps: r.steps,
                     seed: r.seed,
-                    checkpoint: r.checkpoint.as_ref().map(|c| CheckpointRecord {
-                        applied: c.applied,
-                        bytes: c.bytes.clone(),
-                    }),
+                    applied: r.floor(),
                 })
                 .collect(),
             pending: self.pending.clone(),
@@ -962,7 +974,8 @@ impl ShardRouter {
     /// Returns how many were admitted (the count clamped to the steps
     /// remaining in the trajectory). If the session's journal suffix has
     /// reached [`RouterConfig::checkpoint_interval`], the call ends by
-    /// checkpointing it, re-bounding the failover replay.
+    /// checkpointing it, re-bounding the failover replay; that checkpoint's
+    /// one durable write is its journal floor record, not the state file.
     pub fn submit(&mut self, global: u64, deadline: u64, count: u32) -> Result<u32, FleetError> {
         let route = self.open_route(global)?;
         let remaining = u64::from(route.steps).saturating_sub(route.cursor);
@@ -1012,7 +1025,6 @@ impl ShardRouter {
                 .is_some_and(|r| !r.closed && r.cursor - r.floor() >= k);
             if due {
                 self.verify_and_checkpoint(global)?;
-                self.persist()?;
             }
         }
         self.maybe_compact(shard)?;
@@ -1096,10 +1108,7 @@ impl ShardRouter {
             source_local: local,
             target: to.0,
             target_local: None,
-            checkpoint: CheckpointRecord {
-                applied,
-                bytes: checkpoint.bytes.clone(),
-            },
+            checkpoint: checkpoint.clone(),
         });
         self.persist()?;
         self.crash_if(CrashPoint::MigrateAfterIntent)?;

@@ -4,25 +4,34 @@
 //! migration checkpoints, ring membership — only in memory, making the
 //! router itself the fleet's single point of failure. This module gives
 //! those books a durable home beside the shard journals: one `SNVR` file,
-//! rewritten atomically (temp file + rename) after every mutation that
-//! changes what a restarted router would need to know.
+//! rewritten atomically (temp file + rename) after every *structural*
+//! transition — connect, create, close, migration intent and completion,
+//! failover, growth, compaction and restart.
 //!
 //! What is persisted and what is deliberately not:
 //!
 //! - **Persisted**: the ring seed and *epoch* (bumped on every membership
 //!   change), the live and retired member sets, every open route's
-//!   descriptor and latest checkpoint, the placement history (what maps
+//!   descriptor and replay floor (the update count of its latest
+//!   checkpoint, as of the last write), the placement history (what maps
 //!   shard-local dispatch ledgers back to fleet-global ids), lifetime
 //!   stats, and at most one *pending migration* intent — the write-ahead
 //!   record that makes migration crash-recoverable (see
-//!   [`PendingMigration`]).
-//! - **Not persisted**: per-session admission cursors. Those are already
-//!   durable in the journals (one record per admitted update), so the
-//!   restart path recomputes each cursor from the journal union and then
-//!   *re-verifies it against the live shard* before accepting traffic —
-//!   a cursor stored here could silently disagree with both.
+//!   [`PendingMigration`]). The intent is the one record that carries
+//!   checkpoint bytes: a roll-forward restores them.
+//! - **Not persisted**: route checkpoint bytes and per-session admission
+//!   cursors. A periodic checkpoint writes only its `Checkpoint` journal
+//!   record, so the journals hold floors newer than this file's; the
+//!   restart path takes each floor as the max of this file's and the
+//!   journals', recomputes each cursor from the journal union (one record
+//!   per admitted update), and then *re-verifies it against the live
+//!   shard* with a fresh drain + snapshot, whose bytes become the route's
+//!   checkpoint. Route bytes stored here would never be read.
+//! - **Lifetime stats** are saved with each structural write, so a crash
+//!   loses the counter increments (periodic checkpoints, above all) made
+//!   since the last one.
 //!
-//! # On-disk format
+//! # On-disk format (version 2)
 //!
 //! ```text
 //! header: "SNVR" | version u16 LE
@@ -30,18 +39,21 @@
 //!   seed u64 | epoch u64 | next_global u64
 //!   members:  count u32 | shard u32 ...
 //!   retired:  count u32 | shard u32 ...
-//!   stats:    10 × u64 (see FleetStats field order in decode)
+//!   stats:    11 × u64 (see FleetStats field order in decode)
 //!   routes:   count u32 | RouteRecord ...
 //!   pending:  present u8 | PendingMigration
 //!   placements: count u32 | (global u64 | shard u32 | local u64) ...
 //! RouteRecord:
 //!   global u64 | shard u32 | local u64 | kind u8 | steps u32 | seed u64
-//!   | checkpoint present u8 | applied u64 | len u32 | bytes
+//!   | applied u64
 //! PendingMigration:
 //!   global u64 | source u32 | source_local u64 | target u32
 //!   | target_local present u8 | target_local u64
 //!   | applied u64 | len u32 | bytes
 //! ```
+//!
+//! Version 1 also carried each route's SNVC bytes; this build refuses it
+//! with [`StateError::BadVersion`].
 //!
 //! Decoding is panic-free: truncation, lying lengths and unknown
 //! versions all surface as a typed [`StateError`], never a panic — the
@@ -58,11 +70,9 @@ use crate::router::FleetStats;
 /// Router state file magic.
 pub const STATE_MAGIC: [u8; 4] = *b"SNVR";
 /// State format version this build writes and reads.
-pub const STATE_VERSION: u16 = 1;
-/// Cap on one embedded checkpoint's byte length — far above any legal
-/// engine snapshot, so a lying length cannot drive a huge allocation.
-pub const MAX_STATE_CHECKPOINT_BYTES: usize = 1 << 24;
-/// Cap on any list's element count, same rationale.
+pub const STATE_VERSION: u16 = 2;
+/// Cap on any list's element count, so a lying count cannot drive a huge
+/// allocation.
 pub const MAX_STATE_LIST_LEN: usize = 1 << 22;
 
 /// A typed state-file I/O or format failure. Decode paths never panic.
@@ -117,8 +127,9 @@ impl From<ReadError> for StateError {
     }
 }
 
-/// An embedded engine checkpoint: SNVC bytes plus the update count they
-/// have applied (the failover replay floor).
+/// An engine checkpoint: SNVC bytes plus the update count they have
+/// applied (the replay floor). The router keeps one per open route in
+/// memory; the state file stores one only inside a [`PendingMigration`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointRecord {
     /// Updates the checkpoint has applied.
@@ -128,8 +139,8 @@ pub struct CheckpointRecord {
 }
 
 /// One open route as persisted: the session's replay descriptor, its
-/// current home, and its latest checkpoint (if any). Closed sessions are
-/// not persisted — their journal tombstones are the durable record.
+/// current home, and its replay floor. Closed sessions are not persisted —
+/// their journal tombstones are the durable record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteRecord {
     /// Fleet-global session id.
@@ -144,9 +155,10 @@ pub struct RouteRecord {
     pub steps: u32,
     /// Generator seed.
     pub seed: u64,
-    /// Latest checkpoint taken (migration, periodic policy, or restart
-    /// re-verification).
-    pub checkpoint: Option<CheckpointRecord>,
+    /// Updates applied by the latest checkpoint as of this write
+    /// (migration, periodic policy, or restart re-verification; 0 if none
+    /// was taken). A later periodic checkpoint's floor is in the journals.
+    pub applied: u64,
 }
 
 /// The write-ahead migration intent. Persisted *before* the restore on
@@ -209,11 +221,6 @@ pub struct RouterState {
     pub placements: Vec<PlacementRecord>,
 }
 
-fn put_checkpoint(out: &mut Vec<u8>, c: &CheckpointRecord) {
-    put_u64(out, c.applied);
-    put_bytes(out, &c.bytes);
-}
-
 /// Serializes the state to SNVR bytes.
 pub fn encode_state(state: &RouterState) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
@@ -241,6 +248,7 @@ pub fn encode_state(state: &RouterState) -> Vec<u8> {
         s.compactions,
         s.compacted_records,
         s.max_replay_suffix,
+        s.state_writes,
     ] {
         put_u64(&mut out, v);
     }
@@ -252,13 +260,7 @@ pub fn encode_state(state: &RouterState) -> Vec<u8> {
         out.push(r.kind);
         put_u32(&mut out, r.steps);
         put_u64(&mut out, r.seed);
-        match &r.checkpoint {
-            Some(c) => {
-                out.push(1);
-                put_checkpoint(&mut out, c);
-            }
-            None => out.push(0),
-        }
+        put_u64(&mut out, r.applied);
     }
     match &state.pending {
         Some(p) => {
@@ -277,7 +279,8 @@ pub fn encode_state(state: &RouterState) -> Vec<u8> {
                     put_u64(&mut out, 0);
                 }
             }
-            put_checkpoint(&mut out, &p.checkpoint);
+            put_u64(&mut out, p.checkpoint.applied);
+            put_bytes(&mut out, &p.checkpoint.bytes);
         }
         None => out.push(0),
     }
@@ -298,18 +301,6 @@ fn take_list_len(r: &mut Reader<'_>, elem_bytes: usize) -> Result<usize, StateEr
         return Err(StateError::TooLarge(n as u64));
     }
     Ok(n)
-}
-
-fn take_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointRecord, StateError> {
-    let applied = r.u64()?;
-    let bytes = r.bytes()?;
-    if bytes.len() > MAX_STATE_CHECKPOINT_BYTES {
-        return Err(StateError::TooLarge(bytes.len() as u64));
-    }
-    Ok(CheckpointRecord {
-        applied,
-        bytes: bytes.to_vec(),
-    })
 }
 
 fn take_flag(r: &mut Reader<'_>, bad: &'static str) -> Result<bool, StateError> {
@@ -344,10 +335,11 @@ pub fn decode_state(bytes: &[u8]) -> Result<RouterState, StateError> {
         compactions: stat()?,
         compacted_records: stat()?,
         max_replay_suffix: stat()?,
+        state_writes: stat()?,
     };
     // global u64 | shard u32 | local u64 | kind u8 | steps u32 | seed u64
-    // | checkpoint flag u8
-    let n = take_list_len(&mut r, 8 + 4 + 8 + 1 + 4 + 8 + 1)?;
+    // | applied u64
+    let n = take_list_len(&mut r, 8 + 4 + 8 + 1 + 4 + 8 + 8)?;
     let mut routes = Vec::with_capacity(n);
     for _ in 0..n {
         routes.push(RouteRecord {
@@ -357,10 +349,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<RouterState, StateError> {
             kind: r.u8()?,
             steps: r.u32()?,
             seed: r.u64()?,
-            checkpoint: match take_flag(&mut r, "route: bad checkpoint flag")? {
-                false => None,
-                true => Some(take_checkpoint(&mut r)?),
-            },
+            applied: r.u64()?,
         });
     }
     let pending = match take_flag(&mut r, "pending: bad flag")? {
@@ -372,7 +361,11 @@ pub fn decode_state(bytes: &[u8]) -> Result<RouterState, StateError> {
             source_local: r.u64()?,
             target: r.u32()?,
             target_local: take_flag(&mut r, "pending: bad local flag")?.then_some(r.u64()?),
-            checkpoint: take_checkpoint(&mut r)?,
+            // The byte length is bounded by the input: `bytes` borrows.
+            checkpoint: CheckpointRecord {
+                applied: r.u64()?,
+                bytes: r.bytes()?.to_vec(),
+            },
         }),
     };
     // global u64 | shard u32 | local u64
@@ -443,6 +436,7 @@ mod tests {
                 compactions: 2,
                 compacted_records: 33,
                 max_replay_suffix: 3,
+                state_writes: 41,
             },
             routes: vec![
                 RouteRecord {
@@ -452,7 +446,7 @@ mod tests {
                     kind: 0,
                     steps: 24,
                     seed: 311,
-                    checkpoint: None,
+                    applied: 0,
                 },
                 RouteRecord {
                     global: 12,
@@ -461,10 +455,7 @@ mod tests {
                     kind: 1,
                     steps: 18,
                     seed: 412,
-                    checkpoint: Some(CheckpointRecord {
-                        applied: 9,
-                        bytes: vec![1, 2, 3, 4, 5],
-                    }),
+                    applied: 9,
                 },
             ],
             pending: Some(PendingMigration {
@@ -514,7 +505,6 @@ mod tests {
 
         let mut none_pending = sample();
         none_pending.pending = None;
-        none_pending.routes[1].checkpoint = None;
         let decoded = decode_state(&encode_state(&none_pending)).expect("decode without pending");
         assert_state_eq(&none_pending, &decoded);
     }

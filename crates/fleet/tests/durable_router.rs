@@ -4,9 +4,15 @@
 //! checkpoints and journal compaction run under load — and none of it
 //! perturbs a single estimate bit relative to solo replays or loses an
 //! admitted update (the `Ledger` witness), while a dispatch the router
-//! never placed is caught.
+//! never placed is caught. A restart also rebuilds a cursor that only a
+//! replay floor accounts for — one held by a journal `Checkpoint` record,
+//! or by the state file alone — and periodic checkpoints leave the state
+//! file unwritten.
 
-use supernova_fleet::{HashRing, RouterConfig, Shard, ShardId, ShardRouter, UNPLACED_DISPATCH};
+use supernova_fleet::{
+    read_journal, HashRing, JournalEntry, RouterConfig, Shard, ShardId, ShardRouter,
+    UNPLACED_DISPATCH,
+};
 use supernova_serve::protocol::DatasetKind;
 use supernova_serve::service::{generate, solo_estimate};
 use supernova_serve::{ServeConfig, UpdateRequest};
@@ -189,6 +195,174 @@ fn router_restart_and_rebalance_round_trip_bit_identically() {
     assert!(
         coverage.len() == 1 && coverage[0].detail.starts_with(&named),
         "expected one violation starting {named:?}, got {coverage:?}"
+    );
+    drop(shards);
+    let _ = std::fs::remove_dir_all(&journal_dir);
+}
+
+/// Every journal record of `session` on `shard`, in file order.
+fn records_of(router: &ShardRouter, shard: ShardId, session: u64) -> Vec<JournalEntry> {
+    let (_, path) = router
+        .journal_paths()
+        .into_iter()
+        .find(|(id, _)| *id == shard)
+        .expect("shard has a journal");
+    read_journal(&path)
+        .expect("journal reads back")
+        .entries
+        .into_iter()
+        .filter(|e| {
+            let owner = match *e {
+                JournalEntry::Create { session, .. }
+                | JournalEntry::Update { session, .. }
+                | JournalEntry::Checkpoint { session, .. }
+                | JournalEntry::Tombstone { session, .. } => session,
+            };
+            owner == session
+        })
+        .collect()
+}
+
+#[test]
+fn restarts_rebuild_cursors_from_floors_alone_and_failover_stays_exact() {
+    let journal_dir =
+        std::env::temp_dir().join(format!("fleet-durable-floors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal_dir);
+    let mut shards: Vec<Shard> = (0..SHARDS)
+        .map(|i| Shard::spawn(ShardId(i), shard_cfg()).expect("bind shard"))
+        .collect();
+    let endpoints: Vec<_> = shards.iter().map(|s| (s.id(), s.addr())).collect();
+    let mut router =
+        ShardRouter::connect(router_cfg(journal_dir.clone()), &endpoints).expect("connect");
+    let (kind, steps, seed) = (DatasetKind::Manhattan, 16, 0xF100);
+    let g = router.create_session(kind, steps, seed).expect("create");
+    let home = router.shard_of(g).expect("routed");
+    let mut tick = 0u64;
+
+    // A window of submits whose only side effect beyond the journal is one
+    // periodic checkpoint: 1 create + 4 updates + 1 floor record stay
+    // under the compaction trigger, and the state file is not rewritten.
+    let before = router.stats();
+    for _ in 0..CHECKPOINT_K {
+        assert_eq!(router.submit(g, tick, 1).expect("submit"), 1);
+        tick += 1;
+    }
+    let after = router.stats();
+    assert_eq!(
+        after.checkpoints,
+        before.checkpoints + 1,
+        "one periodic checkpoint"
+    );
+    assert_eq!(
+        after.compactions, before.compactions,
+        "no compaction in the window"
+    );
+    assert_eq!(
+        after.state_writes, before.state_writes,
+        "a periodic checkpoint rewrote the state file"
+    );
+
+    // The next K updates end in a checkpoint at cursor 8 and then a
+    // compaction (11 appends >= 8), which drops every update below the
+    // floor: the journal holds the floor and nothing past it.
+    router.submit(g, tick, CHECKPOINT_K as u32).expect("submit");
+    tick += CHECKPOINT_K;
+    let floor = 2 * CHECKPOINT_K;
+    let stats = router.stats();
+    assert_eq!(
+        stats.compactions, 1,
+        "the second checkpoint's submit compacts"
+    );
+    assert_eq!(
+        stats.state_writes,
+        after.state_writes + 1,
+        "compaction is a state write"
+    );
+    let kept = records_of(&router, home, g);
+    assert!(
+        matches!(kept[..], [JournalEntry::Create { .. }, JournalEntry::Checkpoint { floor: f, .. }] if f == floor),
+        "compaction kept {kept:?}"
+    );
+
+    // Crash right after the compaction. The restart's re-verification
+    // passes only if the cursor is rebuilt as the floor, and journals it.
+    drop(router);
+    let (mut router, report) =
+        ShardRouter::restore(router_cfg(journal_dir.clone()), &endpoints).expect("restore");
+    assert_eq!(report.sessions_verified, 1);
+    assert!(
+        matches!(records_of(&router, home, g).last(), Some(JournalEntry::Checkpoint { floor: f, .. }) if *f == floor),
+        "restart re-verified at a cursor other than the floor {floor}"
+    );
+
+    // Two updates past the floor, then a migration: its checkpoint (floor
+    // 10) is journaled nowhere. Compacting the source drops the session's
+    // records there, so the floor lives only in the state file until the
+    // target compacts.
+    router.submit(g, tick, 2).expect("submit");
+    tick += 2;
+    let floor = floor + 2;
+    let target = *router
+        .live_shards()
+        .iter()
+        .find(|s| **s != home)
+        .expect("another shard");
+    router.migrate(g, target).expect("migrate");
+    router.compact_shard(home).expect("compact the source");
+    assert_eq!(
+        records_of(&router, home, g),
+        Vec::new(),
+        "source still holds the session"
+    );
+    assert!(
+        matches!(
+            records_of(&router, target, g)[..],
+            [JournalEntry::Create { .. }]
+        ),
+        "the target journal holds only the arrival"
+    );
+
+    // Crash right after the migration.
+    drop(router);
+    let (mut router, report) =
+        ShardRouter::restore(router_cfg(journal_dir.clone()), &endpoints).expect("restore");
+    assert_eq!(report.sessions_verified, 1);
+    assert_eq!(
+        router.shard_of(g),
+        Some(target),
+        "migration survives restart"
+    );
+    assert!(
+        matches!(records_of(&router, target, g).last(), Some(JournalEntry::Checkpoint { floor: f, .. }) if *f == floor),
+        "restart re-verified at a cursor other than the floor {floor}"
+    );
+
+    // Three updates past the restart's floor, then the session's shard
+    // dies with them queued: failover replays exactly that suffix.
+    router.submit(g, tick, 3).expect("submit");
+    tick += 3;
+    for shard in shards.iter_mut().filter(|s| s.id() == target) {
+        shard.kill();
+    }
+    let failover = router.kill_shard(target).expect("failover");
+    assert_eq!(failover.sessions, 1);
+    assert_eq!(failover.max_replay_suffix, 3);
+    assert!(failover.max_replay_suffix <= CHECKPOINT_K);
+    router.submit(g, tick, steps).expect("submit rest");
+    assert_eq!(
+        router.estimate(g).expect("estimate"),
+        solo_estimate(&shard_cfg(), kind, steps, seed),
+        "session diverged from its solo replay across two restarts and a failover"
+    );
+    router.close(g).expect("close");
+
+    let ledger = router.ledger().expect("journals read back");
+    router.shutdown();
+    drop(router);
+    assert_eq!(
+        ledger.coverage(&shards),
+        Vec::new(),
+        "zero admitted updates lost"
     );
     drop(shards);
     let _ = std::fs::remove_dir_all(&journal_dir);

@@ -2,7 +2,7 @@
 //! formats: `serve` request/response frames, `SNVC` checkpoints, `SNVJ`
 //! journals and `SNVR` router state.
 //!
-//! **Pins.** Every fixture under `tests/fixtures/` but two is the encoding
+//! **Pins.** Every fixture under `tests/fixtures/` but three is the encoding
 //! of a literal value built below — no solver run, no transcendental
 //! function — so the bytes move only when an encoder does. One exception,
 //! `snvc_landmarks.bin`, is a snapshot of two landmark sessions run
@@ -12,7 +12,9 @@
 //! that re-encodes to the same bytes. The other exception, `snvc_f32.bin`,
 //! is `snvc_f64.bin` with its reserved byte set to 1, as written when the
 //! kernels had an f32 mode: no encoder writes it, and the decoder must
-//! refuse it. After an intentional format change
+//! refuse it. The third, `snvr_v1.bin`, is a router state file in the
+//! retired version 1 layout (it carried each route's SNVC bytes); the
+//! decoder must refuse it by version. After an intentional format change
 //! (which also bumps that format's version), regenerate with
 //! `cargo test -p supernova-fleet --test wire_formats -- --ignored
 //! regenerate_fixtures` and commit the diff with the change.
@@ -33,7 +35,7 @@ use supernova_factors::{BetweenFactor, Factor, Key, NoiseModel, PriorFactor, Rot
 use supernova_factors::{PointObservationFactor, RangeBearingFactor, Se2, Se3, Variable};
 use supernova_fleet::{
     decode_state, encode_state, read_journal_bytes, CheckpointRecord, FleetStats, JournalEntry,
-    JournalWriter, PendingMigration, PlacementRecord, RouteRecord, RouterState,
+    JournalWriter, PendingMigration, PlacementRecord, RouteRecord, RouterState, StateError,
 };
 use supernova_hw::Platform;
 use supernova_linalg::rng::XorShift64;
@@ -273,7 +275,7 @@ fn journal_image() -> Vec<u8> {
     bytes
 }
 
-/// Routes with and without a checkpoint, and a pending migration whose
+/// Routes with and without a replay floor, and a pending migration whose
 /// target has (`Some`) or has not (`None`) acknowledged the restore.
 fn router_state(target_local: Option<u64>) -> RouterState {
     RouterState {
@@ -293,6 +295,7 @@ fn router_state(target_local: Option<u64>) -> RouterState {
             compactions: 2,
             compacted_records: 33,
             max_replay_suffix: 3,
+            state_writes: 41,
         },
         routes: vec![
             RouteRecord {
@@ -302,7 +305,7 @@ fn router_state(target_local: Option<u64>) -> RouterState {
                 kind: 0,
                 steps: 24,
                 seed: 311,
-                checkpoint: None,
+                applied: 0,
             },
             RouteRecord {
                 global: 12,
@@ -311,10 +314,7 @@ fn router_state(target_local: Option<u64>) -> RouterState {
                 kind: 1,
                 steps: 18,
                 seed: 412,
-                checkpoint: Some(CheckpointRecord {
-                    applied: 9,
-                    bytes: b"SNVC-opaque".to_vec(),
-                }),
+                applied: 9,
             },
         ],
         pending: Some(PendingMigration {
@@ -692,6 +692,23 @@ fn snvc_from_the_retired_f32_mode_is_refused() {
         "snvc_f32.bin is snvc_f64.bin with byte 6 = 1"
     );
     assert_refused(blob, CheckpointError::BadNumericMode(1));
+}
+
+/// A version-1 router state file, which also stored every route's SNVC
+/// bytes, is refused by its version, not misread as version 2.
+#[test]
+fn snvr_from_version_1_is_refused() {
+    let bytes = read_fixture("snvr_v1.bin");
+    assert_eq!(
+        &bytes[..6],
+        b"SNVR\x01\x00",
+        "snvr_v1.bin is a version-1 file"
+    );
+    assert!(
+        matches!(decode_state(&bytes), Err(StateError::BadVersion(1))),
+        "got {:?}",
+        decode_state(&bytes).map(|_| ())
+    );
 }
 
 /// Each kind over a variable its residual does not evaluate. The bytes

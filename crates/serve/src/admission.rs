@@ -26,6 +26,10 @@ pub enum AdmissionError {
     UnknownSession(SessionId),
     /// The session is closing; it accepts no further updates.
     SessionClosing(SessionId),
+    /// A step of the session panicked in the solver: its engine is gone,
+    /// so it accepts no updates and answers no reads. Closing it frees
+    /// its slot.
+    SessionFailed(SessionId),
     /// The update's factors name a variable the session does not have and
     /// this update would not add: a pose after the session's newest, as
     /// when an earlier step was shed. Applying it would abort the worker,
@@ -62,6 +66,9 @@ impl std::fmt::Display for AdmissionError {
             }
             AdmissionError::UnknownSession(id) => write!(f, "{id} does not exist"),
             AdmissionError::SessionClosing(id) => write!(f, "{id} is closing"),
+            AdmissionError::SessionFailed(id) => {
+                write!(f, "{id} failed: the solver could not step it")
+            }
             AdmissionError::UnknownVariable { session, key } => write!(
                 f,
                 "{session} update names unknown variable {key} (a pose after the one it adds); \
@@ -157,6 +164,9 @@ impl AdmissionController {
         let s = registry
             .get(session)
             .ok_or(AdmissionError::UnknownSession(session))?;
+        if s.failed {
+            return Err(AdmissionError::SessionFailed(session));
+        }
         if s.closing {
             return Err(AdmissionError::SessionClosing(session));
         }

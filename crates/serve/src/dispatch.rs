@@ -19,13 +19,21 @@
 //!   before each step. Overload shrinks per-step relinearization budgets
 //!   instead of dropping admitted updates; queues stay bounded by admission
 //!   control, not by shedding admitted work.
+//! - **A panicking step fails its session, not the worker.** A step the
+//!   solver cannot finish (its factorization still failing after every
+//!   damping retry) panics; the worker catches it, drops the session's
+//!   engine and queued updates, and marks the session failed. Waits on it
+//!   return, later calls are refused with
+//!   [`AdmissionError::SessionFailed`], `close` frees its slot, and the
+//!   worker goes on serving the other sessions.
 //!
 //! Every dispatched step is recorded as a [`DispatchSpan`] (the first
 //! [`RECORDED_SPANS`]) so `supernova-analyze` can check the
 //! worker-exclusivity and per-session happens-before invariants on real
 //! executions.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 use supernova_factors::{Key, Values, Variable};
@@ -342,13 +350,20 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`AdmissionError::UnknownSession`] if the session is not live.
+    /// [`AdmissionError::UnknownSession`] if the session is not live,
+    /// [`AdmissionError::SessionFailed`] if a step of it panicked.
     pub fn drain(&self, session: SessionId) -> Result<(), AdmissionError> {
+        self.wait_drained(session).map(drop)
+    }
+
+    /// [`drain`](Self::drain), returning the registry lock it ends under.
+    fn wait_drained(&self, session: SessionId) -> Result<MutexGuard<'_, State>, AdmissionError> {
         let mut st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
         loop {
             match st.registry.get(session) {
                 None => return Err(AdmissionError::UnknownSession(session)),
-                Some(s) if s.drained() => return Ok(()),
+                Some(s) if s.failed => return Err(AdmissionError::SessionFailed(session)),
+                Some(s) if s.drained() => return Ok(st),
                 Some(_) => st = self.inner.idle_cv.wait(st).unwrap(), // lint: allow(unwrap)
             }
         }
@@ -381,7 +396,9 @@ impl Server {
     }
 
     /// Closes `session`: refuses further updates, drains what was admitted,
-    /// drops the session's engine, and reports its lifetime statistics.
+    /// drops the session's engine, and reports its lifetime statistics. A
+    /// failed session closes at once, with
+    /// [`failed`](SessionCloseReport::failed) set.
     ///
     /// # Errors
     ///
@@ -419,6 +436,7 @@ impl Server {
             completed: s.completed,
             shed: s.stats.shed(),
             stats: s.stats,
+            failed: s.failed,
         })
     }
 
@@ -433,21 +451,20 @@ impl Server {
         self.with_drained_engine(session, SolverEngine::snapshot)
     }
 
-    /// Drains `session`, then runs `read` on its engine under the
-    /// registry lock.
+    /// Drains `session`, then runs `read` on its engine under the same
+    /// registry lock, so no worker can take the engine in between.
     fn with_drained_engine<T>(
         &self,
         session: SessionId,
         read: impl FnOnce(&SolverEngine) -> T,
     ) -> Result<T, AdmissionError> {
-        self.drain(session)?;
-        let st = self.inner.state.lock().unwrap(); // lint: allow(unwrap)
-        let s = st
+        let st = self.wait_drained(session)?;
+        // A drained session that has not failed holds its engine.
+        let engine = st
             .registry
             .get(session)
+            .and_then(|s| s.engine.as_ref())
             .ok_or(AdmissionError::UnknownSession(session))?;
-        // A drained session is not busy, so it holds its engine.
-        let engine = s.engine.as_ref().expect("drained session holds its engine"); // lint: allow(unwrap)
         Ok(read(engine))
     }
 
@@ -565,7 +582,8 @@ impl Inner {
 }
 
 /// One dispatcher worker: pick the EDF session, take its engine, step
-/// outside the lock, return the engine and account the step.
+/// outside the lock, return the engine and account the step — or, if the
+/// step panicked, fail the session and drop its engine.
 fn worker_loop(worker: usize, inner: &Inner) {
     loop {
         let (session, req, seq, level, mut engine) = {
@@ -604,9 +622,12 @@ fn worker_loop(worker: usize, inner: &Inner) {
         };
         let mut builder = inner.tracer.step(key, "serve.dispatch", Category::Serve);
         let t0 = epoch_seconds();
-        let _trace = engine.step(req.initial, req.factors);
+        // The engine a panic leaves half-stepped is dropped below, never
+        // stepped again, so observing it across the unwind is sound.
+        let stepped =
+            panic::catch_unwind(AssertUnwindSafe(|| engine.step(req.initial, req.factors)));
         let t1 = epoch_seconds();
-        if let Some(mut b) = builder.take() {
+        if let (Ok(_), Some(mut b)) = (&stepped, builder.take()) {
             let root = b.root_mut();
             root.set_track(worker as u32);
             root.counter("level", u64::from(level));
@@ -623,20 +644,25 @@ fn worker_loop(worker: usize, inner: &Inner) {
             .registry
             .get_mut(session)
             .expect("busy session stays live"); // lint: allow(unwrap)
-        s.engine = Some(engine);
-        s.completed += 1;
-        s.stats.record_step(t1 - t0, level);
-        let idx = usize::from(level).min(st.level_histogram.len() - 1);
-        st.level_histogram[idx] += 1;
-        if st.spans.len() < RECORDED_SPANS {
-            st.spans.push(DispatchSpan {
-                worker,
-                session,
-                seq,
-                start: t0,
-                end: t1,
-                level,
-            });
+        if stepped.is_err() {
+            s.failed = true;
+            s.queue.clear();
+        } else {
+            s.engine = Some(engine);
+            s.completed += 1;
+            s.stats.record_step(t1 - t0, level);
+            let idx = usize::from(level).min(st.level_histogram.len() - 1);
+            st.level_histogram[idx] += 1;
+            if st.spans.len() < RECORDED_SPANS {
+                st.spans.push(DispatchSpan {
+                    worker,
+                    session,
+                    seq,
+                    start: t0,
+                    end: t1,
+                    level,
+                });
+            }
         }
         st.level = inner.cfg.level_for_depth(st.registry.total_depth());
         drop(st);
@@ -716,6 +742,54 @@ mod tests {
             solo.estimate(),
             "a session in a freed slot diverged from the solo replay"
         );
+    }
+
+    /// Finite and well keyed, so admission takes it, yet no damping makes
+    /// its system factorizable: the solver panics stepping it.
+    fn unsolvable_step() -> UpdateRequest {
+        use supernova_factors::{Key, NoiseModel, PriorFactor, Rot2, Se2};
+        let at = |x| Se2::from_parts([x, 0.0], Rot2::from_cos_sin(1.0, 0.0));
+        let noise = NoiseModel::from_sqrt_info(vec![10.0; 3], None).expect("positive weights");
+        let prior = PriorFactor::se2(Key(0), at(0.0), noise);
+        UpdateRequest::new(0, Variable::Se2(at(1e300)), vec![prior.into()])
+    }
+
+    #[test]
+    fn a_panicking_step_fails_its_session_not_the_worker() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            max_sessions: 2,
+            // Undegraded, as the solo replay runs.
+            degrade_start: usize::MAX,
+            ..ServeConfig::default()
+        });
+        let good = server.create_session().expect("slot");
+        let bad = server.create_session().expect("slot");
+        server.submit(bad, unsolvable_step()).expect("admitted");
+        let ds = Dataset::manhattan_seeded(30, 5);
+        submit_all(&server, good, &ds);
+
+        // Waits on the failed session return; every later call is refused.
+        let failed = Err(AdmissionError::SessionFailed(bad));
+        assert_eq!(server.drain(bad), failed);
+        assert_eq!(server.submit(bad, unsolvable_step()), failed);
+        assert_eq!(server.estimate(bad).map(drop), failed);
+        assert_eq!(server.snapshot_session(bad).map(drop), failed);
+        server.drain_all();
+        let report = server.close(bad).expect("a failed session closes");
+        assert!(report.failed);
+        assert_eq!(report.completed, 0);
+
+        // The one worker kept serving, and the failed session's slot is
+        // free again.
+        let solo = solo_replay(server.config(), &ds.online_steps());
+        assert_eq!(server.estimate(good).expect("live"), solo.estimate());
+        assert!(!server.close(good).expect("close").failed);
+        let fresh = server.create_session().expect("freed slot");
+        let ds = Dataset::sphere_seeded(12, 3);
+        submit_all(&server, fresh, &ds);
+        let solo = solo_replay(server.config(), &ds.online_steps());
+        assert_eq!(server.estimate(fresh).expect("live"), solo.estimate());
     }
 
     #[test]

@@ -55,6 +55,9 @@ pub struct SessionCloseReport {
     pub shed: u64,
     /// Final per-session statistics.
     pub stats: SessionStats,
+    /// A step panicked in the solver: the session ended early, its
+    /// engine and the updates queued behind that step dropped.
+    pub failed: bool,
 }
 
 /// One live session: its engine, bounded queue, and statistics.
@@ -68,6 +71,9 @@ pub(crate) struct Session {
     pub(crate) queue: VecDeque<UpdateRequest>,
     /// `close()` has begun: no further updates are admitted.
     pub(crate) closing: bool,
+    /// A worker's step of this session panicked: its engine was dropped
+    /// with the queued updates, and it serves nothing until closed.
+    pub(crate) failed: bool,
     /// Updates fully processed.
     pub(crate) completed: u64,
     /// Variables the session has once everything admitted is applied —
@@ -89,6 +95,7 @@ impl Session {
             engine: Some(engine),
             queue: VecDeque::new(),
             closing: false,
+            failed: false,
             completed: applied as u64,
             variables: applied,
             next_seq: applied as u64,
@@ -107,9 +114,10 @@ impl Session {
         self.engine.is_some() && !self.queue.is_empty()
     }
 
-    /// Whether all admitted work has been applied.
+    /// Whether no admitted work is outstanding: all of it applied, or
+    /// dropped when the session failed.
     pub(crate) fn drained(&self) -> bool {
-        self.engine.is_some() && self.queue.is_empty()
+        self.queue.is_empty() && (self.engine.is_some() || self.failed)
     }
 }
 
